@@ -7,10 +7,10 @@
 //! node becomes an [`Instruction`] with a [`Kernel`] — the actual operator
 //! code an instruction processor executes on the pages in a work unit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
-use df_query::{ops, validate, NodeId, Op, QueryTree};
+use df_query::{ops, Firing, NodeId, Op, Plan, QueryTree};
 use df_relalg::{
     Catalog, CmpOp, JoinCondition, Page, Predicate, Projection, Result, Schema, Tuple, TupleBuf,
     TupleRef,
@@ -22,19 +22,6 @@ use crate::params::{JoinAlgo, TransferMode};
 pub type InstrId = usize;
 /// Index of a query within a batch.
 pub type QueryId = usize;
-
-/// How work units are generated for a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnitGen {
-    /// One unit per input page (streaming unary operators).
-    PerPage,
-    /// One unit per (outer page, inner page) pair (nested-loops join/cross).
-    PerPair,
-    /// A single unit over the complete input(s): the blocking operators the
-    /// paper could not parallelize (duplicate-eliminating project, §5) plus
-    /// the set operators that need the whole right side.
-    WholeRelation,
-}
 
 /// The operator code executed per work unit.
 #[derive(Debug, Clone)]
@@ -70,50 +57,14 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// The unit-generation class.
-    pub fn unit_gen(&self) -> UnitGen {
-        match self {
-            Kernel::Restrict(_)
-            | Kernel::Project(_)
-            | Kernel::Identity
-            | Kernel::DeleteFilter(_)
-            | Kernel::Span(_) => UnitGen::PerPage,
-            Kernel::JoinPair(..) | Kernel::CrossPair => UnitGen::PerPair,
-            Kernel::UnionFinal | Kernel::DifferenceFinal | Kernel::ProjectDedupFinal(_) => {
-                UnitGen::WholeRelation
-            }
-        }
-    }
-
-    /// Execute one page-or-pair work unit.
-    ///
-    /// # Panics
-    /// Panics if called on a [`UnitGen::WholeRelation`] kernel (use
-    /// [`Kernel::run_final`]) or with the wrong operand count.
-    pub fn run_unit(&self, pages: &[&Page]) -> Vec<Tuple> {
-        match self {
-            Kernel::Restrict(p) => ops::restrict_page(pages[0], p),
-            Kernel::Project(proj) => ops::project_page(pages[0], proj),
-            Kernel::Identity => pages[0].tuples().collect(),
-            Kernel::DeleteFilter(p) => pages[0].tuples().filter(|t| p.eval(t)).collect(),
-            Kernel::JoinPair(c, _) => ops::join_pages(pages[0], pages[1], c),
-            Kernel::CrossPair => ops::cross_pages(pages[0], pages[1]),
-            Kernel::Span(steps) => ops::span_page(pages[0], steps),
-            k => panic!("run_unit called on whole-relation kernel {k:?}"),
-        }
-    }
-
     /// Execute one page-or-pair work unit on the zero-copy path: predicates
     /// and join keys are evaluated directly over the encoded tuple images
     /// and surviving images are memcpy'd into the returned batch — nothing
     /// is decoded or re-encoded. `out_schema` is the instruction's output
     /// schema (carried by the compiled [`Instruction`]).
     ///
-    /// Emits exactly the tuples [`Kernel::run_unit`] emits, in the same
-    /// order, with byte-identical images.
-    ///
     /// # Panics
-    /// Panics if called on a [`UnitGen::WholeRelation`] kernel (use
+    /// Panics if called on a [`Firing::Complete`] kernel (use
     /// [`Kernel::run_final_raw`]) or with the wrong operand count.
     pub fn run_unit_raw(&self, pages: &[&Page], out_schema: &Schema) -> TupleBuf {
         match self {
@@ -140,27 +91,27 @@ impl Kernel {
         }
     }
 
-    /// Execute a whole-relation finalizer over complete inputs.
-    ///
-    /// Set semantics match `df-query::ops` exactly so machine results are
-    /// oracle-comparable.
-    pub fn run_final(&self, inputs: &[Vec<&Page>]) -> Vec<Tuple> {
-        self.run_final_bucket(inputs, 0, 1)
-    }
-
-    /// Zero-copy whole-relation finalizer: membership sets hash the raw
-    /// tuple images (the encoding is canonical — images are equal exactly
-    /// when tuples are), so the serial case decodes nothing.
+    /// Zero-copy whole-relation finalizer over complete inputs: membership
+    /// sets hash the raw tuple images (the encoding is canonical — images
+    /// are equal exactly when tuples are), so the serial case decodes
+    /// nothing. Set semantics match `df-query::ops` exactly so machine
+    /// results are oracle-comparable.
     pub fn run_final_raw(&self, inputs: &[Vec<&Page>], out_schema: &Schema) -> TupleBuf {
         self.run_final_bucket_raw(inputs, 0, 1, out_schema)
     }
 
-    /// One bucket of a whole-relation finalizer on the zero-copy path.
+    /// One *bucket* of a whole-relation finalizer on the zero-copy path:
+    /// only tuples whose hash lands in `bucket` (of `buckets`) are
+    /// considered. Hash partitioning makes the blocking operators
+    /// parallelizable — the parallel duplicate-elimination algorithm the
+    /// paper's §5 leaves open: duplicates always hash to the same bucket,
+    /// so per-bucket deduplication composes to exact global deduplication
+    /// (a duplicate-eliminating project partitions on the *projected*
+    /// tuple). With `buckets == 1` this is the ordinary serial finalizer.
     ///
-    /// Bucket partitioning (buckets > 1) still decodes each tuple, because
-    /// it must reproduce [`tuple_bucket`] exactly for per-bucket outputs to
-    /// stay byte-identical to the decoded path; dedup membership and output
-    /// construction stay raw regardless.
+    /// Bucket partitioning (buckets > 1) decodes each tuple to hash it
+    /// ([`tuple_bucket`]); dedup membership and output construction stay
+    /// raw regardless.
     pub fn run_final_bucket_raw(
         &self,
         inputs: &[Vec<&Page>],
@@ -224,88 +175,32 @@ impl Kernel {
         }
     }
 
-    /// Execute one *bucket* of a whole-relation finalizer: only tuples whose
-    /// hash lands in `bucket` (of `buckets`) are considered. Hash
-    /// partitioning makes the blocking operators parallelizable — the
-    /// parallel duplicate-elimination algorithm the paper's §5 leaves open:
-    /// duplicates always hash to the same bucket, so per-bucket
-    /// deduplication composes to exact global deduplication.
-    ///
-    /// With `buckets == 1` this is the ordinary serial finalizer.
-    pub fn run_final_bucket(&self, inputs: &[Vec<&Page>], bucket: u64, buckets: u64) -> Vec<Tuple> {
-        assert!(
-            buckets > 0 && bucket < buckets,
-            "invalid bucket {bucket}/{buckets}"
-        );
-        let in_bucket = |t: &Tuple| -> bool { buckets == 1 || tuple_bucket(t, buckets) == bucket };
-        let tuples_of =
-            |pages: &[&Page]| -> Vec<Tuple> { pages.iter().flat_map(|p| p.tuples()).collect() };
-        match self {
-            Kernel::UnionFinal => {
-                let mut seen = HashSet::new();
-                let mut out = Vec::new();
-                for t in tuples_of(&inputs[0])
-                    .into_iter()
-                    .chain(tuples_of(&inputs[1]))
-                {
-                    if in_bucket(&t) && seen.insert(t.clone()) {
-                        out.push(t);
-                    }
-                }
-                out
-            }
-            Kernel::DifferenceFinal => {
-                let exclude: HashSet<Tuple> = tuples_of(&inputs[1])
-                    .into_iter()
-                    .filter(&in_bucket)
-                    .collect();
-                let mut seen = HashSet::new();
-                let mut out = Vec::new();
-                for t in tuples_of(&inputs[0]) {
-                    if in_bucket(&t) && !exclude.contains(&t) && seen.insert(t.clone()) {
-                        out.push(t);
-                    }
-                }
-                out
-            }
-            Kernel::ProjectDedupFinal(proj) => {
-                // Partition on the *projected* tuple: duplicates collide
-                // exactly in one bucket.
-                let projected = inputs[0]
-                    .iter()
-                    .flat_map(|p| ops::project_page(p, proj))
-                    .filter(&in_bucket);
-                ops::dedup_tuples(projected)
-            }
-            k => panic!("run_final called on streaming kernel {k:?}"),
-        }
-    }
-
     /// Per-tuple operation count for the cost model: how many tuple-level
     /// steps the unit performs. A hash-path equi-join builds the inner
     /// index (m inserts) and probes once per outer tuple (n probes), so it
     /// charges n + m instead of the nested-loops n·m — this is what lets
     /// the simulated machines account the reduced IP service time.
     pub fn tuple_ops(&self, tuple_counts: &[usize]) -> usize {
-        if let Kernel::JoinPair(c, JoinAlgo::Hash) = self {
+        match self {
             // Equi-joins probe; other θs sweep. (A mixed-width string key
             // also sweeps but is charged probe cost here — the cost model
             // keys on the condition, not the schemas it joins.)
-            if c.op == CmpOp::Eq {
-                return tuple_counts[0] + tuple_counts[1];
+            Kernel::JoinPair(c, JoinAlgo::Hash) if c.op == CmpOp::Eq => {
+                tuple_counts[0] + tuple_counts[1]
             }
-        }
-        // A fused span charges the *sum* of its step costs — each logical
-        // operator still touches every input tuple — while transferring a
-        // single page. The transfer saving, not a compute saving, is what
-        // the pipeline mode buys.
-        if let Kernel::Span(steps) = self {
-            return tuple_counts[0] * steps.len().max(1);
-        }
-        match self.unit_gen() {
-            UnitGen::PerPage => tuple_counts[0],
-            UnitGen::PerPair => tuple_counts[0] * tuple_counts[1],
-            UnitGen::WholeRelation => tuple_counts.iter().sum(),
+            Kernel::JoinPair(..) | Kernel::CrossPair => tuple_counts[0] * tuple_counts[1],
+            // A fused span charges the *sum* of its step costs — each
+            // logical operator still touches every input tuple — while
+            // transferring a single page. The transfer saving, not a
+            // compute saving, is what the pipeline mode buys.
+            Kernel::Span(steps) => tuple_counts[0] * steps.len().max(1),
+            Kernel::UnionFinal | Kernel::DifferenceFinal | Kernel::ProjectDedupFinal(_) => {
+                tuple_counts.iter().sum()
+            }
+            Kernel::Restrict(_)
+            | Kernel::Project(_)
+            | Kernel::Identity
+            | Kernel::DeleteFilter(_) => tuple_counts[0],
         }
     }
 }
@@ -340,6 +235,9 @@ pub struct Instruction {
     pub node: NodeId,
     /// Operator code.
     pub kernel: Kernel,
+    /// How operand pages turn into work units (never [`Firing::Source`]:
+    /// scans are operands, not instructions).
+    pub firing: Firing,
     /// Display name of the operator.
     pub op_name: &'static str,
     /// Operands (1 or 2).
@@ -379,20 +277,11 @@ pub struct Program {
     pub base_relations: Vec<String>,
 }
 
-/// Compile a batch of validated query trees into a [`Program`] with the
-/// default (nested-loops) join algorithm and materializing transfers.
-///
-/// # Errors
-/// Propagates validation errors (unknown relations, type mismatches…).
-pub fn compile(db: &Catalog, queries: &[QueryTree]) -> Result<Program> {
-    compile_with(db, queries, JoinAlgo::default(), TransferMode::default())
-}
-
-/// Compile with an explicit [`JoinAlgo`] for every join instruction and an
-/// explicit [`TransferMode`] — the machines pass their params' knobs
-/// through here. Under [`TransferMode::Pipeline`], maximal
-/// restrict→project→… chains are fused into single [`Kernel::Span`]
-/// instructions after the per-query walk.
+/// Compile a batch of query trees into a [`Program`]: each tree's
+/// [`Plan`] (fused under [`TransferMode::Pipeline`]) is lowered to dense
+/// instructions in topological order, skipping scans — they are their
+/// parent's source operands — and nodes absorbed into a span. The machines
+/// pass their params' knobs through here.
 ///
 /// # Errors
 /// Propagates validation errors (unknown relations, type mismatches…).
@@ -408,147 +297,99 @@ pub fn compile_with(
     let mut base: Vec<String> = Vec::new();
 
     for (qid, tree) in queries.iter().enumerate() {
-        let schemas = validate(db, tree)?;
-        // node -> instr id (None for scans).
-        let mut map: HashMap<NodeId, InstrId> = HashMap::new();
-        let mut root_instr: Option<InstrId> = None;
-        let mut update: Option<UpdateSpec> = None;
+        let mut plan = Plan::compile(db, tree)?;
+        if transfer == TransferMode::Pipeline {
+            plan.fuse_spans();
+        }
+        // Dense ids for the nodes that become instructions. A bare scan
+        // root is one too (an identity over its own relation), so the
+        // machine has something to execute.
+        let mut ids: Vec<Option<InstrId>> = vec![None; plan.nodes.len()];
+        let mut next = instructions.len();
+        for (n, node) in plan.nodes.iter().enumerate() {
+            if !node.absorbed && (node.firing != Firing::Source || n == plan.root) {
+                ids[n] = Some(next);
+                next += 1;
+            }
+        }
 
-        for nid in tree.topo_order() {
-            let node = tree.node(nid);
-            let operand_of = |child: NodeId| -> OperandSpec {
-                let child_node = tree.node(child);
-                match &child_node.op {
-                    Op::Scan { relation } => OperandSpec {
-                        schema: schemas.schema(child).clone(),
-                        source: Some(relation.clone()),
-                    },
-                    _ => OperandSpec {
-                        schema: schemas.schema(child).clone(),
-                        source: None,
-                    },
-                }
+        let mut update = None;
+        for (n, node) in plan.nodes.iter().enumerate() {
+            // Leafless operators read a base relation directly; its schema
+            // is their own output schema.
+            let reads = match &node.op {
+                Op::Scan { relation } => Some(relation),
+                Op::Delete { target, .. } => Some(target),
+                _ => None,
             };
-
-            let (kernel, operands): (Kernel, Vec<OperandSpec>) = match &node.op {
-                Op::Scan { relation } => {
-                    base.push(relation.clone());
-                    if nid == tree.root() {
-                        // Bare scan: an identity instruction so the machine
-                        // has something to execute.
-                        (
-                            Kernel::Identity,
-                            vec![OperandSpec {
-                                schema: schemas.schema(nid).clone(),
-                                source: Some(relation.clone()),
-                            }],
-                        )
-                    } else {
-                        continue; // scans feed their parent directly
-                    }
-                }
-                Op::Restrict { predicate } => (
-                    Kernel::Restrict(predicate.clone()),
-                    vec![operand_of(node.children[0])],
-                ),
-                Op::Project { projection, dedup } => {
-                    let k = if *dedup {
-                        Kernel::ProjectDedupFinal(projection.clone())
-                    } else {
-                        Kernel::Project(projection.clone())
-                    };
-                    (k, vec![operand_of(node.children[0])])
-                }
-                Op::Join { condition } => (
-                    Kernel::JoinPair(*condition, join_algo),
-                    vec![operand_of(node.children[0]), operand_of(node.children[1])],
-                ),
-                Op::CrossProduct => (
-                    Kernel::CrossPair,
-                    vec![operand_of(node.children[0]), operand_of(node.children[1])],
-                ),
-                Op::Union => (
-                    Kernel::UnionFinal,
-                    vec![operand_of(node.children[0]), operand_of(node.children[1])],
-                ),
-                Op::Difference => (
-                    Kernel::DifferenceFinal,
-                    vec![operand_of(node.children[0]), operand_of(node.children[1])],
-                ),
+            base.extend(reads.cloned());
+            let Some(id) = ids[n] else { continue };
+            let operands = match reads {
+                Some(relation) => vec![OperandSpec {
+                    schema: node.out_schema.clone(),
+                    source: Some(relation.clone()),
+                }],
+                None => node
+                    .children
+                    .iter()
+                    .map(|&c| OperandSpec {
+                        schema: plan.nodes[c].out_schema.clone(),
+                        source: match &plan.nodes[c].op {
+                            Op::Scan { relation } => Some(relation.clone()),
+                            _ => None,
+                        },
+                    })
+                    .collect(),
+            };
+            let kernel = match &node.op {
+                _ if !node.steps.is_empty() => Kernel::Span(node.steps.clone()),
+                Op::Scan { .. } => Kernel::Identity,
+                Op::Restrict { predicate } => Kernel::Restrict(predicate.clone()),
+                Op::Project {
+                    projection,
+                    dedup: false,
+                } => Kernel::Project(projection.clone()),
+                Op::Project { projection, .. } => Kernel::ProjectDedupFinal(projection.clone()),
+                Op::Join { condition } => Kernel::JoinPair(*condition, join_algo),
+                Op::CrossProduct => Kernel::CrossPair,
+                Op::Union => Kernel::UnionFinal,
+                Op::Difference => Kernel::DifferenceFinal,
                 Op::Append { target } => {
                     update = Some(UpdateSpec::Append {
                         target: target.clone(),
                     });
-                    (Kernel::Identity, vec![operand_of(node.children[0])])
+                    Kernel::Identity
                 }
                 Op::Delete { target, predicate } => {
                     update = Some(UpdateSpec::Delete {
                         target: target.clone(),
                     });
-                    base.push(target.clone());
-                    (
-                        Kernel::DeleteFilter(predicate.clone()),
-                        vec![OperandSpec {
-                            schema: db.require(target)?.schema().clone(),
-                            source: Some(target.clone()),
-                        }],
-                    )
+                    Kernel::DeleteFilter(predicate.clone())
                 }
             };
-
-            // Record source scans feeding this instruction.
-            for op_spec in &operands {
-                if let Some(src) = &op_spec.source {
-                    base.push(src.clone());
-                }
-            }
-
-            let id = instructions.len();
+            let op_name = match kernel {
+                Kernel::Span(_) => "span",
+                _ => node.op.name(),
+            };
             instructions.push(Instruction {
                 id,
                 query: qid,
-                node: nid,
+                node: NodeId(n),
                 kernel,
-                op_name: node.op.name(),
+                firing: match node.firing {
+                    Firing::Source => Firing::PerPage,
+                    fires => fires,
+                },
+                op_name,
                 operands,
-                output_schema: schemas.schema(nid).clone(),
-                parent: None, // fixed up below
+                output_schema: node.out_schema.clone(),
+                parent: node
+                    .parent
+                    .map(|(p, port)| (ids[p].expect("a live node feeds a live node"), port)),
             });
-            map.insert(nid, id);
-            if nid == tree.root() {
-                root_instr = Some(id);
-            }
         }
-
-        // Fix up parent pointers: for each instruction, find which operand of
-        // which parent its node feeds.
-        for nid in tree.topo_order() {
-            let Some(&iid) = map.get(&nid) else { continue };
-            if nid == tree.root() {
-                continue;
-            }
-            // Find the parent node and operand slot.
-            let mut assigned = false;
-            'outer: for pid in tree.topo_order() {
-                let pnode = tree.node(pid);
-                for (slot, &c) in pnode.children.iter().enumerate() {
-                    if c == nid {
-                        let parent_iid = map[&pid];
-                        instructions[iid].parent = Some((parent_iid, slot));
-                        assigned = true;
-                        break 'outer;
-                    }
-                }
-            }
-            assert!(assigned, "non-root instruction {iid} has no parent");
-        }
-
-        roots.push(root_instr.expect("every tree compiles a root instruction"));
+        roots.push(ids[plan.root].expect("the root is live"));
         updates.push(update);
-    }
-
-    if transfer == TransferMode::Pipeline {
-        fuse_spans(&mut instructions, &mut roots);
     }
 
     base.sort();
@@ -561,115 +402,20 @@ pub fn compile_with(
     })
 }
 
-/// Collapse every maximal restrict→project→… chain (length ≥ 2) into one
-/// [`Kernel::Span`] instruction sitting at the chain bottom's position:
-/// same operand, the top's output schema and parent, one step per absorbed
-/// operator in chain order. Ids are then renumbered densely and parent
-/// pointers and roots remapped.
-///
-/// Only `Restrict` and `Project` fuse — `DeleteFilter` feeds a database
-/// update and `ProjectDedupFinal` blocks, so both stay materialized, as do
-/// chains of length 1 (nothing to fuse).
-fn fuse_spans(instructions: &mut Vec<Instruction>, roots: &mut [InstrId]) {
-    let n = instructions.len();
-    let fusible = |i: &Instruction| matches!(i.kernel, Kernel::Restrict(_) | Kernel::Project(_));
-    // Which instructions are fed by a fusible child (chain continuation).
-    let mut fed_by_fusible = vec![false; n];
-    for i in 0..n {
-        if fusible(&instructions[i]) {
-            if let Some((p, _)) = instructions[i].parent {
-                if fusible(&instructions[p]) && instructions[p].query == instructions[i].query {
-                    fed_by_fusible[p] = true;
-                }
-            }
-        }
-    }
-
-    let mut absorbed = vec![false; n];
-    // Maps an absorbed chain top that was a query root to its chain bottom.
-    let mut root_redirect: HashMap<InstrId, InstrId> = HashMap::new();
-    for bottom in 0..n {
-        // A chain bottom is fusible, not itself fed by a fusible child, and
-        // feeds a fusible parent in the same query.
-        if !fusible(&instructions[bottom]) || fed_by_fusible[bottom] {
-            continue;
-        }
-        let mut chain = vec![bottom];
-        loop {
-            let cur = *chain.last().expect("chain is non-empty");
-            match instructions[cur].parent {
-                Some((p, _))
-                    if fusible(&instructions[p])
-                        && instructions[p].query == instructions[cur].query =>
-                {
-                    chain.push(p);
-                }
-                _ => break,
-            }
-        }
-        if chain.len() < 2 {
-            continue;
-        }
-        let steps: Vec<ops::SpanStep> = chain
-            .iter()
-            .map(|&i| match &instructions[i].kernel {
-                Kernel::Restrict(p) => ops::SpanStep::Restrict(p.clone()),
-                Kernel::Project(proj) => ops::SpanStep::Project(proj.clone()),
-                k => unreachable!("non-fusible kernel {k:?} in a span chain"),
-            })
-            .collect();
-        let top = *chain.last().expect("chain has at least two members");
-        instructions[bottom].kernel = Kernel::Span(steps);
-        instructions[bottom].op_name = "span";
-        instructions[bottom].output_schema = instructions[top].output_schema.clone();
-        instructions[bottom].parent = instructions[top].parent;
-        if instructions[top].parent.is_none() {
-            root_redirect.insert(top, bottom);
-        }
-        for &i in &chain[1..] {
-            absorbed[i] = true;
-        }
-    }
-
-    if root_redirect.is_empty() && absorbed.iter().all(|&a| !a) {
-        return;
-    }
-    for r in roots.iter_mut() {
-        if let Some(&b) = root_redirect.get(r) {
-            *r = b;
-        }
-    }
-    // Renumber densely, dropping absorbed instructions.
-    let mut remap: Vec<Option<InstrId>> = vec![None; n];
-    let mut next = 0;
-    for (i, gone) in absorbed.iter().enumerate() {
-        if !gone {
-            remap[i] = Some(next);
-            next += 1;
-        }
-    }
-    let mut i = 0;
-    instructions.retain(|_| {
-        let keep = !absorbed[i];
-        i += 1;
-        keep
-    });
-    for instr in instructions.iter_mut() {
-        instr.id = remap[instr.id].expect("kept instruction has a new id");
-        instr.parent = instr
-            .parent
-            .map(|(p, slot)| (remap[p].expect("parent survives fusion"), slot));
-    }
-    for r in roots.iter_mut() {
-        *r = remap[*r].expect("root survives fusion");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use df_query::{parse_query, TreeBuilder};
     use df_relalg::{CmpOp, DataType, Relation, Tuple, Value};
+
+    /// The paper's configuration: nested-loops joins, materializing transfers.
+    fn compile(db: &Catalog, queries: &[QueryTree]) -> Result<Program> {
+        compile_with(db, queries, JoinAlgo::default(), TransferMode::default())
+    }
+
+    fn refs(rel: &Relation) -> Vec<&Page> {
+        rel.pages().iter().map(|p| p.as_ref()).collect()
+    }
 
     fn db() -> Catalog {
         let mut db = Catalog::new();
@@ -726,6 +472,7 @@ mod tests {
             prog.instructions[0].operands[0].source.as_deref(),
             Some("a")
         );
+        assert_eq!(prog.instructions[0].firing, Firing::PerPage);
     }
 
     #[test]
@@ -768,10 +515,7 @@ mod tests {
         let b = TreeBuilder::new(&db);
         let q = b.scan("a").unwrap().project(&["v"], true).unwrap().finish();
         let prog = compile(&db, &[q]).unwrap();
-        assert_eq!(
-            prog.instructions[0].kernel.unit_gen(),
-            UnitGen::WholeRelation
-        );
+        assert_eq!(prog.instructions[0].firing, Firing::Complete);
         let q = b
             .scan("a")
             .unwrap()
@@ -779,7 +523,7 @@ mod tests {
             .unwrap()
             .finish();
         let prog = compile(&db, &[q]).unwrap();
-        assert_eq!(prog.instructions[0].kernel.unit_gen(), UnitGen::PerPage);
+        assert_eq!(prog.instructions[0].firing, Firing::PerPage);
     }
 
     #[test]
@@ -788,27 +532,32 @@ mod tests {
         let a = db.get("a").unwrap();
         let page = &a.pages()[0];
         let pred = Predicate::cmp_const(a.schema(), "k", CmpOp::Lt, Value::Int(2)).unwrap();
-        let out = Kernel::Restrict(pred.clone()).run_unit(&[page]);
-        assert_eq!(out, ops::restrict_page(page, &pred));
-        let ident = Kernel::Identity.run_unit(&[page]);
-        assert_eq!(ident.len(), page.len());
+        let out = Kernel::Restrict(pred.clone()).run_unit_raw(&[page], a.schema());
+        assert_eq!(out.to_tuples(), ops::restrict_page(page, &pred));
+        let ident = Kernel::Identity.run_unit_raw(&[page], a.schema());
+        assert_eq!(ident.to_tuples(), page.tuples().collect::<Vec<_>>());
     }
 
     #[test]
     fn final_kernels_match_set_semantics() {
         let db = db();
         let a = db.get("a").unwrap();
-        let pages: Vec<&Page> = a.pages().iter().map(|p| p.as_ref()).collect();
+        let s = a.schema();
+        let inputs = [refs(a), refs(a)];
         // a ∪ a = a (set semantics)
-        let u = Kernel::UnionFinal.run_final(&[pages.clone(), pages.clone()]);
+        let u = Kernel::UnionFinal.run_final_raw(&inputs, s);
+        assert_eq!(u.to_tuples(), ops::union_relations(a, a).unwrap());
         assert_eq!(u.len(), 10);
         // a − a = ∅
-        let d = Kernel::DifferenceFinal.run_final(&[pages.clone(), pages.clone()]);
+        let d = Kernel::DifferenceFinal.run_final_raw(&inputs, s);
+        assert_eq!(d.to_tuples(), ops::difference_relations(a, a).unwrap());
         assert!(d.is_empty());
     }
 
+    /// The machines' raw kernels against the oracle's decoded ones — two
+    /// independent implementations of every operator.
     #[test]
-    fn raw_unit_and_final_kernels_match_decoded() {
+    fn raw_unit_and_final_kernels_match_oracle_kernels() {
         let db = db();
         let a = db.get("a").unwrap();
         let s = a.schema().clone();
@@ -816,61 +565,101 @@ mod tests {
         let other = &a.pages()[1];
 
         let pred = Predicate::cmp_const(&s, "k", CmpOp::Ge, Value::Int(2)).unwrap();
-        for kernel in [
-            Kernel::Restrict(pred.clone()),
-            Kernel::DeleteFilter(pred),
-            Kernel::Project(Projection::new(&s, &["v", "k"]).unwrap()),
-            Kernel::Identity,
+        let proj = Projection::new(&s, &["v", "k"]).unwrap();
+        let all: Vec<Tuple> = page.tuples().collect();
+        for (kernel, out_schema, want) in [
+            (
+                Kernel::Restrict(pred.clone()),
+                s.clone(),
+                ops::restrict_page(page, &pred),
+            ),
+            (
+                Kernel::DeleteFilter(pred.clone()),
+                s.clone(),
+                ops::restrict_page(page, &pred),
+            ),
+            (
+                Kernel::Project(proj.clone()),
+                proj.output_schema(&s).unwrap(),
+                ops::project_page(page, &proj),
+            ),
+            (Kernel::Identity, s.clone(), all),
         ] {
-            let out_schema = match &kernel {
-                Kernel::Project(p) => p.output_schema(&s).unwrap(),
-                _ => s.clone(),
-            };
             assert_eq!(
                 kernel.run_unit_raw(&[page], &out_schema).to_tuples(),
-                kernel.run_unit(&[page]),
+                want,
                 "{kernel:?}"
             );
         }
         let c = JoinCondition::equi(&s, "v", &s, "v").unwrap();
         let joined = s.concat(&s);
-        for kernel in [
-            Kernel::JoinPair(c, JoinAlgo::Nested),
-            Kernel::JoinPair(c, JoinAlgo::Hash),
-            Kernel::CrossPair,
+        for (kernel, want) in [
+            (
+                Kernel::JoinPair(c, JoinAlgo::Nested),
+                ops::join_pages(page, other, &c),
+            ),
+            (
+                Kernel::JoinPair(c, JoinAlgo::Hash),
+                ops::join_pages(page, other, &c),
+            ),
+            (Kernel::CrossPair, ops::cross_pages(page, other)),
         ] {
             assert_eq!(
                 kernel.run_unit_raw(&[page, other], &joined).to_tuples(),
-                kernel.run_unit(&[page, other]),
+                want,
                 "{kernel:?}"
             );
         }
 
-        let pages: Vec<&Page> = a.pages().iter().map(|p| p.as_ref()).collect();
-        let inputs = [pages.clone(), pages];
-        let proj_schema = Projection::new(&s, &["v"])
-            .unwrap()
-            .output_schema(&s)
-            .unwrap();
-        for kernel in [
-            Kernel::UnionFinal,
-            Kernel::DifferenceFinal,
-            Kernel::ProjectDedupFinal(Projection::new(&s, &["v"]).unwrap()),
+        // Finalizers over a and a shifted copy (half overlap). The serial
+        // case equals the oracle kernel; the buckets of a partitioned run
+        // partition that result exactly — disjoint, nothing lost, and
+        // in-bucket order preserved.
+        let b = Relation::from_tuples(
+            "b",
+            s.clone(),
+            16 + 16 * 4,
+            (5..15).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i * 2)])),
+        )
+        .unwrap();
+        let inputs = [refs(a), refs(&b)];
+        let v = Projection::new(&s, &["v"]).unwrap();
+        let projected = a.pages().iter().flat_map(|p| ops::project_page(p, &v));
+        for (kernel, out_schema, want) in [
+            (
+                Kernel::UnionFinal,
+                s.clone(),
+                ops::union_relations(a, &b).unwrap(),
+            ),
+            (
+                Kernel::DifferenceFinal,
+                s.clone(),
+                ops::difference_relations(a, &b).unwrap(),
+            ),
+            (
+                Kernel::ProjectDedupFinal(v.clone()),
+                v.output_schema(&s).unwrap(),
+                ops::dedup_tuples(projected),
+            ),
         ] {
-            let out_schema = match &kernel {
-                Kernel::ProjectDedupFinal(_) => proj_schema.clone(),
-                _ => s.clone(),
-            };
-            for buckets in [1u64, 3] {
-                for bucket in 0..buckets {
-                    assert_eq!(
-                        kernel
-                            .run_final_bucket_raw(&inputs, bucket, buckets, &out_schema)
-                            .to_tuples(),
-                        kernel.run_final_bucket(&inputs, bucket, buckets),
-                        "{kernel:?} bucket {bucket}/{buckets}"
-                    );
-                }
+            let serial = kernel.run_final_raw(&inputs, &out_schema).to_tuples();
+            assert_eq!(serial, want, "{kernel:?}");
+            let buckets = 3;
+            let parts: Vec<Vec<Tuple>> = (0..buckets)
+                .map(|bucket| {
+                    kernel
+                        .run_final_bucket_raw(&inputs, bucket, buckets, &out_schema)
+                        .to_tuples()
+                })
+                .collect();
+            assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), serial.len());
+            for (bucket, part) in parts.iter().enumerate() {
+                let in_bucket: Vec<Tuple> = serial
+                    .iter()
+                    .filter(|t| tuple_bucket(t, buckets) == bucket as u64)
+                    .cloned()
+                    .collect();
+                assert_eq!(part, &in_bucket, "{kernel:?} bucket {bucket}/{buckets}");
             }
         }
     }
@@ -922,7 +711,7 @@ mod tests {
             })
             .collect();
         assert_eq!(algos, vec![JoinAlgo::Hash, JoinAlgo::Hash]);
-        // The plain entry point keeps the paper's default.
+        // The default knob is the paper's nested loops.
         let prog = compile(&db, &[q]).unwrap();
         assert!(prog
             .instructions
@@ -1042,14 +831,13 @@ mod tests {
             TransferMode::Pipeline,
         )
         .unwrap();
-        let Kernel::Span(steps) = &fused.instructions[0].kernel else {
-            panic!("expected a span");
-        };
+        let span = &fused.instructions[0];
+        assert!(matches!(span.kernel, Kernel::Span(_)));
         let a = db.get("a").unwrap();
         for page in a.pages() {
-            let raw = ops::span_page_raw(page, steps, &fused.instructions[0].output_schema);
-            assert_eq!(raw.to_tuples(), ops::span_page(page, steps));
-            // Unfused reference: restrict, project, restrict by hand.
+            let raw = span.kernel.run_unit_raw(&[page], &span.output_schema);
+            // Unfused reference: the oracle's restrict, then project and
+            // restrict by hand.
             let s = a.schema();
             let p1 = Predicate::cmp_const(s, "k", CmpOp::Gt, Value::Int(2)).unwrap();
             let proj = Projection::new(s, &["v"]).unwrap();

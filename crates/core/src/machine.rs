@@ -26,7 +26,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use df_obs::{IntervalSeries, Path as ObsPath};
-use df_query::QueryTree;
+use df_query::{Firing, QueryTree};
 use df_relalg::{Catalog, Page, Relation, Result, Tuple, TupleBuf};
 use df_sim::stats::ByteCounter;
 use df_sim::{Duration, EventQueue, Resource, SimTime};
@@ -34,7 +34,7 @@ use df_storage::{DiskCache, MassStorage, PageId, PageStore, PageTable};
 
 use crate::allocation::AllocationStrategy;
 use crate::granularity::Granularity;
-use crate::instr::{compile_with, InstrId, Program, UnitGen, UpdateSpec};
+use crate::instr::{compile_with, InstrId, Program, UpdateSpec};
 use crate::metrics::{InstructionStats, Metrics};
 use crate::params::MachineParams;
 
@@ -122,7 +122,7 @@ pub struct Machine {
     params: MachineParams,
     granularity: Granularity,
     strategy: AllocationStrategy,
-    program: Program,
+    pub(crate) program: Program,
 
     store: PageStore,
     disk: MassStorage,
@@ -337,13 +337,12 @@ impl Machine {
     /// work units from it.
     fn register_page(&mut self, iid: InstrId, slot: usize, page: PageId) {
         self.states[iid].operands[slot].push(page);
-        let kernel = &self.program.instructions[iid].kernel;
-        match kernel.unit_gen() {
-            UnitGen::PerPage => {
+        match self.program.instructions[iid].firing {
+            Firing::PerPage => {
                 self.states[iid].pending.push_back(WorkUnit::Single(page));
                 self.states[iid].units_generated += 1;
             }
-            UnitGen::PerPair => {
+            Firing::PairSweep => {
                 let st = &mut self.states[iid];
                 if slot == 0 {
                     // New outer page: it has work iff inner pages exist.
@@ -368,7 +367,7 @@ impl Machine {
                     }
                 }
             }
-            UnitGen::WholeRelation => {} // waits for completeness
+            Firing::Complete | Firing::Source => {} // waits for completeness
         }
     }
 
@@ -376,8 +375,7 @@ impl Machine {
     /// for (possibly zero-work) completion.
     fn complete_stream(&mut self, iid: InstrId, slot: usize) {
         self.states[iid].operands[slot].mark_complete();
-        let kernel = &self.program.instructions[iid].kernel;
-        if kernel.unit_gen() == UnitGen::WholeRelation
+        if self.program.instructions[iid].firing == Firing::Complete
             && !self.states[iid].final_issued
             && self.states[iid].operands.iter().all(PageTable::is_complete)
         {
@@ -585,11 +583,11 @@ impl Machine {
 
         // 3. Arbitration-network transfer.
         let kernel = self.program.instructions[iid].kernel.clone();
-        let (packets, pkt_payload) = match (unit, kernel.unit_gen()) {
+        let (packets, pkt_payload) = match unit {
             // Finalizers always ship whole pages (one packet per page):
             // tuple-level accounting is defined for the paper's streaming
             // and join packets, not for blocking set operators.
-            (WorkUnit::Final { .. }, _) => (operand_pages.len().max(1), payload),
+            WorkUnit::Final { .. } => (operand_pages.len().max(1), payload),
             _ if broadcast => {
                 let staged_bytes: usize = net_pages
                     .iter()
@@ -818,8 +816,7 @@ impl Machine {
             && pairs_done
             && st.in_flight == 0
             && st.units_done == st.units_generated;
-        let final_ok = self.program.instructions[iid].kernel.unit_gen() != UnitGen::WholeRelation
-            || st.final_issued;
+        let final_ok = self.program.instructions[iid].firing != Firing::Complete || st.final_issued;
         if !(operands_done && units_done && final_ok) {
             return;
         }
@@ -977,7 +974,6 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::compile;
     use crate::params::JoinAlgo;
     use df_query::{execute_readonly, parse_query, ExecParams};
     use df_relalg::{DataType, Schema, Value};
@@ -1280,7 +1276,6 @@ mod tests {
     fn update_queries_apply() {
         let mut db = db();
         let tree = parse_query(&db, "(delete a (< k 10))").unwrap();
-        let prog = compile(&db, std::slice::from_ref(&tree)).unwrap();
         let m = Machine::new(
             &db,
             &[tree],
@@ -1289,9 +1284,10 @@ mod tests {
             AllocationStrategy::default(),
         )
         .unwrap();
+        let updates = m.program.updates.clone();
         let (rels, _) = m.run();
         assert_eq!(rels[0].num_tuples(), 10);
-        Machine::apply_updates(&mut db, &prog.updates, &rels).unwrap();
+        Machine::apply_updates(&mut db, &updates, &rels).unwrap();
         assert_eq!(db.get("a").unwrap().num_tuples(), 20);
     }
 }

@@ -5,7 +5,7 @@ use df_relalg::{Catalog, Relation, Result};
 
 use crate::allocation::AllocationStrategy;
 use crate::granularity::Granularity;
-use crate::instr::{compile, UpdateSpec};
+use crate::instr::UpdateSpec;
 use crate::machine::Machine;
 use crate::metrics::Metrics;
 use crate::params::MachineParams;
@@ -42,8 +42,8 @@ pub fn run_queries(
     granularity: Granularity,
     strategy: AllocationStrategy,
 ) -> Result<RunOutput> {
-    let updates = compile(db, queries)?.updates;
     let machine = Machine::new(db, queries, params.clone(), granularity, strategy)?;
+    let updates = machine.program.updates.clone();
     let (results, metrics) = machine.run();
     Ok(RunOutput {
         results,

@@ -43,14 +43,14 @@ use df_query::ops::{
     cross_pages_raw, dedup_pages_raw, difference_pages_raw, hash_join_applicable, hash_join_probe,
     join_pages_raw, project_page_raw, restrict_page_raw, span_page_raw, union_pages_raw,
 };
-use df_query::{Op, QueryTree};
+use df_query::{Firing, Op, QueryTree};
 use df_relalg::{Catalog, Page, PageKeyIndex, Relation, Schema, TupleBuf};
 
 use crate::error::{HostError, HostResult};
 use crate::fault::InjectedFault;
 use crate::metrics::{HostMetrics, QueryStats, WorkerStats};
 use crate::params::HostParams;
-use crate::plan::{Firing, QueryPlan};
+use crate::plan::QueryPlan;
 
 /// One page in a pair-sweep cell's operand page table, bundled with its
 /// lazily built raw-byte key index (the hash-accelerated equi-join path).
@@ -512,11 +512,12 @@ impl<'a> Scheduler<'a> {
     fn admit(&mut self, q: usize) -> HostResult<()> {
         let plan = Arc::clone(&self.plans[q]);
         let cells = plan
-            .cells
+            .plan
+            .nodes
             .iter()
             .map(|spec| CellState {
-                received: vec![Vec::new(); spec.arity],
-                port_done: vec![false; spec.arity],
+                received: vec![Vec::new(); spec.children.len()],
+                port_done: vec![false; spec.children.len()],
                 ..CellState::default()
             })
             .collect();
@@ -530,18 +531,18 @@ impl<'a> Scheduler<'a> {
             in_flight_total: 0,
             failed: None,
         });
-        self.next_base += plan.cells.len();
+        self.next_base += plan.plan.nodes.len();
         if let Some(t) = self.trace() {
             t.record(
                 EventKind::QueryAdmit,
                 q as u32,
                 u32::MAX,
-                plan.cells.len() as u64,
+                plan.plan.nodes.len() as u64,
                 0,
             );
         }
 
-        for (idx, spec) in plan.cells.iter().enumerate() {
+        for (idx, spec) in plan.plan.nodes.iter().enumerate() {
             if spec.firing != Firing::Source {
                 continue;
             }
@@ -562,7 +563,7 @@ impl<'a> Scheduler<'a> {
             return Ok(());
         }
         let state = self.active[q].as_mut().expect("query is active");
-        match state.plan.cells[from].parent {
+        match state.plan.cell(from).parent {
             None => state.result_pages.extend(pages),
             Some((parent, port)) => self.on_pages(q, parent, port, pages),
         }
@@ -573,7 +574,7 @@ impl<'a> Scheduler<'a> {
     fn on_pages(&mut self, q: usize, cell: usize, port: usize, pages: Vec<Arc<Page>>) {
         let trace = self.params.trace.as_deref();
         let state = self.active[q].as_mut().expect("query is active");
-        let firing = state.plan.cells[cell].firing;
+        let firing = state.plan.cell(cell).firing;
         let cs = &mut state.cells[cell];
         let mut fired = 0u64;
         match firing {
@@ -626,7 +627,7 @@ impl<'a> Scheduler<'a> {
         let state = self.active[q].as_mut().expect("query is active");
         debug_assert!(!state.cells[cell].complete);
         state.cells[cell].complete = true;
-        let parent = state.plan.cells[cell].parent;
+        let parent = state.plan.cell(cell).parent;
         match parent {
             None => self.finish_query(q)?,
             Some((parent, port)) => {
@@ -642,7 +643,7 @@ impl<'a> Scheduler<'a> {
     /// A blocking cell with all operands complete fires its single unit.
     fn try_fire_blocking(&mut self, q: usize, cell: usize) {
         let state = self.active[q].as_mut().expect("query is active");
-        let spec = &state.plan.cells[cell];
+        let spec = state.plan.cell(cell);
         let cs = &mut state.cells[cell];
         if spec.firing != Firing::Complete || cs.fired_blocking || !cs.port_done.iter().all(|&d| d)
         {
@@ -657,7 +658,7 @@ impl<'a> Scheduler<'a> {
                 .collect::<Vec<_>>()
         };
         let left = unwrap(std::mem::take(&mut cs.received[0]));
-        let right = if spec.arity > 1 {
+        let right = if spec.children.len() > 1 {
             unwrap(std::mem::take(&mut cs.received[1]))
         } else {
             Vec::new()
@@ -671,7 +672,7 @@ impl<'a> Scheduler<'a> {
     /// Complete `cell` if its operands are done and no work is outstanding.
     fn try_complete(&mut self, q: usize, cell: usize) -> HostResult<()> {
         let state = self.active[q].as_mut().expect("query is active");
-        let spec = &state.plan.cells[cell];
+        let spec = state.plan.cell(cell);
         let cs = &state.cells[cell];
         let blocked_on_fire = spec.firing == Firing::Complete && !cs.fired_blocking;
         if cs.complete
@@ -689,10 +690,12 @@ impl<'a> Scheduler<'a> {
     /// query's locks, and admit whatever those locks were blocking.
     fn finish_query(&mut self, q: usize) -> HostResult<()> {
         let state = self.active[q].take().expect("query is active");
-        let spec = &state.plan.cells[state.plan.root];
-        let mut rel = Relation::new("result", spec.out_schema.clone(), spec.out_page_size)?;
+        let root = state.plan.plan.root;
+        let schema = &state.plan.cell(root).out_schema;
+        let page_size = state.plan.out_page_size[root];
+        let mut rel = Relation::new("result", schema.clone(), page_size)?;
         if self.params.deterministic {
-            for page in canonicalize(&state.result_pages, &spec.out_schema, spec.out_page_size)? {
+            for page in canonicalize(&state.result_pages, schema, page_size)? {
                 rel.append_page(page)?;
             }
         } else {
@@ -837,7 +840,7 @@ impl<'a> Scheduler<'a> {
                         candidates.push(WorkCandidate {
                             instr: state.base + c,
                             in_flight: cs.in_flight,
-                            depth: state.plan.cells[c].depth,
+                            depth: state.plan.depth[c],
                         });
                         owners.push((q, c));
                     }
@@ -954,7 +957,7 @@ impl<'a> Scheduler<'a> {
                 state.in_flight_total -= 1;
                 state.stats.units_fired += 1;
                 state.stats.failed_units += 1;
-                let op = state.plan.cells[cell].op.name().to_string();
+                let op = state.plan.cell(cell).op.name().to_string();
                 if let Some(t) = self.trace() {
                     t.record(EventKind::Fault, q as u32, cell as u32, 0, worker as u64);
                 }
@@ -1106,7 +1109,7 @@ fn worker_loop(
         // still counts as its own kernel span (start/end pair, busy time
         // split evenly) so the per-operator accounting — and the df-obs
         // conservation identities over it — hold in both transfer modes.
-        let logical_kernels = unit.plan.cells[unit.cell].steps.len().max(1);
+        let logical_kernels = unit.plan.cell(unit.cell).steps.len().max(1);
         let span = trace
             .as_deref()
             .map(|t| t.span(unit.query as u32, unit.cell as u32, unit.seq));
@@ -1194,8 +1197,9 @@ fn worker_loop(
 /// Run the kernel for one work unit. Returns (output pages, operand page
 /// count, operand bytes, unit class).
 fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
-    let spec = &unit.plan.cells[unit.cell];
-    let mut pager = OutputPager::new(spec.out_schema.clone(), spec.out_page_size);
+    let spec = unit.plan.cell(unit.cell);
+    let out_page_size = unit.plan.out_page_size[unit.cell];
+    let mut pager = OutputPager::new(spec.out_schema.clone(), out_page_size);
     let count = |pages: &[Arc<Page>]| {
         (
             pages.len(),
@@ -1326,7 +1330,7 @@ fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
             // Two phases on one worker: attribute elimination (the
             // parallelizable part), then global duplicate elimination over
             // the projected pages (the paper's §5 blocking tail).
-            let mut projected = OutputPager::new(spec.out_schema.clone(), spec.out_page_size);
+            let mut projected = OutputPager::new(spec.out_schema.clone(), out_page_size);
             for page in left {
                 projected.absorb(&mut project_page_raw(page, projection, &spec.out_schema));
             }

@@ -1,68 +1,30 @@
-//! Query compilation: a validated [`QueryTree`] becomes a vector of
-//! *instruction cells*, the host executor's counterpart of the paper's
-//! instructions held by memory cells / ICs. Each cell knows its operator,
-//! its derived output schema, its parent (and which operand port of the
-//! parent it feeds), and its depth from the root (the `RootFirst` policy's
-//! input).
+//! Query compilation: the shared [`df_query::Plan`] plus what only the host
+//! executor needs. Each plan node is an *instruction cell*, the host's
+//! counterpart of the paper's instructions held by memory cells / ICs: the
+//! plan gives a cell its operator, derived output schema, parent (and which
+//! operand port of the parent it feeds) and firing class; this module adds
+//! its depth from the root (the `RootFirst` policy's input) and its output
+//! page size.
 
 use df_core::{JoinAlgo, TransferMode};
-use df_query::ops::SpanStep;
-use df_query::{validate, Op, QueryTree};
-use df_relalg::{Catalog, Schema, PAGE_HEADER_BYTES};
+use df_query::{Plan, PlanNode, QueryTree};
+use df_relalg::{Catalog, PAGE_HEADER_BYTES};
 
 use crate::error::{HostError, HostResult};
 
-/// How the scheduler treats a cell's arriving operand pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Firing {
-    /// Leaf: pages come from the page store at admission, no work units.
-    Source,
-    /// One work unit per arriving operand page (restrict, non-dedup
-    /// project) — the §3.2 page-granularity firing rule.
-    PerPage,
-    /// One work unit per (new page × opposite pages so far) sweep (join,
-    /// cross product) — the paper's independent nested-loops work units.
-    PairSweep,
-    /// One work unit once every operand is complete (union, difference,
-    /// dedup project) — the operators the paper calls out as blocking.
-    Complete,
-}
-
-/// One compiled instruction cell.
-#[derive(Debug, Clone)]
-pub(crate) struct CellSpec {
-    /// The relational operation (predicates/projections pre-resolved by the
-    /// tree builder, re-checked by `validate`).
-    pub op: Op,
-    /// Derived output schema.
-    pub out_schema: Schema,
-    /// `(parent cell, operand port)` — `None` for the root.
-    pub parent: Option<(usize, usize)>,
-    /// Distance from the root (root = 0).
-    pub depth: usize,
-    /// Number of operand ports (= the operator's arity).
-    pub arity: usize,
-    /// Firing discipline.
-    pub firing: Firing,
-    /// Page size for this cell's output pages: the configured size, grown
-    /// if necessary so at least one (possibly very wide) tuple fits.
-    pub out_page_size: usize,
-    /// Non-empty only under [`TransferMode::Pipeline`]: this cell is a
-    /// *fused span* standing in for a maximal restrict→project chain. The
-    /// steps run bottom (this cell's original operator) to top per operand
-    /// page in one work unit; `op` keeps the bottom operator for
-    /// diagnostics, `out_schema`/`out_page_size`/`parent`/`depth` are the
-    /// chain top's. The absorbed upper cells stay in `cells` (indices are
-    /// tree node ids) but nothing ever routes pages to them.
-    pub steps: Vec<SpanStep>,
-}
-
-/// A compiled query: cells in topological (leaf-before-parent) order, the
-/// root last by construction of [`QueryTree`].
+/// A compiled query: cells are the plan's nodes, indexed by tree node id in
+/// topological (leaf-before-parent) order. Under
+/// [`TransferMode::Pipeline`] the plan is fused: absorbed cells stay in
+/// place but nothing ever routes pages to them.
 #[derive(Debug, Clone)]
 pub(crate) struct QueryPlan {
-    pub cells: Vec<CellSpec>,
-    pub root: usize,
+    pub plan: Plan,
+    /// Per cell: distance from the root (root = 0), along the routes pages
+    /// actually take — a span sits at its chain top's depth.
+    pub depth: Vec<usize>,
+    /// Per cell: page size for its output pages — the configured size,
+    /// grown if necessary so at least one (possibly very wide) tuple fits.
+    pub out_page_size: Vec<usize>,
     /// Join algorithm every pair-sweep cell of this plan runs with.
     pub join: JoinAlgo,
 }
@@ -82,141 +44,46 @@ impl QueryPlan {
         join: JoinAlgo,
         transfer: TransferMode,
     ) -> HostResult<QueryPlan> {
-        let schemas = validate(db, tree)?;
-        let parents = tree.parents();
-
-        // Depth from the root: walk parents (children have smaller ids, so
-        // a reverse sweep sees every parent before its children).
-        let mut depth = vec![0usize; tree.len()];
-        for id in tree.topo_order().collect::<Vec<_>>().into_iter().rev() {
-            if let Some(p) = parents[id.0] {
-                depth[id.0] = depth[p.0] + 1;
-            }
-        }
-
-        let mut cells = Vec::with_capacity(tree.len());
-        for id in tree.topo_order() {
-            let node = tree.node(id);
-            let firing = match &node.op {
-                Op::Scan { .. } => Firing::Source,
-                Op::Restrict { .. } => Firing::PerPage,
-                Op::Project { dedup, .. } => {
-                    if *dedup {
-                        Firing::Complete
-                    } else {
-                        Firing::PerPage
-                    }
-                }
-                Op::Join { .. } | Op::CrossProduct => Firing::PairSweep,
-                Op::Union | Op::Difference => Firing::Complete,
-                Op::Append { .. } | Op::Delete { .. } => {
-                    return Err(HostError::ReadOnlyExecutor {
-                        op: node.op.name().to_string(),
-                    });
-                }
-            };
-            let out_schema = schemas.schema(id).clone();
-            let out_page_size = page_size.max(PAGE_HEADER_BYTES + out_schema.tuple_width());
-            let parent = parents[id.0].map(|p| {
-                let port = tree
-                    .node(p)
-                    .children
-                    .iter()
-                    .position(|c| *c == id)
-                    .expect("parents() is consistent with children");
-                (p.0, port)
-            });
-            cells.push(CellSpec {
-                op: node.op.clone(),
-                out_schema,
-                parent,
-                depth: depth[id.0],
-                arity: node.op.arity(),
-                firing,
-                out_page_size,
-                steps: Vec::new(),
+        let mut plan = Plan::compile(db, tree)?;
+        if let Some(update) = plan.nodes.iter().find(|n| n.op.is_update()) {
+            return Err(HostError::ReadOnlyExecutor {
+                op: update.op.name().to_string(),
             });
         }
-        let mut plan = QueryPlan {
-            cells,
-            root: tree.root().0,
-            join,
-        };
         if transfer == TransferMode::Pipeline {
             plan.fuse_spans();
         }
-        Ok(plan)
+        // Parents have larger ids, so a reverse sweep sees every parent
+        // before its children.
+        let mut depth = vec![0usize; plan.nodes.len()];
+        for (id, node) in plan.nodes.iter().enumerate().rev() {
+            if let Some((p, _)) = node.parent {
+                depth[id] = depth[p] + 1;
+            }
+        }
+        let out_page_size = plan
+            .nodes
+            .iter()
+            .map(|n| page_size.max(PAGE_HEADER_BYTES + n.out_schema.tuple_width()))
+            .collect();
+        Ok(QueryPlan {
+            plan,
+            depth,
+            out_page_size,
+            join,
+        })
     }
 
-    /// The pipeline post-pass: collapse every maximal chain of per-page
-    /// restrict/project cells into one fused span cell.
-    ///
-    /// Cell indices are tree node ids (the scheduler addresses cells by
-    /// them), so unlike the simulated machines' compiler this pass never
-    /// renumbers: the chain's *bottom* cell is rewritten in place to carry
-    /// the whole chain, and the absorbed upper cells are left inert — with
-    /// the bottom's `parent` repointed past them, no page is ever routed
-    /// their way, no unit ever fires on them, and cell completion never
-    /// consults them.
-    fn fuse_spans(&mut self) {
-        let fusible = |spec: &CellSpec| {
-            spec.firing == Firing::PerPage
-                && matches!(
-                    spec.op,
-                    Op::Restrict { .. } | Op::Project { dedup: false, .. }
-                )
-        };
-        // A chain bottom is a fusible cell not fed by another fusible cell.
-        let mut fed_by_fusible = vec![false; self.cells.len()];
-        for spec in self.cells.iter().filter(|s| fusible(s)) {
-            if let Some((p, _)) = spec.parent {
-                if fusible(&self.cells[p]) {
-                    fed_by_fusible[p] = true;
-                }
-            }
-        }
-        for (bottom, &fed) in fed_by_fusible.iter().enumerate() {
-            if fed || !fusible(&self.cells[bottom]) {
-                continue;
-            }
-            // Walk up while the parent is fusible too.
-            let mut chain = vec![bottom];
-            while let Some((p, _)) = self.cells[*chain.last().expect("nonempty")].parent {
-                if !fusible(&self.cells[p]) {
-                    break;
-                }
-                chain.push(p);
-            }
-            if chain.len() < 2 {
-                continue;
-            }
-            let steps: Vec<SpanStep> = chain
-                .iter()
-                .map(|&c| match &self.cells[c].op {
-                    Op::Restrict { predicate } => SpanStep::Restrict(predicate.clone()),
-                    Op::Project { projection, .. } => SpanStep::Project(projection.clone()),
-                    other => unreachable!("non-fusible op `{}` in a chain", other.name()),
-                })
-                .collect();
-            let top = *chain.last().expect("nonempty");
-            let top_spec = self.cells[top].clone();
-            let spec = &mut self.cells[bottom];
-            spec.steps = steps;
-            spec.out_schema = top_spec.out_schema;
-            spec.out_page_size = top_spec.out_page_size;
-            spec.parent = top_spec.parent;
-            spec.depth = top_spec.depth;
-            if self.root == top {
-                self.root = bottom;
-            }
-        }
+    /// Cell `cell`'s plan node.
+    pub fn cell(&self, cell: usize) -> &PlanNode {
+        &self.plan.nodes[cell]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_query::TreeBuilder;
+    use df_query::{Firing, TreeBuilder};
     use df_relalg::{CmpOp, DataType, Relation, Schema, Tuple, Value};
 
     fn db() -> Catalog {
@@ -240,7 +107,7 @@ mod tests {
     }
 
     #[test]
-    fn compiles_shapes_and_depths() {
+    fn compiles_depths_over_the_shared_plan() {
         let db = db();
         let b = TreeBuilder::new(&db);
         let q = b
@@ -253,41 +120,12 @@ mod tests {
             .finish();
         let plan =
             QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Materialize).unwrap();
-        assert_eq!(plan.cells.len(), 4);
-        assert_eq!(plan.root, 3);
-        assert_eq!(plan.cells[plan.root].depth, 0);
-        assert_eq!(plan.cells[plan.root].firing, Firing::PairSweep);
-        assert_eq!(plan.cells[0].firing, Firing::Source);
-        // scan -> restrict (port 0 of the join's outer side).
-        assert_eq!(plan.cells[0].parent, Some((1, 0)));
-        assert_eq!(plan.cells[1].parent, Some((3, 0)));
-        assert_eq!(plan.cells[2].parent, Some((3, 1)));
-        assert_eq!(plan.cells[0].depth, 2);
-        // Join output is wider than either input.
-        assert_eq!(plan.cells[3].out_schema.arity(), 4);
-    }
-
-    #[test]
-    fn dedup_project_is_blocking_and_plain_is_not() {
-        let db = db();
-        let q = TreeBuilder::new(&db)
-            .scan("emp")
-            .unwrap()
-            .project(&["dept"], true)
-            .unwrap()
-            .finish();
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Materialize).unwrap();
-        assert_eq!(plan.cells[1].firing, Firing::Complete);
-        let q = TreeBuilder::new(&db)
-            .scan("emp")
-            .unwrap()
-            .project(&["dept"], false)
-            .unwrap()
-            .finish();
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Materialize).unwrap();
-        assert_eq!(plan.cells[1].firing, Firing::PerPage);
+        assert_eq!(plan.plan.nodes.len(), 4);
+        assert_eq!(plan.plan.root, 3);
+        assert_eq!(plan.depth, vec![2, 1, 1, 0]);
+        assert_eq!(plan.cell(3).firing, Firing::PairSweep);
+        assert_eq!(plan.cell(0).firing, Firing::Source);
+        assert_eq!(plan.cell(1).parent, Some((3, 0)));
     }
 
     #[test]
@@ -296,75 +134,40 @@ mod tests {
         let q = TreeBuilder::new(&db).scan("emp").unwrap().finish();
         let plan =
             QueryPlan::build(&db, &q, 8, JoinAlgo::Nested, TransferMode::Materialize).unwrap();
-        assert!(plan.cells[0].out_page_size >= PAGE_HEADER_BYTES + 16);
+        assert!(plan.out_page_size[0] >= PAGE_HEADER_BYTES + 16);
     }
 
     #[test]
-    fn pipeline_fuses_chain_without_renumbering() {
+    fn pipeline_span_takes_its_chain_tops_depth_and_page_size() {
         let db = db();
-        let q = TreeBuilder::new(&db)
+        let b = TreeBuilder::new(&db);
+        // scan(0) -> restrict(1) -> project(2) -> join(4) <- scan(3)
+        let q = b
             .scan("emp")
             .unwrap()
             .restrict_where("id", CmpOp::Gt, Value::Int(2))
             .unwrap()
             .project(&["dept"], false)
             .unwrap()
-            .finish();
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Pipeline).unwrap();
-        // Cells keep their tree-node indices; the restrict (cell 1) became
-        // the span, absorbing the project (cell 2), and took over as root.
-        assert_eq!(plan.cells.len(), 3);
-        assert_eq!(plan.root, 1);
-        let span = &plan.cells[1];
-        assert_eq!(span.steps.len(), 2);
-        assert!(matches!(span.steps[0], SpanStep::Restrict(_)));
-        assert!(matches!(span.steps[1], SpanStep::Project(_)));
-        assert_eq!(span.parent, None);
-        assert_eq!(span.out_schema.arity(), 1);
-        assert_eq!(span.firing, Firing::PerPage);
-        // The scan still feeds the span cell at port 0.
-        assert_eq!(plan.cells[0].parent, Some((1, 0)));
-        // Materialize mode leaves the chain unfused.
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Materialize).unwrap();
-        assert_eq!(plan.root, 2);
-        assert!(plan.cells.iter().all(|c| c.steps.is_empty()));
-    }
-
-    #[test]
-    fn pipeline_fuses_legs_below_a_join() {
-        let db = db();
-        let b = TreeBuilder::new(&db);
-        let left = b
-            .scan("emp")
-            .unwrap()
-            .restrict_where("id", CmpOp::Gt, Value::Int(1))
-            .unwrap()
-            .restrict_where("id", CmpOp::Lt, Value::Int(6))
-            .unwrap();
-        let q = left
             .equi_join(b.scan("emp").unwrap(), "dept", "dept")
             .unwrap()
             .finish();
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Pipeline).unwrap();
-        // scan(0) -> restrict(1) -> restrict(2) -> join(4) <- scan(3); the
-        // two restricts fuse into cell 1, feeding the join's port 0.
-        let span = &plan.cells[1];
-        assert_eq!(span.steps.len(), 2);
-        assert_eq!(span.parent, Some((4, 0)));
-        assert_eq!(plan.root, 4);
-        // A lone restrict (or project) never fuses: chain length 1.
-        let q = TreeBuilder::new(&db)
-            .scan("emp")
-            .unwrap()
-            .restrict_where("id", CmpOp::Gt, Value::Int(2))
-            .unwrap()
-            .finish();
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Pipeline).unwrap();
-        assert!(plan.cells.iter().all(|c| c.steps.is_empty()));
+        let build = |transfer| QueryPlan::build(&db, &q, 8, JoinAlgo::Nested, transfer).unwrap();
+        let (mat, pipe) = (
+            build(TransferMode::Materialize),
+            build(TransferMode::Pipeline),
+        );
+        assert!(mat.plan.nodes.iter().all(|c| c.steps.is_empty()));
+        assert_eq!(mat.depth, vec![3, 2, 1, 1, 0]);
+        // The restrict became the span: it feeds the join directly, from
+        // the project's depth, in pages sized for the project's tuples.
+        assert_eq!(pipe.cell(1).steps.len(), 2);
+        assert!(pipe.cell(2).absorbed);
+        assert_eq!(pipe.cell(1).parent, Some((4, 0)));
+        assert_eq!(pipe.depth[1], mat.depth[2]);
+        assert_eq!(pipe.depth[0], 2);
+        assert_eq!(pipe.out_page_size[1], mat.out_page_size[2]);
+        assert!(pipe.out_page_size[1] < mat.out_page_size[1]);
     }
 
     #[test]
@@ -376,5 +179,19 @@ mod tests {
         let err = QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Materialize)
             .unwrap_err();
         assert!(err.to_string().contains("read-only"));
+        // A fusible chain under an update root is rejected all the same.
+        let q = TreeBuilder::new(&db)
+            .scan("emp")
+            .unwrap()
+            .restrict_where("id", CmpOp::Gt, Value::Int(2))
+            .unwrap()
+            .project(&["id", "dept"], false)
+            .unwrap()
+            .append_to("emp")
+            .unwrap()
+            .finish();
+        let err =
+            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Pipeline).unwrap_err();
+        assert!(matches!(err, HostError::ReadOnlyExecutor { ref op } if op == "append"));
     }
 }

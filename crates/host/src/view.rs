@@ -32,8 +32,8 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use df_query::{execute_read_nodes, ops, DeltaKind, DeltaPlan, ExecParams, Op, QueryTree};
-use df_relalg::{Catalog, Page, Relation, Result, Schema, TupleBuf, PAGE_HEADER_BYTES};
+use df_query::{execute_read_nodes, ops, ExecParams, Firing, Op, Plan, QueryTree};
+use df_relalg::{Catalog, Error, Page, Relation, Result, Schema, TupleBuf, PAGE_HEADER_BYTES};
 
 /// A signed counted multiset of raw tuple images. `BTreeMap` keeps every
 /// iteration (packing order, result expansion) deterministic.
@@ -190,13 +190,14 @@ pub struct ViewUpdate {
     pub result_changed: bool,
 }
 
-/// An installed standing query: a compiled [`DeltaPlan`], the retained
+/// An installed standing query: its compiled [`Plan`], the retained
 /// per-node operand state, and the maintained result multiset.
 #[derive(Debug)]
 pub struct StandingView {
     name: String,
     text: String,
-    plan: DeltaPlan,
+    plan: Plan,
+    base_relations: Vec<String>,
     page_size: usize,
     states: Vec<NodeState>,
     result: Counts,
@@ -217,23 +218,27 @@ impl StandingView {
         tree: &QueryTree,
         page_size: usize,
     ) -> Result<StandingView> {
-        let plan = DeltaPlan::compile(db, tree)?;
+        if !tree.written_relations().is_empty() {
+            return Err(Error::SchemaMismatch {
+                detail: "a standing view must be defined by a read-only query".into(),
+            });
+        }
+        let plan = Plan::compile(db, tree)?;
         let params = ExecParams {
             page_size,
             ..ExecParams::default()
         };
         let nodes = execute_read_nodes(db, tree, &params)?;
         let mut states = Vec::with_capacity(tree.len());
-        for id in tree.topo_order() {
-            let node = tree.node(id);
-            let child = |i: usize| -> &Relation { &nodes[node.children[i].0] };
-            let state = match plan.kind(id) {
-                DeltaKind::Source | DeltaKind::Linear => NodeState::Stateless,
-                DeltaKind::Retained => NodeState::Product {
+        for node in &plan.nodes {
+            let child = |i: usize| -> &Relation { &nodes[node.children[i]] };
+            let state = match node.firing {
+                Firing::Source | Firing::PerPage => NodeState::Stateless,
+                Firing::PairSweep => NodeState::Product {
                     left: SideState::seed(child(0)),
                     right: SideState::seed(child(1)),
                 },
-                DeltaKind::Counted => match &node.op {
+                Firing::Complete => match &node.op {
                     Op::Project { projection, .. } => NodeState::Dedup {
                         counts: projected_counts(child(0), projection.indices()),
                     },
@@ -250,6 +255,7 @@ impl StandingView {
             name: name.to_string(),
             text: text.to_string(),
             plan,
+            base_relations: tree.referenced_relations(),
             page_size,
             states,
             result,
@@ -268,17 +274,17 @@ impl StandingView {
 
     /// The view's output schema.
     pub fn schema(&self) -> &Schema {
-        self.plan.output_schema()
+        &self.plan.nodes[self.plan.root].out_schema
     }
 
     /// Sorted, deduplicated base relations the view depends on.
     pub fn base_relations(&self) -> &[String] {
-        self.plan.base_relations()
+        &self.base_relations
     }
 
     /// Whether a write to `relation` must be replayed through this view.
     pub fn reads(&self, relation: &str) -> bool {
-        self.plan.reads(relation)
+        self.base_relations.iter().any(|r| r == relation)
     }
 
     /// Current number of result tuples (multiset cardinality).
@@ -313,20 +319,19 @@ impl StandingView {
         inserts: &[Vec<u8>],
         deletes: &[Vec<u8>],
     ) -> Result<ViewUpdate> {
-        if !self.plan.reads(target) || (inserts.is_empty() && deletes.is_empty()) {
+        if !self.reads(target) || (inserts.is_empty() && deletes.is_empty()) {
             return Ok(ViewUpdate::default());
         }
         let plan = &self.plan;
         let states = &mut self.states;
-        let tree = plan.tree();
+        let schema_of = |node: usize| -> &Schema { &plan.nodes[node].out_schema };
         let mut delta_pages = 0u64;
-        let mut deltas: Vec<Counts> = Vec::with_capacity(tree.len());
-        for id in tree.topo_order() {
-            let node = tree.node(id);
+        let mut deltas: Vec<Counts> = Vec::with_capacity(plan.nodes.len());
+        for (id, node) in plan.nodes.iter().enumerate() {
             let delta = match &node.op {
                 Op::Scan { relation } => {
                     if relation == target {
-                        let schema = plan.schema(id);
+                        let schema = schema_of(id);
                         delta_pages += pages_needed(inserts.len(), schema, self.page_size)
                             + pages_needed(deletes.len(), schema, self.page_size);
                         let mut d = Counts::new();
@@ -342,11 +347,11 @@ impl StandingView {
                     }
                 }
                 Op::Restrict { predicate } => {
-                    let input = &deltas[node.children[0].0];
+                    let input = &deltas[node.children[0]];
                     if input.is_empty() {
                         Counts::new()
                     } else {
-                        let schema = plan.schema(node.children[0]);
+                        let schema = schema_of(node.children[0]);
                         let pages = pack_distinct(schema, self.page_size, input)?;
                         delta_pages += pages.len() as u64;
                         let survivors: HashSet<Vec<u8>> = pages
@@ -364,11 +369,11 @@ impl StandingView {
                     }
                 }
                 Op::Project { projection, dedup } => {
-                    let input = &deltas[node.children[0].0];
+                    let input = &deltas[node.children[0]];
                     let mut projected = Counts::new();
                     if !input.is_empty() {
-                        let schema = plan.schema(node.children[0]);
-                        let out_schema = plan.schema(id);
+                        let schema = schema_of(node.children[0]);
+                        let out_schema = schema_of(id);
                         let pages = pack_distinct(schema, self.page_size, input)?;
                         delta_pages += pages.len() as u64;
                         // The kernel is 1:1 and order-preserving, so the
@@ -381,7 +386,7 @@ impl StandingView {
                         }
                     }
                     if *dedup {
-                        let NodeState::Dedup { counts } = &mut states[id.0] else {
+                        let NodeState::Dedup { counts } = &mut states[id] else {
                             unreachable!("dedup project retains counts");
                         };
                         indicator_delta(counts, &projected)
@@ -392,18 +397,18 @@ impl StandingView {
                 Op::Join { .. } | Op::CrossProduct => {
                     let (c0, c1) = (node.children[0], node.children[1]);
                     // Split borrow: earlier deltas are read-only here.
-                    let (dl, dr) = (&deltas[c0.0], &deltas[c1.0]);
+                    let (dl, dr) = (&deltas[c0], &deltas[c1]);
                     if dl.is_empty() && dr.is_empty() {
                         Counts::new()
                     } else {
-                        let NodeState::Product { left, right } = &mut states[id.0] else {
+                        let NodeState::Product { left, right } = &mut states[id] else {
                             unreachable!("product node retains operands");
                         };
                         fire_product(
                             &node.op,
-                            plan.schema(c0),
-                            plan.schema(c1),
-                            plan.schema(id),
+                            schema_of(c0),
+                            schema_of(c1),
+                            schema_of(id),
                             self.page_size,
                             left,
                             right,
@@ -415,23 +420,23 @@ impl StandingView {
                 }
                 Op::Union | Op::Difference => {
                     let (c0, c1) = (node.children[0], node.children[1]);
-                    let (dl, dr) = (&deltas[c0.0], &deltas[c1.0]);
+                    let (dl, dr) = (&deltas[c0], &deltas[c1]);
                     if dl.is_empty() && dr.is_empty() {
                         Counts::new()
                     } else {
-                        let NodeState::Ports { left, right } = &mut states[id.0] else {
+                        let NodeState::Ports { left, right } = &mut states[id] else {
                             unreachable!("set-op node retains port counts");
                         };
                         set_op_delta(&node.op, left, right, dl, dr)
                     }
                 }
                 Op::Append { .. } | Op::Delete { .. } => {
-                    unreachable!("DeltaPlan rejects updating trees")
+                    unreachable!("install rejects updating trees")
                 }
             };
             deltas.push(delta);
         }
-        let root_delta = &deltas[tree.root().0];
+        let root_delta = &deltas[plan.root];
         let result_changed = !root_delta.is_empty();
         fold(&mut self.result, root_delta);
         debug_assert!(

@@ -7,9 +7,14 @@
 //! * [`QueryTree`] / [`Op`] — the query-tree IR. Leaves scan base relations;
 //!   inner nodes are restrict / project / join / cross / union / difference;
 //!   append and delete (the paper's update operators) are root-only.
-//! * [`ops`] — **page-at-a-time operator kernels**. These are the exact same
-//!   functions the simulated machines run inside instruction packets, so a
-//!   simulated run's output is bit-comparable with the oracle's.
+//! * [`ops`] — **page-at-a-time operator kernels**, in two independent
+//!   forms: the raw-byte kernels every machine runs inside its work units,
+//!   and the decoded-`Tuple` kernels the oracle composes — two
+//!   implementations of one semantics, which is what makes a machine result
+//!   matching the oracle's evidence.
+//! * [`Plan`] — the compiled plan every executor runs from: per node its
+//!   derived schema, `(parent, port)`, the one [`Firing`] classification of
+//!   [`Op`], and the one span-fusion pass.
 //! * [`execute`] / [`execute_readonly`] — the uniprocessor oracle executor
 //!   (the ground truth every machine result is checked against), including
 //!   both nested-loops and sort-merge join algorithms from Blasgen & Eswaran
@@ -43,9 +48,9 @@
 #![warn(clippy::all)]
 
 mod builder;
-mod delta;
 mod exec;
 mod parser;
+mod plan;
 mod render;
 mod tree;
 mod validate;
@@ -53,12 +58,12 @@ mod validate;
 pub mod ops;
 
 pub use builder::{SubTree, TreeBuilder};
-pub use delta::{DeltaKind, DeltaPlan};
 pub use exec::{
     apply_write, execute, execute_read_nodes, execute_readonly, stage_write, ExecParams,
     JoinAlgorithm, WriteDelta,
 };
 pub use parser::parse_query;
+pub use plan::{Firing, Plan, PlanNode};
 pub use render::render_tree;
 pub use tree::{NodeId, Op, QueryNode, QueryTree};
 pub use validate::{validate, NodeSchemas};

@@ -1,9 +1,13 @@
 //! Page-at-a-time operator kernels.
 //!
 //! These functions are the "opcode" implementations an instruction processor
-//! runs on the data pages inside an instruction packet (paper Fig 4.3). The
-//! oracle executor composes the very same kernels sequentially, which is why
-//! simulated-machine results are bit-comparable with oracle results.
+//! runs on the data pages inside an instruction packet (paper Fig 4.3), in
+//! two independent forms. The `*_raw` kernels work on the encoded tuple
+//! images and are the only form df-core, df-ring and df-host execute; the
+//! decoded-[`Tuple`] kernels are what the sequential oracle composes and
+//! what tests compare the raw path against. Neither calls the other — that
+//! independence is what makes a machine result matching the oracle's
+//! evidence of correctness.
 
 mod join;
 mod project;
@@ -22,7 +26,7 @@ pub use set_ops::{
     cross_pages, cross_pages_raw, dedup_pages_raw, difference_pages_raw, difference_relations,
     union_pages_raw, union_relations,
 };
-pub use span::{span_output_schema, span_page, span_page_raw, SpanStep};
+pub use span::{span_output_schema, span_page_raw, SpanStep};
 
 use df_relalg::{Page, Relation, Result, Schema, Tuple};
 

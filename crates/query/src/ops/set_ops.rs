@@ -110,8 +110,8 @@ pub fn union_relations(left: &Relation, right: &Relation) -> Result<Vec<Tuple>> 
 ///
 /// This operator is *blocking* on its right input: no tuple of `left` can be
 /// emitted until all of `right` has been seen — which is why
-/// [`crate::Op::Difference`] reports `is_pipelineable() == false` and the
-/// page-level scheduler treats its right operand at relation granularity.
+/// [`crate::Op::Difference`] is classified [`crate::Firing::Complete`] and
+/// every scheduler fires it only once both operands are complete.
 ///
 /// # Errors
 /// Fails if the inputs are not union-compatible.

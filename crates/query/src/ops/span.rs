@@ -16,7 +16,7 @@
 //! remapped predicates, and the output order is the input order — the fused
 //! result is byte-identical to running the steps one page at a time.
 
-use df_relalg::{Page, Predicate, Projection, Schema, Tuple, TupleBuf};
+use df_relalg::{Page, Predicate, Projection, Schema, TupleBuf};
 
 use super::raw::{attr_runs, copy_rows, RowFilter};
 
@@ -69,25 +69,6 @@ pub fn span_page_raw(page: &Page, steps: &[SpanStep], out_schema: &Schema) -> Tu
     TupleBuf::from_images(out_schema.clone(), bytes)
 }
 
-/// Decoded-tuple reference: apply the steps one at a time, materializing
-/// each intermediate. Kept for the oracle executor and as the baseline the
-/// fused kernel is tested (and benched) against.
-pub fn span_page(page: &Page, steps: &[SpanStep]) -> Vec<Tuple> {
-    let mut tuples: Vec<Tuple> = page.tuples().collect();
-    for step in steps {
-        match step {
-            SpanStep::Restrict(p) => tuples.retain(|t| p.eval(t)),
-            SpanStep::Project(proj) => {
-                tuples = tuples
-                    .iter()
-                    .map(|t| proj.apply(t).expect("span steps validated at compile time"))
-                    .collect();
-            }
-        }
-    }
-    tuples
-}
-
 /// The output schema a span produces when fed `input`: fold each step's
 /// schema derivation.
 ///
@@ -107,8 +88,8 @@ pub fn span_output_schema(input: &Schema, steps: &[SpanStep]) -> df_relalg::Resu
 mod tests {
     use super::*;
     use crate::ops::test_support::*;
-    use crate::ops::{project_page_raw, restrict_page_raw};
-    use df_relalg::{CmpOp, Value};
+    use crate::ops::{project_page, project_page_raw, restrict_page, restrict_page_raw};
+    use df_relalg::{CmpOp, Tuple, Value};
 
     fn page() -> Page {
         kv_page(&[(1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60)])
@@ -136,6 +117,28 @@ mod tests {
         cur
     }
 
+    /// The oracle's decoded kernels composed one step at a time, each
+    /// intermediate repacked into a single page.
+    fn oracle(page: &Page, steps: &[SpanStep]) -> Vec<Tuple> {
+        let mut schema = page.schema().clone();
+        let mut tuples: Vec<Tuple> = page.tuples().collect();
+        for step in steps {
+            let size = 16 + schema.tuple_width() * tuples.len().max(1);
+            let mut p = Page::new(schema.clone(), size).unwrap();
+            for t in &tuples {
+                p.push(t).unwrap();
+            }
+            match step {
+                SpanStep::Restrict(pred) => tuples = restrict_page(&p, pred),
+                SpanStep::Project(proj) => {
+                    tuples = project_page(&p, proj);
+                    schema = proj.output_schema(&schema).unwrap();
+                }
+            }
+        }
+        tuples
+    }
+
     #[test]
     fn fused_matches_unfused_restrict_project_restrict() {
         let s = kv_schema();
@@ -155,8 +158,7 @@ mod tests {
         let by_hand = unfused(&p, &steps);
         assert_eq!(fused.to_tuples(), by_hand.to_tuples());
         assert_eq!(fused.len(), 4); // k in 2..=5
-                                    // Decoded reference agrees too.
-        assert_eq!(fused.to_tuples(), span_page(&p, &steps));
+        assert_eq!(fused.to_tuples(), oracle(&p, &steps));
     }
 
     #[test]
@@ -171,7 +173,7 @@ mod tests {
         let out_schema = span_output_schema(p.schema(), &steps).unwrap();
         assert_eq!(out_schema.attrs()[0].name, "k");
         let fused = span_page_raw(&p, &steps, &out_schema);
-        assert_eq!(fused.to_tuples(), span_page(&p, &steps));
+        assert_eq!(fused.to_tuples(), oracle(&p, &steps));
         assert_eq!(fused.len(), p.len());
     }
 

@@ -90,20 +90,6 @@ impl Op {
         }
     }
 
-    /// Whether this operator can emit output before its inputs are complete
-    /// (the property page-level granularity exploits to pipeline pages "up
-    /// the query tree", §3.2).
-    ///
-    /// `Difference` and deduplicating `Project` are blocking: they cannot
-    /// emit a tuple until they have seen the whole (right / only) input.
-    pub fn is_pipelineable(&self) -> bool {
-        match self {
-            Op::Difference => false,
-            Op::Project { dedup, .. } => !dedup,
-            _ => true,
-        }
-    }
-
     /// Whether this is a database-modifying root operator.
     pub fn is_update(&self) -> bool {
         matches!(self, Op::Append { .. } | Op::Delete { .. })
@@ -284,30 +270,6 @@ mod tests {
         );
         assert_eq!(Op::Union.arity(), 2);
         assert_eq!(Op::Append { target: "x".into() }.arity(), 1);
-    }
-
-    #[test]
-    fn pipelineability() {
-        assert!(Op::Union.is_pipelineable());
-        assert!(!Op::Difference.is_pipelineable());
-        let proj = df_relalg::Projection::from_indices(
-            &df_relalg::Schema::build()
-                .attr("a", df_relalg::DataType::Int)
-                .finish()
-                .unwrap(),
-            vec![0],
-        )
-        .unwrap();
-        assert!(Op::Project {
-            projection: proj.clone(),
-            dedup: false
-        }
-        .is_pipelineable());
-        assert!(!Op::Project {
-            projection: proj,
-            dedup: true
-        }
-        .is_pipelineable());
     }
 
     #[test]

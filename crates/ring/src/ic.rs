@@ -7,7 +7,8 @@
 //! rule), sets flush-when-done on final packets, and releases IPs back to
 //! the MC.
 
-use df_core::instr::{InstrId, UnitGen};
+use df_core::instr::InstrId;
+use df_query::Firing;
 use df_relalg::{Page, TupleBuf};
 use df_sim::SimTime;
 use df_storage::{PageId, PageTable};
@@ -167,8 +168,8 @@ impl RingMachine {
         page: PageId,
     ) {
         self.ic_instrs[instr].operands[slot].push(page);
-        match self.program.instructions[instr].kernel.unit_gen() {
-            UnitGen::PerPage => {
+        match self.program.instructions[instr].firing {
+            Firing::PerPage => {
                 while !self.ic_instrs[instr].parked.is_empty()
                     && self.ic_instrs[instr].operands[0].available() > 0
                 {
@@ -176,7 +177,7 @@ impl RingMachine {
                     self.ic_give_work(now, instr, ip);
                 }
             }
-            UnitGen::PerPair => {
+            Firing::PairSweep => {
                 if slot == 1 {
                     let idx = self.ic_instrs[instr].operands[1].len() - 1;
                     while self.ic_instrs[instr].last_broadcast.len() <= idx {
@@ -210,16 +211,16 @@ impl RingMachine {
                     self.ic_give_work(now, instr, ip);
                 }
             }
-            UnitGen::WholeRelation => {}
+            Firing::Complete | Firing::Source => {}
         }
         self.ic_reevaluate(now, instr);
     }
 
     /// An operand stream completed.
     fn ic_on_operand_complete(&mut self, now: SimTime, instr: InstrId, slot: usize) {
-        let class = self.program.instructions[instr].kernel.unit_gen();
+        let class = self.program.instructions[instr].firing;
         match class {
-            UnitGen::PerPair if slot == 1 && !self.ic_instrs[instr].inner_complete_sent => {
+            Firing::PairSweep if slot == 1 && !self.ic_instrs[instr].inner_complete_sent => {
                 self.ic_instrs[instr].inner_complete_sent = true;
                 let total = self.ic_instrs[instr].operands[1].len();
                 let targets = self.ic_instrs[instr].granted.clone();
@@ -233,7 +234,7 @@ impl RingMachine {
                     });
                 }
             }
-            UnitGen::PerPage if slot == 0 => {
+            Firing::PerPage if slot == 0 => {
                 // Parked IPs with nothing left to do must be flushed.
                 while self.ic_instrs[instr].operands[0].available() == 0
                     && !self.ic_instrs[instr].parked.is_empty()
@@ -242,7 +243,7 @@ impl RingMachine {
                     self.ic_flush_ip(now, instr, ip);
                 }
             }
-            UnitGen::WholeRelation => {
+            Firing::Complete => {
                 let st = &self.ic_instrs[instr];
                 if st.operands.iter().all(PageTable::is_complete) && !st.final_sent {
                     if let Some(ip) = self.ic_instrs[instr].parked.pop() {
@@ -255,7 +256,7 @@ impl RingMachine {
             _ => {}
         }
         // Join: parked IPs may need flushing when both streams end.
-        if class == UnitGen::PerPair {
+        if class == Firing::PairSweep {
             let st = &self.ic_instrs[instr];
             if st.operands.iter().all(PageTable::is_complete)
                 && st.outer_next >= st.operands[0].len()
@@ -273,8 +274,8 @@ impl RingMachine {
 
     /// Give `ip` its next piece of work for `instr` (or park / flush it).
     fn ic_give_work(&mut self, now: SimTime, instr: InstrId, ip: usize) {
-        match self.program.instructions[instr].kernel.unit_gen() {
-            UnitGen::PerPage => {
+        match self.program.instructions[instr].firing {
+            Firing::PerPage => {
                 let next = self.ic_instrs[instr].operands[0].take_next();
                 match next {
                     Some(page) => {
@@ -304,8 +305,8 @@ impl RingMachine {
                     None => self.ic_instrs[instr].parked.push(ip),
                 }
             }
-            UnitGen::PerPair => self.ic_assign_outer(now, instr, ip),
-            UnitGen::WholeRelation => {
+            Firing::PairSweep => self.ic_assign_outer(now, instr, ip),
+            Firing::Complete => {
                 let ready = self.ic_instrs[instr]
                     .operands
                     .iter()
@@ -316,6 +317,7 @@ impl RingMachine {
                     self.ic_instrs[instr].parked.push(ip);
                 }
             }
+            Firing::Source => unreachable!("scans are operands, not instructions"),
         }
     }
 
@@ -526,22 +528,23 @@ impl RingMachine {
         if !st.active || st.done {
             return;
         }
-        let desired = match self.program.instructions[instr].kernel.unit_gen() {
-            UnitGen::PerPage => st.operands[0].available().min(self.params.ips),
-            UnitGen::PerPair => {
+        let desired = match self.program.instructions[instr].firing {
+            Firing::PerPage => st.operands[0].available().min(self.params.ips),
+            Firing::PairSweep => {
                 if st.operands[1].is_empty() && !st.operands[1].is_complete() {
                     0
                 } else {
                     (st.operands[0].len() - st.outer_next).min(self.params.ips)
                 }
             }
-            UnitGen::WholeRelation => {
+            Firing::Complete => {
                 if st.operands.iter().all(PageTable::is_complete) && !st.final_sent {
                     1
                 } else {
                     0
                 }
             }
+            Firing::Source => unreachable!("scans are operands, not instructions"),
         };
         let have = st.granted.len() + st.outstanding;
         if desired > have {
@@ -594,14 +597,15 @@ impl RingMachine {
         if !st.granted.is_empty() || !st.parked.is_empty() || !st.flushing.is_empty() {
             return;
         }
-        let work_done = match self.program.instructions[instr].kernel.unit_gen() {
-            UnitGen::PerPage => st.operands[0].exhausted(),
-            UnitGen::PerPair => {
+        let work_done = match self.program.instructions[instr].firing {
+            Firing::PerPage => st.operands[0].exhausted(),
+            Firing::PairSweep => {
                 let outer_len = st.operands[0].len();
                 let inner_empty = st.operands[1].is_empty();
                 inner_empty || (st.outer_next >= outer_len && st.outers_done >= outer_len)
             }
-            UnitGen::WholeRelation => st.final_sent,
+            Firing::Complete => st.final_sent,
+            Firing::Source => unreachable!("scans are operands, not instructions"),
         };
         if !work_done {
             return;
