@@ -10,11 +10,9 @@
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
+use df_query::ops::JoinSweep;
 use df_query::{ops, Firing, NodeId, Op, Plan, QueryTree};
-use df_relalg::{
-    Catalog, CmpOp, JoinCondition, Page, Predicate, Projection, Result, Schema, Tuple, TupleBuf,
-    TupleRef,
-};
+use df_relalg::{Catalog, Page, Predicate, Projection, Result, Schema, Tuple, TupleBuf, TupleRef};
 
 use crate::params::{JoinAlgo, TransferMode};
 
@@ -35,10 +33,13 @@ pub enum Kernel {
     /// Emit tuples *matching* the predicate (the tuples a delete removes —
     /// the query's result; the catalog update happens after the run).
     DeleteFilter(Predicate),
-    /// Join of one page pair, by the configured [`JoinAlgo`]: a nested-loops
-    /// sweep, or (for equi-joins under [`JoinAlgo::Hash`]) a probe of the
-    /// inner page's raw-byte key index. Non-equi θs always sweep.
-    JoinPair(JoinCondition, JoinAlgo),
+    /// Join of one page pair: the plan's compiled nested-loops sweep, or
+    /// under [`JoinAlgo::Hash`] a probe of the inner page's raw-byte key
+    /// index. Lowering gives `Hash` only to conditions the hash path can
+    /// run ([`JoinSweep::hash_applicable`]); non-equi θs and mixed-width
+    /// string keys are lowered as `Nested`, so they sweep and are charged
+    /// as sweeps.
+    JoinPair(JoinSweep, JoinAlgo),
     /// Cross product of one page pair.
     CrossPair,
     /// Set union of two complete inputs.
@@ -77,17 +78,38 @@ impl Kernel {
                 }
                 out
             }
-            Kernel::JoinPair(c, JoinAlgo::Nested) => {
-                ops::join_pages_raw(pages[0], pages[1], c, out_schema)
+            Kernel::JoinPair(..) | Kernel::CrossPair => {
+                let mut out = TupleBuf::new(out_schema.clone());
+                self.run_sweep_raw_into(pages[0], &pages[1..], &mut out);
+                out
             }
-            // The hash kernel falls back to nested loops internally when
-            // the condition is not an equal-width equi-join.
-            Kernel::JoinPair(c, JoinAlgo::Hash) => {
-                ops::hash_join_pages_raw(pages[0], pages[1], c, out_schema)
-            }
-            Kernel::CrossPair => ops::cross_pages_raw(pages[0], pages[1], out_schema),
             Kernel::Span(steps) => ops::span_page_raw(pages[0], steps, out_schema),
             k => panic!("run_unit_raw called on whole-relation kernel {k:?}"),
+        }
+    }
+
+    /// Execute a pair-sweep work unit — `outer` against each of `inners`
+    /// in turn — appending to `out`, so a unit fills one output batch
+    /// however many page pairs it covers.
+    ///
+    /// # Panics
+    /// Panics if called on anything but a join or cross-product kernel.
+    pub fn run_sweep_raw_into(&self, outer: &Page, inners: &[&Page], out: &mut TupleBuf) {
+        match self {
+            Kernel::JoinPair(sweep, JoinAlgo::Nested) => {
+                sweep.sweep_list_into(outer, inners.iter().copied(), true, out);
+            }
+            Kernel::JoinPair(sweep, JoinAlgo::Hash) => {
+                for inner in inners {
+                    ops::hash_join_pages_raw_into(outer, inner, sweep, out);
+                }
+            }
+            Kernel::CrossPair => {
+                for inner in inners {
+                    ops::cross_pages_raw_into(outer, inner, out);
+                }
+            }
+            k => panic!("run_sweep_raw_into called on non-pair kernel {k:?}"),
         }
     }
 
@@ -182,13 +204,10 @@ impl Kernel {
     /// the simulated machines account the reduced IP service time.
     pub fn tuple_ops(&self, tuple_counts: &[usize]) -> usize {
         match self {
-            // Equi-joins probe; other θs sweep. (A mixed-width string key
-            // also sweeps but is charged probe cost here — the cost model
-            // keys on the condition, not the schemas it joins.)
-            Kernel::JoinPair(c, JoinAlgo::Hash) if c.op == CmpOp::Eq => {
-                tuple_counts[0] + tuple_counts[1]
+            Kernel::JoinPair(_, JoinAlgo::Hash) => tuple_counts[0] + tuple_counts[1],
+            Kernel::JoinPair(_, JoinAlgo::Nested) | Kernel::CrossPair => {
+                tuple_counts[0] * tuple_counts[1]
             }
-            Kernel::JoinPair(..) | Kernel::CrossPair => tuple_counts[0] * tuple_counts[1],
             // A fused span charges the *sum* of its step costs — each
             // logical operator still touches every input tuple — while
             // transferring a single page. The transfer saving, not a
@@ -350,7 +369,15 @@ pub fn compile_with(
                     dedup: false,
                 } => Kernel::Project(projection.clone()),
                 Op::Project { projection, .. } => Kernel::ProjectDedupFinal(projection.clone()),
-                Op::Join { condition } => Kernel::JoinPair(*condition, join_algo),
+                Op::Join { .. } => {
+                    let sweep = node.sweep.expect("a join node carries its compiled sweep");
+                    let algo = if sweep.hash_applicable() {
+                        join_algo
+                    } else {
+                        JoinAlgo::Nested
+                    };
+                    Kernel::JoinPair(sweep, algo)
+                }
                 Op::CrossProduct => Kernel::CrossPair,
                 Op::Union => Kernel::UnionFinal,
                 Op::Difference => Kernel::DifferenceFinal,
@@ -406,7 +433,7 @@ pub fn compile_with(
 mod tests {
     use super::*;
     use df_query::{parse_query, TreeBuilder};
-    use df_relalg::{CmpOp, DataType, Relation, Tuple, Value};
+    use df_relalg::{CmpOp, DataType, JoinCondition, Relation, Tuple, Value};
 
     /// The paper's configuration: nested-loops joins, materializing transfers.
     fn compile(db: &Catalog, queries: &[QueryTree]) -> Result<Program> {
@@ -592,14 +619,15 @@ mod tests {
             );
         }
         let c = JoinCondition::equi(&s, "v", &s, "v").unwrap();
+        let sweep = JoinSweep::compile(&s, &s, &c);
         let joined = s.concat(&s);
         for (kernel, want) in [
             (
-                Kernel::JoinPair(c, JoinAlgo::Nested),
+                Kernel::JoinPair(sweep, JoinAlgo::Nested),
                 ops::join_pages(page, other, &c),
             ),
             (
-                Kernel::JoinPair(c, JoinAlgo::Hash),
+                Kernel::JoinPair(sweep, JoinAlgo::Hash),
                 ops::join_pages(page, other, &c),
             ),
             (Kernel::CrossPair, ops::cross_pages(page, other)),
@@ -668,23 +696,63 @@ mod tests {
     fn tuple_ops_cost_proxy() {
         let pred = Predicate::True;
         assert_eq!(Kernel::Restrict(pred).tuple_ops(&[7]), 7);
-        let c = JoinCondition {
-            left: 0,
-            op: CmpOp::Eq,
-            right: 0,
-        };
-        assert_eq!(Kernel::JoinPair(c, JoinAlgo::Nested).tuple_ops(&[3, 5]), 15);
+        let s = db().get("a").unwrap().schema().clone();
+        let sweep = JoinSweep::compile(&s, &s, &JoinCondition::equi(&s, "k", &s, "k").unwrap());
+        assert_eq!(
+            Kernel::JoinPair(sweep, JoinAlgo::Nested).tuple_ops(&[3, 5]),
+            15
+        );
         // Hash equi-join: build (5 inserts) + probe (3 lookups), not 3×5.
-        assert_eq!(Kernel::JoinPair(c, JoinAlgo::Hash).tuple_ops(&[3, 5]), 8);
-        // A non-equi θ under Hash degrades to the nested sweep — so does
-        // its cost.
-        let lt = JoinCondition {
-            left: 0,
-            op: CmpOp::Lt,
-            right: 0,
-        };
-        assert_eq!(Kernel::JoinPair(lt, JoinAlgo::Hash).tuple_ops(&[3, 5]), 15);
+        assert_eq!(
+            Kernel::JoinPair(sweep, JoinAlgo::Hash).tuple_ops(&[3, 5]),
+            8
+        );
+        assert_eq!(Kernel::CrossPair.tuple_ops(&[3, 5]), 15);
         assert_eq!(Kernel::UnionFinal.tuple_ops(&[3, 5]), 8);
+    }
+
+    /// The join kernel and the algorithm it was lowered with, for the one
+    /// join of `text` compiled under [`JoinAlgo::Hash`].
+    fn lowered_under_hash(db: &Catalog, text: &str) -> Kernel {
+        let q = parse_query(db, text).unwrap();
+        let prog = compile_with(db, &[q], JoinAlgo::Hash, TransferMode::default()).unwrap();
+        let join = prog
+            .instructions
+            .iter()
+            .find(|i| matches!(i.kernel, Kernel::JoinPair(..)))
+            .expect("the query has a join");
+        join.kernel.clone()
+    }
+
+    #[test]
+    fn joins_the_hash_path_cannot_run_are_lowered_and_charged_as_sweeps() {
+        let mut db = db();
+        for (name, width) in [("s4", 4), ("s8", 8)] {
+            let schema = Schema::build()
+                .attr("s", DataType::Str(width))
+                .finish()
+                .unwrap();
+            let rows = ["ab", "cd"].map(|v| Tuple::new(vec![Value::str(v)]));
+            db.insert(Relation::from_tuples(name, schema, 128, rows).unwrap())
+                .unwrap();
+        }
+        // An Int equi-join keeps the knob and the n + m probe charge.
+        let int_eq = lowered_under_hash(&db, "(join (scan a) (scan b) (= k k))");
+        assert!(matches!(int_eq, Kernel::JoinPair(_, JoinAlgo::Hash)));
+        assert_eq!(int_eq.tuple_ops(&[3, 5]), 8);
+        // A Str(4) = Str(8) equi-join and a non-equi θ both sweep, so both
+        // are lowered as nested loops and charged n·m.
+        for text in [
+            "(join (scan s4) (scan s8) (= s s))",
+            "(join (scan a) (scan b) (< k k))",
+        ] {
+            let kernel = lowered_under_hash(&db, text);
+            assert!(
+                matches!(kernel, Kernel::JoinPair(_, JoinAlgo::Nested)),
+                "{text}: {kernel:?}"
+            );
+            assert_eq!(kernel.tuple_ops(&[3, 5]), 15, "{text}");
+        }
     }
 
     #[test]
@@ -862,10 +930,11 @@ mod tests {
         let joined = s.concat(&s);
         for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Ne, CmpOp::Gt, CmpOp::Ge] {
             let c = JoinCondition::new(&s, "k", op, &s, "k").unwrap();
-            let nested = Kernel::JoinPair(c, JoinAlgo::Nested)
+            let sweep = JoinSweep::compile(&s, &s, &c);
+            let nested = Kernel::JoinPair(sweep, JoinAlgo::Nested)
                 .run_unit_raw(&[page, other], &joined)
                 .to_tuples();
-            let hashed = Kernel::JoinPair(c, JoinAlgo::Hash)
+            let hashed = Kernel::JoinPair(sweep, JoinAlgo::Hash)
                 .run_unit_raw(&[page, other], &joined)
                 .to_tuples();
             assert_eq!(hashed, nested, "op {op} must degrade to nested loops");

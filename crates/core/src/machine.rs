@@ -582,7 +582,6 @@ impl Machine {
             .sum();
 
         // 3. Arbitration-network transfer.
-        let kernel = self.program.instructions[iid].kernel.clone();
         let (packets, pkt_payload) = match unit {
             // Finalizers always ship whole pages (one packet per page):
             // tuple-level accounting is defined for the paper's streaming
@@ -616,7 +615,8 @@ impl Machine {
 
         // 4. Execute the kernel now (exact data path, zero-copy: images are
         // compared and memcpy'd, never decoded), schedule the timing.
-        let out_schema = self.program.instructions[iid].output_schema.clone();
+        let kernel = &self.program.instructions[iid].kernel;
+        let out_schema = &self.program.instructions[iid].output_schema;
         let pages: Vec<&Page> = operand_pages.iter().map(|&p| self.store.get(p)).collect();
         let results = match unit {
             WorkUnit::Final { bucket } => {
@@ -628,17 +628,14 @@ impl Machine {
                     .map(|t| t.pages().iter().map(|&p| self.store.get(p)).collect())
                     .collect();
                 let buckets = self.params.dedup_buckets.max(1) as u64;
-                kernel.run_final_bucket_raw(&inputs, bucket, buckets, &out_schema)
+                kernel.run_final_bucket_raw(&inputs, bucket, buckets, out_schema)
             }
             WorkUnit::Sweep { .. } => {
-                let outer = pages[0];
                 let mut out = TupleBuf::new(out_schema.clone());
-                for inner in &pages[1..] {
-                    out.append(&kernel.run_unit_raw(&[outer, inner], &out_schema));
-                }
+                kernel.run_sweep_raw_into(pages[0], &pages[1..], &mut out);
                 out
             }
-            WorkUnit::Single(_) => kernel.run_unit_raw(&pages, &out_schema),
+            WorkUnit::Single(_) => kernel.run_unit_raw(&pages, out_schema),
         };
 
         let tuple_ops = kernel.tuple_ops(&tuple_counts);

@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 use df_core::{JoinAlgo, LockRequest, LockTable, StrategyPicker, WorkCandidate, WorkPicker};
 use df_obs::{EventKind, Path, Tracer};
 use df_query::ops::{
-    cross_pages_raw, dedup_pages_raw, difference_pages_raw, hash_join_applicable, hash_join_probe,
-    join_pages_raw, project_page_raw, restrict_page_raw, span_page_raw, union_pages_raw,
+    cross_pages_raw_into, dedup_pages_raw, difference_pages_raw, hash_join_probe_into,
+    project_page_raw, restrict_page_raw, span_page_raw, union_pages_raw,
 };
 use df_query::{Firing, Op, QueryTree};
 use df_relalg::{Catalog, Page, PageKeyIndex, Relation, Schema, TupleBuf};
@@ -1246,48 +1246,47 @@ fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
                 new_is_outer,
             },
         ) => {
-            // The hash path applies per cell, not per pair: both operands'
-            // schemas are fixed, so applicability is uniform across the
-            // unit's pairs. The inner page is indexed on the condition's
-            // right attribute (the inner side is always port 1); probing
-            // outer slots in page order reproduces the nested-loops output
-            // byte for byte.
-            let applicable = unit.plan.join == JoinAlgo::Hash && {
-                let (outer, inner) = if *new_is_outer {
-                    (&new_page.page, &opposite[0].page)
-                } else {
-                    (&opposite[0].page, &new_page.page)
-                };
-                hash_join_applicable(outer.schema(), inner.schema(), condition)
-            };
+            // The hash path applies per cell, not per pair (both operands'
+            // schemas are fixed). The inner page is indexed on the
+            // condition's right attribute (the inner side is always port
+            // 1); probing outer slots in page order reproduces the
+            // nested-loops output byte for byte.
+            let sweep = spec
+                .sweep
+                .as_ref()
+                .expect("a join cell carries its compiled sweep");
+            let applicable = unit.plan.join == JoinAlgo::Hash && sweep.hash_applicable();
             class = if applicable {
                 UnitClass::Probe
             } else {
                 UnitClass::Sweep
             };
-            for opp in opposite {
-                let (outer, inner) = if *new_is_outer {
-                    (new_page.as_ref(), opp.as_ref())
-                } else {
-                    (opp.as_ref(), new_page.as_ref())
-                };
-                if applicable {
-                    pager.absorb(&mut hash_join_probe(
+            // One output batch per unit, however many pairs it covers.
+            let mut out = TupleBuf::new(spec.out_schema.clone());
+            if applicable {
+                for opp in opposite {
+                    let (outer, inner) = if *new_is_outer {
+                        (new_page.as_ref(), opp.as_ref())
+                    } else {
+                        (opp.as_ref(), new_page.as_ref())
+                    };
+                    hash_join_probe_into(
                         &outer.page,
                         &inner.page,
                         inner.index_for(condition.right),
                         condition,
-                        &spec.out_schema,
-                    ));
-                } else {
-                    pager.absorb(&mut join_pages_raw(
-                        &outer.page,
-                        &inner.page,
-                        condition,
-                        &spec.out_schema,
-                    ));
+                        &mut out,
+                    );
                 }
+            } else {
+                sweep.sweep_list_into(
+                    &new_page.page,
+                    opposite.iter().map(|opp| &*opp.page),
+                    *new_is_outer,
+                    &mut out,
+                );
             }
+            pager.absorb(&mut out);
             let (n, b) = count_ops(opposite);
             (n + 1, b + new_page.page.wire_bytes() as u64)
         }
@@ -1300,13 +1299,17 @@ fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
             },
         ) => {
             class = UnitClass::Sweep;
+            // Absorbed pair by pair (a cross product's output is large),
+            // into one reused batch.
+            let mut out = TupleBuf::new(spec.out_schema.clone());
             for opp in opposite {
                 let (outer, inner) = if *new_is_outer {
                     (&new_page.page, &opp.page)
                 } else {
                     (&opp.page, &new_page.page)
                 };
-                pager.absorb(&mut cross_pages_raw(outer, inner, &spec.out_schema));
+                cross_pages_raw_into(outer, inner, &mut out);
+                pager.absorb(&mut out);
             }
             let (n, b) = count_ops(opposite);
             (n + 1, b + new_page.page.wire_bytes() as u64)

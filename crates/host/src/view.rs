@@ -32,7 +32,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use df_query::{execute_read_nodes, ops, ExecParams, Firing, Op, Plan, QueryTree};
+use df_query::{execute_read_nodes, ops, ExecParams, Firing, Op, Plan, PlanNode, QueryTree};
 use df_relalg::{Catalog, Error, Page, Relation, Result, Schema, TupleBuf, PAGE_HEADER_BYTES};
 
 /// A signed counted multiset of raw tuple images. `BTreeMap` keeps every
@@ -405,10 +405,9 @@ impl StandingView {
                             unreachable!("product node retains operands");
                         };
                         fire_product(
-                            &node.op,
+                            node,
                             schema_of(c0),
                             schema_of(c1),
-                            schema_of(id),
                             self.page_size,
                             left,
                             right,
@@ -526,10 +525,9 @@ fn set_op_delta(
 /// simultaneous deltas compose exactly (ΔL ⋈ R, then (L + ΔL) ⋈ ΔR).
 #[allow(clippy::too_many_arguments)]
 fn fire_product(
-    op: &Op,
+    node: &PlanNode,
     left_schema: &Schema,
     right_schema: &Schema,
-    out_schema: &Schema,
     page_size: usize,
     left: &mut SideState,
     right: &mut SideState,
@@ -538,10 +536,15 @@ fn fire_product(
     delta_pages: &mut u64,
 ) -> Result<Counts> {
     let w_left = left_schema.tuple_width();
-    let kernel = |outer: &Page, inner: &Page| -> TupleBuf {
-        match op {
-            Op::Join { condition } => ops::hash_join_pages_raw(outer, inner, condition, out_schema),
-            Op::CrossProduct => ops::cross_pages_raw(outer, inner, out_schema),
+    // One batch for the whole rule, refilled pair by pair.
+    let mut buf = TupleBuf::new(node.out_schema.clone());
+    let kernel = |outer: &Page, inner: &Page, buf: &mut TupleBuf| {
+        buf.clear();
+        match (&node.op, &node.sweep) {
+            (Op::Join { .. }, Some(sweep)) => {
+                ops::hash_join_pages_raw_into(outer, inner, sweep, buf);
+            }
+            (Op::CrossProduct, _) => ops::cross_pages_raw_into(outer, inner, buf),
             _ => unreachable!("fire_product on a non-product op"),
         }
     };
@@ -553,7 +556,7 @@ fn fire_product(
         *delta_pages += dl_pages.len() as u64;
         for dp in &dl_pages {
             for rp in right.pages(right_schema, page_size)? {
-                let buf = kernel(dp, rp.as_ref());
+                kernel(dp, rp.as_ref(), &mut buf);
                 for t in buf.refs() {
                     add(&mut out, t.raw(), dl[&t.raw()[..w_left]]);
                 }
@@ -568,7 +571,7 @@ fn fire_product(
         *delta_pages += dr_pages.len() as u64;
         for lp in left.pages(left_schema, page_size)? {
             for dp in &dr_pages {
-                let buf = kernel(lp.as_ref(), dp);
+                kernel(lp.as_ref(), dp, &mut buf);
                 for t in buf.refs() {
                     add(&mut out, t.raw(), dr[&t.raw()[w_left..]]);
                 }

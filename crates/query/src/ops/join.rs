@@ -1,11 +1,15 @@
-//! Join kernels: page×page nested loops, plus whole-relation nested-loops
-//! and sort-merge baselines from Blasgen & Eswaran \[5\].
+//! Join kernels: the page×page entry points (nested loops and the hash
+//! probe), plus whole-relation nested-loops and sort-merge baselines from
+//! Blasgen & Eswaran \[5\].
 //!
 //! The paper (§2.1) argues the O(n²) nested-loops algorithm is "the best
 //! algorithm for execution of the join operator on multiple processors"
 //! because each page (or tuple) of the outer relation can be joined with the
-//! inner relation independently — [`join_pages`] is precisely that unit of
-//! independent work. The sort-merge algorithm, faster on one processor, is
+//! inner relation independently — one page pair is precisely that unit of
+//! independent work. The machines run it as the compiled [`JoinSweep`]
+//! (`sweep.rs`) over raw page bytes; [`join_pages`] is the decoded-tuple
+//! oracle it must match byte for byte, and the hash probe is defined as
+//! identical to both. The sort-merge algorithm, faster on one processor, is
 //! implemented as the uniprocessor baseline ([`merge_join_relations`]) and
 //! exercised by the `abl_join_kernels` bench.
 
@@ -13,8 +17,9 @@ use std::cmp::Ordering;
 
 use df_relalg::{
     CmpOp, Error, JoinCondition, Page, PageKeyIndex, Relation, Result, Schema, Tuple, TupleBuf,
-    TupleRef,
 };
+
+use super::sweep::JoinSweep;
 
 /// Join one outer page against one inner page: the IP work unit for a join
 /// instruction packet (Fig 4.3 carries exactly these two data pages).
@@ -37,11 +42,13 @@ pub fn join_pages(outer: &Page, inner: &Page, condition: &JoinCondition) -> Vec<
     out
 }
 
-/// Zero-copy page×page nested-loops join: compares the raw key bytes of
-/// each (outer, inner) image pair (a `memcmp` for equi-joins over
-/// equal-width keys) and builds output rows by concatenating the two
-/// surviving images — nothing is decoded or re-encoded. `out_schema` is the
+/// Zero-copy page×page nested-loops join: compiles `condition` against the
+/// two page schemas and runs the one [`JoinSweep`] pair loop over the raw
+/// page bytes — nothing is decoded or re-encoded. `out_schema` is the
 /// concatenated output schema carried by the instruction packet.
+///
+/// A convenience for one-off pairs; executors hold the plan's compiled
+/// sweep and call [`JoinSweep::sweep_list_into`] with one buffer per unit.
 pub fn join_pages_raw(
     outer: &Page,
     inner: &Page,
@@ -49,24 +56,19 @@ pub fn join_pages_raw(
     out_schema: &Schema,
 ) -> TupleBuf {
     let mut out = TupleBuf::new(out_schema.clone());
-    for o in outer.tuple_refs() {
-        for i in inner.tuple_refs() {
-            if condition.matches_ref(&o, &i) {
-                out.push_concat(o.raw(), i.raw());
-            }
-        }
-    }
+    JoinSweep::compile(outer.schema(), inner.schema(), condition)
+        .sweep_into(outer, inner, &mut out);
     out
 }
 
-/// True when `condition` can run on the hash path: an equi-join whose key
-/// byte widths match on both sides, so raw key images are hashable and
-/// comparable with `memcmp` — the same rule `JoinCondition::matches_ref`
-/// uses for its fast path. Mixed-width string keys (e.g. `Str(4)` vs
-/// `Str(8)`) compare by value, not by image, and stay on nested loops.
+/// True when `condition` can run on the hash path
+/// ([`JoinSweep::hash_applicable`] for the two operand schemas): an
+/// equi-join whose key byte widths match on both sides, so raw key images
+/// are hashable and equal exactly when the values are. Mixed-width string
+/// keys (e.g. `Str(4)` vs `Str(8)`) compare by value, not by image, and
+/// stay on nested loops.
 pub fn hash_join_applicable(outer: &Schema, inner: &Schema, condition: &JoinCondition) -> bool {
-    condition.op == CmpOp::Eq
-        && outer.attr_range(condition.left).len() == inner.attr_range(condition.right).len()
+    JoinSweep::compile(outer, inner, condition).hash_applicable()
 }
 
 /// Hash-accelerated page×page equi-join: builds a [`PageKeyIndex`] over the
@@ -77,18 +79,30 @@ pub fn hash_join_applicable(outer: &Schema, inner: &Schema, condition: &JoinCond
 /// page order and each probe's slot list is in ascending inner-slot order,
 /// exactly the nested iteration order. Conditions the hash path cannot run
 /// ([`hash_join_applicable`] is false: non-equi θs, mixed-width keys)
-/// silently fall back to [`join_pages_raw`].
+/// silently fall back to the nested-loops sweep.
 pub fn hash_join_pages_raw(
     outer: &Page,
     inner: &Page,
     condition: &JoinCondition,
     out_schema: &Schema,
 ) -> TupleBuf {
-    if !hash_join_applicable(outer.schema(), inner.schema(), condition) {
-        return join_pages_raw(outer, inner, condition, out_schema);
+    let mut out = TupleBuf::new(out_schema.clone());
+    let sweep = JoinSweep::compile(outer.schema(), inner.schema(), condition);
+    hash_join_pages_raw_into(outer, inner, &sweep, &mut out);
+    out
+}
+
+/// [`hash_join_pages_raw`] for an already compiled condition, appending to
+/// a caller-supplied batch (whose schema must be the concatenated output
+/// schema).
+pub fn hash_join_pages_raw_into(outer: &Page, inner: &Page, sweep: &JoinSweep, out: &mut TupleBuf) {
+    if sweep.hash_applicable() {
+        let condition = sweep.condition();
+        let index = PageKeyIndex::build(inner, condition.right);
+        hash_join_probe_into(outer, inner, &index, condition, out);
+    } else {
+        sweep.sweep_into(outer, inner, out);
     }
-    let index = PageKeyIndex::build(inner, condition.right);
-    hash_join_probe(outer, inner, &index, condition, out_schema)
 }
 
 /// The probe half of [`hash_join_pages_raw`], taking a prebuilt inner-page
@@ -108,15 +122,28 @@ pub fn hash_join_probe(
     condition: &JoinCondition,
     out_schema: &Schema,
 ) -> TupleBuf {
-    debug_assert_eq!(index.key(), condition.right, "index/condition mismatch");
-    let inner_refs: Vec<TupleRef<'_>> = inner.tuple_refs().collect();
     let mut out = TupleBuf::new(out_schema.clone());
+    hash_join_probe_into(outer, inner, index, condition, &mut out);
+    out
+}
+
+/// [`hash_join_probe`] appending to a caller-supplied batch (whose schema
+/// must be the concatenated output schema).
+pub fn hash_join_probe_into(
+    outer: &Page,
+    inner: &Page,
+    index: &PageKeyIndex,
+    condition: &JoinCondition,
+    out: &mut TupleBuf,
+) {
+    debug_assert_eq!(index.key(), condition.right, "index/condition mismatch");
+    let (inner_data, w) = (inner.raw_data(), inner.schema().tuple_width());
     for o in outer.tuple_refs() {
         for &slot in index.probe(o.attr_bytes(condition.left)) {
-            out.push_concat(o.raw(), inner_refs[slot as usize].raw());
+            let at = slot as usize * w;
+            out.push_concat(o.raw(), &inner_data[at..at + w]);
         }
     }
-    out
 }
 
 /// Whole-relation hash join: one [`PageKeyIndex`] per inner page, built

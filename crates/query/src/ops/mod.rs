@@ -15,18 +15,21 @@ mod raw;
 mod restrict;
 mod set_ops;
 mod span;
+mod sweep;
 
 pub use join::{
-    hash_join_applicable, hash_join_pages_raw, hash_join_probe, hash_join_relations, join_pages,
-    join_pages_raw, merge_join_relations, nested_loops_join_relations,
+    hash_join_applicable, hash_join_pages_raw, hash_join_pages_raw_into, hash_join_probe,
+    hash_join_probe_into, hash_join_relations, join_pages, join_pages_raw, merge_join_relations,
+    nested_loops_join_relations,
 };
 pub use project::{dedup_tuples, project_page, project_page_raw};
 pub use restrict::{restrict_page, restrict_page_raw};
 pub use set_ops::{
-    cross_pages, cross_pages_raw, dedup_pages_raw, difference_pages_raw, difference_relations,
-    union_pages_raw, union_relations,
+    cross_pages, cross_pages_raw, cross_pages_raw_into, dedup_pages_raw, difference_pages_raw,
+    difference_relations, union_pages_raw, union_relations,
 };
 pub use span::{span_output_schema, span_page_raw, SpanStep};
+pub use sweep::{JoinSweep, KeyClass};
 
 use df_relalg::{Page, Relation, Result, Schema, Tuple};
 

@@ -24,12 +24,21 @@ pub fn cross_pages(outer: &Page, inner: &Page) -> Vec<Tuple> {
 /// borrowed images.
 pub fn cross_pages_raw(outer: &Page, inner: &Page, out_schema: &Schema) -> TupleBuf {
     let mut out = TupleBuf::new(out_schema.clone());
-    for o in outer.tuple_refs() {
-        for i in inner.tuple_refs() {
-            out.push_concat(o.raw(), i.raw());
+    cross_pages_raw_into(outer, inner, &mut out);
+    out
+}
+
+/// [`cross_pages_raw`] appending to a caller-supplied batch (whose schema
+/// must be the concatenated output schema). The output size is known, so
+/// room for all n·m rows is reserved up front.
+pub fn cross_pages_raw_into(outer: &Page, inner: &Page, out: &mut TupleBuf) {
+    out.reserve(outer.len() * inner.len());
+    let (wo, wi) = (outer.schema().tuple_width(), inner.schema().tuple_width());
+    for o in outer.raw_data().chunks_exact(wo) {
+        for i in inner.raw_data().chunks_exact(wi) {
+            out.push_concat(o, i);
         }
     }
-    out
 }
 
 /// Zero-copy set union over complete page lists: membership hashes the raw

@@ -1,0 +1,366 @@
+//! The compiled nested-loops sweep: the one page×page pair loop every
+//! executor runs for a θ-join.
+//!
+//! Paper §2.1 picks the O(n²) nested-loops join as the multiprocessor join
+//! and Fig 4.3 makes the page×page sweep the IP's unit of work, so the
+//! comparison inside that loop is the hottest code of the paper's own
+//! configuration. [`JoinSweep::compile`] resolves it once per join node —
+//! key byte ranges, tuple widths and a [`KeyClass`] — and the sweep then
+//! runs over raw page bytes: each page's keys are extracted once into a
+//! dense column (on the stack for small pages), the [`CmpOp`] is chosen
+//! outside the loop so every (class, operator) gets its own monomorphised
+//! pair loop, and matches are appended to a caller-supplied [`TupleBuf`].
+//!
+//! **Contract.** Output is the `outer ++ inner` image of every matching
+//! pair in (outer slot, inner slot) order — byte for byte what the oracle's
+//! `join_pages` produces once encoded. The hash path and the standing-view
+//! product rule are both defined as identical to this order.
+
+use df_relalg::{cmp_encoded, CmpOp, DataType, JoinCondition, Page, Schema, TupleBuf};
+
+/// How a compiled sweep compares its two key columns. Decided by the key
+/// types alone, never by the operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyClass {
+    /// `Int` × `Int`: both columns are decoded from their big-endian images
+    /// to `i64` once per page and compared natively.
+    Int,
+    /// Equal-width `Bool` or `Str(n)` keys, compared as raw byte strings.
+    /// The encoding is canonical, so images are equal exactly when values
+    /// are; and because strings hold no content NULs and are NUL-padded,
+    /// byte order over equal widths is also value order.
+    Bytes,
+    /// `Str(n)` × `Str(m)`, n ≠ m: the images differ in padding, so each
+    /// pair goes through the typed [`cmp_encoded`].
+    Typed,
+}
+
+/// One operand's tuple layout, as far as the sweep needs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Side {
+    /// Tuple image width.
+    width: usize,
+    /// Byte offset and length of the key within an image.
+    key_off: usize,
+    key_len: usize,
+    dtype: DataType,
+}
+
+impl Side {
+    fn of(schema: &Schema, attr: usize) -> Side {
+        let key = schema.attr_range(attr);
+        Side {
+            width: schema.tuple_width(),
+            key_off: key.start,
+            key_len: key.len(),
+            dtype: schema.attrs()[attr].dtype,
+        }
+    }
+}
+
+/// A join condition resolved against its two operand schemas.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JoinSweep {
+    condition: JoinCondition,
+    class: KeyClass,
+    outer: Side,
+    inner: Side,
+}
+
+impl JoinSweep {
+    /// Resolve `condition` against the operand schemas.
+    ///
+    /// # Panics
+    /// Panics on out-of-bounds attribute indices or keys of different
+    /// types — [`JoinCondition::new`] and `validate` rule both out.
+    pub fn compile(outer: &Schema, inner: &Schema, condition: &JoinCondition) -> JoinSweep {
+        let (outer, inner) = (
+            Side::of(outer, condition.left),
+            Side::of(inner, condition.right),
+        );
+        let class = match (outer.dtype, inner.dtype) {
+            (DataType::Int, DataType::Int) => KeyClass::Int,
+            (DataType::Bool, DataType::Bool) => KeyClass::Bytes,
+            (DataType::Str(n), DataType::Str(m)) if n == m => KeyClass::Bytes,
+            (DataType::Str(_), DataType::Str(_)) => KeyClass::Typed,
+            (l, r) => panic!("join keys of different types: {l} vs {r}"),
+        };
+        JoinSweep {
+            condition: *condition,
+            class,
+            outer,
+            inner,
+        }
+    }
+
+    /// The condition this sweep was compiled from.
+    pub fn condition(&self) -> &JoinCondition {
+        &self.condition
+    }
+
+    /// The comparator class the key types selected.
+    pub fn class(&self) -> KeyClass {
+        self.class
+    }
+
+    /// True when the hash path can run this join: an equi-join whose raw
+    /// key images are equal exactly when the values are — every class but
+    /// [`KeyClass::Typed`], whose mixed-width images differ in padding.
+    pub fn hash_applicable(&self) -> bool {
+        self.condition.op == CmpOp::Eq && self.class != KeyClass::Typed
+    }
+
+    /// Sweep one page pair, appending the matches to `out` (whose schema
+    /// must be the concatenated output schema — debug-asserted per row).
+    pub fn sweep_into(&self, outer: &Page, inner: &Page, out: &mut TupleBuf) {
+        self.sweep_list_into(outer, [inner], true, out);
+    }
+
+    /// Sweep `page` against each page of `opposite` in turn — the work unit
+    /// of df-core and df-host — appending the matches to `out`. `page` is
+    /// the outer operand of every pair when `page_is_outer`, else the
+    /// inner; its key column is extracted once for the whole list.
+    pub fn sweep_list_into<'a>(
+        &self,
+        page: &'a Page,
+        opposite: impl IntoIterator<Item = &'a Page>,
+        page_is_outer: bool,
+        out: &mut TupleBuf,
+    ) {
+        let opposite = opposite.into_iter();
+        match self.class {
+            KeyClass::Int => self.run_ord::<i64>(page, opposite, page_is_outer, out),
+            KeyClass::Bytes => self.run_ord::<&[u8]>(page, opposite, page_is_outer, out),
+            KeyClass::Typed => {
+                let (op, lt, rt) = (self.condition.op, self.outer.dtype, self.inner.dtype);
+                self.run::<&[u8]>(page, opposite, page_is_outer, out, |a, b| {
+                    op.test(cmp_encoded(lt, a, rt, b).expect("both keys are strings"))
+                });
+            }
+        }
+    }
+
+    /// Pick the operator outside the loop: one monomorphised pair loop per
+    /// (key type, operator).
+    fn run_ord<'a, K: Key<'a> + Ord>(
+        &self,
+        page: &'a Page,
+        opposite: impl Iterator<Item = &'a Page>,
+        page_is_outer: bool,
+        out: &mut TupleBuf,
+    ) {
+        match self.condition.op {
+            CmpOp::Eq => self.run::<K>(page, opposite, page_is_outer, out, |a, b| a == b),
+            CmpOp::Ne => self.run::<K>(page, opposite, page_is_outer, out, |a, b| a != b),
+            CmpOp::Lt => self.run::<K>(page, opposite, page_is_outer, out, |a, b| a < b),
+            CmpOp::Le => self.run::<K>(page, opposite, page_is_outer, out, |a, b| a <= b),
+            CmpOp::Gt => self.run::<K>(page, opposite, page_is_outer, out, |a, b| a > b),
+            CmpOp::Ge => self.run::<K>(page, opposite, page_is_outer, out, |a, b| a >= b),
+        }
+    }
+
+    fn run<'a, K: Key<'a>>(
+        &self,
+        page: &'a Page,
+        opposite: impl Iterator<Item = &'a Page>,
+        page_is_outer: bool,
+        out: &mut TupleBuf,
+        test: impl Fn(K, K) -> bool,
+    ) {
+        let (page_side, opp_side) = if page_is_outer {
+            (&self.outer, &self.inner)
+        } else {
+            (&self.inner, &self.outer)
+        };
+        let (mut fixed, mut moving) = (KeyColumn::<K>::new(), KeyColumn::<K>::new());
+        let page_rows = Rows {
+            data: page.raw_data(),
+            width: page_side.width,
+            keys: fixed.load(page.raw_data(), page_side),
+        };
+        for opp in opposite {
+            let opp_rows = Rows {
+                data: opp.raw_data(),
+                width: opp_side.width,
+                keys: moving.load(opp.raw_data(), opp_side),
+            };
+            if page_is_outer {
+                sweep_pairs(&page_rows, &opp_rows, &test, out);
+            } else {
+                sweep_pairs(&opp_rows, &page_rows, &test, out);
+            }
+        }
+    }
+}
+
+/// A page's tuple images beside its extracted key column.
+struct Rows<'r, K> {
+    data: &'r [u8],
+    width: usize,
+    keys: &'r [K],
+}
+
+/// The pair loop: (outer slot, inner slot) order, inner keys dense.
+#[inline]
+fn sweep_pairs<K: Copy>(
+    outer: &Rows<'_, K>,
+    inner: &Rows<'_, K>,
+    test: &impl Fn(K, K) -> bool,
+    out: &mut TupleBuf,
+) {
+    for (o, &ok) in outer.data.chunks_exact(outer.width).zip(outer.keys) {
+        for (i, &ik) in inner.data.chunks_exact(inner.width).zip(inner.keys) {
+            if test(ok, ik) {
+                out.push_concat(o, i);
+            }
+        }
+    }
+}
+
+/// A key as the pair loop holds it: decoded (`i64`) or borrowed in place.
+trait Key<'a>: Copy {
+    /// Filler for unused stack slots.
+    const FILL: Self;
+    fn of(image: &'a [u8]) -> Self;
+}
+
+impl<'a> Key<'a> for i64 {
+    const FILL: i64 = 0;
+    #[inline]
+    fn of(image: &'a [u8]) -> i64 {
+        i64::from_be_bytes(image.try_into().expect("Int key is 8 bytes"))
+    }
+}
+
+impl<'a> Key<'a> for &'a [u8] {
+    const FILL: &'a [u8] = &[];
+    #[inline]
+    fn of(image: &'a [u8]) -> &'a [u8] {
+        image
+    }
+}
+
+/// Pages up to this many tuples keep their key column on the stack (the
+/// host's 1 KB pages hold ~10 tuples; the simulators' 16 KB pages ~160).
+const STACK_KEYS: usize = 32;
+
+/// Scratch for one page's key column, reused across the pages of a sweep
+/// list so a unit allocates at most once per side.
+struct KeyColumn<K> {
+    stack: [K; STACK_KEYS],
+    heap: Vec<K>,
+}
+
+impl<'a, K: Key<'a>> KeyColumn<K> {
+    fn new() -> KeyColumn<K> {
+        KeyColumn {
+            stack: [K::FILL; STACK_KEYS],
+            heap: Vec::new(),
+        }
+    }
+
+    /// Extract the key of every tuple image in `data`.
+    fn load(&mut self, data: &'a [u8], side: &Side) -> &[K] {
+        let n = data.len() / side.width;
+        let keys = data
+            .chunks_exact(side.width)
+            .map(|row| K::of(&row[side.key_off..side.key_off + side.key_len]));
+        if n <= STACK_KEYS {
+            for (slot, key) in self.stack.iter_mut().zip(keys) {
+                *slot = key;
+            }
+            &self.stack[..n]
+        } else {
+            self.heap.clear();
+            self.heap.extend(keys);
+            &self.heap
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::test_support::*;
+
+    #[test]
+    fn key_types_select_the_comparator_class() {
+        let s = Schema::build()
+            .attr("i", DataType::Int)
+            .attr("b", DataType::Bool)
+            .attr("s4", DataType::Str(4))
+            .attr("s8", DataType::Str(8))
+            .finish()
+            .unwrap();
+        for (left, right, class) in [
+            ("i", "i", KeyClass::Int),
+            ("b", "b", KeyClass::Bytes),
+            ("s4", "s4", KeyClass::Bytes),
+            ("s8", "s8", KeyClass::Bytes),
+            ("s4", "s8", KeyClass::Typed),
+            ("s8", "s4", KeyClass::Typed),
+        ] {
+            // The class follows the key types, whatever the operator; the
+            // hash path additionally needs an equi-join.
+            for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge] {
+                let c = JoinCondition::new(&s, left, op, &s, right).unwrap();
+                let sweep = JoinSweep::compile(&s, &s, &c);
+                assert_eq!(sweep.class(), class, "{left} {op} {right}");
+                assert_eq!(
+                    sweep.hash_applicable(),
+                    op == CmpOp::Eq && class != KeyClass::Typed,
+                    "{left} {op} {right}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_into_appends_after_an_existing_prefix() {
+        let (a, b) = (
+            kv_page(&[(1, 10), (2, 20)]),
+            kv_page(&[(2, 200), (1, 100), (2, 201)]),
+        );
+        let out_schema = kv_schema().concat(&kv_schema());
+        let c = JoinCondition::equi(&kv_schema(), "k", &kv_schema(), "k").unwrap();
+        let sweep = JoinSweep::compile(&kv_schema(), &kv_schema(), &c);
+        let bytes =
+            |buf: &TupleBuf| -> Vec<u8> { buf.refs().flat_map(|t| t.raw().to_vec()).collect() };
+        let mut alone = TupleBuf::new(out_schema.clone());
+        sweep.sweep_into(&a, &b, &mut alone);
+        assert_eq!(alone.len(), 3);
+
+        let mut out = TupleBuf::new(out_schema);
+        sweep.sweep_into(&b, &a, &mut out);
+        let prefix = bytes(&out);
+        sweep.sweep_into(&a, &b, &mut out);
+        assert_eq!(bytes(&out), [prefix, bytes(&alone)].concat());
+    }
+
+    #[test]
+    fn list_sweep_equals_pair_sweeps_in_either_orientation() {
+        let page = kv_page(&[(1, 10), (2, 20), (3, 30)]);
+        let others = [
+            kv_page(&[(2, 200), (3, 300)]),
+            kv_page(&[]),
+            kv_page(&[(1, 100), (1, 101), (3, 301)]),
+        ];
+        let out_schema = kv_schema().concat(&kv_schema());
+        let c = JoinCondition::new(&kv_schema(), "k", CmpOp::Le, &kv_schema(), "k").unwrap();
+        let sweep = JoinSweep::compile(&kv_schema(), &kv_schema(), &c);
+        for page_is_outer in [true, false] {
+            let mut listed = TupleBuf::new(out_schema.clone());
+            sweep.sweep_list_into(&page, &others, page_is_outer, &mut listed);
+            let mut paired = TupleBuf::new(out_schema.clone());
+            for other in &others {
+                if page_is_outer {
+                    sweep.sweep_into(&page, other, &mut paired);
+                } else {
+                    sweep.sweep_into(other, &page, &mut paired);
+                }
+            }
+            assert_eq!(listed.to_tuples(), paired.to_tuples());
+            assert!(!listed.is_empty());
+        }
+    }
+}

@@ -5,7 +5,8 @@
 //! in the query tree"*, and §3.2 gives each operator class one firing
 //! rule. [`Plan::compile`] derives, per tree node, the output schema, the
 //! `(parent, port)` its pages flow to, and its [`Firing`] class — the
-//! single classification of [`Op`] in the workspace. The simulated
+//! single classification of [`Op`] in the workspace — and, for a join, the
+//! compiled [`JoinSweep`] of its condition. The simulated
 //! machines lower a plan to their dense instruction program, the host
 //! executor schedules its cells straight off it, and standing views read
 //! the same classes as their delta rules. [`Plan::fuse_spans`] is the
@@ -13,7 +14,7 @@
 
 use df_relalg::{Catalog, Result, Schema};
 
-use crate::ops::SpanStep;
+use crate::ops::{JoinSweep, SpanStep};
 use crate::tree::{Op, QueryTree};
 use crate::validate::validate;
 
@@ -73,6 +74,9 @@ pub struct PlanNode {
     pub parent: Option<(usize, usize)>,
     /// Firing class.
     pub firing: Firing,
+    /// For a join: its condition resolved against the two operand schemas,
+    /// once — the nested-loops pair loop every executor runs.
+    pub sweep: Option<JoinSweep>,
     /// Non-empty only after [`Plan::fuse_spans`]: this node stands in for a
     /// maximal restrict→project chain. The steps run bottom (this node's
     /// own operator) to top per operand page in one work unit; `op` keeps
@@ -111,12 +115,21 @@ impl Plan {
             .topo_order()
             .map(|id| {
                 let node = tree.node(id);
+                let sweep = match &node.op {
+                    Op::Join { condition } => Some(JoinSweep::compile(
+                        schemas.schema(node.children[0]),
+                        schemas.schema(node.children[1]),
+                        condition,
+                    )),
+                    _ => None,
+                };
                 PlanNode {
                     op: node.op.clone(),
                     children: node.children.iter().map(|c| c.0).collect(),
                     out_schema: schemas.schema(id).clone(),
                     parent: parent[id.0],
                     firing: Firing::of(&node.op),
+                    sweep,
                     steps: Vec::new(),
                     absorbed: false,
                 }

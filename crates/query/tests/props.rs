@@ -63,20 +63,122 @@ fn arb_mixed_rows(max: usize) -> impl Strategy<Value = Vec<(i64, i64, Vec<char>)
     )
 }
 
+fn mixed_tuple((id, flag, tag): &(i64, i64, Vec<char>)) -> Tuple {
+    Tuple::new(vec![
+        Value::Int(*id),
+        Value::Bool(*flag % 2 == 1),
+        Value::str(&tag.iter().collect::<String>()),
+    ])
+}
+
 fn mixed_relation(rows: &[(i64, i64, Vec<char>)]) -> Relation {
     Relation::from_tuples(
         "m",
         mixed_schema(),
         16 + mixed_schema().tuple_width() * 3,
-        rows.iter().map(|(id, flag, tag)| {
+        rows.iter().map(mixed_tuple),
+    )
+    .expect("relation")
+}
+
+/// One right-operand row of the join fixtures: a mixed row plus the chars
+/// of its `wide` string.
+type WideRow = ((i64, i64, Vec<char>), Vec<char>);
+
+/// Join keys: the small domain of [`arb_mixed_rows`] with the two `i64`
+/// extremes mixed in (a sign slip in the integer comparator shows there).
+fn arb_join_id() -> impl Strategy<Value = i64> {
+    prop_oneof![-3i64..3, -30i64..30, Just(i64::MIN), Just(i64::MAX)]
+}
+
+fn arb_tag(max_len: usize) -> impl Strategy<Value = Vec<char>> {
+    prop::collection::vec(prop::char::range('a', 'c'), 0..=max_len)
+}
+
+fn arb_left_rows(
+    size: impl Into<prop::collection::SizeRange>,
+) -> impl Strategy<Value = Vec<(i64, i64, Vec<char>)>> {
+    prop::collection::vec((arb_join_id(), 0i64..2, arb_tag(3)), size)
+}
+
+fn arb_right_rows(
+    size: impl Into<prop::collection::SizeRange>,
+) -> impl Strategy<Value = Vec<WideRow>> {
+    prop::collection::vec(((arb_join_id(), 0i64..2, arb_tag(3)), arb_tag(4)), size)
+}
+
+/// The right operand of the join fixtures: wider than [`mixed_schema`], its
+/// keys at other offsets, and a `Str(9)` to pair with the left's `Str(6)`.
+fn wide_schema() -> Schema {
+    Schema::build()
+        .attr("pad", DataType::Int)
+        .attr("wide", DataType::Str(9))
+        .attr("id", DataType::Int)
+        .attr("tag", DataType::Str(6))
+        .attr("flag", DataType::Bool)
+        .finish()
+        .expect("schema")
+}
+
+/// One page holding exactly `tuples` (capacity grows to fit).
+fn page_of(schema: &Schema, tuples: impl ExactSizeIterator<Item = Tuple>) -> Page {
+    let size = 16 + schema.tuple_width() * tuples.len().max(1);
+    let mut page = Page::new(schema.clone(), size).expect("page");
+    for t in tuples {
+        page.push(&t).expect("page sized to fit");
+    }
+    page
+}
+
+fn left_page(rows: &[(i64, i64, Vec<char>)]) -> Page {
+    page_of(&mixed_schema(), rows.iter().map(mixed_tuple))
+}
+
+fn right_page(rows: &[WideRow]) -> Page {
+    page_of(
+        &wide_schema(),
+        rows.iter().map(|((id, flag, tag), wide)| {
             Tuple::new(vec![
+                Value::Int(id.wrapping_mul(7)),
+                Value::str(&wide.iter().collect::<String>()),
                 Value::Int(*id),
-                Value::Bool(*flag % 2 == 1),
                 Value::str(&tag.iter().collect::<String>()),
+                Value::Bool(*flag == 1),
             ])
         }),
     )
-    .expect("relation")
+}
+
+/// The compiled sweep against the decoded oracle on one page pair: every
+/// key kind (`Int`, `Bool`, equal-width `Str`, mixed-width `Str`) × all
+/// six operators, byte for byte — same rows, same order, same images.
+fn assert_sweep_byte_identical(lp: &Page, rp: &Page) {
+    let out_schema = lp.schema().concat(rp.schema());
+    for (lkey, rkey) in [
+        ("id", "id"),
+        ("flag", "flag"),
+        ("tag", "tag"),
+        ("tag", "wide"),
+    ] {
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            let c = JoinCondition::new(lp.schema(), lkey, op, rp.schema(), rkey).unwrap();
+            let raw = join_pages_raw(lp, rp, &c, &out_schema);
+            assert_eq!(
+                raw_bytes(&raw),
+                encode_all(&out_schema, &join_pages(lp, rp, &c)),
+                "{lkey} {op} {rkey} on {} x {} tuples",
+                lp.len(),
+                rp.len()
+            );
+        }
+    }
 }
 
 /// Canonical encoding of a decoded tuple stream (the byte-identity oracle).
@@ -254,28 +356,21 @@ proptest! {
         }
     }
 
-    /// Zero-copy join (raw key-byte comparison) agrees with the decoded
-    /// kernel for every comparison operator, on Int and Str keys.
+    /// The compiled nested-loops sweep is byte-identical to the decoded
+    /// kernel for every comparison operator and key kind, on empty,
+    /// 3-tuple and odd-sized small pages (key columns on the stack); the
+    /// raw cross product likewise.
     #[test]
-    fn raw_join_matches_decoded(left in arb_mixed_rows(25), right in arb_mixed_rows(25)) {
-        let l = mixed_relation(&left);
-        let r = mixed_relation(&right);
-        let out_schema = l.schema().concat(r.schema());
-        for key in ["id", "tag"] {
-            for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-                let c = JoinCondition::new(l.schema(), key, op, r.schema(), key).unwrap();
-                for lp in l.pages() {
-                    for rp in r.pages() {
-                        let raw = join_pages_raw(lp, rp, &c, &out_schema);
-                        prop_assert_eq!(raw.to_tuples(), join_pages(lp, rp, &c));
-                    }
-                }
-            }
-        }
-        for lp in l.pages() {
-            for rp in r.pages() {
-                let raw = cross_pages_raw(lp, rp, &out_schema);
-                prop_assert_eq!(raw.to_tuples(), cross_pages(lp, rp));
+    fn raw_join_matches_decoded(left in arb_left_rows(0..12), right in arb_right_rows(0..12)) {
+        for l in [&left[..], &left[..left.len().min(3)], &[]] {
+            for r in [&right[..], &right[..right.len().min(3)], &[]] {
+                let (lp, rp) = (left_page(l), right_page(r));
+                assert_sweep_byte_identical(&lp, &rp);
+                let out_schema = lp.schema().concat(rp.schema());
+                prop_assert_eq!(
+                    raw_bytes(&cross_pages_raw(&lp, &rp, &out_schema)),
+                    encode_all(&out_schema, &cross_pages(&lp, &rp))
+                );
             }
         }
     }
@@ -317,6 +412,26 @@ proptest! {
             prop_assert!(pos.is_some());
             cursor += pos.unwrap();
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The same identity on pages of 160–200 tuples — the simulators' page
+    /// shape, where the key columns spill to the heap — against each other
+    /// and against 3-tuple and empty pages.
+    #[test]
+    fn raw_join_matches_decoded_on_large_pages(
+        left in arb_left_rows(160..=200),
+        right in arb_right_rows(160..=200),
+    ) {
+        let (lp, rp) = (left_page(&left), right_page(&right));
+        assert_sweep_byte_identical(&lp, &rp);
+        assert_sweep_byte_identical(&lp, &right_page(&right[..3]));
+        assert_sweep_byte_identical(&left_page(&left[..3]), &rp);
+        assert_sweep_byte_identical(&lp, &right_page(&[]));
+        assert_sweep_byte_identical(&left_page(&[]), &rp);
     }
 }
 

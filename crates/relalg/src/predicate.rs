@@ -393,30 +393,6 @@ impl JoinCondition {
         self.op.test(ord)
     }
 
-    /// Test one borrowed tuple-image pair without decoding.
-    ///
-    /// An equi (or not-equal) comparison over equal-width keys is a straight
-    /// `memcmp` of the raw key bytes — the encoding is canonical, so images
-    /// are equal exactly when the values are. Ordering comparisons (and
-    /// mixed-width string keys) fall back to the typed encoded comparison.
-    pub fn matches_ref(&self, outer: &TupleRef<'_>, inner: &TupleRef<'_>) -> bool {
-        let (lb, rb) = (outer.attr_bytes(self.left), inner.attr_bytes(self.right));
-        match self.op {
-            CmpOp::Eq if lb.len() == rb.len() => lb == rb,
-            CmpOp::Ne if lb.len() == rb.len() => lb != rb,
-            op => {
-                let ord = cmp_encoded(
-                    outer.attr_dtype(self.left),
-                    lb,
-                    inner.attr_dtype(self.right),
-                    rb,
-                )
-                .expect("join condition type-checked against schemas");
-                op.test(ord)
-            }
-        }
-    }
-
     /// Validate indices against the two input schemas.
     pub fn validate_against(&self, outer: &Schema, inner: &Schema) -> Result<()> {
         outer.attr(self.left)?;
@@ -562,54 +538,6 @@ mod tests {
                 t.encode(&s, &mut img).unwrap();
                 let r = crate::TupleRef::new(&s, &img).unwrap();
                 assert_eq!(p.eval_ref(&r), p.eval(t), "pred {p} tuple {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn matches_ref_agrees_with_matches() {
-        let s = schema();
-        let wide = Schema::build()
-            .attr("a", DataType::Int)
-            .attr("b", DataType::Int)
-            .attr("s", DataType::Str(16)) // different string width than `s`
-            .finish()
-            .unwrap();
-        let ops = [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ];
-        let pairs = [
-            (tup(1, 0, "x"), tup(1, 0, "x")),
-            (tup(1, 0, "ab"), tup(2, 0, "abc")),
-            (tup(-5, 0, "zz"), tup(-5, 1, "a")),
-        ];
-        for op in ops {
-            for (l, r) in &pairs {
-                let mut li = Vec::new();
-                let mut ri = Vec::new();
-                l.encode(&s, &mut li).unwrap();
-                r.encode(&wide, &mut ri).unwrap();
-                let lr = crate::TupleRef::new(&s, &li).unwrap();
-                let rr = crate::TupleRef::new(&wide, &ri).unwrap();
-                // Int keys (same width -> memcmp fast path for Eq/Ne).
-                let ji = JoinCondition {
-                    left: 0,
-                    op,
-                    right: 0,
-                };
-                assert_eq!(ji.matches_ref(&lr, &rr), ji.matches(l, r), "{op} int");
-                // Str keys of different declared widths (typed fallback).
-                let js = JoinCondition {
-                    left: 2,
-                    op,
-                    right: 2,
-                };
-                assert_eq!(js.matches_ref(&lr, &rr), js.matches(l, r), "{op} str");
             }
         }
     }

@@ -172,6 +172,12 @@ impl TupleBuf {
         self.bytes.len() == self.start
     }
 
+    /// Make room for `images` more tuple images without reallocating.
+    #[inline]
+    pub fn reserve(&mut self, images: usize) {
+        self.bytes.reserve(images * self.schema.tuple_width());
+    }
+
     /// Append one raw image (must be exactly one tuple width — debug
     /// asserted; callers copy images out of validated pages).
     #[inline]
@@ -207,14 +213,6 @@ impl TupleBuf {
             self.bytes.extend_from_slice(t.attr_bytes(i));
         }
         debug_assert_eq!(self.bytes.len() - before, self.schema.tuple_width());
-    }
-
-    /// Append every live image of another batch — one memcpy of its live
-    /// region (layout compatibility debug-asserted).
-    #[inline]
-    pub fn append(&mut self, other: &TupleBuf) {
-        debug_assert!(self.schema.layout_eq(&other.schema));
-        self.bytes.extend_from_slice(&other.bytes[other.start..]);
     }
 
     /// Encode and append an owned tuple (the decoded-path compatibility
@@ -359,20 +357,6 @@ mod tests {
             buf.to_tuples()[0],
             tup(1, true, "l").concat(&tup(2, false, "r"))
         );
-    }
-
-    #[test]
-    fn buf_append_concatenates_live_regions() {
-        let s = schema();
-        let mut a = TupleBuf::new(s.clone());
-        a.push_tuple(&tup(1, false, "a")).unwrap();
-        a.push_tuple(&tup(2, false, "b")).unwrap();
-        let mut drained = Page::new(s.clone(), 16 + 13).unwrap(); // 1 tuple
-        a.drain_into(&mut drained);
-        let mut b = TupleBuf::new(s);
-        b.push_tuple(&tup(9, true, "z")).unwrap();
-        b.append(&a); // only a's live (undrained) image must come over
-        assert_eq!(b.to_tuples(), vec![tup(9, true, "z"), tup(2, false, "b")]);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! broadcasts when local memory is full and catch up on the missed pages
 //! once the last-inner-page indicator arrives, then request another outer.
 
-use df_core::instr::{InstrId, Kernel};
-use df_relalg::Page;
+use df_core::instr::InstrId;
+use df_relalg::{Page, TupleBuf};
 use df_sim::SimTime;
 use df_storage::PageId;
 
@@ -153,13 +153,14 @@ impl RingMachine {
                 PendingWork::Unary { page, flush } => {
                     self.ips[ip].flush_pending |= flush;
                     let instr = self.ips[ip].instr.expect("working IP has an instruction");
-                    let kernel = self.program.instructions[instr].kernel.clone();
-                    let out_schema = self.program.instructions[instr].output_schema.clone();
-                    let results = kernel.run_unit_raw(&[self.store.get(page)], &out_schema);
+                    let code = &self.program.instructions[instr];
+                    let results = code
+                        .kernel
+                        .run_unit_raw(&[self.store.get(page)], &code.output_schema);
                     // Kernel-aware service time: a fused span charges the
                     // sum of its step costs (n per step); plain unary
                     // kernels charge n.
-                    let ops = kernel.tuple_ops(&[self.store.get(page).len()]);
+                    let ops = code.kernel.tuple_ops(&[self.store.get(page).len()]);
                     let dur = self.compute_time_for(&[page], ops);
                     self.ips[ip].current_results = Some(results);
                     self.ips[ip].busy = true;
@@ -169,13 +170,12 @@ impl RingMachine {
                 }
                 PendingWork::Whole { pages } => {
                     let instr = self.ips[ip].instr.expect("working IP has an instruction");
-                    let kernel = self.program.instructions[instr].kernel.clone();
-                    let out_schema = self.program.instructions[instr].output_schema.clone();
+                    let code = &self.program.instructions[instr];
                     let inputs: Vec<Vec<&Page>> = pages
                         .iter()
                         .map(|slot| slot.iter().map(|&p| self.store.get(p)).collect())
                         .collect();
-                    let results = kernel.run_final_raw(&inputs, &out_schema);
+                    let results = code.kernel.run_final_raw(&inputs, &code.output_schema);
                     let flat: Vec<PageId> = pages.iter().flatten().copied().collect();
                     let ops: usize = flat.iter().map(|&p| self.store.get(p).len()).sum();
                     let dur = self.compute_time_for(&flat, ops);
@@ -193,16 +193,15 @@ impl RingMachine {
             if let Some((idx, ipage)) = self.ips[ip].inner_queue.pop_front() {
                 let (_, opage) = self.ips[ip].outer.expect("checked");
                 let instr = self.ips[ip].instr.expect("working IP has an instruction");
-                let kernel = self.program.instructions[instr].kernel.clone();
-                debug_assert!(matches!(kernel, Kernel::JoinPair(..) | Kernel::CrossPair));
-                let out_schema = self.program.instructions[instr].output_schema.clone();
-                let results = kernel
-                    .run_unit_raw(&[self.store.get(opage), self.store.get(ipage)], &out_schema);
+                let code = &self.program.instructions[instr];
+                let (outer, inner) = (self.store.get(opage), self.store.get(ipage));
+                let mut results = TupleBuf::new(code.output_schema.clone());
+                code.kernel
+                    .run_sweep_raw_into(outer, &[inner], &mut results);
                 // Kernel-aware service time: a hash-path equi-join charges
                 // n + m (index build + probes), nested loops and cross
                 // products charge the n·m sweep.
-                let ops =
-                    kernel.tuple_ops(&[self.store.get(opage).len(), self.store.get(ipage).len()]);
+                let ops = code.kernel.tuple_ops(&[outer.len(), inner.len()]);
                 let dur = self.compute_time_for(&[opage, ipage], ops);
                 self.ips[ip].current_inner = Some(idx);
                 self.ips[ip].current_results = Some(results);
