@@ -153,9 +153,10 @@ fn main() {
         }
     }
     println!(
-        "\nbatch: {:.2?} wall, {} units, {:.1} MB moved, {:.1}% mean worker utilization",
+        "\nbatch: {:.2?} wall, {} units in {} runs, {:.1} MB moved, {:.1}% mean worker utilization",
         out.metrics.elapsed,
         out.metrics.total_units(),
+        out.metrics.total_runs(),
         out.metrics.total_bytes() as f64 / 1e6,
         out.metrics.worker_utilization() * 100.0
     );

@@ -6,28 +6,57 @@
 //! tables, applies the §2 firing rule as pages arrive, and picks which
 //! ready instruction a freed worker serves next via a
 //! [`df_core::WorkPicker`]. A pool of worker threads plays the IPs: each
-//! receives work units over a bounded channel (the distribution network),
-//! runs the zero-copy `df_query::ops::*_raw` kernels, drains the resulting
-//! [`TupleBuf`] into output pages, and sends them back over a bounded MPSC
+//! receives work over a bounded channel (the distribution network), runs
+//! the zero-copy `df_query::ops::*_raw` kernels, drains the resulting
+//! [`TupleBuf`]s into output pages, and sends them back over a bounded MPSC
 //! channel (the arbitration network). Pages flow cell → parent cell → query
 //! result with `Arc` sharing — never copied.
+//!
+//! # Units and runs
+//!
+//! The *unit* — one firing of one instruction on one operand page (or page
+//! pair list, or complete operand) — is the atom of everything counted:
+//! its own dispatch sequence number, fault draw, panic guard, kernel span
+//! and `units_fired`. The *message* between scheduler and worker is a
+//! **run**: every unit the freed worker takes from the picked cell in one
+//! dispatch, ⌈pending ÷ alive workers⌉ of them (guided self-scheduling, so
+//! runs shrink as a cell drains and the workers finish together). The
+//! paper fires at page rather than tuple granularity because tuple traffic
+//! "needlessly multiplies" arbitration-network load (§3.3); a channel
+//! hand-off per page repeats that mistake one level up. A run travels as
+//! one message, comes back as one completion, and writes into one
+//! [`OutputPager`] — the IP output buffer of §4.2 — so its output arrives
+//! as full pages (only a run's last page may be partial) and every cell
+//! above it sees fewer, fuller operand pages.
+//!
+//! # Small calls run on the calling thread
+//!
+//! A call whose operands total at most [`INLINE_MAX_PAGES`] pages and whose
+//! fault plan is inert spawns no thread: the scheduler serves each run
+//! itself through the same [`serve_run`] the workers use. Such a call has
+//! no watchdog — nobody is left to time the caller out — which is
+//! acceptable because its work is bounded by the size test, and a kernel
+//! panic is still caught per unit and fails only the owning query.
 //!
 //! # Fault containment
 //!
 //! The paper's §4 case for *distributed* control is that no single
 //! component failure stalls the machine; the executor holds itself to the
 //! same standard. A kernel panic is caught on the worker
-//! (`catch_unwind`), reported as a [`Completion::Failed`], and fails only
-//! the owning query — the worker thread and every other in-flight query
-//! survive. A worker thread that dies outright (simulated by
-//! [`crate::FaultPlan::dead_workers`], or a panic escaping the kernel
-//! guard) announces itself through a drop guard; the scheduler shrinks
-//! the pool, requeues the unit that worker held, and keeps draining with
-//! the survivors. Only when *every* worker is gone do the still-unfinished
-//! queries fail, each with a structured [`HostError::WorkersExhausted`] —
-//! never a hang: the completion wait is bounded by
-//! [`crate::HostParams::stall_timeout`], after which a wedged run returns
-//! [`HostError::Stalled`] with a diagnostic instead of blocking forever.
+//! (`catch_unwind`, per unit), reported in the run's completion, and fails
+//! only the owning query — the worker thread and every other in-flight
+//! query survive. (The run's shared output buffer may hold the panicked
+//! unit's partial output; that is safe only because the scheduler discards
+//! every page of a doomed query.) A worker thread that dies outright
+//! (simulated by [`crate::FaultPlan::dead_workers`], or a panic escaping
+//! the kernel guard) announces itself through a drop guard; the scheduler
+//! shrinks the pool, requeues the whole run that worker held, and keeps
+//! draining with the survivors. Only when *every* worker is gone do the
+//! still-unfinished queries fail, each with a structured
+//! [`HostError::WorkersExhausted`] — never a hang: the completion wait is
+//! bounded by [`crate::HostParams::stall_timeout`], after which a wedged
+//! run returns [`HostError::Stalled`] with a diagnostic instead of
+//! blocking forever.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -87,18 +116,19 @@ impl OperandPage {
     }
 }
 
-/// The operand payload of one work unit. `Clone` is cheap (`Arc`s only)
-/// and lets the scheduler keep a copy of each dispatched unit so it can
-/// requeue the unit if the worker holding it dies.
+/// The operand payload of one work unit. `Clone` is cheap (`Arc`s only);
+/// the scheduler clones a unit's payload only to requeue it when the worker
+/// holding its run dies.
 #[derive(Debug, Clone)]
 enum WorkKind {
     /// One operand page (restrict, non-dedup project).
     Page(Arc<Page>),
     /// A pair sweep: the newly arrived page against every page of the
-    /// opposite operand received so far (join, cross product).
+    /// opposite operand received so far (join, cross product). Pages of
+    /// one delivery see the same opposite list, so they share one snapshot.
     Sweep {
         new_page: Arc<OperandPage>,
-        opposite: Vec<Arc<OperandPage>>,
+        opposite: Arc<[Arc<OperandPage>]>,
         new_is_outer: bool,
     },
     /// Complete operands of a blocking operator (union, difference,
@@ -109,17 +139,25 @@ enum WorkKind {
     },
 }
 
-/// One instruction firing, dispatched to a worker.
+/// One instruction firing inside a [`Run`].
 #[derive(Debug)]
-struct WorkUnit {
-    plan: Arc<QueryPlan>,
-    query: usize,
-    cell: usize,
+struct RunUnit {
     kind: WorkKind,
     /// Global dispatch sequence number (the fault plan's unit key).
     seq: u64,
     /// Fault injected into this unit, if the plan says so.
     fault: Option<InjectedFault>,
+}
+
+/// The message between scheduler and worker: every unit one dispatch took
+/// from one instruction cell. Shared (`Arc`) so the scheduler can requeue
+/// the units if the worker holding them dies.
+#[derive(Debug)]
+struct Run {
+    plan: Arc<QueryPlan>,
+    query: usize,
+    cell: usize,
+    units: Vec<RunUnit>,
 }
 
 /// How a pair-sweep unit was served, for the probe/sweep metrics split.
@@ -133,33 +171,49 @@ enum UnitClass {
     Other,
 }
 
+/// A served run: what its units did, summed, and the pages they produced.
+#[derive(Debug, Default)]
+struct RunDone {
+    worker: usize,
+    query: usize,
+    cell: usize,
+    /// Units served, panicked ones included.
+    units: usize,
+    probe_units: usize,
+    sweep_units: usize,
+    /// Operand pages (and their wire bytes) the units read.
+    pages_in: usize,
+    bytes_in: u64,
+    /// The run's output, packed: every page but the last is full.
+    pages: Vec<Arc<Page>>,
+    bytes_out: u64,
+    /// Stringified payload of each unit whose kernel panicked. The panics
+    /// were caught and the worker survives, but `pages` may then hold
+    /// partial output and must not be routed.
+    panics: Vec<String>,
+}
+
 /// What a worker sends back over the arbitration channel.
 #[derive(Debug)]
 enum Completion {
-    /// A unit's kernel ran to completion.
-    Done {
-        worker: usize,
-        query: usize,
-        cell: usize,
-        pages: Vec<Arc<Page>>,
-        pages_in: usize,
-        bytes_in: u64,
-        bytes_out: u64,
-        class: UnitClass,
-    },
-    /// A unit's kernel panicked; the panic was caught and the worker
-    /// survives, but the unit produced nothing.
-    Failed {
-        worker: usize,
-        query: usize,
-        cell: usize,
-        /// The panic payload, stringified.
-        payload: String,
-    },
+    /// A run was served to its end.
+    Run(RunDone),
     /// The worker thread itself died (sent by its drop guard). Whatever
-    /// unit it held must be requeued and the pool shrunk.
+    /// run it held must be requeued and the pool shrunk.
     WorkerDied { worker: usize },
 }
+
+/// A call whose operand pages (Σ base-relation pages over its queries)
+/// number at most this is served on the calling thread.
+///
+/// Measured at the parent of this change with `benchmark/run.sh --trace 1`
+/// (EXPERIMENTS.md PERF-HANDOFF): the threaded path's fixed cost for a
+/// one-page call is `host.call_floor_us` ≈ 45 µs (41–59 µs over six runs:
+/// spawn, channels, join), and `serve-read`'s calls spend ≈ 29 µs of kernel
+/// time over 67 units, ≈ 0.43 µs per operand page. 45 µs ÷ 0.43 µs ≈ 105
+/// pages: below that, handing the work to threads costs more than all the
+/// kernel time they could overlap. Rounded up to a power of two.
+const INLINE_MAX_PAGES: usize = 128;
 
 /// Output of [`run_host_queries`].
 #[derive(Debug)]
@@ -199,16 +253,59 @@ pub fn run_host_queries(
         })
         .collect::<HostResult<_>>()?;
 
-    let started = Instant::now();
-    let poisoned = Arc::new(AtomicBool::new(false));
+    // The size test: base-relation pages the call's scans will feed in.
+    let mut operand_pages = 0usize;
+    for plan in &plans {
+        for node in &plan.plan.nodes {
+            if let Op::Scan { relation } = &node.op {
+                operand_pages += db.require(relation)?.pages().len();
+            }
+        }
+    }
 
+    let started = Instant::now();
+    let (outcome, per_worker) = if operand_pages <= INLINE_MAX_PAGES && !params.fault.is_active() {
+        // Small call: the scheduler serves every run itself. Worker 0
+        // reports the caller's kernel time; the other entries keep
+        // `per_worker.len() == params.workers`, all with the call's wall
+        // time.
+        let mut per_worker = vec![WorkerStats::default(); params.workers];
+        let caller = Pool::Inline(&mut per_worker[0]);
+        let outcome = Scheduler::new(db, queries, plans, params, caller).run()?;
+        let wall = started.elapsed();
+        for w in &mut per_worker {
+            w.wall = wall;
+        }
+        (outcome, per_worker)
+    } else {
+        run_on_threads(db, queries, plans, params)?
+    };
+    Ok(HostRunOutput {
+        results: outcome.results,
+        metrics: HostMetrics {
+            elapsed: started.elapsed(),
+            per_query: outcome.per_query,
+            per_worker,
+        },
+    })
+}
+
+/// Serve a call with `params.workers` worker threads, spawned here and
+/// joined before returning (except on a run-level error).
+fn run_on_threads(
+    db: &Catalog,
+    queries: &[QueryTree],
+    plans: Vec<Arc<QueryPlan>>,
+    params: &HostParams,
+) -> HostResult<(SchedulerOutcome, Vec<WorkerStats>)> {
     // The networks: one bounded SPSC channel per worker for dispatch, one
     // shared bounded MPSC channel for completions.
+    let poisoned = Arc::new(AtomicBool::new(false));
     let (done_tx, done_rx) = sync_channel::<Completion>(params.completion_capacity);
     let mut work_txs = Vec::with_capacity(params.workers);
     let mut handles = Vec::with_capacity(params.workers);
     for id in 0..params.workers {
-        let (tx, rx) = sync_channel::<WorkUnit>(1);
+        let (tx, rx) = sync_channel::<Arc<Run>>(1);
         work_txs.push(tx);
         let done = done_tx.clone();
         let poisoned = Arc::clone(&poisoned);
@@ -223,14 +320,14 @@ pub fn run_host_queries(
     }
     drop(done_tx);
 
-    let scheduler = Scheduler::new(db, queries, plans, params, work_txs, done_rx);
-    let outcome = match scheduler.run() {
+    let pool = Pool::Threads { work_txs, done_rx };
+    let outcome = match Scheduler::new(db, queries, plans, params, pool).run() {
         Ok(outcome) => outcome,
         Err(e) => {
             // Run-level failure. The scheduler (and with it every channel
             // endpoint) is already dropped, so workers wake and exit on
-            // their own; `poisoned` makes them skip any still-buffered
-            // unit. We deliberately do not join: a genuinely wedged kernel
+            // their own; `poisoned` makes them skip every unit they still
+            // hold. We deliberately do not join: a genuinely wedged kernel
             // (the `Stalled` case) would block the caller forever.
             poisoned.store(true, Ordering::Relaxed);
             drop(handles);
@@ -258,15 +355,7 @@ pub fn run_host_queries(
             }
         }
     }
-
-    Ok(HostRunOutput {
-        results: outcome.results,
-        metrics: HostMetrics {
-            elapsed: started.elapsed(),
-            per_query: outcome.per_query,
-            per_worker,
-        },
-    })
+    Ok((outcome, per_worker))
 }
 
 /// Single-query convenience wrapper around [`run_host_queries`].
@@ -333,13 +422,26 @@ struct SchedulerOutcome {
     dead: Vec<bool>,
 }
 
+/// Who serves the runs the scheduler dispatches.
+enum Pool<'a> {
+    /// Worker threads: one dispatch channel each (the distribution
+    /// network) and the shared completion channel (the arbitration
+    /// network).
+    Threads {
+        work_txs: Vec<SyncSender<Arc<Run>>>,
+        done_rx: Receiver<Completion>,
+    },
+    /// The calling thread, as worker 0: a dispatched run is served on the
+    /// spot and its completion handled before the next dispatch.
+    Inline(&'a mut WorkerStats),
+}
+
 struct Scheduler<'a> {
     db: &'a Catalog,
     queries: &'a [QueryTree],
     plans: Vec<Arc<QueryPlan>>,
     params: &'a HostParams,
-    work_txs: Vec<SyncSender<WorkUnit>>,
-    done_rx: Receiver<Completion>,
+    pool: Pool<'a>,
     picker: StrategyPicker,
     locks: LockTable,
     waiting: VecDeque<usize>,
@@ -350,13 +452,14 @@ struct Scheduler<'a> {
     /// Which workers have died (dispatch channel refused, or their drop
     /// guard reported in). Dead workers never rejoin the idle pool.
     dead: Vec<bool>,
-    /// The unit each busy worker currently holds, kept so a dead worker's
-    /// unit can be requeued.
-    assigned: Vec<Option<(usize, usize, WorkKind)>>,
+    /// The run each busy worker currently holds, kept so a dead worker's
+    /// run can be requeued.
+    assigned: Vec<Option<Arc<Run>>>,
     next_base: usize,
     /// Global dispatch sequence number (the fault plan's unit key).
     next_seq: u64,
     finished: usize,
+    /// Units dispatched and not yet accounted for, across all queries.
     dispatched: usize,
 }
 
@@ -366,26 +469,28 @@ impl<'a> Scheduler<'a> {
         queries: &'a [QueryTree],
         plans: Vec<Arc<QueryPlan>>,
         params: &'a HostParams,
-        work_txs: Vec<SyncSender<WorkUnit>>,
-        done_rx: Receiver<Completion>,
+        pool: Pool<'a>,
     ) -> Scheduler<'a> {
         let n = queries.len();
+        let workers = match &pool {
+            Pool::Threads { work_txs, .. } => work_txs.len(),
+            Pool::Inline(_) => 1,
+        };
         Scheduler {
             db,
             queries,
             plans,
             params,
-            work_txs,
-            done_rx,
+            pool,
             picker: StrategyPicker::new(params.strategy),
             locks: LockTable::new(),
             waiting: (0..n).collect(),
             active: (0..n).map(|_| None).collect(),
             results: (0..n).map(|_| None).collect(),
             per_query: vec![QueryStats::default(); n],
-            idle: (0..params.workers).collect(),
-            dead: vec![false; params.workers],
-            assigned: (0..params.workers).map(|_| None).collect(),
+            idle: (0..workers).collect(),
+            dead: vec![false; workers],
+            assigned: (0..workers).map(|_| None).collect(),
             next_base: 0,
             next_seq: 0,
             finished: 0,
@@ -407,23 +512,11 @@ impl<'a> Scheduler<'a> {
     fn run(mut self) -> HostResult<SchedulerOutcome> {
         self.admit_compatible()?;
         while self.finished < self.queries.len() {
-            self.dispatch_ready();
+            self.dispatch_ready()?;
             if self.finished == self.queries.len() {
                 break;
             }
-            if self.alive() == 0 {
-                // The pool is gone. Drain completions that made it out
-                // before the last death, then fail whatever still needs a
-                // worker — a structured per-query error, never a hang.
-                while let Ok(completion) = self.done_rx.try_recv() {
-                    self.on_completion(completion)?;
-                }
-                if self.finished < self.queries.len() {
-                    self.fail_survivorless_queries()?;
-                }
-                continue;
-            }
-            if self.dispatched == 0 {
+            if self.dispatched == 0 && self.alive() > 0 {
                 // Workers are alive and idle, yet nothing is in flight and
                 // nothing was dispatchable: the firing bookkeeping broke.
                 // The old scheduler `expect()`ed here; report instead.
@@ -433,7 +526,23 @@ impl<'a> Scheduler<'a> {
                     detail: self.stall_detail(),
                 });
             }
-            match self.done_rx.recv_timeout(self.params.stall_timeout) {
+            let Pool::Threads { done_rx, .. } = &self.pool else {
+                unreachable!("an inline call leaves nothing in flight")
+            };
+            if self.alive() == 0 {
+                // The pool is gone. Drain completions that made it out
+                // before the last death, then fail whatever still needs a
+                // worker — a structured per-query error, never a hang.
+                let drained: Vec<Completion> = done_rx.try_iter().collect();
+                for completion in drained {
+                    self.on_completion(completion)?;
+                }
+                if self.finished < self.queries.len() {
+                    self.fail_survivorless_queries()?;
+                }
+                continue;
+            }
+            match done_rx.recv_timeout(self.params.stall_timeout) {
                 Ok(completion) => self.on_completion(completion)?,
                 Err(RecvTimeoutError::Timeout) => {
                     return Err(HostError::Stalled {
@@ -446,14 +555,14 @@ impl<'a> Scheduler<'a> {
                     // Every worker (and its death guard) is gone without a
                     // report — treat them all as dead; the next iteration
                     // fails the remaining queries.
-                    for worker in 0..self.work_txs.len() {
+                    for worker in 0..self.dead.len() {
                         self.on_worker_died(worker)?;
                     }
                 }
             }
         }
-        // Closing the dispatch channels shuts the workers down.
-        self.work_txs.clear();
+        // Dropping `self.pool` closes the dispatch channels, which shuts
+        // the workers down.
         let results = self
             .results
             .into_iter()
@@ -483,7 +592,7 @@ impl<'a> Scheduler<'a> {
             self.queries.len(),
             self.waiting.len(),
             self.alive(),
-            self.work_txs.len()
+            self.dead.len()
         )
     }
 
@@ -588,16 +697,18 @@ impl<'a> Scheduler<'a> {
             Firing::PairSweep => {
                 // Pair each new page with every opposite page received so
                 // far; later opposite arrivals will pick this page up, so
-                // each page pair is swept exactly once. The `OperandPage`
-                // wrapper gives each page a per-cell key-index slot shared
-                // by every pair unit that touches it.
+                // each page pair is swept exactly once. Every page of this
+                // delivery sees the same opposite list, so one snapshot
+                // serves them all. The `OperandPage` wrapper gives each
+                // page a per-cell key-index slot shared by every pair unit
+                // that touches it.
+                let opposite: Arc<[Arc<OperandPage>]> = cs.received[1 - port].as_slice().into();
                 for p in pages {
                     let new_page = Arc::new(OperandPage::new(p));
-                    let opposite = cs.received[1 - port].clone();
                     if !opposite.is_empty() {
                         cs.pending.push_back(WorkKind::Sweep {
                             new_page: Arc::clone(&new_page),
-                            opposite,
+                            opposite: Arc::clone(&opposite),
                             new_is_outer: port == 0,
                         });
                         fired += 1;
@@ -778,7 +889,7 @@ impl<'a> Scheduler<'a> {
         Ok(())
     }
 
-    /// Worker `worker` died: shrink the pool and requeue whatever unit it
+    /// Worker `worker` died: shrink the pool and requeue whatever run it
     /// held so a survivor can serve it. Idempotent — the death may be
     /// noticed twice (a refused dispatch, then the drop-guard report).
     fn on_worker_died(&mut self, worker: usize) -> HostResult<()> {
@@ -790,29 +901,46 @@ impl<'a> Scheduler<'a> {
         if let Some(t) = self.trace() {
             t.record_global(EventKind::Fault, 1, worker as u64);
         }
-        if let Some((q, cell, kind)) = self.assigned[worker].take() {
-            self.dispatched -= 1;
+        if let Some(run) = self.assigned[worker].take() {
+            let (q, units) = (run.query, run.units.len());
+            self.dispatched -= units;
             let state = self.active[q].as_mut().expect("query is active");
-            state.cells[cell].in_flight -= 1;
-            state.in_flight_total -= 1;
+            state.cells[run.cell].in_flight -= units;
+            state.in_flight_total -= units;
             if state.failed.is_some() {
                 if state.in_flight_total == 0 {
                     self.conclude_failed(q)?;
                 }
             } else {
-                state.stats.requeued_units += 1;
-                state.cells[cell].pending.push_front(kind);
-                if let Some(t) = self.trace() {
-                    t.record(EventKind::Fault, q as u32, cell as u32, 2, worker as u64);
-                }
+                self.requeue(&run, worker);
             }
         }
         Ok(())
     }
 
+    /// Put every unit of `run` back at the head of its cell's queue, in
+    /// order, because `worker` died holding it.
+    fn requeue(&mut self, run: &Run, worker: usize) {
+        let state = self.active[run.query].as_mut().expect("query is active");
+        state.stats.requeued_units += run.units.len();
+        for unit in run.units.iter().rev() {
+            state.cells[run.cell].pending.push_front(unit.kind.clone());
+            if let Some(t) = self.params.trace.as_deref() {
+                t.record(
+                    EventKind::Fault,
+                    run.query as u32,
+                    run.cell as u32,
+                    2,
+                    worker as u64,
+                );
+            }
+        }
+    }
+
     /// While a worker is idle and ready work exists, let the allocation
-    /// policy pick the instruction to serve and dispatch one of its units.
-    fn dispatch_ready(&mut self) {
+    /// policy pick the instruction to serve and dispatch a run of its
+    /// units.
+    fn dispatch_ready(&mut self) -> HostResult<()> {
         if let Some(t) = self.trace() {
             if t.is_enabled() {
                 let pending: usize = self
@@ -830,9 +958,11 @@ impl<'a> Scheduler<'a> {
                 );
             }
         }
+        let mut candidates: Vec<WorkCandidate> = Vec::new();
+        let mut owners: Vec<(usize, usize)> = Vec::new();
         while let Some(&worker) = self.idle.last() {
-            let mut candidates: Vec<WorkCandidate> = Vec::new();
-            let mut owners: Vec<(usize, usize)> = Vec::new();
+            candidates.clear();
+            owners.clear();
             for (q, state) in self.active.iter().enumerate() {
                 let Some(state) = state else { continue };
                 for (c, cs) in state.cells.iter().enumerate() {
@@ -847,131 +977,135 @@ impl<'a> Scheduler<'a> {
                 }
             }
             if candidates.is_empty() {
-                return;
+                return Ok(());
             }
             let instr = self.picker.pick(&candidates);
             let (q, c) = owners[candidates
                 .iter()
                 .position(|cand| cand.instr == instr)
                 .expect("picker returns a candidate id")];
+            // Guided self-scheduling: an equal share of what the cell has
+            // pending, so runs shrink as it drains and the workers finish
+            // together.
+            let alive = self.alive();
             let state = self.active[q].as_mut().expect("query is active");
-            let kind = state.cells[c]
-                .pending
-                .pop_front()
-                .expect("candidate has pending work");
-            let seq = self.next_seq;
-            let unit = WorkUnit {
+            let pending = &mut state.cells[c].pending;
+            let take = pending.len().div_ceil(alive);
+            let units = pending
+                .drain(..take)
+                .zip(self.next_seq..)
+                .map(|(kind, seq)| RunUnit {
+                    kind,
+                    seq,
+                    fault: self.params.fault.fault_for(seq),
+                })
+                .collect();
+            let run = Arc::new(Run {
                 plan: Arc::clone(&state.plan),
                 query: q,
                 cell: c,
-                kind: kind.clone(),
-                seq,
-                fault: self.params.fault.fault_for(seq),
-            };
+                units,
+            });
             self.idle.pop();
-            match self.work_txs[worker].send(unit) {
-                Ok(()) => {
-                    self.next_seq += 1;
-                    self.dispatched += 1;
-                    self.assigned[worker] = Some((q, c, kind));
-                    let state = self.active[q].as_mut().expect("query is active");
-                    state.cells[c].in_flight += 1;
-                    state.in_flight_total += 1;
-                    if let Some(t) = self.trace() {
-                        t.record(
-                            EventKind::UnitDispatch,
-                            q as u32,
-                            c as u32,
-                            seq,
-                            worker as u64,
-                        );
-                    }
-                }
-                Err(refused) => {
+            if let Pool::Threads { work_txs, .. } = &self.pool {
+                if work_txs[worker].send(Arc::clone(&run)).is_err() {
                     // The worker's receiver is gone: it died before ever
-                    // accepting work. Shrink the pool, requeue the unit,
+                    // accepting work. Shrink the pool, requeue the run,
                     // and keep dispatching to the survivors.
                     self.dead[worker] = true;
-                    let state = self.active[q].as_mut().expect("query is active");
-                    state.cells[c].pending.push_front(refused.0.kind);
-                    state.stats.requeued_units += 1;
-                    if let Some(t) = self.trace() {
-                        t.record(EventKind::Fault, q as u32, c as u32, 2, worker as u64);
-                    }
+                    self.requeue(&run, worker);
+                    continue;
+                }
+            }
+            self.next_seq += take as u64;
+            self.dispatched += take;
+            let state = self.active[q].as_mut().expect("query is active");
+            state.cells[c].in_flight += take;
+            state.in_flight_total += take;
+            if let Some(t) = self.trace() {
+                for unit in &run.units {
+                    t.record(
+                        EventKind::UnitDispatch,
+                        q as u32,
+                        c as u32,
+                        unit.seq,
+                        worker as u64,
+                    );
+                }
+            }
+            match &mut self.pool {
+                Pool::Threads { .. } => self.assigned[worker] = Some(run),
+                Pool::Inline(caller) => {
+                    let done = serve_run(worker, &run, caller, self.params.trace.as_deref(), None);
+                    self.on_run_done(done)?;
                 }
             }
         }
+        Ok(())
     }
 
-    /// A worker reported back: account for the unit, route its output,
-    /// and cascade whatever that unblocks — or contain its failure.
+    /// A worker reported back: account for its run, route the output, and
+    /// cascade whatever that unblocks — or contain its failure.
     fn on_completion(&mut self, completion: Completion) -> HostResult<()> {
         match completion {
             Completion::WorkerDied { worker } => self.on_worker_died(worker),
-            Completion::Done {
-                worker,
-                query: q,
-                cell,
-                pages,
-                pages_in,
-                bytes_in,
-                bytes_out,
-                class,
-            } => {
-                self.recycle_worker(worker);
-                self.dispatched -= 1;
-                let state = self.active[q].as_mut().expect("query is active");
-                state.cells[cell].in_flight -= 1;
-                state.in_flight_total -= 1;
-                state.stats.units_fired += 1;
-                match class {
-                    UnitClass::Probe => state.stats.probe_units += 1,
-                    UnitClass::Sweep => state.stats.sweep_units += 1,
-                    UnitClass::Other => {}
-                }
-                state.stats.pages_moved += pages_in + pages.len();
-                state.stats.bytes_moved += bytes_in + bytes_out;
-                if state.failed.is_some() {
-                    // A late completion of an already-doomed query: the
-                    // work is discarded, the worker goes back to the pool.
-                    if state.in_flight_total == 0 {
-                        self.conclude_failed(q)?;
-                    }
-                    return Ok(());
-                }
-                self.route_output(q, cell, pages)?;
-                self.try_complete(q, cell)
-            }
-            Completion::Failed {
-                worker,
-                query: q,
-                cell,
-                payload,
-            } => {
-                // The panic was contained on the worker; it lives on and
-                // rejoins the pool. Only the owning query is doomed.
-                self.recycle_worker(worker);
-                self.dispatched -= 1;
-                let state = self.active[q].as_mut().expect("query is active");
-                state.cells[cell].in_flight -= 1;
-                state.in_flight_total -= 1;
-                state.stats.units_fired += 1;
-                state.stats.failed_units += 1;
-                let op = state.plan.cell(cell).op.name().to_string();
-                if let Some(t) = self.trace() {
-                    t.record(EventKind::Fault, q as u32, cell as u32, 0, worker as u64);
-                }
-                self.fail_query(
-                    q,
-                    HostError::UnitPanicked {
-                        query: q,
-                        cell,
-                        op,
-                        payload,
-                    },
-                )
+            Completion::Run(done) => self.on_run_done(done),
+        }
+    }
+
+    /// Account for a served run unit by unit, then either route its pages
+    /// to the parent cell or — if any unit panicked, or the query was
+    /// already doomed — discard them all.
+    fn on_run_done(&mut self, done: RunDone) -> HostResult<()> {
+        let (q, cell) = (done.query, done.cell);
+        let trace = self.trace();
+        self.recycle_worker(done.worker);
+        self.dispatched -= done.units;
+        let state = self.active[q].as_mut().expect("query is active");
+        state.cells[cell].in_flight -= done.units;
+        state.in_flight_total -= done.units;
+        state.stats.units_fired += done.units;
+        state.stats.probe_units += done.probe_units;
+        state.stats.sweep_units += done.sweep_units;
+        state.stats.failed_units += done.panics.len();
+        state.stats.pages_moved += done.pages_in + done.pages.len();
+        state.stats.bytes_moved += done.bytes_in + done.bytes_out;
+        if let Some(t) = trace {
+            for _ in &done.panics {
+                t.record(
+                    EventKind::Fault,
+                    q as u32,
+                    cell as u32,
+                    0,
+                    done.worker as u64,
+                );
             }
         }
+        if let Some(payload) = done.panics.into_iter().next() {
+            // The panics were contained on the worker; it lives on and has
+            // rejoined the pool. Only the owning query is doomed, and with
+            // it every page of this run.
+            let op = state.plan.cell(cell).op.name().to_string();
+            return self.fail_query(
+                q,
+                HostError::UnitPanicked {
+                    query: q,
+                    cell,
+                    op,
+                    payload,
+                },
+            );
+        }
+        if state.failed.is_some() {
+            // A late completion of an already-doomed query: the work is
+            // discarded, the worker goes back to the pool.
+            if state.in_flight_total == 0 {
+                self.conclude_failed(q)?;
+            }
+            return Ok(());
+        }
+        self.route_output(q, cell, done.pages)?;
+        self.try_complete(q, cell)
     }
 
     /// Return `worker` to the idle pool (unless it has since died).
@@ -1078,11 +1212,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One worker thread: receive, execute a `*_raw` kernel under a panic
-/// guard, send pages (or the contained failure) back.
+/// One worker thread: receive a run, serve it, send the completion back.
 fn worker_loop(
     id: usize,
-    rx: Receiver<WorkUnit>,
+    rx: Receiver<Arc<Run>>,
     done: SyncSender<Completion>,
     poisoned: Arc<AtomicBool>,
     dead_at_start: bool,
@@ -1101,87 +1234,11 @@ fn worker_loop(
         stats.wall = spawned.elapsed();
         return stats;
     }
-    while let Ok(unit) = rx.recv() {
-        if poisoned.load(Ordering::Relaxed) {
-            break;
-        }
-        // A fused span unit runs `k` logical operators in one kernel; each
-        // still counts as its own kernel span (start/end pair, busy time
-        // split evenly) so the per-operator accounting — and the df-obs
-        // conservation identities over it — hold in both transfer modes.
-        let logical_kernels = unit.plan.cell(unit.cell).steps.len().max(1);
-        let span = trace
-            .as_deref()
-            .map(|t| t.span(unit.query as u32, unit.cell as u32, unit.seq));
-        let t0 = Instant::now();
-        let executed = catch_unwind(AssertUnwindSafe(|| {
-            match unit.fault {
-                Some(InjectedFault::Panic) => {
-                    panic!("injected fault: kernel panic on unit {}", unit.seq)
-                }
-                Some(InjectedFault::Delay(d)) => thread::sleep(d),
-                None => {}
-            }
-            execute_unit(&unit)
-        }));
-        let busy = t0.elapsed();
-        stats.units += 1;
-        stats.busy += busy;
-        stats.kernel_spans += logical_kernels;
-        if let (Some(t), Some(span)) = (trace.as_deref(), span) {
-            let class = match &executed {
-                Ok((_, _, _, UnitClass::Probe)) => 1,
-                Ok((_, _, _, UnitClass::Sweep)) => 2,
-                _ => 0,
-            };
-            let per = busy.as_nanos() as u64 / logical_kernels as u64;
-            span.end_with(
-                t,
-                class,
-                busy.as_nanos() as u64 - per * (logical_kernels - 1) as u64,
-            );
-            for _ in 1..logical_kernels {
-                let extra = t.span(unit.query as u32, unit.cell as u32, unit.seq);
-                extra.end_with(t, class, per);
-            }
-        }
-        let completion = match executed {
-            Ok((pages, pages_in, bytes_in, class)) => {
-                let bytes_out: u64 = pages.iter().map(|p| p.wire_bytes() as u64).sum();
-                stats.bytes_in += bytes_in;
-                stats.bytes_out += bytes_out;
-                if let Some(t) = trace.as_deref() {
-                    // Operand pages crossed the distribution network to
-                    // this IP; result pages go back over arbitration.
-                    t.transfer(Path::Distribution, unit.query as u32, bytes_in);
-                    t.transfer(Path::Arbitration, unit.query as u32, bytes_out);
-                }
-                Completion::Done {
-                    worker: id,
-                    query: unit.query,
-                    cell: unit.cell,
-                    pages,
-                    pages_in,
-                    bytes_in,
-                    bytes_out,
-                    class,
-                }
-            }
-            Err(payload) => {
-                // Contained: report the failure and keep serving. The IP
-                // survives its instruction the way the paper's distributed
-                // control survives a node.
-                stats.panics += 1;
-                Completion::Failed {
-                    worker: id,
-                    query: unit.query,
-                    cell: unit.cell,
-                    payload: panic_message(payload.as_ref()),
-                }
-            }
-        };
+    while let Ok(run) = rx.recv() {
+        stats.runs += 1;
+        let completion = serve_run(id, &run, &mut stats, trace.as_deref(), Some(&poisoned));
         let s0 = Instant::now();
-        let sent = done.send(completion);
+        let sent = done.send(Completion::Run(completion));
         stats.send_wait += s0.elapsed();
         if sent.is_err() {
             // Scheduler gone (error path): stop quietly.
@@ -1194,12 +1251,116 @@ fn worker_loop(
     stats
 }
 
-/// Run the kernel for one work unit. Returns (output pages, operand page
-/// count, operand bytes, unit class).
-fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
-    let spec = unit.plan.cell(unit.cell);
-    let out_page_size = unit.plan.out_page_size[unit.cell];
-    let mut pager = OutputPager::new(spec.out_schema.clone(), out_page_size);
+/// Serve one run as worker `id`: each unit under its own panic guard and
+/// kernel span, all of them writing into one output buffer so the run's
+/// output leaves as full pages. Shared by the worker threads and by the
+/// scheduler of an inline call. `poisoned` (threads only) is set once the
+/// scheduler has given the call up; the remaining units are then skipped,
+/// since nobody will read the completion.
+fn serve_run(
+    id: usize,
+    run: &Run,
+    stats: &mut WorkerStats,
+    trace: Option<&Tracer>,
+    poisoned: Option<&AtomicBool>,
+) -> RunDone {
+    let spec = run.plan.cell(run.cell);
+    let (query, cell) = (run.query as u32, run.cell as u32);
+    // A fused span unit runs `k` logical operators in one kernel; each
+    // still counts as its own kernel span (start/end pair, busy time
+    // split evenly) so the per-operator accounting — and the df-obs
+    // conservation identities over it — hold in both transfer modes.
+    let logical_kernels = spec.steps.len().max(1);
+    let mut pager = OutputPager::new(spec.out_schema.clone(), run.plan.out_page_size[run.cell]);
+    let mut done = RunDone {
+        worker: id,
+        query: run.query,
+        cell: run.cell,
+        ..RunDone::default()
+    };
+    for unit in &run.units {
+        if poisoned.is_some_and(|p| p.load(Ordering::Relaxed)) {
+            break;
+        }
+        let span = trace.map(|t| t.span(query, cell, unit.seq));
+        let t0 = Instant::now();
+        let executed = catch_unwind(AssertUnwindSafe(|| {
+            match unit.fault {
+                Some(InjectedFault::Panic) => {
+                    panic!("injected fault: kernel panic on unit {}", unit.seq)
+                }
+                Some(InjectedFault::Delay(d)) => thread::sleep(d),
+                None => {}
+            }
+            execute_unit(&run.plan, run.cell, &unit.kind, &mut pager)
+        }));
+        let busy = t0.elapsed();
+        stats.units += 1;
+        stats.busy += busy;
+        stats.kernel_spans += logical_kernels;
+        done.units += 1;
+        if let (Some(t), Some(span)) = (trace, span) {
+            let class = match &executed {
+                Ok((_, _, UnitClass::Probe)) => 1,
+                Ok((_, _, UnitClass::Sweep)) => 2,
+                _ => 0,
+            };
+            let per = busy.as_nanos() as u64 / logical_kernels as u64;
+            span.end_with(
+                t,
+                class,
+                busy.as_nanos() as u64 - per * (logical_kernels - 1) as u64,
+            );
+            for _ in 1..logical_kernels {
+                let extra = t.span(query, cell, unit.seq);
+                extra.end_with(t, class, per);
+            }
+        }
+        match executed {
+            Ok((pages_in, bytes_in, class)) => {
+                done.pages_in += pages_in;
+                done.bytes_in += bytes_in;
+                match class {
+                    UnitClass::Probe => done.probe_units += 1,
+                    UnitClass::Sweep => done.sweep_units += 1,
+                    UnitClass::Other => {}
+                }
+                stats.bytes_in += bytes_in;
+                if let Some(t) = trace {
+                    // Operand pages crossed the distribution network to
+                    // this IP.
+                    t.transfer(Path::Distribution, query, bytes_in);
+                }
+            }
+            Err(payload) => {
+                // Contained: note the failure and keep serving. The IP
+                // survives its instruction the way the paper's distributed
+                // control survives a node.
+                stats.panics += 1;
+                done.panics.push(panic_message(payload.as_ref()));
+            }
+        }
+    }
+    done.pages = pager.finish();
+    done.bytes_out = done.pages.iter().map(|p| p.wire_bytes() as u64).sum();
+    stats.bytes_out += done.bytes_out;
+    if let Some(t) = trace {
+        // Result pages go back over the arbitration network.
+        t.transfer(Path::Arbitration, query, done.bytes_out);
+    }
+    done
+}
+
+/// Run the kernel for one work unit of `cell`, absorbing its output into
+/// the run's `pager`. Returns (operand page count, operand bytes, unit
+/// class).
+fn execute_unit(
+    plan: &QueryPlan,
+    cell: usize,
+    kind: &WorkKind,
+    pager: &mut OutputPager,
+) -> (usize, u64, UnitClass) {
+    let spec = plan.cell(cell);
     let count = |pages: &[Arc<Page>]| {
         (
             pages.len(),
@@ -1221,14 +1382,14 @@ fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
     // chain over the operand page in one kernel — `spec.op` is only the
     // chain's bottom operator, so it must not reach the per-op match below.
     if !spec.steps.is_empty() {
-        let WorkKind::Page(page) = &unit.kind else {
+        let WorkKind::Page(page) = kind else {
             unreachable!("span cells fire per page");
         };
         pager.absorb(&mut span_page_raw(page, &spec.steps, &spec.out_schema));
-        return (pager.finish(), 1, page.wire_bytes() as u64, class);
+        return (1, page.wire_bytes() as u64, class);
     }
 
-    let (pages_in, bytes_in) = match (&spec.op, &unit.kind) {
+    let (pages_in, bytes_in) = match (&spec.op, kind) {
         (Op::Restrict { predicate }, WorkKind::Page(page)) => {
             pager.absorb(&mut restrict_page_raw(page, predicate));
             (1, page.wire_bytes() as u64)
@@ -1255,7 +1416,7 @@ fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
                 .sweep
                 .as_ref()
                 .expect("a join cell carries its compiled sweep");
-            let applicable = unit.plan.join == JoinAlgo::Hash && sweep.hash_applicable();
+            let applicable = plan.join == JoinAlgo::Hash && sweep.hash_applicable();
             class = if applicable {
                 UnitClass::Probe
             } else {
@@ -1264,7 +1425,7 @@ fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
             // One output batch per unit, however many pairs it covers.
             let mut out = TupleBuf::new(spec.out_schema.clone());
             if applicable {
-                for opp in opposite {
+                for opp in opposite.iter() {
                     let (outer, inner) = if *new_is_outer {
                         (new_page.as_ref(), opp.as_ref())
                     } else {
@@ -1302,7 +1463,7 @@ fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
             // Absorbed pair by pair (a cross product's output is large),
             // into one reused batch.
             let mut out = TupleBuf::new(spec.out_schema.clone());
-            for opp in opposite {
+            for opp in opposite.iter() {
                 let (outer, inner) = if *new_is_outer {
                     (&new_page.page, &opp.page)
                 } else {
@@ -1333,7 +1494,7 @@ fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
             // Two phases on one worker: attribute elimination (the
             // parallelizable part), then global duplicate elimination over
             // the projected pages (the paper's §5 blocking tail).
-            let mut projected = OutputPager::new(spec.out_schema.clone(), out_page_size);
+            let mut projected = OutputPager::new(spec.out_schema.clone(), plan.out_page_size[cell]);
             for page in left {
                 projected.absorb(&mut project_page_raw(page, projection, &spec.out_schema));
             }
@@ -1347,5 +1508,5 @@ fn execute_unit(unit: &WorkUnit) -> (Vec<Arc<Page>>, usize, u64, UnitClass) {
             op.name()
         ),
     };
-    (pager.finish(), pages_in, bytes_in, class)
+    (pages_in, bytes_in, class)
 }

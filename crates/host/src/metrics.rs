@@ -5,6 +5,10 @@ use std::time::Duration;
 /// What one worker thread did over the run.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
+    /// Runs received from the scheduler — thread hand-offs, each carrying
+    /// one or more units. Zero on every worker of a call small enough to
+    /// be served on the calling thread.
+    pub runs: usize,
     /// Work units executed, panicked ones included.
     pub units: usize,
     /// Logical kernel spans executed. Equal to `units` in materialize
@@ -27,10 +31,11 @@ pub struct WorkerStats {
     pub send_wait: Duration,
     /// Thread lifetime, spawn to shutdown — nonzero even for a worker
     /// that never received a unit. `wall - busy - send_wait` is idle +
-    /// dispatch-channel time.
+    /// dispatch-channel time. A call served on the calling thread reports
+    /// its own wall time here, and its kernel time under worker 0.
     pub wall: Duration,
     /// The worker died mid-run (its thread exited before shutdown); the
-    /// scheduler shrank the pool and requeued its in-flight unit.
+    /// scheduler shrank the pool and requeued its in-flight run.
     pub lost: bool,
 }
 
@@ -49,7 +54,8 @@ impl WorkerStats {
     /// `send_wait` (arbitration back-pressure) included.
     pub fn summary_row(&self, id: usize) -> String {
         format!(
-            "worker {id:>2}: {:>6} units ({:>6} spans), busy {:>10.2?}, send_wait {:>9.2?}, wall {:>10.2?} ({:>4.1}%){}",
+            "worker {id:>2}: {:>5} runs, {:>6} units ({:>6} spans), busy {:>10.2?}, send_wait {:>9.2?}, wall {:>10.2?} ({:>4.1}%){}",
+            self.runs,
             self.units,
             self.kernel_spans,
             self.busy,
@@ -70,8 +76,8 @@ pub struct QueryStats {
     /// Units whose kernel panicked — nonzero only for queries whose
     /// result is a [`crate::HostError::UnitPanicked`].
     pub failed_units: usize,
-    /// Units requeued because the worker holding them died; they were
-    /// re-dispatched to a surviving worker.
+    /// Units requeued because the worker holding their run died; they
+    /// were re-dispatched to a surviving worker.
     pub requeued_units: usize,
     /// Pair-sweep units whose every page pair went through the hash-index
     /// probe path (`JoinAlgo::Hash` on an applicable equi-join).
@@ -114,6 +120,13 @@ impl HostMetrics {
     /// Total work units executed by all workers.
     pub fn total_units(&self) -> usize {
         self.per_worker.iter().map(|w| w.units).sum()
+    }
+
+    /// Total runs handed to worker threads — the number of scheduler →
+    /// worker hand-offs the call made. Zero means the call was served on
+    /// the calling thread.
+    pub fn total_runs(&self) -> usize {
+        self.per_worker.iter().map(|w| w.runs).sum()
     }
 
     /// Total logical kernel spans executed by all workers (≥
@@ -162,6 +175,7 @@ mod tests {
     #[test]
     fn utilization_math() {
         let w = WorkerStats {
+            runs: 2,
             units: 4,
             bytes_in: 100,
             bytes_out: 50,
@@ -177,6 +191,7 @@ mod tests {
             per_query: vec![],
             per_worker: vec![w.clone(), WorkerStats::default()],
         };
+        assert_eq!(m.total_runs(), 2);
         assert_eq!(m.total_units(), 4);
         assert_eq!(m.total_bytes(), 150);
         assert!((m.worker_utilization() - 0.125).abs() < 1e-9);

@@ -40,8 +40,12 @@ pub struct HostParams {
     /// byte-identical either way.
     pub transfer: TransferMode,
     /// Capacity of the result channel (the "arbitration network" carrying
-    /// completions back to the scheduler). Workers block producing past it,
-    /// which bounds memory for pathological fan-outs. Must be ≥ 1.
+    /// completions back to the scheduler), in messages: one per served
+    /// *run* — every unit a worker took in one dispatch, with the run's
+    /// packed output pages — not one per unit. Workers block producing
+    /// past it, which bounds memory for pathological fan-outs. Must be
+    /// ≥ 1. Unused by a call small enough to be served on the calling
+    /// thread.
     pub completion_capacity: usize,
     /// When set, every query's result relation is canonicalized (tuple
     /// images sorted lexicographically, pages repacked full) so repeated
@@ -50,10 +54,14 @@ pub struct HostParams {
     /// only affects result *order*, never the result multiset.
     pub deterministic: bool,
     /// How long the scheduler waits for a completion while units are in
-    /// flight before declaring the run stalled ([`HostError::Stalled`])
-    /// instead of hanging on a wedged kernel. Must comfortably exceed the
-    /// worst-case single-unit kernel time; the generous default only
-    /// trips on genuine wedges.
+    /// flight before declaring the call stalled ([`HostError::Stalled`])
+    /// instead of hanging on a wedged kernel. A worker reports once per
+    /// *run*, so this must comfortably exceed the worst-case kernel time
+    /// of a whole run — up to ⌈a cell's pending units ÷ alive workers⌉
+    /// units — not of a single unit; the generous default only trips on
+    /// genuine wedges. A call small enough to be served on the calling
+    /// thread has no watchdog: its work is bounded by the size test
+    /// instead.
     pub stall_timeout: Duration,
     /// Deterministic fault injection (inert by default) — see
     /// [`FaultPlan`].

@@ -5,16 +5,41 @@
 
 use std::time::Duration;
 
+use std::sync::Arc;
+use std::time::Instant;
+
 use df_host::{run_host_queries, run_host_query, FaultPlan, HostError, HostParams};
-use df_query::{execute_readonly, ExecParams, QueryTree};
-use df_relalg::{Catalog, Relation};
+use df_obs::{EventKind, Tracer};
+use df_query::{execute_readonly, ExecParams, QueryTree, TreeBuilder};
+use df_relalg::{Catalog, CmpOp, Relation, Value};
 use df_workload::{benchmark_queries, generate_database, BenchmarkSpec};
 
 fn setup() -> (Catalog, Vec<QueryTree>) {
-    let spec = BenchmarkSpec::scaled(0.01);
+    setup_at(0.01)
+}
+
+fn setup_at(scale: f64) -> (Catalog, Vec<QueryTree>) {
+    let spec = BenchmarkSpec::scaled(scale);
     let db = generate_database(&spec.database);
     let queries = benchmark_queries(&db, &spec).expect("benchmark queries build");
     (db, queries)
+}
+
+/// `restrict(scan r00)` at selectivity 0.5, optionally under a bag
+/// project: one per-page cell whose units all become pending at admission,
+/// so the first dispatch's run length is known — ⌈pages ÷ alive workers⌉.
+fn restrict_r00(db: &Catalog, project: bool) -> (QueryTree, usize) {
+    let restricted = TreeBuilder::new(db)
+        .scan("r00")
+        .unwrap()
+        .restrict_where("val", CmpOp::Lt, Value::Int(500))
+        .unwrap();
+    let tree = if project {
+        restricted.project(&["key", "val"], false).unwrap().finish()
+    } else {
+        restricted.finish()
+    };
+    (tree, db.require("r00").unwrap().pages().len())
 }
 
 fn oracles(db: &Catalog, queries: &[QueryTree]) -> Vec<Relation> {
@@ -279,4 +304,185 @@ fn idle_workers_report_nonzero_wall_time() {
         assert!(!w.wall.is_zero(), "worker {id} reports zero wall time");
         assert!(w.busy + w.send_wait <= w.wall + Duration::from_millis(5));
     }
+}
+
+/// A worker that dies holding a multi-unit run: the whole run is requeued
+/// on the survivor, unit for unit, and the answer is unharmed. Worker 1 is
+/// offered the first run — half of the restrict's pages, both workers
+/// still looking alive — whether it dies before or after the hand-off.
+#[test]
+fn dead_worker_requeues_its_whole_run() {
+    let (db, queries) = setup_at(0.05);
+    let (query, pages) = restrict_r00(&db, false);
+    let first_run = pages.div_ceil(2);
+    assert!(first_run > 1, "the run must hold several units");
+    let params = HostParams {
+        fault: FaultPlan {
+            dead_workers: vec![1],
+            ..FaultPlan::default()
+        },
+        ..HostParams::with_workers(2)
+    };
+    let (got, metrics) = run_host_query(&db, &query, &params).expect("run survives the death");
+    let want = execute_readonly(&db, &query, &ExecParams::default()).expect("oracle");
+    assert!(got.same_contents(&want));
+    assert_eq!(metrics.per_query[0].requeued_units, first_run);
+    assert_eq!(metrics.per_query[0].units_fired, pages);
+    assert_eq!(
+        metrics.per_worker[0].units, pages,
+        "the survivor serves all"
+    );
+    assert_eq!(metrics.workers_lost(), 1);
+
+    // The same death under the ten-query batch: every query still equals
+    // the oracle, and what was requeued was a run, not a unit.
+    let out = run_host_queries(&db, &queries, &params).expect("run survives the death");
+    for (i, (got, want)) in out.results.iter().zip(oracles(&db, &queries)).enumerate() {
+        let got = got.as_ref().expect("every query completes on the survivor");
+        assert!(got.same_contents(&want), "query {i} diverged");
+    }
+    let requeued: usize = out.metrics.per_query.iter().map(|q| q.requeued_units).sum();
+    assert!(requeued > 1, "{requeued} units requeued");
+}
+
+/// A panic in the *middle* of a run. The run's shared output buffer holds
+/// what the units before (and after) the panicked one produced, so the
+/// scheduler must discard every page of it: nothing reaches the parent
+/// cell, and the query fails having fired exactly that one run.
+#[test]
+fn panic_inside_a_run_discards_the_runs_pages() {
+    quiet_worker_panics();
+    let (db, _) = setup_at(0.05);
+    let (query, pages) = restrict_r00(&db, true);
+    assert!(pages >= 3);
+    let tracer = Arc::new(Tracer::new(Tracer::DEFAULT_CAPACITY));
+    // One worker: the first run is all of the restrict's units.
+    let params = HostParams {
+        fault: FaultPlan {
+            panic_on_unit: Some(pages as u64 / 2),
+            ..FaultPlan::default()
+        },
+        trace: Some(Arc::clone(&tracer)),
+        ..HostParams::with_workers(1)
+    };
+    let out = run_host_queries(&db, std::slice::from_ref(&query), &params).expect("contained");
+    match out.results[0].as_ref().unwrap_err() {
+        HostError::UnitPanicked { cell, op, .. } => {
+            assert_eq!(op, "restrict");
+            let snap = tracer.snapshot();
+            // The only firing is the restrict's own, at admission: its
+            // parent (a per-page project, which fires on any delivery)
+            // never received a page.
+            let fires: Vec<_> = snap.of_kind(EventKind::CellFire).collect();
+            assert_eq!(fires.len(), 1, "{fires:?}");
+            assert_eq!(fires[0].cell as usize, *cell);
+            assert_eq!(fires[0].b as usize, pages);
+            assert_eq!(snap.of_kind(EventKind::UnitDispatch).count(), pages);
+        }
+        other => panic!("expected UnitPanicked, got {other:?}"),
+    }
+    let stats = &out.metrics.per_query[0];
+    assert_eq!(stats.units_fired, pages, "the run was served to its end");
+    assert_eq!(stats.failed_units, 1);
+    assert_eq!(out.metrics.total_panics(), 1);
+    assert_eq!(out.metrics.total_runs(), 1, "one hand-off held every unit");
+    assert_eq!(out.metrics.workers_lost(), 0);
+}
+
+/// The same mid-run panic under the ten-query batch, at a scale where
+/// every cell's first run holds at least five units (the smallest relation
+/// has five pages): exactly one query fails, the survivors are
+/// byte-identical to the fault-free run, and the counters reconcile.
+#[test]
+fn panic_inside_a_run_is_contained_to_the_owning_query() {
+    quiet_worker_panics();
+    let (db, queries) = setup_at(0.05);
+    let want = oracles(&db, &queries);
+    for workers in [1usize, 2] {
+        let clean = HostParams {
+            deterministic: true,
+            ..HostParams::with_workers(workers)
+        };
+        let clean_images = images(
+            &run_host_queries(&db, &queries, &clean)
+                .expect("fault-free run")
+                .results,
+        );
+        let tracer = Arc::new(Tracer::new(Tracer::DEFAULT_CAPACITY));
+        let mut faulted = clean.clone();
+        faulted.fault.panic_on_unit = Some(1);
+        faulted.trace = Some(Arc::clone(&tracer));
+        let out = run_host_queries(&db, &queries, &faulted).expect("run survives the panic");
+
+        // Unit 1 sat inside a run: units 0 and 2 went to the same cell
+        // and the same worker in the same dispatch (before any kernel of
+        // another run could have ended).
+        let snap = tracer.snapshot();
+        let dispatches: Vec<_> = snap.of_kind(EventKind::UnitDispatch).take(3).collect();
+        assert_eq!(
+            dispatches.iter().map(|e| e.a).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        assert!(dispatches.iter().all(|e| (e.query, e.cell, e.b)
+            == (dispatches[0].query, dispatches[0].cell, dispatches[0].b)));
+
+        let failed: Vec<usize> = (0..queries.len())
+            .filter(|&i| out.results[i].is_err())
+            .collect();
+        assert_eq!(failed.len(), 1, "exactly one victim: {failed:?}");
+        let victim = failed[0];
+        assert_eq!(victim, dispatches[0].query as usize);
+        assert!(matches!(
+            out.results[victim],
+            Err(HostError::UnitPanicked { .. })
+        ));
+        let failed_units: usize = out.metrics.per_query.iter().map(|q| q.failed_units).sum();
+        assert_eq!(failed_units, out.metrics.total_panics());
+        assert_eq!(failed_units, 1);
+
+        let got_images = images(&out.results);
+        for i in (0..queries.len()).filter(|&i| i != victim) {
+            let got = out.results[i].as_ref().expect("survivor succeeds");
+            assert!(got.same_contents(&want[i]), "survivor {i} vs oracle");
+            assert_eq!(
+                got_images[i], clean_images[i],
+                "survivor {i} is not byte-identical to the fault-free run"
+            );
+        }
+    }
+}
+
+/// A wedged unit inside a multi-unit run: the scheduler waits for the
+/// run's one completion, so the stall still surfaces after
+/// `stall_timeout` — not after the run has slept through every delayed
+/// unit it holds.
+#[test]
+fn wedged_unit_inside_a_run_stalls_within_the_timeout() {
+    let (db, _) = setup_at(0.05);
+    let (query, pages) = restrict_r00(&db, false);
+    let delay = Duration::from_secs(2);
+    let params = HostParams {
+        stall_timeout: Duration::from_millis(30),
+        fault: FaultPlan {
+            delay_every: Some(2),
+            delay,
+            ..FaultPlan::default()
+        },
+        ..HostParams::with_workers(1)
+    };
+    let started = Instant::now();
+    let err = run_host_query(&db, &query, &params).unwrap_err();
+    let took = started.elapsed();
+    match err {
+        HostError::Stalled {
+            in_flight, waited, ..
+        } => {
+            assert_eq!(in_flight, pages, "the whole run was in flight");
+            assert_eq!(waited, Duration::from_millis(30));
+        }
+        other => panic!("expected Stalled, got {other:?}"),
+    }
+    // Serving the run would take pages/2 delays; the caller was released
+    // before even the first one elapsed.
+    assert!(took < delay, "returned after {took:?}");
 }

@@ -61,6 +61,108 @@ fn ten_queries_match_oracle_at_all_worker_counts_and_strategies() {
     }
 }
 
+/// Sorted tuple images of the oracle's answer — what deterministic mode
+/// serves, tuple for tuple.
+fn sorted_oracle_images(db: &Catalog, query: &QueryTree) -> Vec<Vec<u8>> {
+    let rel = execute_readonly(db, query, &ExecParams::default()).expect("oracle executes");
+    let mut images: Vec<Vec<u8>> = rel.tuple_refs().map(|t| t.raw().to_vec()).collect();
+    images.sort_unstable();
+    images
+}
+
+fn tuple_images(rel: &df_relalg::Relation) -> Vec<Vec<u8>> {
+    rel.tuple_refs().map(|t| t.raw().to_vec()).collect()
+}
+
+fn page_images(rel: &df_relalg::Relation) -> Vec<Vec<u8>> {
+    rel.pages().iter().map(|p| p.raw_data().to_vec()).collect()
+}
+
+/// A small call is served on the calling thread and a large one by worker
+/// threads — one scheduler and one kernel path, chosen by operand size.
+/// The ten queries at a scale on each side of the size test, at every
+/// worker count and strategy: deterministic-mode results equal the oracle
+/// tuple for tuple and each other page for page, and `total_runs()` says
+/// which side ran (0 hand-offs for the inline call).
+#[test]
+fn ten_queries_agree_on_both_sides_of_the_size_test() {
+    for (scale, inline) in [(0.005, true), (0.05, false)] {
+        let (db, queries, _) = setup(scale);
+        let want: Vec<_> = queries
+            .iter()
+            .map(|q| sorted_oracle_images(&db, q))
+            .collect();
+        let mut first: Option<Vec<Vec<Vec<u8>>>> = None;
+        for workers in worker_counts() {
+            for strategy in AllocationStrategy::ALL {
+                let params = HostParams {
+                    strategy,
+                    deterministic: true,
+                    ..HostParams::with_workers(workers)
+                };
+                let out = run_host_queries(&db, &queries, &params).expect("host executes");
+                let at = format!("scale {scale}, {workers} workers, {strategy}");
+                assert_eq!(
+                    out.metrics.total_runs() == 0,
+                    inline,
+                    "{at}: {} hand-offs",
+                    out.metrics.total_runs()
+                );
+                assert_eq!(out.metrics.per_worker.len(), workers, "{at}");
+                let fired: usize = out.metrics.per_query.iter().map(|q| q.units_fired).sum();
+                assert_eq!(fired, out.metrics.total_units(), "{at}");
+                let rels: Vec<_> = out
+                    .results
+                    .iter()
+                    .map(|r| r.as_ref().expect("query succeeds"))
+                    .collect();
+                for (i, (rel, want)) in rels.iter().zip(&want).enumerate() {
+                    assert_eq!(&tuple_images(rel), want, "{at}: query {i} vs oracle");
+                }
+                let pages: Vec<_> = rels.iter().map(|r| page_images(r)).collect();
+                match &first {
+                    None => first = Some(pages),
+                    Some(first) => assert_eq!(&pages, first, "{at}: page images diverged"),
+                }
+            }
+        }
+    }
+}
+
+/// A run writes into one output buffer, so its output leaves as full
+/// pages: a restrict at selectivity 0.5 over N pages returns at most one
+/// partial page per run (per call, when served inline) — not one per
+/// operand page.
+#[test]
+fn a_runs_output_leaves_as_full_pages() {
+    use df_query::TreeBuilder;
+    use df_relalg::{CmpOp, Value};
+    for (scale, workers) in [(0.01, 2), (0.3, 1), (0.3, 2)] {
+        let (db, _, cutoff) = setup(scale);
+        let query = TreeBuilder::new(&db)
+            .scan("r00")
+            .unwrap()
+            .restrict_where("val", CmpOp::Lt, Value::Int(cutoff))
+            .unwrap()
+            .finish();
+        let operand_pages = db.require("r00").unwrap().pages().len();
+        let (rel, metrics) =
+            run_host_query(&db, &query, &HostParams::with_workers(workers)).expect("host");
+        assert_eq!(metrics.total_units(), operand_pages, "one unit per page");
+        let partial = rel.pages().iter().filter(|p| !p.is_full()).count();
+        let runs = metrics.total_runs().max(1);
+        assert!(
+            partial <= runs,
+            "scale {scale}, {workers} workers: {partial} partial pages from {runs} runs \
+             over {operand_pages} operand pages"
+        );
+        assert!(
+            runs < operand_pages,
+            "scale {scale}, {workers} workers: {runs} runs for {operand_pages} units"
+        );
+    }
+}
+
 /// Concurrent admission of the whole batch (single `run_host_queries` call
 /// admits all ten at once — the benchmark is read-only, so every query
 /// holds shared locks concurrently) still matches per-query runs.
@@ -135,6 +237,45 @@ proptest! {
             "seed {} diverged: {} tuples vs {}", seed, got.num_tuples(), want.num_tuples()
         );
         prop_assert_eq!(metrics.per_worker.len(), workers);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random join chains on both sides of the size test: at scale 0.005
+    /// the whole database is ~30 pages, so every chain is served inline;
+    /// at 0.4 the smallest of the five relations alone exceeds the inline
+    /// bound, so every chain that fires any unit crosses threads. Either
+    /// way the deterministic result equals the oracle tuple for tuple.
+    #[test]
+    fn random_chains_agree_on_both_sides_of_the_size_test(
+        seed in 0u64..1_000,
+        workers in 1usize..5,
+    ) {
+        for (scale, inline) in [(0.005, true), (0.4, false)] {
+            let (db, _, cutoff) = setup(scale);
+            let mut rng = SimRng::new(seed);
+            let query = random_query(&db, 5, 3, cutoff, &mut rng).expect("query builds");
+            let params = HostParams {
+                strategy: AllocationStrategy::ALL[(seed % 4) as usize],
+                deterministic: true,
+                ..HostParams::with_workers(workers)
+            };
+            let (got, metrics) = run_host_query(&db, &query, &params).expect("host");
+            prop_assert_eq!(
+                tuple_images(&got),
+                sorted_oracle_images(&db, &query),
+                "seed {} diverged at scale {}", seed, scale
+            );
+            // A scan-only chain fires no unit on either side.
+            prop_assert_eq!(
+                metrics.total_runs() == 0,
+                inline || metrics.total_units() == 0,
+                "seed {} at scale {}: {} hand-offs for {} units",
+                seed, scale, metrics.total_runs(), metrics.total_units()
+            );
+        }
     }
 }
 

@@ -76,7 +76,26 @@ fn traced_result_bytes_equal_oracle_payload_for_all_ten_queries() {
 /// probe/sweep unit counts, every query is admitted and concluded.
 #[test]
 fn event_stream_is_conserved_against_metrics() {
-    let (db, queries, _) = setup(0.01);
+    // Scale 0.01 is served on the calling thread.
+    assert_eq!(event_stream_is_conserved(0.01).total_runs(), 0);
+}
+
+/// The same identities when runs cross threads: the unit stays the atom
+/// of the event stream however many of them one hand-off carries.
+#[test]
+fn event_stream_is_conserved_when_runs_cross_threads() {
+    let m = event_stream_is_conserved(0.05);
+    assert!(m.total_runs() > 0);
+    assert!(
+        m.total_runs() < m.total_units(),
+        "{} hand-offs for {} units",
+        m.total_runs(),
+        m.total_units()
+    );
+}
+
+fn event_stream_is_conserved(scale: f64) -> df_host::HostMetrics {
+    let (db, queries, _) = setup(scale);
     let (params, tracer) = traced_params(2);
     let out = run_host_queries(&db, &queries, &params).expect("host executes");
     let m = &out.metrics;
@@ -125,6 +144,7 @@ fn event_stream_is_conserved_against_metrics() {
     // arrival) equal the units dispatched.
     let fired: u64 = snap.of_kind(EventKind::CellFire).map(|e| e.b).sum();
     assert_eq!(fired as usize, units, "cell fires vs dispatches");
+    out.metrics
 }
 
 /// Pipeline mode dispatches a fused restrict→project chain as ONE unit but

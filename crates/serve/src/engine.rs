@@ -1541,17 +1541,24 @@ fn run_read_task(
                         let schema = rel.schema().to_string();
                         let tuples: Vec<Vec<u8>> =
                             rel.tuple_refs().map(|t| t.raw().to_vec()).collect();
+                        let result = |schema, tuples| {
+                            Ok(QueryResult {
+                                id: 0, // filled per waiter in conclude
+                                fan_out,
+                                schema,
+                                tuples,
+                            })
+                        };
+                        // Every waiter but the last gets a copy; the last
+                        // (with almost no fusion, usually the only one)
+                        // takes the vectors themselves.
+                        let mut subs = subs.into_iter();
+                        let last = subs.next_back();
                         for sub in subs {
-                            shared.conclude(
-                                trace,
-                                sub,
-                                Ok(QueryResult {
-                                    id: 0, // filled per waiter in conclude
-                                    fan_out,
-                                    schema: schema.clone(),
-                                    tuples: tuples.clone(),
-                                }),
-                            );
+                            shared.conclude(trace, sub, result(schema.clone(), tuples.clone()));
+                        }
+                        if let Some(sub) = last {
+                            shared.conclude(trace, sub, result(schema, tuples));
                         }
                     }
                     Err(e) => {
