@@ -33,8 +33,6 @@
 //!   view reads, and plain reads; the run ends with a differential check
 //!   that each maintained view is byte-identical to re-running its
 //!   defining query from scratch)
-//! - `--mux`          spawn the in-process server in poll-based mux mode
-//!   (one reader thread services every client socket)
 //! - `--mode M`       `closed` | `open` (default: both, closed first)
 //! - `--out-dir D`    artifact directory (default `.`)
 //! - `--name N`       artifact name (default `serve`)
@@ -54,7 +52,7 @@ use df_bench::loadgen::{percentile, GenRequest, LoopMode, RequestMix};
 use df_bench::report::{series_row, write_artifact};
 use df_obs::{BenchArtifact, IntervalSeries, SweepRow};
 use df_serve::proto::{read_frame, write_frame, Priority, Request, Response, ServeError};
-use df_serve::{Engine, ServeClient, ServeConfig, Server, ServerOptions};
+use df_serve::{Engine, ServeClient, ServeConfig, Server};
 use df_workload::{generate_database, DatabaseSpec};
 
 struct Opts {
@@ -71,7 +69,6 @@ struct Opts {
     duration: Duration,
     optimize: bool,
     mix: RequestMix,
-    mux: bool,
     modes: Vec<LoopMode>,
     out_dir: String,
     name: String,
@@ -123,7 +120,7 @@ fn main() {
             let engine = Engine::new(db, config).unwrap_or_else(|e| die(&e));
             let listener = std::net::TcpListener::bind("127.0.0.1:0")
                 .unwrap_or_else(|e| die(&format!("bind: {e}")));
-            let server = Server::start_with(listener, engine, ServerOptions { mux: opts.mux })
+            let server = Server::start(listener, engine)
                 .unwrap_or_else(|e| die(&format!("server start: {e}")));
             (server.local_addr().to_string(), Some(server))
         }
@@ -138,7 +135,6 @@ fn main() {
         .param("duration_secs", opts.duration.as_secs_f64())
         .param("optimize", opts.optimize)
         .param("mix", opts.mix)
-        .param("mux", opts.mux)
         .param(
             "delay",
             match opts.delay_every {
@@ -276,7 +272,6 @@ fn main() {
                     "concurrent_write_batches".into(),
                     delta("concurrent_write_batches"),
                 ),
-                ("mux_clients".into(), delta("mux_clients")),
                 // Cumulative, not a delta: the v4 quiescence identity is
                 // about whether any view exists, and installs happen
                 // before the first mode run.
@@ -510,7 +505,6 @@ fn parse_args() -> Opts {
         duration: Duration::from_secs(2),
         optimize: false,
         mix: RequestMix::default(),
-        mux: false,
         modes: LoopMode::ALL.to_vec(),
         out_dir: ".".to_string(),
         name: "serve".to_string(),
@@ -540,7 +534,6 @@ fn parse_args() -> Opts {
                 opts.duration = Duration::from_secs_f64(parse(&value("--duration"), "--duration"));
             }
             "--mix" => opts.mix = value("--mix").parse().unwrap_or_else(|e: String| die(&e)),
-            "--mux" => opts.mux = true,
             "--mode" => {
                 opts.modes = vec![value("--mode").parse().unwrap_or_else(|e: String| die(&e))];
             }

@@ -18,7 +18,9 @@ use crate::json::JsonValue;
 /// baselines remain readable and comparable.
 ///
 /// v3 added the serve write-path fields (`parses`,
-/// `cache_evictions_partial`, `concurrent_write_batches`, `mux_clients`)
+/// `cache_evictions_partial`, `concurrent_write_batches`, `mux_clients`
+/// — the last no longer emitted since the multiplexed reader was
+/// deleted; checks are by field presence, so no version bump)
 /// and two checks: `parses == plan_cache_misses` (relation-scoped
 /// invalidation never forces a redundant parse) and
 /// `cache_evictions_partial == 0` when `writes_applied == 0` (only

@@ -21,8 +21,6 @@
 //! - `--lanes N`           read executor lanes (default 2)
 //! - `--plan-cache N`      plan-cache capacity in plans (default 128;
 //!   0 disables caching)
-//! - `--mux`               service all client sockets from one
-//!   poll(2)-based reader thread instead of one thread per connection
 //! - `--trace-out FILE`    dump the serve-layer trace snapshot at exit
 //!
 //! Fault injection (deterministic, for demos and smoke tests):
@@ -36,14 +34,13 @@
 use std::sync::Arc;
 
 use df_obs::Tracer;
-use df_serve::{Engine, ServeConfig, Server, ServerOptions};
+use df_serve::{Engine, ServeConfig, Server};
 use df_workload::{generate_database, DatabaseSpec};
 
 fn main() {
     let mut addr = "127.0.0.1:7411".to_string();
     let mut scale = 0.05f64;
     let mut config = ServeConfig::default();
-    let mut options = ServerOptions::default();
     let mut trace_out: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
@@ -78,7 +75,6 @@ fn main() {
             "--plan-cache" => {
                 config.plan_cache_capacity = parse(&value("--plan-cache"), "--plan-cache");
             }
-            "--mux" => options.mux = true,
             "--trace-out" => trace_out = Some(value("--trace-out")),
             "--fault-panic" => {
                 config.host.fault.panic_on_unit =
@@ -112,16 +108,13 @@ fn main() {
         config.queue_capacity,
         config.batch_max
     );
-    if options.mux {
-        println!("df-serve: mux mode — one poll-based reader thread");
-    }
 
     let trace = config.trace.clone();
     let engine = Engine::new(db, config).unwrap_or_else(|e| die(&e));
     let listener = std::net::TcpListener::bind(&addr)
         .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));
-    let server = Server::start_with(listener, engine, options)
-        .unwrap_or_else(|e| die(&format!("cannot start: {e}")));
+    let server =
+        Server::start(listener, engine).unwrap_or_else(|e| die(&format!("cannot start: {e}")));
     println!("df-serve: listening on {}", server.local_addr());
 
     let handle = server.handle();

@@ -18,7 +18,7 @@ pub fn format_stats(rows: &[(String, u64)]) -> String {
     const GROUPS: &[(&str, &[&str])] = &[
         (
             "admission",
-            &["submitted", "busy_rejected", "batches", "groups", "failed"],
+            &["submitted", "busy_rejected", "batches", "failed"],
         ),
         (
             "execution",
@@ -44,7 +44,7 @@ pub fn format_stats(rows: &[(String, u64)]) -> String {
                 "cache_evictions_partial",
             ],
         ),
-        ("transport", &["bytes_in", "bytes_out", "mux_clients"]),
+        ("transport", &["bytes_in", "bytes_out"]),
     ];
     let find = |key: &str| rows.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
     let mut out = String::new();
@@ -358,6 +358,9 @@ mod tests {
             ("lane0_execs", 4),
             ("lane1_execs", 2),
             ("mystery_counter", 42),
+            // A counter this build retired (an older server still sends
+            // it) is shown like any other unknown one.
+            ("groups", 5),
         ]
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
@@ -369,5 +372,10 @@ mod tests {
         for row in ["submitted 10", "lane1_execs 2", "mystery_counter 42"] {
             assert!(text.contains(row), "missing `{row}` in:\n{text}");
         }
+        let other = &text[text.find("other:").expect("other section")..];
+        assert!(
+            other.contains("groups 5"),
+            "retired counter hidden:\n{text}"
+        );
     }
 }

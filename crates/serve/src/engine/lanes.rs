@@ -1,0 +1,312 @@
+//! Lanes: the executor threads behind the gate. A lane pulls one gated
+//! task, runs it against the shared catalog, answers its waiters, and
+//! releases the task's gate ticket — panic or not.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::Receiver;
+use std::sync::{Arc, Condvar, Mutex};
+
+use df_host::{run_host_queries, HostError, HostParams};
+use df_obs::Tracer;
+use df_query::{apply_write, stage_write, ExecParams, QueryTree};
+
+use super::views::{maintain_views, run_view_task, ViewAction, ViewTask};
+use super::{answer, lock, read_lock, wait_on, write_lock, Shared, Submission};
+use crate::proto::ServeError;
+
+/// Test-only gate parking lanes between task receipt and execution.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct LaneHold {
+    held: Mutex<bool>,
+    released: Condvar,
+}
+
+impl LaneHold {
+    /// Park every lane before its next task until [`LaneHold::release`].
+    pub fn hold(&self) {
+        *lock(&self.held) = true;
+    }
+
+    /// Release parked lanes (and stop parking new tasks).
+    pub fn release(&self) {
+        *lock(&self.held) = false;
+        self.released.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut held = lock(&self.held);
+        while *held {
+            held = wait_on(&self.released, held);
+        }
+    }
+}
+
+/// One read execution currently queued on or running inside a lane. Kept
+/// in the in-flight registry from dispatch until the lane fans the
+/// result out; late twins append themselves to `waiters`.
+pub(super) struct Inflight {
+    pub(super) exec_id: u64,
+    pub(super) waiters: Vec<Submission>,
+}
+
+/// What a lane pulls off the shared task channel. Every task carries the
+/// gate ticket the dispatcher acquired for it; the lane releases the
+/// ticket after fan-out (reads) or apply (writes), even if the task
+/// panicked.
+pub(super) enum LaneTask {
+    Read(ReadTask),
+    Write(WriteTask),
+    View(ViewTask),
+}
+
+/// One run of reads, executed by a single lane as one concurrent
+/// [`run_host_queries`] batch: `trees[i]` is the distinct plan whose
+/// waiters sit in the in-flight registry under `keys[i]`.
+pub(super) struct ReadTask {
+    pub(super) keys: Vec<Arc<str>>,
+    pub(super) trees: Vec<QueryTree>,
+    pub(super) ticket: usize,
+}
+
+/// One update query, executed split-phase by a lane: `stage_write` under
+/// the catalog read lock, `apply_write` under the write lock. The gate's
+/// exclusive mark on the target makes the split sound.
+pub(super) struct WriteTask {
+    /// Taken (`Option::take`) at conclusion; a panic before that point
+    /// leaves it here for the containment path to answer.
+    pub(super) sub: Option<Submission>,
+    pub(super) tree: Arc<QueryTree>,
+    pub(super) ticket: usize,
+}
+
+/// One executor lane: pull tasks, run reads against the shared catalog
+/// under the read lock (fanning each plan's result out to every waiter
+/// registered by then) and writes split-phase (stage under the read
+/// lock, apply under the write lock). Task bodies run inside
+/// `catch_unwind`: a panic — injected or real — is contained to the
+/// task's own waiters, and the epilogue (gate release, busy/write
+/// accounting) runs regardless, so the rest of the server keeps flowing.
+pub(super) fn lane_loop(
+    lane: usize,
+    shared: &Arc<Shared>,
+    rx: &Arc<Mutex<Receiver<LaneTask>>>,
+    host: &HostParams,
+    trace: &Option<Arc<Tracer>>,
+    hold: Option<&LaneHold>,
+) {
+    loop {
+        // Hold the receiver lock only for the recv itself, so sibling
+        // lanes can pull the next task while this one executes.
+        let mut task = match lock(rx).recv() {
+            Ok(task) => task,
+            Err(_) => return, // channel closed: engine is shutting down
+        };
+        if let Some(hold) = hold {
+            hold.wait();
+        }
+        let seq = shared.lane_task_seq.fetch_add(1, Ordering::Relaxed);
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            if host.fault.lane_panic_task == Some(seq) {
+                panic!("injected lane fault (task {seq})");
+            }
+            match &mut task {
+                LaneTask::Read(read) => run_read_task(lane, shared, read, host, trace),
+                LaneTask::Write(write) => run_write_task(lane, shared, write, host, trace),
+                LaneTask::View(view) => run_view_task(shared, view, host, trace),
+            }
+        }))
+        .is_err();
+        if panicked {
+            contain_lane_panic(shared, &mut task, trace, seq);
+        }
+        // Epilogue — runs on success and after a contained panic alike.
+        // Order matters: the in-flight entries are gone by now (removed
+        // by the task body or by the containment path), so releasing the
+        // gate cannot expose a stale pre-write execution to joiners.
+        let (ticket, was_write) = match &task {
+            LaneTask::Read(read) => (read.ticket, false),
+            LaneTask::Write(write) => (write.ticket, true),
+            LaneTask::View(view) => (view.ticket, false),
+        };
+        if was_write {
+            shared.writes_in_flight.fetch_sub(1, Ordering::Relaxed);
+        }
+        shared.gate.release(ticket);
+        let mut busy = lock(&shared.lane_busy);
+        *busy -= 1;
+        if *busy == 0 {
+            shared.lane_idle.notify_all();
+        }
+    }
+}
+
+/// Remove and return a dispatched execution's waiter list.
+fn take_waiters(shared: &Shared, key: &Arc<str>) -> Vec<Submission> {
+    lock(&shared.inflight)
+        .remove(key)
+        .expect("dispatched execution is registered")
+        .waiters
+}
+
+/// Execute one run of reads as a concurrent df-host batch and fan results
+/// out to every waiter.
+fn run_read_task(
+    lane: usize,
+    shared: &Arc<Shared>,
+    task: &mut ReadTask,
+    host: &HostParams,
+    trace: &Option<Arc<Tracer>>,
+) {
+    let run = {
+        let db = read_lock(&shared.db);
+        run_host_queries(&db, &task.trees, host)
+    };
+    shared.stats.lane_execs[lane].fetch_add(task.trees.len() as u64, Ordering::Relaxed);
+    match run {
+        Ok(out) => {
+            for (result, key) in out.results.into_iter().zip(&task.keys) {
+                let subs = take_waiters(shared, key);
+                match result {
+                    Ok(rel) => {
+                        let fan_out = subs.len() as u32;
+                        let schema = rel.schema().to_string();
+                        let tuples: Vec<Vec<u8>> =
+                            rel.tuple_refs().map(|t| t.raw().to_vec()).collect();
+                        // Every waiter but the last gets a copy; the last
+                        // (with almost no fusion, usually the only one)
+                        // takes the vectors themselves.
+                        let mut subs = subs.into_iter();
+                        let last = subs.next_back();
+                        for sub in subs {
+                            let copy = answer(fan_out, schema.clone(), tuples.clone());
+                            shared.conclude(trace, sub, Ok(copy));
+                        }
+                        if let Some(sub) = last {
+                            shared.conclude(trace, sub, Ok(answer(fan_out, schema, tuples)));
+                        }
+                    }
+                    Err(e) => {
+                        let error = ServeError::host(&e);
+                        for sub in subs {
+                            shared.conclude(trace, sub, Err(error.clone()));
+                        }
+                    }
+                }
+            }
+        }
+        Err(e) => {
+            // Run-level failure (validation, stall): every waiter of
+            // the task gets the structured error; the server lives.
+            let error = ServeError::host(&e);
+            for key in &task.keys {
+                for sub in take_waiters(shared, key) {
+                    shared.conclude(trace, sub, Err(error.clone()));
+                }
+            }
+        }
+    }
+}
+
+/// Execute one write split-phase: the expensive source evaluation /
+/// target partition under the catalog *read* lock (other lanes keep
+/// reading), then a brief write lock for the apply. Sound because the
+/// dispatcher granted this task exclusive gate marks on its target
+/// relations, so no other task can read or write them between the
+/// phases.
+fn run_write_task(
+    lane: usize,
+    shared: &Arc<Shared>,
+    task: &mut WriteTask,
+    host: &HostParams,
+    trace: &Option<Arc<Tracer>>,
+) {
+    let exec = ExecParams {
+        page_size: host.page_size,
+        ..ExecParams::default()
+    };
+    let staged = {
+        let db = read_lock(&shared.db);
+        stage_write(&db, &task.tree, &exec)
+    };
+    let outcome = staged.and_then(|delta| {
+        // The staged delta is consumed by the apply; capture the signed
+        // base change first — it is what flows through every standing
+        // view reading the target.
+        let change = delta.base_change();
+        apply_write(&mut write_lock(&shared.db), delta).map(|rel| (rel, change))
+    });
+    shared.stats.lane_execs[lane].fetch_add(1, Ordering::Relaxed);
+    let sub = task.sub.take().expect("write concluded once");
+    match outcome {
+        Ok((rel, (inserts, deletes))) => {
+            shared.stats.writes_applied.fetch_add(1, Ordering::Relaxed);
+            // Maintain standing views before concluding: the gate's
+            // exclusive `view:<name>` marks are still held, so a view
+            // read dispatched after this write observes the maintained
+            // result, never a stale one.
+            if let Some(target) = task.tree.written_relations().first() {
+                maintain_views(shared, target, &inserts, &deletes);
+            }
+            let schema = rel.schema().to_string();
+            let tuples = rel.tuple_refs().map(|t| t.raw().to_vec()).collect();
+            shared.conclude(trace, sub, Ok(answer(1, schema, tuples)));
+        }
+        Err(e) => {
+            let error = ServeError::host(&HostError::Data(e));
+            shared.conclude(trace, sub, Err(error));
+        }
+    }
+}
+
+/// Containment path for a lane panic: answer whatever waiters the task
+/// still owes (a read's in-flight entries, a write's un-taken
+/// submission) with a structured error, so every accepted request is
+/// still answered exactly once and the in-flight registry holds no
+/// stale entries when the epilogue releases the gate.
+fn contain_lane_panic(
+    shared: &Arc<Shared>,
+    task: &mut LaneTask,
+    trace: &Option<Arc<Tracer>>,
+    seq: u64,
+) {
+    // `UnitPanicked` is the wire shape clients already understand for a
+    // contained panic; `op` marks the layer that caught it.
+    let error = ServeError::host(&HostError::UnitPanicked {
+        query: 0,
+        cell: 0,
+        op: "serve-lane".into(),
+        payload: format!("serve lane panicked while executing task {seq}"),
+    });
+    match task {
+        LaneTask::Read(read) => {
+            for key in &read.keys {
+                // `remove` (not expect): a panic mid-fan-out may have
+                // already consumed some entries.
+                let waiters = lock(&shared.inflight)
+                    .remove(key)
+                    .map(|e| e.waiters)
+                    .unwrap_or_default();
+                for sub in waiters {
+                    shared.conclude(trace, sub, Err(error.clone()));
+                }
+            }
+        }
+        LaneTask::Write(write) => {
+            if let Some(sub) = write.sub.take() {
+                shared.conclude(trace, sub, Err(error.clone()));
+            }
+        }
+        LaneTask::View(view) => {
+            if let Some(sub) = view.sub.take() {
+                // An install that panicked never reached the registry;
+                // retract its dispatch-time entry so the name frees up.
+                if let ViewAction::Install { name, .. } = &view.action {
+                    lock(&shared.view_bases).remove(name);
+                }
+                shared.conclude(trace, sub, Err(error.clone()));
+            }
+        }
+    }
+}

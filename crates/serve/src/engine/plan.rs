@@ -1,0 +1,166 @@
+//! Resolve: query text → [`Plan`], through an LRU keyed by normalized
+//! text. The compile half of the served request's pipeline; the gate and
+//! the lanes only ever see a resolved plan.
+
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, RwLock};
+
+use df_opt::{optimize, CatalogStats};
+use df_query::{parse_query, render_tree, QueryTree};
+use df_relalg::Catalog;
+
+use super::{read_lock, ServeStats};
+
+/// A resolved plan: the (possibly optimized) tree, its canonical
+/// rendering, and its relation footprint, shared between the cache, the
+/// fusion index, the in-flight registry, and the relation gate.
+#[derive(Clone)]
+pub(super) struct Plan {
+    pub(super) tree: Arc<QueryTree>,
+    pub(super) key: Arc<str>,
+    /// Base relations the tree reads (sorted, deduped; a write also
+    /// reads its target) — the invalidation read-set and the shared half
+    /// of the gate request.
+    pub(super) reads: Arc<[String]>,
+    /// Relations the root update mutates (empty for reads) — the
+    /// exclusive half of the gate request.
+    pub(super) writes: Arc<[String]>,
+}
+
+impl Plan {
+    pub(super) fn from_tree(tree: QueryTree) -> Plan {
+        Plan {
+            key: Arc::from(render_tree(&tree).as_str()),
+            reads: tree.referenced_relations().into(),
+            writes: tree.written_relations().into(),
+            tree: Arc::new(tree),
+        }
+    }
+}
+
+/// Dispatcher-owned LRU of resolved plans, keyed by normalized query
+/// text plus the optimize flag. Capacity is small, so eviction is a
+/// linear scan for the stalest tick — no extra list to maintain.
+pub(super) struct PlanCache {
+    capacity: usize,
+    tick: u64,
+    entries: HashMap<(String, bool), (Plan, u64)>,
+    /// Catalog statistics for the optimizer, rebuilt lazily after writes.
+    opt_stats: Option<CatalogStats>,
+}
+
+impl PlanCache {
+    pub(super) fn new(capacity: usize) -> PlanCache {
+        PlanCache {
+            capacity,
+            tick: 0,
+            entries: HashMap::new(),
+            opt_stats: None,
+        }
+    }
+
+    pub(super) fn get(&mut self, key: &(String, bool)) -> Option<Plan> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.entries.get_mut(key).map(|(plan, used)| {
+            *used = tick;
+            plan.clone()
+        })
+    }
+
+    pub(super) fn insert(&mut self, key: (String, bool), plan: Plan) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.tick += 1;
+        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
+            if let Some(stalest) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(k, _)| k.clone())
+            {
+                self.entries.remove(&stalest);
+            }
+        }
+        self.entries.insert(key, (plan, self.tick));
+    }
+
+    /// Relation-scoped invalidation: evict exactly the entries whose
+    /// read-set intersects `written` (sorted, as
+    /// [`QueryTree::written_relations`] returns it), and return how many
+    /// were evicted. Entries reading only untouched relations survive,
+    /// so `parses == plan_cache_misses` stays a per-relation invariant:
+    /// a plan is re-parsed only when a relation it reads changed. The
+    /// optimizer's catalog statistics go stale with the same write.
+    pub(super) fn evict_reading(&mut self, written: &[String]) -> u64 {
+        self.opt_stats = None;
+        let before = self.entries.len();
+        self.entries
+            .retain(|_, (plan, _)| !plan.reads.iter().any(|r| written.binary_search(r).is_ok()));
+        (before - self.entries.len()) as u64
+    }
+
+    /// Resolve query text to a plan: hit the cache, or parse once (and
+    /// optionally optimize) and fill it. The single `parse_query` call —
+    /// counted in `ServeStats::parses` — is shared by the
+    /// optimizer-failure fallback, which reuses the already-parsed tree
+    /// instead of parsing the same text a second time.
+    pub(super) fn resolve(
+        &mut self,
+        db: &RwLock<Catalog>,
+        stats: &ServeStats,
+        text: &str,
+        optimizing: bool,
+    ) -> Result<Plan, String> {
+        let cache_key = (normalize_text(text), optimizing);
+        if let Some(plan) = self.get(&cache_key) {
+            stats.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(plan);
+        }
+        stats.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+        let db = read_lock(db);
+        stats.parses.fetch_add(1, Ordering::Relaxed);
+        let tree = parse_query(&db, text).map_err(|e| e.to_string())?;
+        let tree = if optimizing {
+            let catalog_stats = self
+                .opt_stats
+                .get_or_insert_with(|| CatalogStats::gather(&db));
+            match optimize(&db, &tree, catalog_stats) {
+                Ok(o) => o.tree,
+                // An optimizer failure is not a query failure; run the
+                // un-optimized tree (no second parse).
+                Err(_) => tree,
+            }
+        } else {
+            tree
+        };
+        drop(db);
+        let plan = Plan::from_tree(tree);
+        self.insert(cache_key, plan.clone());
+        Ok(plan)
+    }
+}
+
+/// Collapse whitespace runs so trivially reformatted repeats of the same
+/// query text share a cache entry.
+pub(super) fn normalize_text(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut in_gap = true; // leading whitespace is dropped
+    for ch in text.chars() {
+        if ch.is_whitespace() {
+            if !in_gap {
+                out.push(' ');
+                in_gap = true;
+            }
+        } else {
+            out.push(ch);
+            in_gap = false;
+        }
+    }
+    if out.ends_with(' ') {
+        out.pop();
+    }
+    out
+}

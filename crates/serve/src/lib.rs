@@ -50,4 +50,4 @@ pub mod sys;
 pub use client::{format_stats, ReplCommand, ServeClient};
 pub use engine::{Engine, EngineHandle, ServeConfig, ServeStats};
 pub use proto::{Priority, Request, Response, ServeError};
-pub use server::{Server, ServerOptions};
+pub use server::Server;

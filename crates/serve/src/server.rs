@@ -1,16 +1,6 @@
-//! TCP front-end wrapping the [`Engine`]: an acceptor thread plus client
-//! readers, speaking the length-prefixed frame protocol of
-//! [`crate::proto`].
-//!
-//! Two reader topologies share one request-dispatch path:
-//!
-//! * **Thread-per-connection** (the default) — one blocking reader
-//!   thread per client, simple and fair at small client counts.
-//! * **Poll-based multiplexing** ([`ServerOptions::mux`]) — *one* reader
-//!   thread services every client socket via `poll(2)` (the
-//!   [`crate::sys`] shim), so client counts can outgrow the thread
-//!   budget. Sockets are non-blocking; inbound bytes accumulate in a
-//!   per-connection buffer from which complete frames are peeled.
+//! TCP front-end wrapping the [`Engine`]: an acceptor thread plus one
+//! blocking reader thread per client, speaking the length-prefixed frame
+//! protocol of [`crate::proto`].
 //!
 //! The acceptor never blocks on query execution: a request either lands
 //! in the client's bounded queue or is rejected immediately with a typed
@@ -18,76 +8,27 @@
 //! thread produced them (a lane for query results, the reader for
 //! control requests) under a per-client writer lock, so a query result
 //! and a `Stats` reply never interleave mid-frame; the lock recovers
-//! from poisoning ([`crate::engine`]'s fault-containment argument), and
-//! the writer rides out `WouldBlock` on the mux path's non-blocking
-//! sockets by waiting for `POLLOUT`.
+//! from poisoning ([`crate::engine`]'s fault-containment argument).
 //!
 //! Shutdown wakes the blocked `accept(2)` by shutting down the listening
 //! socket itself — the previous design connected to its own port, which
 //! raced real clients (the wake-up could be consumed by a concurrent
 //! connect, leaving the acceptor blocked, or admit a client post-drain).
 
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 use df_obs::{Path, Tracer};
 
-use crate::engine::{Engine, EngineHandle};
-use crate::proto::{read_frame, Request, Response, ServeError, MAX_FRAME};
+use crate::engine::{Engine, EngineHandle, Reply};
+use crate::proto::{read_frame, write_frame, Request, Response, ServeError};
 #[cfg(unix)]
 use crate::sys;
-
-/// How long the mux reader sleeps in `poll(2)` before re-checking for
-/// newly accepted clients and the stopping flag.
-const MUX_POLL_MS: i32 = 25;
-
-/// Front-end topology options for [`Server::start_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerOptions {
-    /// Service all client sockets from one poll-based reader thread
-    /// instead of one blocking thread per connection (Unix only).
-    pub mux: bool,
-}
-
-/// The write half of one client connection. Frames are written whole
-/// under the surrounding mutex; on a non-blocking socket (mux mode) a
-/// short write parks on `POLLOUT` until the send buffer drains.
-struct ClientWriter {
-    stream: TcpStream,
-}
-
-impl ClientWriter {
-    /// Write one length-prefixed frame, riding out partial writes.
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        // One coalesced buffer for the same Nagle/delayed-ACK reason as
-        // `proto::write_frame`.
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(payload);
-        let mut off = 0;
-        while off < frame.len() {
-            match self.stream.write(&frame[off..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => off += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                #[cfg(unix)]
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    sys::wait_writable(self.stream.as_raw_fd())?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-}
 
 /// State shared by the acceptor, the reader threads, and shutdown.
 struct ServerShared {
@@ -105,7 +46,7 @@ impl ServerShared {
     /// Encode and write one response frame, tallying outbound bytes.
     /// Write errors mean the client vanished; the reader thread will
     /// notice on its side, so they are swallowed here.
-    fn send(&self, writer: &Mutex<ClientWriter>, client: usize, response: &Response) {
+    fn send(&self, writer: &Mutex<TcpStream>, client: usize, response: &Response) {
         let payload = response.encode();
         self.handle
             .stats()
@@ -118,7 +59,7 @@ impl ServerShared {
         // frame on one client's socket (that client's reader then drops
         // the connection); other threads keep answering their clients.
         let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = w.send_frame(&payload);
+        let _ = write_frame(&mut *w, &payload);
     }
 
     /// Begin server shutdown: stop admitting, wake the acceptor, let the
@@ -139,11 +80,11 @@ impl ServerShared {
     }
 
     /// Decode and dispatch one inbound frame payload for `client`,
-    /// answering on `writer`. Shared by both reader topologies.
+    /// answering on `writer`.
     fn handle_payload(
         self: &Arc<Self>,
         client: usize,
-        writer: &Arc<Mutex<ClientWriter>>,
+        writer: &Arc<Mutex<TcpStream>>,
         payload: &[u8],
     ) {
         self.handle
@@ -171,55 +112,27 @@ impl ServerShared {
                 return;
             }
         };
+        // How an engine request is answered: from whichever thread
+        // concludes it, on this client's writer.
+        let reply = || -> Reply {
+            let shared = Arc::clone(self);
+            let writer = Arc::clone(writer);
+            Box::new(move |response| shared.send(&writer, client, &response))
+        };
         match request {
             Request::Query {
                 id,
                 priority,
                 optimize,
                 text,
-            } => {
-                let cb_shared = Arc::clone(self);
-                let cb_writer = Arc::clone(writer);
-                self.handle.submit(
-                    client,
-                    id,
-                    priority,
-                    optimize,
-                    text,
-                    Box::new(move |response| cb_shared.send(&cb_writer, client, &response)),
-                );
-            }
+            } => self
+                .handle
+                .submit(client, id, priority, optimize, text, reply()),
             Request::InstallView { id, name, text } => {
-                let cb_shared = Arc::clone(self);
-                let cb_writer = Arc::clone(writer);
-                self.handle.install_view(
-                    client,
-                    id,
-                    name,
-                    text,
-                    Box::new(move |response| cb_shared.send(&cb_writer, client, &response)),
-                );
+                self.handle.install_view(client, id, name, text, reply());
             }
-            Request::DropView { id, name } => {
-                let cb_shared = Arc::clone(self);
-                let cb_writer = Arc::clone(writer);
-                self.handle.drop_view(
-                    client,
-                    id,
-                    name,
-                    Box::new(move |response| cb_shared.send(&cb_writer, client, &response)),
-                );
-            }
-            Request::ReadView { id, name } => {
-                let cb_shared = Arc::clone(self);
-                let cb_writer = Arc::clone(writer);
-                self.handle.read_view(
-                    client,
-                    id,
-                    name,
-                    Box::new(move |response| cb_shared.send(&cb_writer, client, &response)),
-                );
-            }
+            Request::DropView { id, name } => self.handle.drop_view(client, id, name, reply()),
+            Request::ReadView { id, name } => self.handle.read_view(client, id, name, reply()),
             Request::Stats => {
                 let rows = self.handle.stats().rows();
                 self.send(writer, client, &Response::Stats(rows));
@@ -254,27 +167,8 @@ impl Server {
     /// [`Server::local_addr`] reports the resolved address.
     ///
     /// # Errors
-    /// Propagates listener address lookup failures.
+    /// Propagates listener address/dup failures.
     pub fn start(listener: TcpListener, engine: Engine) -> io::Result<Server> {
-        Server::start_with(listener, engine, ServerOptions::default())
-    }
-
-    /// [`Server::start`] with an explicit front-end topology.
-    ///
-    /// # Errors
-    /// Propagates listener address/dup failures; rejects
-    /// [`ServerOptions::mux`] on non-Unix platforms.
-    pub fn start_with(
-        listener: TcpListener,
-        engine: Engine,
-        options: ServerOptions,
-    ) -> io::Result<Server> {
-        if options.mux && cfg!(not(unix)) {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "--mux requires poll(2) (unix only)",
-            ));
-        }
         let shared = Arc::new(ServerShared {
             handle: engine.handle(),
             trace: engine.trace(),
@@ -286,23 +180,11 @@ impl Server {
             .name("serve-dispatch".into())
             .spawn(move || engine.run())
             .expect("spawn dispatcher");
-        let mux_tx = if options.mux {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let shared = Arc::clone(&shared);
-            // Detached like the per-client readers: exits when the
-            // acceptor is gone and the last client hangs up.
-            let _ = thread::Builder::new()
-                .name("serve-mux".into())
-                .spawn(move || mux_loop(&rx, &shared));
-            Some(tx)
-        } else {
-            None
-        };
         let acceptor = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name("serve-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, mux_tx))
+                .spawn(move || accept_loop(&listener, &shared))
                 .expect("spawn acceptor")
         };
         Ok(Server {
@@ -341,11 +223,7 @@ impl Server {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<ServerShared>,
-    mux_tx: Option<Sender<MuxConn>>,
-) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -367,33 +245,11 @@ fn accept_loop(
         // batch them behind the peer's delayed ACK.
         stream.set_nodelay(true).ok();
         let client = shared.handle.register_client();
-        match &mux_tx {
-            Some(tx) => {
-                // Hand the socket to the mux reader. Non-blocking: the
-                // reader and any writer (lane fan-out) share the file
-                // description, so neither may ever block in the kernel.
-                if stream.set_nonblocking(true).is_err() {
-                    shared.handle.close_client(client);
-                    continue;
-                }
-                match MuxConn::new(stream, client) {
-                    Some(conn) => {
-                        if tx.send(conn).is_err() {
-                            shared.handle.close_client(client);
-                        }
-                    }
-                    None => shared.handle.close_client(client),
-                }
-            }
-            None => {
-                let shared = Arc::clone(shared);
-                // Detached on purpose: the thread exits when the client
-                // hangs up.
-                let _ = thread::Builder::new()
-                    .name(format!("serve-client-{client}"))
-                    .spawn(move || client_loop(stream, client, &shared));
-            }
-        }
+        let shared = Arc::clone(shared);
+        // Detached on purpose: the thread exits when the client hangs up.
+        let _ = thread::Builder::new()
+            .name(format!("serve-client-{client}"))
+            .spawn(move || client_loop(stream, client, &shared));
     }
 }
 
@@ -401,7 +257,7 @@ fn accept_loop(
 /// client EOF or an unreadable stream.
 fn client_loop(stream: TcpStream, client: usize, shared: &Arc<ServerShared>) {
     let writer = match stream.try_clone() {
-        Ok(stream) => Arc::new(Mutex::new(ClientWriter { stream })),
+        Ok(writer) => Arc::new(Mutex::new(writer)),
         Err(_) => {
             shared.handle.close_client(client);
             return;
@@ -414,151 +270,4 @@ fn client_loop(stream: TcpStream, client: usize, shared: &Arc<ServerShared>) {
         shared.handle_payload(client, &writer, &payload);
     }
     shared.handle.close_client(client);
-}
-
-// ------------------------------------------------------------------- mux
-
-/// One multiplexed connection: the non-blocking read half plus the
-/// frame-reassembly buffer, and the shared write half.
-struct MuxConn {
-    stream: TcpStream,
-    client: usize,
-    writer: Arc<Mutex<ClientWriter>>,
-    /// Inbound bytes not yet forming a complete frame.
-    inbound: VecDeque<u8>,
-}
-
-impl MuxConn {
-    fn new(stream: TcpStream, client: usize) -> Option<MuxConn> {
-        let writer = stream.try_clone().ok()?;
-        Some(MuxConn {
-            stream,
-            client,
-            writer: Arc::new(Mutex::new(ClientWriter { stream: writer })),
-            inbound: VecDeque::new(),
-        })
-    }
-
-    /// Pop one complete frame payload off the head of `inbound`.
-    /// `Err(())` means the peer sent an oversized length prefix — the
-    /// connection is unrecoverable (framing is lost).
-    fn take_frame(&mut self) -> Result<Option<Vec<u8>>, ()> {
-        if self.inbound.len() < 4 {
-            return Ok(None);
-        }
-        let mut len = [0u8; 4];
-        for (i, b) in self.inbound.iter().take(4).enumerate() {
-            len[i] = *b;
-        }
-        let len = u32::from_be_bytes(len) as usize;
-        if len > MAX_FRAME {
-            return Err(());
-        }
-        if self.inbound.len() < 4 + len {
-            return Ok(None);
-        }
-        self.inbound.drain(..4);
-        Ok(Some(self.inbound.drain(..len).collect()))
-    }
-}
-
-/// The single mux reader: `poll(2)` over every connected client, drain
-/// readable sockets, peel complete frames, dispatch. Exits once the
-/// acceptor is gone (shutdown) and the last client has hung up.
-#[cfg_attr(not(unix), allow(unused_variables, unreachable_code))]
-fn mux_loop(rx: &Receiver<MuxConn>, shared: &Arc<ServerShared>) {
-    #[cfg(not(unix))]
-    return; // start_with rejects mux off-unix; nothing to do.
-    #[cfg(unix)]
-    {
-        let mut conns: Vec<MuxConn> = Vec::new();
-        let mut acceptor_gone = false;
-        loop {
-            // Admit newly accepted clients without blocking the served ones.
-            loop {
-                match rx.try_recv() {
-                    Ok(conn) => {
-                        shared
-                            .handle
-                            .stats()
-                            .mux_clients
-                            .fetch_add(1, Ordering::Relaxed);
-                        conns.push(conn);
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        acceptor_gone = true;
-                        break;
-                    }
-                }
-            }
-            if conns.is_empty() {
-                if acceptor_gone {
-                    return;
-                }
-                // Idle: park on the channel instead of spinning in poll.
-                match rx.recv_timeout(Duration::from_millis(MUX_POLL_MS as u64)) {
-                    Ok(conn) => {
-                        shared
-                            .handle
-                            .stats()
-                            .mux_clients
-                            .fetch_add(1, Ordering::Relaxed);
-                        conns.push(conn);
-                    }
-                    Err(_) => continue,
-                }
-            }
-            let mut fds: Vec<sys::PollFd> = conns
-                .iter()
-                .map(|c| sys::PollFd::new(c.stream.as_raw_fd(), sys::POLLIN))
-                .collect();
-            let ready = match sys::poll_fds(&mut fds, MUX_POLL_MS) {
-                Ok(n) => n,
-                Err(_) => continue,
-            };
-            if ready == 0 {
-                continue;
-            }
-            let mut closed: Vec<usize> = Vec::new();
-            for (i, pfd) in fds.iter().enumerate() {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                if !drain_mux_conn(&mut conns[i], shared) {
-                    closed.push(i);
-                }
-            }
-            // Remove back-to-front so earlier indices stay valid.
-            for &i in closed.iter().rev() {
-                let conn = conns.swap_remove(i);
-                shared.handle.close_client(conn.client);
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-        }
-    }
-}
-
-/// Drain every byte currently readable on `conn`, dispatching complete
-/// frames. Returns `false` once the connection is finished (EOF, error,
-/// or lost framing).
-fn drain_mux_conn(conn: &mut MuxConn, shared: &Arc<ServerShared>) -> bool {
-    let mut chunk = [0u8; 16 * 1024];
-    let open = loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => break false, // EOF
-            Ok(n) => conn.inbound.extend(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break true,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break false,
-        }
-    };
-    loop {
-        match conn.take_frame() {
-            Ok(Some(payload)) => shared.handle_payload(conn.client, &conn.writer, &payload),
-            Ok(None) => break,
-            Err(()) => return false,
-        }
-    }
-    open
 }

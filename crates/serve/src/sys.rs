@@ -1,91 +1,26 @@
-//! Minimal `poll(2)`/`shutdown(2)` shim over [`std::os::fd`].
+//! Minimal `shutdown(2)` shim over [`std::os::fd`].
 //!
-//! The mux front-end ([`crate::server`]) needs exactly two syscalls the
-//! Rust standard library does not expose: readiness multiplexing over a
-//! set of sockets, and half-closing a *listening* socket to wake a
-//! blocked `accept(2)`. Consistent with the repo's zero-dependency
-//! policy (`shims/README.md`), this module declares the two symbols via
-//! `extern "C"` instead of pulling in the `libc` crate — std already
-//! links the C library, so the symbols resolve with no new dependency.
+//! The front-end ([`crate::server`]) needs exactly one syscall the Rust
+//! standard library does not expose: half-closing a *listening* socket
+//! to wake a blocked `accept(2)`. Consistent with the repo's
+//! zero-dependency policy (`shims/README.md`), this module declares the
+//! symbol via `extern "C"` instead of pulling in the `libc` crate — std
+//! already links the C library, so the symbol resolves with no new
+//! dependency.
 //!
-//! The constants and the `nfds_t` width below are the Linux ABI values;
-//! the module is `cfg(unix)` and the repo's CI targets Linux only. The
-//! blocking thread-per-client path never touches this module.
+//! `SHUT_RDWR` below is the Linux ABI value; the module is `cfg(unix)`
+//! and the repo's CI targets Linux only.
 
 #![cfg(unix)]
 
-use std::ffi::{c_int, c_ulong};
+use std::ffi::c_int;
 use std::io;
 use std::os::fd::RawFd;
-
-/// `poll(2)` readable-readiness event bit.
-pub const POLLIN: i16 = 0x001;
-/// `poll(2)` writable-readiness event bit.
-pub const POLLOUT: i16 = 0x004;
-/// `poll(2)` error condition bit (revents only).
-pub const POLLERR: i16 = 0x008;
-/// `poll(2)` hang-up bit (revents only): the peer closed.
-pub const POLLHUP: i16 = 0x010;
-
-/// One entry of a `poll(2)` fd set — ABI-compatible with `struct pollfd`.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    /// The file descriptor to watch (negative entries are ignored by the
-    /// kernel, which is how a slot is parked without re-packing the set).
-    pub fd: RawFd,
-    /// Requested events ([`POLLIN`] | [`POLLOUT`]).
-    pub events: i16,
-    /// Returned events; includes [`POLLERR`]/[`POLLHUP`] unrequested.
-    pub revents: i16,
-}
-
-impl PollFd {
-    /// Watch `fd` for `events`; `revents` starts clear.
-    pub fn new(fd: RawFd, events: i16) -> PollFd {
-        PollFd {
-            fd,
-            events,
-            revents: 0,
-        }
-    }
-}
 
 const SHUT_RDWR: c_int = 2;
 
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     fn shutdown(sockfd: c_int, how: c_int) -> c_int;
-}
-
-/// Wait up to `timeout_ms` for readiness on any of `fds`, retrying on
-/// `EINTR`. Returns how many entries have non-zero `revents`; `0` means
-/// the timeout elapsed. A negative timeout blocks indefinitely.
-///
-/// # Errors
-/// Propagates `poll(2)` failures other than `EINTR`.
-pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    loop {
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
-        if rc >= 0 {
-            return Ok(rc as usize);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
-}
-
-/// Block until `fd` is writable (or hung up). Used by the mux response
-/// path to ride out a full socket send buffer on a non-blocking stream.
-///
-/// # Errors
-/// Propagates `poll(2)` failures.
-pub fn wait_writable(fd: RawFd) -> io::Result<()> {
-    let mut set = [PollFd::new(fd, POLLOUT)];
-    poll_fds(&mut set, -1)?;
-    Ok(())
 }
 
 /// `shutdown(fd, SHUT_RDWR)`. On Linux this works on a *listening*
@@ -96,6 +31,8 @@ pub fn wait_writable(fd: RawFd) -> io::Result<()> {
 /// # Errors
 /// Propagates `shutdown(2)` failures.
 pub fn shutdown_socket(fd: RawFd) -> io::Result<()> {
+    // SAFETY: `shutdown(2)` takes two integers by value and touches no
+    // memory of ours; a bad descriptor comes back as `EBADF`/`ENOTSOCK`.
     let rc = unsafe { shutdown(fd, SHUT_RDWR) };
     if rc == 0 {
         Ok(())
@@ -107,37 +44,8 @@ pub fn shutdown_socket(fd: RawFd) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
+    use std::net::TcpListener;
     use std::os::fd::AsRawFd;
-
-    #[test]
-    fn poll_reports_readable_after_a_write() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (rx, _) = listener.accept().unwrap();
-
-        // Nothing written yet: a short poll times out.
-        let mut set = [PollFd::new(rx.as_raw_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut set, 10).unwrap(), 0);
-
-        tx.write_all(b"x").unwrap();
-        let mut set = [PollFd::new(rx.as_raw_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut set, 1000).unwrap(), 1);
-        assert_ne!(set[0].revents & POLLIN, 0);
-    }
-
-    #[test]
-    fn negative_fd_slots_are_ignored() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (rx, _) = listener.accept().unwrap();
-        tx.write_all(b"x").unwrap();
-        let mut set = [PollFd::new(-1, POLLIN), PollFd::new(rx.as_raw_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut set, 1000).unwrap(), 1);
-        assert_eq!(set[0].revents, 0, "parked slot stays silent");
-        assert_ne!(set[1].revents & POLLIN, 0);
-    }
 
     #[test]
     fn shutdown_wakes_a_blocked_accept() {
@@ -150,19 +58,5 @@ mod tests {
             acceptor.join().unwrap(),
             "accept returns an error once the listener is shut down"
         );
-    }
-
-    #[test]
-    fn hangup_is_reported() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut rx, _) = listener.accept().unwrap();
-        drop(tx);
-        let mut set = [PollFd::new(rx.as_raw_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut set, 1000).unwrap(), 1);
-        // The peer's close surfaces as POLLIN (EOF read) and/or POLLHUP.
-        assert_ne!(set[0].revents & (POLLIN | POLLHUP), 0);
-        let mut buf = [0u8; 8];
-        assert_eq!(rx.read(&mut buf).unwrap(), 0, "EOF");
     }
 }

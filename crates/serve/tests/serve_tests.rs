@@ -4,7 +4,7 @@
 //! error propagation under fault injection, and the socket front-end
 //! end to end.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use df_obs::{EventKind, Tracer};
@@ -12,7 +12,7 @@ use df_query::{execute_readonly, parse_query, ExecParams};
 use df_relalg::Catalog;
 use df_serve::engine::LaneHold;
 use df_serve::proto::{HostErrorKind, Priority, QueryResult, Request, Response, ServeError};
-use df_serve::{Engine, ServeClient, ServeConfig, Server, ServerOptions};
+use df_serve::{Engine, ServeClient, ServeConfig, Server};
 use df_workload::{generate_database, DatabaseSpec};
 
 fn small_db() -> Catalog {
@@ -206,12 +206,6 @@ fn conflicting_writes_serialize_without_lost_updates() {
         let r = result(response);
         assert_eq!(r.tuples.len(), 1, "client {client}: append touched 1 tuple");
     }
-    // Writes conflict pairwise (same read source, same write target), so
-    // they must have split into one lock group each.
-    assert_eq!(
-        handle.stats().groups.load(Ordering::Relaxed),
-        2 * per_client as u64
-    );
     assert_eq!(
         handle.stats().writes_applied.load(Ordering::Relaxed),
         2 * per_client as u64
@@ -231,6 +225,104 @@ fn conflicting_writes_serialize_without_lost_updates() {
     handle.quiesce();
     let got = replies.take();
     assert_eq!(result(&got[0].1).tuples.len(), baseline + 2 * per_client);
+
+    // Submission order holds inside one batch too: a client's read sent
+    // after its own write sees the write, even when another client's
+    // read of the same relation sits earlier in the batch (regrouping by
+    // lock compatibility used to fuse the two reads and answer both
+    // before the write).
+    for lanes in [1usize, 2, 4] {
+        for write in [
+            "(append (restrict (scan r00) (= key 3)) r01)",
+            "(delete r01 (= key 3))",
+        ] {
+            let mut oracle_db = small_db();
+            let before = oracle_tuples(&oracle_db, "(scan r01)", page_size);
+            let tree = parse_query(&oracle_db, write).expect("oracle parse");
+            df_query::execute(&mut oracle_db, &tree, &ExecParams::default()).expect("oracle write");
+            let after = oracle_tuples(&oracle_db, "(scan r01)", page_size);
+            assert_ne!(before.len(), after.len(), "`{write}` changes r01");
+
+            let mut config = test_config();
+            config.lanes = lanes;
+            let mut engine = Engine::new(small_db(), config).expect("engine");
+            let handle = engine.handle();
+            let replies = Replies::default();
+            let c0 = handle.register_client();
+            let c1 = handle.register_client();
+            for (c, id, text) in [(c0, 1, "(scan r01)"), (c1, 2, write), (c1, 3, "(scan r01)")] {
+                handle.submit(
+                    c,
+                    id,
+                    Priority::Normal,
+                    false,
+                    text.to_string(),
+                    replies.reply_for(c),
+                );
+            }
+            assert!(engine.run_batch());
+            handle.quiesce();
+            let got = replies.take();
+            let ids: Vec<u64> = got.iter().map(|(_, r)| result(r).id).collect();
+            assert_eq!(ids, vec![1, 2, 3], "lanes={lanes} `{write}`: reply order");
+            let sorted = |r: &QueryResult| {
+                let mut tuples = r.tuples.clone();
+                tuples.sort();
+                tuples
+            };
+            assert_eq!(
+                sorted(result(&got[0].1)),
+                before,
+                "c0 read precedes the write"
+            );
+            let own_read = result(&got[2].1);
+            assert_eq!(
+                own_read.fan_out, 1,
+                "lanes={lanes} `{write}`: not fused past it"
+            );
+            assert_eq!(
+                sorted(own_read),
+                after,
+                "lanes={lanes} `{write}`: c1's read sees c1's write"
+            );
+        }
+
+        // The same order for view traffic: read, write to the base, read
+        // again — one client, one batch.
+        let mut config = test_config();
+        config.lanes = lanes;
+        let mut engine = Engine::new(small_db(), config).expect("engine");
+        let handle = engine.handle();
+        let replies = Replies::default();
+        let c = handle.register_client();
+        handle.install_view(
+            c,
+            0,
+            "v".to_string(),
+            "(scan r01)".to_string(),
+            replies.reply_for(c),
+        );
+        assert!(engine.run_batch());
+        handle.quiesce();
+        replies.take();
+        handle.read_view(c, 1, "v".to_string(), replies.reply_for(c));
+        handle.submit(
+            c,
+            2,
+            Priority::Normal,
+            false,
+            "(append (restrict (scan r00) (= key 3)) r01)".to_string(),
+            replies.reply_for(c),
+        );
+        handle.read_view(c, 3, "v".to_string(), replies.reply_for(c));
+        assert!(engine.run_batch());
+        handle.quiesce();
+        let got = replies.take();
+        let ids: Vec<u64> = got.iter().map(|(_, r)| result(r).id).collect();
+        assert_eq!(ids, vec![1, 2, 3], "lanes={lanes}: view reply order");
+        assert_eq!(result(&got[0].1).tuples.len(), baseline);
+        assert_eq!(result(&got[2].1).tuples.len(), baseline + 1);
+    }
 }
 
 #[test]
@@ -693,7 +785,7 @@ fn socket_round_trip_with_concurrent_clients() {
     let addr = server.local_addr();
 
     let results: Vec<Vec<Vec<u8>>> = std::thread::scope(|s| {
-        (0..4)
+        (0..8)
             .map(|_| {
                 s.spawn(move || {
                     let mut client = ServeClient::connect(addr).expect("connect");
@@ -733,11 +825,11 @@ fn socket_round_trip_with_concurrent_clients() {
                     .map(|(_, v)| *v)
                     .expect("counter present")
             };
-            assert_eq!(get("submitted"), 4);
+            assert_eq!(get("submitted"), 8);
             assert!(get("bytes_in") > 0 && get("bytes_out") > 0);
             // The new counters ride the same open key-value stats frame.
             assert_eq!(get("lanes"), 2);
-            assert_eq!(get("reads"), 4);
+            assert_eq!(get("reads"), 8);
             assert_eq!(
                 get("reads"),
                 get("read_execs") + get("fused") + get("inflight_joins"),
@@ -747,6 +839,59 @@ fn socket_round_trip_with_concurrent_clients() {
         }
         other => panic!("unexpected {other:?}"),
     }
+
+    // Pipelining: one connection sends a write and then a read of the
+    // written relation without waiting in between, while a second
+    // connection keeps the same read in flight. Each pair is answered in
+    // the order sent, and the read always sees the write before it.
+    let scan = "(scan r01)";
+    let base = match control.query(scan, Priority::Normal, false).expect("scan") {
+        Response::Result(r) => r.tuples.len(),
+        other => panic!("unexpected {other:?}"),
+    };
+    // Raised when the pipelining loop ends — by a failed assertion too,
+    // so the looper stops and the scope can report it.
+    struct Raise<'a>(&'a AtomicBool);
+    impl Drop for Raise<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let looper = s.spawn(|| {
+            let mut client = ServeClient::connect(addr).expect("connect");
+            let mut rounds = 0u32;
+            while !done.load(Ordering::SeqCst) {
+                let response = client.query(scan, Priority::Normal, false).expect("scan");
+                assert!(result(&response).tuples.len() >= base);
+                rounds += 1;
+            }
+            rounds
+        });
+        let stop = Raise(&done);
+        for key in 0..48usize {
+            let text = format!("(append (restrict (scan r00) (= key {key})) r01)");
+            let append = control.query_request(&text, Priority::Normal, false);
+            let read = control.query_request(scan, Priority::Normal, false);
+            control.send(&append).expect("send append");
+            control.send(&read).expect("send scan");
+            let first = control.recv().expect("first reply");
+            let second = control.recv().expect("second reply");
+            let (appended, seen) = (result(&first), result(&second));
+            let id_of = |request: &Request| match request {
+                Request::Query { id, .. } => *id,
+                other => panic!("not a query: {other:?}"),
+            };
+            assert_eq!(appended.id, id_of(&append), "write answered first");
+            assert_eq!(seen.id, id_of(&read), "read answered second");
+            assert_eq!(appended.tuples.len(), 1);
+            assert_eq!(seen.tuples.len(), base + key + 1, "append {key} is visible");
+            assert!(seen.tuples.contains(&appended.tuples[0]));
+        }
+        drop(stop);
+        assert!(looper.join().expect("looper thread") > 0);
+    });
 
     // Clean shutdown: Ok now, ShuttingDown for late queries, and both
     // service threads exit.
@@ -1377,73 +1522,5 @@ fn socket_view_round_trip_maintains_across_writes() {
         client.request(&Request::Shutdown).expect("shutdown"),
         Response::Ok
     ));
-    server.join();
-}
-
-#[test]
-fn mux_mode_serves_many_clients_from_one_reader() {
-    let db = small_db();
-    let config = test_config();
-    let page_size = config.host.page_size;
-    let text = "(restrict (scan r06) (< val 500))";
-    let want = oracle_tuples(&db, text, page_size);
-    let engine = Engine::new(db, config).expect("engine");
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let server = Server::start_with(listener, engine, ServerOptions { mux: true }).expect("server");
-    let addr = server.local_addr();
-
-    // Eight concurrent clients, one poll-based reader thread.
-    let results: Vec<Vec<Vec<u8>>> = std::thread::scope(|s| {
-        (0..8)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut client = ServeClient::connect(addr).expect("connect");
-                    match client.query(text, Priority::Normal, false).expect("query") {
-                        Response::Result(r) => {
-                            let mut tuples = r.tuples;
-                            tuples.sort();
-                            tuples
-                        }
-                        other => panic!("unexpected response {other:?}"),
-                    }
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    for tuples in &results {
-        assert_eq!(tuples, &want, "mux results match the oracle");
-    }
-
-    let mut control = ServeClient::connect(addr).expect("connect");
-    match control.request(&Request::Stats).expect("stats") {
-        Response::Stats(rows) => {
-            let get = |k: &str| {
-                rows.iter()
-                    .find(|(name, _)| name == k)
-                    .map(|(_, v)| *v)
-                    .expect("counter present")
-            };
-            assert!(get("mux_clients") >= 9, "all clients went through the mux");
-            assert_eq!(get("submitted"), 8);
-        }
-        other => panic!("unexpected {other:?}"),
-    }
-    assert!(matches!(
-        control.request(&Request::Shutdown).expect("shutdown"),
-        Response::Ok
-    ));
-    match control
-        .query("(scan r02)", Priority::Normal, false)
-        .expect("late query")
-    {
-        Response::Error {
-            error: ServeError::ShuttingDown,
-            ..
-        } => {}
-        other => panic!("expected ShuttingDown, got {other:?}"),
-    }
     server.join();
 }
