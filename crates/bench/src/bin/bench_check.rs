@@ -1,74 +1,76 @@
-//! Compare two `BENCH_<name>.json` artifacts and fail on regressions.
+//! Validate `BENCH_<name>.json` artifacts and diff their deterministic
+//! counters against a baseline.
 //!
 //! ```sh
-//! # CI gate: candidate vs committed baseline, deterministic counters only
-//! bench_check --counters-only baseline.json candidate.json
+//! # Candidate vs committed baseline: the candidate's own invariants,
+//! # then exact equality of the deterministic counters
+//! bench_check baseline.json candidate.json
 //!
-//! # Local gate: same machine, timings count (default +25% tolerance)
-//! bench_check --max-regression 0.10 base.json cand.json
+//! # Internal metric invariants of each artifact
+//! bench_check --check artifacts/BENCH_*.json
 //!
-//! # Single-artifact mode: internal metric invariants only
-//! bench_check --check BENCH_host_smoke.json
+//! # ...plus liveness rules over the (first) sweep row's values:
+//! # `<key><op><key|number>`, op one of == != < <= > >=
+//! bench_check --check BENCH_serve_closed.json \
+//!     --expect 'executed<submitted' --expect 'lanes==2'
 //! ```
 //!
-//! Exit status: 0 when every check passes, 1 on any failure, 2 on usage or
-//! I/O errors. Failures are listed one per line on stdout.
+//! Wall-clock fields are never compared; time is gated by
+//! `bash benchmark/run.sh`. Exit status: 0 when every check passes, 1 on
+//! any failure, 2 on usage or I/O errors. Failures are listed one per line
+//! on stdout.
 
-use df_obs::{BenchArtifact, CompareOptions};
+use df_obs::BenchArtifact;
 
 fn main() {
-    let mut opts = CompareOptions::default();
     let mut check_only = false;
+    let mut rules: Vec<String> = Vec::new();
     let mut files: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--max-regression" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| die("--max-regression needs a value"));
-                opts.max_regression = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("bad value `{v}` for --max-regression")));
-            }
-            "--counters-only" => opts.counters_only = true,
             "--check" => check_only = true,
+            "--expect" => rules.push(
+                args.next()
+                    .unwrap_or_else(|| die("--expect needs a rule, e.g. 'executed<submitted'")),
+            ),
             other if other.starts_with("--") => die(&format!("unknown flag `{other}`")),
             other => files.push(other.to_string()),
         }
     }
 
-    let failures = if check_only {
-        if files.len() != 1 {
-            die("--check mode takes exactly one artifact");
+    let mut failures = Vec::new();
+    if check_only {
+        if files.is_empty() {
+            die("--check takes at least one artifact");
         }
-        let a = load(&files[0]);
-        println!("bench_check: {} ({}, kind {})", files[0], a.name, a.kind);
-        a.check()
+        for file in &files {
+            let a = load(file);
+            println!("bench_check: {file} ({}, kind {})", a.name, a.kind);
+            let unmet = rules.iter().filter_map(|rule| a.expect(rule).err());
+            failures.extend(
+                a.check()
+                    .into_iter()
+                    .chain(unmet)
+                    .map(|f| format!("{file}: {f}")),
+            );
+        }
     } else {
-        if files.len() != 2 {
-            die("expected BASELINE and CANDIDATE artifact paths");
+        if files.len() != 2 || !rules.is_empty() {
+            die("expected BASELINE and CANDIDATE artifact paths (--expect goes with --check)");
         }
         let base = load(&files[0]);
         let cand = load(&files[1]);
         println!(
-            "bench_check: {} -> {} (kind {}, {})",
-            files[0],
-            files[1],
-            base.kind,
-            if opts.counters_only {
-                "counters only".to_string()
-            } else {
-                format!("max regression {:.0}%", opts.max_regression * 100.0)
-            }
+            "bench_check: {} -> {} (kind {}, deterministic counters)",
+            files[0], files[1], base.kind
         );
         // A candidate that violates its own invariants fails even if it
         // happens to match the baseline.
-        let mut f = cand.check();
-        f.extend(BenchArtifact::compare(&base, &cand, &opts));
-        f
-    };
+        failures.extend(cand.check());
+        failures.extend(BenchArtifact::compare(&base, &cand));
+    }
 
     if failures.is_empty() {
         println!("bench_check: PASS");

@@ -1,34 +1,49 @@
 //! Regenerate every table and figure of Boral & DeWitt 1980 at full scale
-//! (the 5.5 MB, 15-relation database and the ten-query benchmark).
+//! (the 5.5 MB, 15-relation database and the ten-query benchmark), plus
+//! the ablations recorded in `EXPERIMENTS.md`.
 //!
 //! ```sh
 //! cargo run --release -p df-bench --bin experiments            # everything
 //! cargo run --release -p df-bench --bin experiments -- fig3_1  # one table
 //! cargo run --release -p df-bench --bin experiments -- --join hash fig3_1
 //! cargo run --release -p df-bench --bin experiments -- \
-//!     --scale 0.05 --json artifacts fig4_2 perf_hj   # CI perf-smoke mode
+//!     --scale 0.05 --json artifacts fig4_2 perf_pipe   # CI perf-smoke mode
 //! ```
 //!
-//! Available tables: `fig3_1`, `sec3_3`, `fig4_2`, `abl_pgsz`, `abl_alloc`,
-//! `abl_bcast`, `abl_route`, `abl_proj`, `abl_multi`, `perf_hj`,
-//! `perf_pipe`. The flag
-//! `--join {nested,hash}` switches the join algorithm of the machine
+//! The tables are [`TABLES`]; any other name is an error. Every number
+//! printed is simulated time or a counted quantity, deterministic in the
+//! seed — host time is measured by `bash benchmark/run.sh`, not here. The
+//! flag `--join {nested,hash}` switches the join algorithm of the machine
 //! configurations built in `main` (default `nested`, the paper's choice);
 //! `--scale F` shrinks the database (default 1.0, the paper's 5.5 MB);
-//! `--json DIR` additionally serializes the `fig3_1`, `fig4_2`, `perf_hj`
-//! and `perf_pipe` tables into `DIR/BENCH_<name>.json` artifacts
+//! `--json DIR` additionally serializes the `fig3_1`, `fig4_2` and
+//! `perf_pipe` tables into `DIR/BENCH_<name>.json` artifacts
 //! (DESIGN.md §7).
-//! The output of a full run is recorded in `EXPERIMENTS.md`.
 
 use std::path::{Path, PathBuf};
 
-use df_bench::report::{host_artifact, ring_artifact, sweep_artifact, write_artifact};
+use df_bench::report::{ring_artifact, sweep_artifact, write_artifact};
 use df_bench::{
     fig31_params, fig42_params, run_core, run_ring, setup, setup_with_page_size, BenchSetup,
 };
 use df_core::{bandwidth, run_queries, AllocationStrategy, Granularity, JoinAlgo, MachineParams};
 use df_obs::SweepRow;
 use df_workload::{benchmark_queries, chain_query, generate_database, VAL_DOMAIN};
+
+/// Every table this binary prints, in print order.
+const TABLES: [&str; 11] = [
+    "fig3_1",
+    "sec3_3",
+    "fig4_2",
+    "abl_pgsz",
+    "abl_alloc",
+    "abl_bcast",
+    "abl_route",
+    "abl_proj",
+    "abl_multi",
+    "abl_opt",
+    "perf_pipe",
+];
 
 fn main() {
     let mut join = JoinAlgo::default();
@@ -60,7 +75,14 @@ fn main() {
                 });
             }
             "--json" => json_dir = Some(PathBuf::from(value("--json", &mut args))),
-            _ => which.push(a),
+            _ if TABLES.contains(&a.as_str()) => which.push(a),
+            _ => {
+                eprintln!(
+                    "experiments: unknown table `{a}` (one of: {})",
+                    TABLES.join(" ")
+                );
+                std::process::exit(2);
+            }
         }
     }
     let want = |name: &str| which.is_empty() || which.iter().any(|w| w == name);
@@ -107,8 +129,8 @@ fn main() {
     if want("abl_multi") {
         abl_multi();
     }
-    if want("perf_hj") {
-        perf_hj(scale.min(0.2), json_dir);
+    if want("abl_opt") {
+        abl_opt();
     }
     if want("perf_pipe") {
         perf_pipe(scale.min(0.2), json_dir);
@@ -130,213 +152,24 @@ fn emit(json_dir: Option<&Path>, artifact: &df_obs::BenchArtifact) {
     }
 }
 
-/// PERF-HJ: the hash-accelerated equi-join path vs the paper's nested
-/// loops — first at the kernel level (every page pair of one
-/// low-selectivity fk = key join, timed on this host), then end to end on
-/// the real-threads executor with the probe/sweep unit split.
-fn perf_hj(scale: f64, json_dir: Option<&Path>) {
-    use df_host::{run_host_queries, HostParams};
-    use df_query::ops::{hash_join_pages_raw, hash_join_probe, join_pages_raw};
-    use df_relalg::{JoinCondition, PageKeyIndex};
-    use df_workload::{FK_ATTR, KEY_ATTR};
-    use std::time::Instant;
-
-    println!("--- PERF-HJ: hash equi-join vs nested loops (scale {scale}, 4096 B pages)");
-    let s = setup_with_page_size(scale, 4096);
-    let outer = s.db.get("r01").expect("workload relation");
-    let inner = s.db.get("r00").expect("workload relation");
-    let cond =
-        JoinCondition::equi(outer.schema(), FK_ATTR, inner.schema(), KEY_ATTR).expect("condition");
-    let out_schema = outer.schema().concat(inner.schema());
-    let pairs = outer.pages().len() * inner.pages().len();
-
-    // Best of three sweeps over every page pair (the §3.2 work units of
-    // one join instruction), timed without the executor around them.
-    let time = |kernel: &dyn Fn() -> usize| -> (f64, usize) {
-        let mut best = f64::MAX;
-        let mut tuples = 0;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            tuples = kernel();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        (best, tuples)
-    };
-    let (nested_s, nested_n) = time(&|| {
-        let mut n = 0;
-        for op in outer.pages() {
-            for ip in inner.pages() {
-                n += join_pages_raw(op, ip, &cond, &out_schema).len();
-            }
-        }
-        n
-    });
-    let (hash_s, hash_n) = time(&|| {
-        let mut n = 0;
-        for op in outer.pages() {
-            for ip in inner.pages() {
-                n += hash_join_pages_raw(op, ip, &cond, &out_schema).len();
-            }
-        }
-        n
-    });
-    // The executor's actual firing: each inner page's index is built once
-    // (by the first worker that probes it) and cached on the cell's
-    // operand table, so later pairs pay probes only.
-    let (cached_s, cached_n) = time(&|| {
-        let mut n = 0;
-        for ip in inner.pages() {
-            let idx = PageKeyIndex::build(ip, cond.right);
-            for op in outer.pages() {
-                n += hash_join_probe(op, ip, &idx, &cond, &out_schema).len();
-            }
-        }
-        n
-    });
-    assert_eq!(nested_n, hash_n, "kernels disagree on the join result");
-    assert_eq!(nested_n, cached_n, "cached path disagrees on the result");
-    println!(
-        "kernel ({} page pairs, {} result tuples):\n  \
-         nested sweep      {:.4}s\n  \
-         hash, per-pair    {:.4}s  (index rebuilt each pair)   speedup {:.2}x\n  \
-         hash, cached idx  {:.4}s  (one build per inner page)  speedup {:.2}x",
-        pairs,
-        nested_n,
-        nested_s,
-        hash_s,
-        nested_s / hash_s,
-        cached_s,
-        nested_s / cached_s
-    );
-
-    println!(
-        "host (ten-query benchmark, {} workers):",
-        HostParams::default().workers
-    );
-    for join in JoinAlgo::ALL {
-        let params = HostParams {
-            page_size: 4096,
-            join,
-            ..HostParams::default()
-        };
-        let out = run_host_queries(&s.db, &s.queries, &params).expect("host run");
-        let probes: usize = out.metrics.per_query.iter().map(|q| q.probe_units).sum();
-        let sweeps: usize = out.metrics.per_query.iter().map(|q| q.sweep_units).sum();
-        println!(
-            "  {join:<6}  elapsed {:>8.2?}  probe units {probes:>6}  sweep units {sweeps:>6}",
-            out.metrics.elapsed
-        );
-        emit(
-            json_dir,
-            &host_artifact(&format!("perf_hj_{join}"), scale, &params, &out),
-        );
-    }
-    println!("deviation from the paper (DESIGN.md §5): the IPs' join kernel is a knob\n");
-}
-
 /// PERF-PIPE: fused pipelined spans vs the paper's per-cell page
-/// materialization — first at the kernel level (the vectorized raw
-/// restrict/project kernels and the fused span vs its materializing
-/// step-at-a-time baseline, in MiB/s over this host's pages), then end to
-/// end: the ten pipeline-bearing queries in both transfer modes × both
-/// join algorithms on the real-threads executor, and on the ring machine
-/// where the saved intermediate-page traffic shows up as outer-ring bytes.
+/// materialization, by what each moves: the ten pipeline-bearing queries
+/// in both transfer modes × both join algorithms on the real-threads
+/// executor, and on the ring machine where the saved intermediate-page
+/// traffic shows up as outer-ring bytes. (Kernel throughput is the
+/// benchmark's `query.ops.{restrict,project,span}_mib_s`.)
 fn perf_pipe(scale: f64, json_dir: Option<&Path>) {
     use df_bench::report::series_row;
     use df_core::TransferMode;
     use df_host::{run_host_queries, HostParams};
-    use df_query::ops::{
-        project_page, project_page_raw, restrict_page, restrict_page_raw, span_output_schema,
-        span_page_raw, SpanStep,
-    };
-    use df_relalg::{CmpOp, Page, Predicate, Projection, Value};
     use df_ring::run_ring_queries;
-    use df_workload::{pipeline_queries, FK_ATTR, KEY_ATTR, VAL_ATTR};
-    use std::time::Instant;
+    use df_workload::pipeline_queries;
 
     println!(
         "--- PERF-PIPE: pipelined spans vs per-cell materialization (scale {scale}, 4096 B pages)"
     );
     let s = setup_with_page_size(scale, 4096);
     let queries = pipeline_queries(&s.db, &s.spec).expect("pipeline suite builds");
-
-    // Kernel level: every page of one workload relation, best of five
-    // sweeps; MiB/s over the tuple bytes each kernel reads.
-    let rel = s.db.get("r00").expect("workload relation");
-    let schema = rel.schema().clone();
-    let pred = Predicate::cmp_const(&schema, VAL_ATTR, CmpOp::Lt, Value::Int(VAL_DOMAIN / 2))
-        .expect("predicate");
-    let proj = Projection::new(&schema, &[KEY_ATTR, FK_ATTR, VAL_ATTR]).expect("projection");
-    let proj_schema = proj.output_schema(&schema).expect("projected schema");
-    // The suite's root pattern: restrict → project → restrict, so the
-    // stepwise baseline materializes two intermediate pages per input page.
-    let pred2 = Predicate::cmp_const(
-        &proj_schema,
-        VAL_ATTR,
-        CmpOp::Ge,
-        Value::Int(VAL_DOMAIN / 8),
-    )
-    .expect("predicate");
-    let steps = vec![
-        SpanStep::Restrict(pred.clone()),
-        SpanStep::Project(proj.clone()),
-        SpanStep::Restrict(pred2.clone()),
-    ];
-    let span_schema = span_output_schema(&schema, &steps).expect("span schema");
-    let in_bytes: u64 = rel
-        .pages()
-        .iter()
-        .map(|p| (p.len() * schema.tuple_width()) as u64)
-        .sum();
-    let mibps = |kernel: &dyn Fn() -> usize| -> f64 {
-        let mut best = f64::MAX;
-        for _ in 0..5 {
-            let t0 = Instant::now();
-            std::hint::black_box(kernel());
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        in_bytes as f64 / best / (1 << 20) as f64
-    };
-    let sweep = |per_page: &dyn Fn(&Page) -> usize| -> usize {
-        rel.pages().iter().map(|p| per_page(p)).sum()
-    };
-    let restrict_decoded = mibps(&|| sweep(&|p| restrict_page(p, &pred).len()));
-    let restrict_raw = mibps(&|| sweep(&|p| restrict_page_raw(p, &pred).len()));
-    let project_decoded = mibps(&|| sweep(&|p| project_page(p, &proj).len()));
-    let project_raw = mibps(&|| sweep(&|p| project_page_raw(p, &proj, &proj_schema).len()));
-    // The materializing baseline the span replaces: each step repacks its
-    // survivors into an intermediate page the next step reads back.
-    let span_stepwise = mibps(&|| {
-        sweep(&|p| {
-            let mut mid = restrict_page_raw(p, &pred);
-            let cap = 16 + schema.tuple_width() * mid.len().max(1);
-            let mut page = Page::new(schema.clone(), cap).expect("intermediate page");
-            mid.drain_into(&mut page);
-            let mut projected = project_page_raw(&page, &proj, &proj_schema);
-            let cap = 16 + proj_schema.tuple_width() * projected.len().max(1);
-            let mut page = Page::new(proj_schema.clone(), cap).expect("intermediate page");
-            projected.drain_into(&mut page);
-            restrict_page_raw(&page, &pred2).len()
-        })
-    });
-    let span_fused = mibps(&|| sweep(&|p| span_page_raw(p, &steps, &span_schema).len()));
-    println!(
-        "kernel ({} pages, {} KiB tuple data):\n  \
-         restrict  decoded {:>8.1} MiB/s   raw   {:>8.1} MiB/s   speedup {:.2}x\n  \
-         project   decoded {:>8.1} MiB/s   raw   {:>8.1} MiB/s   speedup {:.2}x\n  \
-         span      stepwise {:>7.1} MiB/s   fused {:>8.1} MiB/s   speedup {:.2}x",
-        rel.pages().len(),
-        in_bytes / 1024,
-        restrict_decoded,
-        restrict_raw,
-        restrict_raw / restrict_decoded,
-        project_decoded,
-        project_raw,
-        project_raw / project_decoded,
-        span_stepwise,
-        span_fused,
-        span_fused / span_stepwise,
-    );
 
     // End to end on the real-threads executor: both modes must agree on
     // every answer (deterministic canonical pages) while pipeline mode
@@ -449,11 +282,7 @@ fn perf_pipe(scale: f64, json_dir: Option<&Path>) {
         .counter(
             "ring_outer_bytes_saved",
             (ring_bytes[0] - ring_bytes[1]) as f64,
-        )
-        .counter("restrict_raw_mibps", restrict_raw)
-        .counter("project_raw_mibps", project_raw)
-        .counter("span_stepwise_mibps", span_stepwise)
-        .counter("span_fused_mibps", span_fused);
+        );
     emit(json_dir, &a);
     println!("deviation from the paper (DESIGN.md §5, §7): spans skip per-cell materialization\n");
 }
@@ -735,6 +564,39 @@ fn abl_proj() {
         );
     }
     println!("paper §5: no parallel algorithm known; hash partitioning answers it\n");
+}
+
+/// ABL-OPT: what the host-side optimizer the paper assumes is worth —
+/// naive chain queries (restricts stacked above the joins) against their
+/// `df-opt`-rewritten forms on the df-core machine, which must agree on
+/// every result.
+fn abl_opt() {
+    use df_core::run_query;
+    use df_opt::{optimize, CatalogStats};
+    use df_workload::{chain_query_naive, DatabaseSpec};
+
+    println!("--- ABL-OPT: naive vs df-opt-rewritten plans (scale 0.05, 16 processors)");
+    let db = generate_database(&DatabaseSpec::scaled(0.05));
+    let stats = CatalogStats::gather(&db);
+    let params = MachineParams::with_processors(16);
+    for (start, joins, restricts) in [(1usize, 1usize, 2usize), (2, 2, 3), (4, 3, 4)] {
+        let naive = chain_query_naive(&db, 15, start, joins, restricts, 500).expect("naive");
+        let optimized = optimize(&db, &naive, &stats).expect("optimizes").tree;
+        let (r1, m1) = run_query(&db, &naive, &params, Granularity::Page).expect("naive runs");
+        let (r2, m2) =
+            run_query(&db, &optimized, &params, Granularity::Page).expect("optimized runs");
+        assert!(r1.same_contents(&r2), "optimizer changed results");
+        println!(
+            "{joins} joins/{restricts} restricts: naive={:8.3}s optimized={:8.3}s \
+             speedup={:4.2}x  arb {:6} -> {:6} KB",
+            m1.elapsed.as_secs_f64(),
+            m2.elapsed.as_secs_f64(),
+            m1.elapsed.as_secs_f64() / m2.elapsed.as_secs_f64(),
+            m1.arbitration.bytes / 1024,
+            m2.arbitration.bytes / 1024,
+        );
+    }
+    println!("the paper assumes optimized trees arrive from the host\n");
 }
 
 /// ABL-MULTI: multi-user operation (requirement 1) — mean response time of

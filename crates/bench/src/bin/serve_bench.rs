@@ -27,8 +27,7 @@
 //! - `--mix M`        `read-same` | `read-mixed` | `read-write` |
 //!   `write-disjoint` (every fourth request appends to a per-client
 //!   target in r10..r14 — disjoint writes overlap and never evict the
-//!   read pool's cached plans) | `repeat-read[:N]` (zipf-ish over N
-//!   distinct plans, default 8) | `view-read` (installs the two standing
+//!   read pool's cached plans) | `view-read` (installs the two standing
 //!   views of `RequestMix::VIEWS`, then blends writes into their base,
 //!   view reads, and plain reads; the run ends with a differential check
 //!   that each maintained view is byte-identical to re-running its
@@ -272,7 +271,7 @@ fn main() {
                     "concurrent_write_batches".into(),
                     delta("concurrent_write_batches"),
                 ),
-                // Cumulative, not a delta: the v4 quiescence identity is
+                // Cumulative, not a delta: the quiescence identity is
                 // about whether any view exists, and installs happen
                 // before the first mode run.
                 (

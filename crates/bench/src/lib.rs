@@ -1,17 +1,18 @@
-//! Shared helpers for the benchmark harness: standard configurations and
-//! the experiment table printers used by both the Criterion benches and the
-//! `experiments` binary.
+//! Shared helpers for the measurement binaries: the standard benchmark
+//! set-up and machine configurations, the load-generator mixes
+//! ([`loadgen`]) and the `BENCH_*.json` builders ([`report`]).
 //!
-//! The Criterion benches (`benches/`) run reduced-scale configurations so
-//! `cargo bench --workspace` finishes in minutes; the `experiments` binary
-//! (`src/bin/experiments.rs`) runs the paper-scale versions and prints the
-//! tables recorded in `EXPERIMENTS.md`.
+//! Each question has one instrument. The paper's figures and ablations
+//! (simulated time, deterministic in the seed) are printed by the
+//! `experiments` binary and recorded in `EXPERIMENTS.md`; exact counters
+//! go from `host_run` / `serve_bench` through `BENCH_*.json` artifacts to
+//! `bench_check`; host time is measured and compared by the repository
+//! benchmark (`bash benchmark/run.sh`) and nowhere in this crate.
 
 pub mod loadgen;
 pub mod report;
 
 use df_core::{run_queries, AllocationStrategy, Granularity, JoinAlgo, MachineParams, Metrics};
-use df_host::{run_host_queries, HostParams, HostRunOutput};
 use df_query::QueryTree;
 use df_relalg::Catalog;
 use df_ring::{run_ring_queries, RingMetrics, RingParams};
@@ -82,14 +83,6 @@ pub fn run_core(setup: &BenchSetup, params: &MachineParams, g: Granularity) -> M
     .metrics
 }
 
-/// Run the benchmark batch on the real-threads host executor. Panics if
-/// the *run* fails (bad parameters, stall); per-query faults — possible
-/// when `params.fault` is active — stay in [`HostRunOutput::results`] for
-/// the caller to inspect.
-pub fn run_host(setup: &BenchSetup, params: &HostParams) -> HostRunOutput {
-    run_host_queries(&setup.db, &setup.queries, params).expect("host benchmark runs")
-}
-
 /// Run the benchmark batch on the ring machine.
 pub fn run_ring(setup: &BenchSetup, params: &RingParams) -> RingMetrics {
     run_ring_queries(&setup.db, &setup.queries, params)
@@ -115,15 +108,6 @@ pub fn fig42_params(setup: &BenchSetup, ips: usize) -> RingParams {
     p
 }
 
-/// Render one experiment row: label plus name=value pairs.
-pub fn row(label: &str, fields: &[(&str, String)]) -> String {
-    let mut s = format!("{label:<24}");
-    for (k, v) in fields {
-        s.push_str(&format!("  {k}={v}"));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,11 +130,5 @@ mod tests {
         rp.cache.frames = 128;
         let rm = run_ring(&s, &rp);
         assert!(rm.elapsed.as_nanos() > 0);
-    }
-
-    #[test]
-    fn row_formats() {
-        let r = row("test", &[("a", "1".into()), ("b", "x".into())]);
-        assert!(r.contains("a=1") && r.contains("b=x"));
     }
 }

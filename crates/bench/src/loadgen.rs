@@ -70,11 +70,6 @@ pub enum RequestMix {
     /// never intersects a write's relations, so cached read plans
     /// survive every write.
     WriteDisjoint,
-    /// Reads drawn zipf-ishly (harmonic weights, seeded per
-    /// `(client, seq)`) from a pool of `distinct` plans — the plan-cache
-    /// efficacy mix: a few hot queries dominate, a long tail keeps the
-    /// cache honest. Spelled `repeat-read:N` (`repeat-read` = 8).
-    RepeatRead { distinct: usize },
     /// The incremental-view mix: every fourth request appends into `r01`
     /// (a base of both [`RequestMix::VIEWS`]), half the rest read a
     /// maintained view, and the remainder are plain mixed reads. Use via
@@ -95,12 +90,11 @@ pub enum GenRequest {
 
 impl RequestMix {
     /// Every mix, in benchmark order.
-    pub const ALL: [RequestMix; 6] = [
+    pub const ALL: [RequestMix; 5] = [
         RequestMix::ReadSame,
         RequestMix::ReadMixed,
         RequestMix::ReadWrite,
         RequestMix::WriteDisjoint,
-        RequestMix::RepeatRead { distinct: 8 },
         RequestMix::ViewRead,
     ];
 
@@ -113,21 +107,13 @@ impl RequestMix {
         ("bench_set", "(union (scan r02) (scan r01))"),
     ];
 
-    /// Largest accepted `repeat-read:N` pool. Beyond this the harmonic
-    /// tail weights vanish into floating-point dust (and the pool far
-    /// exceeds any plan-cache capacity worth measuring), so bigger
-    /// values are a flag typo, not a workload.
-    pub const MAX_REPEAT_READ_POOL: usize = 1 << 16;
-
-    /// Stable lowercase name (the `--mix` flag spelling, minus the
-    /// `repeat-read` pool-size suffix).
+    /// Stable lowercase name (the `--mix` flag spelling).
     pub fn name(self) -> &'static str {
         match self {
             RequestMix::ReadSame => "read-same",
             RequestMix::ReadMixed => "read-mixed",
             RequestMix::ReadWrite => "read-write",
             RequestMix::WriteDisjoint => "write-disjoint",
-            RequestMix::RepeatRead { .. } => "repeat-read",
             RequestMix::ViewRead => "view-read",
         }
     }
@@ -183,7 +169,6 @@ impl RequestMix {
                     read_mixed(client, seq)
                 }
             }
-            RequestMix::RepeatRead { distinct } => repeat_read(distinct, client, seq),
             // View reads are not query text; the plain-query share of the
             // mix is what this accessor can express.
             RequestMix::ViewRead => read_mixed(client, seq),
@@ -213,32 +198,6 @@ fn client_draw(client: usize, seq: u64) -> u64 {
     splitmix64(base.wrapping_add(seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
 }
 
-/// A read drawn from a fixed pool of `distinct` plans with zipf-ish
-/// (harmonic, s = 1) weights: plan 0 is picked ∝ 1, plan 1 ∝ 1/2, plan
-/// k ∝ 1/(k+1). Selection is a pure function of (client, seq), so runs
-/// are reproducible and cache hit-rates are a property of the mix.
-fn repeat_read(distinct: usize, client: usize, seq: u64) -> String {
-    let distinct = distinct.max(1);
-    // The client's private stream → a uniform draw in [0, 1).
-    let u = (client_draw(client, seq) >> 11) as f64 / (1u64 << 53) as f64;
-    // Walk the cumulative harmonic weights to the drawn mass.
-    let total: f64 = (1..=distinct).map(|k| 1.0 / k as f64).sum();
-    let mut mass = u * total;
-    let mut rank = distinct - 1;
-    for k in 0..distinct {
-        mass -= 1.0 / (k + 1) as f64;
-        if mass < 0.0 {
-            rank = k;
-            break;
-        }
-    }
-    // Each rank is a distinct plan: relation cycles r02..r09 (never the
-    // write targets) and the threshold is unique per rank.
-    let rel = rank % 8 + 2;
-    let threshold = 100 + 7 * rank;
-    format!("(restrict (scan r{rel:02}) (< val {threshold}))")
-}
-
 /// A read whose relation and selectivity vary with (client, seq) over a
 /// small set, so concurrent clients sometimes collide on the same plan.
 fn read_mixed(client: usize, seq: u64) -> String {
@@ -249,10 +208,7 @@ fn read_mixed(client: usize, seq: u64) -> String {
 
 impl fmt::Display for RequestMix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RequestMix::RepeatRead { distinct } => write!(f, "repeat-read:{distinct}"),
-            other => f.write_str(other.name()),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -265,27 +221,11 @@ impl FromStr for RequestMix {
             "read-mixed" => Ok(RequestMix::ReadMixed),
             "read-write" => Ok(RequestMix::ReadWrite),
             "write-disjoint" => Ok(RequestMix::WriteDisjoint),
-            "repeat-read" => Ok(RequestMix::RepeatRead { distinct: 8 }),
             "view-read" => Ok(RequestMix::ViewRead),
-            other => {
-                if let Some(n) = other.strip_prefix("repeat-read:") {
-                    let distinct = n
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&d| (1..=RequestMix::MAX_REPEAT_READ_POOL).contains(&d))
-                        .ok_or_else(|| {
-                            format!(
-                                "bad repeat-read pool size `{n}` (want an integer in 1..={})",
-                                RequestMix::MAX_REPEAT_READ_POOL
-                            )
-                        })?;
-                    return Ok(RequestMix::RepeatRead { distinct });
-                }
-                Err(format!(
-                    "unknown request mix `{other}` \
-                     (read-same|read-mixed|read-write|write-disjoint|repeat-read[:N]|view-read)"
-                ))
-            }
+            other => Err(format!(
+                "unknown request mix `{other}` \
+                 (read-same|read-mixed|read-write|write-disjoint|view-read)"
+            )),
         }
     }
 }
@@ -350,49 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn repeat_read_round_trips_with_pool_size() {
-        assert_eq!(
-            "repeat-read".parse::<RequestMix>(),
-            Ok(RequestMix::RepeatRead { distinct: 8 })
-        );
-        assert_eq!(
-            "repeat-read:32".parse::<RequestMix>(),
-            Ok(RequestMix::RepeatRead { distinct: 32 })
-        );
-        let mix = RequestMix::RepeatRead { distinct: 17 };
-        assert_eq!(mix.to_string(), "repeat-read:17");
-        assert_eq!(mix.to_string().parse::<RequestMix>(), Ok(mix));
-        assert!("repeat-read:0".parse::<RequestMix>().is_err());
-        assert!("repeat-read:many".parse::<RequestMix>().is_err());
-    }
-
-    #[test]
-    fn repeat_read_is_deterministic_and_skewed() {
-        let mix = RequestMix::RepeatRead { distinct: 8 };
-        // Pure function of (client, seq): same inputs, same query.
-        assert_eq!(mix.query_text(3, 41), mix.query_text(3, 41));
-        // Zipf-ish skew: the pool's hottest plan (rank 0) dominates any
-        // uniform share, and the pool really has at most 8 plans.
-        let mut counts = std::collections::HashMap::new();
-        for client in 0..8 {
-            for seq in 0..128 {
-                *counts.entry(mix.query_text(client, seq)).or_insert(0u32) += 1;
-            }
-        }
-        assert!(counts.len() <= 8);
-        let hottest = *counts.values().max().expect("non-empty");
-        let total: u32 = counts.values().sum();
-        assert!(
-            f64::from(hottest) > f64::from(total) / 8.0 * 2.0,
-            "rank 0 should far exceed a uniform share: {hottest}/{total}"
-        );
-        // The pool avoids the write-target relations.
-        for q in counts.keys() {
-            assert!(!q.contains("r00") && !q.contains("r01"), "{q}");
-        }
-    }
-
-    #[test]
     fn write_disjoint_targets_are_per_client_and_every_fourth() {
         let mix = RequestMix::WriteDisjoint;
         for client in 0..10 {
@@ -418,47 +315,22 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_repeat_read_pools_are_rejected() {
-        // Zero would leave the harmonic weights empty (a panic in the
-        // zipf walk before this guard existed); absurd sizes are typos.
-        assert!("repeat-read:0".parse::<RequestMix>().is_err());
-        assert!("repeat-read:-1".parse::<RequestMix>().is_err());
-        assert!("repeat-read:65537".parse::<RequestMix>().is_err());
-        assert!("repeat-read:18446744073709551616"
-            .parse::<RequestMix>()
-            .is_err());
-        assert_eq!(
-            "repeat-read:65536".parse::<RequestMix>(),
-            Ok(RequestMix::RepeatRead {
-                distinct: RequestMix::MAX_REPEAT_READ_POOL
-            })
-        );
-        // Every accepted pool size synthesizes queries without panicking.
-        for d in [1usize, 2, 65536] {
-            let q = RequestMix::RepeatRead { distinct: d }.query_text(3, 7);
-            assert!(q.starts_with("(restrict"), "{q}");
-        }
-    }
-
-    #[test]
     fn client_streams_are_deterministic_and_independently_seeded() {
-        let mix = RequestMix::RepeatRead { distinct: 64 };
         let stream =
-            |client: usize| -> Vec<String> { (0..64).map(|s| mix.query_text(client, s)).collect() };
+            |client: usize| -> Vec<u64> { (0..64).map(|s| client_draw(client, s)).collect() };
         for client in 0..4 {
             assert_eq!(stream(client), stream(client), "re-generation drifted");
         }
-        // Independent seeding: distinct clients draw distinct sequences
-        // (a 64-plan pool makes a 64-draw coincidence astronomically
-        // unlikely), and no client's stream is a one-step shifted window
-        // of its neighbor's — the signature of derived-from-one-stream
-        // seeding.
+        // Independent seeding: distinct clients draw distinct sequences,
+        // and no client's stream is a one-step shifted window of its
+        // neighbor's — the signature of derived-from-one-stream seeding.
         for client in 0..3 {
             assert_ne!(stream(client), stream(client + 1));
             let shifted =
-                (0..64).filter(|&s| mix.query_text(client + 1, s) == mix.query_text(client, s + 1));
-            assert!(
-                shifted.count() < 16,
+                (0..64).filter(|&s| client_draw(client + 1, s) == client_draw(client, s + 1));
+            assert_eq!(
+                shifted.count(),
+                0,
                 "client {} tracks client {}'s stream",
                 client + 1,
                 client

@@ -153,7 +153,7 @@ pub fn write_artifact(dir: &Path, a: &BenchArtifact) -> io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_host, setup_with_page_size};
+    use crate::setup_with_page_size;
 
     #[test]
     fn host_artifact_is_sound_and_round_trips() {
@@ -163,18 +163,15 @@ mod tests {
             deterministic: true,
             ..HostParams::default()
         };
-        let out = run_host(&s, &params);
+        let out = df_host::run_host_queries(&s.db, &s.queries, &params).expect("host run");
         let a = host_artifact("unit_smoke", 0.02, &params, &out);
         assert_eq!(a.check(), Vec::<String>::new());
         assert_eq!(a.per_query.len(), s.queries.len());
         assert!(a.counter_value("result_tuples").unwrap() > 0.0);
         let back = BenchArtifact::from_json(&a.to_json()).expect("round trip");
         assert_eq!(back.per_query, a.per_query);
-        // And it passes self-comparison under the default thresholds.
-        assert_eq!(
-            BenchArtifact::compare(&a, &back, &df_obs::CompareOptions::default()),
-            Vec::<String>::new()
-        );
+        // And it passes comparison against its own round trip.
+        assert_eq!(BenchArtifact::compare(&a, &back), Vec::<String>::new());
     }
 
     #[test]

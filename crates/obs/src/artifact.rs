@@ -1,47 +1,31 @@
 //! Machine-readable bench artifacts (`BENCH_<name>.json`).
 //!
-//! The bench binaries (`host_run --json`, `experiments --json`) serialize
-//! their metrics into this schema-versioned format; `bench_check` reads a
-//! pair of artifacts back and fails CI on throughput regressions or
-//! metric-invariant violations. The full field list is documented in
-//! `DESIGN.md` §7.
+//! The bench binaries (`host_run --json`, `experiments --json`,
+//! `serve_bench`) serialize their metrics into this schema-versioned
+//! format; `bench_check` reads artifacts back and fails CI on
+//! metric-invariant violations or on drift in the deterministic counters.
+//! Wall-clock fields are recorded, never compared: time is gated by the
+//! repository benchmark (`benchmark/`). The full field list is documented
+//! in `DESIGN.md` §7.
 
 use crate::json::JsonValue;
 
-/// Version stamped into every artifact. Bump on any incompatible change
-/// to the field layout; `bench_check` refuses versions outside
-/// [`MIN_SCHEMA_VERSION`]..=[`SCHEMA_VERSION`].
+/// Version stamped into every artifact, and the only one `check` and
+/// `compare` accept. Bump on any change to the field layout and
+/// regenerate `crates/bench/baselines/` in the same commit.
 ///
-/// v2 added the serve-layer sweep fields (`reads`, `read_execs`,
-/// `plan_cache_hits`/`plan_cache_misses`, `inflight_joins`, `lanes`) and
-/// their conservation check; every v1 field kept its meaning, so v1
-/// baselines remain readable and comparable.
-///
-/// v3 added the serve write-path fields (`parses`,
-/// `cache_evictions_partial`, `concurrent_write_batches`, `mux_clients`
-/// — the last no longer emitted since the multiplexed reader was
-/// deleted; checks are by field presence, so no version bump)
-/// and two checks: `parses == plan_cache_misses` (relation-scoped
-/// invalidation never forces a redundant parse) and
-/// `cache_evictions_partial == 0` when `writes_applied == 0` (only
-/// writes evict). v1/v2 fields kept their meanings, so older baselines
-/// remain readable and comparable.
-///
-/// v4 added the incremental-view fields (`views_installed`,
-/// `delta_pages`, `view_reads_served`) and their quiescence check: with
-/// no view installed, maintenance must move zero delta pages and serve
-/// zero view reads — a nonzero count would mean the write path paid an
-/// IVM tax without a standing query to maintain. v1–v3 fields kept
-/// their meanings, so older baselines remain readable and comparable.
+/// A `serve`-kind artifact carries, per sweep row, the fields of four
+/// identities that [`BenchArtifact::check`] enforces: read conservation
+/// (`reads`, `read_execs`, `fused`, `inflight_joins`), parse accounting
+/// (`parses`, `plan_cache_misses`), write-scoped eviction
+/// (`cache_evictions_partial`, `writes_applied`) and view quiescence
+/// (`views_installed`, `delta_pages`, `view_reads_served`).
 pub const SCHEMA_VERSION: u64 = 4;
-
-/// Oldest schema version this build still reads, checks, and compares.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// Counters that are deterministic at a fixed scale/page-size/seed and
 /// therefore compared for *exact* equality against a committed baseline.
 /// Everything else (timings, unit counts, page movement) varies with
-/// thread interleaving or host speed and is only threshold-checked.
+/// thread interleaving or host speed and is not compared.
 pub const EXACT_COUNTERS: &[&str] = &["queries", "result_tuples", "result_payload_bytes"];
 
 /// Per-query metrics row (mirrors `df-host`'s `QueryStats`).
@@ -91,6 +75,13 @@ pub struct SweepRow {
     pub values: Vec<(String, f64)>,
 }
 
+impl SweepRow {
+    /// Look up a measurement by name.
+    pub fn value(&self, key: &str) -> Option<f64> {
+        self.values.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    }
+}
+
 /// A complete bench artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchArtifact {
@@ -98,7 +89,7 @@ pub struct BenchArtifact {
     pub schema_version: u64,
     /// Artifact name; the conventional file name is `BENCH_<name>.json`.
     pub name: String,
-    /// Producer kind: `host`, `ring`, `core`, or `sweep`.
+    /// Producer kind: `host`, `ring`, `core`, `sweep`, or `serve`.
     pub kind: String,
     /// Run configuration as ordered key/value strings (scale, workers, …).
     pub params: Vec<(String, String)>,
@@ -241,7 +232,7 @@ impl BenchArtifact {
         artifact.faults_active = doc
             .get("faults_active")
             .and_then(JsonValue::as_bool)
-            .unwrap_or(false);
+            .ok_or("missing/invalid `faults_active`")?;
         if let Some(JsonValue::Obj(map)) = doc.get("params") {
             for (k, v) in map {
                 let v = v
@@ -312,9 +303,9 @@ impl BenchArtifact {
     /// violation found (empty = sound).
     pub fn check(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&self.schema_version) {
+        if self.schema_version != SCHEMA_VERSION {
             problems.push(format!(
-                "schema_version {} outside supported {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}",
+                "schema_version {} is not the supported version {SCHEMA_VERSION}",
                 self.schema_version
             ));
         }
@@ -372,71 +363,9 @@ impl BenchArtifact {
                 problems.push(format!("series {}: negative/non-finite demand", s.path));
             }
         }
-        // Serve-layer read conservation (schema v2): every read request is
-        // executed, batch-fused, or joined onto an in-flight execution,
-        // exactly once. Rows without the v2 fields (v1 baselines) are
-        // skipped, keeping old artifacts valid.
-        for row in &self.sweep {
-            let get = |key: &str| row.values.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
-            if let (Some(reads), Some(execs), Some(fused), Some(joins)) = (
-                get("reads"),
-                get("read_execs"),
-                get("fused"),
-                get("inflight_joins"),
-            ) {
-                if execs + fused + joins != reads {
-                    problems.push(format!(
-                        "sweep {}: read_execs {execs} + fused {fused} + inflight_joins \
-                         {joins} != reads {reads}",
-                        row.label
-                    ));
-                }
-            }
-            // Serve write-path identities (schema v3). Relation-scoped
-            // plan-cache invalidation must never force a parse the cache
-            // didn't miss, and only an applied write may evict.
-            if let (Some(parses), Some(misses)) = (get("parses"), get("plan_cache_misses")) {
-                if parses != misses {
-                    problems.push(format!(
-                        "sweep {}: parses {parses} != plan_cache_misses {misses}",
-                        row.label
-                    ));
-                }
-            }
-            if let (Some(evictions), Some(writes)) =
-                (get("cache_evictions_partial"), get("writes_applied"))
-            {
-                if writes == 0.0 && evictions != 0.0 {
-                    problems.push(format!(
-                        "sweep {}: {evictions} partial cache evictions with zero \
-                         writes applied",
-                        row.label
-                    ));
-                }
-            }
-            // Incremental-view quiescence (schema v4): the write path pays
-            // the IVM tax only for standing queries that exist, and a view
-            // read never re-executes — so with zero views installed, both
-            // view counters must be zero.
-            if let (Some(views), Some(delta_pages), Some(view_reads)) = (
-                get("views_installed"),
-                get("delta_pages"),
-                get("view_reads_served"),
-            ) {
-                if views == 0.0 && delta_pages != 0.0 {
-                    problems.push(format!(
-                        "sweep {}: {delta_pages} delta pages moved with zero views \
-                         installed",
-                        row.label
-                    ));
-                }
-                if views == 0.0 && view_reads != 0.0 {
-                    problems.push(format!(
-                        "sweep {}: {view_reads} view reads served with zero views \
-                         installed",
-                        row.label
-                    ));
-                }
+        if self.kind == "serve" {
+            for row in &self.sweep {
+                check_serve_row(row, &mut problems);
             }
         }
         problems
@@ -445,28 +374,20 @@ impl BenchArtifact {
     /// Compare a candidate artifact against a baseline. Returns every
     /// failure found (empty = pass).
     ///
-    /// Deterministic counters ([`EXACT_COUNTERS`] and per-query tuple and
-    /// payload counts) must match exactly; wall-clock may regress by at
-    /// most [`CompareOptions::max_regression`] (skipped entirely under
-    /// [`CompareOptions::counters_only`], for baselines recorded on a
-    /// different machine).
-    pub fn compare(
-        base: &BenchArtifact,
-        cand: &BenchArtifact,
-        opts: &CompareOptions,
-    ) -> Vec<String> {
+    /// Only deterministic values are compared, and they must match
+    /// exactly: [`EXACT_COUNTERS`] and the per-query tuple counts, payload
+    /// bytes and failure flags. A counter the baseline records and the
+    /// candidate lacks is a failure, not an exemption.
+    pub fn compare(base: &BenchArtifact, cand: &BenchArtifact) -> Vec<String> {
         let mut failures = Vec::new();
-        // Any supported-version pair compares: every v1 field kept its
-        // meaning in v2, so a committed v1 baseline still gates a v2
-        // candidate. Unsupported versions are terminal.
         for (role, version) in [
             ("baseline", base.schema_version),
             ("candidate", cand.schema_version),
         ] {
-            if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
+            if version != SCHEMA_VERSION {
                 failures.push(format!(
-                    "{role} schema_version {version} outside supported \
-                     {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
+                    "{role} schema_version {version} is not the supported version \
+                     {SCHEMA_VERSION}"
                 ));
             }
         }
@@ -480,10 +401,14 @@ impl BenchArtifact {
             ));
         }
         for key in EXACT_COUNTERS {
-            if let (Some(b), Some(c)) = (base.counter_value(key), cand.counter_value(key)) {
-                if b != c {
+            match (base.counter_value(key), cand.counter_value(key)) {
+                (Some(b), Some(c)) if b != c => {
                     failures.push(format!("counter {key}: baseline {b} vs candidate {c}"));
                 }
+                (Some(b), None) => {
+                    failures.push(format!("counter {key}: baseline {b}, candidate lacks it"));
+                }
+                _ => {}
             }
         }
         if base.per_query.len() != cand.per_query.len() {
@@ -513,39 +438,129 @@ impl BenchArtifact {
                 ));
             }
         }
-        if !opts.counters_only && base.elapsed_secs > 0.0 {
-            let limit = base.elapsed_secs * (1.0 + opts.max_regression);
-            if cand.elapsed_secs > limit {
-                failures.push(format!(
-                    "throughput regression: elapsed {:.4}s vs baseline {:.4}s (limit {:.4}s at +{:.0}%)",
-                    cand.elapsed_secs,
-                    base.elapsed_secs,
-                    limit,
-                    opts.max_regression * 100.0
-                ));
-            }
-        }
         failures
+    }
+
+    /// Evaluate one liveness rule `<key><op><key|number>` over the first
+    /// sweep row, e.g. `executed<submitted` or `lanes==2`. `op` is one of
+    /// `== != < <= > >=`; there is no arithmetic.
+    ///
+    /// # Errors
+    /// A message when the rule does not hold, does not parse, or names a
+    /// key the row lacks.
+    pub fn expect(&self, rule: &str) -> Result<(), String> {
+        let (at, op) = rule
+            .find(['=', '!', '<', '>'])
+            .and_then(|at| {
+                let ops = ["==", "!=", "<=", ">=", "<", ">"];
+                Some((at, ops.into_iter().find(|op| rule[at..].starts_with(op))?))
+            })
+            .ok_or_else(|| format!("rule `{rule}` has no comparison operator"))?;
+        let (lhs, rhs) = (rule[..at].trim(), rule[at + op.len()..].trim());
+        let row = self
+            .sweep
+            .first()
+            .ok_or_else(|| format!("rule `{rule}`: artifact has no sweep row"))?;
+        let value = |key: &str| {
+            row.value(key)
+                .ok_or_else(|| format!("rule `{rule}`: unknown key `{key}` in row {}", row.label))
+        };
+        let left = value(lhs)?;
+        let right = match rhs.parse::<f64>() {
+            Ok(number) => number,
+            Err(_) => value(rhs)?,
+        };
+        let holds = match op {
+            "==" => left == right,
+            "!=" => left != right,
+            "<=" => left <= right,
+            ">=" => left >= right,
+            "<" => left < right,
+            _ => left > right,
+        };
+        if holds {
+            Ok(())
+        } else {
+            Err(format!(
+                "rule `{rule}` does not hold in row {}: {left} {op} {right}",
+                row.label
+            ))
+        }
     }
 }
 
-/// Knobs for [`BenchArtifact::compare`].
-#[derive(Debug, Clone)]
-pub struct CompareOptions {
-    /// Maximum tolerated fractional wall-clock regression (0.25 = +25%).
-    pub max_regression: f64,
-    /// Skip timing checks entirely; compare deterministic counters only.
-    /// The right mode against a committed baseline, whose timings came
-    /// from a different machine.
-    pub counters_only: bool,
-}
-
-impl Default for CompareOptions {
-    fn default() -> CompareOptions {
-        CompareOptions {
-            max_regression: 0.25,
-            counters_only: false,
-        }
+/// The four identities every row of a `serve`-kind artifact must carry and
+/// satisfy; a missing field is a violation, so a load generator that stops
+/// emitting one cannot pass by omission.
+fn check_serve_row(row: &SweepRow, problems: &mut Vec<String>) {
+    let mut missing = Vec::new();
+    let mut need = |key: &'static str| {
+        row.value(key).unwrap_or_else(|| {
+            missing.push(key);
+            0.0
+        })
+    };
+    let (reads, execs, fused, joins) = (
+        need("reads"),
+        need("read_execs"),
+        need("fused"),
+        need("inflight_joins"),
+    );
+    let (parses, misses) = (need("parses"), need("plan_cache_misses"));
+    let (evictions, writes) = (need("cache_evictions_partial"), need("writes_applied"));
+    let (views, delta_pages, view_reads) = (
+        need("views_installed"),
+        need("delta_pages"),
+        need("view_reads_served"),
+    );
+    if !missing.is_empty() {
+        problems.push(format!(
+            "sweep {}: serve row lacks {}",
+            row.label,
+            missing.join(", ")
+        ));
+        return;
+    }
+    // Every read request is executed, batch-fused, or joined onto an
+    // in-flight execution, exactly once.
+    if execs + fused + joins != reads {
+        problems.push(format!(
+            "sweep {}: read_execs {execs} + fused {fused} + inflight_joins \
+             {joins} != reads {reads}",
+            row.label
+        ));
+    }
+    // Relation-scoped plan-cache invalidation must never force a parse
+    // the cache didn't miss, and only an applied write may evict.
+    if parses != misses {
+        problems.push(format!(
+            "sweep {}: parses {parses} != plan_cache_misses {misses}",
+            row.label
+        ));
+    }
+    if writes == 0.0 && evictions != 0.0 {
+        problems.push(format!(
+            "sweep {}: {evictions} partial cache evictions with zero \
+             writes applied",
+            row.label
+        ));
+    }
+    // The write path pays the IVM tax only for standing queries that
+    // exist, and a view read never re-executes — so with zero views
+    // installed, both view counters must be zero.
+    if views == 0.0 && delta_pages != 0.0 {
+        problems.push(format!(
+            "sweep {}: {delta_pages} delta pages moved with zero views \
+             installed",
+            row.label
+        ));
+    }
+    if views == 0.0 && view_reads != 0.0 {
+        problems.push(format!(
+            "sweep {}: {view_reads} view reads served with zero views \
+             installed",
+            row.label
+        ));
     }
 }
 
@@ -586,7 +601,7 @@ fn query_row_from_json(row: &JsonValue) -> Result<QueryRow, String> {
         failed: row
             .get("failed")
             .and_then(JsonValue::as_bool)
-            .unwrap_or(false),
+            .ok_or("query row missing `failed`")?,
     })
 }
 
@@ -684,31 +699,16 @@ mod tests {
     #[test]
     fn self_comparison_passes() {
         let a = sample();
-        assert_eq!(
-            BenchArtifact::compare(&a, &a, &CompareOptions::default()),
-            Vec::<String>::new()
-        );
+        assert_eq!(BenchArtifact::compare(&a, &a), Vec::<String>::new());
     }
 
     #[test]
-    fn synthetic_fifty_percent_regression_fails() {
+    fn elapsed_time_is_never_compared() {
         let base = sample();
         let mut cand = sample();
         cand.elapsed_secs = base.elapsed_secs * 1.5;
-        let failures = BenchArtifact::compare(&base, &cand, &CompareOptions::default());
-        assert!(
-            failures.iter().any(|f| f.contains("throughput regression")),
-            "{failures:?}"
-        );
-        // ...but counters-only mode tolerates any timing.
-        let opts = CompareOptions {
-            counters_only: true,
-            ..CompareOptions::default()
-        };
-        assert_eq!(
-            BenchArtifact::compare(&base, &cand, &opts),
-            Vec::<String>::new()
-        );
+        cand.per_query[1].elapsed_secs = 1.4;
+        assert_eq!(BenchArtifact::compare(&base, &cand), Vec::<String>::new());
     }
 
     #[test]
@@ -717,7 +717,7 @@ mod tests {
         let mut cand = sample();
         cand.per_query[1].tuples = 21;
         cand.counters[1].1 = 31.0;
-        let failures = BenchArtifact::compare(&base, &cand, &CompareOptions::default());
+        let failures = BenchArtifact::compare(&base, &cand);
         assert!(
             failures.iter().any(|f| f.contains("query 1: tuples")),
             "{failures:?}"
@@ -729,135 +729,147 @@ mod tests {
     }
 
     #[test]
+    fn counter_missing_from_the_candidate_fails_comparison() {
+        let base = sample();
+        let mut cand = sample();
+        cand.counters.retain(|(k, _)| k != "result_tuples");
+        let failures = BenchArtifact::compare(&base, &cand);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("result_tuples") && failures[0].contains("lacks"));
+        // The other direction is not drift: a candidate may record more.
+        assert_eq!(BenchArtifact::compare(&cand, &base), Vec::<String>::new());
+    }
+
+    #[test]
     fn schema_mismatch_is_terminal() {
         let base = sample();
         let mut cand = sample();
         cand.schema_version = 99;
-        let failures = BenchArtifact::compare(&base, &cand, &CompareOptions::default());
+        let failures = BenchArtifact::compare(&base, &cand);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("schema_version"));
         assert!(!cand.check().is_empty());
     }
 
     #[test]
-    fn v1_baseline_still_checks_and_gates_a_v2_candidate() {
-        let mut base = sample();
-        base.schema_version = MIN_SCHEMA_VERSION;
-        assert_eq!(base.check(), Vec::<String>::new(), "v1 stays valid");
-        let cand = sample();
-        assert_eq!(cand.schema_version, SCHEMA_VERSION);
-        assert_eq!(
-            BenchArtifact::compare(&base, &cand, &CompareOptions::default()),
-            Vec::<String>::new()
-        );
-        // Deterministic-counter drift is still caught across versions.
-        let mut drifted = cand;
-        drifted.counters[1].1 = 31.0;
-        assert!(!BenchArtifact::compare(&base, &drifted, &CompareOptions::default()).is_empty());
+    fn v1_artifact_is_refused_by_check_and_by_compare() {
+        for old in [1, 3] {
+            let mut base = sample();
+            base.schema_version = old;
+            let problems = base.check();
+            assert_eq!(problems.len(), 1, "{problems:?}");
+            assert!(problems[0].contains(&format!("schema_version {old} ")));
+            for failures in [
+                BenchArtifact::compare(&base, &sample()),
+                BenchArtifact::compare(&sample(), &base),
+            ] {
+                assert_eq!(failures.len(), 1, "{failures:?}");
+                assert!(failures[0].contains(&format!("schema_version {old} ")));
+            }
+        }
+        // The reader refuses a file without a field it used to default.
+        let text = sample().to_json().replace("\"faults_active\": false,", "");
+        let err = BenchArtifact::from_json(&text).expect_err("faults_active is required");
+        assert!(err.contains("faults_active"), "{err}");
+    }
+
+    /// A `serve` artifact whose one row carries every conserved field,
+    /// with `overrides` applied on top of sound defaults.
+    fn serve_artifact(overrides: &[(&str, f64)]) -> BenchArtifact {
+        let mut values: Vec<(String, f64)> = [
+            ("reads", 100.0),
+            ("read_execs", 40.0),
+            ("fused", 50.0),
+            ("inflight_joins", 10.0),
+            ("parses", 12.0),
+            ("plan_cache_misses", 12.0),
+            ("cache_evictions_partial", 4.0),
+            ("writes_applied", 3.0),
+            ("views_installed", 2.0),
+            ("delta_pages", 40.0),
+            ("view_reads_served", 16.0),
+        ]
+        .iter()
+        .map(|(k, v)| (k.to_string(), *v))
+        .collect();
+        for (key, v) in overrides {
+            values.iter_mut().find(|(k, _)| k == key).expect("field").1 = *v;
+        }
+        let mut a = BenchArtifact::new("serve_x", "serve");
+        a.elapsed_secs = 1.0;
+        a.sweep = vec![SweepRow {
+            label: "mode=closed".to_string(),
+            values,
+        }];
+        a
     }
 
     #[test]
     fn serve_sweep_conservation_identity_is_enforced() {
-        let mut a = BenchArtifact::new("serve_x", "serve");
-        a.elapsed_secs = 1.0;
-        a.sweep = vec![SweepRow {
-            label: "clients=8".to_string(),
-            values: vec![
-                ("reads".to_string(), 100.0),
-                ("read_execs".to_string(), 40.0),
-                ("fused".to_string(), 50.0),
-                ("inflight_joins".to_string(), 10.0),
-            ],
-        }];
-        assert_eq!(a.check(), Vec::<String>::new());
-        a.sweep[0].values[3].1 = 9.0; // 40 + 50 + 9 != 100
-        let problems = a.check();
+        assert_eq!(serve_artifact(&[]).check(), Vec::<String>::new());
+        // 40 + 50 + 9 != 100
+        let problems = serve_artifact(&[("inflight_joins", 9.0)]).check();
         assert!(
             problems.iter().any(|p| p.contains("inflight_joins")),
             "{problems:?}"
         );
-        // A v1-shaped row (fields absent) is exempt from the identity.
-        let mut v1 = BenchArtifact::new("serve_old", "serve");
-        v1.schema_version = MIN_SCHEMA_VERSION;
-        v1.elapsed_secs = 1.0;
-        v1.sweep = vec![SweepRow {
-            label: "clients=8".to_string(),
-            values: vec![("qps".to_string(), 185.0)],
-        }];
-        assert_eq!(v1.check(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn serve_row_missing_a_conserved_field_is_a_violation() {
+        for field in [
+            "reads",
+            "read_execs",
+            "fused",
+            "inflight_joins",
+            "parses",
+            "plan_cache_misses",
+            "cache_evictions_partial",
+            "writes_applied",
+            "views_installed",
+            "delta_pages",
+            "view_reads_served",
+        ] {
+            let mut a = serve_artifact(&[]);
+            a.sweep[0].values.retain(|(k, _)| k != field);
+            let problems = a.check();
+            assert_eq!(problems.len(), 1, "{field}: {problems:?}");
+            assert!(problems[0].contains(&format!("lacks {field}")));
+        }
+        // Other kinds carry no serve identities: a row without the
+        // fields is sound there.
+        let mut sweep = serve_artifact(&[]);
+        sweep.kind = "sweep".to_string();
+        sweep.sweep[0].values.clear();
+        assert_eq!(sweep.check(), Vec::<String>::new());
     }
 
     #[test]
     fn serve_write_path_identities_are_enforced() {
-        let mut a = BenchArtifact::new("serve_w", "serve");
-        a.elapsed_secs = 1.0;
-        a.sweep = vec![SweepRow {
-            label: "mode=closed".to_string(),
-            values: vec![
-                ("parses".to_string(), 12.0),
-                ("plan_cache_misses".to_string(), 12.0),
-                ("cache_evictions_partial".to_string(), 4.0),
-                ("writes_applied".to_string(), 3.0),
-            ],
-        }];
-        assert_eq!(a.check(), Vec::<String>::new());
-
         // Relation-scoped invalidation must never force a redundant
         // parse: parses != plan_cache_misses is a bug.
-        a.sweep[0].values[0].1 = 13.0;
-        let problems = a.check();
+        let problems = serve_artifact(&[("parses", 13.0)]).check();
         assert!(
             problems.iter().any(|p| p.contains("plan_cache_misses")),
             "{problems:?}"
         );
-        a.sweep[0].values[0].1 = 12.0;
-
         // Only writes evict: evictions without writes is a bug.
-        a.sweep[0].values[3].1 = 0.0;
-        let problems = a.check();
+        let problems = serve_artifact(&[("writes_applied", 0.0)]).check();
         assert!(
             problems
                 .iter()
                 .any(|p| p.contains("partial cache evictions")),
             "{problems:?}"
         );
-        a.sweep[0].values[2].1 = 0.0;
-        assert_eq!(a.check(), Vec::<String>::new());
-
-        // Rows without the v3 fields (older baselines) stay exempt.
-        let mut v2 = BenchArtifact::new("serve_v2", "serve");
-        v2.schema_version = 2;
-        v2.elapsed_secs = 1.0;
-        v2.sweep = vec![SweepRow {
-            label: "mode=closed".to_string(),
-            values: vec![
-                ("reads".to_string(), 10.0),
-                ("read_execs".to_string(), 10.0),
-                ("fused".to_string(), 0.0),
-                ("inflight_joins".to_string(), 0.0),
-            ],
-        }];
-        assert_eq!(v2.check(), Vec::<String>::new());
+        let quiet = serve_artifact(&[("writes_applied", 0.0), ("cache_evictions_partial", 0.0)]);
+        assert_eq!(quiet.check(), Vec::<String>::new());
     }
 
     #[test]
     fn view_quiescence_identities_are_enforced() {
-        let mut a = BenchArtifact::new("serve_ivm", "serve");
-        a.elapsed_secs = 1.0;
-        a.sweep = vec![SweepRow {
-            label: "mix=view-read".to_string(),
-            values: vec![
-                ("views_installed".to_string(), 2.0),
-                ("delta_pages".to_string(), 40.0),
-                ("view_reads_served".to_string(), 16.0),
-            ],
-        }];
-        assert_eq!(a.check(), Vec::<String>::new());
-
         // With zero views installed, neither maintenance nor view reads
         // may have happened.
-        a.sweep[0].values[0].1 = 0.0;
-        let problems = a.check();
+        let problems = serve_artifact(&[("views_installed", 0.0)]).check();
         assert!(
             problems.iter().any(|p| p.contains("delta pages")),
             "{problems:?}"
@@ -866,21 +878,51 @@ mod tests {
             problems.iter().any(|p| p.contains("view reads served")),
             "{problems:?}"
         );
-        a.sweep[0].values[1].1 = 0.0;
-        a.sweep[0].values[2].1 = 0.0;
-        assert_eq!(a.check(), Vec::<String>::new());
+        let quiet = serve_artifact(&[
+            ("views_installed", 0.0),
+            ("delta_pages", 0.0),
+            ("view_reads_served", 0.0),
+        ]);
+        assert_eq!(quiet.check(), Vec::<String>::new());
+    }
 
-        // Rows without the v4 fields (older baselines) stay exempt.
-        let mut v3 = BenchArtifact::new("serve_v3", "serve");
-        v3.schema_version = 3;
-        v3.elapsed_secs = 1.0;
-        v3.sweep = vec![SweepRow {
-            label: "mode=closed".to_string(),
-            values: vec![
-                ("parses".to_string(), 12.0),
-                ("plan_cache_misses".to_string(), 12.0),
-            ],
-        }];
-        assert_eq!(v3.check(), Vec::<String>::new());
+    #[test]
+    fn expect_rules_compare_keys_and_numbers() {
+        let a = serve_artifact(&[]);
+        for rule in [
+            "read_execs<reads",
+            "read_execs <= reads",
+            "parses==plan_cache_misses",
+            "views_installed == 2",
+            "delta_pages>0",
+            "fused >= 50",
+            "fused != 0.5",
+        ] {
+            assert_eq!(a.expect(rule), Ok(()), "{rule}");
+        }
+        let err = a.expect("reads<read_execs").expect_err("100 < 40 is false");
+        assert!(
+            err.contains("does not hold") && err.contains("100 < 40"),
+            "{err}"
+        );
+        assert!(a.expect("views_installed==3").is_err());
+        // A rule that cannot be evaluated is an error, never a pass.
+        let err = a.expect("no_such_key>0").expect_err("unknown key");
+        assert!(err.contains("unknown key `no_such_key`"), "{err}");
+        let err = a.expect("reads>no_such_key").expect_err("unknown key");
+        assert!(err.contains("unknown key `no_such_key`"), "{err}");
+        for malformed in ["reads", "reads=100", "fused+inflight_joins>0", ">0"] {
+            assert!(a.expect(malformed).is_err(), "{malformed}");
+        }
+        let err = sample_without_sweep()
+            .expect("reads>0")
+            .expect_err("no row");
+        assert!(err.contains("no sweep row"), "{err}");
+    }
+
+    fn sample_without_sweep() -> BenchArtifact {
+        let mut a = sample();
+        a.sweep.clear();
+        a
     }
 }

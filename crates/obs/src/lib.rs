@@ -21,8 +21,8 @@
 //! * [`BenchArtifact`] — the schema-versioned `BENCH_<name>.json` format
 //!   the bench binaries emit and `bench_check` consumes, with built-in
 //!   metric invariants (e.g. `probe_units + sweep_units == pair_units`)
-//!   and baseline comparison (throughput-regression thresholds on timing,
-//!   exact equality on deterministic counters).
+//!   and baseline comparison (exact equality on deterministic counters;
+//!   timings are recorded, never compared).
 //! * [`JsonValue`] — the minimal JSON writer/parser behind the artifacts.
 //!   The build environment is offline (see `shims/README.md`), so the
 //!   crate serializes by hand instead of depending on `serde`.
@@ -46,10 +46,7 @@ mod event;
 mod json;
 mod series;
 
-pub use artifact::{
-    BenchArtifact, CompareOptions, QueryRow, SeriesRow, SweepRow, EXACT_COUNTERS,
-    MIN_SCHEMA_VERSION, SCHEMA_VERSION,
-};
+pub use artifact::{BenchArtifact, QueryRow, SeriesRow, SweepRow, EXACT_COUNTERS, SCHEMA_VERSION};
 pub use event::{EventKind, Path, Span, TraceEvent, TraceSnapshot, Tracer};
 pub use json::JsonValue;
 pub use series::IntervalSeries;
