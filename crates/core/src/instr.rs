@@ -7,11 +7,10 @@
 //! node becomes an [`Instruction`] with a [`Kernel`] — the actual operator
 //! code an instruction processor executes on the pages in a work unit.
 
-use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 use df_query::ops::JoinSweep;
-use df_query::{ops, Firing, NodeId, Op, Plan, QueryTree};
+use df_query::{ops, Firing, NodeId, Op, Plan, PlanNode, QueryTree};
 use df_relalg::{Catalog, Page, Predicate, Projection, Result, Schema, Tuple, TupleBuf, TupleRef};
 
 use crate::params::{JoinAlgo, TransferMode};
@@ -58,6 +57,41 @@ pub enum Kernel {
 }
 
 impl Kernel {
+    /// The operator code of one plan node — the only place in the workspace
+    /// an [`Op`] is turned into kernel calls; df-core, df-ring and df-host
+    /// all execute what this returns. A fused node is its span whatever
+    /// its bottom operator; a join keeps the `join` knob only when its
+    /// compiled condition can run on the hash path
+    /// ([`JoinSweep::hash_applicable`]) and is lowered — so swept, counted
+    /// and charged — as nested loops otherwise. A scan is an identity over
+    /// its own relation (the bare-scan root), and so is an append: the
+    /// catalog update it requests happens after the run.
+    pub fn lower(node: &PlanNode, join: JoinAlgo) -> Kernel {
+        match &node.op {
+            _ if !node.steps.is_empty() => Kernel::Span(node.steps.clone()),
+            Op::Scan { .. } | Op::Append { .. } => Kernel::Identity,
+            Op::Restrict { predicate } => Kernel::Restrict(predicate.clone()),
+            Op::Project {
+                projection,
+                dedup: false,
+            } => Kernel::Project(projection.clone()),
+            Op::Project { projection, .. } => Kernel::ProjectDedupFinal(projection.clone()),
+            Op::Join { .. } => {
+                let sweep = node.sweep.expect("a join node carries its compiled sweep");
+                let algo = if sweep.hash_applicable() {
+                    join
+                } else {
+                    JoinAlgo::Nested
+                };
+                Kernel::JoinPair(sweep, algo)
+            }
+            Op::CrossProduct => Kernel::CrossPair,
+            Op::Union => Kernel::UnionFinal,
+            Op::Difference => Kernel::DifferenceFinal,
+            Op::Delete { predicate, .. } => Kernel::DeleteFilter(predicate.clone()),
+        }
+    }
+
     /// Execute one page-or-pair work unit on the zero-copy path: predicates
     /// and join keys are evaluated directly over the encoded tuple images
     /// and surviving images are memcpy'd into the returned batch — nothing
@@ -80,7 +114,7 @@ impl Kernel {
             }
             Kernel::JoinPair(..) | Kernel::CrossPair => {
                 let mut out = TupleBuf::new(out_schema.clone());
-                self.run_sweep_raw_into(pages[0], &pages[1..], &mut out);
+                self.run_sweep_raw_into(pages[0], pages[1..].iter().copied(), true, &mut out);
                 out
             }
             Kernel::Span(steps) => ops::span_page_raw(pages[0], steps, out_schema),
@@ -88,24 +122,38 @@ impl Kernel {
         }
     }
 
-    /// Execute a pair-sweep work unit — `outer` against each of `inners`
-    /// in turn — appending to `out`, so a unit fills one output batch
-    /// however many page pairs it covers.
+    /// Execute a pair-sweep work unit — `page` against each page of
+    /// `opposite` in turn, as the outer operand of every pair when
+    /// `page_is_outer`, else as the inner — appending to `out`, so a unit
+    /// fills one output batch however many page pairs it covers.
     ///
     /// # Panics
     /// Panics if called on anything but a join or cross-product kernel.
-    pub fn run_sweep_raw_into(&self, outer: &Page, inners: &[&Page], out: &mut TupleBuf) {
+    pub fn run_sweep_raw_into<'a>(
+        &self,
+        page: &'a Page,
+        opposite: impl IntoIterator<Item = &'a Page>,
+        page_is_outer: bool,
+        out: &mut TupleBuf,
+    ) {
+        let oriented = |opp: &'a Page| {
+            if page_is_outer {
+                (page, opp)
+            } else {
+                (opp, page)
+            }
+        };
         match self {
             Kernel::JoinPair(sweep, JoinAlgo::Nested) => {
-                sweep.sweep_list_into(outer, inners.iter().copied(), true, out);
+                sweep.sweep_list_into(page, opposite, page_is_outer, out);
             }
             Kernel::JoinPair(sweep, JoinAlgo::Hash) => {
-                for inner in inners {
+                for (outer, inner) in opposite.into_iter().map(oriented) {
                     ops::hash_join_pages_raw_into(outer, inner, sweep, out);
                 }
             }
             Kernel::CrossPair => {
-                for inner in inners {
+                for (outer, inner) in opposite.into_iter().map(oriented) {
                     ops::cross_pages_raw_into(outer, inner, out);
                 }
             }
@@ -113,11 +161,14 @@ impl Kernel {
         }
     }
 
-    /// Zero-copy whole-relation finalizer over complete inputs: membership
-    /// sets hash the raw tuple images (the encoding is canonical — images
-    /// are equal exactly when tuples are), so the serial case decodes
-    /// nothing. Set semantics match `df-query::ops` exactly so machine
-    /// results are oracle-comparable.
+    /// Zero-copy whole-relation finalizer over complete inputs (one list
+    /// of pages per operand port): the `df_query::ops` set finalizers, whose
+    /// membership sets hash the raw tuple images, so nothing is decoded.
+    /// Set semantics match the oracle's exactly, first-occurrence order
+    /// included.
+    ///
+    /// # Panics
+    /// Panics if called on a streaming kernel.
     pub fn run_final_raw(&self, inputs: &[Vec<&Page>], out_schema: &Schema) -> TupleBuf {
         self.run_final_bucket_raw(inputs, 0, 1, out_schema)
     }
@@ -150,48 +201,17 @@ impl Kernel {
         };
         match self {
             Kernel::UnionFinal => {
-                let mut seen: HashSet<&[u8]> = HashSet::new();
-                let mut out = TupleBuf::new(out_schema.clone());
-                for t in inputs[0]
-                    .iter()
-                    .flat_map(|p| p.tuple_refs())
-                    .chain(inputs[1].iter().flat_map(|p| p.tuple_refs()))
-                {
-                    if in_bucket(&t) && seen.insert(t.raw()) {
-                        out.push_ref(&t);
-                    }
-                }
-                out
+                ops::union_pages_raw_where(&inputs[0], &inputs[1], out_schema, in_bucket)
             }
             Kernel::DifferenceFinal => {
-                let exclude: HashSet<&[u8]> = inputs[1]
-                    .iter()
-                    .flat_map(|p| p.tuple_refs())
-                    .filter(&in_bucket)
-                    .map(|t| t.raw())
-                    .collect();
-                let mut seen: HashSet<&[u8]> = HashSet::new();
-                let mut out = TupleBuf::new(out_schema.clone());
-                for t in inputs[0].iter().flat_map(|p| p.tuple_refs()) {
-                    if in_bucket(&t) && !exclude.contains(t.raw()) && seen.insert(t.raw()) {
-                        out.push_ref(&t);
-                    }
-                }
-                out
+                ops::difference_pages_raw_where(&inputs[0], &inputs[1], out_schema, in_bucket)
             }
             Kernel::ProjectDedupFinal(proj) => {
                 let mut projected = TupleBuf::new(out_schema.clone());
                 for t in inputs[0].iter().flat_map(|p| p.tuple_refs()) {
                     projected.push_projected(&t, proj.indices());
                 }
-                let mut seen: HashSet<&[u8]> = HashSet::new();
-                let mut out = TupleBuf::new(out_schema.clone());
-                for t in projected.refs() {
-                    if in_bucket(&t) && seen.insert(t.raw()) {
-                        out.push_ref(&t);
-                    }
-                }
-                out
+                ops::dedup_raw_where(projected.refs(), out_schema, in_bucket)
             }
             k => panic!("run_final_raw called on streaming kernel {k:?}"),
         }
@@ -360,40 +380,20 @@ pub fn compile_with(
                     })
                     .collect(),
             };
-            let kernel = match &node.op {
-                _ if !node.steps.is_empty() => Kernel::Span(node.steps.clone()),
-                Op::Scan { .. } => Kernel::Identity,
-                Op::Restrict { predicate } => Kernel::Restrict(predicate.clone()),
-                Op::Project {
-                    projection,
-                    dedup: false,
-                } => Kernel::Project(projection.clone()),
-                Op::Project { projection, .. } => Kernel::ProjectDedupFinal(projection.clone()),
-                Op::Join { .. } => {
-                    let sweep = node.sweep.expect("a join node carries its compiled sweep");
-                    let algo = if sweep.hash_applicable() {
-                        join_algo
-                    } else {
-                        JoinAlgo::Nested
-                    };
-                    Kernel::JoinPair(sweep, algo)
-                }
-                Op::CrossProduct => Kernel::CrossPair,
-                Op::Union => Kernel::UnionFinal,
-                Op::Difference => Kernel::DifferenceFinal,
+            let kernel = Kernel::lower(node, join_algo);
+            match &node.op {
                 Op::Append { target } => {
                     update = Some(UpdateSpec::Append {
                         target: target.clone(),
                     });
-                    Kernel::Identity
                 }
-                Op::Delete { target, predicate } => {
+                Op::Delete { target, .. } => {
                     update = Some(UpdateSpec::Delete {
                         target: target.clone(),
                     });
-                    Kernel::DeleteFilter(predicate.clone())
                 }
-            };
+                _ => {}
+            }
             let op_name = match kernel {
                 Kernel::Span(_) => "span",
                 _ => node.op.name(),
@@ -442,6 +442,10 @@ mod tests {
 
     fn refs(rel: &Relation) -> Vec<&Page> {
         rel.pages().iter().map(|p| p.as_ref()).collect()
+    }
+
+    fn images(buf: &TupleBuf) -> Vec<&[u8]> {
+        buf.refs().map(|t| t.raw()).collect()
     }
 
     fn db() -> Catalog {
@@ -652,25 +656,38 @@ mod tests {
         .unwrap();
         let inputs = [refs(a), refs(&b)];
         let v = Projection::new(&s, &["v"]).unwrap();
-        let projected = a.pages().iter().flat_map(|p| ops::project_page(p, &v));
-        for (kernel, out_schema, want) in [
+        let vs = v.output_schema(&s).unwrap();
+        let projected: Vec<Tuple> = a
+            .pages()
+            .iter()
+            .flat_map(|p| ops::project_page(p, &v))
+            .collect();
+        let projected_rel =
+            Relation::from_tuples("p", vs.clone(), 128, projected.iter().cloned()).unwrap();
+        for (kernel, out_schema, want, host_form) in [
             (
                 Kernel::UnionFinal,
                 s.clone(),
                 ops::union_relations(a, &b).unwrap(),
+                ops::union_pages_raw(&inputs[0], &inputs[1], &s),
             ),
             (
                 Kernel::DifferenceFinal,
                 s.clone(),
                 ops::difference_relations(a, &b).unwrap(),
+                ops::difference_pages_raw(&inputs[0], &inputs[1], &s),
             ),
             (
                 Kernel::ProjectDedupFinal(v.clone()),
-                v.output_schema(&s).unwrap(),
-                ops::dedup_tuples(projected),
+                vs.clone(),
+                ops::dedup_tuples(projected.iter().cloned()),
+                ops::dedup_pages_raw(&refs(&projected_rel), &vs),
             ),
         ] {
-            let serial = kernel.run_final_raw(&inputs, &out_schema).to_tuples();
+            let serial = kernel.run_final_raw(&inputs, &out_schema);
+            // Bucket 0 of 1 is the public serial finalizer, byte for byte.
+            assert_eq!(images(&serial), images(&host_form), "{kernel:?}");
+            let serial = serial.to_tuples();
             assert_eq!(serial, want, "{kernel:?}");
             let buckets = 3;
             let parts: Vec<Vec<Tuple>> = (0..buckets)
@@ -938,6 +955,96 @@ mod tests {
                 .run_unit_raw(&[page, other], &joined)
                 .to_tuples();
             assert_eq!(hashed, nested, "op {op} must degrade to nested loops");
+        }
+    }
+
+    /// A sweep unit whose page is the *inner* operand of every pair equals
+    /// the per-pair calls with the operands swapped.
+    #[test]
+    fn inner_oriented_sweep_equals_per_pair_calls_with_operands_swapped() {
+        let db = db();
+        let a = db.get("a").unwrap();
+        let s = a.schema().clone();
+        let joined = s.concat(&s);
+        let list = refs(a);
+        let page = list[0];
+        // outer.v θ inner.k, with v = 2k: not symmetric in its operands.
+        let compile =
+            |op| JoinSweep::compile(&s, &s, &JoinCondition::new(&s, "v", op, &s, "k").unwrap());
+        for kernel in [
+            Kernel::JoinPair(compile(CmpOp::Eq), JoinAlgo::Nested),
+            Kernel::JoinPair(compile(CmpOp::Eq), JoinAlgo::Hash),
+            Kernel::JoinPair(compile(CmpOp::Lt), JoinAlgo::Nested),
+            Kernel::CrossPair,
+        ] {
+            let mut got = TupleBuf::new(joined.clone());
+            kernel.run_sweep_raw_into(page, list.iter().copied(), false, &mut got);
+            let mut want = TupleBuf::new(joined.clone());
+            for &outer in &list {
+                kernel.run_sweep_raw_into(outer, [page], true, &mut want);
+            }
+            assert!(!got.is_empty(), "{kernel:?}");
+            assert_eq!(images(&got), images(&want), "{kernel:?}");
+            // ...and is not what the outer orientation produces.
+            let mut outer_first = TupleBuf::new(joined.clone());
+            kernel.run_sweep_raw_into(page, list.iter().copied(), true, &mut outer_first);
+            assert_ne!(images(&got), images(&outer_first), "{kernel:?}");
+        }
+    }
+
+    /// [`Kernel::lower`] and [`Firing::of`] classify every operator the same
+    /// way: the entry point a node's firing class names accepts the node's
+    /// kernel, and the entry points of the other classes refuse it. (The
+    /// unit entry also takes a pair kernel: an explicit (outer, inner) pair.)
+    #[test]
+    fn lowering_agrees_with_firing_for_every_operator() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let db = db();
+        let page: &Page = &db.get("a").unwrap().pages()[0];
+        // Every operator, each over scans of the one (k, v) schema, so
+        // `page` is a valid operand page for every live node.
+        for (text, fuse) in [
+            ("(restrict (scan a) (> k 2))", false),
+            ("(project (scan a) (v))", false),
+            ("(project-distinct (scan a) (v))", false),
+            ("(join (scan a) (scan b) (= k k))", false),
+            ("(join (scan a) (scan b) (< k k))", false),
+            ("(cross (scan a) (scan b))", false),
+            ("(union (scan a) (scan b))", false),
+            ("(difference (scan a) (scan b))", false),
+            ("(append (scan a) b)", false),
+            ("(delete a (> k 5))", false),
+            ("(project (restrict (scan a) (> k 2)) (v))", true),
+        ] {
+            let mut plan = Plan::compile(&db, &parse_query(&db, text).unwrap()).unwrap();
+            if fuse {
+                plan.fuse_spans();
+            }
+            for node in plan.nodes.iter().filter(|n| !n.absorbed) {
+                for join in JoinAlgo::ALL {
+                    let kernel = Kernel::lower(node, join);
+                    let s = &node.out_schema;
+                    let accepted = [
+                        catch_unwind(AssertUnwindSafe(|| {
+                            kernel.run_unit_raw(&[page, page], s);
+                        })),
+                        catch_unwind(AssertUnwindSafe(|| {
+                            let mut out = TupleBuf::new(s.clone());
+                            kernel.run_sweep_raw_into(page, [page], true, &mut out);
+                        })),
+                        catch_unwind(AssertUnwindSafe(|| {
+                            kernel.run_final_raw(&[vec![page], vec![page]], s);
+                        })),
+                    ]
+                    .map(|r| r.is_ok());
+                    let want = match node.firing {
+                        Firing::Source | Firing::PerPage => [true, false, false],
+                        Firing::PairSweep => [true, true, false],
+                        Firing::Complete => [false, false, true],
+                    };
+                    assert_eq!(accepted, want, "{text}: {} as {kernel:?}", node.op.name());
+                }
+            }
         }
     }
 }

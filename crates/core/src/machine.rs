@@ -632,7 +632,7 @@ impl Machine {
             }
             WorkUnit::Sweep { .. } => {
                 let mut out = TupleBuf::new(out_schema.clone());
-                kernel.run_sweep_raw_into(pages[0], &pages[1..], &mut out);
+                kernel.run_sweep_raw_into(pages[0], pages[1..].iter().copied(), true, &mut out);
                 out
             }
             WorkUnit::Single(_) => kernel.run_unit_raw(&pages, out_schema),

@@ -23,7 +23,9 @@ pub enum JoinAlgo {
     #[default]
     Nested,
     /// Hash-accelerated equi-join: index the inner page's raw key bytes
-    /// once, probe with each outer tuple (`df_query::ops::hash_join_pages_raw`).
+    /// once, probe with each outer tuple — what [`crate::instr::Kernel::lower`]
+    /// gives a join whose condition the hash path can run, executed through
+    /// `df_query::ops::hash_join_pages_raw_into`.
     Hash,
 }
 

@@ -7,10 +7,11 @@
 //! ready instruction a freed worker serves next via a
 //! [`df_core::WorkPicker`]. A pool of worker threads plays the IPs: each
 //! receives work over a bounded channel (the distribution network), runs
-//! the zero-copy `df_query::ops::*_raw` kernels, drains the resulting
-//! [`TupleBuf`]s into output pages, and sends them back over a bounded MPSC
-//! channel (the arbitration network). Pages flow cell → parent cell → query
-//! result with `Arc` sharing — never copied.
+//! the cell's [`Kernel`] — the operator code the plan was lowered to once,
+//! at build, and the same code the simulated machines execute — drains the
+//! resulting [`TupleBuf`]s into output pages, and sends them back over a
+//! bounded MPSC channel (the arbitration network). Pages flow cell → parent
+//! cell → query result with `Arc` sharing — never copied.
 //!
 //! # Units and runs
 //!
@@ -66,12 +67,10 @@ use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use df_core::instr::Kernel;
 use df_core::{JoinAlgo, LockRequest, LockTable, StrategyPicker, WorkCandidate, WorkPicker};
 use df_obs::{EventKind, Path, Tracer};
-use df_query::ops::{
-    cross_pages_raw_into, dedup_pages_raw, difference_pages_raw, hash_join_probe_into,
-    project_page_raw, restrict_page_raw, span_page_raw, union_pages_raw,
-};
+use df_query::ops::hash_join_probe_into;
 use df_query::{Firing, Op, QueryTree};
 use df_relalg::{Catalog, Page, PageKeyIndex, Relation, Schema, TupleBuf};
 
@@ -299,9 +298,12 @@ fn run_on_threads(
     params: &HostParams,
 ) -> HostResult<(SchedulerOutcome, Vec<WorkerStats>)> {
     // The networks: one bounded SPSC channel per worker for dispatch, one
-    // shared bounded MPSC channel for completions.
+    // shared bounded MPSC channel for completions. A worker is handed its
+    // next run only after `on_run_done` recycled it, so the completion
+    // channel never holds more than one `Completion::Run` plus one
+    // `WorkerDied` per worker: sized so, a send on it never blocks.
     let poisoned = Arc::new(AtomicBool::new(false));
-    let (done_tx, done_rx) = sync_channel::<Completion>(params.completion_capacity);
+    let (done_tx, done_rx) = sync_channel::<Completion>(2 * params.workers);
     let mut work_txs = Vec::with_capacity(params.workers);
     let mut handles = Vec::with_capacity(params.workers);
     for id in 0..params.workers {
@@ -1033,6 +1035,12 @@ impl<'a> Scheduler<'a> {
                     );
                 }
             }
+            // The completion channel's bound rests on this: one run per
+            // worker outstanding.
+            debug_assert!(
+                self.assigned[worker].is_none(),
+                "worker {worker} holds a run"
+            );
             match &mut self.pool {
                 Pool::Threads { .. } => self.assigned[worker] = Some(run),
                 Pool::Inline(caller) => {
@@ -1353,160 +1361,90 @@ fn serve_run(
 
 /// Run the kernel for one work unit of `cell`, absorbing its output into
 /// the run's `pager`. Returns (operand page count, operand bytes, unit
-/// class).
+/// class). The unit's kind — fixed by the cell's firing class — says which
+/// [`Kernel`] entry point to call; which operator that is, only the kernel
+/// knows. What is decided here is what depends on host state: a hash join
+/// probes the key index cached on each operand page instead of rebuilding
+/// it per pair, and a cross product is absorbed pair by pair so the batch
+/// stays bounded.
 fn execute_unit(
     plan: &QueryPlan,
     cell: usize,
     kind: &WorkKind,
     pager: &mut OutputPager,
 ) -> (usize, u64, UnitClass) {
-    let spec = plan.cell(cell);
-    let count = |pages: &[Arc<Page>]| {
-        (
-            pages.len(),
-            pages.iter().map(|p| p.wire_bytes() as u64).sum::<u64>(),
-        )
-    };
-    let count_ops = |pages: &[Arc<OperandPage>]| {
-        (
-            pages.len(),
-            pages
-                .iter()
-                .map(|p| p.page.wire_bytes() as u64)
-                .sum::<u64>(),
-        )
-    };
-    let mut class = UnitClass::Other;
-
-    // A fused span cell (pipeline mode) runs its whole restrict→project
-    // chain over the operand page in one kernel — `spec.op` is only the
-    // chain's bottom operator, so it must not reach the per-op match below.
-    if !spec.steps.is_empty() {
-        let WorkKind::Page(page) = kind else {
-            unreachable!("span cells fire per page");
-        };
-        pager.absorb(&mut span_page_raw(page, &spec.steps, &spec.out_schema));
-        return (1, page.wire_bytes() as u64, class);
+    /// Operand pages read and their wire bytes.
+    fn count<'a>(pages: impl Iterator<Item = &'a Page>) -> (usize, u64) {
+        pages.fold((0, 0), |(n, b), p| (n + 1, b + p.wire_bytes() as u64))
     }
-
-    let (pages_in, bytes_in) = match (&spec.op, kind) {
-        (Op::Restrict { predicate }, WorkKind::Page(page)) => {
-            pager.absorb(&mut restrict_page_raw(page, predicate));
-            (1, page.wire_bytes() as u64)
+    fn pages(operands: &[Arc<OperandPage>]) -> impl Iterator<Item = &Page> {
+        operands.iter().map(|opp| &*opp.page)
+    }
+    let (kernel, out_schema) = (&plan.kernels[cell], &plan.cell(cell).out_schema);
+    match kind {
+        WorkKind::Page(page) => {
+            pager.absorb(&mut kernel.run_unit_raw(&[page], out_schema));
+            (1, page.wire_bytes() as u64, UnitClass::Other)
         }
-        (Op::Project { projection, dedup }, WorkKind::Page(page)) => {
-            debug_assert!(!dedup, "dedup project fires on complete operands");
-            pager.absorb(&mut project_page_raw(page, projection, &spec.out_schema));
-            (1, page.wire_bytes() as u64)
-        }
-        (
-            Op::Join { condition },
-            WorkKind::Sweep {
-                new_page,
-                opposite,
-                new_is_outer,
-            },
-        ) => {
-            // The hash path applies per cell, not per pair (both operands'
-            // schemas are fixed). The inner page is indexed on the
-            // condition's right attribute (the inner side is always port
-            // 1); probing outer slots in page order reproduces the
-            // nested-loops output byte for byte.
-            let sweep = spec
-                .sweep
-                .as_ref()
-                .expect("a join cell carries its compiled sweep");
-            let applicable = plan.join == JoinAlgo::Hash && sweep.hash_applicable();
-            class = if applicable {
-                UnitClass::Probe
-            } else {
-                UnitClass::Sweep
-            };
-            // One output batch per unit, however many pairs it covers.
-            let mut out = TupleBuf::new(spec.out_schema.clone());
-            if applicable {
-                for opp in opposite.iter() {
-                    let (outer, inner) = if *new_is_outer {
-                        (new_page.as_ref(), opp.as_ref())
-                    } else {
-                        (opp.as_ref(), new_page.as_ref())
-                    };
-                    hash_join_probe_into(
-                        &outer.page,
-                        &inner.page,
-                        inner.index_for(condition.right),
-                        condition,
-                        &mut out,
-                    );
+        WorkKind::Sweep {
+            new_page,
+            opposite,
+            new_is_outer,
+        } => {
+            // One reused output batch per unit.
+            let mut out = TupleBuf::new(out_schema.clone());
+            let class = match kernel {
+                Kernel::JoinPair(sweep, JoinAlgo::Hash) => {
+                    // The inner page is indexed on the condition's right
+                    // attribute (the inner side is always port 1); probing
+                    // outer slots in page order reproduces the nested-loops
+                    // output byte for byte.
+                    let condition = sweep.condition();
+                    for opp in opposite.iter() {
+                        let (outer, inner) = if *new_is_outer {
+                            (new_page.as_ref(), opp.as_ref())
+                        } else {
+                            (opp.as_ref(), new_page.as_ref())
+                        };
+                        hash_join_probe_into(
+                            &outer.page,
+                            &inner.page,
+                            inner.index_for(condition.right),
+                            condition,
+                            &mut out,
+                        );
+                    }
+                    pager.absorb(&mut out);
+                    UnitClass::Probe
                 }
-            } else {
-                sweep.sweep_list_into(
-                    &new_page.page,
-                    opposite.iter().map(|opp| &*opp.page),
-                    *new_is_outer,
-                    &mut out,
-                );
-            }
-            pager.absorb(&mut out);
-            let (n, b) = count_ops(opposite);
-            (n + 1, b + new_page.page.wire_bytes() as u64)
+                _ => {
+                    // A join sweeps the whole list into the one batch; a
+                    // cross product's output is large, so it is absorbed
+                    // pair by pair.
+                    let batch = match kernel {
+                        Kernel::CrossPair => 1,
+                        _ => opposite.len().max(1),
+                    };
+                    for pairs in opposite.chunks(batch) {
+                        kernel.run_sweep_raw_into(
+                            &new_page.page,
+                            pages(pairs),
+                            *new_is_outer,
+                            &mut out,
+                        );
+                        pager.absorb(&mut out);
+                    }
+                    UnitClass::Sweep
+                }
+            };
+            let (n, b) = count(pages(opposite));
+            (n + 1, b + new_page.page.wire_bytes() as u64, class)
         }
-        (
-            Op::CrossProduct,
-            WorkKind::Sweep {
-                new_page,
-                opposite,
-                new_is_outer,
-            },
-        ) => {
-            class = UnitClass::Sweep;
-            // Absorbed pair by pair (a cross product's output is large),
-            // into one reused batch.
-            let mut out = TupleBuf::new(spec.out_schema.clone());
-            for opp in opposite.iter() {
-                let (outer, inner) = if *new_is_outer {
-                    (&new_page.page, &opp.page)
-                } else {
-                    (&opp.page, &new_page.page)
-                };
-                cross_pages_raw_into(outer, inner, &mut out);
-                pager.absorb(&mut out);
-            }
-            let (n, b) = count_ops(opposite);
-            (n + 1, b + new_page.page.wire_bytes() as u64)
+        WorkKind::Complete { left, right } => {
+            let inputs = [left, right].map(|port| port.iter().map(Arc::as_ref).collect::<Vec<_>>());
+            pager.absorb(&mut kernel.run_final_raw(&inputs, out_schema));
+            let (n, b) = count(inputs.iter().flatten().copied());
+            (n, b, UnitClass::Other)
         }
-        (Op::Union, WorkKind::Complete { left, right }) => {
-            let l: Vec<&Page> = left.iter().map(Arc::as_ref).collect();
-            let r: Vec<&Page> = right.iter().map(Arc::as_ref).collect();
-            pager.absorb(&mut union_pages_raw(&l, &r, &spec.out_schema));
-            let ((ln, lb), (rn, rb)) = (count(left), count(right));
-            (ln + rn, lb + rb)
-        }
-        (Op::Difference, WorkKind::Complete { left, right }) => {
-            let l: Vec<&Page> = left.iter().map(Arc::as_ref).collect();
-            let r: Vec<&Page> = right.iter().map(Arc::as_ref).collect();
-            pager.absorb(&mut difference_pages_raw(&l, &r, &spec.out_schema));
-            let ((ln, lb), (rn, rb)) = (count(left), count(right));
-            (ln + rn, lb + rb)
-        }
-        (Op::Project { projection, dedup }, WorkKind::Complete { left, .. }) => {
-            debug_assert!(*dedup, "plain project fires per page");
-            // Two phases on one worker: attribute elimination (the
-            // parallelizable part), then global duplicate elimination over
-            // the projected pages (the paper's §5 blocking tail).
-            let mut projected = OutputPager::new(spec.out_schema.clone(), plan.out_page_size[cell]);
-            for page in left {
-                projected.absorb(&mut project_page_raw(page, projection, &spec.out_schema));
-            }
-            let projected_pages = projected.pages;
-            let refs: Vec<&Page> = projected_pages.iter().collect();
-            pager.absorb(&mut dedup_pages_raw(&refs, &spec.out_schema));
-            count(left)
-        }
-        (op, kind) => unreachable!(
-            "operator `{}` never receives work of kind {kind:?}",
-            op.name()
-        ),
-    };
-    (pages_in, bytes_in, class)
+    }
 }

@@ -21,13 +21,16 @@ pub struct HostParams {
     /// Which instruction's ready work a freed worker picks up — the same
     /// four policies the simulated machines use.
     pub strategy: AllocationStrategy,
-    /// Join algorithm for pair-sweep cells. Under [`JoinAlgo::Hash`] each
-    /// operand page carries a lazily built raw-byte key index
+    /// Join algorithm the plan's join cells are lowered with
+    /// ([`df_core::instr::Kernel::lower`], once per cell at plan build).
+    /// Under [`JoinAlgo::Hash`] each operand page of a hash-lowered cell
+    /// carries a lazily built raw-byte key index
     /// ([`df_relalg::PageKeyIndex`]), so an equi-join pair unit probes in
     /// O(outer + inner) instead of sweeping outer × inner. The index is
     /// built once per page by whichever worker first needs it and shared
-    /// via `Arc` thereafter. Non-equi θ-joins silently fall back to the
-    /// nested-loops sweep; results are multiset-identical either way.
+    /// via `Arc` thereafter. A condition the hash path cannot run (non-equi
+    /// θ, mixed-width string keys) is lowered as the nested-loops sweep;
+    /// results are multiset-identical either way.
     pub join: JoinAlgo,
     /// How chained unary operators exchange results. Under
     /// [`TransferMode::Materialize`] (the paper's design) every
@@ -39,14 +42,6 @@ pub struct HostParams {
     /// (and their distribution/arbitration bytes) never exist. Results are
     /// byte-identical either way.
     pub transfer: TransferMode,
-    /// Capacity of the result channel (the "arbitration network" carrying
-    /// completions back to the scheduler), in messages: one per served
-    /// *run* — every unit a worker took in one dispatch, with the run's
-    /// packed output pages — not one per unit. Workers block producing
-    /// past it, which bounds memory for pathological fan-outs. Must be
-    /// ≥ 1. Unused by a call small enough to be served on the calling
-    /// thread.
-    pub completion_capacity: usize,
     /// When set, every query's result relation is canonicalized (tuple
     /// images sorted lexicographically, pages repacked full) so repeated
     /// runs are byte-identical regardless of thread interleaving. The
@@ -84,7 +79,6 @@ impl Default for HostParams {
             strategy: AllocationStrategy::default(),
             join: JoinAlgo::default(),
             transfer: TransferMode::default(),
-            completion_capacity: 256,
             deterministic: false,
             stall_timeout: Duration::from_secs(60),
             fault: FaultPlan::default(),
@@ -107,17 +101,14 @@ impl HostParams {
     /// spawned — never as a panic deep inside the scheduler.
     ///
     /// # Errors
-    /// Returns [`HostError::InvalidParams`] on zero workers, a zero
-    /// completion-channel capacity, a zero stall timeout, or an
+    /// Returns [`HostError::InvalidParams`] on zero workers, a zero stall
+    /// timeout, or an
     /// out-of-range fault plan (`panic_rate` outside `[0, 1]`,
     /// `delay_every == 0`, a dead-worker id ≥ `workers`).
     pub fn validate(&self) -> HostResult<()> {
         let invalid = |detail: String| Err(HostError::InvalidParams { detail });
         if self.workers == 0 {
             return invalid("`workers` must be >= 1".into());
-        }
-        if self.completion_capacity == 0 {
-            return invalid("`completion_capacity` must be >= 1".into());
         }
         if self.stall_timeout.is_zero() {
             return invalid("`stall_timeout` must be nonzero".into());
@@ -150,7 +141,6 @@ mod tests {
         let p = HostParams::default();
         assert!(p.workers >= 1);
         assert!(p.page_size >= 116); // header + one 100-byte tuple
-        assert!(p.completion_capacity >= 1);
         assert_eq!(p.join, JoinAlgo::Nested);
         assert_eq!(p.transfer, TransferMode::Materialize);
         assert!(!p.fault.is_active());
@@ -188,10 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_and_timeout_are_rejected() {
-        let mut p = HostParams::with_workers(1);
-        p.completion_capacity = 0;
-        assert!(p.validate().is_err());
+    fn zero_timeout_is_rejected() {
         let mut p = HostParams::with_workers(1);
         p.stall_timeout = Duration::ZERO;
         assert!(p.validate().is_err());

@@ -3,9 +3,11 @@
 //! counterpart of the paper's instructions held by memory cells / ICs: the
 //! plan gives a cell its operator, derived output schema, parent (and which
 //! operand port of the parent it feeds) and firing class; this module adds
-//! its depth from the root (the `RootFirst` policy's input) and its output
-//! page size.
+//! the [`Kernel`] the operator lowers to (the code a worker runs — the same
+//! lowering the simulated machines execute), its depth from the root (the
+//! `RootFirst` policy's input) and its output page size.
 
+use df_core::instr::Kernel;
 use df_core::{JoinAlgo, TransferMode};
 use df_query::{Plan, PlanNode, QueryTree};
 use df_relalg::{Catalog, PAGE_HEADER_BYTES};
@@ -19,14 +21,14 @@ use crate::error::{HostError, HostResult};
 #[derive(Debug, Clone)]
 pub(crate) struct QueryPlan {
     pub plan: Plan,
+    /// Per cell: the operator code its units run.
+    pub kernels: Vec<Kernel>,
     /// Per cell: distance from the root (root = 0), along the routes pages
     /// actually take — a span sits at its chain top's depth.
     pub depth: Vec<usize>,
     /// Per cell: page size for its output pages — the configured size,
     /// grown if necessary so at least one (possibly very wide) tuple fits.
     pub out_page_size: Vec<usize>,
-    /// Join algorithm every pair-sweep cell of this plan runs with.
-    pub join: JoinAlgo,
 }
 
 impl QueryPlan {
@@ -66,11 +68,12 @@ impl QueryPlan {
             .iter()
             .map(|n| page_size.max(PAGE_HEADER_BYTES + n.out_schema.tuple_width()))
             .collect();
+        let kernels = plan.nodes.iter().map(|n| Kernel::lower(n, join)).collect();
         Ok(QueryPlan {
             plan,
+            kernels,
             depth,
             out_page_size,
-            join,
         })
     }
 

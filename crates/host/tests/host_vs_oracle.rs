@@ -397,3 +397,105 @@ proptest! {
         prop_assert_eq!(run(JoinAlgo::Nested), run(JoinAlgo::Hash), "seed {} diverged", seed);
     }
 }
+
+/// Every operator class the executor can fire, through the one lowered
+/// kernel per cell: θ- and equi-joins whose pages arrive as the outer
+/// operand (the scan side is delivered at admission, the restrict's output
+/// arrives later on port 0) and as the inner (the mirror image), a cross
+/// product, the three blocking finalizers and a restrict→project chain —
+/// under both transfer modes and both join algorithms, on both sides of
+/// the size test, equal to the sorted oracle images tuple for tuple.
+#[test]
+fn every_operator_class_matches_oracle_in_every_mode() {
+    use df_core::{JoinAlgo, TransferMode};
+    use df_query::parse_query;
+
+    /// Which pair units a case fires: none, sweeps whatever the knob, or
+    /// an equi-join (probes under hash, sweeps under nested).
+    #[derive(Clone, Copy)]
+    enum Pairs {
+        None,
+        Sweep,
+        Equi,
+    }
+    let cases = [
+        (
+            "(join (restrict (scan r13) (< val 600)) (scan r14) (< val val))",
+            Pairs::Sweep,
+        ),
+        (
+            "(join (scan r13) (restrict (scan r14) (< val 600)) (< val val))",
+            Pairs::Sweep,
+        ),
+        (
+            "(join (restrict (scan r13) (< val 600)) (scan r14) (= fk key))",
+            Pairs::Equi,
+        ),
+        (
+            "(join (scan r13) (restrict (scan r14) (< val 600)) (= fk key))",
+            Pairs::Equi,
+        ),
+        (
+            "(cross (restrict (scan r11) (< val 400)) (restrict (scan r12) (< val 400)))",
+            Pairs::Sweep,
+        ),
+        (
+            "(union (restrict (scan r00) (< val 600)) (restrict (scan r00) (>= val 300)))",
+            Pairs::None,
+        ),
+        (
+            "(difference (scan r01) (restrict (scan r01) (< val 500)))",
+            Pairs::None,
+        ),
+        ("(project-distinct (scan r02) (val))", Pairs::None),
+        (
+            "(project (restrict (scan r03) (< val 500)) (key val))",
+            Pairs::None,
+        ),
+    ];
+    for (scale, inline) in [(0.005, true), (0.05, false)] {
+        let (db, _, _) = setup(scale);
+        let queries: Vec<QueryTree> = cases
+            .iter()
+            .map(|(text, _)| parse_query(&db, text).expect("query parses"))
+            .collect();
+        let want: Vec<_> = queries
+            .iter()
+            .map(|q| sorted_oracle_images(&db, q))
+            .collect();
+        assert!(
+            want.iter().all(|images| !images.is_empty()),
+            "scale {scale}: a case with an empty answer proves nothing"
+        );
+        for transfer in TransferMode::ALL {
+            for join in JoinAlgo::ALL {
+                let params = HostParams {
+                    deterministic: true,
+                    join,
+                    transfer,
+                    ..HostParams::with_workers(2)
+                };
+                let out = run_host_queries(&db, &queries, &params).expect("host executes");
+                let at = format!("scale {scale}, {transfer:?}, {join:?}");
+                assert_eq!(out.metrics.total_runs() == 0, inline, "{at}");
+                for (i, &(text, pairs)) in cases.iter().enumerate() {
+                    let rel = out.results[i].as_ref().expect("query succeeds");
+                    assert_eq!(tuple_images(rel), want[i], "{at}: {text}");
+                    let stats = &out.metrics.per_query[i];
+                    let (probes, sweeps) = match (pairs, join) {
+                        (Pairs::None, _) => (false, false),
+                        (Pairs::Equi, JoinAlgo::Hash) => (true, false),
+                        _ => (false, true),
+                    };
+                    assert_eq!(
+                        (stats.probe_units > 0, stats.sweep_units > 0),
+                        (probes, sweeps),
+                        "{at}: {text}: {} probe, {} sweep units",
+                        stats.probe_units,
+                        stats.sweep_units
+                    );
+                }
+            }
+        }
+    }
+}

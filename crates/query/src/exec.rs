@@ -150,7 +150,8 @@ pub fn stage_write(db: &Catalog, tree: &QueryTree, params: &ExecParams) -> Resul
         Op::Append { target } => {
             let results = eval_read_nodes(db, tree, &schemas, params)?;
             let to_add: Vec<Tuple> = results[root.children[0].0].tuples().collect();
-            let result = ops::pack_tuples(&name, schema, params.page_size, to_add.iter().cloned())?;
+            let result =
+                Relation::from_tuples(&name, schema, params.page_size, to_add.iter().cloned())?;
             Ok(WriteDelta {
                 target: target.clone(),
                 kind: WriteKind::Append(to_add),
@@ -167,7 +168,7 @@ pub fn stage_write(db: &Catalog, tree: &QueryTree, params: &ExecParams) -> Resul
                 target_rel.page_size(),
                 kept,
             )?;
-            let result = ops::pack_tuples(&name, schema, params.page_size, deleted)?;
+            let result = Relation::from_tuples(&name, schema, params.page_size, deleted)?;
             Ok(WriteDelta {
                 target: target.clone(),
                 kind: WriteKind::Replace(rebuilt),
@@ -255,7 +256,7 @@ fn eval_read_nodes(
                     .pages()
                     .iter()
                     .flat_map(|p| ops::restrict_page(p, predicate));
-                ops::pack_tuples(&name, schema, params.page_size, tuples)?
+                Relation::from_tuples(&name, schema, params.page_size, tuples)?
             }
             Op::Project { projection, dedup } => {
                 let input = child(0);
@@ -269,7 +270,7 @@ fn eval_read_nodes(
                 } else {
                     projected
                 };
-                ops::pack_tuples(&name, schema, params.page_size, tuples)?
+                Relation::from_tuples(&name, schema, params.page_size, tuples)?
             }
             Op::Join { condition } => {
                 let (outer, inner) = (child(0), child(1));
@@ -285,7 +286,7 @@ fn eval_read_nodes(
                         }
                     }
                 };
-                ops::pack_tuples(&name, schema, params.page_size, tuples)?
+                Relation::from_tuples(&name, schema, params.page_size, tuples)?
             }
             Op::CrossProduct => {
                 let (outer, inner) = (child(0), child(1));
@@ -295,15 +296,15 @@ fn eval_read_nodes(
                         tuples.extend(ops::cross_pages(op_, ip));
                     }
                 }
-                ops::pack_tuples(&name, schema, params.page_size, tuples)?
+                Relation::from_tuples(&name, schema, params.page_size, tuples)?
             }
             Op::Union => {
                 let tuples = ops::union_relations(child(0), child(1))?;
-                ops::pack_tuples(&name, schema, params.page_size, tuples)?
+                Relation::from_tuples(&name, schema, params.page_size, tuples)?
             }
             Op::Difference => {
                 let tuples = ops::difference_relations(child(0), child(1))?;
-                ops::pack_tuples(&name, schema, params.page_size, tuples)?
+                Relation::from_tuples(&name, schema, params.page_size, tuples)?
             }
             Op::Append { .. } | Op::Delete { .. } => unreachable!("is_update checked above"),
         };

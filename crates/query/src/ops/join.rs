@@ -10,8 +10,8 @@
 //! (`sweep.rs`) over raw page bytes; [`join_pages`] is the decoded-tuple
 //! oracle it must match byte for byte, and the hash probe is defined as
 //! identical to both. The sort-merge algorithm, faster on one processor, is
-//! implemented as the uniprocessor baseline ([`merge_join_relations`]) and
-//! exercised by the `abl_join_kernels` bench.
+//! implemented as the uniprocessor baseline ([`merge_join_relations`]) the
+//! unit tests below compare nested loops against.
 
 use std::cmp::Ordering;
 
@@ -27,8 +27,9 @@ use super::sweep::JoinSweep;
 /// Emits `outer ++ inner` concatenated tuples for every pair satisfying the
 /// condition, in (outer slot, inner slot) order.
 ///
-/// Decoded-tuple variant, kept for the oracle executor and as the baseline
-/// the kernel benches compare against; the machines run [`join_pages_raw`].
+/// Decoded-tuple variant, kept for the oracle executor and as the reference
+/// the raw kernels are tested against; the machines run the compiled
+/// [`JoinSweep`].
 pub fn join_pages(outer: &Page, inner: &Page, condition: &JoinCondition) -> Vec<Tuple> {
     let inner_tuples: Vec<Tuple> = inner.tuples().collect();
     let mut out = Vec::new();
@@ -61,16 +62,6 @@ pub fn join_pages_raw(
     out
 }
 
-/// True when `condition` can run on the hash path
-/// ([`JoinSweep::hash_applicable`] for the two operand schemas): an
-/// equi-join whose key byte widths match on both sides, so raw key images
-/// are hashable and equal exactly when the values are. Mixed-width string
-/// keys (e.g. `Str(4)` vs `Str(8)`) compare by value, not by image, and
-/// stay on nested loops.
-pub fn hash_join_applicable(outer: &Schema, inner: &Schema, condition: &JoinCondition) -> bool {
-    JoinSweep::compile(outer, inner, condition).hash_applicable()
-}
-
 /// Hash-accelerated page×page equi-join: builds a [`PageKeyIndex`] over the
 /// inner page's raw key bytes and probes it with each outer tuple, emitting
 /// O(n + m + matches) work instead of the nested-loops O(n·m) sweep.
@@ -78,7 +69,7 @@ pub fn hash_join_applicable(outer: &Schema, inner: &Schema, condition: &JoinCond
 /// Output is **byte-identical** to [`join_pages_raw`]: outer tuples probe in
 /// page order and each probe's slot list is in ascending inner-slot order,
 /// exactly the nested iteration order. Conditions the hash path cannot run
-/// ([`hash_join_applicable`] is false: non-equi θs, mixed-width keys)
+/// ([`JoinSweep::hash_applicable`] is false: non-equi θs, mixed-width keys)
 /// silently fall back to the nested-loops sweep.
 pub fn hash_join_pages_raw(
     outer: &Page,
@@ -110,7 +101,7 @@ pub fn hash_join_pages_raw_into(outer: &Page, inner: &Page, sweep: &JoinSweep, o
 /// per outer page) amortize the build — the df-host cell page tables cache
 /// one index per (cell, page).
 ///
-/// Callers must have checked [`hash_join_applicable`]; `index` must be
+/// Callers must have checked [`JoinSweep::hash_applicable`]; `index` must be
 /// built over `inner` on `condition.right`.
 ///
 /// # Panics
@@ -144,40 +135,6 @@ pub fn hash_join_probe_into(
             out.push_concat(o.raw(), &inner_data[at..at + w]);
         }
     }
-}
-
-/// Whole-relation hash join: one [`PageKeyIndex`] per inner page, built
-/// once and reused across every outer page. Output order is identical to
-/// [`nested_loops_join_relations`] (outer page → inner page → slot pairs).
-///
-/// Conditions outside the hash path's domain ([`hash_join_applicable`] is
-/// false: non-equi θs, mixed-width keys) silently fall back to
-/// [`nested_loops_join_relations`] — the same contract as the page-level
-/// kernel [`hash_join_pages_raw`], so every `hash_join_*` entry point
-/// accepts any valid θ-join and accelerates the ones it can. (Contrast
-/// [`merge_join_relations`], a deliberate single-algorithm baseline that
-/// errors instead.)
-pub fn hash_join_relations(
-    outer: &Relation,
-    inner: &Relation,
-    condition: &JoinCondition,
-) -> Vec<Tuple> {
-    if !hash_join_applicable(outer.schema(), inner.schema(), condition) {
-        return nested_loops_join_relations(outer, inner, condition);
-    }
-    let indexes: Vec<PageKeyIndex> = inner
-        .pages()
-        .iter()
-        .map(|p| PageKeyIndex::build(p, condition.right))
-        .collect();
-    let out_schema = outer.schema().concat(inner.schema());
-    let mut out = Vec::new();
-    for op in outer.pages() {
-        for (ip, index) in inner.pages().iter().zip(&indexes) {
-            out.extend(hash_join_probe(op, ip, index, condition, &out_schema).to_tuples());
-        }
-    }
-    out
 }
 
 /// Whole-relation nested-loops join (the uniprocessor form of the paper's
@@ -344,7 +301,7 @@ mod tests {
         let out_schema = kv_schema().concat(&kv_schema());
         for op in [CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
             let c = JoinCondition::new(&kv_schema(), "k", op, &kv_schema(), "k").unwrap();
-            assert!(!hash_join_applicable(&kv_schema(), &kv_schema(), &c));
+            assert!(!JoinSweep::compile(&kv_schema(), &kv_schema(), &c).hash_applicable());
             assert_eq!(
                 hash_join_pages_raw(&a, &b, &c, &out_schema).to_tuples(),
                 join_pages_raw(&a, &b, &c, &out_schema).to_tuples(),
@@ -377,7 +334,7 @@ mod tests {
         let a = mk(&s4, &["ab", "cd"]);
         let b = mk(&s8, &["cd", "zz", "ab"]);
         let c = JoinCondition::equi(&s4, "s", &s8, "s").unwrap();
-        assert!(!hash_join_applicable(&s4, &s8, &c));
+        assert!(!JoinSweep::compile(&s4, &s8, &c).hash_applicable());
         let out_schema = s4.concat(&s8);
         let hashed = hash_join_pages_raw(&a, &b, &c, &out_schema);
         assert_eq!(
@@ -385,45 +342,6 @@ mod tests {
             join_pages_raw(&a, &b, &c, &out_schema).to_tuples()
         );
         assert_eq!(hashed.to_tuples().len(), 2); // "ab" and "cd" match
-    }
-
-    #[test]
-    fn hash_join_relations_matches_nested_loops_order() {
-        let outer = rel(&[(1, 1), (2, 2), (2, 3), (4, 4), (7, 7), (2, 8), (4, 9)]);
-        let inner = rel(&[(2, 20), (2, 21), (4, 40), (9, 90), (2, 22)]);
-        let c = cond(outer.schema(), inner.schema());
-        assert_eq!(
-            hash_join_relations(&outer, &inner, &c),
-            nested_loops_join_relations(&outer, &inner, &c),
-            "order-exact, not just multiset-equal"
-        );
-    }
-
-    #[test]
-    fn hash_join_relations_falls_back_on_non_equi() {
-        // Same silent-fallback contract as the page-level kernel: any θ is
-        // accepted, and the inapplicable ones reproduce nested loops
-        // exactly (order included).
-        let outer = rel(&[(1, 1), (2, 2), (2, 3), (4, 4), (7, 7)]);
-        let inner = rel(&[(2, 20), (2, 21), (4, 40), (9, 90)]);
-        for op in [CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-            let c = JoinCondition::new(outer.schema(), "k", op, inner.schema(), "k").unwrap();
-            assert!(!hash_join_applicable(outer.schema(), inner.schema(), &c));
-            assert_eq!(
-                hash_join_relations(&outer, &inner, &c),
-                nested_loops_join_relations(&outer, &inner, &c),
-                "op {op}"
-            );
-        }
-    }
-
-    #[test]
-    fn hash_join_empty_inputs() {
-        let empty = rel(&[]);
-        let full = rel(&[(1, 1)]);
-        let c = cond(empty.schema(), full.schema());
-        assert!(hash_join_relations(&empty, &full, &c).is_empty());
-        assert!(hash_join_relations(&full, &empty, &c).is_empty());
     }
 
     #[test]

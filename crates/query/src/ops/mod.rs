@@ -4,10 +4,10 @@
 //! runs on the data pages inside an instruction packet (paper Fig 4.3), in
 //! two independent forms. The `*_raw` kernels work on the encoded tuple
 //! images and are the only form df-core, df-ring and df-host execute; the
-//! decoded-[`Tuple`] kernels are what the sequential oracle composes and
-//! what tests compare the raw path against. Neither calls the other — that
-//! independence is what makes a machine result matching the oracle's
-//! evidence of correctness.
+//! decoded-[`df_relalg::Tuple`] kernels are what the sequential oracle
+//! composes and what tests compare the raw path against. Neither calls the
+//! other — that independence is what makes a machine result matching the
+//! oracle's evidence of correctness.
 
 mod join;
 mod project;
@@ -18,48 +18,18 @@ mod span;
 mod sweep;
 
 pub use join::{
-    hash_join_applicable, hash_join_pages_raw, hash_join_pages_raw_into, hash_join_probe,
-    hash_join_probe_into, hash_join_relations, join_pages, join_pages_raw, merge_join_relations,
-    nested_loops_join_relations,
+    hash_join_pages_raw, hash_join_pages_raw_into, hash_join_probe, hash_join_probe_into,
+    join_pages, join_pages_raw, merge_join_relations, nested_loops_join_relations,
 };
 pub use project::{dedup_tuples, project_page, project_page_raw};
 pub use restrict::{restrict_page, restrict_page_raw};
 pub use set_ops::{
-    cross_pages, cross_pages_raw, cross_pages_raw_into, dedup_pages_raw, difference_pages_raw,
-    difference_relations, union_pages_raw, union_relations,
+    cross_pages, cross_pages_raw, cross_pages_raw_into, dedup_pages_raw, dedup_raw_where,
+    difference_pages_raw, difference_pages_raw_where, difference_relations, union_pages_raw,
+    union_pages_raw_where, union_relations,
 };
 pub use span::{span_output_schema, span_page_raw, SpanStep};
 pub use sweep::{JoinSweep, KeyClass};
-
-use df_relalg::{Page, Relation, Result, Schema, Tuple};
-
-/// Pack a tuple stream into pages of `page_size` (the last page may be
-/// partial). Used by kernels' callers to build output relations.
-pub fn pack_tuples(
-    name: &str,
-    schema: Schema,
-    page_size: usize,
-    tuples: impl IntoIterator<Item = Tuple>,
-) -> Result<Relation> {
-    Relation::from_tuples(name, schema, page_size, tuples)
-}
-
-/// Pack tuples into a single (possibly overfull-rejecting) sequence of
-/// pages without a relation wrapper — what an IP's output buffer does.
-pub fn pack_pages(
-    schema: &Schema,
-    page_size: usize,
-    tuples: impl IntoIterator<Item = Tuple>,
-) -> Result<Vec<Page>> {
-    let mut pages: Vec<Page> = Vec::new();
-    for t in tuples {
-        if pages.last().map_or(true, Page::is_full) {
-            pages.push(Page::new(schema.clone(), page_size)?);
-        }
-        pages.last_mut().expect("just pushed a page").push(&t)?;
-    }
-    Ok(pages)
-}
 
 #[cfg(test)]
 pub(crate) mod test_support {
@@ -91,21 +61,14 @@ pub(crate) mod test_support {
 #[cfg(test)]
 mod tests {
     use super::test_support::*;
-    use super::*;
+    use df_relalg::Relation;
 
+    /// The oracle packs every result with [`Relation::from_tuples`]: full
+    /// pages, the last one partial.
     #[test]
     fn pack_tuples_pages_correctly() {
-        let r = pack_tuples("t", kv_schema(), 16 + 32, (0..5).map(|i| kv(i, i))).unwrap();
+        let r = Relation::from_tuples("t", kv_schema(), 16 + 32, (0..5).map(|i| kv(i, i))).unwrap();
         assert_eq!(r.num_pages(), 3); // 2 per page
         assert_eq!(r.num_tuples(), 5);
-    }
-
-    #[test]
-    fn pack_pages_behaves_like_ip_output_buffer() {
-        let pages = pack_pages(&kv_schema(), 16 + 32, (0..5).map(|i| kv(i, i))).unwrap();
-        assert_eq!(pages.len(), 3);
-        assert_eq!(pages[2].len(), 1);
-        let empty = pack_pages(&kv_schema(), 16 + 32, std::iter::empty()).unwrap();
-        assert!(empty.is_empty());
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use df_relalg::{Error, Page, Relation, Result, Schema, Tuple, TupleBuf};
+use df_relalg::{Error, Page, Relation, Result, Schema, Tuple, TupleBuf, TupleRef};
 
 /// Cross product of one page pair (the join kernel with θ ≡ true, kept
 /// separate so metrics can distinguish the operators).
@@ -41,54 +41,71 @@ pub fn cross_pages_raw_into(outer: &Page, inner: &Page, out: &mut TupleBuf) {
     }
 }
 
-/// Zero-copy set union over complete page lists: membership hashes the raw
-/// tuple images (the encoding is canonical — images are equal exactly when
-/// tuples are), so nothing is decoded. First-occurrence order, like
-/// [`union_relations`].
+/// First-occurrence duplicate elimination over raw tuple images, restricted
+/// to the tuples `keep` accepts — the one loop behind every set finalizer.
+/// Membership hashes the images themselves (the encoding is canonical —
+/// images are equal exactly when tuples are), so nothing is decoded.
+/// `keep` is how a machine runs one hash bucket of a partitioned
+/// finalizer; the serial finalizers pass `|_| true`.
+pub fn dedup_raw_where<'a>(
+    tuples: impl IntoIterator<Item = TupleRef<'a>>,
+    schema: &Schema,
+    keep: impl Fn(&TupleRef<'a>) -> bool,
+) -> TupleBuf {
+    let mut seen: HashSet<&[u8]> = HashSet::new();
+    let mut out = TupleBuf::new(schema.clone());
+    for t in tuples {
+        if keep(&t) && seen.insert(t.raw()) {
+            out.push_ref(&t);
+        }
+    }
+    out
+}
+
+fn refs<'a>(pages: &'a [&'a Page]) -> impl Iterator<Item = TupleRef<'a>> {
+    pages.iter().flat_map(|p| p.tuple_refs())
+}
+
+/// Zero-copy set union over complete page lists, in first-occurrence order
+/// like [`union_relations`].
 pub fn union_pages_raw(left: &[&Page], right: &[&Page], schema: &Schema) -> TupleBuf {
-    let mut seen: HashSet<&[u8]> = HashSet::new();
-    let mut out = TupleBuf::new(schema.clone());
-    for t in left
-        .iter()
-        .flat_map(|p| p.tuple_refs())
-        .chain(right.iter().flat_map(|p| p.tuple_refs()))
-    {
-        if seen.insert(t.raw()) {
-            out.push_ref(&t);
-        }
-    }
-    out
+    union_pages_raw_where(left, right, schema, |_| true)
 }
 
-/// Zero-copy set difference `left − right` over complete page lists, with
-/// raw-image hashing like [`union_pages_raw`].
+/// [`union_pages_raw`] over the tuples `keep` accepts.
+pub fn union_pages_raw_where<'a>(
+    left: &'a [&'a Page],
+    right: &'a [&'a Page],
+    schema: &Schema,
+    keep: impl Fn(&TupleRef<'a>) -> bool,
+) -> TupleBuf {
+    dedup_raw_where(refs(left).chain(refs(right)), schema, keep)
+}
+
+/// Zero-copy set difference `left − right` over complete page lists.
 pub fn difference_pages_raw(left: &[&Page], right: &[&Page], schema: &Schema) -> TupleBuf {
-    let exclude: HashSet<&[u8]> = right
-        .iter()
-        .flat_map(|p| p.tuple_refs())
-        .map(|t| t.raw())
-        .collect();
-    let mut seen: HashSet<&[u8]> = HashSet::new();
-    let mut out = TupleBuf::new(schema.clone());
-    for t in left.iter().flat_map(|p| p.tuple_refs()) {
-        if !exclude.contains(t.raw()) && seen.insert(t.raw()) {
-            out.push_ref(&t);
-        }
-    }
-    out
+    difference_pages_raw_where(left, right, schema, |_| true)
 }
 
-/// Zero-copy duplicate elimination over complete page lists (raw-image
-/// hashing, first-occurrence order) — the π-dedup finalizer's hot path.
+/// [`difference_pages_raw`] over the tuples `keep` accepts (on both sides:
+/// equal tuples are kept or dropped together, so a dropped `right` tuple
+/// could only have excluded dropped `left` tuples).
+pub fn difference_pages_raw_where<'a>(
+    left: &'a [&'a Page],
+    right: &'a [&'a Page],
+    schema: &Schema,
+    keep: impl Fn(&TupleRef<'a>) -> bool,
+) -> TupleBuf {
+    let exclude: HashSet<&[u8]> = refs(right).filter(&keep).map(|t| t.raw()).collect();
+    dedup_raw_where(refs(left), schema, |t| {
+        keep(t) && !exclude.contains(t.raw())
+    })
+}
+
+/// Zero-copy duplicate elimination over complete page lists — the π-dedup
+/// finalizer's hot path.
 pub fn dedup_pages_raw(pages: &[&Page], schema: &Schema) -> TupleBuf {
-    let mut seen: HashSet<&[u8]> = HashSet::new();
-    let mut out = TupleBuf::new(schema.clone());
-    for t in pages.iter().flat_map(|p| p.tuple_refs()) {
-        if seen.insert(t.raw()) {
-            out.push_ref(&t);
-        }
-    }
-    out
+    dedup_raw_where(refs(pages), schema, |_| true)
 }
 
 /// Set union of two relations (duplicates across and within inputs removed).

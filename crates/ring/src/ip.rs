@@ -197,7 +197,7 @@ impl RingMachine {
                 let (outer, inner) = (self.store.get(opage), self.store.get(ipage));
                 let mut results = TupleBuf::new(code.output_schema.clone());
                 code.kernel
-                    .run_sweep_raw_into(outer, &[inner], &mut results);
+                    .run_sweep_raw_into(outer, [inner], true, &mut results);
                 // Kernel-aware service time: a hash-path equi-join charges
                 // n + m (index build + probes), nested loops and cross
                 // products charge the n·m sweep.

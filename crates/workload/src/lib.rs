@@ -17,7 +17,7 @@
 //!
 //! [`benchmark_queries`] builds the exact ten-query mix;
 //! [`BenchmarkSpec::paper`] is full scale, [`BenchmarkSpec::scaled`] shrinks
-//! the database for unit tests and Criterion runs.
+//! the database for unit tests and smoke runs.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -24,7 +24,7 @@ impl BenchmarkSpec {
         }
     }
 
-    /// Scaled down for tests and Criterion benches.
+    /// Scaled down for tests and smoke runs.
     pub fn scaled(factor: f64) -> BenchmarkSpec {
         BenchmarkSpec {
             database: DatabaseSpec::scaled(factor),
@@ -84,7 +84,7 @@ pub fn chain_query(
 /// Like [`chain_query`], but with every restrict stacked *above* the join
 /// chain instead of at the leaves — the un-optimized form a naive host
 /// front end would ship. `df-opt`'s pushdown turns one into the other;
-/// the `abl_optimizer` bench measures the difference on the machine.
+/// `experiments abl_opt` measures the difference on the machine.
 pub fn chain_query_naive(
     db: &Catalog,
     n_relations: usize,
