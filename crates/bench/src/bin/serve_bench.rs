@@ -223,8 +223,8 @@ fn main() {
             "{mode}: {} sent, {} ok, {} busy, {} errors | p50 {p50:.2} ms, \
              p95 {p95:.2} ms, p99 {p99:.2} ms | {qps_sustained:.1} qps sustained | \
              server: {} submitted, {} executed, {} fused, {} joined, \
-             cache {}/{} hit/miss, {} evicted, {} writes ({} overlapped), \
-             {} delta pages, {} view reads",
+             cache {}/{} hit/miss, {} evicted, {} stats gathers, \
+             {} writes ({} overlapped), {} delta pages, {} view reads",
             row.sent,
             row.ok,
             row.busy,
@@ -236,6 +236,7 @@ fn main() {
             delta("plan_cache_hits"),
             delta("plan_cache_misses"),
             delta("cache_evictions_partial"),
+            delta("stats_gathers"),
             delta("writes_applied"),
             delta("concurrent_write_batches"),
             delta("delta_pages"),
@@ -267,6 +268,7 @@ fn main() {
                     "cache_evictions_partial".into(),
                     delta("cache_evictions_partial"),
                 ),
+                ("stats_gathers".into(), delta("stats_gathers")),
                 (
                     "concurrent_write_batches".into(),
                     delta("concurrent_write_batches"),

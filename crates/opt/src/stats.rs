@@ -1,8 +1,20 @@
 //! Base-relation statistics and selectivity estimation.
+//!
+//! Statistics are exact and per relation: [`RelationStats::gather`] scans
+//! one relation's raw tuple images, decoding only its `Int` columns. A
+//! [`CatalogStats`] can hold every relation ([`CatalogStats::gather`], the
+//! from-scratch form) or only the ones a caller has needed so far. The
+//! optimizer looks statistics up only for the relations a tree scans and
+//! the target it writes, so a long-lived holder such as df-serve keeps
+//! them relation-scoped: [`CatalogStats::refresh`] gathers exactly the
+//! relations a query names that it does not hold, and
+//! [`CatalogStats::invalidate`] drops the ones a write changed. Whatever
+//! such a holder has is then what a whole-catalog gather would give for
+//! the same relations, so plans do not depend on which form was used.
 
 use std::collections::BTreeMap;
 
-use df_relalg::{Catalog, CmpOp, Predicate, Relation, Value};
+use df_relalg::{Catalog, CmpOp, DataType, Predicate, Relation, Value};
 
 /// Per-attribute statistics (integer attributes only; strings and booleans
 /// fall back to default selectivities).
@@ -30,35 +42,36 @@ pub struct RelationStats {
 
 impl RelationStats {
     /// Scan `relation` and compute exact statistics.
+    ///
+    /// Reads the raw tuple images and decodes only the `Int` columns, one
+    /// column at a time into one reused buffer; `sort_unstable` + `dedup`
+    /// give min, max and the distinct count. No `Tuple` or `String` is
+    /// built per row.
     pub fn gather(relation: &Relation) -> RelationStats {
-        let arity = relation.schema().arity();
-        let mut mins = vec![i64::MAX; arity];
-        let mut maxs = vec![i64::MIN; arity];
-        let mut values: Vec<std::collections::BTreeSet<i64>> = vec![Default::default(); arity];
-        let mut tuples = 0usize;
-        for t in relation.tuples() {
-            tuples += 1;
-            for (i, v) in t.values().iter().enumerate() {
-                if let Value::Int(x) = v {
-                    mins[i] = mins[i].min(*x);
-                    maxs[i] = maxs[i].max(*x);
-                    values[i].insert(*x);
-                }
+        let schema = relation.schema();
+        let tuples = relation.num_tuples();
+        let mut attrs = vec![None; schema.arity()];
+        let mut column: Vec<i64> = Vec::with_capacity(tuples);
+        for (i, attr) in schema.attrs().iter().enumerate() {
+            if attr.dtype != DataType::Int || tuples == 0 {
+                continue;
             }
+            let range = schema.attr_range(i);
+            column.clear();
+            column.extend(relation.tuple_refs().map(|t| {
+                let mut image = [0u8; 8];
+                image.copy_from_slice(&t.raw()[range.clone()]);
+                i64::from_be_bytes(image)
+            }));
+            column.sort_unstable();
+            let (min, max) = (column[0], column[column.len() - 1]);
+            column.dedup();
+            attrs[i] = Some(AttrStats {
+                min,
+                max,
+                distinct: column.len(),
+            });
         }
-        let attrs = (0..arity)
-            .map(|i| {
-                if values[i].is_empty() {
-                    None
-                } else {
-                    Some(AttrStats {
-                        min: mins[i],
-                        max: maxs[i],
-                        distinct: values[i].len(),
-                    })
-                }
-            })
-            .collect();
         RelationStats {
             tuples,
             pages: relation.num_pages(),
@@ -128,20 +141,51 @@ fn default_selectivity(op: CmpOp) -> f64 {
     }
 }
 
-/// Statistics for every relation in a catalog.
+/// Statistics for some or all relations of a catalog, keyed by name.
 #[derive(Debug, Clone, Default)]
 pub struct CatalogStats {
     stats: BTreeMap<String, RelationStats>,
 }
 
 impl CatalogStats {
-    /// Gather exact statistics for every relation in `db`.
+    /// Gather exact statistics for every relation in `db` — the
+    /// from-scratch form, and the oracle a relation-scoped holder is
+    /// checked against.
     pub fn gather(db: &Catalog) -> CatalogStats {
         CatalogStats {
             stats: db
                 .iter()
                 .map(|r| (r.name().to_owned(), RelationStats::gather(r)))
                 .collect(),
+        }
+    }
+
+    /// Gather every relation of `relations` that `db` holds and this set
+    /// does not, and return how many were gathered. Held entries are
+    /// trusted: the caller keeps them current with
+    /// [`CatalogStats::invalidate`]. An entry is inserted only once its
+    /// scan has finished, so a panic part-way leaves it absent, never
+    /// half-built.
+    pub fn refresh(&mut self, db: &Catalog, relations: &[String]) -> usize {
+        let mut gathered = 0;
+        for name in relations {
+            if self.stats.contains_key(name) {
+                continue;
+            }
+            if let Some(relation) = db.get(name) {
+                self.stats
+                    .insert(name.clone(), RelationStats::gather(relation));
+                gathered += 1;
+            }
+        }
+        gathered
+    }
+
+    /// Drop the statistics of `relations` (a write changed them); the
+    /// next [`CatalogStats::refresh`] naming one gathers it afresh.
+    pub fn invalidate(&mut self, relations: &[String]) {
+        for name in relations {
+            self.stats.remove(name);
         }
     }
 
@@ -154,7 +198,8 @@ impl CatalogStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_relalg::{DataType, Schema, Tuple};
+    use df_relalg::{Schema, Tuple};
+    use proptest::prelude::*;
 
     fn rel() -> Relation {
         let s = Schema::build()
@@ -216,5 +261,126 @@ mod tests {
         let cs = CatalogStats::gather(&db);
         assert!(cs.get("t").is_some());
         assert!(cs.get("missing").is_none());
+    }
+
+    #[test]
+    fn refresh_gathers_only_what_is_missing_and_invalidate_drops() {
+        let db = df_workload::generate_database(&df_workload::DatabaseSpec::scaled(0.01));
+        let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        let full = CatalogStats::gather(&db);
+        let mut cs = CatalogStats::default();
+        assert_eq!(cs.refresh(&db, &names(&["r01", "r05"])), 2);
+        assert_eq!(cs.refresh(&db, &names(&["r01", "r05"])), 0, "both held");
+        // Relations the catalog lacks are skipped, not counted.
+        assert_eq!(cs.refresh(&db, &names(&["r01", "nope"])), 0);
+        assert!(cs.get("nope").is_none());
+        cs.invalidate(&names(&["r01"]));
+        assert!(cs.get("r01").is_none());
+        assert_eq!(cs.refresh(&db, &names(&["r00", "r01", "r05"])), 2);
+        for name in ["r00", "r01", "r05"] {
+            assert_eq!(cs.get(name), full.get(name), "{name}");
+        }
+        assert!(cs.get("r02").is_none(), "never named, never gathered");
+    }
+
+    /// The pre-raw gather: decode every tuple and collect each `Int`
+    /// column into a `BTreeSet`. Kept only as the reference the raw
+    /// gather must equal.
+    fn gather_reference(relation: &Relation) -> RelationStats {
+        let arity = relation.schema().arity();
+        let mut mins = vec![i64::MAX; arity];
+        let mut maxs = vec![i64::MIN; arity];
+        let mut values: Vec<std::collections::BTreeSet<i64>> = vec![Default::default(); arity];
+        let mut tuples = 0usize;
+        for t in relation.tuples() {
+            tuples += 1;
+            for (i, v) in t.values().iter().enumerate() {
+                if let Value::Int(x) = v {
+                    mins[i] = mins[i].min(*x);
+                    maxs[i] = maxs[i].max(*x);
+                    values[i].insert(*x);
+                }
+            }
+        }
+        let attrs = (0..arity)
+            .map(|i| {
+                (!values[i].is_empty()).then(|| AttrStats {
+                    min: mins[i],
+                    max: maxs[i],
+                    distinct: values[i].len(),
+                })
+            })
+            .collect();
+        RelationStats {
+            tuples,
+            pages: relation.num_pages(),
+            attrs,
+        }
+    }
+
+    /// A relation of the given column types holding `rows`, `per_page`
+    /// tuples to a page (16-byte page header).
+    fn relation_of(types: &[DataType], rows: Vec<Vec<Value>>, per_page: usize) -> Relation {
+        let schema = types
+            .iter()
+            .enumerate()
+            .fold(Schema::build(), |b, (i, &t)| b.attr(&format!("a{i}"), t))
+            .finish()
+            .unwrap();
+        let page_size = 16 + per_page * schema.tuple_width();
+        Relation::from_tuples("t", schema, page_size, rows.into_iter().map(Tuple::new)).unwrap()
+    }
+
+    fn value_of(dtype: DataType) -> BoxedStrategy<Value> {
+        match dtype {
+            DataType::Int => prop_oneof![
+                Just(i64::MIN),
+                Just(i64::MAX),
+                -3i64..=3, // duplicate-heavy
+                any::<i64>(),
+            ]
+            .prop_map(Value::Int)
+            .boxed(),
+            DataType::Bool => any::<bool>().prop_map(Value::Bool).boxed(),
+            DataType::Str(n) => prop::collection::vec(prop::char::range('a', 'c'), 0..=n as usize)
+                .prop_map(|cs| Value::Str(cs.into_iter().collect()))
+                .boxed(),
+        }
+    }
+
+    #[test]
+    fn raw_gather_of_an_empty_relation_has_no_attr_stats() {
+        let empty = relation_of(&[DataType::Int, DataType::Str(3)], Vec::new(), 4);
+        let st = RelationStats::gather(&empty);
+        assert_eq!(st, gather_reference(&empty));
+        assert_eq!((st.tuples, st.pages), (0, 0));
+        assert_eq!(st.attrs, vec![None, None]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The raw gather equals the decoded `BTreeSet` reference —
+        /// `tuples`, `pages` and every `attrs[i]` — over mixed `Int` /
+        /// `Bool` / `Str(n)` schemas, extreme and duplicate-heavy `Int`s,
+        /// empty and multi-page relations.
+        #[test]
+        fn raw_gather_equals_decoded_reference(
+            (types, rows, per_page) in prop::collection::vec(
+                prop_oneof![
+                    Just(DataType::Int),
+                    Just(DataType::Bool),
+                    (1u16..=6).prop_map(DataType::Str),
+                ],
+                1..=5,
+            )
+            .prop_flat_map(|types| {
+                let row: Vec<BoxedStrategy<Value>> = types.iter().map(|&t| value_of(t)).collect();
+                (Just(types), prop::collection::vec(row, 0..=120), 1usize..=9)
+            })
+        ) {
+            let relation = relation_of(&types, rows, per_page);
+            prop_assert_eq!(RelationStats::gather(&relation), gather_reference(&relation));
+        }
     }
 }

@@ -42,6 +42,7 @@ pub fn format_stats(rows: &[(String, u64)]) -> String {
                 "plan_cache_misses",
                 "parses",
                 "cache_evictions_partial",
+                "stats_gathers",
             ],
         ),
         ("transport", &["bytes_in", "bytes_out"]),
@@ -354,6 +355,7 @@ mod tests {
             ("submitted", 10),
             ("fused", 3),
             ("plan_cache_hits", 7),
+            ("stats_gathers", 3),
             ("lanes", 2),
             ("lane0_execs", 4),
             ("lane1_execs", 2),
@@ -376,6 +378,11 @@ mod tests {
         assert!(
             other.contains("groups 5"),
             "retired counter hidden:\n{text}"
+        );
+        let plan_cache = &text[text.find("plan cache:").expect("plan cache section")..];
+        assert!(
+            plan_cache.contains("stats_gathers 3") && !other.contains("stats_gathers"),
+            "stats_gathers belongs to the plan cache group:\n{text}"
         );
     }
 }

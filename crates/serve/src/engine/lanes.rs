@@ -71,7 +71,8 @@ pub(super) struct ReadTask {
 }
 
 /// One update query, executed split-phase by a lane: `stage_write` under
-/// the catalog read lock, `apply_write` under the write lock. The gate's
+/// the catalog read lock, then — under the write lock — the target's
+/// optimizer statistics invalidated and `apply_write`. The gate's
 /// exclusive mark on the target makes the split sound.
 pub(super) struct WriteTask {
     /// Taken (`Option::take`) at conclusion; a panic before that point
@@ -214,7 +215,9 @@ fn run_read_task(
 /// reading), then a brief write lock for the apply. Sound because the
 /// dispatcher granted this task exclusive gate marks on its target
 /// relations, so no other task can read or write them between the
-/// phases.
+/// phases. Under that same write lock the targets' optimizer statistics
+/// are invalidated, so the next optimizing resolve naming a target
+/// gathers the post-write relation.
 fn run_write_task(
     lane: usize,
     shared: &Arc<Shared>,
@@ -226,6 +229,7 @@ fn run_write_task(
         page_size: host.page_size,
         ..ExecParams::default()
     };
+    let written = task.tree.written_relations();
     let staged = {
         let db = read_lock(&shared.db);
         stage_write(&db, &task.tree, &exec)
@@ -235,7 +239,13 @@ fn run_write_task(
         // base change first — it is what flows through every standing
         // view reading the target.
         let change = delta.base_change();
-        apply_write(&mut write_lock(&shared.db), delta).map(|rel| (rel, change))
+        let mut db = write_lock(&shared.db);
+        // Lock order: catalog, then statistics. Invalidating just before
+        // the apply is the same as just after to every resolve (both
+        // need the catalog lock this task holds), and a panicking apply
+        // still leaves the targets' statistics absent rather than stale.
+        lock(&shared.opt_stats).invalidate(&written);
+        apply_write(&mut db, delta).map(|rel| (rel, change))
     });
     shared.stats.lane_execs[lane].fetch_add(1, Ordering::Relaxed);
     let sub = task.sub.take().expect("write concluded once");
@@ -246,7 +256,7 @@ fn run_write_task(
             // exclusive `view:<name>` marks are still held, so a view
             // read dispatched after this write observes the maintained
             // result, never a stale one.
-            if let Some(target) = task.tree.written_relations().first() {
+            if let Some(target) = written.first() {
                 maintain_views(shared, target, &inserts, &deletes);
             }
             let schema = rel.schema().to_string();

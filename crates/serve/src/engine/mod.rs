@@ -14,7 +14,10 @@
 //! * `plan` — **resolve**: query text → a parsed (optionally optimized)
 //!   plan through an LRU keyed by normalized text. A dispatched write
 //!   evicts exactly the entries whose read-set intersects the relations
-//!   it mutates (`ServeStats::cache_evictions_partial`).
+//!   it mutates (`ServeStats::cache_evictions_partial`). The optimizer's
+//!   statistics are per relation too: resolve gathers only the relations
+//!   a plan names and does not hold (`ServeStats::stats_gathers`), and
+//!   the lane that applies a write drops its target's.
 //! * `gate` — the per-relation reader/writer gate, the **only**
 //!   mechanism that orders conflicting work: shared marks on every
 //!   relation a task reads, exclusive marks on every relation a write
@@ -60,7 +63,8 @@
 //! (counters are atomics, queues mutate one whole element at a time, and
 //! catalog mutations go through [`df_query::apply_write`], whose
 //! intermediate states are all valid), so a poisoned mutex is recovered
-//! instead of cascading panics into every other client's thread.
+//! instead of cascading panics into every other client's thread (the
+//! optimizer statistics too: an entry is inserted whole or not at all).
 
 mod admission;
 mod gate;
@@ -80,6 +84,7 @@ use std::thread::JoinHandle;
 use df_core::LockRequest;
 use df_host::{HostParams, StandingView};
 use df_obs::{EventKind, Tracer};
+use df_opt::CatalogStats;
 use df_relalg::Catalog;
 
 use crate::proto::{Priority, QueryResult, Response, ServeError};
@@ -212,6 +217,13 @@ struct Shared {
     /// phase takes the write lock briefly. The relation gate — not this
     /// lock — is what orders conflicting tasks.
     db: RwLock<Catalog>,
+    /// Optimizer statistics for the relations optimizing requests have
+    /// named so far; every entry equals a fresh gather of the current
+    /// catalog. **Lock order: `db`, then this.** Resolve refreshes under
+    /// the catalog read lock, a write task invalidates its target under
+    /// the catalog write lock, so no plan is ever optimized against
+    /// statistics older than the catalog it reads.
+    opt_stats: Mutex<CatalogStats>,
     /// Read executions dispatched but not yet fanned out, keyed by
     /// canonical plan rendering. Guards the join-vs-complete race: a
     /// twin read either finds the entry and joins, or misses and
@@ -329,6 +341,7 @@ impl Engine {
             stats: ServeStats::with_lanes(config.lanes),
             queue_capacity: config.queue_capacity,
             db: RwLock::new(db),
+            opt_stats: Mutex::new(CatalogStats::default()),
             inflight: Mutex::new(HashMap::new()),
             gate: RelationGate::new(),
             lane_busy: Mutex::new(0),
@@ -469,10 +482,7 @@ impl Engine {
         let shared = &self.shared;
         let mut entries: Vec<(Submission, Plan)> = Vec::with_capacity(batch.len());
         for sub in batch {
-            match self
-                .plan_cache
-                .resolve(&shared.db, &shared.stats, &sub.text, sub.optimize)
-            {
+            match self.plan_cache.resolve(shared, &sub.text, sub.optimize) {
                 Ok(plan) => entries.push((sub, plan)),
                 Err(detail) => {
                     let error = ServeError::Parse { detail };
@@ -596,9 +606,11 @@ impl Engine {
     /// `append`/`delete` touched) are the response payload, assembled by
     /// the lane.
     fn dispatch_write(&mut self, sub: Submission, plan: Plan) {
-        // The cached plans that read the written relations (and the
-        // optimizer's catalog statistics) go stale with this write;
-        // everything else in the cache survives.
+        // The cached plans that read the written relations go stale with
+        // this write; everything else in the cache survives. The lane
+        // drops the targets' optimizer statistics when the write applies;
+        // dropping them here would let a resolve before then regather,
+        // and keep, the pre-write relation.
         let stats = &self.shared.stats;
         let evicted = self.plan_cache.evict_reading(&plan.writes);
         stats

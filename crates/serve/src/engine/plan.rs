@@ -4,13 +4,13 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-use df_opt::{optimize, CatalogStats};
+use df_opt::optimize;
 use df_query::{parse_query, render_tree, QueryTree};
 use df_relalg::Catalog;
 
-use super::{read_lock, ServeStats};
+use super::{lock, read_lock, Shared};
 
 /// A resolved plan: the (possibly optimized) tree, its canonical
 /// rendering, and its relation footprint, shared between the cache, the
@@ -41,13 +41,14 @@ impl Plan {
 
 /// Dispatcher-owned LRU of resolved plans, keyed by normalized query
 /// text plus the optimize flag. Capacity is small, so eviction is a
-/// linear scan for the stalest tick — no extra list to maintain.
+/// linear scan for the stalest tick — no extra list to maintain. The
+/// optimizer's statistics are not kept here: they live in
+/// `Shared::opt_stats`, next to the catalog, because the lane that
+/// applies a write is what invalidates them.
 pub(super) struct PlanCache {
     capacity: usize,
     tick: u64,
     entries: HashMap<(String, bool), (Plan, u64)>,
-    /// Catalog statistics for the optimizer, rebuilt lazily after writes.
-    opt_stats: Option<CatalogStats>,
 }
 
 impl PlanCache {
@@ -56,7 +57,6 @@ impl PlanCache {
             capacity,
             tick: 0,
             entries: HashMap::new(),
-            opt_stats: None,
         }
     }
 
@@ -92,10 +92,10 @@ impl PlanCache {
     /// [`QueryTree::written_relations`] returns it), and return how many
     /// were evicted. Entries reading only untouched relations survive,
     /// so `parses == plan_cache_misses` stays a per-relation invariant:
-    /// a plan is re-parsed only when a relation it reads changed. The
-    /// optimizer's catalog statistics go stale with the same write.
+    /// a plan is re-parsed only when a relation it reads changed. This is
+    /// the plan half of invalidation only; the statistics half happens
+    /// where the write is applied (`run_write_task`).
     pub(super) fn evict_reading(&mut self, written: &[String]) -> u64 {
-        self.opt_stats = None;
         let before = self.entries.len();
         self.entries
             .retain(|_, (plan, _)| !plan.reads.iter().any(|r| written.binary_search(r).is_ok()));
@@ -109,30 +109,22 @@ impl PlanCache {
     /// instead of parsing the same text a second time.
     pub(super) fn resolve(
         &mut self,
-        db: &RwLock<Catalog>,
-        stats: &ServeStats,
+        shared: &Shared,
         text: &str,
         optimizing: bool,
     ) -> Result<Plan, String> {
+        let stats = &shared.stats;
         let cache_key = (normalize_text(text), optimizing);
         if let Some(plan) = self.get(&cache_key) {
             stats.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(plan);
         }
         stats.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-        let db = read_lock(db);
+        let db = read_lock(&shared.db);
         stats.parses.fetch_add(1, Ordering::Relaxed);
         let tree = parse_query(&db, text).map_err(|e| e.to_string())?;
         let tree = if optimizing {
-            let catalog_stats = self
-                .opt_stats
-                .get_or_insert_with(|| CatalogStats::gather(&db));
-            match optimize(&db, &tree, catalog_stats) {
-                Ok(o) => o.tree,
-                // An optimizer failure is not a query failure; run the
-                // un-optimized tree (no second parse).
-                Err(_) => tree,
-            }
+            optimize_scoped(shared, &db, tree)
         } else {
             tree
         };
@@ -143,13 +135,41 @@ impl PlanCache {
     }
 }
 
-/// Collapse whitespace runs so trivially reformatted repeats of the same
-/// query text share a cache entry.
+/// Optimize `tree` against statistics for exactly the relations it names
+/// (`QueryTree::referenced_relations`: its scans and its write target,
+/// the only relations the optimizer looks up), gathering the ones not
+/// held. `db` is the caller's catalog read guard; lock order is catalog,
+/// then statistics, so a write cannot apply — and invalidate — between
+/// the refresh and the optimize.
+pub(super) fn optimize_scoped(shared: &Shared, db: &Catalog, tree: QueryTree) -> QueryTree {
+    let mut opt_stats = lock(&shared.opt_stats);
+    let gathered = opt_stats.refresh(db, &tree.referenced_relations());
+    shared
+        .stats
+        .stats_gathers
+        .fetch_add(gathered as u64, Ordering::Relaxed);
+    match optimize(db, &tree, &opt_stats) {
+        Ok(o) => o.tree,
+        // An optimizer failure is not a query failure; run the
+        // un-optimized tree (no second parse).
+        Err(_) => tree,
+    }
+}
+
+/// Collapse whitespace runs outside string literals so trivially
+/// reformatted repeats of the same query text share a cache entry. A
+/// `"…"` literal is copied verbatim: the tokenizer keeps it byte for byte
+/// up to the next `"`, so `"a  b"` and `"a b"` are different constants
+/// and must not share a plan.
 pub(super) fn normalize_text(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut in_gap = true; // leading whitespace is dropped
+    let mut in_literal = false;
     for ch in text.chars() {
-        if ch.is_whitespace() {
+        if in_literal {
+            out.push(ch);
+            in_literal = ch != '"';
+        } else if ch.is_whitespace() {
             if !in_gap {
                 out.push(' ');
                 in_gap = true;
@@ -157,10 +177,11 @@ pub(super) fn normalize_text(text: &str) -> String {
         } else {
             out.push(ch);
             in_gap = false;
+            in_literal = ch == '"';
         }
     }
-    if out.ends_with(' ') {
-        out.pop();
+    if in_gap {
+        out.pop(); // a trailing gap (or nothing, for blank text)
     }
     out
 }

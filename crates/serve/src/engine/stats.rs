@@ -41,6 +41,12 @@ pub struct ServeStats {
     /// relations. Under the old wholesale `clear()` this would equal the
     /// entire cache population at every write.
     pub cache_evictions_partial: AtomicU64,
+    /// Relations scanned for optimizer statistics. An optimizing plan
+    /// miss gathers only the relations it names that are not held; a
+    /// write drops only its target's, so a write followed by an
+    /// optimizing read of that target gathers one relation, not the
+    /// catalog. Unoptimized requests never gather.
+    pub stats_gathers: AtomicU64,
     /// Write tasks dispatched while another write was still in flight —
     /// impossible under the old global quiesce barrier, which drained
     /// every lane before each write applied. Nonzero proves writes to
@@ -99,6 +105,7 @@ impl ServeStats {
                 "cache_evictions_partial".into(),
                 g(&self.cache_evictions_partial),
             ),
+            ("stats_gathers".into(), g(&self.stats_gathers)),
             (
                 "concurrent_write_batches".into(),
                 g(&self.concurrent_write_batches),

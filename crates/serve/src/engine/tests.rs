@@ -1,7 +1,17 @@
-//! Plan-cache unit tests (kept at `engine::tests` so their names are stable).
+//! Plan-cache unit tests (kept at `engine::tests` so their names are
+//! stable), and the differential tests of the optimizer statistics the
+//! engine holds, which need to see `Shared`.
 
-use super::plan::{normalize_text, Plan, PlanCache};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
+
+use df_opt::{optimize, CatalogStats, RelationStats};
+use df_query::render_tree;
+use df_workload::{benchmark_queries, BenchmarkSpec, DatabaseSpec};
+
+use super::plan::{normalize_text, optimize_scoped, Plan, PlanCache};
+use super::{lock, read_lock, Engine, LaneHold, Reply, ServeConfig};
+use crate::proto::{Priority, Response};
 
 fn dummy_plan(tag: &str) -> Plan {
     // The cache keys on text, not the tree; a minimal parsed tree of
@@ -28,6 +38,17 @@ fn normalize_collapses_whitespace_runs() {
     );
     assert_eq!(normalize_text("(scan r00)"), "(scan r00)");
     assert_eq!(normalize_text(""), "");
+    // String literals are copied verbatim — the tokenizer keeps them byte
+    // for byte — while whitespace around them still collapses.
+    assert_eq!(
+        normalize_text("(restrict  (scan t)\n (= pad \"a  b\") )"),
+        "(restrict (scan t) (= pad \"a  b\") )"
+    );
+    assert_ne!(
+        normalize_text("(= pad \"a  b\")"),
+        normalize_text("(= pad \"a b\")")
+    );
+    assert_eq!(normalize_text("(= pad \" \t \")  "), "(= pad \" \t \")");
 }
 
 #[test]
@@ -80,4 +101,179 @@ fn evict_reading_is_relation_scoped() {
     assert!(cache.get(&("a".into(), false)).is_none());
     // Nothing left to evict.
     assert_eq!(cache.evict_reading(&["r00".to_string()]), 0);
+}
+
+const SCALE: f64 = 0.01;
+
+/// Every optimizer statistic the engine holds equals a fresh gather of
+/// the relation as the catalog has it now.
+fn assert_held_stats_are_fresh(engine: &Engine, context: &str) {
+    let db = read_lock(&engine.shared.db);
+    let held = lock(&engine.shared.opt_stats);
+    for relation in db.iter() {
+        if let Some(stats) = held.get(relation.name()) {
+            assert_eq!(
+                stats,
+                &RelationStats::gather(relation),
+                "{context}: held statistics of {} are stale",
+                relation.name()
+            );
+        }
+    }
+}
+
+/// A reply that forwards the response into `tx`.
+fn reply_into(tx: &mpsc::Sender<Response>) -> Reply {
+    let tx = tx.clone();
+    Box::new(move |r| tx.send(r).expect("test receiver alive"))
+}
+
+/// Submit `texts` (all optimizing) on one client, dispatch until every
+/// one is answered, and return the replies.
+fn run_all(engine: &mut Engine, texts: &[String]) -> Vec<Response> {
+    let handle = engine.handle();
+    let client = handle.register_client();
+    let (tx, rx) = mpsc::channel();
+    for (id, text) in texts.iter().enumerate() {
+        let reply = reply_into(&tx);
+        handle.submit(
+            client,
+            id as u64,
+            Priority::Normal,
+            true,
+            text.clone(),
+            reply,
+        );
+    }
+    let mut replies = Vec::new();
+    while replies.len() < texts.len() {
+        assert!(engine.run_batch());
+        handle.quiesce();
+        replies.extend(rx.try_iter());
+    }
+    replies
+}
+
+/// splitmix64: a seeded stream of draws for the random write sequences.
+fn draws(mut state: u64) -> impl FnMut(u64) -> u64 {
+    move |bound| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % bound
+    }
+}
+
+/// ROADMAP 1(a)'s oracle, relation-scoped: random `append`/`delete`
+/// sequences interleaved with optimizing reads of the written relations,
+/// at lanes {1, 2, 4}. After every reply the statistics the engine holds
+/// equal a fresh gather, and planning each of the ten workload queries
+/// through the engine's held statistics (refreshed as resolve does)
+/// renders the same optimized tree as planning against a whole-catalog
+/// gather.
+#[test]
+fn held_stats_equal_a_fresh_gather_after_every_reply() {
+    let spec = BenchmarkSpec::scaled(SCALE);
+    let queries = benchmark_queries(
+        &df_workload::generate_database(&DatabaseSpec::scaled(SCALE)),
+        &spec,
+    )
+    .expect("the ten queries build");
+    let targets = ["r01", "r02", "r05"];
+    for lanes in [1usize, 2, 4] {
+        let config = ServeConfig {
+            lanes,
+            batch_max: 3,
+            ..ServeConfig::default()
+        };
+        let db = df_workload::generate_database(&DatabaseSpec::scaled(SCALE));
+        let mut engine = Engine::new(db, config).expect("engine");
+        let mut draw = draws(lanes as u64);
+        for step in 0..24 {
+            let texts: Vec<String> = (0..1 + draw(4))
+                .map(|_| {
+                    let target = targets[draw(3) as usize];
+                    let key = draw(40);
+                    match draw(3) {
+                        0 => format!("(append (restrict (scan r00) (= key {key})) {target})"),
+                        1 => format!("(delete {target} (= key {key}))"),
+                        _ => format!("(restrict (scan {target}) (< val {}))", draw(1000)),
+                    }
+                })
+                .collect();
+            for reply in run_all(&mut engine, &texts) {
+                assert!(
+                    matches!(reply, Response::Result(_)),
+                    "lanes={lanes} step {step}: {reply:?}"
+                );
+            }
+            let context = format!("lanes={lanes} step {step} {texts:?}");
+            assert_held_stats_are_fresh(&engine, &context);
+            let db = read_lock(&engine.shared.db);
+            let full = CatalogStats::gather(&db);
+            for (i, q) in queries.iter().enumerate() {
+                let scoped = optimize_scoped(&engine.shared, &db, q.clone());
+                let whole = optimize(&db, q, &full).map_or_else(|_| q.clone(), |o| o.tree);
+                assert_eq!(
+                    render_tree(&scoped),
+                    render_tree(&whole),
+                    "{context}: Q{} planned differently",
+                    i + 1
+                );
+            }
+        }
+        assert!(engine.shared.stats.writes_applied.load(Ordering::Relaxed) > 0);
+    }
+}
+
+/// The window a dispatch-time invalidation leaves open: a read of the
+/// target resolved after the write is dispatched but before it applies
+/// gathers the pre-write relation. Invalidating where the write is
+/// applied drops that entry again.
+#[test]
+fn stats_gathered_while_a_write_is_in_flight_are_dropped_when_it_applies() {
+    let hold = Arc::new(LaneHold::default());
+    let config = ServeConfig {
+        lane_hold: Some(Arc::clone(&hold)),
+        ..ServeConfig::default()
+    };
+    let db = df_workload::generate_database(&DatabaseSpec::scaled(SCALE));
+    let mut engine = Engine::new(db, config).expect("engine");
+    let handle = engine.handle();
+    let client = handle.register_client();
+    let (tx, rx) = mpsc::channel();
+    let submit = |text: &str| {
+        let reply = reply_into(&tx);
+        handle.submit(client, 0, Priority::Normal, true, text.to_string(), reply);
+    };
+    let parses = || handle.stats().parses.load(Ordering::Relaxed);
+
+    hold.hold();
+    submit("(append (restrict (scan r00) (= key 3)) r01)");
+    assert!(engine.run_batch(), "the write is dispatched and parked");
+    submit("(restrict (scan r01) (< val 500))");
+    std::thread::scope(|s| {
+        // Resolves the read (gathering r01 before the write applied),
+        // then waits at the gate behind the parked write.
+        let dispatcher = s.spawn(|| engine.run_batch());
+        // `parses` moves once resolve holds the catalog read lock, which
+        // it keeps until the refresh is done — so the write's apply
+        // (which needs the write lock) comes strictly after the gather.
+        while parses() < 2 {
+            std::thread::yield_now();
+        }
+        hold.release();
+        assert!(dispatcher.join().expect("dispatcher thread"));
+    });
+    handle.quiesce();
+    drop(tx);
+    let replies: Vec<Response> = rx.iter().collect();
+    assert_eq!(replies.len(), 2);
+    assert!(replies.iter().all(|r| matches!(r, Response::Result(_))));
+    assert!(
+        lock(&engine.shared.opt_stats).get("r01").is_none(),
+        "the in-flight write's apply dropped the statistics gathered before it"
+    );
+    assert_held_stats_are_fresh(&engine, "after the in-flight write applied");
 }

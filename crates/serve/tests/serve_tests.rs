@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use df_obs::{EventKind, Tracer};
 use df_query::{execute_readonly, parse_query, ExecParams};
-use df_relalg::Catalog;
+use df_relalg::{Catalog, DataType, Relation, Schema, Tuple, Value};
 use df_serve::engine::LaneHold;
 use df_serve::proto::{HostErrorKind, Priority, QueryResult, Request, Response, ServeError};
 use df_serve::{Engine, ServeClient, ServeConfig, Server};
@@ -662,6 +662,108 @@ fn plan_cache_hits_skip_parsing_and_writes_invalidate() {
         "post-write read is a miss: the cache was invalidated"
     );
     assert_eq!(stats.plan_cache_misses.load(Ordering::Relaxed), 3);
+    assert_eq!(
+        stats.parses.load(Ordering::Relaxed),
+        stats.plan_cache_misses.load(Ordering::Relaxed)
+    );
+}
+
+/// Two string constants that differ only in inner whitespace are two
+/// queries: the plan-cache key keeps a `"…"` literal verbatim, so each
+/// optimizing read is answered with its own tuple.
+#[test]
+fn string_literals_differing_in_whitespace_get_their_own_plans() {
+    let config = test_config();
+    let page_size = config.host.page_size;
+    let schema = Schema::build()
+        .attr("k", DataType::Int)
+        .attr("pad", DataType::Str(8))
+        .finish()
+        .expect("schema");
+    let rows =
+        [(1, "a b"), (2, "a  b")].map(|(k, pad)| Tuple::new(vec![Value::Int(k), Value::str(pad)]));
+    let mut db = Catalog::new();
+    db.insert(Relation::from_tuples("t", schema, page_size, rows).expect("relation"))
+        .expect("insert");
+    let texts = [
+        "(restrict (scan t) (= pad \"a b\"))",
+        "(restrict (scan t) (= pad \"a  b\"))",
+    ];
+    let wants = texts.map(|text| oracle_tuples(&db, text, page_size));
+    assert_ne!(
+        wants[0], wants[1],
+        "the two constants select different tuples"
+    );
+
+    let mut engine = Engine::new(db, config).expect("engine");
+    let handle = engine.handle();
+    let replies = Replies::default();
+    let c = handle.register_client();
+    for (text, want) in texts.iter().zip(&wants) {
+        handle.submit(
+            c,
+            0,
+            Priority::Normal,
+            true,
+            text.to_string(),
+            replies.reply_for(c),
+        );
+        assert!(engine.run_batch());
+        handle.quiesce();
+        let got = replies.take();
+        assert_eq!(&result(&got[0].1).tuples, want, "{text} got another's plan");
+    }
+    assert_eq!(handle.stats().plan_cache_misses.load(Ordering::Relaxed), 2);
+}
+
+/// Optimizer statistics are relation-scoped: a write drops only its
+/// target's, so the next optimizing read of that target gathers one
+/// relation, a read of an untouched relation gathers none, and
+/// unoptimized requests never gather (though their writes still drop
+/// what they change).
+#[test]
+fn a_write_regathers_only_its_target() {
+    let mut engine = Engine::new(small_db(), test_config()).expect("engine");
+    let handle = engine.handle();
+    let replies = Replies::default();
+    let c = handle.register_client();
+    let mut run_one = |optimize: bool, text: &str| {
+        handle.submit(
+            c,
+            0,
+            Priority::Normal,
+            optimize,
+            text.to_string(),
+            replies.reply_for(c),
+        );
+        assert!(engine.run_batch());
+        handle.quiesce();
+        let got = replies.take();
+        result(&got[0].1);
+    };
+    let stats = handle.stats();
+    let gathers = || stats.stats_gathers.load(Ordering::Relaxed);
+
+    run_one(true, "(scan r01)");
+    run_one(true, "(scan r05)");
+    assert_eq!(gathers(), 2, "one gather per relation first named");
+    // The optimizing write names r00 and r01; r01 is held.
+    run_one(true, "(append (restrict (scan r00) (= key 3)) r01)");
+    assert_eq!(gathers(), 3, "the write gathers its source only");
+    run_one(true, "(restrict (scan r01) (< val 500))");
+    assert_eq!(
+        gathers(),
+        4,
+        "a read after a write to r01 regathers r01 alone"
+    );
+    run_one(true, "(restrict (scan r05) (< val 500))");
+    assert_eq!(gathers(), 4, "r05 was never written: nothing to gather");
+
+    run_one(false, "(restrict (scan r02) (< val 10))");
+    run_one(false, "(append (restrict (scan r00) (= key 4)) r05)");
+    assert_eq!(gathers(), 4, "unoptimized requests never gather");
+    run_one(true, "(restrict (scan r05) (< val 600))");
+    assert_eq!(gathers(), 5, "the unoptimized write still dropped r05");
     assert_eq!(
         stats.parses.load(Ordering::Relaxed),
         stats.plan_cache_misses.load(Ordering::Relaxed)
