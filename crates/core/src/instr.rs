@@ -7,250 +7,20 @@
 //! node becomes an [`Instruction`] with a [`Kernel`] — the actual operator
 //! code an instruction processor executes on the pages in a work unit.
 
-use std::hash::{Hash, Hasher};
-
-use df_query::ops::JoinSweep;
-use df_query::{ops, Firing, NodeId, Op, Plan, PlanNode, QueryTree};
-use df_relalg::{Catalog, Page, Predicate, Projection, Result, Schema, Tuple, TupleBuf, TupleRef};
+use df_query::{Firing, NodeId, Op, Plan, QueryTree};
+use df_relalg::{Catalog, Predicate, Result, Schema};
 
 use crate::params::{JoinAlgo, TransferMode};
+
+/// The operator code executed per work unit and the bucket hash of the
+/// partitioned finalizers; defined next to the plan they lower in
+/// df-query and re-exported here.
+pub use df_query::{tuple_bucket, Kernel};
 
 /// Index of an instruction within a [`Program`].
 pub type InstrId = usize;
 /// Index of a query within a batch.
 pub type QueryId = usize;
-
-/// The operator code executed per work unit.
-#[derive(Debug, Clone)]
-pub enum Kernel {
-    /// σ — emit tuples satisfying the predicate.
-    Restrict(Predicate),
-    /// π without duplicate elimination — streaming.
-    Project(Projection),
-    /// Copy input to output (bare scan roots, append staging).
-    Identity,
-    /// Emit tuples *matching* the predicate (the tuples a delete removes —
-    /// the query's result; the catalog update happens after the run).
-    DeleteFilter(Predicate),
-    /// Join of one page pair: the plan's compiled nested-loops sweep, or
-    /// under [`JoinAlgo::Hash`] a probe of the inner page's raw-byte key
-    /// index. Lowering gives `Hash` only to conditions the hash path can
-    /// run ([`JoinSweep::hash_applicable`]); non-equi θs and mixed-width
-    /// string keys are lowered as `Nested`, so they sweep and are charged
-    /// as sweeps.
-    JoinPair(JoinSweep, JoinAlgo),
-    /// Cross product of one page pair.
-    CrossPair,
-    /// Set union of two complete inputs.
-    UnionFinal,
-    /// Set difference of two complete inputs.
-    DifferenceFinal,
-    /// π with duplicate elimination over a complete input.
-    ProjectDedupFinal(Projection),
-    /// A fused restrict→project→… chain compiled under
-    /// [`TransferMode::Pipeline`]: every step runs per tuple over the input
-    /// page's raw bytes and only final survivors are written — the
-    /// intermediate pages the paper's cells would materialize never exist.
-    /// Cost: the sum of the step costs ([`Kernel::tuple_ops`]), but a
-    /// single page transfer.
-    Span(Vec<ops::SpanStep>),
-}
-
-impl Kernel {
-    /// The operator code of one plan node — the only place in the workspace
-    /// an [`Op`] is turned into kernel calls; df-core, df-ring and df-host
-    /// all execute what this returns. A fused node is its span whatever
-    /// its bottom operator; a join keeps the `join` knob only when its
-    /// compiled condition can run on the hash path
-    /// ([`JoinSweep::hash_applicable`]) and is lowered — so swept, counted
-    /// and charged — as nested loops otherwise. A scan is an identity over
-    /// its own relation (the bare-scan root), and so is an append: the
-    /// catalog update it requests happens after the run.
-    pub fn lower(node: &PlanNode, join: JoinAlgo) -> Kernel {
-        match &node.op {
-            _ if !node.steps.is_empty() => Kernel::Span(node.steps.clone()),
-            Op::Scan { .. } | Op::Append { .. } => Kernel::Identity,
-            Op::Restrict { predicate } => Kernel::Restrict(predicate.clone()),
-            Op::Project {
-                projection,
-                dedup: false,
-            } => Kernel::Project(projection.clone()),
-            Op::Project { projection, .. } => Kernel::ProjectDedupFinal(projection.clone()),
-            Op::Join { .. } => {
-                let sweep = node.sweep.expect("a join node carries its compiled sweep");
-                let algo = if sweep.hash_applicable() {
-                    join
-                } else {
-                    JoinAlgo::Nested
-                };
-                Kernel::JoinPair(sweep, algo)
-            }
-            Op::CrossProduct => Kernel::CrossPair,
-            Op::Union => Kernel::UnionFinal,
-            Op::Difference => Kernel::DifferenceFinal,
-            Op::Delete { predicate, .. } => Kernel::DeleteFilter(predicate.clone()),
-        }
-    }
-
-    /// Execute one page-or-pair work unit on the zero-copy path: predicates
-    /// and join keys are evaluated directly over the encoded tuple images
-    /// and surviving images are memcpy'd into the returned batch — nothing
-    /// is decoded or re-encoded. `out_schema` is the instruction's output
-    /// schema (carried by the compiled [`Instruction`]).
-    ///
-    /// # Panics
-    /// Panics if called on a [`Firing::Complete`] kernel (use
-    /// [`Kernel::run_final_raw`]) or with the wrong operand count.
-    pub fn run_unit_raw(&self, pages: &[&Page], out_schema: &Schema) -> TupleBuf {
-        match self {
-            Kernel::Restrict(p) | Kernel::DeleteFilter(p) => ops::restrict_page_raw(pages[0], p),
-            Kernel::Project(proj) => ops::project_page_raw(pages[0], proj, out_schema),
-            Kernel::Identity => {
-                let mut out = TupleBuf::new(out_schema.clone());
-                for t in pages[0].tuple_refs() {
-                    out.push_ref(&t);
-                }
-                out
-            }
-            Kernel::JoinPair(..) | Kernel::CrossPair => {
-                let mut out = TupleBuf::new(out_schema.clone());
-                self.run_sweep_raw_into(pages[0], pages[1..].iter().copied(), true, &mut out);
-                out
-            }
-            Kernel::Span(steps) => ops::span_page_raw(pages[0], steps, out_schema),
-            k => panic!("run_unit_raw called on whole-relation kernel {k:?}"),
-        }
-    }
-
-    /// Execute a pair-sweep work unit — `page` against each page of
-    /// `opposite` in turn, as the outer operand of every pair when
-    /// `page_is_outer`, else as the inner — appending to `out`, so a unit
-    /// fills one output batch however many page pairs it covers.
-    ///
-    /// # Panics
-    /// Panics if called on anything but a join or cross-product kernel.
-    pub fn run_sweep_raw_into<'a>(
-        &self,
-        page: &'a Page,
-        opposite: impl IntoIterator<Item = &'a Page>,
-        page_is_outer: bool,
-        out: &mut TupleBuf,
-    ) {
-        let oriented = |opp: &'a Page| {
-            if page_is_outer {
-                (page, opp)
-            } else {
-                (opp, page)
-            }
-        };
-        match self {
-            Kernel::JoinPair(sweep, JoinAlgo::Nested) => {
-                sweep.sweep_list_into(page, opposite, page_is_outer, out);
-            }
-            Kernel::JoinPair(sweep, JoinAlgo::Hash) => {
-                for (outer, inner) in opposite.into_iter().map(oriented) {
-                    ops::hash_join_pages_raw_into(outer, inner, sweep, out);
-                }
-            }
-            Kernel::CrossPair => {
-                for (outer, inner) in opposite.into_iter().map(oriented) {
-                    ops::cross_pages_raw_into(outer, inner, out);
-                }
-            }
-            k => panic!("run_sweep_raw_into called on non-pair kernel {k:?}"),
-        }
-    }
-
-    /// Zero-copy whole-relation finalizer over complete inputs (one list
-    /// of pages per operand port): the `df_query::ops` set finalizers, whose
-    /// membership sets hash the raw tuple images, so nothing is decoded.
-    /// Set semantics match the oracle's exactly, first-occurrence order
-    /// included.
-    ///
-    /// # Panics
-    /// Panics if called on a streaming kernel.
-    pub fn run_final_raw(&self, inputs: &[Vec<&Page>], out_schema: &Schema) -> TupleBuf {
-        self.run_final_bucket_raw(inputs, 0, 1, out_schema)
-    }
-
-    /// One *bucket* of a whole-relation finalizer on the zero-copy path:
-    /// only tuples whose hash lands in `bucket` (of `buckets`) are
-    /// considered. Hash partitioning makes the blocking operators
-    /// parallelizable — the parallel duplicate-elimination algorithm the
-    /// paper's §5 leaves open: duplicates always hash to the same bucket,
-    /// so per-bucket deduplication composes to exact global deduplication
-    /// (a duplicate-eliminating project partitions on the *projected*
-    /// tuple). With `buckets == 1` this is the ordinary serial finalizer.
-    ///
-    /// Bucket partitioning (buckets > 1) decodes each tuple to hash it
-    /// ([`tuple_bucket`]); dedup membership and output construction stay
-    /// raw regardless.
-    pub fn run_final_bucket_raw(
-        &self,
-        inputs: &[Vec<&Page>],
-        bucket: u64,
-        buckets: u64,
-        out_schema: &Schema,
-    ) -> TupleBuf {
-        assert!(
-            buckets > 0 && bucket < buckets,
-            "invalid bucket {bucket}/{buckets}"
-        );
-        let in_bucket = |t: &TupleRef<'_>| -> bool {
-            buckets == 1 || tuple_bucket(&t.to_tuple(), buckets) == bucket
-        };
-        match self {
-            Kernel::UnionFinal => {
-                ops::union_pages_raw_where(&inputs[0], &inputs[1], out_schema, in_bucket)
-            }
-            Kernel::DifferenceFinal => {
-                ops::difference_pages_raw_where(&inputs[0], &inputs[1], out_schema, in_bucket)
-            }
-            Kernel::ProjectDedupFinal(proj) => {
-                let mut projected = TupleBuf::new(out_schema.clone());
-                for t in inputs[0].iter().flat_map(|p| p.tuple_refs()) {
-                    projected.push_projected(&t, proj.indices());
-                }
-                ops::dedup_raw_where(projected.refs(), out_schema, in_bucket)
-            }
-            k => panic!("run_final_raw called on streaming kernel {k:?}"),
-        }
-    }
-
-    /// Per-tuple operation count for the cost model: how many tuple-level
-    /// steps the unit performs. A hash-path equi-join builds the inner
-    /// index (m inserts) and probes once per outer tuple (n probes), so it
-    /// charges n + m instead of the nested-loops n·m — this is what lets
-    /// the simulated machines account the reduced IP service time.
-    pub fn tuple_ops(&self, tuple_counts: &[usize]) -> usize {
-        match self {
-            Kernel::JoinPair(_, JoinAlgo::Hash) => tuple_counts[0] + tuple_counts[1],
-            Kernel::JoinPair(_, JoinAlgo::Nested) | Kernel::CrossPair => {
-                tuple_counts[0] * tuple_counts[1]
-            }
-            // A fused span charges the *sum* of its step costs — each
-            // logical operator still touches every input tuple — while
-            // transferring a single page. The transfer saving, not a
-            // compute saving, is what the pipeline mode buys.
-            Kernel::Span(steps) => tuple_counts[0] * steps.len().max(1),
-            Kernel::UnionFinal | Kernel::DifferenceFinal | Kernel::ProjectDedupFinal(_) => {
-                tuple_counts.iter().sum()
-            }
-            Kernel::Restrict(_)
-            | Kernel::Project(_)
-            | Kernel::Identity
-            | Kernel::DeleteFilter(_) => tuple_counts[0],
-        }
-    }
-}
-
-/// Deterministic hash bucket of a tuple (used to partition blocking
-/// operators across processors).
-pub fn tuple_bucket(t: &Tuple, buckets: u64) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    t.hash(&mut h);
-    h.finish() % buckets
-}
 
 /// One operand of an instruction: either a base relation (pages on disk at
 /// t = 0, page table complete) or the output of a child instruction (page
@@ -296,10 +66,13 @@ pub enum UpdateSpec {
         /// Target base relation.
         target: String,
     },
-    /// Remove the query-result tuples from `target`.
+    /// Remove the tuples `predicate` selects from `target` — the query
+    /// result — by the page-level partition served writes use.
     Delete {
         /// Target base relation.
         target: String,
+        /// The delete's restriction over `target`.
+        predicate: Predicate,
     },
 }
 
@@ -387,9 +160,10 @@ pub fn compile_with(
                         target: target.clone(),
                     });
                 }
-                Op::Delete { target, .. } => {
+                Op::Delete { target, predicate } => {
                     update = Some(UpdateSpec::Delete {
                         target: target.clone(),
+                        predicate: predicate.clone(),
                     });
                 }
                 _ => {}
@@ -432,8 +206,11 @@ pub fn compile_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_query::{parse_query, TreeBuilder};
-    use df_relalg::{CmpOp, DataType, JoinCondition, Relation, Tuple, Value};
+    use df_query::ops::{self, JoinSweep};
+    use df_query::{oracle, parse_query, TreeBuilder};
+    use df_relalg::{
+        CmpOp, DataType, JoinCondition, Page, Projection, Relation, Tuple, TupleBuf, Value,
+    };
 
     /// The paper's configuration: nested-loops joins, materializing transfers.
     fn compile(db: &Catalog, queries: &[QueryTree]) -> Result<Program> {
@@ -517,9 +294,13 @@ mod tests {
         );
         let q = parse_query(&db, "(delete a (> k 5))").unwrap();
         let prog = compile(&db, &[q]).unwrap();
+        let s = db.get("a").unwrap().schema();
         assert_eq!(
             prog.updates[0],
-            Some(UpdateSpec::Delete { target: "a".into() })
+            Some(UpdateSpec::Delete {
+                target: "a".into(),
+                predicate: Predicate::cmp_const(s, "k", CmpOp::Gt, Value::Int(5)).unwrap(),
+            })
         );
         assert!(matches!(
             prog.instructions[0].kernel,
@@ -564,7 +345,7 @@ mod tests {
         let page = &a.pages()[0];
         let pred = Predicate::cmp_const(a.schema(), "k", CmpOp::Lt, Value::Int(2)).unwrap();
         let out = Kernel::Restrict(pred.clone()).run_unit_raw(&[page], a.schema());
-        assert_eq!(out.to_tuples(), ops::restrict_page(page, &pred));
+        assert_eq!(out.to_tuples(), oracle::restrict_page(page, &pred));
         let ident = Kernel::Identity.run_unit_raw(&[page], a.schema());
         assert_eq!(ident.to_tuples(), page.tuples().collect::<Vec<_>>());
     }
@@ -577,11 +358,11 @@ mod tests {
         let inputs = [refs(a), refs(a)];
         // a ∪ a = a (set semantics)
         let u = Kernel::UnionFinal.run_final_raw(&inputs, s);
-        assert_eq!(u.to_tuples(), ops::union_relations(a, a).unwrap());
+        assert_eq!(u.to_tuples(), oracle::union_relations(a, a).unwrap());
         assert_eq!(u.len(), 10);
         // a − a = ∅
         let d = Kernel::DifferenceFinal.run_final_raw(&inputs, s);
-        assert_eq!(d.to_tuples(), ops::difference_relations(a, a).unwrap());
+        assert_eq!(d.to_tuples(), oracle::difference_relations(a, a).unwrap());
         assert!(d.is_empty());
     }
 
@@ -602,17 +383,17 @@ mod tests {
             (
                 Kernel::Restrict(pred.clone()),
                 s.clone(),
-                ops::restrict_page(page, &pred),
+                oracle::restrict_page(page, &pred),
             ),
             (
                 Kernel::DeleteFilter(pred.clone()),
                 s.clone(),
-                ops::restrict_page(page, &pred),
+                oracle::restrict_page(page, &pred),
             ),
             (
                 Kernel::Project(proj.clone()),
                 proj.output_schema(&s).unwrap(),
-                ops::project_page(page, &proj),
+                oracle::project_page(page, &proj),
             ),
             (Kernel::Identity, s.clone(), all),
         ] {
@@ -628,13 +409,13 @@ mod tests {
         for (kernel, want) in [
             (
                 Kernel::JoinPair(sweep, JoinAlgo::Nested),
-                ops::join_pages(page, other, &c),
+                oracle::join_pages(page, other, &c),
             ),
             (
                 Kernel::JoinPair(sweep, JoinAlgo::Hash),
-                ops::join_pages(page, other, &c),
+                oracle::join_pages(page, other, &c),
             ),
-            (Kernel::CrossPair, ops::cross_pages(page, other)),
+            (Kernel::CrossPair, oracle::cross_pages(page, other)),
         ] {
             assert_eq!(
                 kernel.run_unit_raw(&[page, other], &joined).to_tuples(),
@@ -660,7 +441,7 @@ mod tests {
         let projected: Vec<Tuple> = a
             .pages()
             .iter()
-            .flat_map(|p| ops::project_page(p, &v))
+            .flat_map(|p| oracle::project_page(p, &v))
             .collect();
         let projected_rel =
             Relation::from_tuples("p", vs.clone(), 128, projected.iter().cloned()).unwrap();
@@ -668,19 +449,19 @@ mod tests {
             (
                 Kernel::UnionFinal,
                 s.clone(),
-                ops::union_relations(a, &b).unwrap(),
+                oracle::union_relations(a, &b).unwrap(),
                 ops::union_pages_raw(&inputs[0], &inputs[1], &s),
             ),
             (
                 Kernel::DifferenceFinal,
                 s.clone(),
-                ops::difference_relations(a, &b).unwrap(),
+                oracle::difference_relations(a, &b).unwrap(),
                 ops::difference_pages_raw(&inputs[0], &inputs[1], &s),
             ),
             (
                 Kernel::ProjectDedupFinal(v.clone()),
                 vs.clone(),
-                ops::dedup_tuples(projected.iter().cloned()),
+                oracle::dedup_tuples(projected.iter().cloned()),
                 ops::dedup_pages_raw(&refs(&projected_rel), &vs),
             ),
         ] {
@@ -926,7 +707,7 @@ mod tests {
             let s = a.schema();
             let p1 = Predicate::cmp_const(s, "k", CmpOp::Gt, Value::Int(2)).unwrap();
             let proj = Projection::new(s, &["v"]).unwrap();
-            let mid: Vec<Tuple> = ops::restrict_page(page, &p1)
+            let mid: Vec<Tuple> = oracle::restrict_page(page, &p1)
                 .iter()
                 .map(|t| proj.apply(t).unwrap())
                 .collect();

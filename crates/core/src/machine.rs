@@ -26,8 +26,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use df_obs::{IntervalSeries, Path as ObsPath};
-use df_query::{Firing, QueryTree};
-use df_relalg::{Catalog, Page, Relation, Result, Tuple, TupleBuf};
+use df_query::{partition_delete, Firing, QueryTree};
+use df_relalg::{Catalog, Page, Relation, Result, TupleBuf};
 use df_sim::stats::ByteCounter;
 use df_sim::{Duration, EventQueue, Resource, SimTime};
 use df_storage::{DiskCache, MassStorage, PageId, PageStore, PageTable};
@@ -921,7 +921,12 @@ impl Machine {
         (relations, metrics)
     }
 
-    /// Post-run database update for update queries (append/delete).
+    /// Post-run database update for update queries (append/delete), by
+    /// the page-level write served writes use: an append copies the
+    /// result's page images into the target's last page and fresh ones; a
+    /// delete partitions the target by its predicate page by page
+    /// ([`df_query::partition_delete`]), sharing every page it does not
+    /// touch. Updates apply in batch order.
     ///
     /// `results` must be the relations returned by [`Machine::run`] for the
     /// same program.
@@ -939,28 +944,13 @@ impl Machine {
                             .ok_or_else(|| df_relalg::Error::UnknownRelation {
                                 name: target.clone(),
                             })?;
-                    for t in result.tuples() {
-                        rel.append(t)?;
+                    for page in result.pages() {
+                        rel.append_images(page.raw_data())?;
                     }
                 }
-                Some(UpdateSpec::Delete { target }) => {
-                    let rel = db.require(target)?;
-                    // Remove result tuples (multiset subtraction).
-                    let mut to_remove: Vec<Tuple> = result.tuples().collect();
-                    let kept: Vec<Tuple> = rel
-                        .tuples()
-                        .filter(|t| {
-                            if let Some(pos) = to_remove.iter().position(|r| r == t) {
-                                to_remove.swap_remove(pos);
-                                false
-                            } else {
-                                true
-                            }
-                        })
-                        .collect();
-                    let rebuilt =
-                        Relation::from_tuples(target, rel.schema().clone(), rel.page_size(), kept)?;
-                    db.insert_or_replace(rebuilt);
+                Some(UpdateSpec::Delete { target, predicate }) => {
+                    let (kept, _) = partition_delete(db.require(target)?, predicate)?;
+                    db.insert_or_replace(kept);
                 }
             }
         }
@@ -973,7 +963,7 @@ mod tests {
     use super::*;
     use crate::params::JoinAlgo;
     use df_query::{execute_readonly, parse_query, ExecParams};
-    use df_relalg::{DataType, Schema, Value};
+    use df_relalg::{DataType, Schema, Tuple, Value};
 
     fn db() -> Catalog {
         let mut db = Catalog::new();

@@ -8,63 +8,16 @@ use df_obs::Tracer;
 use df_sim::Duration;
 use df_storage::{CacheParams, DiskParams};
 
-/// Which algorithm a `JoinPair` kernel runs on each page pair.
-///
-/// The paper (§2.1) commits to nested loops because every page of the outer
-/// joins the inner independently — but that independence is a property of
-/// the *unit decomposition*, not of the per-unit algorithm. `Hash` keeps
-/// the page-pair units (and so the §3.2 firing rule and §4.2 broadcast
-/// protocol) and replaces the inner scan of each unit with a raw-byte
-/// key-index probe. Non-equi θs degrade to nested loops silently, so the
-/// knob is always safe to turn on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum JoinAlgo {
-    /// §2.1 nested loops: every (outer tuple, inner tuple) pair compared.
-    #[default]
-    Nested,
-    /// Hash-accelerated equi-join: index the inner page's raw key bytes
-    /// once, probe with each outer tuple — what [`crate::instr::Kernel::lower`]
-    /// gives a join whose condition the hash path can run, executed through
-    /// `df_query::ops::hash_join_pages_raw_into`.
-    Hash,
-}
-
-impl JoinAlgo {
-    /// Both algorithms, for sweeps.
-    pub const ALL: [JoinAlgo; 2] = [JoinAlgo::Nested, JoinAlgo::Hash];
-}
-
-impl fmt::Display for JoinAlgo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            JoinAlgo::Nested => "nested",
-            JoinAlgo::Hash => "hash",
-        };
-        write!(f, "{s}")
-    }
-}
-
-impl FromStr for JoinAlgo {
-    type Err = String;
-
-    /// Parse the [`fmt::Display`] form back (round-trip guaranteed).
-    fn from_str(s: &str) -> Result<JoinAlgo, String> {
-        match s {
-            "nested" => Ok(JoinAlgo::Nested),
-            "hash" => Ok(JoinAlgo::Hash),
-            other => Err(format!(
-                "unknown join algorithm `{other}` (expected one of: nested, hash)"
-            )),
-        }
-    }
-}
+/// Which algorithm a `JoinPair` kernel runs on each page pair; defined
+/// next to the kernels in df-query and re-exported here.
+pub use df_query::JoinAlgo;
 
 /// How results move between chained unary operators.
 ///
 /// The paper's instruction cells materialize a whole result page between
 /// every operator (§3.2 fires a cell only when an operand page is
 /// complete). `Pipeline` keeps the firing rule but fuses maximal
-/// restrict→project→… chains into one `Kernel::Span` at compile time: the
+/// restrict→project→… chains into one [`df_query::Kernel::Span`] at compile time: the
 /// chain's predicates and projections run per tuple over the *input* page
 /// and only final survivors are written, so the intermediate pages — and
 /// their transfer cost — never exist. Output is byte-identical either way.

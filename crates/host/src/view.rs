@@ -32,7 +32,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use df_query::{execute_read_nodes, ops, ExecParams, Firing, Op, Plan, PlanNode, QueryTree};
+use df_query::{ops, run_plan, Firing, Op, Plan, PlanNode, QueryTree};
 use df_relalg::{Catalog, Error, Page, Relation, Result, Schema, TupleBuf, PAGE_HEADER_BYTES};
 
 /// A signed counted multiset of raw tuple images. `BTreeMap` keeps every
@@ -205,9 +205,10 @@ pub struct StandingView {
 
 impl StandingView {
     /// Install `tree` (parsed from `text`) as a standing view:
-    /// materialize every node once through the normal read path, seed
-    /// the retained operand state from the per-node results, and keep
-    /// the root's multiset as the maintained result.
+    /// materialize every node once on the raw kernels
+    /// ([`df_query::run_plan`], pages of `page_size`), seed the retained
+    /// operand state from the per-node results, and keep the root's
+    /// multiset as the maintained result.
     ///
     /// # Errors
     /// Fails on validation errors or if the tree is not read-only.
@@ -224,11 +225,7 @@ impl StandingView {
             });
         }
         let plan = Plan::compile(db, tree)?;
-        let params = ExecParams {
-            page_size,
-            ..ExecParams::default()
-        };
-        let nodes = execute_read_nodes(db, tree, &params)?;
+        let nodes = run_plan(db, &plan, page_size)?;
         let mut states = Vec::with_capacity(tree.len());
         for node in &plan.nodes {
             let child = |i: usize| -> &Relation { &nodes[node.children[i]] };
@@ -585,7 +582,7 @@ fn fire_product(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_query::{execute_readonly, parse_query};
+    use df_query::{execute_readonly, parse_query, ExecParams};
     use df_relalg::{DataType, Tuple, Value};
 
     fn kv_schema() -> Schema {

@@ -348,6 +348,27 @@ mod tests {
         }
     }
 
+    /// A page-level delete leaves partial pages in the middle; the page
+    /// count is the pages the relation really holds, not its tuples over
+    /// the page capacity.
+    #[test]
+    fn gather_counts_partial_middle_pages() {
+        let packed = relation_of(
+            &[DataType::Int],
+            (0..9).map(|i| vec![Value::Int(i)]).collect(),
+            4,
+        );
+        let mut sparse = Relation::new("t", packed.schema().clone(), packed.page_size()).unwrap();
+        for page in packed.pages() {
+            let mut p = df_relalg::Page::new(packed.schema().clone(), packed.page_size()).unwrap();
+            p.push(&page.get(0).unwrap()).unwrap();
+            sparse.append_page(p).unwrap();
+        }
+        let st = RelationStats::gather(&sparse);
+        assert_eq!((st.tuples, st.pages), (3, 3));
+        assert_eq!(st, gather_reference(&sparse));
+    }
+
     #[test]
     fn raw_gather_of_an_empty_relation_has_no_attr_stats() {
         let empty = relation_of(&[DataType::Int, DataType::Str(3)], Vec::new(), 4);

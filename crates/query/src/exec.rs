@@ -1,16 +1,27 @@
-//! The uniprocessor oracle executor.
+//! The query entry points: the oracle executor, and the served write path
+//! on raw pages.
 //!
-//! Evaluates a query tree bottom-up, one node at a time, using the same
-//! page-level kernels the simulated machines run. This is the ground truth:
-//! every machine execution in `df-core` and `df-ring` is checked against it
-//! by the integration tests (as multiset equality — the machines interleave
-//! work and therefore produce tuples in a different order).
+//! [`execute`] / [`execute_readonly`] are the uniprocessor oracle
+//! ([`crate::oracle`]): the ground truth every machine execution in
+//! `df-core`, `df-ring` and `df-host`, every served write and every
+//! standing view is checked against (as multiset equality where the
+//! executors interleave work and so produce tuples in a different order).
+//!
+//! [`stage_write`] / [`apply_write`] are the split-phase write df-serve
+//! runs, and [`run_plan`] is the sequential scheduler it stages appends
+//! with (standing views install through it too). They run only the raw
+//! [`Kernel`]s over page images — nothing is decoded — and leave the
+//! untouched pages of a delete's target shared with the catalog.
 
-use df_relalg::{Catalog, Error, Relation, Result, Tuple};
+use std::sync::Arc;
 
-use crate::ops;
-use crate::tree::{Op, QueryTree};
-use crate::validate::{validate, NodeSchemas};
+use df_relalg::{Catalog, Error, Page, Predicate, Relation, Result, TupleBuf};
+
+use crate::kernel::{JoinAlgo, Kernel};
+use crate::ops::{copy_rows, RowFilter};
+use crate::oracle;
+use crate::plan::{Firing, Plan, PlanNode};
+use crate::tree::{NodeId, Op, QueryTree};
 
 /// Which join algorithm the oracle uses (\[5\] compares both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,7 +41,8 @@ pub struct ExecParams {
     /// Page size (bytes, header included) for intermediate and result
     /// relations.
     pub page_size: usize,
-    /// Join algorithm.
+    /// Join algorithm of the oracle ([`stage_write`] always sweeps with
+    /// nested loops, the paper's configuration).
     pub join_algorithm: JoinAlgorithm,
 }
 
@@ -43,8 +55,8 @@ impl Default for ExecParams {
     }
 }
 
-/// Execute a read-only query, returning the result relation (named
-/// `"result"`).
+/// Execute a read-only query on the oracle, returning the result relation
+/// (named `"result"`).
 ///
 /// # Errors
 /// Fails on validation errors or if the tree contains update operators.
@@ -60,28 +72,135 @@ pub fn execute_readonly(db: &Catalog, tree: &QueryTree, params: &ExecParams) -> 
     execute(&mut scratch, tree, params)
 }
 
-/// Execute a query, applying any root update operator to `db`.
+/// Execute a query on the oracle, applying any root update operator to
+/// `db`.
 ///
 /// Returns the root's result relation:
 /// * read-only root → the query result,
 /// * `Append` → the tuples that were appended,
 /// * `Delete` → the tuples that were deleted.
 ///
-/// Updating queries run as [`stage_write`] followed immediately by
-/// [`apply_write`]; callers that interleave other work between the read
-/// and write phases (df-serve's lanes) call the two halves directly.
+/// Updating queries run on decoded tuples too — the reference the raw
+/// [`stage_write`] followed by [`apply_write`] is checked against.
 pub fn execute(db: &mut Catalog, tree: &QueryTree, params: &ExecParams) -> Result<Relation> {
     if !tree.written_relations().is_empty() {
-        let delta = stage_write(db, tree, params)?;
-        return apply_write(db, delta);
+        return oracle::execute_write(db, tree, params);
     }
-    let schemas = validate(db, tree)?;
-    let mut results = eval_read_nodes(db, tree, &schemas, params)?;
+    let mut results = oracle::eval_read_nodes(db, tree, params)?;
     let mut out = results.pop().expect("validated tree has at least one node");
     // The loop pushes in topo order; the root is last.
     debug_assert_eq!(tree.root().0, results.len());
     out.set_name("result");
     Ok(out)
+}
+
+/// Evaluate every read-only node of an unfused `plan` in topological order
+/// — the sequential scheduler of the one [`Kernel`]. Each node is
+/// [`Kernel::lower`]ed with [`JoinAlgo::Nested`] (the paper's
+/// configuration) and fired through the entry point its [`Firing`] class
+/// names: a `PerPage` node once per input page, a `PairSweep` node once per
+/// outer page against the whole inner page list, a `Complete` node once
+/// over its complete inputs. A scan is its catalog relation (pages shared).
+///
+/// Every other node's output is packed into full pages of `page_size`. The
+/// raw kernels keep the oracle's order (page-pair-major sweeps,
+/// first-occurrence set finalizers), so each node's result equals
+/// [`oracle::eval_read_nodes`]'s page for page. The returned vector is
+/// indexed by node id and stops before an update root.
+///
+/// # Errors
+/// Fails on an unknown relation or a `page_size` too small for a node's
+/// output tuple.
+pub fn run_plan(db: &Catalog, plan: &Plan, page_size: usize) -> Result<Vec<Relation>> {
+    let mut results: Vec<Relation> = Vec::with_capacity(plan.nodes.len());
+    for (id, node) in plan.nodes.iter().enumerate() {
+        debug_assert!(node.steps.is_empty(), "run_plan takes an unfused plan");
+        let rel = match &node.op {
+            op if op.is_update() => break,
+            Op::Scan { relation } => db.require(relation)?.clone(),
+            op => {
+                let inputs: Vec<&Relation> = node.children.iter().map(|&c| &results[c]).collect();
+                let name = format!("{}_{}", NodeId(id), op.name());
+                run_node(node, &inputs, &name, page_size)?
+            }
+        };
+        results.push(rel);
+    }
+    Ok(results)
+}
+
+/// Fire one non-scan node over its complete inputs, as [`run_plan`]
+/// describes.
+fn run_node(
+    node: &PlanNode,
+    inputs: &[&Relation],
+    name: &str,
+    page_size: usize,
+) -> Result<Relation> {
+    let schema = &node.out_schema;
+    let kernel = Kernel::lower(node, JoinAlgo::Nested);
+    let pages = |port: usize| inputs[port].pages().iter().map(AsRef::as_ref);
+    let mut out = Relation::new(name, schema.clone(), page_size)?;
+    match node.firing {
+        Firing::PerPage => {
+            for page in pages(0) {
+                out.append_images(kernel.run_unit_raw(&[page], schema).images())?;
+            }
+        }
+        Firing::PairSweep => {
+            let mut buf = TupleBuf::new(schema.clone());
+            for outer in pages(0) {
+                buf.clear();
+                kernel.run_sweep_raw_into(outer, pages(1), true, &mut buf);
+                out.append_images(buf.images())?;
+            }
+        }
+        Firing::Complete => {
+            let lists: Vec<Vec<&Page>> = (0..inputs.len()).map(|p| pages(p).collect()).collect();
+            out.append_images(kernel.run_final_raw(&lists, schema).images())?;
+        }
+        Firing::Source => unreachable!("a scan is its catalog relation"),
+    }
+    Ok(out)
+}
+
+/// The page-level delete: split `target` into the relation without the
+/// tuples `predicate` selects and those tuples, in target order. Each page
+/// is partitioned by one raw `RowFilter` mask and both sides are copied
+/// with `copy_rows`. A page the predicate does not touch is shared
+/// (`Arc::clone`), not rebuilt; a touched page is replaced by its
+/// survivors, or dropped if none survive — pages are never repacked
+/// across, so the kept relation may have partial middle pages.
+///
+/// # Errors
+/// Fails only if the target's own pages do not fit its page size.
+pub fn partition_delete(target: &Relation, predicate: &Predicate) -> Result<(Relation, TupleBuf)> {
+    let schema = target.schema();
+    let w = schema.tuple_width();
+    let whole_row = [(0, w)];
+    let filter = RowFilter::compile(std::slice::from_ref(predicate), schema);
+    let mut kept = Relation::new(target.name(), schema.clone(), target.page_size())?;
+    let mut deleted = TupleBuf::new(schema.clone());
+    let mut mask = Vec::new();
+    for page in target.pages() {
+        mask.clear();
+        mask.resize(page.len(), true);
+        filter.apply(page, &mut mask);
+        let hits = mask.iter().filter(|&&m| m).count();
+        if hits == 0 {
+            kept.append_page(Arc::clone(page))?;
+            continue;
+        }
+        deleted.push_images(&copy_rows(page.raw_data(), w, Some(&mask), &whole_row, w));
+        if hits < page.len() {
+            mask.iter_mut().for_each(|m| *m = !*m);
+            let survivors = copy_rows(page.raw_data(), w, Some(&mask), &whole_row, w);
+            let mut survivor_page = Page::new(schema.clone(), target.page_size())?;
+            TupleBuf::from_images(schema.clone(), survivors).drain_into(&mut survivor_page);
+            kept.append_page(survivor_page)?;
+        }
+    }
+    Ok((kept, deleted))
 }
 
 /// The staged effect of an updating query: the expensive read phase of a
@@ -90,22 +209,23 @@ pub fn execute(db: &mut Catalog, tree: &QueryTree, params: &ExecParams) -> Resul
 ///
 /// The split is only sound if the **target** relation cannot change
 /// between the two calls — a `Delete` stages the kept/deleted partition
-/// of the target it saw, an `Append` stages tuples computed from its
-/// sources — so the caller must hold the target exclusively (or, like
-/// the oracle, apply immediately). df-serve's per-relation writer marks
-/// provide exactly that guarantee.
+/// of the target it saw, an `Append` stages pages computed from its
+/// sources — so the caller must hold the target exclusively (or apply
+/// immediately). df-serve's per-relation writer marks provide exactly that
+/// guarantee.
 #[derive(Debug)]
 pub struct WriteDelta {
     target: String,
     kind: WriteKind,
+    /// The appended or deleted tuples, packed into full pages.
     result: Relation,
 }
 
 #[derive(Debug)]
 enum WriteKind {
-    /// Tuples to append to the target.
-    Append(Vec<Tuple>),
-    /// The rebuilt (post-delete) target relation.
+    /// Append the result's page images to the target.
+    Append,
+    /// The post-delete target relation (untouched pages shared).
     Replace(Relation),
 }
 
@@ -121,80 +241,68 @@ impl WriteDelta {
     /// (df-host's IVM layer) extract this before [`apply_write`] consumes
     /// the delta and replay it through their delta dataflow.
     pub fn base_change(&self) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        let images: Vec<Vec<u8>> = self
-            .result
-            .pages()
-            .iter()
-            .flat_map(|p| p.tuple_refs())
-            .map(|t| t.raw().to_vec())
-            .collect();
+        let images: Vec<Vec<u8>> = self.result.tuple_refs().map(|t| t.raw().to_vec()).collect();
         match self.kind {
-            WriteKind::Append(_) => (images, Vec::new()),
+            WriteKind::Append => (images, Vec::new()),
             WriteKind::Replace(_) => (Vec::new(), images),
         }
     }
 }
 
-/// Run the read phase of an updating query: validate, evaluate the
-/// source subtree (`Append`) or partition the target (`Delete`), and
-/// package the effect as a [`WriteDelta`]. `db` is not mutated.
+/// Run the read phase of an updating query on raw pages and package the
+/// effect as a [`WriteDelta`]; `db` is not mutated. An `Append`'s source
+/// subtree runs through [`run_plan`]; a `Delete` partitions its target
+/// with [`partition_delete`]. Nothing is decoded. The result is the
+/// oracle's, byte for byte, and so is the target's tuple sequence after
+/// [`apply_write`] (a delete leaves different page boundaries).
 ///
 /// # Errors
 /// Fails on validation errors or if the tree is read-only.
 pub fn stage_write(db: &Catalog, tree: &QueryTree, params: &ExecParams) -> Result<WriteDelta> {
-    let schemas = validate(db, tree)?;
-    let root = tree.node(tree.root());
-    let name = format!("{}_{}", tree.root(), root.op.name());
-    let schema = schemas.schema(tree.root()).clone();
-    match &root.op {
+    let plan = Plan::compile(db, tree)?;
+    let root = &plan.nodes[plan.root];
+    let name = format!("{}_{}", NodeId(plan.root), root.op.name());
+    let (target, kind, result) = match &root.op {
         Op::Append { target } => {
-            let results = eval_read_nodes(db, tree, &schemas, params)?;
-            let to_add: Vec<Tuple> = results[root.children[0].0].tuples().collect();
-            let result =
-                Relation::from_tuples(&name, schema, params.page_size, to_add.iter().cloned())?;
-            Ok(WriteDelta {
-                target: target.clone(),
-                kind: WriteKind::Append(to_add),
-                result,
-            })
+            let mut nodes = run_plan(db, &plan, params.page_size)?;
+            let mut result = nodes.swap_remove(root.children[0]);
+            result.set_name(&name);
+            (target, WriteKind::Append, result)
         }
         Op::Delete { target, predicate } => {
-            let target_rel = db.require(target)?;
-            let (kept, deleted): (Vec<_>, Vec<_>) =
-                target_rel.tuples().partition(|t| !predicate.eval(t));
-            let rebuilt = Relation::from_tuples(
-                target,
-                target_rel.schema().clone(),
-                target_rel.page_size(),
-                kept,
-            )?;
-            let result = Relation::from_tuples(&name, schema, params.page_size, deleted)?;
-            Ok(WriteDelta {
-                target: target.clone(),
-                kind: WriteKind::Replace(rebuilt),
-                result,
+            let (kept, deleted) = partition_delete(db.require(target)?, predicate)?;
+            let mut result = Relation::new(&name, root.out_schema.clone(), params.page_size)?;
+            result.append_images(deleted.images())?;
+            (target, WriteKind::Replace(kept), result)
+        }
+        _ => {
+            return Err(Error::SchemaMismatch {
+                detail: "stage_write called on a read-only query".into(),
             })
         }
-        _ => Err(Error::SchemaMismatch {
-            detail: "stage_write called on a read-only query".into(),
-        }),
-    }
+    };
+    Ok(WriteDelta {
+        target: target.clone(),
+        kind,
+        result,
+    })
 }
 
 /// Apply a staged write to `db`, returning the query's result relation
 /// (the appended or deleted tuples, named `"result"`).
 ///
-/// Every intermediate state is structurally valid: `Append` adds whole
-/// tuples one at a time, `Delete` swaps in a fully rebuilt relation — so
-/// even a caller that recovers from a panic mid-apply observes a
-/// consistent (if partially applied) catalog.
+/// Every intermediate state is structurally valid: `Append` adds the
+/// staged page images one page at a time into the target's last page and
+/// fresh ones, `Delete` swaps in the staged relation whole — so even a
+/// caller that recovers from a panic mid-apply observes a consistent (if
+/// partially applied) catalog.
 pub fn apply_write(db: &mut Catalog, delta: WriteDelta) -> Result<Relation> {
     db.require(&delta.target)?;
     match delta.kind {
-        WriteKind::Append(tuples) => {
+        WriteKind::Append => {
             let target_rel = db.get_mut(&delta.target).expect("just required");
-            for t in tuples {
-                target_rel.append(t)?;
+            for page in delta.result.pages() {
+                target_rel.append_images(page.raw_data())?;
             }
         }
         WriteKind::Replace(rebuilt) => {
@@ -206,118 +314,11 @@ pub fn apply_write(db: &mut Catalog, delta: WriteDelta) -> Result<Relation> {
     Ok(out)
 }
 
-/// Evaluate every read-only node of `tree` in topo order, returning one
-/// relation per node, indexed by `NodeId`. This is the install-time
-/// materialization pass of a standing view: each stateful operator seeds
-/// its retained operand state from its children's node results.
-///
-/// # Errors
-/// Fails on validation errors or if the tree contains update operators.
-pub fn execute_read_nodes(
-    db: &Catalog,
-    tree: &QueryTree,
-    params: &ExecParams,
-) -> Result<Vec<Relation>> {
-    if !tree.written_relations().is_empty() {
-        return Err(Error::SchemaMismatch {
-            detail: "execute_read_nodes called on an updating query".into(),
-        });
-    }
-    let schemas = validate(db, tree)?;
-    eval_read_nodes(db, tree, &schemas, params)
-}
-
-/// Evaluate every read-only node of `tree` in topo order; the returned
-/// vector is indexed by `NodeId`. Stops before the root when the root is
-/// an update operator (validation guarantees updates appear nowhere
-/// else, and topo order puts the root last).
-fn eval_read_nodes(
-    db: &Catalog,
-    tree: &QueryTree,
-    schemas: &NodeSchemas,
-    params: &ExecParams,
-) -> Result<Vec<Relation>> {
-    let mut results: Vec<Relation> = Vec::with_capacity(tree.len());
-
-    for id in tree.topo_order() {
-        let node = tree.node(id);
-        if node.op.is_update() {
-            break;
-        }
-        let schema = schemas.schema(id).clone();
-        let child = |i: usize| -> &Relation { &results[node.children[i].0] };
-        let name = format!("{id}_{}", node.op.name());
-
-        let rel = match &node.op {
-            Op::Scan { relation } => db.require(relation)?.clone(),
-            Op::Restrict { predicate } => {
-                let input = child(0);
-                let tuples = input
-                    .pages()
-                    .iter()
-                    .flat_map(|p| ops::restrict_page(p, predicate));
-                Relation::from_tuples(&name, schema, params.page_size, tuples)?
-            }
-            Op::Project { projection, dedup } => {
-                let input = child(0);
-                let projected: Vec<_> = input
-                    .pages()
-                    .iter()
-                    .flat_map(|p| ops::project_page(p, projection))
-                    .collect();
-                let tuples = if *dedup {
-                    ops::dedup_tuples(projected)
-                } else {
-                    projected
-                };
-                Relation::from_tuples(&name, schema, params.page_size, tuples)?
-            }
-            Op::Join { condition } => {
-                let (outer, inner) = (child(0), child(1));
-                let tuples = match params.join_algorithm {
-                    JoinAlgorithm::NestedLoops => {
-                        ops::nested_loops_join_relations(outer, inner, condition)
-                    }
-                    JoinAlgorithm::SortMerge => {
-                        match ops::merge_join_relations(outer, inner, condition) {
-                            Ok(ts) => ts,
-                            // Non-equi θ: sort-merge does not apply.
-                            Err(_) => ops::nested_loops_join_relations(outer, inner, condition),
-                        }
-                    }
-                };
-                Relation::from_tuples(&name, schema, params.page_size, tuples)?
-            }
-            Op::CrossProduct => {
-                let (outer, inner) = (child(0), child(1));
-                let mut tuples = Vec::new();
-                for op_ in outer.pages() {
-                    for ip in inner.pages() {
-                        tuples.extend(ops::cross_pages(op_, ip));
-                    }
-                }
-                Relation::from_tuples(&name, schema, params.page_size, tuples)?
-            }
-            Op::Union => {
-                let tuples = ops::union_relations(child(0), child(1))?;
-                Relation::from_tuples(&name, schema, params.page_size, tuples)?
-            }
-            Op::Difference => {
-                let tuples = ops::difference_relations(child(0), child(1))?;
-                Relation::from_tuples(&name, schema, params.page_size, tuples)?
-            }
-            Op::Append { .. } | Op::Delete { .. } => unreachable!("is_update checked above"),
-        };
-        results.push(rel);
-    }
-
-    Ok(results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::TreeBuilder;
+    use crate::parser::parse_query;
     use df_relalg::{CmpOp, DataType, Schema, Tuple, Value};
 
     fn db() -> Catalog {
@@ -582,15 +583,123 @@ mod tests {
             .equi_join(b.scan("dept").unwrap(), "dept", "dno")
             .unwrap()
             .finish();
-        let nodes = execute_read_nodes(&db, &q, &ExecParams::default()).unwrap();
+        let nodes = run_plan(&db, &Plan::compile(&db, &q).unwrap(), 1024).unwrap();
         assert_eq!(nodes.len(), 3);
         assert_eq!(nodes[0].num_tuples(), 20);
         assert_eq!(nodes[1].num_tuples(), 4);
         assert_eq!(nodes[2].num_tuples(), 20);
+        let oracle = oracle::eval_read_nodes(&db, &q, &ExecParams::default()).unwrap();
+        assert_eq!(nodes, oracle);
+        // An update root is not evaluated: a delete has no read-only node.
         let update = TreeBuilder::new(&db)
             .delete_where("emp", "id", CmpOp::Eq, Value::Int(0))
             .unwrap();
-        assert!(execute_read_nodes(&db, &update, &ExecParams::default()).is_err());
+        let plan = Plan::compile(&db, &update).unwrap();
+        assert!(run_plan(&db, &plan, 1024).unwrap().is_empty());
+    }
+
+    /// Stage and apply `text` on `db`, returning the reply.
+    fn write(db: &mut Catalog, text: &str) -> Relation {
+        let tree = parse_query(db, text).unwrap();
+        let delta = stage_write(db, &tree, &ExecParams::default()).unwrap();
+        apply_write(db, delta).unwrap()
+    }
+
+    fn page_lens(rel: &Relation) -> Vec<usize> {
+        rel.pages().iter().map(|p| p.len()).collect()
+    }
+
+    #[test]
+    fn raw_deletes_match_the_oracle_at_the_edges() {
+        let mut db = db();
+        // Every tuple twice: (id, dept, salary) images duplicated in place.
+        let emp = db.get("emp").unwrap().clone();
+        let doubled = emp.tuples().flat_map(|t| [t.clone(), t]);
+        let doubled = Relation::from_tuples("emp", emp.schema().clone(), 128, doubled).unwrap();
+        db.insert_or_replace(doubled);
+        for text in [
+            "(delete emp (> id 100))",                // removes nothing
+            "(delete emp (and (= id 7) (= dept 3)))", // both copies of one image
+            "(delete emp (= id 4))",                  // a key across a page boundary
+            "(delete emp (< salary 60))",             // a run of whole pages
+            "(delete emp (>= id 0))",                 // removes everything
+        ] {
+            let before = db.get("emp").unwrap().pages().to_vec();
+            let mut reference = db.clone();
+            let got = write(&mut db, text);
+            let tree = parse_query(&reference, text).unwrap();
+            let want = execute(&mut reference, &tree, &ExecParams::default()).unwrap();
+            assert_eq!(got, want, "{text}");
+            let (target, oracle_target) = (db.get("emp").unwrap(), reference.get("emp").unwrap());
+            assert_eq!(
+                target.tuple_refs().map(|t| t.raw()).collect::<Vec<_>>(),
+                oracle_target
+                    .tuple_refs()
+                    .map(|t| t.raw())
+                    .collect::<Vec<_>>(),
+                "{text}"
+            );
+            // Untouched pages are shared, never copied.
+            let shared = target
+                .pages()
+                .iter()
+                .filter(|p| before.iter().any(|b| Arc::ptr_eq(b, p)))
+                .count();
+            let touched = before
+                .iter()
+                .filter(|p| p.tuples().any(|t| tree_predicate(&tree).eval(&t)))
+                .count();
+            assert_eq!(shared, before.len() - touched, "{text}");
+        }
+        assert_eq!(db.get("emp").unwrap().num_pages(), 0);
+    }
+
+    /// The predicate of a delete tree.
+    fn tree_predicate(tree: &QueryTree) -> &Predicate {
+        match &tree.node(tree.root()).op {
+            Op::Delete { predicate, .. } => predicate,
+            other => panic!("not a delete: {}", other.name()),
+        }
+    }
+
+    /// `serve-write`'s cycle: appending one new key and deleting it again
+    /// leaves every page as it was, whether the append opened a page or
+    /// filled the last one.
+    #[test]
+    fn append_then_delete_of_one_key_leaves_the_layout_unchanged() {
+        for n in [20, 19] {
+            let mut db = db();
+            let emp = db.get("emp").unwrap().clone();
+            let first_n =
+                Relation::from_tuples("emp", emp.schema().clone(), 128, emp.tuples().take(n))
+                    .unwrap();
+            db.insert_or_replace(first_n.clone());
+            let new_key = Tuple::new(vec![Value::Int(100), Value::Int(0), Value::Int(0)]);
+            db.insert(Relation::from_tuples("src", emp.schema().clone(), 128, [new_key]).unwrap())
+                .unwrap();
+            let appended = write(&mut db, "(append (scan src) emp)");
+            assert_eq!(appended.num_tuples(), 1);
+            assert_eq!(db.get("emp").unwrap().num_tuples(), n + 1);
+            let deleted = write(&mut db, "(delete emp (= id 100))");
+            assert_eq!(
+                deleted
+                    .tuple_refs()
+                    .map(|t| t.raw().to_vec())
+                    .collect::<Vec<_>>(),
+                appended
+                    .tuple_refs()
+                    .map(|t| t.raw().to_vec())
+                    .collect::<Vec<_>>()
+            );
+            let after = db.get("emp").unwrap();
+            assert_eq!(page_lens(after), page_lens(&first_n), "{n} tuples");
+            assert_eq!(after.pages(), first_n.pages(), "{n} tuples");
+            // Every page but a refilled last one is the original allocation.
+            let full = n / 4;
+            for (a, b) in after.pages()[..full].iter().zip(first_n.pages()) {
+                assert!(Arc::ptr_eq(a, b));
+            }
+        }
     }
 
     #[test]

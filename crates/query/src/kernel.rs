@@ -1,0 +1,300 @@
+//! The one opcode dispatch: a plan node lowered to the raw-page kernel an
+//! instruction processor runs on the pages of a work unit.
+//!
+//! Paper §2.3: *"the instruction in each memory cell corresponds to a node
+//! in the query tree"*. [`Kernel::lower`] is the only place in the
+//! workspace an [`Op`] becomes kernel calls. Four schedulers execute what
+//! it returns — df-core's and df-ring's simulated machines, df-host's
+//! threads, and [`crate::run_plan`], the sequential one behind served
+//! writes and view install — each choosing the entry point its node's
+//! [`crate::Firing`] class names.
+
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::str::FromStr;
+
+use df_relalg::{Page, Predicate, Projection, Schema, Tuple, TupleBuf, TupleRef};
+
+use crate::ops::{self, JoinSweep};
+use crate::plan::PlanNode;
+use crate::tree::Op;
+
+/// Which algorithm a `JoinPair` kernel runs on each page pair.
+///
+/// The paper (§2.1) commits to nested loops because every page of the outer
+/// joins the inner independently — but that independence is a property of
+/// the *unit decomposition*, not of the per-unit algorithm. `Hash` keeps
+/// the page-pair units (and so the §3.2 firing rule and §4.2 broadcast
+/// protocol) and replaces the inner scan of each unit with a raw-byte
+/// key-index probe. Non-equi θs degrade to nested loops silently, so the
+/// knob is always safe to turn on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum JoinAlgo {
+    /// §2.1 nested loops: every (outer tuple, inner tuple) pair compared.
+    #[default]
+    Nested,
+    /// Hash-accelerated equi-join: index the inner page's raw key bytes
+    /// once, probe with each outer tuple — what [`Kernel::lower`] gives a
+    /// join whose condition the hash path can run, executed through
+    /// [`ops::hash_join_pages_raw_into`].
+    Hash,
+}
+
+impl JoinAlgo {
+    /// Both algorithms, for sweeps.
+    pub const ALL: [JoinAlgo; 2] = [JoinAlgo::Nested, JoinAlgo::Hash];
+}
+
+impl fmt::Display for JoinAlgo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            JoinAlgo::Nested => "nested",
+            JoinAlgo::Hash => "hash",
+        };
+        write!(f, "{s}")
+    }
+}
+
+impl FromStr for JoinAlgo {
+    type Err = String;
+
+    /// Parse the [`fmt::Display`] form back (round-trip guaranteed).
+    fn from_str(s: &str) -> Result<JoinAlgo, String> {
+        match s {
+            "nested" => Ok(JoinAlgo::Nested),
+            "hash" => Ok(JoinAlgo::Hash),
+            other => Err(format!(
+                "unknown join algorithm `{other}` (expected one of: nested, hash)"
+            )),
+        }
+    }
+}
+
+/// The operator code executed per work unit.
+#[derive(Debug, Clone)]
+pub enum Kernel {
+    /// σ — emit tuples satisfying the predicate.
+    Restrict(Predicate),
+    /// π without duplicate elimination — streaming.
+    Project(Projection),
+    /// Copy input to output (bare scan roots, append staging).
+    Identity,
+    /// Emit tuples *matching* the predicate (the tuples a delete removes —
+    /// the query's result; the catalog update happens after the run).
+    DeleteFilter(Predicate),
+    /// Join of one page pair: the plan's compiled nested-loops sweep, or
+    /// under [`JoinAlgo::Hash`] a probe of the inner page's raw-byte key
+    /// index. Lowering gives `Hash` only to conditions the hash path can
+    /// run ([`JoinSweep::hash_applicable`]); non-equi θs and mixed-width
+    /// string keys are lowered as `Nested`, so they sweep and are charged
+    /// as sweeps.
+    JoinPair(JoinSweep, JoinAlgo),
+    /// Cross product of one page pair.
+    CrossPair,
+    /// Set union of two complete inputs.
+    UnionFinal,
+    /// Set difference of two complete inputs.
+    DifferenceFinal,
+    /// π with duplicate elimination over a complete input.
+    ProjectDedupFinal(Projection),
+    /// A fused restrict→project→… chain (the pipeline transfer mode):
+    /// every step runs per tuple over the input page's raw bytes and only
+    /// final survivors are written — the intermediate pages the paper's
+    /// cells would materialize never exist. Cost: the sum of the step costs
+    /// ([`Kernel::tuple_ops`]), but a single page transfer.
+    Span(Vec<ops::SpanStep>),
+}
+
+impl Kernel {
+    /// The operator code of one plan node — the only place in the workspace
+    /// an [`Op`] is turned into kernel calls; every scheduler executes what
+    /// this returns. A fused node is its span whatever its bottom operator;
+    /// a join keeps the `join` knob only when its compiled condition can
+    /// run on the hash path ([`JoinSweep::hash_applicable`]) and is lowered
+    /// — so swept, counted and charged — as nested loops otherwise. A scan
+    /// is an identity over its own relation (the bare-scan root), and so is
+    /// an append: the catalog update it requests happens after the run.
+    pub fn lower(node: &PlanNode, join: JoinAlgo) -> Kernel {
+        match &node.op {
+            _ if !node.steps.is_empty() => Kernel::Span(node.steps.clone()),
+            Op::Scan { .. } | Op::Append { .. } => Kernel::Identity,
+            Op::Restrict { predicate } => Kernel::Restrict(predicate.clone()),
+            Op::Project {
+                projection,
+                dedup: false,
+            } => Kernel::Project(projection.clone()),
+            Op::Project { projection, .. } => Kernel::ProjectDedupFinal(projection.clone()),
+            Op::Join { .. } => {
+                let sweep = node.sweep.expect("a join node carries its compiled sweep");
+                let algo = if sweep.hash_applicable() {
+                    join
+                } else {
+                    JoinAlgo::Nested
+                };
+                Kernel::JoinPair(sweep, algo)
+            }
+            Op::CrossProduct => Kernel::CrossPair,
+            Op::Union => Kernel::UnionFinal,
+            Op::Difference => Kernel::DifferenceFinal,
+            Op::Delete { predicate, .. } => Kernel::DeleteFilter(predicate.clone()),
+        }
+    }
+
+    /// Execute one page-or-pair work unit on the zero-copy path: predicates
+    /// and join keys are evaluated directly over the encoded tuple images
+    /// and surviving images are memcpy'd into the returned batch — nothing
+    /// is decoded or re-encoded. `out_schema` is the node's output schema.
+    ///
+    /// # Panics
+    /// Panics if called on a [`crate::Firing::Complete`] kernel (use
+    /// [`Kernel::run_final_raw`]) or with the wrong operand count.
+    pub fn run_unit_raw(&self, pages: &[&Page], out_schema: &Schema) -> TupleBuf {
+        match self {
+            Kernel::Restrict(p) | Kernel::DeleteFilter(p) => ops::restrict_page_raw(pages[0], p),
+            Kernel::Project(proj) => ops::project_page_raw(pages[0], proj, out_schema),
+            Kernel::Identity => {
+                let mut out = TupleBuf::new(out_schema.clone());
+                for t in pages[0].tuple_refs() {
+                    out.push_ref(&t);
+                }
+                out
+            }
+            Kernel::JoinPair(..) | Kernel::CrossPair => {
+                let mut out = TupleBuf::new(out_schema.clone());
+                self.run_sweep_raw_into(pages[0], pages[1..].iter().copied(), true, &mut out);
+                out
+            }
+            Kernel::Span(steps) => ops::span_page_raw(pages[0], steps, out_schema),
+            k => panic!("run_unit_raw called on whole-relation kernel {k:?}"),
+        }
+    }
+
+    /// Execute a pair-sweep work unit — `page` against each page of
+    /// `opposite` in turn, as the outer operand of every pair when
+    /// `page_is_outer`, else as the inner — appending to `out`, so a unit
+    /// fills one output batch however many page pairs it covers.
+    ///
+    /// # Panics
+    /// Panics if called on anything but a join or cross-product kernel.
+    pub fn run_sweep_raw_into<'a>(
+        &self,
+        page: &'a Page,
+        opposite: impl IntoIterator<Item = &'a Page>,
+        page_is_outer: bool,
+        out: &mut TupleBuf,
+    ) {
+        let oriented = |opp: &'a Page| {
+            if page_is_outer {
+                (page, opp)
+            } else {
+                (opp, page)
+            }
+        };
+        match self {
+            Kernel::JoinPair(sweep, JoinAlgo::Nested) => {
+                sweep.sweep_list_into(page, opposite, page_is_outer, out);
+            }
+            Kernel::JoinPair(sweep, JoinAlgo::Hash) => {
+                for (outer, inner) in opposite.into_iter().map(oriented) {
+                    ops::hash_join_pages_raw_into(outer, inner, sweep, out);
+                }
+            }
+            Kernel::CrossPair => {
+                for (outer, inner) in opposite.into_iter().map(oriented) {
+                    ops::cross_pages_raw_into(outer, inner, out);
+                }
+            }
+            k => panic!("run_sweep_raw_into called on non-pair kernel {k:?}"),
+        }
+    }
+
+    /// Zero-copy whole-relation finalizer over complete inputs (one list
+    /// of pages per operand port): the `ops` set finalizers, whose
+    /// membership sets hash the raw tuple images, so nothing is decoded.
+    /// Set semantics match the oracle's exactly, first-occurrence order
+    /// included.
+    ///
+    /// # Panics
+    /// Panics if called on a streaming kernel.
+    pub fn run_final_raw(&self, inputs: &[Vec<&Page>], out_schema: &Schema) -> TupleBuf {
+        self.run_final_bucket_raw(inputs, 0, 1, out_schema)
+    }
+
+    /// One *bucket* of a whole-relation finalizer on the zero-copy path:
+    /// only tuples whose hash lands in `bucket` (of `buckets`) are
+    /// considered. Hash partitioning makes the blocking operators
+    /// parallelizable — the parallel duplicate-elimination algorithm the
+    /// paper's §5 leaves open: duplicates always hash to the same bucket,
+    /// so per-bucket deduplication composes to exact global deduplication
+    /// (a duplicate-eliminating project partitions on the *projected*
+    /// tuple). With `buckets == 1` this is the ordinary serial finalizer.
+    ///
+    /// Bucket partitioning (buckets > 1) decodes each tuple to hash it
+    /// ([`tuple_bucket`]); dedup membership and output construction stay
+    /// raw regardless.
+    pub fn run_final_bucket_raw(
+        &self,
+        inputs: &[Vec<&Page>],
+        bucket: u64,
+        buckets: u64,
+        out_schema: &Schema,
+    ) -> TupleBuf {
+        assert!(
+            buckets > 0 && bucket < buckets,
+            "invalid bucket {bucket}/{buckets}"
+        );
+        let in_bucket = |t: &TupleRef<'_>| -> bool {
+            buckets == 1 || tuple_bucket(&t.to_tuple(), buckets) == bucket
+        };
+        match self {
+            Kernel::UnionFinal => {
+                ops::union_pages_raw_where(&inputs[0], &inputs[1], out_schema, in_bucket)
+            }
+            Kernel::DifferenceFinal => {
+                ops::difference_pages_raw_where(&inputs[0], &inputs[1], out_schema, in_bucket)
+            }
+            Kernel::ProjectDedupFinal(proj) => {
+                let mut projected = TupleBuf::new(out_schema.clone());
+                for t in inputs[0].iter().flat_map(|p| p.tuple_refs()) {
+                    projected.push_projected(&t, proj.indices());
+                }
+                ops::dedup_raw_where(projected.refs(), out_schema, in_bucket)
+            }
+            k => panic!("run_final_raw called on streaming kernel {k:?}"),
+        }
+    }
+
+    /// Per-tuple operation count for the cost model: how many tuple-level
+    /// steps the unit performs. A hash-path equi-join builds the inner
+    /// index (m inserts) and probes once per outer tuple (n probes), so it
+    /// charges n + m instead of the nested-loops n·m — this is what lets
+    /// the simulated machines account the reduced IP service time.
+    pub fn tuple_ops(&self, tuple_counts: &[usize]) -> usize {
+        match self {
+            Kernel::JoinPair(_, JoinAlgo::Hash) => tuple_counts[0] + tuple_counts[1],
+            Kernel::JoinPair(_, JoinAlgo::Nested) | Kernel::CrossPair => {
+                tuple_counts[0] * tuple_counts[1]
+            }
+            // A fused span charges the *sum* of its step costs — each
+            // logical operator still touches every input tuple — while
+            // transferring a single page. The transfer saving, not a
+            // compute saving, is what the pipeline mode buys.
+            Kernel::Span(steps) => tuple_counts[0] * steps.len().max(1),
+            Kernel::UnionFinal | Kernel::DifferenceFinal | Kernel::ProjectDedupFinal(_) => {
+                tuple_counts.iter().sum()
+            }
+            Kernel::Restrict(_)
+            | Kernel::Project(_)
+            | Kernel::Identity
+            | Kernel::DeleteFilter(_) => tuple_counts[0],
+        }
+    }
+}
+
+/// Deterministic hash bucket of a tuple (used to partition blocking
+/// operators across processors).
+pub fn tuple_bucket(t: &Tuple, buckets: u64) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish() % buckets
+}

@@ -7,18 +7,25 @@
 //! * [`QueryTree`] / [`Op`] — the query-tree IR. Leaves scan base relations;
 //!   inner nodes are restrict / project / join / cross / union / difference;
 //!   append and delete (the paper's update operators) are root-only.
-//! * [`ops`] — **page-at-a-time operator kernels**, in two independent
-//!   forms: the raw-byte kernels every machine runs inside its work units,
-//!   and the decoded-`Tuple` kernels the oracle composes — two
-//!   implementations of one semantics, which is what makes a machine result
-//!   matching the oracle's evidence.
+//! * [`ops`] — **page-at-a-time raw operator kernels**: predicates, join
+//!   keys and set membership evaluated over encoded tuple images, nothing
+//!   decoded — what every executor runs inside its work units.
 //! * [`Plan`] — the compiled plan every executor runs from: per node its
 //!   derived schema, `(parent, port)`, the one [`Firing`] classification of
 //!   [`Op`], and the one span-fusion pass.
-//! * [`execute`] / [`execute_readonly`] — the uniprocessor oracle executor
-//!   (the ground truth every machine result is checked against), including
-//!   both nested-loops and sort-merge join algorithms from Blasgen & Eswaran
-//!   \[5\].
+//! * [`Kernel`] — the one opcode dispatch: [`Kernel::lower`] is the only
+//!   `Op` → kernel map, executed by df-core, df-ring, df-host and
+//!   [`run_plan`], the sequential scheduler here.
+//! * [`stage_write`] / [`apply_write`] — df-serve's split-phase write on raw
+//!   pages: an append's source runs through [`run_plan`], a delete
+//!   partitions its target page by page ([`partition_delete`]), sharing
+//!   every page it does not touch.
+//! * [`oracle`] — the same operators re-implemented over decoded `Tuple`s,
+//!   sharing no code with [`ops`]; [`execute`] / [`execute_readonly`] run
+//!   queries and writes on it. It is the ground truth every machine, served
+//!   write and standing view is checked against, and includes both
+//!   nested-loops and sort-merge join algorithms from Blasgen & Eswaran
+//!   \[5\]. No served path calls it.
 //! * [`TreeBuilder`] — fluent, name-based construction with schema
 //!   derivation at each step.
 //! * [`validate`] — whole-tree schema/type checking and output-schema
@@ -49,6 +56,7 @@
 
 mod builder;
 mod exec;
+mod kernel;
 mod parser;
 mod plan;
 mod render;
@@ -56,12 +64,14 @@ mod tree;
 mod validate;
 
 pub mod ops;
+pub mod oracle;
 
 pub use builder::{SubTree, TreeBuilder};
 pub use exec::{
-    apply_write, execute, execute_read_nodes, execute_readonly, stage_write, ExecParams,
+    apply_write, execute, execute_readonly, partition_delete, run_plan, stage_write, ExecParams,
     JoinAlgorithm, WriteDelta,
 };
+pub use kernel::{tuple_bucket, JoinAlgo, Kernel};
 pub use parser::parse_query;
 pub use plan::{Firing, Plan, PlanNode};
 pub use render::render_tree;

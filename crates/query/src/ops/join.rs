@@ -1,47 +1,20 @@
 //! Join kernels: the page×page entry points (nested loops and the hash
-//! probe), plus whole-relation nested-loops and sort-merge baselines from
-//! Blasgen & Eswaran \[5\].
+//! probe).
 //!
 //! The paper (§2.1) argues the O(n²) nested-loops algorithm is "the best
 //! algorithm for execution of the join operator on multiple processors"
 //! because each page (or tuple) of the outer relation can be joined with the
 //! inner relation independently — one page pair is precisely that unit of
 //! independent work. The machines run it as the compiled [`JoinSweep`]
-//! (`sweep.rs`) over raw page bytes; [`join_pages`] is the decoded-tuple
-//! oracle it must match byte for byte, and the hash probe is defined as
-//! identical to both. The sort-merge algorithm, faster on one processor, is
-//! implemented as the uniprocessor baseline ([`merge_join_relations`]) the
-//! unit tests below compare nested loops against.
+//! (`sweep.rs`) over raw page bytes; [`crate::oracle::join_pages`] is the
+//! decoded-tuple oracle it must match byte for byte, and the hash probe is
+//! defined as identical to both. The oracle also holds the whole-relation
+//! nested-loops and sort-merge baselines from Blasgen & Eswaran \[5\] the
+//! unit tests below compare against.
 
-use std::cmp::Ordering;
-
-use df_relalg::{
-    CmpOp, Error, JoinCondition, Page, PageKeyIndex, Relation, Result, Schema, Tuple, TupleBuf,
-};
+use df_relalg::{JoinCondition, Page, PageKeyIndex, Schema, TupleBuf};
 
 use super::sweep::JoinSweep;
-
-/// Join one outer page against one inner page: the IP work unit for a join
-/// instruction packet (Fig 4.3 carries exactly these two data pages).
-///
-/// Emits `outer ++ inner` concatenated tuples for every pair satisfying the
-/// condition, in (outer slot, inner slot) order.
-///
-/// Decoded-tuple variant, kept for the oracle executor and as the reference
-/// the raw kernels are tested against; the machines run the compiled
-/// [`JoinSweep`].
-pub fn join_pages(outer: &Page, inner: &Page, condition: &JoinCondition) -> Vec<Tuple> {
-    let inner_tuples: Vec<Tuple> = inner.tuples().collect();
-    let mut out = Vec::new();
-    for o in outer.tuples() {
-        for i in &inner_tuples {
-            if condition.matches(&o, i) {
-                out.push(o.concat(i));
-            }
-        }
-    }
-    out
-}
 
 /// Zero-copy page×page nested-loops join: compiles `condition` against the
 /// two page schemas and runs the one [`JoinSweep`] pair loop over the raw
@@ -137,91 +110,12 @@ pub fn hash_join_probe_into(
     }
 }
 
-/// Whole-relation nested-loops join (the uniprocessor form of the paper's
-/// chosen algorithm).
-pub fn nested_loops_join_relations(
-    outer: &Relation,
-    inner: &Relation,
-    condition: &JoinCondition,
-) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    for op in outer.pages() {
-        for ip in inner.pages() {
-            out.extend(join_pages(op, ip, condition));
-        }
-    }
-    out
-}
-
-/// Sort-merge join (\[5\]'s "sorted-merge", O(n log n)). Only defined for
-/// equi-joins; other θs fall back to an error so callers choose nested loops.
-///
-/// Handles duplicate keys on both sides (emits the full cross product of
-/// each matching group).
-pub fn merge_join_relations(
-    outer: &Relation,
-    inner: &Relation,
-    condition: &JoinCondition,
-) -> Result<Vec<Tuple>> {
-    if condition.op != CmpOp::Eq {
-        return Err(Error::TypeMismatch {
-            detail: format!(
-                "sort-merge join requires an equi-join, got `{}`",
-                condition.op
-            ),
-        });
-    }
-    let key_of = |t: &Tuple, idx: usize| t.get(idx).expect("condition validated").clone();
-
-    let mut left: Vec<Tuple> = outer.tuples().collect();
-    let mut right: Vec<Tuple> = inner.tuples().collect();
-    let lcmp = |a: &Tuple, b: &Tuple| {
-        key_of(a, condition.left)
-            .partial_cmp_typed(&key_of(b, condition.left))
-            .expect("join keys share a type")
-    };
-    let rcmp = |a: &Tuple, b: &Tuple| {
-        key_of(a, condition.right)
-            .partial_cmp_typed(&key_of(b, condition.right))
-            .expect("join keys share a type")
-    };
-    left.sort_by(lcmp);
-    right.sort_by(rcmp);
-
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() && j < right.len() {
-        let lk = key_of(&left[i], condition.left);
-        let rk = key_of(&right[j], condition.right);
-        match lk.partial_cmp_typed(&rk).expect("join keys share a type") {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                // Find both duplicate groups, emit their cross product.
-                let i_end = (i..left.len())
-                    .find(|&x| key_of(&left[x], condition.left) != lk)
-                    .unwrap_or(left.len());
-                let j_end = (j..right.len())
-                    .find(|&x| key_of(&right[x], condition.right) != rk)
-                    .unwrap_or(right.len());
-                for l in &left[i..i_end] {
-                    for r in &right[j..j_end] {
-                        out.push(l.concat(r));
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::test_support::*;
-    use df_relalg::{Schema, Value};
+    use crate::oracle::{join_pages, merge_join_relations, nested_loops_join_relations};
+    use df_relalg::{CmpOp, Relation, Tuple, Value};
 
     fn rel(pairs: &[(i64, i64)]) -> Relation {
         Relation::from_tuples(

@@ -1,13 +1,12 @@
 //! Page-at-a-time operator kernels.
 //!
 //! These functions are the "opcode" implementations an instruction processor
-//! runs on the data pages inside an instruction packet (paper Fig 4.3), in
-//! two independent forms. The `*_raw` kernels work on the encoded tuple
-//! images and are the only form df-core, df-ring and df-host execute; the
-//! decoded-[`df_relalg::Tuple`] kernels are what the sequential oracle
-//! composes and what tests compare the raw path against. Neither calls the
-//! other — that independence is what makes a machine result matching the
-//! oracle's evidence of correctness.
+//! runs on the data pages inside an instruction packet (paper Fig 4.3). They
+//! work on the encoded tuple images — nothing is decoded — and are what
+//! [`crate::Kernel`] dispatches to for every executor. Their independent
+//! decoded-[`df_relalg::Tuple`] counterparts live in [`crate::oracle`];
+//! neither calls the other — that independence is what makes a machine
+//! result matching the oracle's evidence of correctness.
 
 mod join;
 mod project;
@@ -17,16 +16,17 @@ mod set_ops;
 mod span;
 mod sweep;
 
+pub(crate) use raw::{copy_rows, RowFilter};
+
 pub use join::{
     hash_join_pages_raw, hash_join_pages_raw_into, hash_join_probe, hash_join_probe_into,
-    join_pages, join_pages_raw, merge_join_relations, nested_loops_join_relations,
+    join_pages_raw,
 };
-pub use project::{dedup_tuples, project_page, project_page_raw};
-pub use restrict::{restrict_page, restrict_page_raw};
+pub use project::project_page_raw;
+pub use restrict::restrict_page_raw;
 pub use set_ops::{
-    cross_pages, cross_pages_raw, cross_pages_raw_into, dedup_pages_raw, dedup_raw_where,
-    difference_pages_raw, difference_pages_raw_where, difference_relations, union_pages_raw,
-    union_pages_raw_where, union_relations,
+    cross_pages_raw, cross_pages_raw_into, dedup_pages_raw, dedup_raw_where, difference_pages_raw,
+    difference_pages_raw_where, union_pages_raw, union_pages_raw_where,
 };
 pub use span::{span_output_schema, span_page_raw, SpanStep};
 pub use sweep::{JoinSweep, KeyClass};

@@ -2,25 +2,11 @@
 
 use std::collections::HashSet;
 
-use df_relalg::{Error, Page, Relation, Result, Schema, Tuple, TupleBuf, TupleRef};
+use df_relalg::{Page, Schema, TupleBuf, TupleRef};
 
 /// Cross product of one page pair (the join kernel with θ ≡ true, kept
-/// separate so metrics can distinguish the operators).
-///
-/// Decoded-tuple variant, kept for the oracle executor; the machines run
-/// [`cross_pages_raw`].
-pub fn cross_pages(outer: &Page, inner: &Page) -> Vec<Tuple> {
-    let inner_tuples: Vec<Tuple> = inner.tuples().collect();
-    let mut out = Vec::new();
-    for o in outer.tuples() {
-        for i in &inner_tuples {
-            out.push(o.concat(i));
-        }
-    }
-    out
-}
-
-/// Zero-copy cross product: every output row is the concatenation of two
+/// separate so metrics can distinguish the operators), zero-copy: every
+/// output row is the concatenation of two
 /// borrowed images.
 pub fn cross_pages_raw(outer: &Page, inner: &Page, out_schema: &Schema) -> TupleBuf {
     let mut out = TupleBuf::new(out_schema.clone());
@@ -67,7 +53,7 @@ fn refs<'a>(pages: &'a [&'a Page]) -> impl Iterator<Item = TupleRef<'a>> {
 }
 
 /// Zero-copy set union over complete page lists, in first-occurrence order
-/// like [`union_relations`].
+/// like the oracle's [`crate::oracle::union_relations`].
 pub fn union_pages_raw(left: &[&Page], right: &[&Page], schema: &Schema) -> TupleBuf {
     union_pages_raw_where(left, right, schema, |_| true)
 }
@@ -108,64 +94,12 @@ pub fn dedup_pages_raw(pages: &[&Page], schema: &Schema) -> TupleBuf {
     dedup_raw_where(refs(pages), schema, |_| true)
 }
 
-/// Set union of two relations (duplicates across and within inputs removed).
-///
-/// # Errors
-/// Fails if the inputs are not union-compatible (different schemas).
-pub fn union_relations(left: &Relation, right: &Relation) -> Result<Vec<Tuple>> {
-    if left.schema() != right.schema() {
-        return Err(Error::SchemaMismatch {
-            detail: format!(
-                "union of incompatible schemas {} vs {}",
-                left.schema(),
-                right.schema()
-            ),
-        });
-    }
-    let mut seen: HashSet<Tuple> = HashSet::new();
-    let mut out = Vec::new();
-    for t in left.tuples().chain(right.tuples()) {
-        if seen.insert(t.clone()) {
-            out.push(t);
-        }
-    }
-    Ok(out)
-}
-
-/// Set difference `left − right`.
-///
-/// This operator is *blocking* on its right input: no tuple of `left` can be
-/// emitted until all of `right` has been seen — which is why
-/// [`crate::Op::Difference`] is classified [`crate::Firing::Complete`] and
-/// every scheduler fires it only once both operands are complete.
-///
-/// # Errors
-/// Fails if the inputs are not union-compatible.
-pub fn difference_relations(left: &Relation, right: &Relation) -> Result<Vec<Tuple>> {
-    if left.schema() != right.schema() {
-        return Err(Error::SchemaMismatch {
-            detail: format!(
-                "difference of incompatible schemas {} vs {}",
-                left.schema(),
-                right.schema()
-            ),
-        });
-    }
-    let exclude: HashSet<Tuple> = right.tuples().collect();
-    let mut seen: HashSet<Tuple> = HashSet::new();
-    let mut out = Vec::new();
-    for t in left.tuples() {
-        if !exclude.contains(&t) && seen.insert(t.clone()) {
-            out.push(t);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::test_support::*;
+    use crate::oracle::{cross_pages, dedup_tuples, difference_relations, union_relations};
+    use df_relalg::Relation;
 
     fn rel(pairs: &[(i64, i64)]) -> Relation {
         Relation::from_tuples(
@@ -210,7 +144,7 @@ mod tests {
         );
         assert_eq!(
             dedup_pages_raw(&ap, &s).to_tuples(),
-            crate::ops::dedup_tuples(a.tuples())
+            dedup_tuples(a.tuples())
         );
         // Cross product, raw vs decoded.
         let out_schema = s.concat(&s);

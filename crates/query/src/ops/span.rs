@@ -88,7 +88,8 @@ pub fn span_output_schema(input: &Schema, steps: &[SpanStep]) -> df_relalg::Resu
 mod tests {
     use super::*;
     use crate::ops::test_support::*;
-    use crate::ops::{project_page, project_page_raw, restrict_page, restrict_page_raw};
+    use crate::ops::{project_page_raw, restrict_page_raw};
+    use crate::oracle::{project_page, restrict_page};
     use df_relalg::{CmpOp, Tuple, Value};
 
     fn page() -> Page {

@@ -2,10 +2,12 @@
 //! that must hold for arbitrary data, plus kernel/oracle agreement.
 
 use df_query::ops::{
-    cross_pages, cross_pages_raw, dedup_pages_raw, dedup_tuples, difference_pages_raw,
-    difference_relations, join_pages, join_pages_raw, merge_join_relations,
-    nested_loops_join_relations, project_page, project_page_raw, restrict_page, restrict_page_raw,
-    union_pages_raw, union_relations,
+    cross_pages_raw, dedup_pages_raw, difference_pages_raw, join_pages_raw, project_page_raw,
+    restrict_page_raw, union_pages_raw,
+};
+use df_query::oracle::{
+    cross_pages, dedup_tuples, difference_relations, join_pages, merge_join_relations,
+    nested_loops_join_relations, project_page, restrict_page, union_relations,
 };
 use df_relalg::{
     CmpOp, DataType, JoinCondition, Page, Predicate, Projection, Relation, Schema, Tuple, Value,

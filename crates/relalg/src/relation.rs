@@ -9,8 +9,12 @@ use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::tuple_ref::TupleRef;
 
-/// A materialized relation. Tuples live in fixed-size [`Page`]s; the last
-/// page may be partially full.
+/// A materialized relation. Tuples live in fixed-size [`Page`]s, in order.
+/// Appends fill only the last page, so a relation built by appending has
+/// every page full but the last; any page may be partially full once a
+/// page-level delete has replaced a page by its survivors (pages are
+/// never repacked across). [`Relation::compact`] restores the packed
+/// layout.
 ///
 /// Pages are held behind [`Arc`] so that loading a relation into a
 /// simulated machine's page store (or materializing a result back out)
@@ -121,6 +125,39 @@ impl Relation {
                 .expect("just ensured a non-full page exists"),
         )
         .push(&tuple)
+    }
+
+    /// Append raw tuple images (`images` holds whole images of the
+    /// relation's schema, concatenated): they fill the last page, then
+    /// fresh ones, exactly as the same tuples through [`Relation::append`]
+    /// would — but without a decode or re-encode. Each page receives whole
+    /// images only, so the relation is valid after every step.
+    ///
+    /// # Errors
+    /// [`Error::Corrupt`] if `images` is not a whole number of images.
+    pub fn append_images(&mut self, images: &[u8]) -> Result<()> {
+        let w = self.schema.tuple_width();
+        if images.len() % w != 0 {
+            return Err(Error::Corrupt {
+                detail: format!("{} image bytes for schema of width {w}", images.len()),
+            });
+        }
+        let mut rest = images;
+        while !rest.is_empty() {
+            if self.pages.last().is_none_or_full() {
+                self.pages
+                    .push(Arc::new(Page::new(self.schema.clone(), self.page_size)?));
+            }
+            let page = Arc::make_mut(
+                self.pages
+                    .last_mut()
+                    .expect("just ensured a non-full page exists"),
+            );
+            let take = (page.capacity() - page.len()).min(rest.len() / w);
+            page.extend_raw(&rest[..take * w], take);
+            rest = &rest[take * w..];
+        }
+        Ok(())
     }
 
     /// Append a whole page, taking shared ownership (an `Arc<Page>` handed
@@ -363,6 +400,58 @@ mod tests {
             })
             .collect();
         assert_eq!(refs, (0..7).collect::<Vec<_>>());
+    }
+
+    /// Pages of 2, 5 (full) and 1 tuples: partial pages in the middle, the
+    /// layout a page-level delete leaves.
+    fn with_partial_middle_pages() -> Relation {
+        let mut r = rel(0);
+        for keys in [&[0, 1][..], &[2, 3, 4, 5, 6], &[7]] {
+            let mut p = Page::new(schema(), 516).unwrap();
+            for &k in keys {
+                p.push(&tup(k)).unwrap();
+            }
+            r.append_page(p).unwrap();
+        }
+        r
+    }
+
+    fn page_lens(r: &Relation) -> Vec<usize> {
+        r.pages().iter().map(|p| p.len()).collect()
+    }
+
+    fn image(k: i64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        tup(k).encode(&schema(), &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn appends_to_partial_middle_pages_fill_only_the_last_page() {
+        let mut r = with_partial_middle_pages();
+        r.append(tup(8)).unwrap();
+        assert_eq!(page_lens(&r), vec![2, 5, 2]);
+        let images: Vec<u8> = (9..14).flat_map(image).collect();
+        r.append_images(&images).unwrap();
+        assert_eq!(page_lens(&r), vec![2, 5, 5, 2]);
+        // The same tuples appended one at a time give the same pages.
+        let mut one_by_one = with_partial_middle_pages();
+        for k in 8..14 {
+            one_by_one.append(tup(k)).unwrap();
+        }
+        assert_eq!(r, one_by_one);
+        assert!(r.append_images(&images[..7]).is_err(), "not a whole image");
+        assert_eq!(r.num_tuples(), 14);
+    }
+
+    #[test]
+    fn partial_middle_pages_compact_and_compare_by_contents() {
+        let mut r = with_partial_middle_pages();
+        assert_eq!(r.num_pages(), 3);
+        assert!(r.same_contents(&rel(8)), "layout is not contents");
+        r.compact();
+        assert_eq!(page_lens(&r), vec![5, 3]);
+        assert_eq!(r.pages(), rel(8).pages());
     }
 
     #[test]

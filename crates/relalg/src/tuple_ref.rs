@@ -224,6 +224,14 @@ impl TupleBuf {
         t.encode_unchecked(&self.schema, &mut self.bytes)
     }
 
+    /// The live images, concatenated — the bulk form
+    /// [`crate::Relation::append_images`] and [`TupleBuf::push_images`]
+    /// take.
+    #[inline]
+    pub fn images(&self) -> &[u8] {
+        &self.bytes[self.start..]
+    }
+
     /// Iterate over the live images as borrowed views.
     pub fn refs(&self) -> impl Iterator<Item = TupleRef<'_>> {
         let w = self.schema.tuple_width();

@@ -71,9 +71,11 @@ pub(super) struct ReadTask {
 }
 
 /// One update query, executed split-phase by a lane: `stage_write` under
-/// the catalog read lock, then — under the write lock — the target's
-/// optimizer statistics invalidated and `apply_write`. The gate's
-/// exclusive mark on the target makes the split sound.
+/// the catalog read lock (raw pages: an append's source through
+/// `df_query::run_plan`, a delete's page-level partition), then — under
+/// the write lock — the target's optimizer statistics invalidated and
+/// `apply_write`. The gate's exclusive mark on the target makes the split
+/// sound.
 pub(super) struct WriteTask {
     /// Taken (`Option::take`) at conclusion; a panic before that point
     /// leaves it here for the containment path to answer.
@@ -210,9 +212,10 @@ fn run_read_task(
     }
 }
 
-/// Execute one write split-phase: the expensive source evaluation /
-/// target partition under the catalog *read* lock (other lanes keep
-/// reading), then a brief write lock for the apply. Sound because the
+/// Execute one write split-phase: the source evaluation / target
+/// partition on raw pages under the catalog *read* lock (other lanes keep
+/// reading), then a brief write lock for the apply — page images appended,
+/// or the partitioned target swapped in with its untouched pages shared. Sound because the
 /// dispatcher granted this task exclusive gate marks on its target
 /// relations, so no other task can read or write them between the
 /// phases. Under that same write lock the targets' optimizer statistics
