@@ -1,0 +1,520 @@
+//! One instruction cell and the §2 firing rule. A [`Cell`]'s fields are
+//! private to this module: the scheduler drives it only through the
+//! rule's operations — deliver, end a stream, take, requeue, settle,
+//! discard, complete.
+
+use std::collections::VecDeque;
+use std::sync::{Arc, OnceLock};
+
+use df_query::Firing;
+use df_relalg::{Page, PageKeyIndex};
+
+/// One page in a pair-sweep cell's operand page table, bundled with its
+/// lazily built raw-byte key index (the hash-accelerated equi-join path).
+///
+/// The index is per *cell*, not per base page: the same `Arc<Page>` of a
+/// base relation can feed several join cells keyed on different
+/// attributes, so each cell's table wraps the page in its own
+/// `OperandPage`. The first worker whose probe needs the index builds it
+/// (`OnceLock`); every later pair unit touching this page — on any worker
+/// — reuses it through the shared `Arc`.
+#[derive(Debug)]
+pub(super) struct OperandPage {
+    pub page: Arc<Page>,
+    index: OnceLock<PageKeyIndex>,
+}
+
+impl OperandPage {
+    /// The page's key index over attribute `key`, built on first use.
+    pub fn index_for(&self, key: usize) -> &PageKeyIndex {
+        let idx = self
+            .index
+            .get_or_init(|| PageKeyIndex::build(&self.page, key));
+        // A pair-sweep cell has exactly one join condition, so every probe
+        // of this page asks for the same key attribute.
+        debug_assert_eq!(idx.key(), key, "one cell, one join key");
+        idx
+    }
+}
+
+/// The operand payload of one work unit. `Clone` is cheap (`Arc`s only);
+/// a unit's payload is cloned only to requeue it when the worker holding
+/// its run dies.
+#[derive(Debug, Clone)]
+pub(super) enum WorkKind {
+    /// One operand page (restrict, non-dedup project, fused span).
+    Page(Arc<Page>),
+    /// A pair sweep: the newly arrived page against every page of the
+    /// opposite operand received so far (join, cross product). Pages of
+    /// one delivery see the same opposite list, so they share one snapshot.
+    Sweep {
+        new_page: Arc<OperandPage>,
+        opposite: Arc<[Arc<OperandPage>]>,
+        new_is_outer: bool,
+    },
+    /// Complete operands of a blocking operator (union, difference,
+    /// dedup project — `right` is empty for unary operators).
+    Complete {
+        left: Vec<Arc<Page>>,
+        right: Vec<Arc<Page>>,
+    },
+}
+
+/// What a cell keeps of its operands: shaped by firing class, then by how
+/// far the cell has got.
+#[derive(Debug)]
+enum State {
+    /// Per-page (and source) firing: a page fires on arrival, nothing is
+    /// kept.
+    PerPage,
+    /// Pair-sweep firing: every page received so far, one list per port.
+    PairSweep([Vec<Arc<OperandPage>>; 2]),
+    /// A blocking cell collecting its complete operands, one list per port.
+    Collecting([Vec<Arc<Page>>; 2]),
+    /// A blocking cell whose single unit has been created.
+    Fired,
+    /// Operands ended and no work outstanding: the cell has completed.
+    Done,
+}
+
+/// What the paper's instruction memory cell holds for one plan node: the
+/// operand pages received so far (as its firing class needs them), which
+/// operand streams have ended, the work units its arrivals created, and
+/// how many of those runs hold.
+#[derive(Debug)]
+pub(super) struct Cell {
+    state: State,
+    /// Which operand streams have ended (ports the node lacks start ended).
+    ports_done: [bool; 2],
+    /// Work units created but not yet taken by a run.
+    pending: VecDeque<WorkKind>,
+    /// Units taken by runs and not yet settled or requeued — the one
+    /// in-flight count; the query's and the scheduler's totals are sums
+    /// of it.
+    in_flight: usize,
+}
+
+impl Cell {
+    /// A cell of `firing` class with `ports` operand ports (0 for a scan,
+    /// which is fed at admission and has no operand stream).
+    pub fn new(firing: Firing, ports: usize) -> Cell {
+        debug_assert!(ports <= 2, "operators take at most two operands");
+        let state = match firing {
+            Firing::Source | Firing::PerPage => State::PerPage,
+            Firing::PairSweep => State::PairSweep(Default::default()),
+            Firing::Complete => State::Collecting(Default::default()),
+        };
+        Cell {
+            state,
+            ports_done: [ports < 1, ports < 2],
+            pending: VecDeque::new(),
+            in_flight: 0,
+        }
+    }
+
+    /// Units waiting to be taken.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Units taken and not yet settled or requeued.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    /// The §2 firing rule: operand `pages` arrived at `port`. Returns how
+    /// many units they fired (for `CellFire`). A pair-sweep page is paired
+    /// with every opposite page received so far; later opposite arrivals
+    /// pick this page up, so each page pair is swept exactly once.
+    pub fn deliver(&mut self, port: usize, pages: Vec<Arc<Page>>) -> u64 {
+        debug_assert!(!self.ports_done[port], "a page after its stream ended");
+        let before = self.pending.len();
+        match &mut self.state {
+            State::PerPage => self.pending.extend(pages.into_iter().map(WorkKind::Page)),
+            State::PairSweep(received) => {
+                // Every page of this delivery sees the same opposite list,
+                // so one snapshot serves them all. The `OperandPage` wrapper
+                // gives each page a per-cell key-index slot shared by every
+                // pair unit that touches it.
+                let opposite: Arc<[Arc<OperandPage>]> = received[1 - port].as_slice().into();
+                for p in pages {
+                    let index = OnceLock::new();
+                    let new_page = Arc::new(OperandPage { page: p, index });
+                    if !opposite.is_empty() {
+                        self.pending.push_back(WorkKind::Sweep {
+                            new_page: Arc::clone(&new_page),
+                            opposite: Arc::clone(&opposite),
+                            new_is_outer: port == 0,
+                        });
+                    }
+                    received[port].push(new_page);
+                }
+            }
+            State::Collecting(received) => received[port].extend(pages),
+            State::Fired | State::Done => unreachable!("operands after every stream ended"),
+        }
+        (self.pending.len() - before) as u64
+    }
+
+    /// The operand stream on `port` ended. Once every stream has, a
+    /// blocking cell fires its single unit over the complete operands;
+    /// returns the units fired (0 or 1).
+    pub fn port_done(&mut self, port: usize) -> u64 {
+        debug_assert!(!self.ports_done[port], "a stream ends once");
+        self.ports_done[port] = true;
+        if self.ports_done != [true; 2] {
+            return 0;
+        }
+        let State::Collecting([left, right]) = &mut self.state else {
+            return 0;
+        };
+        let unit = WorkKind::Complete {
+            left: std::mem::take(left),
+            right: std::mem::take(right),
+        };
+        self.pending.push_back(unit);
+        self.state = State::Fired;
+        1
+    }
+
+    /// Take the next `n` pending units for one run; they are in flight
+    /// until settled or requeued.
+    pub fn take(&mut self, n: usize) -> impl Iterator<Item = WorkKind> + '_ {
+        self.in_flight += n;
+        self.pending.drain(..n)
+    }
+
+    /// A dead worker held these in-flight units: put them back at the head
+    /// of the queue, in order, for a survivor to take.
+    pub fn requeue<'u>(&mut self, units: impl DoubleEndedIterator<Item = &'u WorkKind>) {
+        for kind in units.rev() {
+            self.in_flight -= 1;
+            self.pending.push_front(kind.clone());
+        }
+    }
+
+    /// `n` in-flight units came back: served, or lost with a doomed query.
+    pub fn settle(&mut self, n: usize) {
+        debug_assert!(n <= self.in_flight, "settling units never taken");
+        self.in_flight -= n;
+    }
+
+    /// The owning query is doomed: drop the work no run has taken.
+    pub fn discard_pending(&mut self) {
+        self.pending.clear();
+    }
+
+    /// Every stream ended, the blocking fire (if any) happened, and no unit
+    /// is pending or in flight.
+    pub fn ready_to_complete(&self) -> bool {
+        !matches!(self.state, State::Collecting(_) | State::Done)
+            && self.ports_done == [true; 2]
+            && self.pending.is_empty()
+            && self.in_flight == 0
+    }
+
+    /// Mark the cell completed, dropping its page tables.
+    pub fn complete(&mut self) {
+        debug_assert!(self.ready_to_complete(), "completing a busy cell");
+        self.state = State::Done;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use df_relalg::{DataType, Schema};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// `n` distinct (empty) pages; a page is identified by its allocation.
+    fn pages(n: usize) -> Vec<Arc<Page>> {
+        let schema = Schema::build().attr("k", DataType::Int).finish().unwrap();
+        (0..n)
+            .map(|_| Arc::new(Page::new(schema.clone(), 64).unwrap()))
+            .collect()
+    }
+
+    fn id(page: &Arc<Page>) -> usize {
+        Arc::as_ptr(page) as usize
+    }
+
+    /// The (outer, inner) page pairs a sweep unit covers.
+    fn pairs(unit: &WorkKind) -> Vec<(usize, usize)> {
+        let WorkKind::Sweep {
+            new_page,
+            opposite,
+            new_is_outer,
+        } = unit
+        else {
+            panic!("not a sweep: {unit:?}");
+        };
+        let new = id(&new_page.page);
+        opposite
+            .iter()
+            .map(|o| {
+                if *new_is_outer {
+                    (new, id(&o.page))
+                } else {
+                    (id(&o.page), new)
+                }
+            })
+            .collect()
+    }
+
+    fn all_pairs(outer: &[Arc<Page>], inner: &[Arc<Page>]) -> HashSet<(usize, usize)> {
+        outer
+            .iter()
+            .flat_map(|o| inner.iter().map(move |i| (id(o), id(i))))
+            .collect()
+    }
+
+    #[test]
+    fn every_page_pair_is_swept_once_under_interleaved_arrivals() {
+        let (outer, inner) = (pages(4), pages(3));
+        let mut cell = Cell::new(Firing::PairSweep, 2);
+        // Arrivals alternate ports, some batched, one port running ahead.
+        assert_eq!(cell.deliver(0, vec![Arc::clone(&outer[0])]), 0);
+        assert_eq!(cell.deliver(1, inner[..2].to_vec()), 2);
+        assert_eq!(cell.deliver(0, outer[1..3].to_vec()), 2);
+        assert_eq!(cell.deliver(1, vec![Arc::clone(&inner[2])]), 1);
+        cell.port_done(1);
+        assert_eq!(cell.deliver(0, vec![Arc::clone(&outer[3])]), 1);
+        cell.port_done(0);
+        let units: Vec<WorkKind> = cell.take(cell.pending()).collect();
+        let swept: Vec<_> = units.iter().flat_map(pairs).collect();
+        assert_eq!(swept.len(), outer.len() * inner.len(), "{swept:?}");
+        assert_eq!(
+            swept.into_iter().collect::<HashSet<_>>(),
+            all_pairs(&outer, &inner)
+        );
+    }
+
+    #[test]
+    fn blocking_fire_waits_for_every_port() {
+        let (left, right) = (pages(2), pages(1));
+        let mut cell = Cell::new(Firing::Complete, 2);
+        assert_eq!(cell.deliver(0, left.clone()), 0);
+        assert_eq!(cell.port_done(0), 0);
+        assert_eq!(cell.deliver(1, right.clone()), 0);
+        assert_eq!((cell.pending(), cell.ready_to_complete()), (0, false));
+        assert_eq!(cell.port_done(1), 1);
+        let Some(WorkKind::Complete { left: l, right: r }) = cell.take(1).next() else {
+            panic!("the blocking unit");
+        };
+        assert!(l.iter().map(id).eq(left.iter().map(id)));
+        assert!(r.iter().map(id).eq(right.iter().map(id)));
+        assert!(!cell.ready_to_complete(), "its unit is in flight");
+        cell.settle(1);
+        assert!(cell.ready_to_complete());
+
+        // Unary, and with no operand page at all: still exactly one fire.
+        let mut cell = Cell::new(Firing::Complete, 1);
+        assert!(!cell.ready_to_complete(), "not before its fire");
+        assert_eq!(cell.port_done(0), 1);
+        assert_eq!(cell.pending(), 1);
+    }
+
+    #[test]
+    fn never_ready_with_work_pending_or_in_flight() {
+        let mut cell = Cell::new(Firing::PerPage, 1);
+        assert_eq!(cell.deliver(0, pages(3)), 3);
+        cell.port_done(0);
+        assert!(!cell.ready_to_complete(), "pending");
+        let run: Vec<WorkKind> = cell.take(2).collect();
+        assert!(!cell.ready_to_complete(), "pending and in flight");
+        cell.requeue(run.iter());
+        assert_eq!((cell.pending(), cell.in_flight()), (3, 0));
+        assert_eq!(cell.take(3).count(), 3);
+        assert!(!cell.ready_to_complete(), "in flight");
+        cell.settle(3);
+        assert!(cell.ready_to_complete());
+        cell.complete();
+        assert!(!cell.ready_to_complete(), "a cell completes once");
+
+        // A doomed query's cell drops what no run took; the rest drains.
+        let mut cell = Cell::new(Firing::PerPage, 1);
+        cell.deliver(0, pages(4));
+        assert_eq!(cell.take(1).count(), 1);
+        cell.discard_pending();
+        assert_eq!((cell.pending(), cell.in_flight()), (0, 1));
+        cell.settle(1);
+        assert_eq!(cell.in_flight(), 0);
+
+        // A scan cell has no operand stream: it is ready at once.
+        assert!(Cell::new(Firing::Source, 0).ready_to_complete());
+    }
+
+    /// A cell driven by a random interleaving of the scheduler's operations,
+    /// next to a model of what it must have done.
+    struct Harness {
+        cell: Cell,
+        firing: Firing,
+        /// Per port: pages not yet delivered, and pages delivered.
+        unsent: [Vec<Arc<Page>>; 2],
+        sent: [Vec<Arc<Page>>; 2],
+        /// Runs taken and neither served nor requeued.
+        held: Vec<Vec<WorkKind>>,
+        /// What served units covered: page pairs, pages, blocking units.
+        swept: HashSet<(usize, usize)>,
+        paged: HashSet<usize>,
+        finals: Vec<WorkKind>,
+    }
+
+    impl Harness {
+        fn new(firing: Firing, ports: usize, sizes: [usize; 2]) -> Harness {
+            Harness {
+                cell: Cell::new(firing, ports),
+                firing,
+                unsent: [pages(sizes[0]), pages(if ports > 1 { sizes[1] } else { 0 })],
+                sent: Default::default(),
+                held: Vec::new(),
+                swept: HashSet::new(),
+                paged: HashSet::new(),
+                finals: Vec::new(),
+            }
+        }
+
+        fn deliver(&mut self, port: usize, n: usize) {
+            if self.cell.ports_done[port] || self.unsent[port].is_empty() {
+                return;
+            }
+            let batch: Vec<_> = self.unsent[port]
+                .drain(..n.min(self.unsent[port].len()))
+                .collect();
+            self.sent[port].extend(batch.iter().cloned());
+            let fired = self.cell.deliver(port, batch.clone());
+            let want = match self.firing {
+                Firing::PerPage => batch.len(),
+                Firing::PairSweep if self.sent[1 - port].is_empty() => 0,
+                Firing::PairSweep => batch.len(),
+                _ => 0,
+            };
+            assert_eq!(fired, want as u64);
+        }
+
+        fn end_stream(&mut self, port: usize) {
+            if self.cell.ports_done[port] {
+                return;
+            }
+            self.deliver(port, usize::MAX);
+            let last = self.cell.ports_done.iter().filter(|&&d| !d).count() == 1;
+            let fired = self.cell.port_done(port);
+            assert_eq!(fired == 1, last && self.firing == Firing::Complete);
+        }
+
+        fn take(&mut self, n: usize) {
+            let n = n.min(self.cell.pending());
+            if n > 0 {
+                let run = self.cell.take(n).collect();
+                self.held.push(run);
+            }
+        }
+
+        fn requeue(&mut self, i: usize) {
+            if !self.held.is_empty() {
+                let run = self.held.remove(i % self.held.len());
+                self.cell.requeue(run.iter());
+            }
+        }
+
+        fn serve(&mut self, i: usize) {
+            if self.held.is_empty() {
+                return;
+            }
+            let run = self.held.remove(i % self.held.len());
+            self.cell.settle(run.len());
+            for unit in run {
+                match &unit {
+                    WorkKind::Page(p) => assert!(self.paged.insert(id(p)), "page served twice"),
+                    WorkKind::Sweep { .. } => {
+                        for pair in pairs(&unit) {
+                            assert!(self.swept.insert(pair), "pair {pair:?} swept twice");
+                        }
+                    }
+                    WorkKind::Complete { .. } => self.finals.push(unit),
+                }
+            }
+        }
+
+        /// The three invariants, checked after every operation.
+        fn check(&self) {
+            let held: usize = self.held.iter().map(Vec::len).sum();
+            assert_eq!(self.cell.in_flight(), held, "one in-flight count, exact");
+            let ended = self.cell.ports_done == [true; 2];
+            let fired = held + self.cell.pending() + self.finals.len() > 0;
+            if self.firing == Firing::Complete {
+                assert!(!fired || ended, "blocking fire before every port ended");
+                assert!(self.finals.len() <= 1, "a blocking cell fires once");
+            }
+            let idle = self.cell.pending() == 0 && held == 0;
+            let want_ready = ended && idle && (self.firing != Firing::Complete || fired);
+            assert_eq!(self.cell.ready_to_complete(), want_ready);
+        }
+
+        /// End every stream, serve everything, and check what was covered.
+        fn drain(mut self) {
+            for port in 0..2 {
+                self.end_stream(port);
+                self.check();
+            }
+            while !self.held.is_empty() || self.cell.pending() > 0 {
+                self.take(usize::MAX);
+                self.serve(0);
+                self.check();
+            }
+            assert!(self.cell.ready_to_complete());
+            let [left, right] = &self.sent;
+            match self.firing {
+                Firing::PerPage => assert_eq!(self.paged, left.iter().map(id).collect()),
+                Firing::PairSweep => assert_eq!(self.swept, all_pairs(left, right)),
+                _ => {
+                    let [WorkKind::Complete { left: l, right: r }] = &self.finals[..] else {
+                        panic!("one blocking unit: {:?}", self.finals);
+                    };
+                    assert!(l.iter().map(id).eq(left.iter().map(id)));
+                    assert!(r.iter().map(id).eq(right.iter().map(id)));
+                }
+            }
+            self.cell.complete();
+            assert!(!self.cell.ready_to_complete());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random delivery / take / requeue / serve / end-of-stream
+        /// interleavings over all three firing classes: the in-flight count
+        /// is exact, a blocking cell fires once and only after every port
+        /// ended, a cell is ready exactly when nothing is left to do, and
+        /// every page pair (page, blocking operand) is served exactly once
+        /// however often its unit was requeued.
+        #[test]
+        fn firing_rule_holds_under_random_interleavings(
+            class in 0usize..4,
+            sizes in (0usize..6, 0usize..6),
+            ops in prop::collection::vec((0u8..5, 0usize..4), 0..64),
+        ) {
+            let (firing, ports) = [
+                (Firing::PerPage, 1),
+                (Firing::PairSweep, 2),
+                (Firing::Complete, 1),
+                (Firing::Complete, 2),
+            ][class];
+            let mut h = Harness::new(firing, ports, [sizes.0, sizes.1]);
+            h.check();
+            for (op, arg) in ops {
+                match op {
+                    0 => h.deliver(arg % ports, 1 + arg / ports),
+                    1 => h.end_stream(arg % ports),
+                    2 => h.take(arg + 1),
+                    3 => h.requeue(arg),
+                    _ => h.serve(arg),
+                }
+                h.check();
+            }
+            h.drain();
+        }
+    }
+}

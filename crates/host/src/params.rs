@@ -3,8 +3,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use df_core::{AllocationStrategy, JoinAlgo, TransferMode};
+use df_core::{AllocationStrategy, TransferMode};
 use df_obs::Tracer;
+use df_query::JoinAlgo;
 
 use crate::error::{HostError, HostResult};
 use crate::fault::FaultPlan;
@@ -22,7 +23,7 @@ pub struct HostParams {
     /// four policies the simulated machines use.
     pub strategy: AllocationStrategy,
     /// Join algorithm the plan's join cells are lowered with
-    /// ([`df_core::instr::Kernel::lower`], once per cell at plan build).
+    /// ([`df_query::Kernel::lower`], once per cell at plan build).
     /// Under [`JoinAlgo::Hash`] each operand page of a hash-lowered cell
     /// carries a lazily built raw-byte key index
     /// ([`df_relalg::PageKeyIndex`]), so an equi-join pair unit probes in

@@ -7,9 +7,8 @@
 //! lowering the simulated machines execute), its depth from the root (the
 //! `RootFirst` policy's input) and its output page size.
 
-use df_core::instr::Kernel;
-use df_core::{JoinAlgo, TransferMode};
-use df_query::{Plan, PlanNode, QueryTree};
+use df_core::TransferMode;
+use df_query::{JoinAlgo, Kernel, Plan, PlanNode, QueryTree};
 use df_relalg::{Catalog, PAGE_HEADER_BYTES};
 
 use crate::error::{HostError, HostResult};

@@ -180,6 +180,39 @@ fn dead_worker_at_start_shrinks_the_pool_and_requeues() {
     assert_eq!(out.metrics.per_worker[1].units, 0);
 }
 
+/// A worker's death is traced exactly once, however it was noticed: a
+/// dispatch refused by its closed channel and its drop guard's report race,
+/// and whichever comes first must record the global `Fault { a: 1 }` — the
+/// other is a no-op. Looped, because which one wins varies run to run.
+#[test]
+fn every_lost_worker_is_traced_once() {
+    let (db, queries) = setup();
+    for i in 0..64 {
+        let tracer = Arc::new(Tracer::new(Tracer::DEFAULT_CAPACITY));
+        let params = HostParams {
+            fault: FaultPlan {
+                dead_workers: vec![1],
+                ..FaultPlan::default()
+            },
+            trace: Some(Arc::clone(&tracer)),
+            ..HostParams::with_workers(2)
+        };
+        let out = run_host_queries(&db, &queries, &params).expect("run survives the death");
+        assert!(out.results.iter().all(Result::is_ok));
+        assert_eq!(out.metrics.workers_lost(), 1);
+        let snap = tracer.snapshot();
+        let deaths: Vec<u64> = snap
+            .of_kind(EventKind::Fault)
+            .filter(|e| e.a == 1)
+            .map(|e| e.b)
+            .collect();
+        assert_eq!(deaths, [1], "iteration {i}: one death event, for worker 1");
+        let requeued: usize = out.metrics.per_query.iter().map(|q| q.requeued_units).sum();
+        let requeue_events = snap.of_kind(EventKind::Fault).filter(|e| e.a == 2).count();
+        assert_eq!(requeue_events, requeued, "iteration {i}");
+    }
+}
+
 /// Losing the whole pool yields a clean structured error for every query
 /// that still needed worker service — never a deadlock.
 #[test]
