@@ -4,36 +4,42 @@
 //! discard, complete.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
-use df_query::Firing;
-use df_relalg::{Page, PageKeyIndex};
+use df_query::{Firing, JoinAlgo, Kernel};
+use df_relalg::{Page, SideKeyIndex};
 
-/// One page in a pair-sweep cell's operand page table, bundled with its
-/// lazily built raw-byte key index (the hash-accelerated equi-join path).
-///
-/// The index is per *cell*, not per base page: the same `Arc<Page>` of a
-/// base relation can feed several join cells keyed on different
-/// attributes, so each cell's table wraps the page in its own
-/// `OperandPage`. The first worker whose probe needs the index builds it
-/// (`OnceLock`); every later pair unit touching this page — on any worker
-/// — reuses it through the shared `Arc`.
-#[derive(Debug)]
-pub(super) struct OperandPage {
-    pub page: Arc<Page>,
-    index: OnceLock<PageKeyIndex>,
-}
+/// One operand side of a hash-lowered join cell: a key index over every
+/// page the side has received, shared by the cell and by the probe units
+/// that read it. The cell's [`Cell::deliver`], on the scheduler thread, is
+/// the only writer; units only read, and only the entries of pages pushed
+/// before they fired, which never change.
+#[derive(Debug, Clone)]
+pub(super) struct SideIndex(Arc<RwLock<SideKeyIndex>>);
 
-impl OperandPage {
-    /// The page's key index over attribute `key`, built on first use.
-    pub fn index_for(&self, key: usize) -> &PageKeyIndex {
-        let idx = self
-            .index
-            .get_or_init(|| PageKeyIndex::build(&self.page, key));
-        // A pair-sweep cell has exactly one join condition, so every probe
-        // of this page asks for the same key attribute.
-        debug_assert_eq!(idx.key(), key, "one cell, one join key");
-        idx
+impl SideIndex {
+    fn new(key: usize) -> SideIndex {
+        SideIndex(Arc::new(RwLock::new(SideKeyIndex::new(key))))
+    }
+
+    /// Read the index. A `RwLock` is poisoned only by a panic under its
+    /// write guard, so a reader's panic (a kernel panic, caught per unit)
+    /// cannot poison it. The one writer is [`SideIndex::extend`] on the
+    /// scheduler thread; should a push panic midway, it has left entries
+    /// only at the ordinal of the page it was pushing, which no unit's
+    /// `upto` reaches. A recovered guard therefore still shows every
+    /// reader a whole prefix of pages.
+    pub fn read(&self) -> RwLockReadGuard<'_, SideKeyIndex> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append `pages` behind every page already indexed. Poisoning is
+    /// recovered for the reason given at [`SideIndex::read`].
+    fn extend(&self, pages: &[Arc<Page>]) {
+        let mut index = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        for page in pages {
+            index.push(Arc::clone(page));
+        }
     }
 }
 
@@ -45,11 +51,21 @@ pub(super) enum WorkKind {
     /// One operand page (restrict, non-dedup project, fused span).
     Page(Arc<Page>),
     /// A pair sweep: the newly arrived page against every page of the
-    /// opposite operand received so far (join, cross product). Pages of
-    /// one delivery see the same opposite list, so they share one snapshot.
+    /// opposite operand received so far (nested-loops or θ join, cross
+    /// product). Pages of one delivery see the same opposite list, so they
+    /// share one snapshot.
     Sweep {
-        new_page: Arc<OperandPage>,
-        opposite: Arc<[Arc<OperandPage>]>,
+        new_page: Arc<Page>,
+        opposite: Arc<[Arc<Page>]>,
+        new_is_outer: bool,
+    },
+    /// A hash-lowered join's pair sweep: the newly arrived page probes the
+    /// opposite side's key index over its first `upto` pages — the pages
+    /// received when the unit fired, whose entries never change.
+    Probe {
+        new_page: Arc<Page>,
+        opposite: SideIndex,
+        upto: usize,
         new_is_outer: bool,
     },
     /// Complete operands of a blocking operator (union, difference,
@@ -68,7 +84,11 @@ enum State {
     /// kept.
     PerPage,
     /// Pair-sweep firing: every page received so far, one list per port.
-    PairSweep([Vec<Arc<OperandPage>>; 2]),
+    PairSweep([Vec<Arc<Page>>; 2]),
+    /// Pair-sweep firing of a hash-lowered join: every page received so
+    /// far, indexed on its port's join key — the build sides of a
+    /// symmetric hash join.
+    HashSides([SideIndex; 2]),
     /// A blocking cell collecting its complete operands, one list per port.
     Collecting([Vec<Arc<Page>>; 2]),
     /// A blocking cell whose single unit has been created.
@@ -96,13 +116,19 @@ pub(super) struct Cell {
 
 impl Cell {
     /// A cell of `firing` class with `ports` operand ports (0 for a scan,
-    /// which is fed at admission and has no operand stream).
-    pub fn new(firing: Firing, ports: usize) -> Cell {
+    /// which is fed at admission and has no operand stream), running
+    /// `kernel`. A hash-lowered join keys each side on its attribute of the
+    /// join condition.
+    pub fn new(firing: Firing, ports: usize, kernel: &Kernel) -> Cell {
         debug_assert!(ports <= 2, "operators take at most two operands");
-        let state = match firing {
-            Firing::Source | Firing::PerPage => State::PerPage,
-            Firing::PairSweep => State::PairSweep(Default::default()),
-            Firing::Complete => State::Collecting(Default::default()),
+        let state = match (firing, kernel) {
+            (Firing::Source | Firing::PerPage, _) => State::PerPage,
+            (Firing::PairSweep, Kernel::JoinPair(sweep, JoinAlgo::Hash)) => {
+                let condition = sweep.condition();
+                State::HashSides([condition.left, condition.right].map(SideIndex::new))
+            }
+            (Firing::PairSweep, _) => State::PairSweep(Default::default()),
+            (Firing::Complete, _) => State::Collecting(Default::default()),
         };
         Cell {
             state,
@@ -125,29 +151,46 @@ impl Cell {
     /// The §2 firing rule: operand `pages` arrived at `port`. Returns how
     /// many units they fired (for `CellFire`). A pair-sweep page is paired
     /// with every opposite page received so far; later opposite arrivals
-    /// pick this page up, so each page pair is swept exactly once.
+    /// pick this page up, so each page pair is swept exactly once. Once the
+    /// opposite stream has ended nothing will pick a page up, so it is not
+    /// kept.
     pub fn deliver(&mut self, port: usize, pages: Vec<Arc<Page>>) -> u64 {
         debug_assert!(!self.ports_done[port], "a page after its stream ended");
         let before = self.pending.len();
+        let new_is_outer = port == 0;
+        let keep = !self.ports_done[1 - port];
         match &mut self.state {
             State::PerPage => self.pending.extend(pages.into_iter().map(WorkKind::Page)),
             State::PairSweep(received) => {
                 // Every page of this delivery sees the same opposite list,
-                // so one snapshot serves them all. The `OperandPage` wrapper
-                // gives each page a per-cell key-index slot shared by every
-                // pair unit that touches it.
-                let opposite: Arc<[Arc<OperandPage>]> = received[1 - port].as_slice().into();
-                for p in pages {
-                    let index = OnceLock::new();
-                    let new_page = Arc::new(OperandPage { page: p, index });
-                    if !opposite.is_empty() {
-                        self.pending.push_back(WorkKind::Sweep {
-                            new_page: Arc::clone(&new_page),
-                            opposite: Arc::clone(&opposite),
-                            new_is_outer: port == 0,
-                        });
-                    }
-                    received[port].push(new_page);
+                // so one snapshot serves them all.
+                if !received[1 - port].is_empty() {
+                    let opposite: Arc<[Arc<Page>]> = received[1 - port].as_slice().into();
+                    self.pending.extend(pages.iter().map(|p| WorkKind::Sweep {
+                        new_page: Arc::clone(p),
+                        opposite: Arc::clone(&opposite),
+                        new_is_outer,
+                    }));
+                }
+                if keep {
+                    received[port].extend(pages);
+                }
+            }
+            State::HashSides(sides) => {
+                // The bound is the opposite side's page count now: later
+                // opposite pages probe this side's index instead.
+                let opposite = &sides[1 - port];
+                let upto = opposite.read().pages().len();
+                if upto > 0 {
+                    self.pending.extend(pages.iter().map(|p| WorkKind::Probe {
+                        new_page: Arc::clone(p),
+                        opposite: opposite.clone(),
+                        upto,
+                        new_is_outer,
+                    }));
+                }
+                if keep {
+                    sides[port].extend(&pages);
                 }
             }
             State::Collecting(received) => received[port].extend(pages),
@@ -213,7 +256,7 @@ impl Cell {
             && self.in_flight == 0
     }
 
-    /// Mark the cell completed, dropping its page tables.
+    /// Mark the cell completed, dropping its page tables and indexes.
     pub fn complete(&mut self) {
         debug_assert!(self.ready_to_complete(), "completing a busy cell");
         self.state = State::Done;
@@ -223,43 +266,64 @@ impl Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_relalg::{DataType, Schema};
+    use df_query::ops::JoinSweep;
+    use df_relalg::{DataType, JoinCondition, Schema};
     use proptest::prelude::*;
     use std::collections::HashSet;
 
+    fn schema() -> Schema {
+        Schema::build().attr("k", DataType::Int).finish().unwrap()
+    }
+
     /// `n` distinct (empty) pages; a page is identified by its allocation.
     fn pages(n: usize) -> Vec<Arc<Page>> {
-        let schema = Schema::build().attr("k", DataType::Int).finish().unwrap();
         (0..n)
-            .map(|_| Arc::new(Page::new(schema.clone(), 64).unwrap()))
+            .map(|_| Arc::new(Page::new(schema(), 64).unwrap()))
             .collect()
+    }
+
+    /// The kernel of a join cell lowered with `algo` (any other cell's
+    /// kernel does not shape its state).
+    fn join(algo: JoinAlgo) -> Kernel {
+        let condition = JoinCondition::equi(&schema(), "k", &schema(), "k").unwrap();
+        Kernel::JoinPair(JoinSweep::compile(&schema(), &schema(), &condition), algo)
     }
 
     fn id(page: &Arc<Page>) -> usize {
         Arc::as_ptr(page) as usize
     }
 
-    /// The (outer, inner) page pairs a sweep unit covers.
+    /// The (outer, inner) page pairs a sweep or probe unit covers: its new
+    /// page against the opposite list, or against the first `upto` pages
+    /// of the opposite side's index.
     fn pairs(unit: &WorkKind) -> Vec<(usize, usize)> {
-        let WorkKind::Sweep {
-            new_page,
-            opposite,
-            new_is_outer,
-        } = unit
-        else {
-            panic!("not a sweep: {unit:?}");
+        let (new_page, opposite, new_is_outer) = match unit {
+            WorkKind::Sweep {
+                new_page,
+                opposite,
+                new_is_outer,
+            } => (new_page, opposite.to_vec(), *new_is_outer),
+            WorkKind::Probe {
+                new_page,
+                opposite,
+                upto,
+                new_is_outer,
+            } => (
+                new_page,
+                opposite.read().pages()[..*upto].to_vec(),
+                *new_is_outer,
+            ),
+            _ => panic!("not a pair unit: {unit:?}"),
         };
-        let new = id(&new_page.page);
-        opposite
-            .iter()
-            .map(|o| {
-                if *new_is_outer {
-                    (new, id(&o.page))
-                } else {
-                    (id(&o.page), new)
-                }
-            })
-            .collect()
+        let new = id(new_page);
+        let pair = |o: &Arc<Page>| {
+            if new_is_outer {
+                (new, id(o))
+            } else {
+                (id(o), new)
+            }
+        };
+        opposite.iter().map(pair).collect()
     }
 
     fn all_pairs(outer: &[Arc<Page>], inner: &[Arc<Page>]) -> HashSet<(usize, usize)> {
@@ -271,29 +335,52 @@ mod tests {
 
     #[test]
     fn every_page_pair_is_swept_once_under_interleaved_arrivals() {
-        let (outer, inner) = (pages(4), pages(3));
-        let mut cell = Cell::new(Firing::PairSweep, 2);
-        // Arrivals alternate ports, some batched, one port running ahead.
-        assert_eq!(cell.deliver(0, vec![Arc::clone(&outer[0])]), 0);
-        assert_eq!(cell.deliver(1, inner[..2].to_vec()), 2);
-        assert_eq!(cell.deliver(0, outer[1..3].to_vec()), 2);
-        assert_eq!(cell.deliver(1, vec![Arc::clone(&inner[2])]), 1);
-        cell.port_done(1);
-        assert_eq!(cell.deliver(0, vec![Arc::clone(&outer[3])]), 1);
-        cell.port_done(0);
-        let units: Vec<WorkKind> = cell.take(cell.pending()).collect();
-        let swept: Vec<_> = units.iter().flat_map(pairs).collect();
-        assert_eq!(swept.len(), outer.len() * inner.len(), "{swept:?}");
-        assert_eq!(
-            swept.into_iter().collect::<HashSet<_>>(),
-            all_pairs(&outer, &inner)
-        );
+        for algo in JoinAlgo::ALL {
+            let (outer, inner) = (pages(4), pages(3));
+            let mut cell = Cell::new(Firing::PairSweep, 2, &join(algo));
+            // Arrivals alternate ports, some batched, one port running ahead.
+            assert_eq!(cell.deliver(0, vec![Arc::clone(&outer[0])]), 0);
+            assert_eq!(cell.deliver(1, inner[..2].to_vec()), 2);
+            assert_eq!(cell.deliver(0, outer[1..3].to_vec()), 2);
+            assert_eq!(cell.deliver(1, vec![Arc::clone(&inner[2])]), 1);
+            cell.port_done(1);
+            assert_eq!(cell.deliver(0, vec![Arc::clone(&outer[3])]), 1);
+            cell.port_done(0);
+            let units: Vec<WorkKind> = cell.take(cell.pending()).collect();
+            let probes = units.iter().filter(|u| matches!(u, WorkKind::Probe { .. }));
+            assert_eq!(probes.count() > 0, algo == JoinAlgo::Hash, "{algo}");
+            let swept: Vec<_> = units.iter().flat_map(pairs).collect();
+            assert_eq!(swept.len(), outer.len() * inner.len(), "{algo}: {swept:?}");
+            assert_eq!(
+                swept.into_iter().collect::<HashSet<_>>(),
+                all_pairs(&outer, &inner)
+            );
+        }
+    }
+
+    /// A self-join delivers the same pages on both ports: each (page, page)
+    /// pair — a page with itself included — is still covered exactly once.
+    #[test]
+    fn a_self_join_covers_each_pair_once() {
+        for algo in JoinAlgo::ALL {
+            let r = pages(3);
+            let mut cell = Cell::new(Firing::PairSweep, 2, &join(algo));
+            assert_eq!(cell.deliver(0, vec![Arc::clone(&r[0])]), 0);
+            assert_eq!(cell.deliver(1, r.clone()), 3);
+            assert_eq!(cell.deliver(0, r[1..].to_vec()), 2);
+            cell.port_done(0);
+            cell.port_done(1);
+            let units: Vec<WorkKind> = cell.take(cell.pending()).collect();
+            let swept: Vec<_> = units.iter().flat_map(pairs).collect();
+            assert_eq!(swept.len(), r.len() * r.len(), "{algo}: {swept:?}");
+            assert_eq!(swept.into_iter().collect::<HashSet<_>>(), all_pairs(&r, &r));
+        }
     }
 
     #[test]
     fn blocking_fire_waits_for_every_port() {
         let (left, right) = (pages(2), pages(1));
-        let mut cell = Cell::new(Firing::Complete, 2);
+        let mut cell = Cell::new(Firing::Complete, 2, &Kernel::UnionFinal);
         assert_eq!(cell.deliver(0, left.clone()), 0);
         assert_eq!(cell.port_done(0), 0);
         assert_eq!(cell.deliver(1, right.clone()), 0);
@@ -309,7 +396,7 @@ mod tests {
         assert!(cell.ready_to_complete());
 
         // Unary, and with no operand page at all: still exactly one fire.
-        let mut cell = Cell::new(Firing::Complete, 1);
+        let mut cell = Cell::new(Firing::Complete, 1, &Kernel::UnionFinal);
         assert!(!cell.ready_to_complete(), "not before its fire");
         assert_eq!(cell.port_done(0), 1);
         assert_eq!(cell.pending(), 1);
@@ -317,7 +404,7 @@ mod tests {
 
     #[test]
     fn never_ready_with_work_pending_or_in_flight() {
-        let mut cell = Cell::new(Firing::PerPage, 1);
+        let mut cell = Cell::new(Firing::PerPage, 1, &Kernel::Identity);
         assert_eq!(cell.deliver(0, pages(3)), 3);
         cell.port_done(0);
         assert!(!cell.ready_to_complete(), "pending");
@@ -333,7 +420,7 @@ mod tests {
         assert!(!cell.ready_to_complete(), "a cell completes once");
 
         // A doomed query's cell drops what no run took; the rest drains.
-        let mut cell = Cell::new(Firing::PerPage, 1);
+        let mut cell = Cell::new(Firing::PerPage, 1, &Kernel::Identity);
         cell.deliver(0, pages(4));
         assert_eq!(cell.take(1).count(), 1);
         cell.discard_pending();
@@ -342,7 +429,7 @@ mod tests {
         assert_eq!(cell.in_flight(), 0);
 
         // A scan cell has no operand stream: it is ready at once.
-        assert!(Cell::new(Firing::Source, 0).ready_to_complete());
+        assert!(Cell::new(Firing::Source, 0, &Kernel::Identity).ready_to_complete());
     }
 
     /// A cell driven by a random interleaving of the scheduler's operations,
@@ -362,9 +449,9 @@ mod tests {
     }
 
     impl Harness {
-        fn new(firing: Firing, ports: usize, sizes: [usize; 2]) -> Harness {
+        fn new(firing: Firing, ports: usize, kernel: &Kernel, sizes: [usize; 2]) -> Harness {
             Harness {
-                cell: Cell::new(firing, ports),
+                cell: Cell::new(firing, ports, kernel),
                 firing,
                 unsent: [pages(sizes[0]), pages(if ports > 1 { sizes[1] } else { 0 })],
                 sent: Default::default(),
@@ -427,7 +514,7 @@ mod tests {
             for unit in run {
                 match &unit {
                     WorkKind::Page(p) => assert!(self.paged.insert(id(p)), "page served twice"),
-                    WorkKind::Sweep { .. } => {
+                    WorkKind::Sweep { .. } | WorkKind::Probe { .. } => {
                         for pair in pairs(&unit) {
                             assert!(self.swept.insert(pair), "pair {pair:?} swept twice");
                         }
@@ -485,24 +572,27 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Random delivery / take / requeue / serve / end-of-stream
-        /// interleavings over all three firing classes: the in-flight count
-        /// is exact, a blocking cell fires once and only after every port
-        /// ended, a cell is ready exactly when nothing is left to do, and
-        /// every page pair (page, blocking operand) is served exactly once
-        /// however often its unit was requeued.
+        /// interleavings over all three firing classes, the pair sweep both
+        /// over page lists and over hash-keyed side indexes: the in-flight
+        /// count is exact, a blocking cell fires once and only after every
+        /// port ended, a cell is ready exactly when nothing is left to do,
+        /// and every page pair (page, blocking operand) is served exactly
+        /// once however often its unit was requeued.
         #[test]
         fn firing_rule_holds_under_random_interleavings(
-            class in 0usize..4,
+            class in 0usize..5,
             sizes in (0usize..6, 0usize..6),
             ops in prop::collection::vec((0u8..5, 0usize..4), 0..64),
         ) {
-            let (firing, ports) = [
-                (Firing::PerPage, 1),
-                (Firing::PairSweep, 2),
-                (Firing::Complete, 1),
-                (Firing::Complete, 2),
-            ][class];
-            let mut h = Harness::new(firing, ports, [sizes.0, sizes.1]);
+            let (firing, ports, kernel) = vec![
+                (Firing::PerPage, 1, Kernel::Identity),
+                (Firing::PairSweep, 2, join(JoinAlgo::Nested)),
+                (Firing::PairSweep, 2, join(JoinAlgo::Hash)),
+                (Firing::Complete, 1, Kernel::UnionFinal),
+                (Firing::Complete, 2, Kernel::UnionFinal),
+            ]
+            .swap_remove(class);
+            let mut h = Harness::new(firing, ports, &kernel, [sizes.0, sizes.1]);
             h.check();
             for (op, arg) in ops {
                 match op {

@@ -10,11 +10,11 @@ use std::thread;
 use std::time::Instant;
 
 use df_obs::{Path, Tracer};
-use df_query::ops::hash_join_probe_into;
-use df_query::{JoinAlgo, Kernel};
+use df_query::ops::hash_join_side_into;
+use df_query::Kernel;
 use df_relalg::{Page, Relation, TupleBuf};
 
-use super::cell::{OperandPage, WorkKind};
+use super::cell::WorkKind;
 use crate::fault::InjectedFault;
 use crate::metrics::WorkerStats;
 use crate::plan::QueryPlan;
@@ -46,7 +46,7 @@ pub(super) struct Run {
 enum UnitClass {
     /// Not a pair unit (restrict, project, union, …).
     Other = 0,
-    /// Every page pair of the unit went through the hash-index probe.
+    /// The unit's page probed the opposite side's key index.
     Probe = 1,
     /// Nested-loops or cross-product sweep (incl. θ-join fallback).
     Sweep = 2,
@@ -198,9 +198,8 @@ fn absorb(out: &mut Relation, batch: &mut TupleBuf) {
 /// class). The unit's kind — fixed by the cell's firing class — says which
 /// [`Kernel`] entry point to call; which operator that is, only the kernel
 /// knows. What is decided here is what depends on host state: a hash join
-/// probes the key index cached on each operand page instead of rebuilding
-/// it per pair, and a cross product is absorbed pair by pair so the batch
-/// stays bounded.
+/// probes the opposite side's key index the cell maintains, and a cross
+/// product is absorbed pair by pair so the batch stays bounded.
 fn execute_unit(
     plan: &QueryPlan,
     cell: usize,
@@ -210,9 +209,6 @@ fn execute_unit(
     /// Operand pages read and their wire bytes.
     fn count<'a>(pages: impl Iterator<Item = &'a Page>) -> (usize, u64) {
         pages.fold((0, 0), |(n, b), p| (n + 1, b + p.wire_bytes() as u64))
-    }
-    fn pages(operands: &[Arc<OperandPage>]) -> impl Iterator<Item = &Page> {
-        operands.iter().map(|opp| &*opp.page)
     }
     let (kernel, out_schema) = (&plan.kernels[cell], &plan.cell(cell).out_schema);
     match kind {
@@ -225,54 +221,42 @@ fn execute_unit(
             opposite,
             new_is_outer,
         } => {
-            // One reused output batch per unit.
+            // One reused output batch per unit. A join sweeps the whole
+            // list into it; a cross product's output is large, so it is
+            // absorbed pair by pair.
             let mut batch = TupleBuf::new(out_schema.clone());
-            let class = match kernel {
-                Kernel::JoinPair(sweep, JoinAlgo::Hash) => {
-                    // The inner page is indexed on the condition's right
-                    // attribute (the inner side is always port 1); probing
-                    // outer slots in page order reproduces the nested-loops
-                    // output byte for byte.
-                    let condition = sweep.condition();
-                    for opp in opposite.iter() {
-                        let (outer, inner) = if *new_is_outer {
-                            (new_page.as_ref(), opp.as_ref())
-                        } else {
-                            (opp.as_ref(), new_page.as_ref())
-                        };
-                        hash_join_probe_into(
-                            &outer.page,
-                            &inner.page,
-                            inner.index_for(condition.right),
-                            condition,
-                            &mut batch,
-                        );
-                    }
-                    absorb(out, &mut batch);
-                    UnitClass::Probe
-                }
-                _ => {
-                    // A join sweeps the whole list into the one batch; a
-                    // cross product's output is large, so it is absorbed
-                    // pair by pair.
-                    let chunk = match kernel {
-                        Kernel::CrossPair => 1,
-                        _ => opposite.len().max(1),
-                    };
-                    for pairs in opposite.chunks(chunk) {
-                        kernel.run_sweep_raw_into(
-                            &new_page.page,
-                            pages(pairs),
-                            *new_is_outer,
-                            &mut batch,
-                        );
-                        absorb(out, &mut batch);
-                    }
-                    UnitClass::Sweep
-                }
+            let chunk = match kernel {
+                Kernel::CrossPair => 1,
+                _ => opposite.len().max(1),
             };
-            let (n, b) = count(pages(opposite));
-            (n + 1, b + new_page.page.wire_bytes() as u64, class)
+            for pairs in opposite.chunks(chunk) {
+                let pairs = pairs.iter().map(Arc::as_ref);
+                kernel.run_sweep_raw_into(new_page, pairs, *new_is_outer, &mut batch);
+                absorb(out, &mut batch);
+            }
+            let (n, b) = count(opposite.iter().map(Arc::as_ref));
+            (n + 1, b + new_page.wire_bytes() as u64, UnitClass::Sweep)
+        }
+        WorkKind::Probe {
+            new_page,
+            opposite,
+            upto,
+            new_is_outer,
+        } => {
+            let Kernel::JoinPair(sweep, _) = kernel else {
+                unreachable!("only a hash-lowered join cell keeps key indexes");
+            };
+            let mut batch = TupleBuf::new(out_schema.clone());
+            // The unit still stands for the §4 broadcast of every opposite
+            // page it pairs with, so those pages count as read.
+            let (n, b) = {
+                let side = opposite.read();
+                let condition = sweep.condition();
+                hash_join_side_into(new_page, &side, *upto, condition, *new_is_outer, &mut batch);
+                count(side.pages()[..*upto].iter().map(Arc::as_ref))
+            };
+            absorb(out, &mut batch);
+            (n + 1, b + new_page.wire_bytes() as u64, UnitClass::Probe)
         }
         WorkKind::Complete { left, right } => {
             let inputs = [left, right].map(|port| port.iter().map(Arc::as_ref).collect::<Vec<_>>());

@@ -254,7 +254,8 @@ impl<'a> Scheduler<'a> {
     fn admit(&mut self, q: usize) -> HostResult<()> {
         let plan = Arc::clone(&self.plans[q]);
         let nodes = &plan.plan.nodes;
-        let cells = nodes.iter().map(|n| Cell::new(n.firing, n.children.len()));
+        let cells = (nodes.iter().zip(&plan.kernels))
+            .map(|(n, kernel)| Cell::new(n.firing, n.children.len(), kernel));
         self.active[q] = Some(QueryState {
             plan: Arc::clone(&plan),
             cells: cells.collect(),

@@ -24,13 +24,13 @@ pub struct HostParams {
     pub strategy: AllocationStrategy,
     /// Join algorithm the plan's join cells are lowered with
     /// ([`df_query::Kernel::lower`], once per cell at plan build).
-    /// Under [`JoinAlgo::Hash`] each operand page of a hash-lowered cell
-    /// carries a lazily built raw-byte key index
-    /// ([`df_relalg::PageKeyIndex`]), so an equi-join pair unit probes in
-    /// O(outer + inner) instead of sweeping outer × inner. The index is
-    /// built once per page by whichever worker first needs it and shared
-    /// via `Arc` thereafter. A condition the hash path cannot run (non-equi
-    /// θ, mixed-width string keys) is lowered as the nested-loops sweep;
+    /// Under [`JoinAlgo::Hash`] each side of a hash-lowered cell keeps one
+    /// growing raw-byte key index over every page it has received
+    /// ([`df_relalg::SideKeyIndex`]), extended by the scheduler as pages
+    /// arrive, and an arriving page probes the opposite side's index once
+    /// — a symmetric hash join — instead of sweeping it against each
+    /// opposite page. A condition the hash path cannot run (non-equi θ,
+    /// mixed-width string keys) is lowered as the nested-loops sweep;
     /// results are multiset-identical either way.
     pub join: JoinAlgo,
     /// How chained unary operators exchange results. Under

@@ -281,44 +281,116 @@ proptest! {
 
 /// Hash-accelerated equi-joins: every benchmark query's result is
 /// byte-identical (deterministic mode) to the nested-loops run, and the
-/// equi-join queries actually take the probe path.
+/// equi-join queries actually take the probe path — served inline at scale
+/// 0.01, and on worker threads at 0.05, where several workers read one
+/// side's key index while the scheduler extends it.
 #[test]
 fn hash_join_matches_nested_byte_for_byte_on_all_ten_queries() {
     use df_core::JoinAlgo;
-    let (db, queries, _) = setup(0.01);
-    let run = |join: JoinAlgo| {
-        let params = HostParams {
-            deterministic: true,
-            join,
-            ..HostParams::with_workers(4)
+    for (scale, workers) in [(0.01, &[4][..]), (0.05, &[1, 2, 4])] {
+        let (db, queries, _) = setup(scale);
+        for &workers in workers {
+            let run = |join: JoinAlgo| {
+                let params = HostParams {
+                    deterministic: true,
+                    join,
+                    ..HostParams::with_workers(workers)
+                };
+                run_host_queries(&db, &queries, &params).expect("host executes")
+            };
+            let nested = run(JoinAlgo::Nested);
+            let hashed = run(JoinAlgo::Hash);
+            let at = format!("scale {scale}, {workers} workers");
+            assert_eq!(hashed.metrics.total_runs() == 0, scale < 0.02, "{at}");
+            assert_eq!(
+                result_pages(&nested.results),
+                result_pages(&hashed.results),
+                "{at}: hash join changed some query's result bytes"
+            );
+            let probes: usize = hashed.metrics.per_query.iter().map(|q| q.probe_units).sum();
+            let nested_probes: usize = nested.metrics.per_query.iter().map(|q| q.probe_units).sum();
+            assert!(
+                probes > 0,
+                "{at}: no benchmark equi-join took the probe path"
+            );
+            assert_eq!(nested_probes, 0, "{at}: nested algorithm must never probe");
+            for q in &hashed.metrics.per_query {
+                assert!(
+                    q.probe_units + q.sweep_units <= q.units_fired,
+                    "{at}: pair units exceed total units"
+                );
+            }
+        }
+    }
+}
+
+/// Each query's result as its pages' raw bytes.
+fn result_pages(results: &[df_host::HostResult<df_relalg::Relation>]) -> Vec<Vec<Vec<u8>>> {
+    results
+        .iter()
+        .map(|r| {
+            let r = r.as_ref().expect("query succeeds");
+            r.pages().iter().map(|p| p.raw_data().to_vec()).collect()
+        })
+        .collect()
+}
+
+/// A duplicate-heavy self-join (`d ⋈ d` on an attribute with eight
+/// values): the same pages arrive on both ports, every probe hits long
+/// entry lists, and the call is large enough to run on worker threads.
+/// Under hash it is byte-identical to nested and equal to the oracle, with
+/// the arriving page as outer and as inner.
+#[test]
+fn duplicate_heavy_self_join_hash_equals_nested() {
+    use df_core::JoinAlgo;
+    use df_query::parse_query;
+    use df_relalg::{DataType, Relation, Schema, Tuple, Value};
+
+    let schema = Schema::build()
+        .attr("k", DataType::Int)
+        .attr("v", DataType::Int)
+        .finish()
+        .unwrap();
+    let mut db = Catalog::new();
+    let tuples = (0..600i64).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 8)]));
+    db.insert(Relation::from_tuples("d", schema, 16 + 16 * 4, tuples).unwrap())
+        .unwrap();
+    let queries: Vec<QueryTree> = [
+        "(join (scan d) (scan d) (= v v))",
+        "(join (restrict (scan d) (< k 300)) (scan d) (= v v))",
+        "(join (scan d) (restrict (scan d) (>= k 200)) (= v v))",
+    ]
+    .iter()
+    .map(|text| parse_query(&db, text).expect("query parses"))
+    .collect();
+    let want: Vec<_> = queries
+        .iter()
+        .map(|q| sorted_oracle_images(&db, q))
+        .collect();
+    for workers in [1, 2, 4] {
+        let run = |join: JoinAlgo| {
+            let params = HostParams {
+                deterministic: true,
+                join,
+                ..HostParams::with_workers(workers)
+            };
+            run_host_queries(&db, &queries, &params).expect("host executes")
         };
-        run_host_queries(&db, &queries, &params).expect("host executes")
-    };
-    let nested = run(JoinAlgo::Nested);
-    let hashed = run(JoinAlgo::Hash);
-    let images = |out: &df_host::HostRunOutput| -> Vec<Vec<Vec<u8>>> {
-        out.results
-            .iter()
-            .map(|r| {
-                let r = r.as_ref().expect("query succeeds");
-                r.pages().iter().map(|p| p.raw_data().to_vec()).collect()
-            })
-            .collect()
-    };
-    assert_eq!(
-        images(&nested),
-        images(&hashed),
-        "hash join changed some query's result bytes"
-    );
-    let probes: usize = hashed.metrics.per_query.iter().map(|q| q.probe_units).sum();
-    let nested_probes: usize = nested.metrics.per_query.iter().map(|q| q.probe_units).sum();
-    assert!(probes > 0, "no benchmark equi-join took the probe path");
-    assert_eq!(nested_probes, 0, "nested algorithm must never probe");
-    for q in &hashed.metrics.per_query {
+        let (nested, hashed) = (run(JoinAlgo::Nested), run(JoinAlgo::Hash));
         assert!(
-            q.probe_units + q.sweep_units <= q.units_fired,
-            "pair units exceed total units"
+            hashed.metrics.total_runs() > 0,
+            "{workers} workers: served inline"
         );
+        assert_eq!(
+            result_pages(&nested.results),
+            result_pages(&hashed.results),
+            "{workers} workers"
+        );
+        for (i, q) in hashed.metrics.per_query.iter().enumerate() {
+            assert!(q.probe_units > 0, "{workers} workers, query {i}: no probe");
+            let rel = hashed.results[i].as_ref().expect("query succeeds");
+            assert_eq!(tuple_images(rel), want[i], "{workers} workers, query {i}");
+        }
     }
 }
 

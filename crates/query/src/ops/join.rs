@@ -1,5 +1,5 @@
 //! Join kernels: the page×page entry points (nested loops and the hash
-//! probe).
+//! probe), and the symmetric hash join's page-against-side probe.
 //!
 //! The paper (§2.1) argues the O(n²) nested-loops algorithm is "the best
 //! algorithm for execution of the join operator on multiple processors"
@@ -12,7 +12,7 @@
 //! nested-loops and sort-merge baselines from Blasgen & Eswaran \[5\] the
 //! unit tests below compare against.
 
-use df_relalg::{JoinCondition, Page, PageKeyIndex, Schema, TupleBuf};
+use df_relalg::{JoinCondition, Page, PageKeyIndex, Schema, SideKeyIndex, TupleBuf};
 
 use super::sweep::JoinSweep;
 
@@ -70,9 +70,8 @@ pub fn hash_join_pages_raw_into(outer: &Page, inner: &Page, sweep: &JoinSweep, o
 }
 
 /// The probe half of [`hash_join_pages_raw`], taking a prebuilt inner-page
-/// index so executors that see the same inner page many times (one sweep
-/// per outer page) amortize the build — the df-host cell page tables cache
-/// one index per (cell, page).
+/// index so a caller that sees the same inner page many times builds it
+/// once.
 ///
 /// Callers must have checked [`JoinSweep::hash_applicable`]; `index` must be
 /// built over `inner` on `condition.right`.
@@ -93,7 +92,7 @@ pub fn hash_join_probe(
 
 /// [`hash_join_probe`] appending to a caller-supplied batch (whose schema
 /// must be the concatenated output schema).
-pub fn hash_join_probe_into(
+fn hash_join_probe_into(
     outer: &Page,
     inner: &Page,
     index: &PageKeyIndex,
@@ -106,6 +105,41 @@ pub fn hash_join_probe_into(
         for &slot in index.probe(o.attr_bytes(condition.left)) {
             let at = slot as usize * w;
             out.push_concat(o.raw(), &inner_data[at..at + w]);
+        }
+    }
+}
+
+/// The symmetric hash join's unit: every tuple of the arriving `page`
+/// probes `side` — the opposite operand's index — over its first `upto`
+/// pages, appending each match to `out` in the condition's orientation
+/// (`page` is the outer operand when `page_is_outer`). Matches leave in
+/// (page slot, opposite arrival) order; as a multiset they are the union
+/// of [`hash_join_pages_raw`] over `page` paired with each of those pages.
+///
+/// Callers must have checked [`JoinSweep::hash_applicable`]; `side` must be
+/// keyed on the condition's attribute of the opposite operand.
+pub fn hash_join_side_into(
+    page: &Page,
+    side: &SideKeyIndex,
+    upto: usize,
+    condition: &JoinCondition,
+    page_is_outer: bool,
+    out: &mut TupleBuf,
+) {
+    let (key, side_key) = if page_is_outer {
+        (condition.left, condition.right)
+    } else {
+        (condition.right, condition.left)
+    };
+    debug_assert_eq!(side.key(), side_key, "side index/condition mismatch");
+    for t in page.tuple_refs() {
+        for &entry in side.probe(t.attr_bytes(key), upto) {
+            let opposite = side.image(entry);
+            if page_is_outer {
+                out.push_concat(t.raw(), opposite);
+            } else {
+                out.push_concat(opposite, t.raw());
+            }
         }
     }
 }

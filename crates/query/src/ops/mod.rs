@@ -19,7 +19,7 @@ mod sweep;
 pub(crate) use raw::{copy_rows, RowFilter};
 
 pub use join::{
-    hash_join_pages_raw, hash_join_pages_raw_into, hash_join_probe, hash_join_probe_into,
+    hash_join_pages_raw, hash_join_pages_raw_into, hash_join_probe, hash_join_side_into,
     join_pages_raw,
 };
 pub use project::project_page_raw;

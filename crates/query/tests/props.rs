@@ -467,3 +467,67 @@ proptest! {
         }
     }
 }
+
+/// Each tuple image of a batch, sorted: the batch as a multiset.
+fn sorted_images(buf: &df_relalg::TupleBuf) -> Vec<Vec<u8>> {
+    let mut images: Vec<Vec<u8>> = buf.refs().map(|r| r.raw().to_vec()).collect();
+    images.sort();
+    images
+}
+
+proptest! {
+    /// The symmetric hash join's unit: one page probing a side index over
+    /// N pushed pages yields, as a multiset, exactly the per-pair
+    /// `hash_join_pages_raw` outputs against the first `upto` of them —
+    /// with the arriving page as outer and as inner, on duplicate-heavy
+    /// `Int` keys (the word map), `Bool` and `Str` keys (the bytes map),
+    /// empty pages on either side, and pages at or past `upto` invisible.
+    #[test]
+    fn side_index_probe_equals_per_pair_hash_joins(
+        arriving_left in arb_left_rows(0..12),
+        arriving_right in arb_right_rows(0..12),
+        lefts in prop::collection::vec(arb_left_rows(0..8), 0..5),
+        rights in prop::collection::vec(arb_right_rows(0..8), 0..5),
+        upto in 0usize..6,
+    ) {
+        use df_query::ops::{hash_join_pages_raw, hash_join_side_into};
+        use df_relalg::{SideKeyIndex, TupleBuf};
+        use std::sync::Arc;
+
+        let lefts: Vec<Page> = lefts.iter().map(|rows| left_page(rows)).collect();
+        let rights: Vec<Page> = rights.iter().map(|rows| right_page(rows)).collect();
+        let (left, right) = (left_page(&arriving_left), right_page(&arriving_right));
+        let out_schema = mixed_schema().concat(&wide_schema());
+        for key in ["id", "flag", "tag"] {
+            let c = JoinCondition::equi(&mixed_schema(), key, &wide_schema(), key).unwrap();
+            // (arriving page, the pages its opposite side received, the
+            // side's key attribute, whether the arriving page is outer)
+            let cases = [
+                (&left, &rights, c.right, true),
+                (&right, &lefts, c.left, false),
+            ];
+            for (page, opposite, side_key, page_is_outer) in cases {
+                let mut side = SideKeyIndex::new(side_key);
+                for p in opposite {
+                    side.push(Arc::new(p.clone()));
+                }
+                let upto = upto.min(opposite.len());
+                let mut got = TupleBuf::new(out_schema.clone());
+                hash_join_side_into(page, &side, upto, &c, page_is_outer, &mut got);
+                let mut want: Vec<Vec<u8>> = opposite[..upto]
+                    .iter()
+                    .flat_map(|p| {
+                        let (outer, inner) = if page_is_outer { (page, p) } else { (p, page) };
+                        sorted_images(&hash_join_pages_raw(outer, inner, &c, &out_schema))
+                    })
+                    .collect();
+                want.sort();
+                prop_assert_eq!(
+                    sorted_images(&got),
+                    want,
+                    "key {} outer {} upto {}/{}", key, page_is_outer, upto, opposite.len()
+                );
+            }
+        }
+    }
+}

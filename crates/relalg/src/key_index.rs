@@ -1,14 +1,17 @@
-//! A per-page hash index over raw key bytes.
+//! Hash indexes over raw key bytes: one page's, and one join side's.
 //!
 //! The tuple encoding is canonical — equal values have equal images — so an
 //! equi-join key can be hashed and compared as its raw byte slice without
 //! decoding. [`PageKeyIndex`] maps each distinct key image appearing in a
 //! page to the slots holding it, in slot order, turning a page×page
 //! nested-loops sweep (O(n·m) comparisons) into a per-tuple probe (O(n + m))
-//! with output order preserved.
+//! with output order preserved. [`SideKeyIndex`] does the same for every
+//! page one operand of a join has received so far, so an arriving page of
+//! the other operand probes one structure instead of one index per page.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use crate::page::Page;
 
@@ -41,10 +44,10 @@ impl Hasher for RawKeyHasher {
     }
 }
 
-type RawKeyMap = HashMap<Box<[u8]>, Vec<u32>, BuildHasherDefault<RawKeyHasher>>;
-type WordKeyMap = HashMap<u64, Vec<u32>, BuildHasherDefault<RawKeyHasher>>;
+type Build = BuildHasherDefault<RawKeyHasher>;
 
-/// The key storage, specialized on the key attribute's width.
+/// The key storage — distinct key image → the entries carrying it, in
+/// insertion order — specialized on the key attribute's width.
 ///
 /// An 8-byte key image (`Int` — the workload's join keys) is exactly one
 /// machine word, so the word map hashes and compares it as a `u64` read
@@ -52,9 +55,9 @@ type WordKeyMap = HashMap<u64, Vec<u32>, BuildHasherDefault<RawKeyHasher>>;
 /// distinct key at build time, and probes are single word compares instead
 /// of slice `memcmp`s.
 #[derive(Debug, Clone)]
-enum KeyMap {
-    Word(WordKeyMap),
-    Bytes(RawKeyMap),
+enum KeyMap<T> {
+    Word(HashMap<u64, Vec<T>, Build>),
+    Bytes(HashMap<Box<[u8]>, Vec<T>, Build>),
 }
 
 /// Read an 8-byte key image as its word (any fixed endianness works: the
@@ -62,6 +65,59 @@ enum KeyMap {
 #[inline]
 fn key_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("8-byte key image"))
+}
+
+impl<T> KeyMap<T> {
+    /// An empty map for key images `width` bytes wide.
+    fn for_width(width: usize, capacity: usize) -> KeyMap<T> {
+        if width == 8 {
+            KeyMap::Word(HashMap::with_capacity_and_hasher(
+                capacity,
+                Build::default(),
+            ))
+        } else {
+            KeyMap::Bytes(HashMap::with_capacity_and_hasher(
+                capacity,
+                Build::default(),
+            ))
+        }
+    }
+
+    /// Append `item` to the entries of `key`.
+    #[inline]
+    fn push(&mut self, key: &[u8], item: T) {
+        match self {
+            KeyMap::Word(map) => map.entry(key_word(key)).or_default().push(item),
+            // get_mut-then-insert instead of the entry API: duplicate keys
+            // (the common case on fk pages) take the hit-path without
+            // allocating an owned key first.
+            KeyMap::Bytes(map) => match map.get_mut(key) {
+                Some(items) => items.push(item),
+                None => {
+                    map.insert(key.into(), vec![item]);
+                }
+            },
+        }
+    }
+
+    /// The entries of `key`; empty when it is absent (or has a different
+    /// width).
+    #[inline]
+    fn get(&self, key: &[u8]) -> &[T] {
+        let items = match self {
+            KeyMap::Word(map) if key.len() == 8 => map.get(&key_word(key)),
+            KeyMap::Word(_) => None,
+            KeyMap::Bytes(map) => map.get(key),
+        };
+        items.map_or(&[], Vec::as_slice)
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            KeyMap::Word(map) => map.len(),
+            KeyMap::Bytes(map) => map.len(),
+        }
+    }
 }
 
 /// A hash index over one page's raw key bytes: distinct key image → the
@@ -75,7 +131,7 @@ fn key_word(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone)]
 pub struct PageKeyIndex {
     key: usize,
-    map: KeyMap,
+    map: KeyMap<u32>,
 }
 
 impl PageKeyIndex {
@@ -85,31 +141,10 @@ impl PageKeyIndex {
     /// Panics if `key` is out of range for the page's schema.
     pub fn build(page: &Page, key: usize) -> PageKeyIndex {
         let width = page.schema().attr_range(key).len();
-        let map = if width == 8 {
-            let mut map =
-                WordKeyMap::with_capacity_and_hasher(page.len(), BuildHasherDefault::default());
-            for (slot, t) in page.tuple_refs().enumerate() {
-                map.entry(key_word(t.attr_bytes(key)))
-                    .or_default()
-                    .push(slot as u32);
-            }
-            KeyMap::Word(map)
-        } else {
-            let mut map =
-                RawKeyMap::with_capacity_and_hasher(page.len(), BuildHasherDefault::default());
-            for (slot, t) in page.tuple_refs().enumerate() {
-                let bytes = t.attr_bytes(key);
-                // get_mut-then-insert instead of the entry API: duplicate keys
-                // (the common case on fk pages) take the hit-path without
-                // allocating an owned key first.
-                if let Some(slots) = map.get_mut(bytes) {
-                    slots.push(slot as u32);
-                } else {
-                    map.insert(bytes.into(), vec![slot as u32]);
-                }
-            }
-            KeyMap::Bytes(map)
-        };
+        let mut map = KeyMap::for_width(width, page.len());
+        for (slot, t) in page.tuple_refs().enumerate() {
+            map.push(t.attr_bytes(key), slot as u32);
+        }
         PageKeyIndex { key, map }
     }
 
@@ -121,23 +156,95 @@ impl PageKeyIndex {
     /// Slots whose key image equals `key_bytes`, in ascending order; empty
     /// when the key does not appear in the page (or has a different width).
     pub fn probe(&self, key_bytes: &[u8]) -> &[u32] {
-        match &self.map {
-            KeyMap::Word(map) => {
-                if key_bytes.len() != 8 {
-                    return &[];
-                }
-                map.get(&key_word(key_bytes)).map_or(&[], Vec::as_slice)
-            }
-            KeyMap::Bytes(map) => map.get(key_bytes).map_or(&[], Vec::as_slice),
-        }
+        self.map.get(key_bytes)
     }
 
     /// Number of distinct key values in the page.
     pub fn distinct_keys(&self) -> usize {
-        match &self.map {
-            KeyMap::Word(map) => map.len(),
-            KeyMap::Bytes(map) => map.len(),
+        self.map.len()
+    }
+}
+
+/// Where a [`SideKeyIndex`] entry's tuple lives: the page's arrival
+/// ordinal on its side, and the slot within that page.
+pub type SideEntry = (u32, u32);
+
+/// A growing hash index over every page one operand of a join has received
+/// so far: distinct key image → the `(page ordinal, slot)` entries carrying
+/// it, in arrival order — the build side of a symmetric hash join.
+///
+/// Pages are only ever appended, so the entries of the first `upto` pages
+/// are a prefix of each key's list and never change once pushed; a probe
+/// bounded by `upto` sees exactly the pages received before that bound was
+/// taken, however many arrive afterwards.
+#[derive(Debug, Clone)]
+pub struct SideKeyIndex {
+    key: usize,
+    /// Tuple width of the side's schema (0 until the first page).
+    width: usize,
+    pages: Vec<Arc<Page>>,
+    map: KeyMap<SideEntry>,
+}
+
+impl SideKeyIndex {
+    /// An empty side keyed on attribute `key` of its pages' schema.
+    pub fn new(key: usize) -> SideKeyIndex {
+        SideKeyIndex {
+            key,
+            width: 0,
+            pages: Vec::new(),
+            map: KeyMap::for_width(8, 0),
         }
+    }
+
+    /// Append `page`'s tuples to the index, behind every page pushed
+    /// before it.
+    ///
+    /// # Panics
+    /// Panics if `key` is out of range for the page's schema, or past
+    /// `u32::MAX` pages.
+    pub fn push(&mut self, page: Arc<Page>) {
+        if self.pages.is_empty() {
+            let schema = page.schema();
+            self.width = schema.tuple_width();
+            self.map = KeyMap::for_width(schema.attr_range(self.key).len(), page.len());
+        }
+        let ordinal = u32::try_from(self.pages.len()).expect("a side of at most u32::MAX pages");
+        for (slot, t) in page.tuple_refs().enumerate() {
+            self.map
+                .push(t.attr_bytes(self.key), (ordinal, slot as u32));
+        }
+        self.pages.push(page);
+    }
+
+    /// The entries whose key image equals `key_bytes` among the first
+    /// `upto` pages pushed, in arrival order (page ordinal, then slot).
+    #[inline]
+    pub fn probe(&self, key_bytes: &[u8], upto: usize) -> &[SideEntry] {
+        let entries = self.map.get(key_bytes);
+        &entries[..entries.partition_point(|&(page, _)| (page as usize) < upto)]
+    }
+
+    /// The encoded image of the tuple at `entry`.
+    #[inline]
+    pub fn image(&self, (page, slot): SideEntry) -> &[u8] {
+        let at = slot as usize * self.width;
+        &self.pages[page as usize].raw_data()[at..at + self.width]
+    }
+
+    /// Every page pushed, in arrival order.
+    pub fn pages(&self) -> &[Arc<Page>] {
+        &self.pages
+    }
+
+    /// The indexed attribute.
+    pub fn key(&self) -> usize {
+        self.key
+    }
+
+    /// Number of distinct key values over every page pushed.
+    pub fn distinct_keys(&self) -> usize {
+        self.map.len()
     }
 }
 
@@ -218,5 +325,51 @@ mod tests {
         let idx = PageKeyIndex::build(&p, 1);
         assert_eq!(idx.distinct_keys(), 3);
         assert_eq!(idx.probe(&enc(1)), &[1]);
+    }
+
+    #[test]
+    fn side_probe_sees_entries_in_arrival_order_up_to_the_bound() {
+        let mut side = SideKeyIndex::new(0);
+        assert!(side.probe(&enc(7), 0).is_empty());
+        side.push(Arc::new(page(&[7, 3, 7])));
+        side.push(Arc::new(page(&[])));
+        side.push(Arc::new(page(&[1, 7])));
+        assert_eq!(
+            (side.key(), side.pages().len(), side.distinct_keys()),
+            (0, 3, 3)
+        );
+        assert_eq!(side.probe(&enc(7), 3), &[(0, 0), (0, 2), (2, 1)]);
+        // Pages at or past the bound stay invisible.
+        assert_eq!(side.probe(&enc(7), 2), &[(0, 0), (0, 2)]);
+        assert!(side.probe(&enc(1), 2).is_empty());
+        assert!(side.probe(&enc(7), 0).is_empty());
+        assert!(side.probe(&enc(99), 3).is_empty());
+        // An entry resolves to its tuple's image: (k = 1, v = 0).
+        let image = side.image((2, 0));
+        assert_eq!(&image[..8], &enc(1)[..]);
+        assert_eq!(image, page(&[1]).raw_data());
+    }
+
+    #[test]
+    fn side_index_takes_the_byte_map_for_str_keys() {
+        let schema = Schema::build()
+            .attr("s", DataType::Str(4))
+            .finish()
+            .unwrap();
+        let mut side = SideKeyIndex::new(0);
+        for words in [&["aa", "bb"][..], &["aa"]] {
+            let mut p = Page::new(schema.clone(), 16 + 4 * 4).unwrap();
+            for s in words {
+                p.push(&Tuple::new(vec![Value::str(s)])).unwrap();
+            }
+            side.push(Arc::new(p));
+        }
+        let mut key = Vec::new();
+        Value::str("aa").encode(DataType::Str(4), &mut key).unwrap();
+        assert_eq!(side.probe(&key, 2), &[(0, 0), (1, 0)]);
+        assert!(
+            side.probe(&enc(0), 2).is_empty(),
+            "a word never matches a Str(4) key"
+        );
     }
 }

@@ -18,8 +18,9 @@
 //!   tuple images and owned batches of them: the hot path operator kernels
 //!   evaluate on, so surviving tuples are memcpy'd rather than
 //!   decoded→validated→re-encoded,
-//! * [`PageKeyIndex`] — a per-page hash index over raw key bytes (the
-//!   equi-join probe path builds one per inner page),
+//! * [`PageKeyIndex`] / [`SideKeyIndex`] — hash indexes over raw key bytes
+//!   of one page, and of every page one join operand has received so far
+//!   (the equi-join probe paths),
 //! * [`Relation`] — a named schema plus a sequence of pages,
 //! * [`Predicate`] / [`CmpOp`] — boolean restriction expressions,
 //! * [`JoinCondition`] — the θ of a θ-join (attribute-vs-attribute compare),
@@ -64,7 +65,7 @@ mod value;
 
 pub use catalog::Catalog;
 pub use error::{Error, Result};
-pub use key_index::PageKeyIndex;
+pub use key_index::{PageKeyIndex, SideEntry, SideKeyIndex};
 pub use page::{Page, PAGE_HEADER_BYTES};
 pub use predicate::{CmpOp, JoinCondition, Predicate};
 pub use projection::Projection;
