@@ -25,10 +25,13 @@ impl SideIndex {
     /// Read the index. A `RwLock` is poisoned only by a panic under its
     /// write guard, so a reader's panic (a kernel panic, caught per unit)
     /// cannot poison it. The one writer is [`SideIndex::extend`] on the
-    /// scheduler thread; should a push panic midway, it has left entries
-    /// only at the ordinal of the page it was pushing, which no unit's
-    /// `upto` reaches. A recovered guard therefore still shows every
-    /// reader a whole prefix of pages.
+    /// scheduler thread. Should a push panic midway, the page it was
+    /// pushing is not yet counted in `pages()`, so every entry it left has
+    /// an ordinal ≥ every unit's `upto`; a key's chain runs in ascending
+    /// ordinal order, so a probe's walk stops at the first such entry.
+    /// Entries are stored before they are linked, so no link dangles. A
+    /// recovered guard therefore still shows every reader a whole prefix
+    /// of pages.
     pub fn read(&self) -> RwLockReadGuard<'_, SideKeyIndex> {
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }

@@ -133,7 +133,7 @@ pub fn hash_join_side_into(
     };
     debug_assert_eq!(side.key(), side_key, "side index/condition mismatch");
     for t in page.tuple_refs() {
-        for &entry in side.probe(t.attr_bytes(key), upto) {
+        for entry in side.probe(t.attr_bytes(key), upto) {
             let opposite = side.image(entry);
             if page_is_outer {
                 out.push_concat(t.raw(), opposite);

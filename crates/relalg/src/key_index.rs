@@ -9,17 +9,30 @@
 //! page one operand of a join has received so far, so an arriving page of
 //! the other operand probes one structure instead of one index per page.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::page::Page;
 
-/// A multiply-xor hasher for short fixed-width key images. Key bytes come
-/// from the canonical tuple encoding of a single page — a few dozen short
-/// slices, never attacker-chosen in bulk — so DoS resistance (SipHash's
-/// reason to exist) buys nothing here, while per-probe cost is the hash
-/// path's entire inner loop.
+/// A multiply-xor hasher for short fixed-width key images, finished by a
+/// folded multiply.
+///
+/// Key images come from the canonical tuple encoding of the pages a join
+/// side has received — thousands per side, but produced by the query's own
+/// operands, never attacker-chosen — so DoS resistance (SipHash's reason
+/// to exist) buys nothing here, while per-tuple cost is both the side
+/// index's build loop and the probe's inner loop.
+///
+/// Images vary mostly in their *last* bytes: an `Int` is big-endian, so a
+/// small key's varying bytes land in the high bits of its word, and string
+/// keys tend to differ in their trailing characters. A multiply carries
+/// bits only upward, so the state's low bits would stay constant, and the
+/// map takes a bucket from the low bits: every key would start probing at
+/// the same bucket. [`Hasher::finish`] therefore folds the 128-bit product
+/// of the state and an odd constant (high half XOR low half), which brings
+/// every state bit down into the low bits.
 #[derive(Debug, Default)]
 struct RawKeyHasher(u64);
 
@@ -39,37 +52,43 @@ impl Hasher for RawKeyHasher {
         }
     }
 
+    #[inline]
     fn finish(&self) -> u64 {
-        self.0
+        const FOLD: u64 = 0x9e_37_79_b9_7f_4a_7c_15;
+        let product = u128::from(self.0) * u128::from(FOLD);
+        (product as u64) ^ ((product >> 64) as u64)
     }
 }
 
 type Build = BuildHasherDefault<RawKeyHasher>;
 
-/// The key storage — distinct key image → the entries carrying it, in
-/// insertion order — specialized on the key attribute's width.
+/// Distinct key image → `V`, specialized on the key attribute's width.
 ///
 /// An 8-byte key image (`Int` — the workload's join keys) is exactly one
 /// machine word, so the word map hashes and compares it as a `u64` read
 /// straight off the page bytes: no owned `Box<[u8]>` allocation per
-/// distinct key at build time, and probes are single word compares instead
-/// of slice `memcmp`s.
+/// distinct key, and probes are single word compares instead of slice
+/// `memcmp`s.
 #[derive(Debug, Clone)]
-enum KeyMap<T> {
-    Word(HashMap<u64, Vec<T>, Build>),
-    Bytes(HashMap<Box<[u8]>, Vec<T>, Build>),
+enum KeyMap<V> {
+    Word(HashMap<u64, V, Build>),
+    Bytes(HashMap<Box<[u8]>, V, Build>),
 }
 
-/// Read an 8-byte key image as its word (any fixed endianness works: the
-/// word is only hashed and compared for equality, never ordered).
+/// Read an 8-byte key image as its word. The word is only hashed and
+/// compared for equality, never ordered, so any fixed byte order is
+/// *correct* — but reading a big-endian `Int` image little-endian puts its
+/// varying low-order bytes in the word's high bits, where only
+/// [`RawKeyHasher::finish`]'s fold brings them back to the bits the map
+/// takes its bucket from.
 #[inline]
 fn key_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("8-byte key image"))
 }
 
-impl<T> KeyMap<T> {
+impl<V> KeyMap<V> {
     /// An empty map for key images `width` bytes wide.
-    fn for_width(width: usize, capacity: usize) -> KeyMap<T> {
+    fn for_width(width: usize, capacity: usize) -> KeyMap<V> {
         if width == 8 {
             KeyMap::Word(HashMap::with_capacity_and_hasher(
                 capacity,
@@ -83,33 +102,38 @@ impl<T> KeyMap<T> {
         }
     }
 
-    /// Append `item` to the entries of `key`.
+    /// Apply `update` to the value of `key`, or map `key` to `insert()`
+    /// when it is absent.
     #[inline]
-    fn push(&mut self, key: &[u8], item: T) {
+    fn upsert(&mut self, key: &[u8], insert: impl FnOnce() -> V, update: impl FnOnce(&mut V)) {
         match self {
-            KeyMap::Word(map) => map.entry(key_word(key)).or_default().push(item),
-            // get_mut-then-insert instead of the entry API: duplicate keys
-            // (the common case on fk pages) take the hit-path without
+            KeyMap::Word(map) => match map.entry(key_word(key)) {
+                Entry::Occupied(mut e) => update(e.get_mut()),
+                Entry::Vacant(e) => {
+                    e.insert(insert());
+                }
+            },
+            // get_mut-then-insert instead of the entry API: a repeated key
+            // (the common case on fk pages) takes the hit path without
             // allocating an owned key first.
             KeyMap::Bytes(map) => match map.get_mut(key) {
-                Some(items) => items.push(item),
+                Some(value) => update(value),
                 None => {
-                    map.insert(key.into(), vec![item]);
+                    map.insert(key.into(), insert());
                 }
             },
         }
     }
 
-    /// The entries of `key`; empty when it is absent (or has a different
+    /// The value of `key`; `None` when it is absent (or has a different
     /// width).
     #[inline]
-    fn get(&self, key: &[u8]) -> &[T] {
-        let items = match self {
+    fn get(&self, key: &[u8]) -> Option<&V> {
+        match self {
             KeyMap::Word(map) if key.len() == 8 => map.get(&key_word(key)),
             KeyMap::Word(_) => None,
             KeyMap::Bytes(map) => map.get(key),
-        };
-        items.map_or(&[], Vec::as_slice)
+        }
     }
 
     fn len(&self) -> usize {
@@ -131,7 +155,7 @@ impl<T> KeyMap<T> {
 #[derive(Debug, Clone)]
 pub struct PageKeyIndex {
     key: usize,
-    map: KeyMap<u32>,
+    map: KeyMap<Vec<u32>>,
 }
 
 impl PageKeyIndex {
@@ -143,7 +167,8 @@ impl PageKeyIndex {
         let width = page.schema().attr_range(key).len();
         let mut map = KeyMap::for_width(width, page.len());
         for (slot, t) in page.tuple_refs().enumerate() {
-            map.push(t.attr_bytes(key), slot as u32);
+            let slot = slot as u32;
+            map.upsert(t.attr_bytes(key), || vec![slot], |slots| slots.push(slot));
         }
         PageKeyIndex { key, map }
     }
@@ -156,7 +181,7 @@ impl PageKeyIndex {
     /// Slots whose key image equals `key_bytes`, in ascending order; empty
     /// when the key does not appear in the page (or has a different width).
     pub fn probe(&self, key_bytes: &[u8]) -> &[u32] {
-        self.map.get(key_bytes)
+        self.map.get(key_bytes).map_or(&[], Vec::as_slice)
     }
 
     /// Number of distinct key values in the page.
@@ -169,21 +194,37 @@ impl PageKeyIndex {
 /// ordinal on its side, and the slot within that page.
 pub type SideEntry = (u32, u32);
 
+/// The end of a [`SideKeyIndex`] chain: past every entry's position.
+const NIL: u32 = u32::MAX;
+
 /// A growing hash index over every page one operand of a join has received
-/// so far: distinct key image → the `(page ordinal, slot)` entries carrying
-/// it, in arrival order — the build side of a symmetric hash join.
+/// so far — the build side of a symmetric hash join.
 ///
-/// Pages are only ever appended, so the entries of the first `upto` pages
-/// are a prefix of each key's list and never change once pushed; a probe
-/// bounded by `upto` sees exactly the pages received before that bound was
-/// taken, however many arrive afterwards.
+/// Every tuple pushed is one `(page ordinal, slot)` entry in a flat list
+/// in arrival order. The entries of one key are chained through a parallel
+/// `next` list, and the map holds each distinct key image's first and last
+/// position, so a push appends and links behind its key's last entry and
+/// no key owns an allocation of its own.
+///
+/// Pages are only ever appended, so every chain runs in ascending ordinal
+/// order and its entries of the first `upto` pages are a prefix that never
+/// changes once pushed: a probe bounded by `upto` stops at the first entry
+/// at or past the bound, and sees exactly the pages received before that
+/// bound was taken, however many arrive afterwards.
 #[derive(Debug, Clone)]
 pub struct SideKeyIndex {
     key: usize,
     /// Tuple width of the side's schema (0 until the first page).
     width: usize,
     pages: Vec<Arc<Page>>,
-    map: KeyMap<SideEntry>,
+    /// Distinct key image → the (first, last) position of its chain in
+    /// `entries`.
+    map: KeyMap<(u32, u32)>,
+    /// Every tuple pushed, in arrival order.
+    entries: Vec<SideEntry>,
+    /// `next[i]`: the position of the next entry after `entries[i]` with
+    /// the same key, or [`NIL`].
+    next: Vec<u32>,
 }
 
 impl SideKeyIndex {
@@ -194,15 +235,21 @@ impl SideKeyIndex {
             width: 0,
             pages: Vec::new(),
             map: KeyMap::for_width(8, 0),
+            entries: Vec::new(),
+            next: Vec::new(),
         }
     }
 
     /// Append `page`'s tuples to the index, behind every page pushed
     /// before it.
     ///
+    /// Each tuple's entry is stored before it is linked into its key's
+    /// chain, so a panic midway leaves at worst one unlinked entry, never
+    /// a link to a missing one.
+    ///
     /// # Panics
     /// Panics if `key` is out of range for the page's schema, or past
-    /// `u32::MAX` pages.
+    /// `u32::MAX` pages or `u32::MAX - 1` tuples.
     pub fn push(&mut self, page: Arc<Page>) {
         if self.pages.is_empty() {
             let schema = page.schema();
@@ -210,9 +257,24 @@ impl SideKeyIndex {
             self.map = KeyMap::for_width(schema.attr_range(self.key).len(), page.len());
         }
         let ordinal = u32::try_from(self.pages.len()).expect("a side of at most u32::MAX pages");
+        self.entries.reserve(page.len());
+        self.next.reserve(page.len());
         for (slot, t) in page.tuple_refs().enumerate() {
-            self.map
-                .push(t.attr_bytes(self.key), (ordinal, slot as u32));
+            let at = u32::try_from(self.entries.len())
+                .ok()
+                .filter(|&at| at != NIL)
+                .expect("a side of fewer than u32::MAX tuples");
+            self.entries.push((ordinal, slot as u32));
+            self.next.push(NIL);
+            let next = &mut self.next;
+            self.map.upsert(
+                t.attr_bytes(self.key),
+                || (at, at),
+                |(_, last)| {
+                    next[*last as usize] = at;
+                    *last = at;
+                },
+            );
         }
         self.pages.push(page);
     }
@@ -220,9 +282,17 @@ impl SideKeyIndex {
     /// The entries whose key image equals `key_bytes` among the first
     /// `upto` pages pushed, in arrival order (page ordinal, then slot).
     #[inline]
-    pub fn probe(&self, key_bytes: &[u8], upto: usize) -> &[SideEntry] {
-        let entries = self.map.get(key_bytes);
-        &entries[..entries.partition_point(|&(page, _)| (page as usize) < upto)]
+    pub fn probe(&self, key_bytes: &[u8], upto: usize) -> impl Iterator<Item = SideEntry> + '_ {
+        let mut at = self.map.get(key_bytes).map_or(NIL, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            // `NIL` is past the last position, so `get` ends the chain.
+            let entry = *self.entries.get(at as usize)?;
+            if entry.0 as usize >= upto {
+                return None;
+            }
+            at = self.next[at as usize];
+            Some(entry)
+        })
     }
 
     /// The encoded image of the tuple at `entry`.
@@ -251,14 +321,21 @@ impl SideKeyIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_HEADER_BYTES;
     use crate::schema::Schema;
     use crate::tuple::Tuple;
     use crate::value::{DataType, Value};
+    use std::collections::{BTreeMap, HashSet};
+    use std::hash::BuildHasher;
+
+    fn encode(v: &Value, dtype: DataType) -> Vec<u8> {
+        let mut out = Vec::new();
+        v.encode(dtype, &mut out).unwrap();
+        out
+    }
 
     fn enc(v: i64) -> Vec<u8> {
-        let mut out = Vec::new();
-        Value::Int(v).encode(DataType::Int, &mut out).unwrap();
-        out
+        encode(&Value::Int(v), DataType::Int)
     }
 
     fn page(keys: &[i64]) -> Page {
@@ -273,6 +350,56 @@ mod tests {
                 .unwrap();
         }
         p
+    }
+
+    fn probed(side: &SideKeyIndex, key: &[u8], upto: usize) -> Vec<SideEntry> {
+        side.probe(key, upto).collect()
+    }
+
+    /// How many distinct values the low 12 bits of `hashes` take — the
+    /// bits the map takes a bucket from at 4 096 buckets.
+    fn distinct_low_bits(hashes: impl Iterator<Item = u64>) -> usize {
+        hashes.map(|h| h & 0xfff).collect::<HashSet<_>>().len()
+    }
+
+    /// The low bits of a key's hash must vary with the key for every family
+    /// of images a join side holds — above all big-endian `Int`s, whose
+    /// varying bytes read into the word's high bits. A random function
+    /// sends 4 096 keys to about 2 589 of the 4 096 low-12-bit values; a
+    /// multiply without the fold sends each `Int` family to one.
+    #[test]
+    fn hashes_spread_every_key_family_over_the_low_bits() {
+        const KEYS: i64 = 4096;
+        // Hashed as the word map hashes them: the image read as its word.
+        let ints = |key: fn(i64) -> i64| {
+            distinct_low_bits((0..KEYS).map(|k| Build::default().hash_one(key_word(&enc(key(k))))))
+        };
+        // Hashed as the bytes map hashes its `Box<[u8]>` keys: the length
+        // prefix, then the bytes. Images share a prefix and differ only in
+        // bytes 6–7.
+        let strs = |width: u16| {
+            distinct_low_bits((0..KEYS).map(|k| {
+                let mut s = String::from("prefix");
+                s.push(char::from(b'0' + (k / 64) as u8));
+                s.push(char::from(b'0' + (k % 64) as u8));
+                s.push_str(&"abcd"[..usize::from(width) - 8]);
+                let image: Box<[u8]> = encode(&Value::str(&s), DataType::Str(width)).into();
+                Build::default().hash_one(&image)
+            }))
+        };
+        let families = [
+            ("sequential Int", ints(|k| k)),
+            ("Int multiples of 2^16", ints(|k| k << 16)),
+            ("Int at i64::MIN + k", ints(|k| i64::MIN + k)),
+            ("Str(8)", strs(8)),
+            ("Str(12)", strs(12)),
+        ];
+        for (family, distinct) in families {
+            assert!(
+                distinct >= 2000,
+                "{family}: {distinct} distinct low-12-bit values of {KEYS} hashes"
+            );
+        }
     }
 
     #[test]
@@ -310,8 +437,7 @@ mod tests {
         }
         let idx = PageKeyIndex::build(&p, 0);
         assert_eq!(idx.distinct_keys(), 3);
-        let mut key = Vec::new();
-        Value::str("aa").encode(DataType::Str(4), &mut key).unwrap();
+        let key = encode(&Value::str("aa"), DataType::Str(4));
         assert_eq!(idx.probe(&key), &[0, 2]);
         // A probe of the wrong width can never match.
         let word_idx = PageKeyIndex::build(&p, 1);
@@ -330,7 +456,7 @@ mod tests {
     #[test]
     fn side_probe_sees_entries_in_arrival_order_up_to_the_bound() {
         let mut side = SideKeyIndex::new(0);
-        assert!(side.probe(&enc(7), 0).is_empty());
+        assert!(probed(&side, &enc(7), 0).is_empty());
         side.push(Arc::new(page(&[7, 3, 7])));
         side.push(Arc::new(page(&[])));
         side.push(Arc::new(page(&[1, 7])));
@@ -338,12 +464,12 @@ mod tests {
             (side.key(), side.pages().len(), side.distinct_keys()),
             (0, 3, 3)
         );
-        assert_eq!(side.probe(&enc(7), 3), &[(0, 0), (0, 2), (2, 1)]);
+        assert_eq!(probed(&side, &enc(7), 3), [(0, 0), (0, 2), (2, 1)]);
         // Pages at or past the bound stay invisible.
-        assert_eq!(side.probe(&enc(7), 2), &[(0, 0), (0, 2)]);
-        assert!(side.probe(&enc(1), 2).is_empty());
-        assert!(side.probe(&enc(7), 0).is_empty());
-        assert!(side.probe(&enc(99), 3).is_empty());
+        assert_eq!(probed(&side, &enc(7), 2), [(0, 0), (0, 2)]);
+        assert!(probed(&side, &enc(1), 2).is_empty());
+        assert!(probed(&side, &enc(7), 0).is_empty());
+        assert!(probed(&side, &enc(99), 3).is_empty());
         // An entry resolves to its tuple's image: (k = 1, v = 0).
         let image = side.image((2, 0));
         assert_eq!(&image[..8], &enc(1)[..]);
@@ -364,12 +490,79 @@ mod tests {
             }
             side.push(Arc::new(p));
         }
-        let mut key = Vec::new();
-        Value::str("aa").encode(DataType::Str(4), &mut key).unwrap();
-        assert_eq!(side.probe(&key, 2), &[(0, 0), (1, 0)]);
+        let key = encode(&Value::str("aa"), DataType::Str(4));
+        assert_eq!(probed(&side, &key, 2), [(0, 0), (1, 0)]);
         assert!(
-            side.probe(&enc(0), 2).is_empty(),
+            probed(&side, &enc(0), 2).is_empty(),
             "a word never matches a Str(4) key"
         );
+    }
+
+    /// Push `keys` into one side as `(key, slot)` tuples, ten to a page,
+    /// then check the probe of every present and every `absent` key — at
+    /// bounds that cut chains in the middle — against a model that keeps
+    /// each key's entries in a list of its own.
+    fn side_matches_model(dtype: DataType, keys: &[Value], absent: &[Value]) {
+        const PER_PAGE: usize = 10;
+        let schema = Schema::build()
+            .attr("k", dtype)
+            .attr("v", DataType::Int)
+            .finish()
+            .unwrap();
+        let page_size = PAGE_HEADER_BYTES + schema.tuple_width() * PER_PAGE;
+        let mut side = SideKeyIndex::new(0);
+        let mut model: BTreeMap<Vec<u8>, Vec<SideEntry>> = BTreeMap::new();
+        for (ordinal, chunk) in keys.chunks(PER_PAGE).enumerate() {
+            let mut p = Page::new(schema.clone(), page_size).unwrap();
+            for (slot, k) in chunk.iter().enumerate() {
+                p.push(&Tuple::new(vec![k.clone(), Value::Int(slot as i64)]))
+                    .unwrap();
+                let entry = (ordinal as u32, slot as u32);
+                model.entry(encode(k, dtype)).or_default().push(entry);
+            }
+            side.push(Arc::new(p));
+        }
+        let pages = side.pages().len();
+        assert!(pages >= 2_000, "{pages} pages");
+        assert_eq!(side.distinct_keys(), model.len());
+        for upto in [0, 1, pages / 3, pages / 2 + 1, pages - 1, pages] {
+            for (key, entries) in &model {
+                let seen = entries.partition_point(|&(page, _)| (page as usize) < upto);
+                assert_eq!(
+                    probed(&side, key, upto),
+                    &entries[..seen],
+                    "{dtype} upto {upto}"
+                );
+                for &entry in &entries[..seen] {
+                    assert!(side.image(entry).starts_with(key));
+                }
+            }
+            for k in absent {
+                assert!(probed(&side, &encode(k, dtype), upto).is_empty(), "{k}");
+            }
+        }
+    }
+
+    #[test]
+    fn side_probes_at_scale_equal_a_per_key_model() {
+        const TUPLES: i64 = 20_000;
+        // Unique keys (a primary-key side), negative and past 2^32.
+        let unique: Vec<Value> = (0..TUPLES)
+            .map(|i| Value::Int((i - TUPLES / 2) * ((1 << 32) + 7)))
+            .collect();
+        let absent = [Value::Int(1), Value::Int(i64::MIN), Value::Int(i64::MAX)];
+        side_matches_model(DataType::Int, &unique, &absent);
+        // Foreign-key duplicates: 211 keys, each on pages all along the side.
+        let fk: Vec<Value> = (0..TUPLES)
+            .map(|i| Value::Int((i * 7_919) % 211 - 105))
+            .collect();
+        let absent = [Value::Int(106), Value::Int(-106), Value::Int(1 << 40)];
+        side_matches_model(DataType::Int, &fk, &absent);
+        // A string side, each key repeated about four times.
+        let strs: Vec<Value> = (0..TUPLES)
+            .map(|i| Value::str(&format!("key-{:05}", (i * 37) % 4_999)))
+            .collect();
+        let absent = [Value::str("key-04999"), Value::str(""), Value::str("key")];
+        side_matches_model(DataType::Str(12), &strs, &absent);
     }
 }
