@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Flags (all optional):
-//! - `--workers N`     worker threads (default: all cores)
+//! - `--workers N`     worker threads (default: all cores); runs are sized
+//!   by min(N, CPUs the process may use), and the header prints both
 //! - `--alloc S`       allocation strategy: `instruction-at-a-time`,
 //!   `round-robin`, `balanced`, `root-first`
 //! - `--scale F`       database scale factor (1.0 = the paper's 5.5 MB)
@@ -110,10 +111,14 @@ fn main() {
         params.trace = Some(Arc::new(Tracer::new(Tracer::DEFAULT_CAPACITY)));
     }
 
+    // Runs are sized by min(workers, CPUs), so the CPU count is what the
+    // batch line's run count reads against.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "host_run: scale {scale}, page size {}, {} workers, {} strategy, {} join, {} transfer{}",
+        "host_run: scale {scale}, page size {}, {} workers on {cpus} CPU{}, {} strategy, {} join, {} transfer{}",
         params.page_size,
         params.workers,
+        if cpus == 1 { "" } else { "s" },
         params.strategy,
         params.join,
         params.transfer,

@@ -26,9 +26,14 @@
 //! its own dispatch sequence number, fault draw, panic guard, kernel span
 //! and `units_fired`. The *message* between scheduler and worker is a
 //! **run**: every unit the freed worker takes from the picked cell in one
-//! dispatch, ⌈pending ÷ alive workers⌉ of them (guided self-scheduling, so
-//! runs shrink as a cell drains and the workers finish together). The
-//! paper fires at page rather than tuple granularity because tuple traffic
+//! dispatch, ⌈pending ÷ min(alive workers, CPUs the call may run on)⌉ of
+//! them. That is guided self-scheduling (Polychronopoulos & Kuck, 1987),
+//! whose divisor is *processors*: runs shrink as a cell drains so the
+//! processors finish together, and workers beyond the CPUs — which can
+//! only take turns — never split a run between them. The CPU count is the
+//! one the default `workers` already uses (`available_parallelism`), read
+//! once per threaded call; an inline call has one processor. The paper
+//! fires at page rather than tuple granularity because tuple traffic
 //! "needlessly multiplies" arbitration-network load (§3.3); a channel
 //! hand-off per page repeats that mistake one level up. A run travels as
 //! one message, comes back as one completion, and packs into one set of

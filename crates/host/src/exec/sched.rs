@@ -69,6 +69,8 @@ pub(super) struct Scheduler<'a> {
     idle: Vec<usize>,
     /// Which workers have died. Dead workers never rejoin the idle pool.
     dead: Vec<bool>,
+    /// CPUs this call's threads may run on; 1 for an inline call.
+    cpus: usize,
     /// The run each busy worker currently holds, kept so a dead worker's
     /// run can be requeued.
     assigned: Vec<Option<Arc<Run>>>,
@@ -95,9 +97,15 @@ impl<'a> Scheduler<'a> {
         pool: Pool<'a>,
     ) -> Scheduler<'a> {
         let n = queries.len();
-        let workers = match &pool {
-            Pool::Threads { work_txs, .. } => work_txs.len(),
-            Pool::Inline(_) => 1,
+        // Read once per threaded call, never inline: the read costs about
+        // 14 µs (it parses cgroup files), a quarter of a small served call,
+        // and an inline call has one processor by construction.
+        let (workers, cpus) = match &pool {
+            Pool::Threads { work_txs, .. } => {
+                let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+                (work_txs.len(), cpus)
+            }
+            Pool::Inline(_) => (1, 1),
         };
         Scheduler {
             db,
@@ -113,6 +121,7 @@ impl<'a> Scheduler<'a> {
             per_query: vec![QueryStats::default(); n],
             idle: (0..workers).collect(),
             dead: vec![false; workers],
+            cpus,
             assigned: (0..workers).map(|_| None).collect(),
             next_base: 0,
             next_seq: 0,
@@ -472,12 +481,13 @@ impl<'a> Scheduler<'a> {
                 .position(|cand| cand.instr == instr)
                 .expect("picker returns a candidate id")];
             // Guided self-scheduling: an equal share of what the cell has
-            // pending, so runs shrink as it drains and the workers finish
-            // together.
-            let alive = self.alive();
+            // pending per processor, so runs shrink as it drains and the
+            // processors finish together. Workers beyond the CPUs can only
+            // take turns, so splitting a run among them buys no overlap.
+            let processors = self.alive().min(self.cpus);
             let state = self.active[q].as_mut().expect("query is active");
             let cell = &mut state.cells[c];
-            let take = cell.pending().div_ceil(alive);
+            let take = cell.pending().div_ceil(processors);
             let fault = &self.params.fault;
             let units = (cell.take(take).zip(self.next_seq..))
                 .map(|(kind, seq)| RunUnit {

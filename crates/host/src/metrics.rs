@@ -26,8 +26,11 @@ pub struct WorkerStats {
     /// Time spent inside operator kernels (building output pages
     /// included), successful or panicked.
     pub busy: Duration,
-    /// Time spent blocked sending completions into the arbitration
-    /// channel (back-pressure from the scheduler), separate from `busy`.
+    /// Time spent inside the send of each completion into the arbitration
+    /// channel, separate from `busy`. The channel is sized so a send never
+    /// blocks on a full buffer; what this measures is the send itself plus,
+    /// on a CPU shared with the scheduler, the time the woken scheduler
+    /// runs before the worker gets the CPU back.
     pub send_wait: Duration,
     /// Thread lifetime, spawn to shutdown — nonzero even for a worker
     /// that never received a unit. `wall - busy - send_wait` is idle +
@@ -51,7 +54,7 @@ impl WorkerStats {
 
     /// One human-readable summary row for worker `id` — the per-worker
     /// line `host_run` prints. Every accumulated duration is surfaced,
-    /// `send_wait` (arbitration back-pressure) included.
+    /// `send_wait` (time inside completion sends) included.
     pub fn summary_row(&self, id: usize) -> String {
         format!(
             "worker {id:>2}: {:>5} runs, {:>6} units ({:>6} spans), busy {:>10.2?}, send_wait {:>9.2?}, wall {:>10.2?} ({:>4.1}%){}",

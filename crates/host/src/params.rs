@@ -53,11 +53,13 @@ pub struct HostParams {
     /// flight before declaring the call stalled ([`HostError::Stalled`])
     /// instead of hanging on a wedged kernel. A worker reports once per
     /// *run*, so this must comfortably exceed the worst-case kernel time
-    /// of a whole run — up to ⌈a cell's pending units ÷ alive workers⌉
-    /// units — not of a single unit; the generous default only trips on
-    /// genuine wedges. A call small enough to be served on the calling
-    /// thread has no watchdog: its work is bounded by the size test
-    /// instead.
+    /// of a whole run — up to ⌈a cell's pending units ÷ min(alive workers,
+    /// CPUs)⌉ units, the guided self-scheduling share per *processor*
+    /// (the CPU count the default `workers` uses), so on one CPU a run is
+    /// a cell's whole pending set — not of a single unit; the generous
+    /// default only trips on genuine wedges. A call small enough to be
+    /// served on the calling thread has no watchdog: its work is bounded
+    /// by the size test instead.
     pub stall_timeout: Duration,
     /// Deterministic fault injection (inert by default) — see
     /// [`FaultPlan`].

@@ -27,7 +27,8 @@ fn setup_at(scale: f64) -> (Catalog, Vec<QueryTree>) {
 
 /// `restrict(scan r00)` at selectivity 0.5, optionally under a bag
 /// project: one per-page cell whose units all become pending at admission,
-/// so the first dispatch's run length is known — ⌈pages ÷ alive workers⌉.
+/// so the first dispatch's run length is known — ⌈pages ÷ min(alive
+/// workers, CPUs)⌉.
 fn restrict_r00(db: &Catalog, project: bool) -> (QueryTree, usize) {
     let restricted = TreeBuilder::new(db)
         .scan("r00")
@@ -341,13 +342,15 @@ fn idle_workers_report_nonzero_wall_time() {
 
 /// A worker that dies holding a multi-unit run: the whole run is requeued
 /// on the survivor, unit for unit, and the answer is unharmed. Worker 1 is
-/// offered the first run — half of the restrict's pages, both workers
-/// still looking alive — whether it dies before or after the hand-off.
+/// offered the first run — the restrict's pages split over both workers
+/// (still looking alive) or the CPUs, whichever is fewer — whether it dies
+/// before or after the hand-off.
 #[test]
 fn dead_worker_requeues_its_whole_run() {
     let (db, queries) = setup_at(0.05);
     let (query, pages) = restrict_r00(&db, false);
-    let first_run = pages.div_ceil(2);
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let first_run = pages.div_ceil(2.min(cpus));
     assert!(first_run > 1, "the run must hold several units");
     let params = HostParams {
         fault: FaultPlan {

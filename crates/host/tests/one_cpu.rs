@@ -1,0 +1,150 @@
+//! One processor, several workers: guided self-scheduling divides a cell's
+//! pending units by the processors the call may run on, not by its worker
+//! threads, so on one CPU a run is never split between threads that can
+//! only take turns — and the answers stay exactly those of one worker.
+//!
+//! Each test pins a thread of its own to one CPU with `sched_setaffinity`
+//! (declared via `extern "C"`; std already links the C library), and the
+//! worker threads the call spawns inherit that set. Linux only; where the
+//! kernel refuses the mask the test skips with a message.
+
+use std::ffi::c_int;
+
+use df_core::TransferMode;
+use df_host::{run_host_queries, run_host_query, HostParams};
+use df_query::{execute_readonly, ExecParams, JoinAlgo, TreeBuilder};
+use df_relalg::{CmpOp, Relation, Value};
+use df_workload::{benchmark_queries, generate_database, BenchmarkSpec};
+
+/// glibc's `cpu_set_t`: 1024 CPUs, one bit each.
+type CpuSet = [u64; 16];
+
+extern "C" {
+    fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut CpuSet) -> c_int;
+    fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const CpuSet) -> c_int;
+}
+
+/// Pin the calling thread to the last CPU it may run on. Returns that CPU,
+/// or `None` when the kernel refuses.
+fn pin_to_one_cpu() -> Option<usize> {
+    let mut set: CpuSet = [0; 16];
+    // SAFETY: `set` is a live, writable buffer of exactly the byte length
+    // passed; pid 0 names the calling thread.
+    if unsafe { sched_getaffinity(0, std::mem::size_of::<CpuSet>(), &mut set) } != 0 {
+        return None;
+    }
+    let cpu = (0..64 * set.len()).rfind(|cpu| set[cpu / 64] >> (cpu % 64) & 1 == 1)?;
+    let mut one: CpuSet = [0; 16];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `one` is a live buffer of exactly the byte length passed,
+    // only read by the kernel; pid 0 names the calling thread.
+    let pinned = unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &one) } == 0;
+    pinned.then_some(cpu)
+}
+
+/// Run `body` on a fresh thread pinned to one CPU (the test harness's own
+/// thread keeps its set), or skip with a message if pinning is refused.
+fn on_one_cpu(body: impl FnOnce() + Send + 'static) {
+    // The harness names its thread after the test.
+    let name = std::thread::current().name().unwrap_or("test").to_string();
+    std::thread::spawn(move || {
+        let Some(cpu) = pin_to_one_cpu() else {
+            eprintln!("{name}: skipped, the kernel refused a one-CPU affinity mask");
+            return;
+        };
+        let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+        assert_eq!(cpus, 1, "pinned to CPU {cpu}, yet {cpus} CPUs are reported");
+        body();
+    })
+    .join()
+    .expect("pinned test thread panicked");
+}
+
+fn tuple_images(rel: &Relation) -> Vec<Vec<u8>> {
+    rel.tuple_refs().map(|t| t.raw().to_vec()).collect()
+}
+
+fn page_images(rel: &Relation) -> Vec<Vec<u8>> {
+    rel.pages().iter().map(|p| p.raw_data().to_vec()).collect()
+}
+
+/// A per-page cell over more pages than an inline call may hold, at four
+/// workers on one CPU: every unit is pending at admission, so the first
+/// run takes them all and the call makes exactly one hand-off. Dividing by
+/// the four workers instead would take ⌈pages ÷ 4⌉ per run — at least four
+/// runs.
+#[test]
+fn one_cpu_serves_a_per_page_cell_in_one_run() {
+    on_one_cpu(|| {
+        let spec = BenchmarkSpec::scaled(0.3);
+        let db = generate_database(&spec.database);
+        let query = TreeBuilder::new(&db)
+            .scan("r00")
+            .unwrap()
+            .restrict_where("val", CmpOp::Lt, Value::Int(spec.cutoff()))
+            .unwrap()
+            .finish();
+        let pages = db.require("r00").unwrap().pages().len();
+        // Above the inline size test's 128 pages: served by worker threads.
+        assert!(pages > 128, "{pages} operand pages");
+        let (got, metrics) =
+            run_host_query(&db, &query, &HostParams::with_workers(4)).expect("host executes");
+        let want = execute_readonly(&db, &query, &ExecParams::default()).expect("oracle");
+        assert!(got.same_contents(&want));
+        assert_eq!(metrics.total_units(), pages, "one unit per page");
+        assert_eq!(metrics.total_runs(), 1, "{pages} units on one CPU");
+        assert_eq!(metrics.per_worker.len(), 4, "every worker still spawned");
+    });
+}
+
+/// The ten queries under both join/transfer configurations, threaded, in
+/// deterministic mode: at two and four workers on one CPU the results are
+/// byte-identical, page for page, to one worker's and tuple for tuple to
+/// the oracle's.
+#[test]
+fn one_cpu_answers_match_one_worker_and_the_oracle() {
+    on_one_cpu(|| {
+        let spec = BenchmarkSpec::scaled(0.05);
+        let db = generate_database(&spec.database);
+        let queries = benchmark_queries(&db, &spec).expect("benchmark queries build");
+        let want: Vec<Vec<Vec<u8>>> = queries
+            .iter()
+            .map(|q| {
+                let rel = execute_readonly(&db, q, &ExecParams::default()).expect("oracle");
+                let mut images = tuple_images(&rel);
+                images.sort_unstable();
+                images
+            })
+            .collect();
+        let configs = [
+            (JoinAlgo::Nested, TransferMode::Materialize),
+            (JoinAlgo::Hash, TransferMode::Pipeline),
+        ];
+        for (join, transfer) in configs {
+            let mut first: Option<Vec<Vec<Vec<u8>>>> = None;
+            for workers in [1, 2, 4] {
+                let params = HostParams {
+                    join,
+                    transfer,
+                    deterministic: true,
+                    ..HostParams::with_workers(workers)
+                };
+                let at = format!("{join:?}/{transfer:?}, {workers} workers");
+                let out = run_host_queries(&db, &queries, &params).expect("host executes");
+                assert!(out.metrics.total_runs() > 0, "{at}: served inline");
+                assert_eq!(out.metrics.per_worker.len(), workers, "{at}");
+                let rels: Vec<_> = (out.results.iter())
+                    .map(|r| r.as_ref().expect("query succeeds"))
+                    .collect();
+                for (i, (rel, want)) in rels.iter().zip(&want).enumerate() {
+                    assert_eq!(&tuple_images(rel), want, "{at}: query {i} vs oracle");
+                }
+                let pages: Vec<_> = rels.iter().map(|r| page_images(r)).collect();
+                match &first {
+                    None => first = Some(pages),
+                    Some(first) => assert_eq!(&pages, first, "{at}: pages differ from 1 worker"),
+                }
+            }
+        }
+    });
+}
