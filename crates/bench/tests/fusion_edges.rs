@@ -85,7 +85,7 @@ fn span_lengths(program: &Program) -> Vec<usize> {
         .instructions
         .iter()
         .filter_map(|i| match &i.kernel {
-            Kernel::Span(steps) => Some(steps.len()),
+            Kernel::Unary(form) if form.steps() > 1 => Some(form.steps()),
             _ => None,
         })
         .collect()
@@ -178,15 +178,15 @@ fn chain_under_an_update_root_fuses_but_the_update_never_does() {
     assert_eq!(fused.instructions.len(), 2);
     let root = &fused.instructions[fused.roots[0]];
     assert_eq!(root.op_name, "append");
-    assert!(matches!(root.kernel, Kernel::Identity));
+    assert!(matches!(&root.kernel, Kernel::Unary(form) if form.steps() == 0));
     assert_eq!(fused.instructions[0].parent, Some((root.id, 0)));
     // A delete fires per page like a restrict, and still stands alone.
     let delete = parse_query(&db, "(delete t (> k 6))").unwrap();
     let program = program(&db, &delete, TransferMode::Pipeline);
     assert!(span_lengths(&program).is_empty());
     assert!(matches!(
-        program.instructions[0].kernel,
-        Kernel::DeleteFilter(_)
+        &program.instructions[0].kernel,
+        Kernel::Unary(form) if form.steps() == 1
     ));
 
     for q in [&append, &delete] {

@@ -168,8 +168,8 @@ pub fn compile_with(
                 }
                 _ => {}
             }
-            let op_name = match kernel {
-                Kernel::Span(_) => "span",
+            let op_name = match &kernel {
+                Kernel::Unary(form) if form.steps() > 1 => "span",
                 _ => node.op.name(),
             };
             instructions.push(Instruction {
@@ -206,7 +206,7 @@ pub fn compile_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_query::ops::{self, JoinSweep};
+    use df_query::ops::{self, JoinSweep, SpanStep, UnaryKernel};
     use df_query::{oracle, parse_query, TreeBuilder};
     use df_relalg::{
         CmpOp, DataType, JoinCondition, Page, Projection, Relation, Tuple, TupleBuf, Value,
@@ -223,6 +223,16 @@ mod tests {
 
     fn images(buf: &TupleBuf) -> Vec<&[u8]> {
         buf.refs().map(|t| t.raw()).collect()
+    }
+
+    /// The per-page kernel of `steps` over pages of `input`.
+    fn unary(steps: &[SpanStep], input: &Schema) -> Kernel {
+        Kernel::Unary(UnaryKernel::compile(steps, input))
+    }
+
+    /// Whether `kernel` is a per-page form of `n` steps.
+    fn is_unary(kernel: &Kernel, n: usize) -> bool {
+        matches!(kernel, Kernel::Unary(form) if form.steps() == n)
     }
 
     fn db() -> Catalog {
@@ -275,7 +285,7 @@ mod tests {
         let q = parse_query(&db, "(scan a)").unwrap();
         let prog = compile(&db, &[q]).unwrap();
         assert_eq!(prog.instructions.len(), 1);
-        assert!(matches!(prog.instructions[0].kernel, Kernel::Identity));
+        assert!(is_unary(&prog.instructions[0].kernel, 0));
         assert_eq!(
             prog.instructions[0].operands[0].source.as_deref(),
             Some("a")
@@ -302,10 +312,7 @@ mod tests {
                 predicate: Predicate::cmp_const(s, "k", CmpOp::Gt, Value::Int(5)).unwrap(),
             })
         );
-        assert!(matches!(
-            prog.instructions[0].kernel,
-            Kernel::DeleteFilter(_)
-        ));
+        assert!(is_unary(&prog.instructions[0].kernel, 1));
     }
 
     #[test]
@@ -344,9 +351,10 @@ mod tests {
         let a = db.get("a").unwrap();
         let page = &a.pages()[0];
         let pred = Predicate::cmp_const(a.schema(), "k", CmpOp::Lt, Value::Int(2)).unwrap();
-        let out = Kernel::Restrict(pred.clone()).run_unit_raw(&[page], a.schema());
+        let restrict = unary(&[SpanStep::Restrict(pred.clone())], a.schema());
+        let out = restrict.run_unit_raw(&[page], a.schema());
         assert_eq!(out.to_tuples(), oracle::restrict_page(page, &pred));
-        let ident = Kernel::Identity.run_unit_raw(&[page], a.schema());
+        let ident = unary(&[], a.schema()).run_unit_raw(&[page], a.schema());
         assert_eq!(ident.to_tuples(), page.tuples().collect::<Vec<_>>());
     }
 
@@ -381,21 +389,16 @@ mod tests {
         let all: Vec<Tuple> = page.tuples().collect();
         for (kernel, out_schema, want) in [
             (
-                Kernel::Restrict(pred.clone()),
+                unary(&[SpanStep::Restrict(pred.clone())], &s),
                 s.clone(),
                 oracle::restrict_page(page, &pred),
             ),
             (
-                Kernel::DeleteFilter(pred.clone()),
-                s.clone(),
-                oracle::restrict_page(page, &pred),
-            ),
-            (
-                Kernel::Project(proj.clone()),
+                unary(&[SpanStep::Project(proj.clone())], &s),
                 proj.output_schema(&s).unwrap(),
                 oracle::project_page(page, &proj),
             ),
-            (Kernel::Identity, s.clone(), all),
+            (unary(&[], &s), s.clone(), all),
         ] {
             assert_eq!(
                 kernel.run_unit_raw(&[page], &out_schema).to_tuples(),
@@ -492,9 +495,11 @@ mod tests {
 
     #[test]
     fn tuple_ops_cost_proxy() {
-        let pred = Predicate::True;
-        assert_eq!(Kernel::Restrict(pred).tuple_ops(&[7]), 7);
         let s = db().get("a").unwrap().schema().clone();
+        let restrict = unary(&[SpanStep::Restrict(Predicate::True)], &s);
+        assert_eq!(restrict.tuple_ops(&[7]), 7);
+        // The identity still touches every tuple once.
+        assert_eq!(unary(&[], &s).tuple_ops(&[7]), 7);
         let sweep = JoinSweep::compile(&s, &s, &JoinCondition::equi(&s, "k", &s, "k").unwrap());
         assert_eq!(
             Kernel::JoinPair(sweep, JoinAlgo::Nested).tuple_ops(&[3, 5]),
@@ -603,7 +608,7 @@ mod tests {
         .unwrap();
         assert_eq!(prog.instructions.len(), 1);
         let span = &prog.instructions[0];
-        assert!(matches!(&span.kernel, Kernel::Span(steps) if steps.len() == 3));
+        assert!(is_unary(&span.kernel, 3));
         assert_eq!(span.op_name, "span");
         assert_eq!(span.parent, None);
         assert_eq!(span.id, 0);
@@ -652,7 +657,7 @@ mod tests {
         let spans: Vec<_> = prog
             .instructions
             .iter()
-            .filter(|i| matches!(i.kernel, Kernel::Span(_)))
+            .filter(|i| i.op_name == "span")
             .collect();
         assert_eq!(spans.len(), 3);
         let join = prog
@@ -670,7 +675,7 @@ mod tests {
         assert_ne!(leg_parents[0].1, leg_parents[1].1);
         // The output span is the root.
         let root = &prog.instructions[prog.roots[0]];
-        assert!(matches!(&root.kernel, Kernel::Span(steps) if steps.len() == 2));
+        assert!(is_unary(&root.kernel, 2));
         // Ids stay dense and children precede parents.
         for (i, instr) in prog.instructions.iter().enumerate() {
             assert_eq!(instr.id, i);
@@ -698,7 +703,7 @@ mod tests {
         )
         .unwrap();
         let span = &fused.instructions[0];
-        assert!(matches!(span.kernel, Kernel::Span(_)));
+        assert!(is_unary(&span.kernel, 3));
         let a = db.get("a").unwrap();
         for page in a.pages() {
             let raw = span.kernel.run_unit_raw(&[page], &span.output_schema);

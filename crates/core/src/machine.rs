@@ -26,6 +26,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use df_obs::{IntervalSeries, Path as ObsPath};
+use df_query::ops::{SpanStep, UnaryKernel};
 use df_query::{partition_delete, Firing, QueryTree};
 use df_relalg::{Catalog, Page, Relation, Result, TupleBuf};
 use df_sim::stats::ByteCounter;
@@ -949,7 +950,10 @@ impl Machine {
                     }
                 }
                 Some(UpdateSpec::Delete { target, predicate }) => {
-                    let (kept, _) = partition_delete(db.require(target)?, predicate)?;
+                    let (target, step) =
+                        (db.require(target)?, SpanStep::Restrict(predicate.clone()));
+                    let (kept, _) =
+                        partition_delete(target, &UnaryKernel::compile(&[step], target.schema()))?;
                     db.insert_or_replace(kept);
                 }
             }

@@ -17,7 +17,7 @@ pub use df_query::JoinAlgo;
 /// The paper's instruction cells materialize a whole result page between
 /// every operator (§3.2 fires a cell only when an operand page is
 /// complete). `Pipeline` keeps the firing rule but fuses maximal
-/// restrict→project→… chains into one [`df_query::Kernel::Span`] at compile time: the
+/// restrict→project→… chains into one [`df_query::Kernel::Unary`] form: the
 /// chain's predicates and projections run per tuple over the *input* page
 /// and only final survivors are written, so the intermediate pages — and
 /// their transfer cost — never exist. Output is byte-identical either way.

@@ -269,7 +269,7 @@ impl Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_query::ops::JoinSweep;
+    use df_query::ops::{JoinSweep, UnaryKernel};
     use df_relalg::{DataType, JoinCondition, Schema};
     use proptest::prelude::*;
     use std::collections::HashSet;
@@ -290,6 +290,11 @@ mod tests {
     fn join(algo: JoinAlgo) -> Kernel {
         let condition = JoinCondition::equi(&schema(), "k", &schema(), "k").unwrap();
         Kernel::JoinPair(JoinSweep::compile(&schema(), &schema(), &condition), algo)
+    }
+
+    /// The kernel of a per-page cell: the zero-step identity form.
+    fn identity() -> Kernel {
+        Kernel::Unary(UnaryKernel::compile(&[], &schema()))
     }
 
     fn id(page: &Arc<Page>) -> usize {
@@ -407,7 +412,7 @@ mod tests {
 
     #[test]
     fn never_ready_with_work_pending_or_in_flight() {
-        let mut cell = Cell::new(Firing::PerPage, 1, &Kernel::Identity);
+        let mut cell = Cell::new(Firing::PerPage, 1, &identity());
         assert_eq!(cell.deliver(0, pages(3)), 3);
         cell.port_done(0);
         assert!(!cell.ready_to_complete(), "pending");
@@ -423,7 +428,7 @@ mod tests {
         assert!(!cell.ready_to_complete(), "a cell completes once");
 
         // A doomed query's cell drops what no run took; the rest drains.
-        let mut cell = Cell::new(Firing::PerPage, 1, &Kernel::Identity);
+        let mut cell = Cell::new(Firing::PerPage, 1, &identity());
         cell.deliver(0, pages(4));
         assert_eq!(cell.take(1).count(), 1);
         cell.discard_pending();
@@ -432,7 +437,7 @@ mod tests {
         assert_eq!(cell.in_flight(), 0);
 
         // A scan cell has no operand stream: it is ready at once.
-        assert!(Cell::new(Firing::Source, 0, &Kernel::Identity).ready_to_complete());
+        assert!(Cell::new(Firing::Source, 0, &identity()).ready_to_complete());
     }
 
     /// A cell driven by a random interleaving of the scheduler's operations,
@@ -588,7 +593,7 @@ mod tests {
             ops in prop::collection::vec((0u8..5, 0usize..4), 0..64),
         ) {
             let (firing, ports, kernel) = vec![
-                (Firing::PerPage, 1, Kernel::Identity),
+                (Firing::PerPage, 1, identity()),
                 (Firing::PairSweep, 2, join(JoinAlgo::Nested)),
                 (Firing::PairSweep, 2, join(JoinAlgo::Hash)),
                 (Firing::Complete, 1, Kernel::UnionFinal),

@@ -105,7 +105,7 @@ pub(super) fn serve_run(
     // still counts as its own kernel span (start/end pair, busy time
     // split evenly) so the per-operator accounting — and the df-obs
     // conservation identities over it — hold in both transfer modes.
-    let logical_kernels = spec.steps.len().max(1);
+    let logical_kernels = spec.unary.as_ref().map_or(1, |form| form.steps().max(1));
     // The IP output buffer of §4.2: appends fill the last page, then
     // fresh ones.
     let (schema, page_size) = (spec.out_schema.clone(), run.plan.out_page_size[run.cell]);

@@ -159,11 +159,14 @@ mod tests {
             build(TransferMode::Materialize),
             build(TransferMode::Pipeline),
         );
-        assert!(mat.plan.nodes.iter().all(|c| c.steps.is_empty()));
+        let steps =
+            |plan: &QueryPlan, cell: usize| plan.cell(cell).unary.as_ref().map(|u| u.steps());
+        let mat_steps: Vec<_> = (0..5).map(|c| steps(&mat, c)).collect();
+        assert_eq!(mat_steps, [Some(0), Some(1), Some(1), Some(0), None]);
         assert_eq!(mat.depth, vec![3, 2, 1, 1, 0]);
         // The restrict became the span: it feeds the join directly, from
         // the project's depth, in pages sized for the project's tuples.
-        assert_eq!(pipe.cell(1).steps.len(), 2);
+        assert_eq!(steps(&pipe, 1), Some(2));
         assert!(pipe.cell(2).absorbed);
         assert_eq!(pipe.cell(1).parent, Some((4, 0)));
         assert_eq!(pipe.depth[1], mat.depth[2]);

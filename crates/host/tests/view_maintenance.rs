@@ -1,6 +1,6 @@
 //! Property-based differential tests for incremental view maintenance:
-//! for random view trees (depth 1–4, mixing restricts, set-ops, joins,
-//! and dedup projections) over random duplicate-heavy write batches
+//! for random view trees (depth 1–4, mixing restricts, bag and dedup
+//! projections, set-ops and joins) over random duplicate-heavy write batches
 //! (appends *and* deletes), the maintained [`StandingView`] must stay
 //! **byte-identical** to re-running the defining query from scratch
 //! after every single write — never "close", never "same multiset,
@@ -57,14 +57,22 @@ impl Words<'_> {
     }
 }
 
-/// A schema-preserving expression over the bases: scans, restricts, and
-/// counted set-ops, nested to `depth`. Every node keeps the (key, val)
-/// schema, so any two chains can feed a set-op or a join.
+/// A schema-preserving expression over the bases: scans, restricts (one
+/// with an `or`, which takes the general predicate path), bag projects
+/// and counted set-ops, nested to `depth`. Every node keeps the
+/// (key, val) schema, so any two chains can feed a set-op or a join.
 fn gen_chain(w: &mut Words<'_>, depth: usize) -> String {
     if depth == 0 {
         return format!("(scan {})", BASES[w.draw() as usize % BASES.len()]);
     }
-    match w.draw() % 4 {
+    match w.draw() % 6 {
+        4 => format!("(project {} (key val))", gen_chain(w, depth - 1)),
+        5 => format!(
+            "(restrict {} (or (< val {}) (= key {})))",
+            gen_chain(w, depth - 1),
+            w.draw() % 5,
+            w.draw() % 6
+        ),
         0 => format!("(scan {})", BASES[w.draw() as usize % BASES.len()]),
         1 => format!(
             "(restrict {} (< val {}))",

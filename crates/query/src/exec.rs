@@ -15,10 +15,10 @@
 
 use std::sync::Arc;
 
-use df_relalg::{Catalog, Error, Page, Predicate, Relation, Result, TupleBuf};
+use df_relalg::{Catalog, Error, Page, Relation, Result, TupleBuf};
 
 use crate::kernel::{JoinAlgo, Kernel};
-use crate::ops::{copy_rows, RowFilter};
+use crate::ops::UnaryKernel;
 use crate::oracle;
 use crate::plan::{Firing, Plan, PlanNode};
 use crate::tree::{NodeId, Op, QueryTree};
@@ -114,7 +114,7 @@ pub fn execute(db: &mut Catalog, tree: &QueryTree, params: &ExecParams) -> Resul
 pub fn run_plan(db: &Catalog, plan: &Plan, page_size: usize) -> Result<Vec<Relation>> {
     let mut results: Vec<Relation> = Vec::with_capacity(plan.nodes.len());
     for (id, node) in plan.nodes.iter().enumerate() {
-        debug_assert!(node.steps.is_empty(), "run_plan takes an unfused plan");
+        debug_assert!(!node.absorbed, "run_plan takes an unfused plan");
         let rel = match &node.op {
             op if op.is_update() => break,
             Op::Scan { relation } => db.require(relation)?.clone(),
@@ -165,36 +165,32 @@ fn run_node(
 }
 
 /// The page-level delete: split `target` into the relation without the
-/// tuples `predicate` selects and those tuples, in target order. Each page
-/// is partitioned by one raw `RowFilter` mask and both sides are copied
-/// with `copy_rows`. A page the predicate does not touch is shared
-/// (`Arc::clone`), not rebuilt; a touched page is replaced by its
-/// survivors, or dropped if none survive — pages are never repacked
+/// tuples `filter` selects and those tuples, in target order. `filter` is
+/// the delete node's compiled form (one restrict step over the target's
+/// schema). Each page is partitioned by the form's selection mask, and
+/// both sides are copied by its copy pass. A page the predicate does not
+/// touch is shared (`Arc::clone`), not rebuilt; a touched page is replaced
+/// by its survivors, or dropped if none survive — pages are never repacked
 /// across, so the kept relation may have partial middle pages.
 ///
 /// # Errors
 /// Fails only if the target's own pages do not fit its page size.
-pub fn partition_delete(target: &Relation, predicate: &Predicate) -> Result<(Relation, TupleBuf)> {
+pub fn partition_delete(target: &Relation, filter: &UnaryKernel) -> Result<(Relation, TupleBuf)> {
     let schema = target.schema();
-    let w = schema.tuple_width();
-    let whole_row = [(0, w)];
-    let filter = RowFilter::compile(std::slice::from_ref(predicate), schema);
     let mut kept = Relation::new(target.name(), schema.clone(), target.page_size())?;
     let mut deleted = TupleBuf::new(schema.clone());
     let mut mask = Vec::new();
     for page in target.pages() {
-        mask.clear();
-        mask.resize(page.len(), true);
-        filter.apply(page, &mut mask);
+        filter.select(page, &mut mask);
         let hits = mask.iter().filter(|&&m| m).count();
         if hits == 0 {
             kept.append_page(Arc::clone(page))?;
             continue;
         }
-        deleted.push_images(&copy_rows(page.raw_data(), w, Some(&mask), &whole_row, w));
+        deleted.push_images(&filter.copy(page, Some(&mask)));
         if hits < page.len() {
             mask.iter_mut().for_each(|m| *m = !*m);
-            let survivors = copy_rows(page.raw_data(), w, Some(&mask), &whole_row, w);
+            let survivors = filter.copy(page, Some(&mask));
             let mut survivor_page = Page::new(schema.clone(), target.page_size())?;
             TupleBuf::from_images(schema.clone(), survivors).drain_into(&mut survivor_page);
             kept.append_page(survivor_page)?;
@@ -269,8 +265,9 @@ pub fn stage_write(db: &Catalog, tree: &QueryTree, params: &ExecParams) -> Resul
             result.set_name(&name);
             (target, WriteKind::Append, result)
         }
-        Op::Delete { target, predicate } => {
-            let (kept, deleted) = partition_delete(db.require(target)?, predicate)?;
+        Op::Delete { target, .. } => {
+            let filter = root.unary.as_ref().expect("a delete carries its form");
+            let (kept, deleted) = partition_delete(db.require(target)?, filter)?;
             let mut result = Relation::new(&name, root.out_schema.clone(), params.page_size)?;
             result.append_images(deleted.images())?;
             (target, WriteKind::Replace(kept), result)
@@ -319,7 +316,7 @@ mod tests {
     use super::*;
     use crate::builder::TreeBuilder;
     use crate::parser::parse_query;
-    use df_relalg::{CmpOp, DataType, Schema, Tuple, Value};
+    use df_relalg::{CmpOp, DataType, Predicate, Schema, Tuple, Value};
 
     fn db() -> Catalog {
         let mut db = Catalog::new();

@@ -3,8 +3,9 @@
 //!
 //! Paper §2.3: *"the instruction in each memory cell corresponds to a node
 //! in the query tree"*. [`Kernel::lower`] is the only place in the
-//! workspace an [`Op`] becomes kernel calls. Four schedulers execute what
-//! it returns — df-core's and df-ring's simulated machines, df-host's
+//! workspace a plan node becomes kernel calls, and it compiles nothing: a
+//! per-page node's form ([`ops::UnaryKernel`]) and a join's sweep were
+//! compiled once with the plan. Four schedulers execute what it returns — df-core's and df-ring's simulated machines, df-host's
 //! threads, and [`crate::run_plan`], the sequential one behind served
 //! writes and view install — each choosing the entry point its node's
 //! [`crate::Firing`] class names.
@@ -13,10 +14,10 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
-use df_relalg::{Page, Predicate, Projection, Schema, Tuple, TupleBuf, TupleRef};
+use df_relalg::{Page, Projection, Schema, Tuple, TupleBuf, TupleRef};
 
 use crate::ops::{self, JoinSweep};
-use crate::plan::PlanNode;
+use crate::plan::{Firing, PlanNode};
 use crate::tree::Op;
 
 /// Which algorithm a `JoinPair` kernel runs on each page pair.
@@ -73,15 +74,14 @@ impl FromStr for JoinAlgo {
 /// The operator code executed per work unit.
 #[derive(Debug, Clone)]
 pub enum Kernel {
-    /// σ — emit tuples satisfying the predicate.
-    Restrict(Predicate),
-    /// π without duplicate elimination — streaming.
-    Project(Projection),
-    /// Copy input to output (bare scan roots, append staging).
-    Identity,
-    /// Emit tuples *matching* the predicate (the tuples a delete removes —
-    /// the query's result; the catalog update happens after the run).
-    DeleteFilter(Predicate),
+    /// Every per-page operator: the node's compiled [`ops::UnaryKernel`].
+    /// σ, bag π and a delete filter (it emits the tuples a delete removes;
+    /// the catalog update happens after the run) are one step, a bare scan
+    /// root or an append the zero-step identity, and a fused
+    /// restrict→project→… chain (the pipeline transfer mode) one step per
+    /// operator. Cost: the sum of the step costs ([`Kernel::tuple_ops`]),
+    /// but a single page transfer.
+    Unary(ops::UnaryKernel),
     /// Join of one page pair: the plan's compiled nested-loops sweep, or
     /// under [`JoinAlgo::Hash`] a probe of the inner page's raw-byte key
     /// index. Lowering gives `Hash` only to conditions the hash path can
@@ -97,46 +97,37 @@ pub enum Kernel {
     DifferenceFinal,
     /// π with duplicate elimination over a complete input.
     ProjectDedupFinal(Projection),
-    /// A fused restrict→project→… chain (the pipeline transfer mode):
-    /// every step runs per tuple over the input page's raw bytes and only
-    /// final survivors are written — the intermediate pages the paper's
-    /// cells would materialize never exist. Cost: the sum of the step costs
-    /// ([`Kernel::tuple_ops`]), but a single page transfer.
-    Span(Vec<ops::SpanStep>),
 }
 
 impl Kernel {
     /// The operator code of one plan node — the only place in the workspace
-    /// an [`Op`] is turned into kernel calls; every scheduler executes what
-    /// this returns. A fused node is its span whatever its bottom operator;
-    /// a join keeps the `join` knob only when its compiled condition can
-    /// run on the hash path ([`JoinSweep::hash_applicable`]) and is lowered
-    /// — so swept, counted and charged — as nested loops otherwise. A scan
-    /// is an identity over its own relation (the bare-scan root), and so is
-    /// an append: the catalog update it requests happens after the run.
+    /// a plan node is turned into kernel calls; every scheduler executes
+    /// what this returns. A `Source` or `PerPage` node runs the form
+    /// [`crate::Plan::compile`] gave it (a fused node's spans its chain;
+    /// a scan's and an append's is the identity — the catalog update an
+    /// append requests happens after the run). A join keeps the `join`
+    /// knob only when its compiled condition can run on the hash path
+    /// ([`JoinSweep::hash_applicable`]) and is lowered — so swept, counted
+    /// and charged — as nested loops otherwise.
     pub fn lower(node: &PlanNode, join: JoinAlgo) -> Kernel {
-        match &node.op {
-            _ if !node.steps.is_empty() => Kernel::Span(node.steps.clone()),
-            Op::Scan { .. } | Op::Append { .. } => Kernel::Identity,
-            Op::Restrict { predicate } => Kernel::Restrict(predicate.clone()),
-            Op::Project {
-                projection,
-                dedup: false,
-            } => Kernel::Project(projection.clone()),
-            Op::Project { projection, .. } => Kernel::ProjectDedupFinal(projection.clone()),
-            Op::Join { .. } => {
-                let sweep = node.sweep.expect("a join node carries its compiled sweep");
-                let algo = if sweep.hash_applicable() {
-                    join
-                } else {
-                    JoinAlgo::Nested
-                };
-                Kernel::JoinPair(sweep, algo)
-            }
-            Op::CrossProduct => Kernel::CrossPair,
-            Op::Union => Kernel::UnionFinal,
-            Op::Difference => Kernel::DifferenceFinal,
-            Op::Delete { predicate, .. } => Kernel::DeleteFilter(predicate.clone()),
+        match node.firing {
+            Firing::Source | Firing::PerPage => Kernel::Unary(
+                node.unary
+                    .clone()
+                    .expect("a per-page node carries its compiled form"),
+            ),
+            // A join carries its compiled sweep; a cross product has none.
+            Firing::PairSweep => match node.sweep {
+                Some(sweep) if sweep.hash_applicable() => Kernel::JoinPair(sweep, join),
+                Some(sweep) => Kernel::JoinPair(sweep, JoinAlgo::Nested),
+                None => Kernel::CrossPair,
+            },
+            Firing::Complete => match &node.op {
+                Op::Union => Kernel::UnionFinal,
+                Op::Difference => Kernel::DifferenceFinal,
+                Op::Project { projection, .. } => Kernel::ProjectDedupFinal(projection.clone()),
+                other => unreachable!("`{}` does not fire on complete inputs", other.name()),
+            },
         }
     }
 
@@ -150,21 +141,12 @@ impl Kernel {
     /// [`Kernel::run_final_raw`]) or with the wrong operand count.
     pub fn run_unit_raw(&self, pages: &[&Page], out_schema: &Schema) -> TupleBuf {
         match self {
-            Kernel::Restrict(p) | Kernel::DeleteFilter(p) => ops::restrict_page_raw(pages[0], p),
-            Kernel::Project(proj) => ops::project_page_raw(pages[0], proj, out_schema),
-            Kernel::Identity => {
-                let mut out = TupleBuf::new(out_schema.clone());
-                for t in pages[0].tuple_refs() {
-                    out.push_ref(&t);
-                }
-                out
-            }
+            Kernel::Unary(form) => form.run_page(pages[0], out_schema),
             Kernel::JoinPair(..) | Kernel::CrossPair => {
                 let mut out = TupleBuf::new(out_schema.clone());
                 self.run_sweep_raw_into(pages[0], pages[1..].iter().copied(), true, &mut out);
                 out
             }
-            Kernel::Span(steps) => ops::span_page_raw(pages[0], steps, out_schema),
             k => panic!("run_unit_raw called on whole-relation kernel {k:?}"),
         }
     }
@@ -278,15 +260,12 @@ impl Kernel {
             // A fused span charges the *sum* of its step costs — each
             // logical operator still touches every input tuple — while
             // transferring a single page. The transfer saving, not a
-            // compute saving, is what the pipeline mode buys.
-            Kernel::Span(steps) => tuple_counts[0] * steps.len().max(1),
+            // compute saving, is what the pipeline mode buys. A lone
+            // operator and the identity touch each tuple once.
+            Kernel::Unary(form) => tuple_counts[0] * form.steps().max(1),
             Kernel::UnionFinal | Kernel::DifferenceFinal | Kernel::ProjectDedupFinal(_) => {
                 tuple_counts.iter().sum()
             }
-            Kernel::Restrict(_)
-            | Kernel::Project(_)
-            | Kernel::Identity
-            | Kernel::DeleteFilter(_) => tuple_counts[0],
         }
     }
 }

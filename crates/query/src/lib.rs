@@ -12,9 +12,9 @@
 //!   decoded — what every executor runs inside its work units.
 //! * [`Plan`] — the compiled plan every executor runs from: per node its
 //!   derived schema, `(parent, port)`, the one [`Firing`] classification of
-//!   [`Op`], and the one span-fusion pass.
+//!   [`Op`], its compiled kernel state, and the one span-fusion pass.
 //! * [`Kernel`] — the one opcode dispatch: [`Kernel::lower`] is the only
-//!   `Op` → kernel map, executed by df-core, df-ring, df-host and
+//!   plan node → kernel map, executed by df-core, df-ring, df-host and
 //!   [`run_plan`], the sequential scheduler here.
 //! * [`stage_write`] / [`apply_write`] — df-serve's split-phase write on raw
 //!   pages: an append's source runs through [`run_plan`], a delete

@@ -16,8 +16,6 @@ mod set_ops;
 mod span;
 mod sweep;
 
-pub(crate) use raw::{copy_rows, RowFilter};
-
 pub use join::{
     hash_join_pages_raw, hash_join_pages_raw_into, hash_join_probe, hash_join_side_into,
     join_pages_raw,
@@ -28,7 +26,7 @@ pub use set_ops::{
     cross_pages_raw, cross_pages_raw_into, dedup_pages_raw, dedup_raw_where, difference_pages_raw,
     difference_pages_raw_where, union_pages_raw, union_pages_raw_where,
 };
-pub use span::{span_output_schema, span_page_raw, SpanStep};
+pub use span::{span_output_schema, span_page_raw, SpanStep, UnaryKernel};
 pub use sweep::{JoinSweep, KeyClass};
 
 #[cfg(test)]

@@ -13,26 +13,18 @@
 
 use df_relalg::{Page, Projection, Schema, TupleBuf};
 
-use super::raw::{attr_runs, copy_rows};
+use super::{SpanStep, UnaryKernel};
 
 /// Zero-copy projection: builds each output image by copying the selected
 /// attributes' byte ranges out of the input image — no value is decoded.
 /// `out_schema` is the projection's output schema (derived once by the
-/// caller, typically carried by the instruction packet).
+/// caller, typically carried by the instruction packet). A one-step
+/// [`UnaryKernel`], compiled for this call: the selected ranges coalesce
+/// into contiguous byte runs, so an adjacent-attribute projection is one
+/// memcpy per row.
 pub fn project_page_raw(page: &Page, projection: &Projection, out_schema: &Schema) -> TupleBuf {
-    // Selected attribute ranges are coalesced once into contiguous byte
-    // runs, so each output row is a handful of bulk copies instead of a
-    // per-attribute offset recomputation (and an adjacent-attribute
-    // projection is one memcpy per row).
-    let runs = attr_runs(projection.indices(), page.schema());
-    let bytes = copy_rows(
-        page.raw_data(),
-        page.schema().tuple_width(),
-        None,
-        &runs,
-        out_schema.tuple_width(),
-    );
-    TupleBuf::from_images(out_schema.clone(), bytes)
+    let step = SpanStep::Project(projection.clone());
+    UnaryKernel::compile(std::slice::from_ref(&step), page.schema()).run_page(page, out_schema)
 }
 
 #[cfg(test)]

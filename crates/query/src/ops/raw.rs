@@ -12,19 +12,20 @@
 //!    attribute ranges coalesced into contiguous byte runs, so consecutive
 //!    survivors of a whole-row copy collapse into single `memcpy`s.
 //!
-//! `restrict_page_raw`, `project_page_raw`, and `span_page_raw` are thin
-//! compositions of these two passes.
+//! [`super::UnaryKernel`] is these two passes, compiled once per plan node;
+//! `restrict_page_raw`, `project_page_raw` and `span_page_raw` wrap it.
 
 use df_relalg::{CmpOp, DataType, Page, Predicate, Schema, Value};
 
 /// One conjunct of a restriction, specialized for the mask pass.
-enum Cmp<'a> {
+#[derive(Debug, Clone)]
+enum Cmp {
     /// `Int` attribute vs constant: an 8-byte big-endian column compare.
     IntConst { off: usize, op: CmpOp, rhs: i64 },
     /// `Int` attribute vs `Int` attribute within one tuple.
     IntAttrs { l: usize, op: CmpOp, r: usize },
     /// Anything else falls back to the interpreted zero-copy evaluator.
-    General(&'a Predicate),
+    General(Predicate),
 }
 
 /// A restriction compiled into per-conjunct stride loops.
@@ -32,13 +33,14 @@ enum Cmp<'a> {
 /// Top-level conjunctions are flattened; `Int` comparisons (the workload's
 /// common case) become direct word compares over the column bytes, and every
 /// other shape keeps its exact `eval_ref` semantics.
-pub(crate) struct RowFilter<'a> {
-    cmps: Vec<Cmp<'a>>,
+#[derive(Debug, Clone)]
+pub(super) struct RowFilter {
+    cmps: Vec<Cmp>,
 }
 
-impl<'a> RowFilter<'a> {
+impl RowFilter {
     /// Compile the conjunction of `preds` against the input `schema`.
-    pub(crate) fn compile(preds: &'a [Predicate], schema: &Schema) -> RowFilter<'a> {
+    pub(super) fn compile(preds: &[Predicate], schema: &Schema) -> RowFilter {
         let mut cmps = Vec::new();
         for p in preds {
             flatten(p, schema, &mut cmps);
@@ -47,12 +49,12 @@ impl<'a> RowFilter<'a> {
     }
 
     /// True when the filter keeps every row (the `True` predicate).
-    pub(crate) fn is_trivial(&self) -> bool {
+    pub(super) fn is_trivial(&self) -> bool {
         self.cmps.is_empty()
     }
 
     /// AND each row's verdict into `mask` (one slot per page tuple).
-    pub(crate) fn apply(&self, page: &Page, mask: &mut [bool]) {
+    pub(super) fn apply(&self, page: &Page, mask: &mut [bool]) {
         debug_assert_eq!(mask.len(), page.len());
         let w = page.schema().tuple_width();
         let data = page.raw_data();
@@ -91,7 +93,7 @@ impl<'a> RowFilter<'a> {
                         CmpOp::Ge => stride(mask, |i| lv(i) >= rv(i)),
                     }
                 }
-                Cmp::General(p) => {
+                Cmp::General(ref p) => {
                     for (m, t) in mask.iter_mut().zip(page.tuple_refs()) {
                         if *m {
                             *m = p.eval_ref(&t);
@@ -104,7 +106,7 @@ impl<'a> RowFilter<'a> {
 }
 
 /// Flatten top-level conjunctions, specializing `Int` comparisons.
-fn flatten<'a>(p: &'a Predicate, schema: &Schema, out: &mut Vec<Cmp<'a>>) {
+fn flatten(p: &Predicate, schema: &Schema, out: &mut Vec<Cmp>) {
     let is_int = |i: usize| schema.attrs()[i].dtype == DataType::Int;
     match p {
         Predicate::True => {}
@@ -128,14 +130,14 @@ fn flatten<'a>(p: &'a Predicate, schema: &Schema, out: &mut Vec<Cmp<'a>>) {
                 r: schema.offsets()[*right],
             });
         }
-        other => out.push(Cmp::General(other)),
+        other => out.push(Cmp::General(other.clone())),
     }
 }
 
 /// Coalesce an attribute index list into contiguous `(offset, len)` byte
 /// runs over the input tuple layout: adjacent source attributes kept in
 /// input order copy as one run.
-pub(crate) fn attr_runs(indices: &[usize], schema: &Schema) -> Vec<(usize, usize)> {
+pub(super) fn attr_runs(indices: &[usize], schema: &Schema) -> Vec<(usize, usize)> {
     let mut runs: Vec<(usize, usize)> = Vec::new();
     for &i in indices {
         let r = schema.attr_range(i);
@@ -150,7 +152,7 @@ pub(crate) fn attr_runs(indices: &[usize], schema: &Schema) -> Vec<(usize, usize
 /// Copy pass: emit each selected row's byte runs, in row order, into one
 /// output byte vector. `mask: None` keeps every row; a whole-row run list
 /// collapses consecutive survivors into single bulk copies.
-pub(crate) fn copy_rows(
+pub(super) fn copy_rows(
     data: &[u8],
     w_in: usize,
     mask: Option<&[bool]>,
@@ -158,48 +160,31 @@ pub(crate) fn copy_rows(
     w_out: usize,
 ) -> Vec<u8> {
     let n = data.len() / w_in;
-    let whole_row = runs.len() == 1 && runs[0] == (0, w_in);
-    match mask {
-        None if whole_row => data.to_vec(),
-        None => {
-            let mut out = Vec::with_capacity(n * w_out);
-            for row in data.chunks_exact(w_in) {
+    let keep = |i: usize| mask.map_or(true, |m| m[i]);
+    let kept = mask.map_or(n, |m| m.iter().filter(|&&m| m).count());
+    let mut out = Vec::with_capacity(kept * w_out);
+    if runs.len() == 1 && runs[0] == (0, w_in) {
+        let mut i = 0;
+        while i < n {
+            let s = i;
+            while i < n && keep(i) {
+                i += 1;
+            }
+            out.extend_from_slice(&data[s * w_in..i * w_in]);
+            while i < n && !keep(i) {
+                i += 1;
+            }
+        }
+    } else {
+        for (i, row) in data.chunks_exact(w_in).enumerate() {
+            if keep(i) {
                 for &(off, len) in runs {
                     out.extend_from_slice(&row[off..off + len]);
                 }
             }
-            out
-        }
-        Some(mask) if whole_row => {
-            let kept = mask.iter().filter(|&&m| m).count();
-            let mut out = Vec::with_capacity(kept * w_out);
-            let mut i = 0;
-            while i < n {
-                if mask[i] {
-                    let s = i;
-                    while i < n && mask[i] {
-                        i += 1;
-                    }
-                    out.extend_from_slice(&data[s * w_in..i * w_in]);
-                } else {
-                    i += 1;
-                }
-            }
-            out
-        }
-        Some(mask) => {
-            let kept = mask.iter().filter(|&&m| m).count();
-            let mut out = Vec::with_capacity(kept * w_out);
-            for (i, row) in data.chunks_exact(w_in).enumerate() {
-                if mask[i] {
-                    for &(off, len) in runs {
-                        out.extend_from_slice(&row[off..off + len]);
-                    }
-                }
-            }
-            out
         }
     }
+    out
 }
 
 #[cfg(test)]

@@ -2,27 +2,19 @@
 
 use df_relalg::{Page, Predicate, TupleBuf};
 
-use super::raw::{copy_rows, RowFilter};
+use super::{SpanStep, UnaryKernel};
 
 /// Apply `predicate` to every tuple of `page`, returning the survivors —
 /// the unit of work an IP performs for one restrict instruction packet:
 /// one source page in, up to one page worth of result tuples out.
 ///
-/// Zero-copy restrict: two-pass selection over the page's raw byte area.
+/// Zero-copy restrict: a one-step [`UnaryKernel`], compiled for this call.
 /// The predicate's `Int` comparisons run as branchless stride loops AND-ing
 /// into a selection mask; runs of consecutive survivors then copy as single
 /// `memcpy`s. No tuple is decoded or re-encoded.
 pub fn restrict_page_raw(page: &Page, predicate: &Predicate) -> TupleBuf {
-    let schema = page.schema();
-    let w = schema.tuple_width();
-    let filter = RowFilter::compile(std::slice::from_ref(predicate), schema);
-    if filter.is_trivial() {
-        return TupleBuf::from_images(schema.clone(), page.raw_data().to_vec());
-    }
-    let mut mask = vec![true; page.len()];
-    filter.apply(page, &mut mask);
-    let bytes = copy_rows(page.raw_data(), w, Some(&mask), &[(0, w)], w);
-    TupleBuf::from_images(schema.clone(), bytes)
+    let step = SpanStep::Restrict(predicate.clone());
+    UnaryKernel::compile(std::slice::from_ref(&step), page.schema()).run_page(page, page.schema())
 }
 
 #[cfg(test)]

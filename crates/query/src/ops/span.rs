@@ -1,10 +1,10 @@
-//! Fused restrict/project span kernel.
-//!
-//! The paper's instruction cells materialize a whole result page between
-//! every operator. A *span* collapses a maximal restrict→project→restrict…
-//! chain into one kernel that evaluates every predicate and the composed
-//! projection per tuple over the **input** page's raw bytes and writes only
-//! the final survivors — the intermediate pages are never built, so the
+//! The one per-page operator form, [`UnaryKernel`]: select rows, then
+//! copy byte ranges. A restrict, bag project or delete filter is one
+//! [`SpanStep`], a scan or append none (the identity). A *span* collapses a
+//! maximal restrict→project→restrict… chain into one form that evaluates
+//! every predicate and the composed projection per tuple over the **input**
+//! page's raw bytes and writes only the final survivors — the intermediate
+//! pages the paper's cells materialize are never built, so the
 //! page-transfer cost between chained unary operators disappears (the
 //! `TransferMode::Pipeline` knob; see DESIGN.md §7 for the deviation note).
 //!
@@ -29,44 +29,82 @@ pub enum SpanStep {
     Project(Projection),
 }
 
-/// The composed form of a span over a concrete input schema: every
-/// predicate remapped onto the input layout, plus the final attribute map
-/// (output attribute `j` is input attribute `map[j]`).
-fn compose(steps: &[SpanStep], input_arity: usize) -> (Vec<Predicate>, Vec<usize>) {
-    let mut map: Vec<usize> = (0..input_arity).collect();
-    let mut preds = Vec::new();
-    for step in steps {
-        match step {
-            SpanStep::Restrict(p) => preds.push(p.remap(&map)),
-            SpanStep::Project(proj) => {
-                map = proj.indices().iter().map(|&i| map[i]).collect();
-            }
-        }
-    }
-    (preds, map)
+/// A [`SpanStep`] list compiled once, per plan node, against its input
+/// schema: every predicate remapped onto the input layout and specialized
+/// into a `RowFilter`, the composed projection coalesced into byte runs.
+#[derive(Debug, Clone)]
+pub struct UnaryKernel {
+    filter: RowFilter,
+    /// `(offset, len)` byte runs of an input tuple, in output order.
+    runs: Vec<(usize, usize)>,
+    w_in: usize,
+    w_out: usize,
+    steps: usize,
 }
 
-/// Run a fused span over one page without materializing intermediates:
-/// mask pass over the raw column bytes, then one run-coalesced copy of the
-/// survivors' projected ranges. `out_schema` is the final step's output
-/// schema (carried by the instruction packet).
+impl UnaryKernel {
+    /// Compile `steps` (bottom first) for pages of `input`.
+    ///
+    /// # Panics
+    /// Panics if a step references an attribute its intermediate schema
+    /// lacks (plans are validated before they compile).
+    pub fn compile(steps: &[SpanStep], input: &Schema) -> UnaryKernel {
+        // Output attribute `j` is input attribute `map[j]`.
+        let mut map: Vec<usize> = (0..input.arity()).collect();
+        let mut preds = Vec::new();
+        for step in steps {
+            match step {
+                SpanStep::Restrict(p) => preds.push(p.remap(&map)),
+                SpanStep::Project(proj) => map = proj.indices().iter().map(|&i| map[i]).collect(),
+            }
+        }
+        let runs = attr_runs(&map, input);
+        UnaryKernel {
+            filter: RowFilter::compile(&preds, input),
+            w_in: input.tuple_width(),
+            w_out: runs.iter().map(|&(_, len)| len).sum(),
+            runs,
+            steps: steps.len(),
+        }
+    }
+
+    /// The logical operators compiled in: 0 for the identity.
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// Mask pass: one verdict per tuple of `page`, `true` if kept.
+    pub fn select(&self, page: &Page, mask: &mut Vec<bool>) {
+        debug_assert_eq!(page.schema().tuple_width(), self.w_in);
+        mask.clear();
+        mask.resize(page.len(), true);
+        self.filter.apply(page, mask);
+    }
+
+    /// Copy pass: the output images of the tuples `mask` selects (all for
+    /// `None`), in page order.
+    pub fn copy(&self, page: &Page, mask: Option<&[bool]>) -> Vec<u8> {
+        copy_rows(page.raw_data(), self.w_in, mask, &self.runs, self.w_out)
+    }
+
+    /// Both passes over one page; `out_schema` is the last step's output.
+    pub fn run_page(&self, page: &Page, out_schema: &Schema) -> TupleBuf {
+        let mut mask = Vec::new();
+        let bytes = if self.filter.is_trivial() {
+            self.copy(page, None)
+        } else {
+            self.select(page, &mut mask);
+            self.copy(page, Some(&mask))
+        };
+        TupleBuf::from_images(out_schema.clone(), bytes)
+    }
+}
+
+/// Run a fused span over one page without materializing intermediates,
+/// compiling its form for this one call. `out_schema` is the final step's
+/// output schema (carried by the instruction packet).
 pub fn span_page_raw(page: &Page, steps: &[SpanStep], out_schema: &Schema) -> TupleBuf {
-    let in_schema = page.schema();
-    let (preds, map) = compose(steps, in_schema.arity());
-    let filter = RowFilter::compile(&preds, in_schema);
-    let runs = attr_runs(&map, in_schema);
-    let w_in = in_schema.tuple_width();
-    let mask_storage;
-    let mask = if filter.is_trivial() {
-        None
-    } else {
-        let mut m = vec![true; page.len()];
-        filter.apply(page, &mut m);
-        mask_storage = m;
-        Some(&mask_storage[..])
-    };
-    let bytes = copy_rows(page.raw_data(), w_in, mask, &runs, out_schema.tuple_width());
-    TupleBuf::from_images(out_schema.clone(), bytes)
+    UnaryKernel::compile(steps, page.schema()).run_page(page, out_schema)
 }
 
 /// The output schema a span produces when fed `input`: fold each step's

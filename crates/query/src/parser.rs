@@ -45,9 +45,7 @@ pub fn parse_query(db: &Catalog, input: &str) -> Result<QueryTree> {
 }
 
 fn syntax(detail: String) -> Error {
-    Error::Corrupt {
-        detail: format!("query syntax: {detail}"),
-    }
+    Error::Syntax { detail }
 }
 
 // ---------------------------------------------------------------- tokenizer
@@ -450,6 +448,16 @@ mod tests {
             "(restrict (scan emp) (= name 3))", // type mismatch
         ] {
             assert!(parse_query(&db, bad).is_err(), "should reject: {bad}");
+        }
+    }
+
+    #[test]
+    fn syntax_errors_read_as_syntax_not_corruption() {
+        let db = db();
+        for bad in ["(scan emp", "(scan emp) (scan emp)"] {
+            let msg = parse_query(&db, bad).unwrap_err().to_string();
+            assert!(msg.starts_with("query syntax"), "{bad}: {msg}");
+            assert!(!msg.contains("corrupt"), "{bad}: {msg}");
         }
     }
 

@@ -3,12 +3,13 @@
 
 use df_query::ops::{
     cross_pages_raw, dedup_pages_raw, difference_pages_raw, join_pages_raw, project_page_raw,
-    restrict_page_raw, union_pages_raw,
+    restrict_page_raw, span_output_schema, union_pages_raw, SpanStep, UnaryKernel,
 };
 use df_query::oracle::{
     cross_pages, dedup_tuples, difference_relations, join_pages, merge_join_relations,
     nested_loops_join_relations, project_page, restrict_page, union_relations,
 };
+use df_query::Kernel;
 use df_relalg::{
     CmpOp, DataType, JoinCondition, Page, Predicate, Projection, Relation, Schema, Tuple, Value,
 };
@@ -197,6 +198,71 @@ fn raw_bytes(buf: &df_relalg::TupleBuf) -> Vec<u8> {
     buf.refs().flat_map(|r| r.raw().to_vec()).collect()
 }
 
+/// One random span step over `schema`, drawn from `word`. A restrict
+/// mixes an `Int`-constant compare (the specialized stride loop) with
+/// `Str` and `Bool` compares under `or`, `and` and `not` (the general
+/// path); a projection keeps a shuffled non-empty subset of the
+/// attributes.
+fn random_step(schema: &Schema, restrict: bool, word: u64) -> SpanStep {
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    let attrs = schema.attrs();
+    let n = attrs.len() as u64;
+    if !restrict {
+        let mut indices: Vec<usize> = (0..attrs.len()).collect();
+        let mut w = word;
+        for i in (1..indices.len()).rev() {
+            indices.swap(i, (w % (i as u64 + 1)) as usize);
+            w /= i as u64 + 1;
+        }
+        indices.truncate(1 + (w % n) as usize);
+        return SpanStep::Project(Projection::from_indices(schema, indices).unwrap());
+    }
+    // Compare attribute `i` against a constant of its type, from `w`.
+    let atom = |i: usize, w: u64| {
+        let value = match attrs[i].dtype {
+            DataType::Int => Value::Int((w % 61) as i64 - 30),
+            DataType::Bool => Value::Bool(w % 2 == 0),
+            _ => Value::str(["", "a", "ab", "bb", "c"][(w % 5) as usize]),
+        };
+        let op = OPS[((w >> 8) % 6) as usize];
+        Predicate::cmp_const(schema, &attrs[i].name, op, value).unwrap()
+    };
+    let (a, b) = ((word >> 16) % n, (word >> 24) % n);
+    let (wa, wb) = (word >> 32, word.rotate_left(17));
+    let int = attrs.iter().position(|at| at.dtype == DataType::Int);
+    SpanStep::Restrict(match word % 4 {
+        0 => atom(int.unwrap_or(a as usize), wa),
+        1 => atom(a as usize, wa).or(atom(b as usize, wb)),
+        2 => atom(a as usize, wa).not(),
+        _ => atom(int.unwrap_or(a as usize), wa).and(atom(b as usize, wb)),
+    })
+}
+
+/// The oracle's decoded restrict and project kernels composed one step at
+/// a time, each intermediate repacked into one page.
+fn stepwise(page: &Page, steps: &[SpanStep]) -> Vec<Tuple> {
+    let mut schema = page.schema().clone();
+    let mut tuples: Vec<Tuple> = page.tuples().collect();
+    for step in steps {
+        let p = page_of(&schema, tuples.into_iter());
+        tuples = match step {
+            SpanStep::Restrict(pred) => restrict_page(&p, pred),
+            SpanStep::Project(proj) => {
+                schema = proj.output_schema(&schema).unwrap();
+                project_page(&p, proj)
+            }
+        };
+    }
+    tuples
+}
+
 proptest! {
     /// σ keeps exactly the matching tuples, page by page.
     #[test]
@@ -338,6 +404,38 @@ proptest! {
             let decoded = restrict_page(pg, &p);
             prop_assert_eq!(raw.len(), decoded.len());
             prop_assert_eq!(encode_all(&s, &decoded), raw_bytes(&raw));
+        }
+    }
+
+    /// One compiled per-page form over a random chain of 0–6 restrict and
+    /// project steps, reused over every page of a relation and an empty
+    /// page, is byte-identical to the oracle's kernels run step by step,
+    /// and is charged n × max(1, steps) tuple operations.
+    #[test]
+    fn unary_kernel_matches_stepwise_oracle(
+        rows in arb_mixed_rows(50),
+        seeds in prop::collection::vec((any::<bool>(), any::<u64>()), 0..=6),
+    ) {
+        let rel = mixed_relation(&rows);
+        let s = rel.schema().clone();
+        let mut steps = Vec::new();
+        let mut at = s.clone();
+        for &(restrict, word) in &seeds {
+            let step = random_step(&at, restrict, word);
+            if let SpanStep::Project(proj) = &step {
+                at = proj.output_schema(&at).unwrap();
+            }
+            steps.push(step);
+        }
+        let out_schema = span_output_schema(&s, &steps).unwrap();
+        prop_assert_eq!(&out_schema, &at);
+        let kernel = Kernel::Unary(UnaryKernel::compile(&steps, &s));
+        let empty = page_of(&s, std::iter::empty());
+        for pg in rel.pages().iter().map(|p| p.as_ref()).chain([&empty]) {
+            let raw = kernel.run_unit_raw(&[pg], &out_schema);
+            let want = stepwise(pg, &steps);
+            prop_assert_eq!(raw_bytes(&raw), encode_all(&out_schema, &want));
+            prop_assert_eq!(kernel.tuple_ops(&[pg.len()]), pg.len() * steps.len().max(1));
         }
     }
 

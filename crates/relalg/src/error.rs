@@ -67,6 +67,11 @@ pub enum Error {
         /// Human-readable detail.
         detail: String,
     },
+    /// Query text that does not follow the query grammar.
+    Syntax {
+        /// Human-readable detail.
+        detail: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -91,6 +96,7 @@ impl fmt::Display for Error {
                 write!(f, "attribute index {index} out of bounds for arity {arity}")
             }
             Error::TypeMismatch { detail } => write!(f, "type mismatch: {detail}"),
+            Error::Syntax { detail } => write!(f, "query syntax: {detail}"),
         }
     }
 }
