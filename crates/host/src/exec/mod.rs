@@ -23,8 +23,10 @@
 //!
 //! The *unit* — one firing of one instruction on one operand page (or page
 //! pair list, or complete operand) — is the atom of everything counted:
-//! its own dispatch sequence number, fault draw, panic guard, kernel span
-//! and `units_fired`. The *message* between scheduler and worker is a
+//! its own dispatch sequence number, fault draw, panic guard, kernel-span
+//! count and `units_fired`. Its own clock pair and kernel-span events are
+//! paid only while a tracer records; otherwise a run is timed as a whole,
+//! and its units share one mask and one output batch. The *message* between scheduler and worker is a
 //! **run**: every unit the freed worker takes from the picked cell in one
 //! dispatch, ⌈pending ÷ min(alive workers, CPUs the call may run on)⌉ of
 //! them. That is guided self-scheduling (Polychronopoulos & Kuck, 1987),

@@ -1,7 +1,13 @@
 //! What a worker serves: a [`Run`] of units taken from one cell in one
-//! dispatch, each unit under its own panic guard and kernel span, all of
-//! them packed into one output buffer so the run's output leaves as full
-//! pages.
+//! dispatch, all of them packed through one mask and one output batch into
+//! one output buffer, so the run's output leaves as full pages and a unit
+//! allocates only the output pages it opens.
+//!
+//! The unit is still the atom of accounting and of the panic guard: each
+//! runs under its own `catch_unwind` and counts in `units`, `kernel_spans`
+//! and the probe/sweep split. Its own clock pair, kernel span and
+//! distribution transfer are paid only while a tracer records; untraced,
+//! the run's busy time is one clock pair around the whole run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,12 +92,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Serve one run as worker `id`: each unit under its own panic guard and
-/// kernel span, all of them writing into one output buffer so the run's
-/// output leaves as full pages. Shared by the worker threads and by the
-/// scheduler of an inline call. `poisoned` (threads only) is set once the
-/// scheduler has given the call up; the remaining units are then skipped,
-/// since nobody will read the completion.
+/// Serve one run as worker `id`: each unit under its own panic guard, all
+/// of them packing through one mask and one output batch into one output
+/// buffer, so the run's output leaves as full pages. While a tracer
+/// records, each unit also gets its own clock pair, kernel span and
+/// distribution transfer; otherwise the run's busy time is one clock pair.
+/// Shared by the worker threads and by the scheduler of an inline call.
+/// `poisoned` (threads only) is set once the scheduler has given the call
+/// up; the remaining units are then skipped, since nobody will read the
+/// completion.
 pub(super) fn serve_run(
     id: usize,
     run: &Run,
@@ -99,6 +108,9 @@ pub(super) fn serve_run(
     trace: Option<&Tracer>,
     poisoned: Option<&AtomicBool>,
 ) -> RunDone {
+    let started = Instant::now();
+    // Read once, so a run is traced all through or not at all.
+    let tracing = trace.filter(|t| t.is_enabled());
     let spec = run.plan.cell(run.cell);
     let (query, cell) = (run.query as u32, run.cell as u32);
     // A fused span unit runs `k` logical operators in one kernel; each
@@ -107,9 +119,13 @@ pub(super) fn serve_run(
     // conservation identities over it — hold in both transfer modes.
     let logical_kernels = spec.unary.as_ref().map_or(1, |form| form.steps().max(1));
     // The IP output buffer of §4.2: appends fill the last page, then
-    // fresh ones.
-    let (schema, page_size) = (spec.out_schema.clone(), run.plan.out_page_size[run.cell]);
-    let mut out = Relation::new("", schema, page_size).expect("cell page size fits one tuple");
+    // fresh ones. Every unit packs through the same mask and batch.
+    let (schema, page_size) = (&spec.out_schema, run.plan.out_page_size[run.cell]);
+    let mut pack = Packer {
+        mask: Vec::new(),
+        batch: TupleBuf::new(schema.clone()),
+        out: Relation::new("", schema.clone(), page_size).expect("cell page size fits one tuple"),
+    };
     let mut done = RunDone {
         worker: id,
         query: run.query,
@@ -120,8 +136,7 @@ pub(super) fn serve_run(
         if poisoned.is_some_and(|p| p.load(Ordering::Relaxed)) {
             break;
         }
-        let span = trace.map(|t| t.span(query, cell, unit.seq));
-        let t0 = Instant::now();
+        let span = tracing.map(|t| (t.span(query, cell, unit.seq), Instant::now()));
         let executed = catch_unwind(AssertUnwindSafe(|| {
             match unit.fault {
                 Some(InjectedFault::Panic) => {
@@ -130,14 +145,14 @@ pub(super) fn serve_run(
                 Some(InjectedFault::Delay(d)) => thread::sleep(d),
                 None => {}
             }
-            execute_unit(&run.plan, run.cell, &unit.kind, &mut out)
+            execute_unit(&run.plan, run.cell, &unit.kind, &mut pack)
         }));
-        let busy = t0.elapsed();
         stats.units += 1;
-        stats.busy += busy;
         stats.kernel_spans += logical_kernels;
         done.units += 1;
-        if let (Some(t), Some(span)) = (trace, span) {
+        if let (Some(t), Some((span, t0))) = (tracing, span) {
+            let busy = t0.elapsed();
+            stats.busy += busy;
             let class = executed.as_ref().map_or(0, |&(_, _, class)| class as u64);
             let per = busy.as_nanos() as u64 / logical_kernels as u64;
             span.end_with(
@@ -160,7 +175,7 @@ pub(super) fn serve_run(
                     UnitClass::Other => {}
                 }
                 stats.bytes_in += bytes_in;
-                if let Some(t) = trace {
+                if let Some(t) = tracing {
                     // Operand pages crossed the distribution network to
                     // this IP.
                     t.transfer(Path::Distribution, query, bytes_in);
@@ -169,32 +184,49 @@ pub(super) fn serve_run(
             Err(payload) => {
                 // Contained: note the failure and keep serving. The IP
                 // survives its instruction the way the paper's distributed
-                // control survives a node.
+                // control survives a node. Whatever the unit left in the
+                // batch belongs to a doomed query; drop it.
+                pack.batch.clear();
                 stats.panics += 1;
                 done.panics.push(panic_message(payload.as_ref()));
             }
         }
     }
-    done.pages = out.pages().to_vec();
+    done.pages = pack.out.pages().to_vec();
     done.bytes_out = done.pages.iter().map(|p| p.wire_bytes() as u64).sum();
     stats.bytes_out += done.bytes_out;
-    if let Some(t) = trace {
+    if tracing.is_none() {
+        stats.busy += started.elapsed();
+    }
+    if let Some(t) = tracing {
         // Result pages go back over the arbitration network.
         t.transfer(Path::Arbitration, query, done.bytes_out);
     }
     done
 }
 
-/// Pack a kernel's output batch into the run's output pages, leaving the
-/// batch empty for reuse.
-fn absorb(out: &mut Relation, batch: &mut TupleBuf) {
-    out.append_images(batch.images())
-        .expect("a kernel emits whole images");
-    batch.clear();
+/// What a run's units pack through: the mask pass's scratch, the batch a
+/// kernel writes into, and the output pages the batch drains into. One per
+/// run, reused by every unit, so a unit allocates only the output pages it
+/// opens.
+struct Packer {
+    mask: Vec<bool>,
+    batch: TupleBuf,
+    out: Relation,
+}
+
+impl Packer {
+    /// Move the batch into the output pages, leaving it empty for reuse.
+    fn absorb(&mut self) {
+        self.out
+            .append_images(self.batch.images())
+            .expect("a kernel emits whole images");
+        self.batch.clear();
+    }
 }
 
 /// Run the kernel for one work unit of `cell`, packing its output into the
-/// run's `out` pages. Returns (operand page count, operand bytes, unit
+/// run's output pages. Returns (operand page count, operand bytes, unit
 /// class). The unit's kind — fixed by the cell's firing class — says which
 /// [`Kernel`] entry point to call; which operator that is, only the kernel
 /// knows. What is decided here is what depends on host state: a hash join
@@ -204,7 +236,7 @@ fn execute_unit(
     plan: &QueryPlan,
     cell: usize,
     kind: &WorkKind,
-    out: &mut Relation,
+    pack: &mut Packer,
 ) -> (usize, u64, UnitClass) {
     /// Operand pages read and their wire bytes.
     fn count<'a>(pages: impl Iterator<Item = &'a Page>) -> (usize, u64) {
@@ -213,7 +245,11 @@ fn execute_unit(
     let (kernel, out_schema) = (&plan.kernels[cell], &plan.cell(cell).out_schema);
     match kind {
         WorkKind::Page(page) => {
-            absorb(out, &mut kernel.run_unit_raw(&[page], out_schema));
+            let Kernel::Unary(form) = kernel else {
+                unreachable!("a page unit fires a per-page cell");
+            };
+            form.pack(page, &mut pack.mask, &mut pack.batch);
+            pack.absorb();
             (1, page.wire_bytes() as u64, UnitClass::Other)
         }
         WorkKind::Sweep {
@@ -221,18 +257,16 @@ fn execute_unit(
             opposite,
             new_is_outer,
         } => {
-            // One reused output batch per unit. A join sweeps the whole
-            // list into it; a cross product's output is large, so it is
-            // absorbed pair by pair.
-            let mut batch = TupleBuf::new(out_schema.clone());
+            // A join sweeps the whole list into the batch; a cross
+            // product's output is large, so it is absorbed pair by pair.
             let chunk = match kernel {
                 Kernel::CrossPair => 1,
                 _ => opposite.len().max(1),
             };
             for pairs in opposite.chunks(chunk) {
                 let pairs = pairs.iter().map(Arc::as_ref);
-                kernel.run_sweep_raw_into(new_page, pairs, *new_is_outer, &mut batch);
-                absorb(out, &mut batch);
+                kernel.run_sweep_raw_into(new_page, pairs, *new_is_outer, &mut pack.batch);
+                pack.absorb();
             }
             let (n, b) = count(opposite.iter().map(Arc::as_ref));
             (n + 1, b + new_page.wire_bytes() as u64, UnitClass::Sweep)
@@ -246,21 +280,27 @@ fn execute_unit(
             let Kernel::JoinPair(sweep, _) = kernel else {
                 unreachable!("only a hash-lowered join cell keeps key indexes");
             };
-            let mut batch = TupleBuf::new(out_schema.clone());
             // The unit still stands for the §4 broadcast of every opposite
-            // page it pairs with, so those pages count as read.
-            let (n, b) = {
+            // page it pairs with, so those pages count as read; the side
+            // keeps their byte total, one lookup.
+            let bytes = {
                 let side = opposite.read();
                 let condition = sweep.condition();
-                hash_join_side_into(new_page, &side, *upto, condition, *new_is_outer, &mut batch);
-                count(side.pages()[..*upto].iter().map(Arc::as_ref))
+                let batch = &mut pack.batch;
+                hash_join_side_into(new_page, &side, *upto, condition, *new_is_outer, batch);
+                side.wire_bytes(*upto)
             };
-            absorb(out, &mut batch);
-            (n + 1, b + new_page.wire_bytes() as u64, UnitClass::Probe)
+            pack.absorb();
+            (
+                upto + 1,
+                bytes + new_page.wire_bytes() as u64,
+                UnitClass::Probe,
+            )
         }
         WorkKind::Complete { left, right } => {
             let inputs = [left, right].map(|port| port.iter().map(Arc::as_ref).collect::<Vec<_>>());
-            absorb(out, &mut kernel.run_final_raw(&inputs, out_schema));
+            let images = kernel.run_final_raw(&inputs, out_schema);
+            (pack.out.append_images(images.images())).expect("a kernel emits whole images");
             let (n, b) = count(inputs.iter().flatten().copied());
             (n, b, UnitClass::Other)
         }

@@ -23,8 +23,10 @@ pub struct WorkerStats {
     pub bytes_in: u64,
     /// Bytes of result pages produced.
     pub bytes_out: u64,
-    /// Time spent inside operator kernels (building output pages
-    /// included), successful or panicked.
+    /// Time spent serving runs: operator kernels and packing their output
+    /// pages, successful units or panicked. While a tracer records, it is
+    /// the sum of each unit's own clock pair (what its kernel spans
+    /// carry); untraced, it is one clock pair per run, packing included.
     pub busy: Duration,
     /// Time spent inside the send of each completion into the arbitration
     /// channel, separate from `busy`. The channel is sized so a send never

@@ -424,10 +424,11 @@ fn run_form(
     let pages = pack_distinct(in_schema, page_size, delta)?;
     *delta_pages += pages.len() as u64;
     let mut counts = delta.values();
-    let (mut mask, mut out) = (Vec::new(), Counts::new());
+    let (mut mask, mut copy, mut out) = (Vec::new(), Vec::new(), Counts::new());
     for page in &pages {
         form.select(page, &mut mask);
-        let copy = form.copy(page, Some(&mask));
+        copy.clear();
+        form.copy(page, Some(&mask), &mut copy);
         let mut images = copy.chunks_exact(width);
         // Take every row's count, kept or not, so the next page starts
         // at its own first row.
@@ -443,9 +444,11 @@ fn run_form(
 /// The projected multiset of a relation's images (with multiplicities —
 /// the node's own deduped output would lose them).
 fn projected_counts(form: &UnaryKernel, rel: &Relation, width: usize) -> Counts {
-    let mut counts = Counts::new();
+    let (mut counts, mut copy) = (Counts::new(), Vec::new());
     for page in rel.pages() {
-        for image in form.copy(page, None).chunks_exact(width) {
+        copy.clear();
+        form.copy(page, None, &mut copy);
+        for image in copy.chunks_exact(width) {
             add(&mut counts, image, 1);
         }
     }

@@ -179,7 +179,7 @@ pub fn partition_delete(target: &Relation, filter: &UnaryKernel) -> Result<(Rela
     let schema = target.schema();
     let mut kept = Relation::new(target.name(), schema.clone(), target.page_size())?;
     let mut deleted = TupleBuf::new(schema.clone());
-    let mut mask = Vec::new();
+    let (mut mask, mut survivors) = (Vec::new(), TupleBuf::new(schema.clone()));
     for page in target.pages() {
         filter.select(page, &mut mask);
         let hits = mask.iter().filter(|&&m| m).count();
@@ -187,12 +187,12 @@ pub fn partition_delete(target: &Relation, filter: &UnaryKernel) -> Result<(Rela
             kept.append_page(Arc::clone(page))?;
             continue;
         }
-        deleted.push_images(&filter.copy(page, Some(&mask)));
+        deleted.extend_images(|bytes| filter.copy(page, Some(&mask), bytes));
         if hits < page.len() {
             mask.iter_mut().for_each(|m| *m = !*m);
-            let survivors = filter.copy(page, Some(&mask));
+            survivors.extend_images(|bytes| filter.copy(page, Some(&mask), bytes));
             let mut survivor_page = Page::new(schema.clone(), target.page_size())?;
-            TupleBuf::from_images(schema.clone(), survivors).drain_into(&mut survivor_page);
+            survivors.drain_into(&mut survivor_page);
             kept.append_page(survivor_page)?;
         }
     }

@@ -149,20 +149,18 @@ pub(super) fn attr_runs(indices: &[usize], schema: &Schema) -> Vec<(usize, usize
     runs
 }
 
-/// Copy pass: emit each selected row's byte runs, in row order, into one
-/// output byte vector. `mask: None` keeps every row; a whole-row run list
-/// collapses consecutive survivors into single bulk copies.
+/// Copy pass: append each selected row's byte runs, in row order, to
+/// `out`. `mask: None` keeps every row; a whole-row run list collapses
+/// consecutive survivors into single bulk copies.
 pub(super) fn copy_rows(
     data: &[u8],
     w_in: usize,
     mask: Option<&[bool]>,
     runs: &[(usize, usize)],
-    w_out: usize,
-) -> Vec<u8> {
+    out: &mut Vec<u8>,
+) {
     let n = data.len() / w_in;
     let keep = |i: usize| mask.map_or(true, |m| m[i]);
-    let kept = mask.map_or(n, |m| m.iter().filter(|&&m| m).count());
-    let mut out = Vec::with_capacity(kept * w_out);
     if runs.len() == 1 && runs[0] == (0, w_in) {
         let mut i = 0;
         while i < n {
@@ -184,7 +182,6 @@ pub(super) fn copy_rows(
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

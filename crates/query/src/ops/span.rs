@@ -81,22 +81,34 @@ impl UnaryKernel {
         self.filter.apply(page, mask);
     }
 
-    /// Copy pass: the output images of the tuples `mask` selects (all for
-    /// `None`), in page order.
-    pub fn copy(&self, page: &Page, mask: Option<&[bool]>) -> Vec<u8> {
-        copy_rows(page.raw_data(), self.w_in, mask, &self.runs, self.w_out)
+    /// Copy pass: append the output images of the tuples `mask` selects
+    /// (all for `None`), in page order, to `out`.
+    pub fn copy(&self, page: &Page, mask: Option<&[bool]>, out: &mut Vec<u8>) {
+        copy_rows(page.raw_data(), self.w_in, mask, &self.runs, out);
     }
 
-    /// Both passes over one page; `out_schema` is the last step's output.
+    /// Both passes over one page: append the images of the tuples the form
+    /// keeps to `out`, with `mask` as the mask pass's scratch. A caller
+    /// that reuses both across pages allocates nothing per page.
+    pub fn pack(&self, page: &Page, mask: &mut Vec<bool>, out: &mut TupleBuf) {
+        debug_assert_eq!(out.schema().tuple_width(), self.w_out);
+        out.extend_images(|bytes| {
+            if self.filter.is_trivial() {
+                self.copy(page, None, bytes);
+            } else {
+                self.select(page, mask);
+                self.copy(page, Some(mask), bytes);
+            }
+        });
+    }
+
+    /// Both passes over one page into a batch of its own; `out_schema` is
+    /// the last step's output.
     pub fn run_page(&self, page: &Page, out_schema: &Schema) -> TupleBuf {
-        let mut mask = Vec::new();
-        let bytes = if self.filter.is_trivial() {
-            self.copy(page, None)
-        } else {
-            self.select(page, &mut mask);
-            self.copy(page, Some(&mask))
-        };
-        TupleBuf::from_images(out_schema.clone(), bytes)
+        let mut out = TupleBuf::new(out_schema.clone());
+        out.reserve(page.len());
+        self.pack(page, &mut Vec::new(), &mut out);
+        out
     }
 }
 

@@ -217,6 +217,9 @@ pub struct SideKeyIndex {
     /// Tuple width of the side's schema (0 until the first page).
     width: usize,
     pages: Vec<Arc<Page>>,
+    /// `prefix_bytes[i]`: the wire bytes of pages `0..=i`, so the bytes
+    /// of any prefix of `pages` are one lookup.
+    prefix_bytes: Vec<u64>,
     /// Distinct key image → the (first, last) position of its chain in
     /// `entries`.
     map: KeyMap<(u32, u32)>,
@@ -234,6 +237,7 @@ impl SideKeyIndex {
             key,
             width: 0,
             pages: Vec::new(),
+            prefix_bytes: Vec::new(),
             map: KeyMap::for_width(8, 0),
             entries: Vec::new(),
             next: Vec::new(),
@@ -276,6 +280,8 @@ impl SideKeyIndex {
                 },
             );
         }
+        let before = self.prefix_bytes.last().copied().unwrap_or(0);
+        self.prefix_bytes.push(before + page.wire_bytes() as u64);
         self.pages.push(page);
     }
 
@@ -305,6 +311,15 @@ impl SideKeyIndex {
     /// Every page pushed, in arrival order.
     pub fn pages(&self) -> &[Arc<Page>] {
         &self.pages
+    }
+
+    /// Total wire bytes of the first `upto` pages pushed, in O(1).
+    ///
+    /// # Panics
+    /// Panics if `upto` exceeds the pages pushed.
+    pub fn wire_bytes(&self, upto: usize) -> u64 {
+        upto.checked_sub(1)
+            .map_or(0, |last| self.prefix_bytes[last])
     }
 
     /// The indexed attribute.
@@ -474,6 +489,20 @@ mod tests {
         let image = side.image((2, 0));
         assert_eq!(&image[..8], &enc(1)[..]);
         assert_eq!(image, page(&[1]).raw_data());
+    }
+
+    #[test]
+    fn side_wire_bytes_of_a_prefix_sum_its_pages() {
+        let mut side = SideKeyIndex::new(0);
+        assert_eq!(side.wire_bytes(0), 0);
+        for keys in [&[7, 3, 7][..], &[], &[1, 7]] {
+            side.push(Arc::new(page(keys)));
+        }
+        for upto in 0..=3 {
+            let summed = side.pages()[..upto].iter().map(|p| p.wire_bytes() as u64);
+            assert_eq!(side.wire_bytes(upto), summed.sum::<u64>(), "upto {upto}");
+        }
+        assert_eq!(side.wire_bytes(3), 3 * PAGE_HEADER_BYTES as u64 + 5 * 16);
     }
 
     #[test]

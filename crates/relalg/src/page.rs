@@ -191,6 +191,13 @@ impl Page {
         Ok(())
     }
 
+    /// Allocate the data area for a full page now, so filling it never
+    /// regrows it. Used where a relation opens a page to append into.
+    pub(crate) fn reserve_full(&mut self) {
+        let full = self.capacity() * self.schema.tuple_width();
+        self.data.reserve_exact(full - self.data.len());
+    }
+
     /// Bulk-append `count` whole images from `bytes` (callers — the
     /// [`crate::TupleBuf`] drain — have already checked capacity and layout;
     /// this only debug-asserts).

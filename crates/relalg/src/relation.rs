@@ -116,8 +116,7 @@ impl Relation {
     pub fn append(&mut self, tuple: Tuple) -> Result<()> {
         tuple.conforms_to(&self.schema)?;
         if self.pages.last().is_none_or_full() {
-            self.pages
-                .push(Arc::new(Page::new(self.schema.clone(), self.page_size)?));
+            self.open_page()?;
         }
         Arc::make_mut(
             self.pages
@@ -131,7 +130,9 @@ impl Relation {
     /// relation's schema, concatenated): they fill the last page, then
     /// fresh ones, exactly as the same tuples through [`Relation::append`]
     /// would — but without a decode or re-encode. Each page receives whole
-    /// images only, so the relation is valid after every step.
+    /// images only, so the relation is valid after every step. A page is
+    /// allocated at full size when it is opened, so packing never regrows
+    /// one.
     ///
     /// # Errors
     /// [`Error::Corrupt`] if `images` is not a whole number of images.
@@ -145,8 +146,7 @@ impl Relation {
         let mut rest = images;
         while !rest.is_empty() {
             if self.pages.last().is_none_or_full() {
-                self.pages
-                    .push(Arc::new(Page::new(self.schema.clone(), self.page_size)?));
+                self.open_page()?;
             }
             let page = Arc::make_mut(
                 self.pages
@@ -157,6 +157,15 @@ impl Relation {
             page.extend_raw(&rest[..take * w], take);
             rest = &rest[take * w..];
         }
+        Ok(())
+    }
+
+    /// Push a fresh last page with its data area allocated at full size,
+    /// so the appends that fill it never regrow it.
+    fn open_page(&mut self) -> Result<()> {
+        let mut page = Page::new(self.schema.clone(), self.page_size)?;
+        page.reserve_full();
+        self.pages.push(Arc::new(page));
         Ok(())
     }
 

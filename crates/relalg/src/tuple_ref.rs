@@ -145,13 +145,16 @@ impl TupleBuf {
         }
     }
 
-    /// Append `bytes` holding zero or more whole images (length must be a
-    /// multiple of the tuple width — debug-asserted). One memcpy: the bulk
-    /// path for run-coalesced kernel copies.
+    /// Append whole images that `write` puts straight onto the end of the
+    /// batch's byte vector (it must only append, and only whole images —
+    /// debug-asserted). The bulk path for a kernel that writes its output
+    /// into a caller's batch without a byte vector of its own.
     #[inline]
-    pub fn push_images(&mut self, bytes: &[u8]) {
-        debug_assert_eq!(bytes.len() % self.schema.tuple_width(), 0);
-        self.bytes.extend_from_slice(bytes);
+    pub fn extend_images(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        let before = self.bytes.len();
+        write(&mut self.bytes);
+        debug_assert!(self.bytes.len() >= before);
+        debug_assert_eq!((self.bytes.len() - before) % self.schema.tuple_width(), 0);
     }
 
     /// The batch's schema.
@@ -225,8 +228,7 @@ impl TupleBuf {
     }
 
     /// The live images, concatenated — the bulk form
-    /// [`crate::Relation::append_images`] and [`TupleBuf::push_images`]
-    /// take.
+    /// [`crate::Relation::append_images`] takes.
     #[inline]
     pub fn images(&self) -> &[u8] {
         &self.bytes[self.start..]
