@@ -6,42 +6,92 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
+use df_query::ops::KeyClass;
 use df_query::{Firing, JoinAlgo, Kernel};
-use df_relalg::{Page, SideKeyIndex};
+use df_relalg::{Page, SideKeyColumn, SideKeyIndex, SidePages};
 
-/// One operand side of a hash-lowered join cell: a key index over every
-/// page the side has received, shared by the cell and by the probe units
-/// that read it. The cell's [`Cell::deliver`], on the scheduler thread, is
-/// the only writer; units only read, and only the entries of pages pushed
-/// before they fired, which never change.
-#[derive(Debug, Clone)]
-pub(super) struct SideIndex(Arc<RwLock<SideKeyIndex>>);
+/// What one operand side of a pair-sweep cell keeps of the pages it has
+/// received: shaped by the cell's kernel, so a unit reads it in the form
+/// its kernel probes.
+#[derive(Debug)]
+pub(super) enum Received {
+    /// A hash-lowered join: the pages indexed on the side's join key — the
+    /// build side of a symmetric hash join.
+    Index(SideKeyIndex),
+    /// A nested-loops join on an `Int` key: the pages' keys as one dense
+    /// column in arrival order.
+    Column(SideKeyColumn),
+    /// A θ-join on `Bytes` or `Typed` keys, or a cross product: the pages
+    /// alone, swept page by page.
+    Pages(SidePages),
+}
 
-impl SideIndex {
-    fn new(key: usize) -> SideIndex {
-        SideIndex(Arc::new(RwLock::new(SideKeyIndex::new(key))))
+impl Received {
+    /// The side's shape for operand `port` of a cell running `kernel`.
+    fn for_port(kernel: &Kernel, port: usize) -> Received {
+        let Kernel::JoinPair(sweep, algo) = kernel else {
+            return Received::Pages(SidePages::new());
+        };
+        let condition = sweep.condition();
+        let key = [condition.left, condition.right][port];
+        match (algo, sweep.class()) {
+            (JoinAlgo::Hash, _) => Received::Index(SideKeyIndex::new(key)),
+            (JoinAlgo::Nested, KeyClass::Int) => Received::Column(SideKeyColumn::new(key)),
+            (JoinAlgo::Nested, _) => Received::Pages(SidePages::new()),
+        }
     }
 
-    /// Read the index. A `RwLock` is poisoned only by a panic under its
+    /// The pages received, in arrival order, whatever the shape.
+    pub fn pages(&self) -> &SidePages {
+        match self {
+            Received::Index(index) => index.received(),
+            Received::Column(column) => column.received(),
+            Received::Pages(pages) => pages,
+        }
+    }
+
+    fn push(&mut self, page: Arc<Page>) {
+        match self {
+            Received::Index(index) => index.push(page),
+            Received::Column(column) => column.push(page),
+            Received::Pages(pages) => pages.push(page),
+        }
+    }
+}
+
+/// One operand side of a pair-sweep cell, shared by the cell and by the
+/// pair units that read it. The cell's [`Cell::deliver`], on the scheduler
+/// thread, is the only writer; units only read, and only the first `upto`
+/// pages — those pushed before they fired, which never change.
+#[derive(Debug, Clone)]
+pub(super) struct Side(Arc<RwLock<Received>>);
+
+impl Side {
+    fn new(received: Received) -> Side {
+        Side(Arc::new(RwLock::new(received)))
+    }
+
+    /// Read the side. A `RwLock` is poisoned only by a panic under its
     /// write guard, so a reader's panic (a kernel panic, caught per unit)
-    /// cannot poison it. The one writer is [`SideIndex::extend`] on the
+    /// cannot poison it. The one writer is [`Side::extend`] on the
     /// scheduler thread. Should a push panic midway, the page it was
-    /// pushing is not yet counted in `pages()`, so every entry it left has
-    /// an ordinal ≥ every unit's `upto`; a key's chain runs in ascending
-    /// ordinal order, so a probe's walk stops at the first such entry.
-    /// Entries are stored before they are linked, so no link dangles. A
-    /// recovered guard therefore still shows every reader a whole prefix
-    /// of pages.
-    pub fn read(&self) -> RwLockReadGuard<'_, SideKeyIndex> {
+    /// pushing is not yet counted in `pages()`, so whatever it left lies
+    /// past every unit's `upto`: an index entry has an ordinal ≥ `upto`,
+    /// and a key chain runs in ascending ordinal order, so a probe's walk
+    /// stops at the first such entry (entries are stored before they are
+    /// linked, so no link dangles); a column key lies past the last page's
+    /// end, which no prefix reaches. A recovered guard therefore still
+    /// shows every reader a whole prefix of pages.
+    pub fn read(&self) -> RwLockReadGuard<'_, Received> {
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Append `pages` behind every page already indexed. Poisoning is
-    /// recovered for the reason given at [`SideIndex::read`].
+    /// Append `pages` behind every page already received. Poisoning is
+    /// recovered for the reason given at [`Side::read`].
     fn extend(&self, pages: &[Arc<Page>]) {
-        let mut index = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        let mut side = self.0.write().unwrap_or_else(PoisonError::into_inner);
         for page in pages {
-            index.push(Arc::clone(page));
+            side.push(Arc::clone(page));
         }
     }
 }
@@ -53,21 +103,13 @@ impl SideIndex {
 pub(super) enum WorkKind {
     /// One operand page (restrict, non-dedup project, fused span).
     Page(Arc<Page>),
-    /// A pair sweep: the newly arrived page against every page of the
-    /// opposite operand received so far (nested-loops or θ join, cross
-    /// product). Pages of one delivery see the same opposite list, so they
-    /// share one snapshot.
-    Sweep {
+    /// A pair sweep (join or cross product): the newly arrived page against
+    /// the first `upto` pages of the opposite side — the pages received
+    /// when the unit fired, which never change — in the form the side
+    /// keeps them.
+    Pair {
         new_page: Arc<Page>,
-        opposite: Arc<[Arc<Page>]>,
-        new_is_outer: bool,
-    },
-    /// A hash-lowered join's pair sweep: the newly arrived page probes the
-    /// opposite side's key index over its first `upto` pages — the pages
-    /// received when the unit fired, whose entries never change.
-    Probe {
-        new_page: Arc<Page>,
-        opposite: SideIndex,
+        opposite: Side,
         upto: usize,
         new_is_outer: bool,
     },
@@ -86,12 +128,9 @@ enum State {
     /// Per-page (and source) firing: a page fires on arrival, nothing is
     /// kept.
     PerPage,
-    /// Pair-sweep firing: every page received so far, one list per port.
-    PairSweep([Vec<Arc<Page>>; 2]),
-    /// Pair-sweep firing of a hash-lowered join: every page received so
-    /// far, indexed on its port's join key — the build sides of a
-    /// symmetric hash join.
-    HashSides([SideIndex; 2]),
+    /// Pair-sweep firing: every page received so far, one side per port,
+    /// each shaped by the cell's kernel.
+    Pair([Side; 2]),
     /// A blocking cell collecting its complete operands, one list per port.
     Collecting([Vec<Arc<Page>>; 2]),
     /// A blocking cell whose single unit has been created.
@@ -120,18 +159,15 @@ pub(super) struct Cell {
 impl Cell {
     /// A cell of `firing` class with `ports` operand ports (0 for a scan,
     /// which is fed at admission and has no operand stream), running
-    /// `kernel`. A hash-lowered join keys each side on its attribute of the
-    /// join condition.
+    /// `kernel`, which shapes a pair-sweep cell's sides ([`Received`]).
     pub fn new(firing: Firing, ports: usize, kernel: &Kernel) -> Cell {
         debug_assert!(ports <= 2, "operators take at most two operands");
-        let state = match (firing, kernel) {
-            (Firing::Source | Firing::PerPage, _) => State::PerPage,
-            (Firing::PairSweep, Kernel::JoinPair(sweep, JoinAlgo::Hash)) => {
-                let condition = sweep.condition();
-                State::HashSides([condition.left, condition.right].map(SideIndex::new))
+        let state = match firing {
+            Firing::Source | Firing::PerPage => State::PerPage,
+            Firing::PairSweep => {
+                State::Pair([0, 1].map(|port| Side::new(Received::for_port(kernel, port))))
             }
-            (Firing::PairSweep, _) => State::PairSweep(Default::default()),
-            (Firing::Complete, _) => State::Collecting(Default::default()),
+            Firing::Complete => State::Collecting(Default::default()),
         };
         Cell {
             state,
@@ -164,28 +200,13 @@ impl Cell {
         let keep = !self.ports_done[1 - port];
         match &mut self.state {
             State::PerPage => self.pending.extend(pages.into_iter().map(WorkKind::Page)),
-            State::PairSweep(received) => {
-                // Every page of this delivery sees the same opposite list,
-                // so one snapshot serves them all.
-                if !received[1 - port].is_empty() {
-                    let opposite: Arc<[Arc<Page>]> = received[1 - port].as_slice().into();
-                    self.pending.extend(pages.iter().map(|p| WorkKind::Sweep {
-                        new_page: Arc::clone(p),
-                        opposite: Arc::clone(&opposite),
-                        new_is_outer,
-                    }));
-                }
-                if keep {
-                    received[port].extend(pages);
-                }
-            }
-            State::HashSides(sides) => {
+            State::Pair(sides) => {
                 // The bound is the opposite side's page count now: later
-                // opposite pages probe this side's index instead.
+                // opposite pages pair with this side instead.
                 let opposite = &sides[1 - port];
                 let upto = opposite.read().pages().len();
                 if upto > 0 {
-                    self.pending.extend(pages.iter().map(|p| WorkKind::Probe {
+                    self.pending.extend(pages.iter().map(|p| WorkKind::Pair {
                         new_page: Arc::clone(p),
                         opposite: opposite.clone(),
                         upto,
@@ -292,6 +313,28 @@ mod tests {
         Kernel::JoinPair(JoinSweep::compile(&schema(), &schema(), &condition), algo)
     }
 
+    /// The kernel of a nested join on `Str(4)` × `Str(8)` keys: the
+    /// `Typed` class, whose sides keep their pages alone.
+    fn typed_join() -> Kernel {
+        let (s4, s8) = (DataType::Str(4), DataType::Str(8));
+        let left = Schema::build().attr("s", s4).finish().unwrap();
+        let right = Schema::build().attr("s", s8).finish().unwrap();
+        let condition = JoinCondition::equi(&left, "s", &right, "s").unwrap();
+        let sweep = JoinSweep::compile(&left, &right, &condition);
+        assert_eq!(sweep.class(), KeyClass::Typed);
+        Kernel::JoinPair(sweep, JoinAlgo::Nested)
+    }
+
+    /// One pair-sweep kernel per side shape, with the shape it gives.
+    fn pair_kernels() -> [(Kernel, &'static str); 4] {
+        [
+            (join(JoinAlgo::Nested), "column"),
+            (join(JoinAlgo::Hash), "index"),
+            (typed_join(), "pages"),
+            (Kernel::CrossPair, "pages"),
+        ]
+    }
+
     /// The kernel of a per-page cell: the zero-step identity form.
     fn identity() -> Kernel {
         Kernel::Unary(UnaryKernel::compile(&[], &schema()))
@@ -301,31 +344,34 @@ mod tests {
         Arc::as_ptr(page) as usize
     }
 
-    /// The (outer, inner) page pairs a sweep or probe unit covers: its new
-    /// page against the opposite list, or against the first `upto` pages
-    /// of the opposite side's index.
-    fn pairs(unit: &WorkKind) -> Vec<(usize, usize)> {
-        let (new_page, opposite, new_is_outer) = match unit {
-            WorkKind::Sweep {
-                new_page,
-                opposite,
-                new_is_outer,
-            } => (new_page, opposite.to_vec(), *new_is_outer),
-            WorkKind::Probe {
-                new_page,
-                opposite,
-                upto,
-                new_is_outer,
-            } => (
-                new_page,
-                opposite.read().pages()[..*upto].to_vec(),
-                *new_is_outer,
-            ),
-            _ => panic!("not a pair unit: {unit:?}"),
+    /// The shape of the side a pair unit reads.
+    fn shape(unit: &WorkKind) -> &'static str {
+        let WorkKind::Pair { opposite, .. } = unit else {
+            panic!("not a pair unit: {unit:?}");
         };
+        match &*opposite.read() {
+            Received::Index(_) => "index",
+            Received::Column(_) => "column",
+            Received::Pages(_) => "pages",
+        }
+    }
+
+    /// The (outer, inner) page pairs a pair unit covers: its new page
+    /// against the first `upto` pages of the opposite side.
+    fn pairs(unit: &WorkKind) -> Vec<(usize, usize)> {
+        let WorkKind::Pair {
+            new_page,
+            opposite,
+            upto,
+            new_is_outer,
+        } = unit
+        else {
+            panic!("not a pair unit: {unit:?}");
+        };
+        let opposite = opposite.read().pages().pages()[..*upto].to_vec();
         let new = id(new_page);
         let pair = |o: &Arc<Page>| {
-            if new_is_outer {
+            if *new_is_outer {
                 (new, id(o))
             } else {
                 (id(o), new)
@@ -343,9 +389,9 @@ mod tests {
 
     #[test]
     fn every_page_pair_is_swept_once_under_interleaved_arrivals() {
-        for algo in JoinAlgo::ALL {
+        for (kernel, want) in pair_kernels() {
             let (outer, inner) = (pages(4), pages(3));
-            let mut cell = Cell::new(Firing::PairSweep, 2, &join(algo));
+            let mut cell = Cell::new(Firing::PairSweep, 2, &kernel);
             // Arrivals alternate ports, some batched, one port running ahead.
             assert_eq!(cell.deliver(0, vec![Arc::clone(&outer[0])]), 0);
             assert_eq!(cell.deliver(1, inner[..2].to_vec()), 2);
@@ -355,10 +401,9 @@ mod tests {
             assert_eq!(cell.deliver(0, vec![Arc::clone(&outer[3])]), 1);
             cell.port_done(0);
             let units: Vec<WorkKind> = cell.take(cell.pending()).collect();
-            let probes = units.iter().filter(|u| matches!(u, WorkKind::Probe { .. }));
-            assert_eq!(probes.count() > 0, algo == JoinAlgo::Hash, "{algo}");
+            assert!(units.iter().all(|u| shape(u) == want), "{kernel:?}");
             let swept: Vec<_> = units.iter().flat_map(pairs).collect();
-            assert_eq!(swept.len(), outer.len() * inner.len(), "{algo}: {swept:?}");
+            assert_eq!(swept.len(), outer.len() * inner.len(), "{want}: {swept:?}");
             assert_eq!(
                 swept.into_iter().collect::<HashSet<_>>(),
                 all_pairs(&outer, &inner)
@@ -370,9 +415,9 @@ mod tests {
     /// pair — a page with itself included — is still covered exactly once.
     #[test]
     fn a_self_join_covers_each_pair_once() {
-        for algo in JoinAlgo::ALL {
+        for (kernel, want) in pair_kernels() {
             let r = pages(3);
-            let mut cell = Cell::new(Firing::PairSweep, 2, &join(algo));
+            let mut cell = Cell::new(Firing::PairSweep, 2, &kernel);
             assert_eq!(cell.deliver(0, vec![Arc::clone(&r[0])]), 0);
             assert_eq!(cell.deliver(1, r.clone()), 3);
             assert_eq!(cell.deliver(0, r[1..].to_vec()), 2);
@@ -380,7 +425,7 @@ mod tests {
             cell.port_done(1);
             let units: Vec<WorkKind> = cell.take(cell.pending()).collect();
             let swept: Vec<_> = units.iter().flat_map(pairs).collect();
-            assert_eq!(swept.len(), r.len() * r.len(), "{algo}: {swept:?}");
+            assert_eq!(swept.len(), r.len() * r.len(), "{want}: {swept:?}");
             assert_eq!(swept.into_iter().collect::<HashSet<_>>(), all_pairs(&r, &r));
         }
     }
@@ -522,7 +567,7 @@ mod tests {
             for unit in run {
                 match &unit {
                     WorkKind::Page(p) => assert!(self.paged.insert(id(p)), "page served twice"),
-                    WorkKind::Sweep { .. } | WorkKind::Probe { .. } => {
+                    WorkKind::Pair { .. } => {
                         for pair in pairs(&unit) {
                             assert!(self.swept.insert(pair), "pair {pair:?} swept twice");
                         }
@@ -580,15 +625,16 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Random delivery / take / requeue / serve / end-of-stream
-        /// interleavings over all three firing classes, the pair sweep both
-        /// over page lists and over hash-keyed side indexes: the in-flight
+        /// interleavings over all three firing classes, the pair sweep over
+        /// every side shape (key column, hash index, pages alone for a
+        /// `Typed` join and for a cross product): the in-flight
         /// count is exact, a blocking cell fires once and only after every
         /// port ended, a cell is ready exactly when nothing is left to do,
         /// and every page pair (page, blocking operand) is served exactly
         /// once however often its unit was requeued.
         #[test]
         fn firing_rule_holds_under_random_interleavings(
-            class in 0usize..5,
+            class in 0usize..7,
             sizes in (0usize..6, 0usize..6),
             ops in prop::collection::vec((0u8..5, 0usize..4), 0..64),
         ) {
@@ -596,6 +642,8 @@ mod tests {
                 (Firing::PerPage, 1, identity()),
                 (Firing::PairSweep, 2, join(JoinAlgo::Nested)),
                 (Firing::PairSweep, 2, join(JoinAlgo::Hash)),
+                (Firing::PairSweep, 2, typed_join()),
+                (Firing::PairSweep, 2, Kernel::CrossPair),
                 (Firing::Complete, 1, Kernel::UnionFinal),
                 (Firing::Complete, 2, Kernel::UnionFinal),
             ]

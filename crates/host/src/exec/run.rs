@@ -20,7 +20,7 @@ use df_query::ops::hash_join_side_into;
 use df_query::Kernel;
 use df_relalg::{Page, Relation, TupleBuf};
 
-use super::cell::WorkKind;
+use super::cell::{Received, WorkKind};
 use crate::fault::InjectedFault;
 use crate::metrics::WorkerStats;
 use crate::plan::QueryPlan;
@@ -52,9 +52,10 @@ pub(super) struct Run {
 enum UnitClass {
     /// Not a pair unit (restrict, project, union, …).
     Other = 0,
-    /// The unit's page probed the opposite side's key index.
+    /// The unit's page probed the opposite side's hash key index.
     Probe = 1,
-    /// Nested-loops or cross-product sweep (incl. θ-join fallback).
+    /// Nested-loops sweep — of the opposite side's key column or of its
+    /// pages (incl. θ-join fallback) — or cross product.
     Sweep = 2,
 }
 
@@ -229,9 +230,11 @@ impl Packer {
 /// run's output pages. Returns (operand page count, operand bytes, unit
 /// class). The unit's kind — fixed by the cell's firing class — says which
 /// [`Kernel`] entry point to call; which operator that is, only the kernel
-/// knows. What is decided here is what depends on host state: a hash join
-/// probes the opposite side's key index the cell maintains, and a cross
-/// product is absorbed pair by pair so the batch stays bounded.
+/// knows. What is decided here is what depends on host state: a join's
+/// pair unit reads the opposite side in the shape the cell keeps it — a
+/// hash join probes its key index, a nested `Int` join its key column,
+/// any other θ-join sweeps its pages — and a cross product is absorbed
+/// pair by pair so the batch stays bounded.
 fn execute_unit(
     plan: &QueryPlan,
     cell: usize,
@@ -252,50 +255,52 @@ fn execute_unit(
             pack.absorb();
             (1, page.wire_bytes() as u64, UnitClass::Other)
         }
-        WorkKind::Sweep {
-            new_page,
-            opposite,
-            new_is_outer,
-        } => {
-            // A join sweeps the whole list into the batch; a cross
-            // product's output is large, so it is absorbed pair by pair.
-            let chunk = match kernel {
-                Kernel::CrossPair => 1,
-                _ => opposite.len().max(1),
-            };
-            for pairs in opposite.chunks(chunk) {
-                let pairs = pairs.iter().map(Arc::as_ref);
-                kernel.run_sweep_raw_into(new_page, pairs, *new_is_outer, &mut pack.batch);
-                pack.absorb();
-            }
-            let (n, b) = count(opposite.iter().map(Arc::as_ref));
-            (n + 1, b + new_page.wire_bytes() as u64, UnitClass::Sweep)
-        }
-        WorkKind::Probe {
+        WorkKind::Pair {
             new_page,
             opposite,
             upto,
             new_is_outer,
         } => {
-            let Kernel::JoinPair(sweep, _) = kernel else {
-                unreachable!("only a hash-lowered join cell keeps key indexes");
-            };
+            let (upto, new_is_outer) = (*upto, *new_is_outer);
             // The unit still stands for the §4 broadcast of every opposite
             // page it pairs with, so those pages count as read; the side
             // keeps their byte total, one lookup.
-            let bytes = {
-                let side = opposite.read();
-                let condition = sweep.condition();
+            let bytes = opposite.read().pages().wire_bytes(upto) + new_page.wire_bytes() as u64;
+            let class = if let Kernel::CrossPair = kernel {
+                // A cross product's output is large, so it is absorbed pair
+                // by pair, and the side's read lock is not held across it.
+                for at in 0..upto {
+                    let page = Arc::clone(&opposite.read().pages().pages()[at]);
+                    let batch = &mut pack.batch;
+                    kernel.run_sweep_raw_into(new_page, [page.as_ref()], new_is_outer, batch);
+                    pack.absorb();
+                }
+                UnitClass::Sweep
+            } else {
+                let Kernel::JoinPair(sweep, _) = kernel else {
+                    unreachable!("a pair unit fires a join or cross-product cell");
+                };
                 let batch = &mut pack.batch;
-                hash_join_side_into(new_page, &side, *upto, condition, *new_is_outer, batch);
-                side.wire_bytes(*upto)
+                let class = match &*opposite.read() {
+                    Received::Index(index) => {
+                        let condition = sweep.condition();
+                        hash_join_side_into(new_page, index, upto, condition, new_is_outer, batch);
+                        UnitClass::Probe
+                    }
+                    Received::Column(column) => {
+                        sweep.probe_column_into(new_page, column, upto, new_is_outer, batch);
+                        UnitClass::Sweep
+                    }
+                    Received::Pages(pages) => {
+                        let pages = pages.pages()[..upto].iter().map(Arc::as_ref);
+                        kernel.run_sweep_raw_into(new_page, pages, new_is_outer, batch);
+                        UnitClass::Sweep
+                    }
+                };
+                pack.absorb();
+                class
             };
-            pack.absorb();
-            (
-                upto + 1,
-                bytes + new_page.wire_bytes() as u64,
-                UnitClass::Probe,
-            )
+            (upto + 1, bytes, class)
         }
         WorkKind::Complete { left, right } => {
             let inputs = [left, right].map(|port| port.iter().map(Arc::as_ref).collect::<Vec<_>>());

@@ -31,7 +31,9 @@ pub struct HostParams {
     /// — a symmetric hash join — instead of sweeping it against each
     /// opposite page. A condition the hash path cannot run (non-equi θ,
     /// mixed-width string keys) is lowered as the nested-loops sweep;
-    /// results are multiset-identical either way.
+    /// results are multiset-identical either way. A nested-loops join on
+    /// `Int` keys keeps each side as one dense key column instead
+    /// ([`df_relalg::SideKeyColumn`]), which an arriving page probes once.
     pub join: JoinAlgo,
     /// How chained unary operators exchange results. Under
     /// [`TransferMode::Materialize`] (the paper's design) every

@@ -394,55 +394,86 @@ fn duplicate_heavy_self_join_hash_equals_nested() {
     }
 }
 
-/// A non-equi θ-join under `JoinAlgo::Hash` silently degrades to the
-/// nested-loops sweep — right answer, zero probe units.
+/// Every θ on `Int` keys, under both join algorithms, with the restricted
+/// side as the outer and as the inner operand, in a call below the size
+/// test (served inline) and one above it (threaded, at one and two
+/// workers): each result equals the sorted oracle images. Only an
+/// equi-join under `Hash` probes a key index; every other join sweeps —
+/// the nested ones through the side's key column.
 #[test]
 fn non_equi_theta_join_under_hash_falls_back_to_sweep() {
     use df_core::JoinAlgo;
     use df_query::TreeBuilder;
     use df_relalg::{CmpOp, DataType, Relation, Schema, Tuple, Value};
 
-    let mut db = Catalog::new();
     let s = Schema::build()
         .attr("k", DataType::Int)
         .attr("v", DataType::Int)
         .finish()
         .unwrap();
-    for (name, n) in [("a", 30i64), ("b", 20i64)] {
-        db.insert(
-            Relation::from_tuples(
-                name,
-                s.clone(),
-                16 + 16 * 4,
-                (0..n).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 5)])),
+    // 13 operand pages (inline), then 160 (threaded: over the 128-page
+    // size test).
+    for ((na, nb), inline) in [((30i64, 20i64), true), ((400, 240), false)] {
+        let mut db = Catalog::new();
+        for (name, n) in [("a", na), ("b", nb)] {
+            db.insert(
+                Relation::from_tuples(
+                    name,
+                    s.clone(),
+                    16 + 16 * 4,
+                    (0..n).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 5)])),
+                )
+                .unwrap(),
             )
-            .unwrap(),
-        )
-        .unwrap();
-    }
-    let b = TreeBuilder::new(&db);
-    for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Ne] {
-        let q = b
-            .scan("a")
-            .unwrap()
-            .restrict_where("k", CmpOp::Lt, Value::Int(8))
-            .unwrap()
-            .join_on(b.scan("b").unwrap(), "v", op, "k")
-            .unwrap()
-            .finish();
-        let want = execute_readonly(&db, &q, &ExecParams::default()).expect("oracle");
-        let params = HostParams {
-            join: JoinAlgo::Hash,
-            ..HostParams::with_workers(2)
+            .unwrap();
+        }
+        let b = TreeBuilder::new(&db);
+        let restricted = || {
+            b.scan("a")
+                .unwrap()
+                .restrict_where("k", CmpOp::Lt, Value::Int(8))
+                .unwrap()
         };
-        let (got, metrics) = run_host_query(&db, &q, &params).expect("host");
-        assert!(
-            got.same_contents(&want),
-            "θ-join {op:?} diverged under hash"
-        );
-        let stats = &metrics.per_query[0];
-        assert_eq!(stats.probe_units, 0, "θ-join {op:?} must not probe");
-        assert!(stats.sweep_units > 0, "θ-join {op:?} must sweep");
+        let workers: &[usize] = if inline { &[2] } else { &[1, 2] };
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            let queries = [
+                (
+                    "outer",
+                    restricted().join_on(b.scan("b").unwrap(), "v", op, "k"),
+                ),
+                (
+                    "inner",
+                    b.scan("b").unwrap().join_on(restricted(), "k", op, "v"),
+                ),
+            ];
+            for (restricted_is, q) in queries {
+                let q = q.unwrap().finish();
+                let want = sorted_oracle_images(&db, &q);
+                for (&workers, join) in workers.iter().flat_map(|w| JoinAlgo::ALL.map(|j| (w, j))) {
+                    let params = HostParams {
+                        join,
+                        deterministic: true,
+                        ..HostParams::with_workers(workers)
+                    };
+                    let (got, metrics) = run_host_query(&db, &q, &params).expect("host");
+                    let at =
+                        format!("{op:?} {join}, restricted {restricted_is}, {workers} workers");
+                    assert_eq!(metrics.total_runs() == 0, inline, "{at}");
+                    assert_eq!(tuple_images(&got), want, "{at}: diverged from the oracle");
+                    let stats = &metrics.per_query[0];
+                    let probes = op == CmpOp::Eq && join == JoinAlgo::Hash;
+                    assert_eq!(stats.probe_units > 0, probes, "{at}");
+                    assert_eq!(stats.sweep_units > 0, !probes, "{at}");
+                }
+            }
+        }
     }
 }
 

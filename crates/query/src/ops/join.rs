@@ -6,11 +6,15 @@
 //! because each page (or tuple) of the outer relation can be joined with the
 //! inner relation independently — one page pair is precisely that unit of
 //! independent work. The machines run it as the compiled [`JoinSweep`]
-//! (`sweep.rs`) over raw page bytes; [`crate::oracle::join_pages`] is the
+//! (`sweep.rs`) over raw page bytes — page against page lists, or, in
+//! df-host's nested `Int` join, page against the opposite side's key column
+//! ([`JoinSweep::probe_column_into`]); [`crate::oracle::join_pages`] is the
 //! decoded-tuple oracle it must match byte for byte, and the hash probe is
-//! defined as identical to both. The oracle also holds the whole-relation
-//! nested-loops and sort-merge baselines from Blasgen & Eswaran \[5\] the
-//! unit tests below compare against.
+//! defined as identical to both. Both side probes — [`hash_join_side_into`]
+//! over a [`SideKeyIndex`] and the column probe — emit (page slot, opposite
+//! arrival) order. The oracle also holds the whole-relation nested-loops
+//! and sort-merge baselines from Blasgen & Eswaran \[5\] the unit tests
+//! below compare against.
 
 use df_relalg::{JoinCondition, Page, PageKeyIndex, Schema, SideKeyIndex, TupleBuf};
 
@@ -134,7 +138,7 @@ pub fn hash_join_side_into(
     debug_assert_eq!(side.key(), side_key, "side index/condition mismatch");
     for t in page.tuple_refs() {
         for entry in side.probe(t.attr_bytes(key), upto) {
-            let opposite = side.image(entry);
+            let opposite = side.received().image(entry);
             if page_is_outer {
                 out.push_concat(t.raw(), opposite);
             } else {

@@ -1,5 +1,5 @@
-//! The compiled nested-loops sweep: the one page×page pair loop every
-//! executor runs for a θ-join.
+//! The compiled nested-loops sweep: the one pair loop every executor runs
+//! for a θ-join, page against page or page against a side's key column.
 //!
 //! Paper §2.1 picks the O(n²) nested-loops join as the multiprocessor join
 //! and Fig 4.3 makes the page×page sweep the IP's unit of work, so the
@@ -10,13 +10,31 @@
 //! dense column (on the stack for small pages), the [`CmpOp`] is chosen
 //! outside the loop so every (class, operator) gets its own monomorphised
 //! pair loop, and matches are appended to a caller-supplied [`TupleBuf`].
+//! Inside the loop an `Int` key tests the opposite keys 16 at a time with
+//! a branch-free fold and looks inside a chunk only on a hit
+//! ([`each_match`]), so a chunk without a match costs 16 compares and no
+//! store; byte-string keys, whose compare is a call, are tested one by
+//! one.
 //!
-//! **Contract.** Output is the `outer ++ inner` image of every matching
-//! pair in (outer slot, inner slot) order — byte for byte what the oracle's
-//! `join_pages` produces once encoded. The hash path and the standing-view
-//! product rule are both defined as identical to this order.
+//! Two shapes of work run that loop. [`JoinSweep::sweep_list_into`] sweeps
+//! a page against a list of pages (the simulators' unit, and df-host's for
+//! `Bytes`/`Typed` keys); [`JoinSweep::probe_column_into`] probes a page's
+//! `Int` keys against the first `upto` pages of a [`SideKeyColumn`], the
+//! whole opposite side decoded once as it arrived (df-host's nested `Int`
+//! join), so the inner loop runs over the side's every key rather than
+//! one page's ten.
+//!
+//! **Contract.** [`JoinSweep::sweep_list_into`] emits the `outer ++ inner`
+//! image of every matching pair in (outer slot, inner slot) order per page
+//! pair — byte for byte what the oracle's `join_pages` produces once
+//! encoded. The hash path and the standing-view product rule are both
+//! defined as identical to this order. [`JoinSweep::probe_column_into`]
+//! emits the same pairs in (page slot, opposite arrival) order, the order
+//! the symmetric hash join's side probe emits.
 
-use df_relalg::{cmp_encoded, CmpOp, DataType, JoinCondition, Page, Schema, TupleBuf};
+use df_relalg::{
+    cmp_encoded, CmpOp, DataType, JoinCondition, Page, Schema, SideKeyColumn, TupleBuf,
+};
 
 /// How a compiled sweep compares its two key columns. Decided by the key
 /// types alone, never by the operator.
@@ -140,6 +158,73 @@ impl JoinSweep {
         }
     }
 
+    /// Probe `page`'s keys against the first `upto` pages of `column` —
+    /// the opposite operand's `Int` keys in arrival order — appending every
+    /// match to `out` in the condition's orientation (`page` is the outer
+    /// operand when `page_is_outer`). Matches leave in (page slot, opposite
+    /// arrival) order; as a multiset they are the union of
+    /// [`JoinSweep::sweep_into`] over `page` paired with each of those
+    /// pages.
+    ///
+    /// # Panics
+    /// Panics (debug) unless this is an [`KeyClass::Int`] sweep and
+    /// `column` is keyed on the opposite operand's join attribute.
+    pub fn probe_column_into(
+        &self,
+        page: &Page,
+        column: &SideKeyColumn,
+        upto: usize,
+        page_is_outer: bool,
+        out: &mut TupleBuf,
+    ) {
+        debug_assert_eq!(self.class, KeyClass::Int, "a key column holds Int keys");
+        let (op, column_key) = if page_is_outer {
+            (self.condition.op, self.condition.right)
+        } else {
+            // `column op key` is `key op.flip() column`.
+            (self.condition.op.flip(), self.condition.left)
+        };
+        debug_assert_eq!(column.key(), column_key, "column/condition mismatch");
+        let (keys, o) = (column.keys(upto), page_is_outer);
+        match op {
+            CmpOp::Eq => self.probe(page, o, column, keys, out, |a, b| a == b),
+            CmpOp::Ne => self.probe(page, o, column, keys, out, |a, b| a != b),
+            CmpOp::Lt => self.probe(page, o, column, keys, out, |a, b| a < b),
+            CmpOp::Le => self.probe(page, o, column, keys, out, |a, b| a <= b),
+            CmpOp::Gt => self.probe(page, o, column, keys, out, |a, b| a > b),
+            CmpOp::Ge => self.probe(page, o, column, keys, out, |a, b| a >= b),
+        }
+    }
+
+    /// One monomorphised column probe: `test(page key, column key)`.
+    fn probe(
+        &self,
+        page: &Page,
+        page_is_outer: bool,
+        column: &SideKeyColumn,
+        keys: &[i64],
+        out: &mut TupleBuf,
+        test: impl Fn(i64, i64) -> bool,
+    ) {
+        let side = if page_is_outer {
+            &self.outer
+        } else {
+            &self.inner
+        };
+        let mut fixed = KeyColumn::<i64>::new();
+        let page_keys = fixed.load(page.raw_data(), side);
+        for (row, &key) in page.raw_data().chunks_exact(side.width).zip(page_keys) {
+            each_match(key, keys, &test, |at| {
+                let opposite = column.image(at);
+                if page_is_outer {
+                    out.push_concat(row, opposite);
+                } else {
+                    out.push_concat(opposite, row);
+                }
+            });
+        }
+    }
+
     /// Pick the operator outside the loop: one monomorphised pair loop per
     /// (key type, operator).
     fn run_ord<'a, K: Key<'a> + Ord>(
@@ -202,17 +287,55 @@ struct Rows<'r, K> {
 
 /// The pair loop: (outer slot, inner slot) order, inner keys dense.
 #[inline]
-fn sweep_pairs<K: Copy>(
+fn sweep_pairs<'a, K: Key<'a>>(
     outer: &Rows<'_, K>,
     inner: &Rows<'_, K>,
     test: &impl Fn(K, K) -> bool,
     out: &mut TupleBuf,
 ) {
     for (o, &ok) in outer.data.chunks_exact(outer.width).zip(outer.keys) {
-        for (i, &ik) in inner.data.chunks_exact(inner.width).zip(inner.keys) {
-            if test(ok, ik) {
-                out.push_concat(o, i);
+        each_match(ok, inner.keys, test, |i| {
+            let at = i * inner.width;
+            out.push_concat(o, &inner.data[at..at + inner.width]);
+        });
+    }
+}
+
+/// Keys tested per chunk by [`each_match`].
+const CHUNK: usize = 16;
+
+/// The one compare of both pair loops: call `hit` with the position of
+/// every key of `keys` that `test(key, _)` accepts, in ascending order.
+/// For a [`Key::CHUNKED`] type, each [`CHUNK`] of keys is first tested as
+/// a whole with a branch-free fold — the compiler unrolls it into 16
+/// compares that fall through when none matches — and only a chunk holding
+/// a hit is looked inside. The remainder, and every key of another type,
+/// is tested key by key.
+#[inline]
+fn each_match<'a, K: Key<'a>>(
+    key: K,
+    keys: &[K],
+    test: &impl Fn(K, K) -> bool,
+    mut hit: impl FnMut(usize),
+) {
+    let chunked = if K::CHUNKED {
+        keys.len() / CHUNK * CHUNK
+    } else {
+        0
+    };
+    let (chunks, rest) = keys.split_at(chunked);
+    for (c, chunk) in chunks.chunks_exact(CHUNK).enumerate() {
+        if chunk.iter().fold(false, |any, &k| any | test(key, k)) {
+            for (i, &k) in chunk.iter().enumerate() {
+                if test(key, k) {
+                    hit(c * CHUNK + i);
+                }
             }
+        }
+    }
+    for (i, &k) in rest.iter().enumerate() {
+        if test(key, k) {
+            hit(chunked + i);
         }
     }
 }
@@ -221,11 +344,16 @@ fn sweep_pairs<K: Copy>(
 trait Key<'a>: Copy {
     /// Filler for unused stack slots.
     const FILL: Self;
+    /// Whether [`each_match`] tests keys of this type in chunks. Only an
+    /// `i64` compare is one instruction; a byte-string compare is a call,
+    /// and sixteen of them unrolled per chunk would only grow the code.
+    const CHUNKED: bool;
     fn of(image: &'a [u8]) -> Self;
 }
 
 impl<'a> Key<'a> for i64 {
     const FILL: i64 = 0;
+    const CHUNKED: bool = true;
     #[inline]
     fn of(image: &'a [u8]) -> i64 {
         i64::from_be_bytes(image.try_into().expect("Int key is 8 bytes"))
@@ -234,14 +362,18 @@ impl<'a> Key<'a> for i64 {
 
 impl<'a> Key<'a> for &'a [u8] {
     const FILL: &'a [u8] = &[];
+    const CHUNKED: bool = false;
     #[inline]
     fn of(image: &'a [u8]) -> &'a [u8] {
         image
     }
 }
 
-/// Pages up to this many tuples keep their key column on the stack (the
-/// host's 1 KB pages hold ~10 tuples; the simulators' 16 KB pages ~160).
+/// Pages up to this many tuples keep their key column on the stack: an
+/// arriving page probing a side's key column (df-host's 1 KB pages hold
+/// ~10 tuples; an `Int` join's opposite side is already a column), and
+/// df-host's `Bytes`/`Typed` sweeps. The simulators' 16 KB pages (~160
+/// tuples) take the heap column, allocated once per unit per side.
 const STACK_KEYS: usize = 32;
 
 /// Scratch for one page's key column, reused across the pages of a sweep
@@ -282,6 +414,7 @@ impl<'a, K: Key<'a>> KeyColumn<K> {
 mod tests {
     use super::*;
     use crate::ops::test_support::*;
+    use df_relalg::{Tuple, Value};
 
     #[test]
     fn key_types_select_the_comparator_class() {
@@ -361,6 +494,58 @@ mod tests {
             }
             assert_eq!(listed.to_tuples(), paired.to_tuples());
             assert!(!listed.is_empty());
+        }
+    }
+
+    /// A side of 15, 16, 17 or 33 keys ends just inside a 16-key chunk, on
+    /// its boundary, or just past it into the remainder. Keys cycle through
+    /// 0..5, so every θ matches in every chunk and in the remainder; the
+    /// probe must give exactly the pairs a plain double loop over the
+    /// decoded keys gives, in (page slot, opposite arrival) order.
+    #[test]
+    fn column_probe_loses_no_match_at_a_chunk_boundary() {
+        let arriving = [(4, -1), (0, -2), (2, -3)];
+        let page = kv_page(&arriving);
+        for n in [15usize, 16, 17, 33] {
+            let side: Vec<(i64, i64)> = (0..n as i64).map(|i| (i % 5, i)).collect();
+            let mut column = SideKeyColumn::new(0);
+            for rows in side.chunks(7) {
+                column.push(std::sync::Arc::new(kv_page(rows)));
+            }
+            let upto = column.received().len();
+            assert_eq!(column.keys(upto).len(), n);
+            for op in [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ] {
+                let c = JoinCondition::new(&kv_schema(), "k", op, &kv_schema(), "k").unwrap();
+                let sweep = JoinSweep::compile(&kv_schema(), &kv_schema(), &c);
+                for page_is_outer in [true, false] {
+                    let mut got = TupleBuf::new(kv_schema().concat(&kv_schema()));
+                    sweep.probe_column_into(&page, &column, upto, page_is_outer, &mut got);
+                    let mut want = Vec::new();
+                    for &(pk, pv) in &arriving {
+                        for &(sk, sv) in &side {
+                            let (o, i) = if page_is_outer {
+                                ([pk, pv], [sk, sv])
+                            } else {
+                                ([sk, sv], [pk, pv])
+                            };
+                            if op.test(o[0].cmp(&i[0])) {
+                                let values = [o, i].concat().into_iter().map(Value::Int);
+                                want.push(Tuple::new(values.collect()));
+                            }
+                        }
+                    }
+                    let case = format!("n {n} op {op} outer {page_is_outer}");
+                    assert!(!want.is_empty(), "{case}");
+                    assert_eq!(got.to_tuples(), want, "{case}");
+                }
+            }
         }
     }
 }

@@ -629,3 +629,62 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// The nested-loops join's column unit: one page probing a key column
+    /// over N pushed pages yields, as a multiset, exactly the per-pair
+    /// `join_pages_raw` outputs against the first `upto` of them — for all
+    /// six θs, with the arriving page as outer and as inner, on
+    /// duplicate-heavy `Int` keys (sides long enough to fill 16-key
+    /// chunks and leave a remainder), empty pages on either side, and
+    /// pages at or past `upto` invisible.
+    #[test]
+    fn column_probe_equals_per_pair_sweeps(
+        arriving_left in arb_left_rows(0..12),
+        arriving_right in arb_right_rows(0..12),
+        lefts in prop::collection::vec(arb_left_rows(0..12), 0..6),
+        rights in prop::collection::vec(arb_right_rows(0..12), 0..6),
+        upto in 0usize..7,
+    ) {
+        use df_query::ops::{join_pages_raw, JoinSweep};
+        use df_relalg::{CmpOp, SideKeyColumn, TupleBuf};
+        use std::sync::Arc;
+
+        let lefts: Vec<Page> = lefts.iter().map(|rows| left_page(rows)).collect();
+        let rights: Vec<Page> = rights.iter().map(|rows| right_page(rows)).collect();
+        let (left, right) = (left_page(&arriving_left), right_page(&arriving_right));
+        let out_schema = mixed_schema().concat(&wide_schema());
+        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            let c = JoinCondition::new(&mixed_schema(), "id", op, &wide_schema(), "id").unwrap();
+            let sweep = JoinSweep::compile(&mixed_schema(), &wide_schema(), &c);
+            // (arriving page, the pages its opposite side received, the
+            // side's key attribute, whether the arriving page is outer)
+            let cases = [
+                (&left, &rights, c.right, true),
+                (&right, &lefts, c.left, false),
+            ];
+            for (page, opposite, side_key, page_is_outer) in cases {
+                let mut column = SideKeyColumn::new(side_key);
+                for p in opposite {
+                    column.push(Arc::new(p.clone()));
+                }
+                let upto = upto.min(opposite.len());
+                let mut got = TupleBuf::new(out_schema.clone());
+                sweep.probe_column_into(page, &column, upto, page_is_outer, &mut got);
+                let mut want: Vec<Vec<u8>> = opposite[..upto]
+                    .iter()
+                    .flat_map(|p| {
+                        let (outer, inner) = if page_is_outer { (page, p) } else { (p, page) };
+                        sorted_images(&join_pages_raw(outer, inner, &c, &out_schema))
+                    })
+                    .collect();
+                want.sort();
+                prop_assert_eq!(
+                    sorted_images(&got),
+                    want,
+                    "op {} outer {} upto {}/{}", op, page_is_outer, upto, opposite.len()
+                );
+            }
+        }
+    }
+}

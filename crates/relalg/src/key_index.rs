@@ -15,6 +15,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::page::Page;
+use crate::side::{SideEntry, SidePages};
 
 /// A multiply-xor hasher for short fixed-width key images, finished by a
 /// folded multiply.
@@ -190,10 +191,6 @@ impl PageKeyIndex {
     }
 }
 
-/// Where a [`SideKeyIndex`] entry's tuple lives: the page's arrival
-/// ordinal on its side, and the slot within that page.
-pub type SideEntry = (u32, u32);
-
 /// The end of a [`SideKeyIndex`] chain: past every entry's position.
 const NIL: u32 = u32::MAX;
 
@@ -214,12 +211,7 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct SideKeyIndex {
     key: usize,
-    /// Tuple width of the side's schema (0 until the first page).
-    width: usize,
-    pages: Vec<Arc<Page>>,
-    /// `prefix_bytes[i]`: the wire bytes of pages `0..=i`, so the bytes
-    /// of any prefix of `pages` are one lookup.
-    prefix_bytes: Vec<u64>,
+    received: SidePages,
     /// Distinct key image → the (first, last) position of its chain in
     /// `entries`.
     map: KeyMap<(u32, u32)>,
@@ -235,9 +227,7 @@ impl SideKeyIndex {
     pub fn new(key: usize) -> SideKeyIndex {
         SideKeyIndex {
             key,
-            width: 0,
-            pages: Vec::new(),
-            prefix_bytes: Vec::new(),
+            received: SidePages::new(),
             map: KeyMap::for_width(8, 0),
             entries: Vec::new(),
             next: Vec::new(),
@@ -255,12 +245,11 @@ impl SideKeyIndex {
     /// Panics if `key` is out of range for the page's schema, or past
     /// `u32::MAX` pages or `u32::MAX - 1` tuples.
     pub fn push(&mut self, page: Arc<Page>) {
-        if self.pages.is_empty() {
-            let schema = page.schema();
-            self.width = schema.tuple_width();
-            self.map = KeyMap::for_width(schema.attr_range(self.key).len(), page.len());
+        if self.received.is_empty() {
+            let width = page.schema().attr_range(self.key).len();
+            self.map = KeyMap::for_width(width, page.len());
         }
-        let ordinal = u32::try_from(self.pages.len()).expect("a side of at most u32::MAX pages");
+        let ordinal = self.received.next_ordinal();
         self.entries.reserve(page.len());
         self.next.reserve(page.len());
         for (slot, t) in page.tuple_refs().enumerate() {
@@ -280,9 +269,7 @@ impl SideKeyIndex {
                 },
             );
         }
-        let before = self.prefix_bytes.last().copied().unwrap_or(0);
-        self.prefix_bytes.push(before + page.wire_bytes() as u64);
-        self.pages.push(page);
+        self.received.push(page);
     }
 
     /// The entries whose key image equals `key_bytes` among the first
@@ -301,25 +288,10 @@ impl SideKeyIndex {
         })
     }
 
-    /// The encoded image of the tuple at `entry`.
-    #[inline]
-    pub fn image(&self, (page, slot): SideEntry) -> &[u8] {
-        let at = slot as usize * self.width;
-        &self.pages[page as usize].raw_data()[at..at + self.width]
-    }
-
-    /// Every page pushed, in arrival order.
-    pub fn pages(&self) -> &[Arc<Page>] {
-        &self.pages
-    }
-
-    /// Total wire bytes of the first `upto` pages pushed, in O(1).
-    ///
-    /// # Panics
-    /// Panics if `upto` exceeds the pages pushed.
-    pub fn wire_bytes(&self, upto: usize) -> u64 {
-        upto.checked_sub(1)
-            .map_or(0, |last| self.prefix_bytes[last])
+    /// The pages pushed, in arrival order; an entry's image is
+    /// [`SidePages::image`].
+    pub fn received(&self) -> &SidePages {
+        &self.received
     }
 
     /// The indexed attribute.
@@ -476,7 +448,11 @@ mod tests {
         side.push(Arc::new(page(&[])));
         side.push(Arc::new(page(&[1, 7])));
         assert_eq!(
-            (side.key(), side.pages().len(), side.distinct_keys()),
+            (
+                side.key(),
+                side.received().pages().len(),
+                side.distinct_keys()
+            ),
             (0, 3, 3)
         );
         assert_eq!(probed(&side, &enc(7), 3), [(0, 0), (0, 2), (2, 1)]);
@@ -486,7 +462,7 @@ mod tests {
         assert!(probed(&side, &enc(7), 0).is_empty());
         assert!(probed(&side, &enc(99), 3).is_empty());
         // An entry resolves to its tuple's image: (k = 1, v = 0).
-        let image = side.image((2, 0));
+        let image = side.received().image((2, 0));
         assert_eq!(&image[..8], &enc(1)[..]);
         assert_eq!(image, page(&[1]).raw_data());
     }
@@ -494,15 +470,24 @@ mod tests {
     #[test]
     fn side_wire_bytes_of_a_prefix_sum_its_pages() {
         let mut side = SideKeyIndex::new(0);
-        assert_eq!(side.wire_bytes(0), 0);
+        assert_eq!(side.received().wire_bytes(0), 0);
         for keys in [&[7, 3, 7][..], &[], &[1, 7]] {
             side.push(Arc::new(page(keys)));
         }
         for upto in 0..=3 {
-            let summed = side.pages()[..upto].iter().map(|p| p.wire_bytes() as u64);
-            assert_eq!(side.wire_bytes(upto), summed.sum::<u64>(), "upto {upto}");
+            let summed = side.received().pages()[..upto]
+                .iter()
+                .map(|p| p.wire_bytes() as u64);
+            assert_eq!(
+                side.received().wire_bytes(upto),
+                summed.sum::<u64>(),
+                "upto {upto}"
+            );
         }
-        assert_eq!(side.wire_bytes(3), 3 * PAGE_HEADER_BYTES as u64 + 5 * 16);
+        assert_eq!(
+            side.received().wire_bytes(3),
+            3 * PAGE_HEADER_BYTES as u64 + 5 * 16
+        );
     }
 
     #[test]
@@ -551,7 +536,7 @@ mod tests {
             }
             side.push(Arc::new(p));
         }
-        let pages = side.pages().len();
+        let pages = side.received().pages().len();
         assert!(pages >= 2_000, "{pages} pages");
         assert_eq!(side.distinct_keys(), model.len());
         for upto in [0, 1, pages / 3, pages / 2 + 1, pages - 1, pages] {
@@ -563,7 +548,7 @@ mod tests {
                     "{dtype} upto {upto}"
                 );
                 for &entry in &entries[..seen] {
-                    assert!(side.image(entry).starts_with(key));
+                    assert!(side.received().image(entry).starts_with(key));
                 }
             }
             for k in absent {

@@ -21,6 +21,9 @@
 //! * [`PageKeyIndex`] / [`SideKeyIndex`] — hash indexes over raw key bytes
 //!   of one page, and of every page one join operand has received so far
 //!   (the equi-join probe paths),
+//! * [`SidePages`] / [`SideKeyColumn`] — the pages one join operand has
+//!   received so far, and their `Int` keys as one dense column (the
+//!   nested-loops θ-probe path),
 //! * [`Relation`] — a named schema plus a sequence of pages,
 //! * [`Predicate`] / [`CmpOp`] — boolean restriction expressions,
 //! * [`JoinCondition`] — the θ of a θ-join (attribute-vs-attribute compare),
@@ -59,18 +62,20 @@ mod predicate;
 mod projection;
 mod relation;
 mod schema;
+mod side;
 mod tuple;
 mod tuple_ref;
 mod value;
 
 pub use catalog::Catalog;
 pub use error::{Error, Result};
-pub use key_index::{PageKeyIndex, SideEntry, SideKeyIndex};
+pub use key_index::{PageKeyIndex, SideKeyIndex};
 pub use page::{Page, PAGE_HEADER_BYTES};
 pub use predicate::{CmpOp, JoinCondition, Predicate};
 pub use projection::Projection;
 pub use relation::Relation;
 pub use schema::{Attribute, Schema, SchemaBuilder};
+pub use side::{SideEntry, SideKeyColumn, SidePages};
 pub use tuple::Tuple;
 pub use tuple_ref::{TupleBuf, TupleRef};
 pub use value::{cmp_encoded, cmp_encoded_value, DataType, Value};
