@@ -1,4 +1,4 @@
-//! What a worker serves: a [`Run`] of units taken from one cell in one
+//! What a processor serves: a [`Run`] of units taken from one cell in one
 //! dispatch, all of them packed through one mask and one output batch into
 //! one output buffer, so the run's output leaves as full pages and a unit
 //! allocates only the output pages it opens.
@@ -35,9 +35,9 @@ pub(super) struct RunUnit {
     pub fault: Option<InjectedFault>,
 }
 
-/// The message between scheduler and worker: every unit one dispatch took
-/// from one instruction cell. Shared (`Arc`) so the scheduler can requeue
-/// the units if the worker holding them dies.
+/// What one processor serves in one dispatch: every unit it took from one
+/// instruction cell. Shared (`Arc`) so the scheduler can requeue the units
+/// if the helper holding them dies.
 #[derive(Debug)]
 pub(super) struct Run {
     pub plan: Arc<QueryPlan>,
@@ -76,7 +76,7 @@ pub(super) struct RunDone {
     pub pages: Vec<Arc<Page>>,
     pub bytes_out: u64,
     /// Stringified payload of each unit whose kernel panicked. The panics
-    /// were caught and the worker survives, but `pages` may then hold
+    /// were caught and the processor survives, but `pages` may then hold
     /// partial output and must not be routed.
     pub panics: Vec<String>,
 }
@@ -93,15 +93,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Serve one run as worker `id`: each unit under its own panic guard, all
+/// Serve one run as processor `id`: each unit under its own panic guard, all
 /// of them packing through one mask and one output batch into one output
 /// buffer, so the run's output leaves as full pages. While a tracer
 /// records, each unit also gets its own clock pair, kernel span and
 /// distribution transfer; otherwise the run's busy time is one clock pair.
-/// Shared by the worker threads and by the scheduler of an inline call.
-/// `poisoned` (threads only) is set once the scheduler has given the call
-/// up; the remaining units are then skipped, since nobody will read the
-/// completion.
+/// Shared by the helper threads and the caller. `poisoned` (helpers only)
+/// is set once the scheduler has given the call up; the remaining units
+/// are then skipped, since nobody will read the completion.
 pub(super) fn serve_run(
     id: usize,
     run: &Run,
@@ -110,6 +109,7 @@ pub(super) fn serve_run(
     poisoned: Option<&AtomicBool>,
 ) -> RunDone {
     let started = Instant::now();
+    stats.runs += 1;
     // Read once, so a run is traced all through or not at all.
     let tracing = trace.filter(|t| t.is_enabled());
     let spec = run.plan.cell(run.cell);

@@ -1,4 +1,4 @@
-//! The IPs: worker threads. Each receives a run over its dispatch channel
+//! The IPs: helper threads. Each receives a run over its dispatch channel
 //! (the distribution network), serves it, and sends one completion back
 //! over the shared completion channel (the arbitration network). A thread
 //! that dies any other way announces itself through its [`DeathGuard`].
@@ -13,17 +13,17 @@ use df_obs::Tracer;
 use super::run::{serve_run, Run, RunDone};
 use crate::metrics::WorkerStats;
 
-/// What a worker sends back over the arbitration channel.
+/// What a helper sends back over the arbitration channel.
 #[derive(Debug)]
 pub(super) enum Completion {
     /// A run was served to its end.
     Run(RunDone),
-    /// The worker thread itself died (sent by its drop guard). Whatever
+    /// The helper thread itself died (sent by its drop guard). Whatever
     /// run it held must be requeued and the pool shrunk.
     WorkerDied { worker: usize },
 }
 
-/// Announces a worker's death to the scheduler if its thread exits any way
+/// Announces a helper's death to the scheduler if its thread exits any way
 /// other than the orderly shutdown paths (which disarm it): an injected
 /// dead-at-start fault, or a panic escaping the kernel guard.
 struct DeathGuard {
@@ -41,7 +41,7 @@ impl Drop for DeathGuard {
     }
 }
 
-/// One worker thread: receive a run, serve it, send the completion back.
+/// One helper thread: receive a run, serve it, send the completion back.
 pub(super) fn worker_loop(
     id: usize,
     rx: Receiver<Arc<Run>>,
@@ -64,7 +64,6 @@ pub(super) fn worker_loop(
         return stats;
     }
     while let Ok(run) = rx.recv() {
-        stats.runs += 1;
         let completion = serve_run(id, &run, &mut stats, trace.as_deref(), Some(&poisoned));
         let s0 = Instant::now();
         let sent = done.send(Completion::Run(completion));

@@ -72,11 +72,17 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// True when the plan injects at least one fault kind.
     pub fn is_active(&self) -> bool {
+        self.injects_into_host() || self.lane_panic_task.is_some()
+    }
+
+    /// True when the plan injects a fault the host executor acts on (a
+    /// panic, a delay, a dead worker; not df-serve's lane panic). These are
+    /// defined over threads, so the caller then only schedules.
+    pub fn injects_into_host(&self) -> bool {
         self.panic_on_unit.is_some()
             || self.panic_rate > 0.0
             || self.delay_every.is_some()
             || !self.dead_workers.is_empty()
-            || self.lane_panic_task.is_some()
     }
 
     /// The fault (if any) injected into the unit with dispatch sequence
@@ -174,6 +180,39 @@ mod tests {
         );
         assert_eq!(p.fault_for(3), None);
         assert_eq!(p.fault_for(4), Some(InjectedFault::Panic));
+    }
+
+    #[test]
+    fn only_host_faults_decide_the_executors_shape() {
+        assert!(!FaultPlan::default().injects_into_host());
+        let lane = FaultPlan {
+            lane_panic_task: Some(3),
+            ..FaultPlan::default()
+        };
+        assert!(lane.is_active(), "a lane panic is still a fault");
+        assert!(!lane.injects_into_host(), "but not one the host injects");
+        let host = [
+            FaultPlan {
+                panic_on_unit: Some(0),
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                panic_rate: 0.5,
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                delay_every: Some(1),
+                ..FaultPlan::default()
+            },
+            FaultPlan {
+                dead_workers: vec![0],
+                ..FaultPlan::default()
+            },
+        ];
+        for plan in host {
+            assert!(plan.injects_into_host(), "{plan:?}");
+            assert!(plan.is_active(), "{plan:?}");
+        }
     }
 
     #[test]

@@ -2,12 +2,11 @@
 
 use std::time::Duration;
 
-/// What one worker thread did over the run.
+/// What one processor — the caller (entry 0) or a helper thread — did.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
-    /// Runs received from the scheduler — thread hand-offs, each carrying
-    /// one or more units. Zero on every worker of a call small enough to
-    /// be served on the calling thread.
+    /// Runs this processor served, each one or more units; entry 0's
+    /// include the caller's own.
     pub runs: usize,
     /// Work units executed, panicked ones included.
     pub units: usize,
@@ -28,18 +27,19 @@ pub struct WorkerStats {
     /// the sum of each unit's own clock pair (what its kernel spans
     /// carry); untraced, it is one clock pair per run, packing included.
     pub busy: Duration,
-    /// Time spent inside the send of each completion into the arbitration
-    /// channel, separate from `busy`. The channel is sized so a send never
-    /// blocks on a full buffer; what this measures is the send itself plus,
-    /// on a CPU shared with the scheduler, the time the woken scheduler
-    /// runs before the worker gets the CPU back.
+    /// A helper's time inside the send of each completion into the
+    /// arbitration channel, separate from `busy` (zero for the caller).
+    /// The channel is sized so a send never blocks on a full buffer; what
+    /// this measures is the send itself plus, on a CPU shared with the
+    /// scheduler, the time the woken scheduler runs before the helper gets
+    /// the CPU back.
     pub send_wait: Duration,
-    /// Thread lifetime, spawn to shutdown — nonzero even for a worker
-    /// that never received a unit. `wall - busy - send_wait` is idle +
-    /// dispatch-channel time. A call served on the calling thread reports
-    /// its own wall time here, and its kernel time under worker 0.
+    /// A helper's thread lifetime, spawn to shutdown — nonzero even for
+    /// one that never received a unit; `wall - busy - send_wait` is idle +
+    /// dispatch-channel time. The caller's entry and every entry without a
+    /// thread report the call's wall time.
     pub wall: Duration,
-    /// The worker died mid-run (its thread exited before shutdown); the
+    /// The helper died mid-run (its thread exited before shutdown); the
     /// scheduler shrank the pool and requeued its in-flight run.
     pub lost: bool,
 }
@@ -54,12 +54,13 @@ impl WorkerStats {
         }
     }
 
-    /// One human-readable summary row for worker `id` — the per-worker
-    /// line `host_run` prints. Every accumulated duration is surfaced,
-    /// `send_wait` (time inside completion sends) included.
-    pub fn summary_row(&self, id: usize) -> String {
+    /// One human-readable summary row for the processor named `who`
+    /// (`caller`, `worker 3`) — the per-worker line `host_run` prints.
+    /// Every accumulated duration is surfaced, `send_wait` (time inside
+    /// completion sends) included.
+    pub fn summary_row(&self, who: &str) -> String {
         format!(
-            "worker {id:>2}: {:>5} runs, {:>6} units ({:>6} spans), busy {:>10.2?}, send_wait {:>9.2?}, wall {:>10.2?} ({:>4.1}%){}",
+            "{who:>9}: {:>5} runs, {:>6} units ({:>6} spans), busy {:>10.2?}, send_wait {:>9.2?}, wall {:>10.2?} ({:>4.1}%){}",
             self.runs,
             self.units,
             self.kernel_spans,
@@ -127,9 +128,8 @@ impl HostMetrics {
         self.per_worker.iter().map(|w| w.units).sum()
     }
 
-    /// Total runs handed to worker threads — the number of scheduler →
-    /// worker hand-offs the call made. Zero means the call was served on
-    /// the calling thread.
+    /// Total runs the call dispatched, whichever processor served them —
+    /// the caller's own runs included.
     pub fn total_runs(&self) -> usize {
         self.per_worker.iter().map(|w| w.runs).sum()
     }
@@ -212,8 +212,8 @@ mod tests {
             wall: Duration::from_millis(100),
             ..WorkerStats::default()
         };
-        let row = w.summary_row(3);
-        assert!(row.contains("worker  3"), "{row}");
+        let row = w.summary_row("worker 3");
+        assert!(row.contains("worker 3: "), "{row}");
         assert!(row.contains("7 units"), "{row}");
         assert!(row.contains("send_wait"), "{row}");
         assert!(row.contains("15.00ms"), "send_wait value rendered: {row}");
@@ -222,7 +222,7 @@ mod tests {
             lost: true,
             ..WorkerStats::default()
         };
-        assert!(lost.summary_row(0).contains("[lost]"));
+        assert!(lost.summary_row("caller").contains("[lost]"));
     }
 
     #[test]
