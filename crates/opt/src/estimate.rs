@@ -37,77 +37,96 @@ impl NodeEstimates {
 /// assert!((est.output_rows(&q) - half).abs() / half < 0.2);
 /// ```
 ///
-/// Selectivities use uniformity and independence; joins use the classic
-/// `|L|·|R| / max(d_L, d_R)` equi-join estimate with the *base* statistics
-/// of whichever scan the predicate column descends from approximated by the
-/// nearest leaf (restricts do not change distinct-value spans drastically
-/// under uniformity, which is the standard System-R-era simplification).
+/// Each node's estimate comes from one per-node rule (`node_estimate`:
+/// uniformity and independence for selectivities, `|L|·|R| / max(d_L, d_R)`
+/// for equi-joins), folded leaf to root.
 ///
 /// # Errors
 /// Propagates validation errors for malformed trees.
 pub fn estimate(db: &Catalog, tree: &QueryTree, stats: &CatalogStats) -> Result<NodeEstimates> {
     validate(db, tree)?; // schemas are sound; estimation cannot panic
-    let mut rows: Vec<f64> = Vec::with_capacity(tree.len());
-    // Track, per node, the base-relation stats that "dominate" it (nearest
-    // leaf on the left spine) for predicate selectivity estimation.
-    let mut dominant: Vec<Option<String>> = Vec::with_capacity(tree.len());
-
+    let mut est: Vec<(f64, Option<&str>)> = Vec::with_capacity(tree.len());
     for id in tree.topo_order() {
         let node = tree.node(id);
-        let child_rows = |i: usize| rows[node.children[i].0];
-        let child_dom = |i: usize| dominant[node.children[i].0].clone();
-        let (r, dom) = match &node.op {
-            Op::Scan { relation } => {
-                let n = stats
-                    .get(relation)
-                    .map(|s| s.tuples as f64)
-                    .unwrap_or_else(|| {
-                        db.get(relation)
-                            .map(|r| r.num_tuples() as f64)
-                            .unwrap_or(0.0)
-                    });
-                (n, Some(relation.clone()))
-            }
-            Op::Restrict { predicate } => {
-                let sel = child_dom(0)
-                    .and_then(|name| stats.get(&name).map(|s| s.predicate_selectivity(predicate)))
-                    .unwrap_or(1.0 / 3.0);
-                (child_rows(0) * sel, child_dom(0))
-            }
-            Op::Project { dedup, .. } => {
-                let n = child_rows(0);
-                // Duplicate elimination: square-root heuristic bounded by n.
-                let out = if *dedup { n.sqrt().max(1.0).min(n) } else { n };
-                (out, child_dom(0))
-            }
-            Op::Join { condition } => {
-                let (l, r) = (child_rows(0), child_rows(1));
-                if condition.op == CmpOp::Eq {
-                    let d = [child_dom(0), child_dom(1)]
-                        .into_iter()
-                        .flatten()
-                        .filter_map(|name| stats.get(&name).map(|s| s.tuples))
-                        .max()
-                        .unwrap_or(10)
-                        .max(1);
-                    ((l * r / d as f64).max(0.0), child_dom(0))
-                } else {
-                    (l * r / 3.0, child_dom(0))
-                }
-            }
-            Op::CrossProduct => (child_rows(0) * child_rows(1), child_dom(0)),
-            Op::Union => (child_rows(0) + child_rows(1), child_dom(0)),
-            Op::Difference => ((child_rows(0) - child_rows(1)).max(0.0), child_dom(0)),
-            Op::Append { .. } => (child_rows(0), child_dom(0)),
-            Op::Delete { target, .. } => {
-                let n = stats.get(target).map(|s| s.tuples as f64).unwrap_or(0.0);
-                (n / 3.0, Some(target.clone()))
-            }
-        };
-        rows.push(r);
-        dominant.push(dom);
+        let children = node.children.iter().map(|c| est[c.0]);
+        let node_est = node_estimate(db, stats, &node.op, children);
+        est.push(node_est);
     }
-    Ok(NodeEstimates { rows })
+    Ok(NodeEstimates {
+        rows: est.into_iter().map(|(rows, _)| rows).collect(),
+    })
+}
+
+/// One node's estimated output rows and its *dominant* relation, from its
+/// children's, in operand order: the one cardinality rule, which
+/// [`estimate`] and the optimizer's join ordering both fold bottom-up.
+///
+/// The dominant relation is the nearest leaf on the left spine; its base
+/// statistics stand in for the node's when a predicate's selectivity is
+/// estimated. Selectivities use uniformity and independence; joins use the
+/// classic `|L|·|R| / max(d_L, d_R)` equi-join estimate with the *base*
+/// statistics of the two dominant relations (restricts do not change
+/// distinct-value spans drastically under uniformity, which is the
+/// standard System-R-era simplification).
+pub(crate) fn node_estimate<'t>(
+    db: &Catalog,
+    stats: &CatalogStats,
+    op: &'t Op,
+    children: impl IntoIterator<Item = (f64, Option<&'t str>)>,
+) -> (f64, Option<&'t str>) {
+    let mut inputs = [(0.0, None); 2];
+    for (slot, child) in inputs.iter_mut().zip(children) {
+        *slot = child;
+    }
+    let rows = |i: usize| inputs[i].0;
+    let dominant = inputs[0].1;
+    match op {
+        Op::Scan { relation } => {
+            let n = stats
+                .get(relation)
+                .map(|s| s.tuples as f64)
+                .unwrap_or_else(|| {
+                    db.get(relation)
+                        .map(|r| r.num_tuples() as f64)
+                        .unwrap_or(0.0)
+                });
+            (n, Some(relation))
+        }
+        Op::Restrict { predicate } => {
+            let sel = dominant
+                .and_then(|name| stats.get(name).map(|s| s.predicate_selectivity(predicate)))
+                .unwrap_or(1.0 / 3.0);
+            (rows(0) * sel, dominant)
+        }
+        Op::Project { dedup, .. } => {
+            let n = rows(0);
+            // Duplicate elimination: square-root heuristic bounded by n.
+            let out = if *dedup { n.sqrt().max(1.0).min(n) } else { n };
+            (out, dominant)
+        }
+        Op::Join { condition } => {
+            let (l, r) = (rows(0), rows(1));
+            if condition.op == CmpOp::Eq {
+                let d = inputs
+                    .iter()
+                    .filter_map(|&(_, dom)| stats.get(dom?).map(|s| s.tuples))
+                    .max()
+                    .unwrap_or(10)
+                    .max(1);
+                ((l * r / d as f64).max(0.0), dominant)
+            } else {
+                (l * r / 3.0, dominant)
+            }
+        }
+        Op::CrossProduct => (rows(0) * rows(1), dominant),
+        Op::Union => (rows(0) + rows(1), dominant),
+        Op::Difference => ((rows(0) - rows(1)).max(0.0), dominant),
+        Op::Append { .. } => (rows(0), dominant),
+        Op::Delete { target, .. } => {
+            let n = stats.get(target).map(|s| s.tuples as f64).unwrap_or(0.0);
+            (n / 3.0, Some(target))
+        }
+    }
 }
 
 #[cfg(test)]

@@ -22,6 +22,12 @@
 //! based selectivity estimates; [`estimate`] derives per-node cardinalities;
 //! [`optimize`] applies the rules to a fixpoint and reports what fired.
 //!
+//! The optimizer keeps no tree layer of its own: it rewrites the IR's own
+//! [`Op`](df_query::Op) nodes (owned, for structural surgery), derives
+//! schemas with [`Op::output_schema`](df_query::Op::output_schema), the
+//! rule `validate` runs, and cardinalities with the one per-node rule that
+//! `estimate` folds.
+//!
 //! Every rewrite is semantics-preserving: the property tests run random
 //! trees through the oracle before and after and require identical
 //! multisets.

@@ -1,14 +1,19 @@
 //! The rewrite rules and the optimizer driver.
 //!
-//! Rewrites operate on an owned recursive tree ([`RNode`]) converted from
-//! the arena-based [`QueryTree`], which makes structural surgery (splitting
-//! a conjunction across a join, inserting a compensating projection)
-//! straightforward. Every rule preserves semantics exactly — the property
-//! tests compare oracle outputs before and after on random trees.
+//! Rewrites operate on an owned recursive form of the query tree
+//! ([`RNode`]: an [`Op`] and its owned children) converted from the
+//! arena-based [`QueryTree`], which makes structural surgery (splitting a
+//! conjunction across a join, inserting a compensating projection)
+//! straightforward. The nodes are the IR's own [`Op`]s, so the rules
+//! derive schemas with [`Op::output_schema`] and cardinalities with
+//! [`node_estimate`], the rules `validate` and `estimate` run. Every rule
+//! preserves semantics exactly — the property tests compare oracle
+//! outputs before and after on random trees.
 
 use df_query::{validate, NodeId, Op, QueryNode, QueryTree};
-use df_relalg::{Catalog, CmpOp, Error, JoinCondition, Predicate, Projection, Result, Schema};
+use df_relalg::{Catalog, Error, JoinCondition, Predicate, Projection, Result, Schema};
 
+use crate::estimate::node_estimate;
 use crate::stats::CatalogStats;
 
 /// The optimizer's result: the rewritten tree and the rules that fired.
@@ -20,237 +25,58 @@ pub struct Optimized {
     pub applied: Vec<String>,
 }
 
-/// Owned working representation.
+/// Owned working form: an operator over its children, in operand order.
 #[derive(Debug, Clone)]
-enum RNode {
-    Scan(String),
-    Restrict {
-        predicate: Predicate,
-        input: Box<RNode>,
-    },
-    Project {
-        projection: Projection,
-        dedup: bool,
-        input: Box<RNode>,
-    },
-    Join {
-        condition: JoinCondition,
-        left: Box<RNode>,
-        right: Box<RNode>,
-    },
-    Cross {
-        left: Box<RNode>,
-        right: Box<RNode>,
-    },
-    Union {
-        left: Box<RNode>,
-        right: Box<RNode>,
-    },
-    Difference {
-        left: Box<RNode>,
-        right: Box<RNode>,
-    },
-    Append {
-        target: String,
-        input: Box<RNode>,
-    },
-    Delete {
-        target: String,
-        predicate: Predicate,
-    },
+struct RNode {
+    op: Op,
+    children: Vec<RNode>,
 }
 
-// ------------------------------------------------------------- conversion
+impl RNode {
+    fn restrict(predicate: Predicate, input: RNode) -> RNode {
+        RNode {
+            op: Op::Restrict { predicate },
+            children: vec![input],
+        }
+    }
+
+    /// Output schema, through [`Op::output_schema`].
+    fn schema(&self, db: &Catalog) -> Result<Schema> {
+        let children = self
+            .children
+            .iter()
+            .map(|c| c.schema(db))
+            .collect::<Result<Vec<_>>>()?;
+        self.op.output_schema(db, |i| &children[i])
+    }
+
+    /// Estimated output rows and dominant relation, through
+    /// [`node_estimate`].
+    fn estimate(&self, db: &Catalog, stats: &CatalogStats) -> (f64, Option<&str>) {
+        let children = self.children.iter().map(|c| c.estimate(db, stats));
+        node_estimate(db, stats, &self.op, children)
+    }
+}
 
 fn to_rnode(tree: &QueryTree, id: NodeId) -> RNode {
     let node = tree.node(id);
-    let child = |i: usize| Box::new(to_rnode(tree, node.children[i]));
-    match &node.op {
-        Op::Scan { relation } => RNode::Scan(relation.clone()),
-        Op::Restrict { predicate } => RNode::Restrict {
-            predicate: predicate.clone(),
-            input: child(0),
-        },
-        Op::Project { projection, dedup } => RNode::Project {
-            projection: projection.clone(),
-            dedup: *dedup,
-            input: child(0),
-        },
-        Op::Join { condition } => RNode::Join {
-            condition: *condition,
-            left: child(0),
-            right: child(1),
-        },
-        Op::CrossProduct => RNode::Cross {
-            left: child(0),
-            right: child(1),
-        },
-        Op::Union => RNode::Union {
-            left: child(0),
-            right: child(1),
-        },
-        Op::Difference => RNode::Difference {
-            left: child(0),
-            right: child(1),
-        },
-        Op::Append { target } => RNode::Append {
-            target: target.clone(),
-            input: child(0),
-        },
-        Op::Delete { target, predicate } => RNode::Delete {
-            target: target.clone(),
-            predicate: predicate.clone(),
-        },
+    RNode {
+        op: node.op.clone(),
+        children: node.children.iter().map(|&c| to_rnode(tree, c)).collect(),
     }
 }
 
-fn from_rnode(node: &RNode, arena: &mut Vec<QueryNode>) -> NodeId {
-    let (op, children) = match node {
-        RNode::Scan(name) => (
-            Op::Scan {
-                relation: name.clone(),
-            },
-            vec![],
-        ),
-        RNode::Restrict { predicate, input } => (
-            Op::Restrict {
-                predicate: predicate.clone(),
-            },
-            vec![from_rnode(input, arena)],
-        ),
-        RNode::Project {
-            projection,
-            dedup,
-            input,
-        } => (
-            Op::Project {
-                projection: projection.clone(),
-                dedup: *dedup,
-            },
-            vec![from_rnode(input, arena)],
-        ),
-        RNode::Join {
-            condition,
-            left,
-            right,
-        } => (
-            Op::Join {
-                condition: *condition,
-            },
-            vec![from_rnode(left, arena), from_rnode(right, arena)],
-        ),
-        RNode::Cross { left, right } => (
-            Op::CrossProduct,
-            vec![from_rnode(left, arena), from_rnode(right, arena)],
-        ),
-        RNode::Union { left, right } => (
-            Op::Union,
-            vec![from_rnode(left, arena), from_rnode(right, arena)],
-        ),
-        RNode::Difference { left, right } => (
-            Op::Difference,
-            vec![from_rnode(left, arena), from_rnode(right, arena)],
-        ),
-        RNode::Append { target, input } => (
-            Op::Append {
-                target: target.clone(),
-            },
-            vec![from_rnode(input, arena)],
-        ),
-        RNode::Delete { target, predicate } => (
-            Op::Delete {
-                target: target.clone(),
-                predicate: predicate.clone(),
-            },
-            vec![],
-        ),
-    };
-    arena.push(QueryNode { op, children });
+fn from_rnode(node: RNode, arena: &mut Vec<QueryNode>) -> NodeId {
+    let children = node
+        .children
+        .into_iter()
+        .map(|c| from_rnode(c, arena))
+        .collect();
+    arena.push(QueryNode {
+        op: node.op,
+        children,
+    });
     NodeId(arena.len() - 1)
-}
-
-/// Output schema of an [`RNode`] (needed for index arithmetic).
-fn schema_of(node: &RNode, db: &Catalog) -> Result<Schema> {
-    match node {
-        RNode::Scan(name) => Ok(db.require(name)?.schema().clone()),
-        RNode::Restrict { input, .. } => schema_of(input, db),
-        RNode::Project {
-            projection, input, ..
-        } => projection.output_schema(&schema_of(input, db)?),
-        RNode::Join { left, right, .. } | RNode::Cross { left, right } => {
-            Ok(schema_of(left, db)?.concat(&schema_of(right, db)?))
-        }
-        RNode::Union { left, .. } | RNode::Difference { left, .. } => schema_of(left, db),
-        RNode::Append { input, .. } => schema_of(input, db),
-        RNode::Delete { target, .. } => Ok(db.require(target)?.schema().clone()),
-    }
-}
-
-/// Estimated output rows (mirrors `crate::estimate` on the working tree).
-fn est_rows(node: &RNode, db: &Catalog, stats: &CatalogStats) -> f64 {
-    match node {
-        RNode::Scan(name) => stats
-            .get(name)
-            .map(|s| s.tuples as f64)
-            .unwrap_or_else(|| db.get(name).map(|r| r.num_tuples() as f64).unwrap_or(0.0)),
-        RNode::Restrict { predicate, input } => {
-            let sel = leftmost_scan(input)
-                .and_then(|name| stats.get(&name).map(|s| s.predicate_selectivity(predicate)))
-                .unwrap_or(1.0 / 3.0);
-            est_rows(input, db, stats) * sel
-        }
-        RNode::Project { dedup, input, .. } => {
-            let n = est_rows(input, db, stats);
-            if *dedup {
-                n.sqrt().max(1.0).min(n)
-            } else {
-                n
-            }
-        }
-        RNode::Join {
-            condition,
-            left,
-            right,
-        } => {
-            let (l, r) = (est_rows(left, db, stats), est_rows(right, db, stats));
-            if condition.op == CmpOp::Eq {
-                let d = [leftmost_scan(left), leftmost_scan(right)]
-                    .into_iter()
-                    .flatten()
-                    .filter_map(|n| stats.get(&n).map(|s| s.tuples))
-                    .max()
-                    .unwrap_or(10)
-                    .max(1);
-                l * r / d as f64
-            } else {
-                l * r / 3.0
-            }
-        }
-        RNode::Cross { left, right } => est_rows(left, db, stats) * est_rows(right, db, stats),
-        RNode::Union { left, right } => est_rows(left, db, stats) + est_rows(right, db, stats),
-        RNode::Difference { left, right } => {
-            (est_rows(left, db, stats) - est_rows(right, db, stats)).max(0.0)
-        }
-        RNode::Append { input, .. } => est_rows(input, db, stats),
-        RNode::Delete { target, .. } => stats
-            .get(target)
-            .map(|s| s.tuples as f64 / 3.0)
-            .unwrap_or(0.0),
-    }
-}
-
-fn leftmost_scan(node: &RNode) -> Option<String> {
-    match node {
-        RNode::Scan(name) => Some(name.clone()),
-        RNode::Restrict { input, .. }
-        | RNode::Project { input, .. }
-        | RNode::Append { input, .. } => leftmost_scan(input),
-        RNode::Join { left, .. }
-        | RNode::Cross { left, .. }
-        | RNode::Union { left, .. }
-        | RNode::Difference { left, .. } => leftmost_scan(left),
-        RNode::Delete { target, .. } => Some(target.clone()),
-    }
 }
 
 // --------------------------------------------------------- predicate utils
@@ -269,26 +95,6 @@ fn pred_refs(p: &Predicate, out: &mut Vec<usize>) {
             pred_refs(b, out);
         }
         Predicate::Not(a) => pred_refs(a, out),
-    }
-}
-
-/// Rewrite every attribute index through `f`.
-fn pred_remap(p: &Predicate, f: &impl Fn(usize) -> usize) -> Predicate {
-    match p {
-        Predicate::True => Predicate::True,
-        Predicate::CmpConst { index, op, value } => Predicate::CmpConst {
-            index: f(*index),
-            op: *op,
-            value: value.clone(),
-        },
-        Predicate::CmpAttrs { left, op, right } => Predicate::CmpAttrs {
-            left: f(*left),
-            op: *op,
-            right: f(*right),
-        },
-        Predicate::And(a, b) => pred_remap(a, f).and(pred_remap(b, f)),
-        Predicate::Or(a, b) => pred_remap(a, f).or(pred_remap(b, f)),
-        Predicate::Not(a) => pred_remap(a, f).not(),
     }
 }
 
@@ -352,12 +158,17 @@ struct Rewriter<'a> {
 impl<'a> Rewriter<'a> {
     /// One full bottom-up pass; returns the rewritten node and whether
     /// anything changed.
-    fn pass(&mut self, node: RNode) -> Result<(RNode, bool)> {
-        // Rewrite children first.
-        let (node, child_changed) = self.rewrite_children(node)?;
+    fn pass(&mut self, mut node: RNode) -> Result<(RNode, bool)> {
+        // Rewrite children first, in operand order.
+        let mut changed = false;
+        let mut children = Vec::with_capacity(node.children.len());
+        for child in std::mem::take(&mut node.children) {
+            let (child, c) = self.pass(child)?;
+            changed |= c;
+            children.push(child);
+        }
+        node.children = children;
         // Then try the local rules until none fires at this node.
-        let mut node = node;
-        let mut changed = child_changed;
         loop {
             let (next, fired) = self.apply_local(node)?;
             node = next;
@@ -369,101 +180,13 @@ impl<'a> Rewriter<'a> {
         Ok((node, changed))
     }
 
-    fn rewrite_children(&mut self, node: RNode) -> Result<(RNode, bool)> {
-        Ok(match node {
-            RNode::Restrict { predicate, input } => {
-                let (input, c) = self.pass(*input)?;
-                (
-                    RNode::Restrict {
-                        predicate,
-                        input: Box::new(input),
-                    },
-                    c,
-                )
-            }
-            RNode::Project {
-                projection,
-                dedup,
-                input,
-            } => {
-                let (input, c) = self.pass(*input)?;
-                (
-                    RNode::Project {
-                        projection,
-                        dedup,
-                        input: Box::new(input),
-                    },
-                    c,
-                )
-            }
-            RNode::Join {
-                condition,
-                left,
-                right,
-            } => {
-                let (left, cl) = self.pass(*left)?;
-                let (right, cr) = self.pass(*right)?;
-                (
-                    RNode::Join {
-                        condition,
-                        left: Box::new(left),
-                        right: Box::new(right),
-                    },
-                    cl || cr,
-                )
-            }
-            RNode::Cross { left, right } => {
-                let (left, cl) = self.pass(*left)?;
-                let (right, cr) = self.pass(*right)?;
-                (
-                    RNode::Cross {
-                        left: Box::new(left),
-                        right: Box::new(right),
-                    },
-                    cl || cr,
-                )
-            }
-            RNode::Union { left, right } => {
-                let (left, cl) = self.pass(*left)?;
-                let (right, cr) = self.pass(*right)?;
-                (
-                    RNode::Union {
-                        left: Box::new(left),
-                        right: Box::new(right),
-                    },
-                    cl || cr,
-                )
-            }
-            RNode::Difference { left, right } => {
-                let (left, cl) = self.pass(*left)?;
-                let (right, cr) = self.pass(*right)?;
-                (
-                    RNode::Difference {
-                        left: Box::new(left),
-                        right: Box::new(right),
-                    },
-                    cl || cr,
-                )
-            }
-            RNode::Append { target, input } => {
-                let (input, c) = self.pass(*input)?;
-                (
-                    RNode::Append {
-                        target,
-                        input: Box::new(input),
-                    },
-                    c,
-                )
-            }
-            leaf @ (RNode::Scan(_) | RNode::Delete { .. }) => (leaf, false),
-        })
-    }
-
     /// Try each local rule at `node`; returns (node, fired).
     fn apply_local(&mut self, node: RNode) -> Result<(RNode, bool)> {
-        match node {
-            // Rule: predicate simplification.
-            RNode::Restrict { predicate, input } => {
+        let RNode { op, mut children } = node;
+        match op {
+            Op::Restrict { predicate } => {
+                let input = children.pop().expect("a restrict has one input");
+                // Rule: predicate simplification.
                 let (predicate, simplified) = simplify_pred(predicate);
                 if simplified {
                     self.applied.push("simplify-predicate".into());
@@ -471,236 +194,187 @@ impl<'a> Rewriter<'a> {
                 // Rule: σ(true) elimination.
                 if matches!(predicate, Predicate::True) {
                     self.applied.push("drop-trivial-restrict".into());
-                    return Ok((*input, true));
+                    return Ok((input, true));
                 }
-                // Rule: restrict fusion.
-                if let RNode::Restrict {
-                    predicate: inner_p,
-                    input: inner_in,
-                } = *input
-                {
-                    self.applied.push("fuse-restricts".into());
-                    return Ok((
-                        RNode::Restrict {
-                            predicate: predicate.and(inner_p),
-                            input: inner_in,
-                        },
-                        true,
-                    ));
+                match input {
+                    // Rule: restrict fusion.
+                    RNode {
+                        op: Op::Restrict { predicate: inner },
+                        children,
+                    } => {
+                        self.applied.push("fuse-restricts".into());
+                        let op = Op::Restrict {
+                            predicate: predicate.and(inner),
+                        };
+                        Ok((RNode { op, children }, true))
+                    }
+                    // Rule: pushdown.
+                    input => {
+                        let (node, moved) = self.push_restrict(predicate, input)?;
+                        Ok((node, moved || simplified))
+                    }
                 }
-                // Rule: pushdown.
-                if let Some(rewritten) = self.push_restrict(predicate.clone(), *input.clone())? {
-                    return Ok((rewritten, true));
-                }
-                Ok((RNode::Restrict { predicate, input }, simplified))
             }
             // Rule: projection collapse (inner must be duplicate-preserving).
-            RNode::Project {
-                projection,
-                dedup,
-                input,
-            } => {
-                if let RNode::Project {
-                    projection: inner_proj,
-                    dedup: false,
-                    input: inner_in,
-                } = *input
-                {
+            Op::Project { projection, dedup } => match children.pop() {
+                Some(RNode {
+                    op:
+                        Op::Project {
+                            projection: inner,
+                            dedup: false,
+                        },
+                    children,
+                }) => {
                     let composed: Vec<usize> = projection
                         .indices()
                         .iter()
-                        .map(|&i| inner_proj.indices()[i])
+                        .map(|&i| inner.indices()[i])
                         .collect();
-                    let inner_schema = schema_of(&inner_in, self.db)?;
-                    let projection = Projection::from_indices(&inner_schema, composed)?;
+                    let projection =
+                        Projection::from_indices(&children[0].schema(self.db)?, composed)?;
                     self.applied.push("collapse-projections".into());
-                    return Ok((
-                        RNode::Project {
-                            projection,
-                            dedup,
-                            input: inner_in,
-                        },
-                        true,
-                    ));
+                    let op = Op::Project { projection, dedup };
+                    Ok((RNode { op, children }, true))
                 }
-                Ok((
-                    RNode::Project {
-                        projection,
-                        dedup,
-                        input,
-                    },
-                    false,
-                ))
-            }
+                input => {
+                    let op = Op::Project { projection, dedup };
+                    let children = input.into_iter().collect();
+                    Ok((RNode { op, children }, false))
+                }
+            },
             // Rule: join input ordering — the machines parallelize over
             // outer pages and broadcast inner pages, so the larger input
             // belongs outside. A compensating projection restores the
             // original column order.
-            RNode::Join {
-                condition,
-                left,
-                right,
-            } => {
-                let l_rows = est_rows(&left, self.db, self.stats);
-                let r_rows = est_rows(&right, self.db, self.stats);
-                if l_rows * 1.2 < r_rows {
-                    let l_schema = schema_of(&left, self.db)?;
-                    let r_schema = schema_of(&right, self.db)?;
-                    let original = l_schema.concat(&r_schema);
-                    let (l_arity, r_arity) = (l_schema.arity(), r_schema.arity());
-                    let flipped = JoinCondition {
-                        left: condition.right,
-                        op: condition.op.flip(),
-                        right: condition.left,
-                    };
-                    let swapped = RNode::Join {
-                        condition: flipped,
-                        left: right,
-                        right: left,
-                    };
-                    // Restore the original column order *and names* (concat
-                    // renames collide differently after the swap).
-                    let perm: Vec<usize> = (0..l_arity)
-                        .map(|i| r_arity + i)
-                        .chain(0..r_arity)
-                        .collect();
-                    let names: Vec<String> =
-                        original.attrs().iter().map(|a| a.name.clone()).collect();
-                    let swapped_schema = schema_of(&swapped, self.db)?;
-                    let projection = Projection::with_renames(&swapped_schema, perm, names)?;
+            Op::Join { condition } => {
+                let rows = |i: usize| children[i].estimate(self.db, self.stats).0;
+                if rows(0) * 1.2 < rows(1) {
+                    let swapped = self.swap_join(condition, children)?;
                     self.applied.push("swap-join-inputs".into());
-                    return Ok((
-                        RNode::Project {
-                            projection,
-                            dedup: false,
-                            input: Box::new(swapped),
-                        },
-                        true,
-                    ));
+                    return Ok((swapped, true));
                 }
-                Ok((
-                    RNode::Join {
-                        condition,
-                        left,
-                        right,
-                    },
-                    false,
-                ))
+                let op = Op::Join { condition };
+                Ok((RNode { op, children }, false))
             }
-            other => Ok((other, false)),
+            op => Ok((RNode { op, children }, false)),
         }
     }
 
+    /// Swap a join's inputs under a compensating projection that
+    /// restores the original column order *and names* (concat renames
+    /// collide differently after the swap).
+    fn swap_join(&self, condition: JoinCondition, mut children: Vec<RNode>) -> Result<RNode> {
+        let l_schema = children[0].schema(self.db)?;
+        let r_schema = children[1].schema(self.db)?;
+        let (l_arity, r_arity) = (l_schema.arity(), r_schema.arity());
+        children.reverse();
+        let swapped = RNode {
+            op: Op::Join {
+                condition: JoinCondition {
+                    left: condition.right,
+                    op: condition.op.flip(),
+                    right: condition.left,
+                },
+            },
+            children,
+        };
+        let perm: Vec<usize> = (0..l_arity)
+            .map(|i| r_arity + i)
+            .chain(0..r_arity)
+            .collect();
+        let names: Vec<String> = l_schema
+            .concat(&r_schema)
+            .attrs()
+            .iter()
+            .map(|a| a.name.clone())
+            .collect();
+        let swapped_schema = swapped
+            .op
+            .output_schema(self.db, |i| [&r_schema, &l_schema][i])?;
+        Ok(RNode {
+            op: Op::Project {
+                projection: Projection::with_renames(&swapped_schema, perm, names)?,
+                dedup: false,
+            },
+            children: vec![swapped],
+        })
+    }
+
     /// Push the conjuncts of `predicate` below `input` where legal.
-    /// Returns `None` if nothing moved.
-    fn push_restrict(&mut self, predicate: Predicate, input: RNode) -> Result<Option<RNode>> {
-        match input {
-            RNode::Join {
-                condition,
-                left,
-                right,
-            } => self.push_into_binary(predicate, left, right, move |l, r| RNode::Join {
-                condition,
-                left: l,
-                right: r,
-            }),
-            RNode::Cross { left, right } => {
-                self.push_into_binary(predicate, left, right, |l, r| RNode::Cross {
-                    left: l,
-                    right: r,
-                })
-            }
-            RNode::Project {
-                projection,
-                dedup,
-                input: inner,
-            } => {
+    /// Returns the restrict over `input` unchanged if nothing moved.
+    fn push_restrict(&mut self, predicate: Predicate, mut input: RNode) -> Result<(RNode, bool)> {
+        match &input.op {
+            Op::Join { .. } | Op::CrossProduct => return self.push_into_binary(predicate, input),
+            Op::Project { projection, .. } => {
                 // σ(π(R)) → π(σ'(R)) with indices remapped through π. Legal
                 // for both bag and set projection: the predicate only reads
                 // projected attributes.
-                let indices = projection.indices().to_vec();
-                let remapped = pred_remap(&predicate, &|i| indices[i]);
+                let remapped = predicate.remap(projection.indices());
                 self.applied.push("pushdown-through-project".into());
-                Ok(Some(RNode::Project {
-                    projection,
-                    dedup,
-                    input: Box::new(RNode::Restrict {
-                        predicate: remapped,
-                        input: inner,
-                    }),
-                }))
+                restrict_child(&mut input, 0, remapped);
             }
-            RNode::Union { left, right } => {
+            Op::Union => {
                 // σ(A ∪ B) = σA ∪ σB.
                 self.applied.push("pushdown-through-union".into());
-                Ok(Some(RNode::Union {
-                    left: Box::new(RNode::Restrict {
-                        predicate: predicate.clone(),
-                        input: left,
-                    }),
-                    right: Box::new(RNode::Restrict {
-                        predicate,
-                        input: right,
-                    }),
-                }))
+                restrict_child(&mut input, 0, predicate.clone());
+                restrict_child(&mut input, 1, predicate);
             }
-            RNode::Difference { left, right } => {
+            Op::Difference => {
                 // σ(A − B) = σA − B.
                 self.applied.push("pushdown-through-difference".into());
-                Ok(Some(RNode::Difference {
-                    left: Box::new(RNode::Restrict {
-                        predicate,
-                        input: left,
-                    }),
-                    right,
-                }))
+                restrict_child(&mut input, 0, predicate);
             }
-            _ => Ok(None),
+            _ => return Ok((RNode::restrict(predicate, input), false)),
         }
+        Ok((input, true))
     }
 
     /// Split `predicate` across a binary product node: conjuncts touching
     /// only left attributes go left, only right attributes go right
     /// (indices shifted), mixed ones stay above.
-    fn push_into_binary(
-        &mut self,
-        predicate: Predicate,
-        left: Box<RNode>,
-        right: Box<RNode>,
-        rebuild: impl FnOnce(Box<RNode>, Box<RNode>) -> RNode,
-    ) -> Result<Option<RNode>> {
-        let l_arity = schema_of(&left, self.db)?.arity();
+    fn push_into_binary(&mut self, predicate: Predicate, product: RNode) -> Result<(RNode, bool)> {
+        let l_arity = product.children[0].schema(self.db)?.arity();
         let mut to_left = Vec::new();
         let mut to_right = Vec::new();
         let mut stay = Vec::new();
-        for c in conjuncts(predicate) {
+        for c in conjuncts(predicate.clone()) {
             let mut refs = Vec::new();
             pred_refs(&c, &mut refs);
-            if !refs.is_empty() && refs.iter().all(|&i| i < l_arity) {
-                to_left.push(c);
-            } else if !refs.is_empty() && refs.iter().all(|&i| i >= l_arity) {
-                to_right.push(pred_remap(&c, &|i| i - l_arity));
-            } else {
-                stay.push(c);
+            match refs.iter().max() {
+                Some(_) if refs.iter().all(|&i| i < l_arity) => to_left.push(c),
+                Some(&top) if refs.iter().all(|&i| i >= l_arity) => {
+                    let shift: Vec<usize> = (0..=top).map(|i| i.saturating_sub(l_arity)).collect();
+                    to_right.push(c.remap(&shift));
+                }
+                _ => stay.push(c),
             }
         }
         if to_left.is_empty() && to_right.is_empty() {
-            return Ok(None);
+            return Ok((RNode::restrict(predicate, product), false));
         }
         self.applied.push("pushdown-through-join".into());
-        let left = wrap_restrict(conjoin(to_left), left);
-        let right = wrap_restrict(conjoin(to_right), right);
-        let product = rebuild(left, right);
-        Ok(Some(*wrap_restrict(conjoin(stay), Box::new(product))))
+        let RNode { op, children } = product;
+        let children = children
+            .into_iter()
+            .zip([to_left, to_right])
+            .map(|(child, part)| wrap_restrict(conjoin(part), child))
+            .collect();
+        Ok((wrap_restrict(conjoin(stay), RNode { op, children }), true))
     }
 }
 
+/// Put a restrict by `predicate` over child `i` of `node`.
+fn restrict_child(node: &mut RNode, i: usize, predicate: Predicate) {
+    let child = node.children.remove(i);
+    node.children.insert(i, RNode::restrict(predicate, child));
+}
+
 /// Wrap `input` in a restrict unless the predicate is `true`.
-fn wrap_restrict(predicate: Predicate, input: Box<RNode>) -> Box<RNode> {
+fn wrap_restrict(predicate: Predicate, input: RNode) -> RNode {
     if matches!(predicate, Predicate::True) {
         input
     } else {
-        Box::new(RNode::Restrict { predicate, input })
+        RNode::restrict(predicate, input)
     }
 }
 
@@ -724,7 +398,7 @@ pub fn optimize(db: &Catalog, tree: &QueryTree, stats: &CatalogStats) -> Result<
         }
     }
     let mut arena = Vec::new();
-    let root = from_rnode(&node, &mut arena);
+    let root = from_rnode(node, &mut arena);
     let tree = QueryTree::from_parts(arena, root);
     validate(db, &tree).map_err(|e| Error::SchemaMismatch {
         detail: format!("optimizer produced an invalid tree: {e}"),

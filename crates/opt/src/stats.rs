@@ -90,8 +90,9 @@ impl RelationStats {
         if self.tuples == 0 {
             return 0.0;
         }
-        let span = (st.max - st.min) as f64 + 1.0;
-        let frac_below = (((*c - st.min) as f64) / span).clamp(0.0, 1.0);
+        // In i128: the differences of two i64s overflow i64 near its ends.
+        let span = (st.max as i128 - st.min as i128) as f64 + 1.0;
+        let frac_below = (((*c as i128 - st.min as i128) as f64) / span).clamp(0.0, 1.0);
         let eq = 1.0 / st.distinct.max(1) as f64;
         match op {
             CmpOp::Eq => eq,
@@ -236,6 +237,30 @@ mod tests {
         assert_eq!(none, 0.0);
         let all = st.selectivity(0, CmpOp::Ge, &Value::Int(-5));
         assert_eq!(all, 1.0);
+    }
+
+    /// A span and an offset computed as `i64` differences overflow for
+    /// values near `i64::MIN`/`MAX`; the selectivity stays in [0, 1].
+    #[test]
+    fn selectivity_survives_the_ends_of_i64() {
+        let s = Schema::build().attr("k", DataType::Int).finish().unwrap();
+        let r = Relation::from_tuples(
+            "t",
+            s,
+            256,
+            [i64::MIN, 0, i64::MAX].map(|k| Tuple::new(vec![Value::Int(k)])),
+        )
+        .unwrap();
+        let st = RelationStats::gather(&r);
+        for c in [i64::MIN, -1, 0, 1, i64::MAX] {
+            for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                let sel = st.selectivity(0, op, &Value::Int(c));
+                assert!((0.0..=1.0).contains(&sel), "{op} {c}: {sel}");
+            }
+        }
+        assert_eq!(st.selectivity(0, CmpOp::Lt, &Value::Int(i64::MIN)), 0.0);
+        let half = st.selectivity(0, CmpOp::Lt, &Value::Int(0));
+        assert!((half - 0.5).abs() < 1e-9, "σ(k<0) ≈ 0.5, got {half}");
     }
 
     #[test]

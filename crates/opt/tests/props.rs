@@ -72,7 +72,9 @@ proptest! {
 
     /// VAL_DOMAIN-edge cutoffs (empty / full selections) don't break rules.
     #[test]
-    fn edge_selectivities_survive(cutoff in prop_oneof![Just(0i64), Just(VAL_DOMAIN)]) {
+    fn edge_selectivities_survive(
+        cutoff in prop_oneof![Just(0i64), Just(VAL_DOMAIN), Just(i64::MIN), Just(i64::MAX)]
+    ) {
         let (db, stats) = setup();
         let naive = chain_query_naive(&db, 15, 2, 2, 3, cutoff).unwrap();
         let optimized = optimize(&db, &naive, &stats).unwrap();

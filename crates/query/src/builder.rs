@@ -1,12 +1,12 @@
 //! Fluent, name-based query-tree construction.
 //!
-//! The builder derives each subtree's output schema as it goes, so
-//! predicates, projections and join conditions can be specified by attribute
-//! *name* and are resolved to indices immediately — exactly once.
+//! Predicates, projections and join conditions are specified by attribute
+//! *name* and resolved to indices immediately — exactly once — against
+//! the subtree's output schema. Each new node then passes through
+//! [`Op::output_schema`], the same per-node rule `validate`
+//! runs, which checks it and derives the next output schema.
 
-use df_relalg::{
-    Catalog, CmpOp, Error, JoinCondition, Predicate, Projection, Result, Schema, Value,
-};
+use df_relalg::{Catalog, CmpOp, JoinCondition, Predicate, Projection, Result, Schema, Value};
 
 use crate::tree::{NodeId, Op, QueryNode, QueryTree};
 
@@ -24,16 +24,16 @@ impl<'a> TreeBuilder<'a> {
 
     /// A leaf scanning base relation `name`.
     pub fn scan(&self, name: &str) -> Result<SubTree<'a>> {
-        let rel = self.db.require(name)?;
+        let op = Op::Scan {
+            relation: name.to_owned(),
+        };
         Ok(SubTree {
             db: self.db,
+            schema: op.output_schema(self.db, |_| unreachable!("a scan has no input"))?,
             nodes: vec![QueryNode {
-                op: Op::Scan {
-                    relation: name.to_owned(),
-                },
+                op,
                 children: vec![],
             }],
-            schema: rel.schema().clone(),
         })
     }
 
@@ -83,46 +83,35 @@ impl<'a> SubTree<'a> {
         NodeId(self.nodes.len() - 1)
     }
 
-    fn push_unary(mut self, op: Op, schema: Schema) -> SubTree<'a> {
-        let child = self.root();
-        self.nodes.push(QueryNode {
-            op,
-            children: vec![child],
-        });
-        self.schema = schema;
-        self
-    }
-
-    /// Merge `right`'s arena into `self`'s, returning right's new root.
-    fn absorb(&mut self, right: SubTree<'a>) -> NodeId {
-        let offset = self.nodes.len();
-        for mut n in right.nodes {
-            for c in &mut n.children {
-                *c = NodeId(c.0 + offset);
-            }
-            self.nodes.push(n);
+    /// Put `op` on top of this subtree (and of `right`, for a binary
+    /// operator) once [`Op::output_schema`] accepts it.
+    fn push(mut self, op: Op, right: Option<SubTree<'a>>) -> Result<SubTree<'a>> {
+        let schema = op.output_schema(self.db, |i| match (i, &right) {
+            (1, Some(right)) => &right.schema,
+            _ => &self.schema,
+        })?;
+        let mut children = vec![self.root()];
+        if let Some(right) = right {
+            // Merge right's arena into ours, remapping its ids.
+            let offset = self.nodes.len();
+            self.nodes.extend(right.nodes.into_iter().map(|mut n| {
+                for c in &mut n.children {
+                    c.0 += offset;
+                }
+                n
+            }));
+            children.push(self.root());
         }
-        self.root()
-    }
-
-    fn push_binary(mut self, right: SubTree<'a>, op: Op, schema: Schema) -> SubTree<'a> {
-        let left_root = self.root();
-        let right_root = self.absorb(right);
-        self.nodes.push(QueryNode {
-            op,
-            children: vec![left_root, right_root],
-        });
+        self.nodes.push(QueryNode { op, children });
         self.schema = schema;
-        self
+        Ok(self)
     }
 
     /// σ with an arbitrary predicate (already resolved against
     /// [`SubTree::schema`] — use [`SubTree::restrict_where`] for the common
     /// case).
     pub fn restrict(self, predicate: Predicate) -> Result<SubTree<'a>> {
-        predicate.validate_against(&self.schema)?;
-        let schema = self.schema.clone();
-        Ok(self.push_unary(Op::Restrict { predicate }, schema))
+        self.push(Op::Restrict { predicate }, None)
     }
 
     /// σ(attr op value).
@@ -134,8 +123,7 @@ impl<'a> SubTree<'a> {
     /// π onto the named attributes; `dedup` selects set semantics.
     pub fn project(self, names: &[&str], dedup: bool) -> Result<SubTree<'a>> {
         let projection = Projection::new(&self.schema, names)?;
-        let schema = projection.output_schema(&self.schema)?;
-        Ok(self.push_unary(Op::Project { projection, dedup }, schema))
+        self.push(Op::Project { projection, dedup }, None)
     }
 
     /// θ-join with `right`: `self.left_attr op right.right_attr`.
@@ -147,8 +135,7 @@ impl<'a> SubTree<'a> {
         right_attr: &str,
     ) -> Result<SubTree<'a>> {
         let condition = JoinCondition::new(&self.schema, left_attr, op, &right.schema, right_attr)?;
-        let schema = self.schema.concat(&right.schema);
-        Ok(self.push_binary(right, Op::Join { condition }, schema))
+        self.push(Op::Join { condition }, Some(right))
     }
 
     /// Equi-join shorthand.
@@ -163,56 +150,26 @@ impl<'a> SubTree<'a> {
 
     /// Cross product.
     pub fn cross(self, right: SubTree<'a>) -> SubTree<'a> {
-        let schema = self.schema.concat(&right.schema);
-        self.push_binary(right, Op::CrossProduct, schema)
+        self.push(Op::CrossProduct, Some(right))
+            .expect("any two subtrees have a cross product")
     }
 
     /// Set union (inputs must be union-compatible).
     pub fn union(self, right: SubTree<'a>) -> Result<SubTree<'a>> {
-        if self.schema != right.schema {
-            return Err(Error::SchemaMismatch {
-                detail: format!(
-                    "union inputs are not compatible: {} vs {}",
-                    self.schema, right.schema
-                ),
-            });
-        }
-        let schema = self.schema.clone();
-        Ok(self.push_binary(right, Op::Union, schema))
+        self.push(Op::Union, Some(right))
     }
 
     /// Set difference `self − right`.
     pub fn difference(self, right: SubTree<'a>) -> Result<SubTree<'a>> {
-        if self.schema != right.schema {
-            return Err(Error::SchemaMismatch {
-                detail: format!(
-                    "difference inputs are not compatible: {} vs {}",
-                    self.schema, right.schema
-                ),
-            });
-        }
-        let schema = self.schema.clone();
-        Ok(self.push_binary(right, Op::Difference, schema))
+        self.push(Op::Difference, Some(right))
     }
 
     /// Append the result to base relation `target` (root operator).
     pub fn append_to(self, target: &str) -> Result<SubTree<'a>> {
-        let target_schema = self.db.require(target)?.schema().clone();
-        if self.schema != target_schema {
-            return Err(Error::SchemaMismatch {
-                detail: format!(
-                    "append source {} does not match `{target}` {target_schema}",
-                    self.schema
-                ),
-            });
-        }
-        let schema = target_schema;
-        Ok(self.push_unary(
-            Op::Append {
-                target: target.to_owned(),
-            },
-            schema,
-        ))
+        let op = Op::Append {
+            target: target.to_owned(),
+        };
+        self.push(op, None)
     }
 
     /// Seal into a [`QueryTree`].

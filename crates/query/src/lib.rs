@@ -26,10 +26,11 @@
 //!   write and standing view is checked against, and includes both
 //!   nested-loops and sort-merge join algorithms from Blasgen & Eswaran
 //!   \[5\]. No served path calls it.
-//! * [`TreeBuilder`] — fluent, name-based construction with schema
-//!   derivation at each step.
+//! * [`TreeBuilder`] — fluent, name-based construction; each step
+//!   resolves names, then checks its node through [`Op::output_schema`].
 //! * [`validate`] — whole-tree schema/type checking and output-schema
-//!   derivation.
+//!   derivation, folding [`Op::output_schema`], the one per-node schema
+//!   rule the builder and df-opt's rewrites also run.
 //! * [`parse_query`] — a small s-expression query language, convenient for
 //!   examples and tests:
 //!

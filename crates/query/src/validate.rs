@@ -22,21 +22,24 @@ impl NodeSchemas {
     }
 }
 
-/// Validate `tree` against `db`: every scanned relation exists, every
-/// predicate / projection / join condition type-checks against its derived
-/// input schema(s), set operations are union-compatible, and update
-/// operators appear only at the root.
-pub fn validate(db: &Catalog, tree: &QueryTree) -> Result<NodeSchemas> {
-    let mut schemas: Vec<Schema> = Vec::with_capacity(tree.len());
-    for id in tree.topo_order() {
-        let node = tree.node(id);
-        if node.op.is_update() && id != tree.root() {
-            return Err(Error::SchemaMismatch {
-                detail: format!("update operator `{}` must be the root", node.op.name()),
-            });
-        }
-        let child = |i: usize| -> &Schema { &schemas[node.children[i].0] };
-        let derived = match &node.op {
+impl Op {
+    /// Check this node against its input schemas and derive its output
+    /// schema: the one per-node schema rule. `child(i)` is the output
+    /// schema of the `i`-th child. A scanned or written relation must
+    /// exist, predicates, projections and join conditions must
+    /// type-check against the inputs, set operations must be
+    /// union-compatible, and an append's source must match its target.
+    /// [`validate`] runs it over a whole tree; the [`crate::TreeBuilder`]
+    /// and df-opt's rewrites run it one node at a time.
+    ///
+    /// # Errors
+    /// Fails if the node does not check against its inputs.
+    pub fn output_schema<'s>(
+        &self,
+        db: &Catalog,
+        child: impl Fn(usize) -> &'s Schema,
+    ) -> Result<Schema> {
+        Ok(match self {
             Op::Scan { relation } => db.require(relation)?.schema().clone(),
             Op::Restrict { predicate } => {
                 predicate.validate_against(child(0))?;
@@ -56,7 +59,7 @@ pub fn validate(db: &Catalog, tree: &QueryTree) -> Result<NodeSchemas> {
                     return Err(Error::SchemaMismatch {
                         detail: format!(
                             "{} inputs are not union-compatible: {} vs {}",
-                            node.op.name(),
+                            self.name(),
                             child(0),
                             child(1)
                         ),
@@ -81,7 +84,25 @@ pub fn validate(db: &Catalog, tree: &QueryTree) -> Result<NodeSchemas> {
                 predicate.validate_against(&target_schema)?;
                 target_schema
             }
-        };
+        })
+    }
+}
+
+/// Validate `tree` against `db`: every node passes
+/// [`Op::output_schema`] against its children's derived schemas, and
+/// update operators appear only at the root.
+pub fn validate(db: &Catalog, tree: &QueryTree) -> Result<NodeSchemas> {
+    let mut schemas: Vec<Schema> = Vec::with_capacity(tree.len());
+    for id in tree.topo_order() {
+        let node = tree.node(id);
+        if node.op.is_update() && id != tree.root() {
+            return Err(Error::SchemaMismatch {
+                detail: format!("update operator `{}` must be the root", node.op.name()),
+            });
+        }
+        let derived = node
+            .op
+            .output_schema(db, |i| &schemas[node.children[i].0])?;
         schemas.push(derived);
     }
     Ok(NodeSchemas { schemas })

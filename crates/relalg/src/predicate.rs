@@ -290,8 +290,9 @@ impl Predicate {
         }
     }
 
-    /// A crude selectivity estimate, used only for workload documentation
-    /// (the simulators measure, they never estimate).
+    /// Render the predicate with attribute names from `schema`
+    /// (`(a > 5 and true)`); an index outside `schema` renders as `#i`.
+    /// [`Display`](fmt::Display) renders indices only.
     pub fn describe(&self, schema: &Schema) -> String {
         match self {
             Predicate::True => "true".into(),

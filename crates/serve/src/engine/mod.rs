@@ -40,8 +40,9 @@
 //! request, so the requests of one connection take effect, and are
 //! answered, in the order they were sent.
 //!
-//! **Fusion.** Identical reads of one run (same canonical plan, compared
-//! via [`df_query::render_tree`] after optional optimization) collapse
+//! **Fusion.** Identical reads of one run (same plan tree after optional
+//! optimization, compared by its `Debug` form, which writes out every
+//! operator field) collapse
 //! to a single execution whose result is fanned out to every waiter —
 //! the Noria read-heavy-web-traffic trick. A read whose twin is *already
 //! executing* on a lane joins that execution's waiter list (the
@@ -224,8 +225,8 @@ struct Shared {
     /// the catalog write lock, so no plan is ever optimized against
     /// statistics older than the catalog it reads.
     opt_stats: Mutex<CatalogStats>,
-    /// Read executions dispatched but not yet fanned out, keyed by
-    /// canonical plan rendering. Guards the join-vs-complete race: a
+    /// Read executions dispatched but not yet fanned out, keyed by the
+    /// plan tree's `Debug` form. Guards the join-vs-complete race: a
     /// twin read either finds the entry and joins, or misses and
     /// schedules fresh — never both, never neither. A lane removes a
     /// task's entries strictly before releasing its gate ticket, so a
@@ -502,7 +503,7 @@ impl Engine {
         self.dispatch_reads(reads);
     }
 
-    /// Dedupe identical read plans on their canonical rendering, join
+    /// Dedupe identical read plans on their tree's `Debug` key, join
     /// late twins onto in-flight executions, and hand the remainder to a
     /// lane as one concurrent df-host batch.
     fn dispatch_reads(&mut self, reads: Vec<(Submission, Plan)>) {

@@ -7,17 +7,20 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use df_opt::optimize;
-use df_query::{parse_query, render_tree, QueryTree};
+use df_query::{parse_query, QueryTree};
 use df_relalg::Catalog;
 
 use super::{lock, read_lock, Shared};
 
-/// A resolved plan: the (possibly optimized) tree, its canonical
-/// rendering, and its relation footprint, shared between the cache, the
-/// fusion index, the in-flight registry, and the relation gate.
+/// A resolved plan: the (possibly optimized) tree, its fusion key, and
+/// its relation footprint, shared between the cache, the fusion index,
+/// the in-flight registry, and the relation gate.
 #[derive(Clone)]
 pub(super) struct Plan {
     pub(super) tree: Arc<QueryTree>,
+    /// The tree's `Debug` form: every operator field written out, so
+    /// distinct trees get distinct keys (`render_tree` cuts long
+    /// restrict labels and is for display only).
     pub(super) key: Arc<str>,
     /// Base relations the tree reads (sorted, deduped; a write also
     /// reads its target) — the invalidation read-set and the shared half
@@ -31,7 +34,7 @@ pub(super) struct Plan {
 impl Plan {
     pub(super) fn from_tree(tree: QueryTree) -> Plan {
         Plan {
-            key: Arc::from(render_tree(&tree).as_str()),
+            key: Arc::from(format!("{tree:?}")),
             reads: tree.referenced_relations().into(),
             writes: tree.written_relations().into(),
             tree: Arc::new(tree),

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use df_obs::{EventKind, Tracer};
-use df_query::{execute_readonly, parse_query, ExecParams};
+use df_query::{execute_readonly, parse_query, render_tree, ExecParams};
 use df_relalg::{Catalog, DataType, Relation, Schema, Tuple, Value};
 use df_serve::engine::LaneHold;
 use df_serve::proto::{HostErrorKind, Priority, QueryResult, Request, Response, ServeError};
@@ -714,6 +714,100 @@ fn string_literals_differing_in_whitespace_get_their_own_plans() {
         assert_eq!(&result(&got[0].1).tuples, want, "{text} got another's plan");
     }
     assert_eq!(handle.stats().plan_cache_misses.load(Ordering::Relaxed), 2);
+}
+
+/// Two reads whose trees differ only past the column where
+/// `render_tree` cuts a restrict's label are two queries: fused in one
+/// batch, each still gets its own answer.
+#[test]
+fn reads_differing_past_the_rendered_label_are_not_fused() {
+    let db = small_db();
+    let config = test_config();
+    let page_size = config.host.page_size;
+    let texts = ["20", "200"].map(|cut| {
+        format!(
+            "(restrict (scan r00) (and (> val 10) (and (< val 500) (and (> key 3) \
+             (and (> val 11) (and (> val 12) (< key {cut})))))))"
+        )
+    });
+    let trees = texts
+        .clone()
+        .map(|text| parse_query(&db, &text).expect("parse"));
+    assert_ne!(trees[0], trees[1]);
+    assert_eq!(
+        render_tree(&trees[0]),
+        render_tree(&trees[1]),
+        "the renderings collide"
+    );
+    let wants = texts
+        .clone()
+        .map(|text| oracle_tuples(&db, &text, page_size));
+    assert_ne!(wants[0], wants[1], "the two reads select different tuples");
+
+    let mut engine = Engine::new(db, config).expect("engine");
+    let handle = engine.handle();
+    let replies = Replies::default();
+    let c = handle.register_client();
+    for (id, text) in texts.iter().enumerate() {
+        handle.submit(
+            c,
+            id as u64,
+            Priority::Normal,
+            false,
+            text.clone(),
+            replies.reply_for(c),
+        );
+    }
+    assert!(engine.run_batch());
+    handle.quiesce();
+    assert_eq!(handle.stats().fused.load(Ordering::Relaxed), 0);
+    let got = replies.take();
+    assert_eq!(got.len(), 2);
+    for (_, response) in got {
+        let r = result(&response);
+        let mut tuples = r.tuples.clone();
+        tuples.sort();
+        assert_eq!(
+            tuples, wants[r.id as usize],
+            "read {} got another's answer",
+            r.id
+        );
+    }
+}
+
+/// A restrict by a constant at the end of `i64`'s range, under a join,
+/// makes the optimizer estimate its selectivity against the relation's
+/// value span; the optimizing read is answered like any other.
+#[test]
+fn optimizing_a_restrict_at_the_ends_of_i64_gets_an_answer() {
+    let db = small_db();
+    let config = test_config();
+    let page_size = config.host.page_size;
+    let texts = [i64::MIN, i64::MAX]
+        .map(|c| format!("(join (restrict (scan r00) (< val {c})) (scan r01) (= key key))"));
+    let wants = texts
+        .clone()
+        .map(|text| oracle_tuples(&db, &text, page_size));
+    let mut engine = Engine::new(db, config).expect("engine");
+    let handle = engine.handle();
+    let replies = Replies::default();
+    let c = handle.register_client();
+    for (text, want) in texts.iter().zip(&wants) {
+        handle.submit(
+            c,
+            0,
+            Priority::Normal,
+            true,
+            text.clone(),
+            replies.reply_for(c),
+        );
+        assert!(engine.run_batch());
+        handle.quiesce();
+        let got = replies.take();
+        let mut tuples = result(&got[0].1).tuples.clone();
+        tuples.sort();
+        assert_eq!(&tuples, want, "{text}");
+    }
 }
 
 /// Optimizer statistics are relation-scoped: a write drops only its
