@@ -5,7 +5,6 @@
 //! ```sh
 //! cargo run --release -p df-bench --bin experiments            # everything
 //! cargo run --release -p df-bench --bin experiments -- fig3_1  # one table
-//! cargo run --release -p df-bench --bin experiments -- --join hash fig3_1
 //! cargo run --release -p df-bench --bin experiments -- \
 //!     --scale 0.05 --json artifacts fig4_2 perf_pipe   # CI perf-smoke mode
 //! ```
@@ -13,9 +12,9 @@
 //! The tables are [`TABLES`]; any other name is an error. Every number
 //! printed is simulated time or a counted quantity, deterministic in the
 //! seed — host time is measured by `bash benchmark/run.sh`, not here. The
-//! flag `--join {nested,hash}` switches the join algorithm of the machine
-//! configurations built in `main` (default `nested`, the paper's choice);
-//! `--scale F` shrinks the database (default 1.0, the paper's 5.5 MB);
+//! simulated machines join by the paper's nested loops; only `perf_pipe`
+//! runs df-host, under both of its join algorithms. `--scale F` shrinks
+//! the database (default 1.0, the paper's 5.5 MB; a finite F > 0);
 //! `--json DIR` additionally serializes the `fig3_1`, `fig4_2` and
 //! `perf_pipe` tables into `DIR/BENCH_<name>.json` artifacts
 //! (DESIGN.md §7).
@@ -26,9 +25,9 @@ use df_bench::report::{ring_artifact, sweep_artifact, write_artifact};
 use df_bench::{
     fig31_params, fig42_params, run_core, run_ring, setup, setup_with_page_size, BenchSetup,
 };
-use df_core::{bandwidth, run_queries, AllocationStrategy, Granularity, JoinAlgo, MachineParams};
+use df_core::{bandwidth, run_queries, AllocationStrategy, Granularity, MachineParams};
 use df_obs::SweepRow;
-use df_workload::{benchmark_queries, chain_query, generate_database, VAL_DOMAIN};
+use df_workload::{benchmark_queries, chain_query, generate_database, parse_scale, VAL_DOMAIN};
 
 /// Every table this binary prints, in print order.
 const TABLES: [&str; 11] = [
@@ -46,7 +45,6 @@ const TABLES: [&str; 11] = [
 ];
 
 fn main() {
-    let mut join = JoinAlgo::default();
     let mut scale = 1.0f64;
     let mut json_dir: Option<PathBuf> = None;
     let mut which: Vec<String> = Vec::new();
@@ -59,18 +57,9 @@ fn main() {
     };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--join" => {
-                join = value("--join", &mut args)
-                    .parse()
-                    .unwrap_or_else(|e: String| {
-                        eprintln!("experiments: {e}");
-                        std::process::exit(2);
-                    });
-            }
             "--scale" => {
-                let v = value("--scale", &mut args);
-                scale = v.parse().unwrap_or_else(|_| {
-                    eprintln!("experiments: bad value `{v}` for --scale");
+                scale = parse_scale(&value("--scale", &mut args)).unwrap_or_else(|e| {
+                    eprintln!("experiments: {e}");
                     std::process::exit(2);
                 });
             }
@@ -89,9 +78,7 @@ fn main() {
     let json_dir = json_dir.as_deref();
 
     println!("=== dataflow-dbm experiment harness (scale {scale}: 10 queries) ===");
-    let mut s = setup(scale);
-    s.join = join;
-    let s = s;
+    let s = setup(scale);
     println!(
         "database: {} relations, {} bytes, {} tuples\n",
         s.db.len(),
@@ -107,9 +94,7 @@ fn main() {
     }
     if want("fig4_2") {
         // Figure 4.2's stated assumption: 16 KB operand pages.
-        let mut s16 = setup_with_page_size(scale, 16 * 1024);
-        s16.join = join;
-        fig4_2(&s16, json_dir);
+        fig4_2(&setup_with_page_size(scale, 16 * 1024), json_dir);
     }
     if want("abl_pgsz") {
         abl_pgsz(&s);
@@ -160,7 +145,7 @@ fn emit(json_dir: Option<&Path>, artifact: &df_obs::BenchArtifact) {
 /// benchmark's `query.ops.{restrict,project,span}_mib_s`.)
 fn perf_pipe(scale: f64, json_dir: Option<&Path>) {
     use df_bench::report::series_row;
-    use df_core::TransferMode;
+    use df_core::{JoinAlgo, TransferMode};
     use df_host::{run_host_queries, HostParams};
     use df_ring::run_ring_queries;
     use df_workload::pipeline_queries;

@@ -42,6 +42,7 @@ use df_bench::setup_with_page_size;
 use df_host::{run_host_queries, HostParams};
 use df_obs::Tracer;
 use df_query::{execute_readonly, ExecParams};
+use df_workload::parse_scale;
 
 fn main() {
     let mut params = HostParams::default();
@@ -62,7 +63,7 @@ fn main() {
             "--alloc" => {
                 params.strategy = value("--alloc").parse().unwrap_or_else(|e: String| die(&e));
             }
-            "--scale" => scale = parse(&value("--scale"), "--scale"),
+            "--scale" => scale = parse_scale(&value("--scale")).unwrap_or_else(|e| die(&e)),
             "--page-size" => params.page_size = parse(&value("--page-size"), "--page-size"),
             "--join" => {
                 params.join = value("--join").parse().unwrap_or_else(|e: String| die(&e));

@@ -52,7 +52,7 @@ use df_bench::report::{series_row, write_artifact};
 use df_obs::{BenchArtifact, IntervalSeries, SweepRow};
 use df_serve::proto::{read_frame, write_frame, Priority, Request, Response, ServeError};
 use df_serve::{Engine, ServeClient, ServeConfig, Server};
-use df_workload::{generate_database, DatabaseSpec};
+use df_workload::{generate_database, parse_scale, DatabaseSpec};
 
 struct Opts {
     addr: Option<String>,
@@ -519,7 +519,7 @@ fn parse_args() -> Opts {
         };
         match flag.as_str() {
             "--addr" => opts.addr = Some(value("--addr")),
-            "--scale" => opts.scale = parse(&value("--scale"), "--scale"),
+            "--scale" => opts.scale = parse_scale(&value("--scale")).unwrap_or_else(|e| die(&e)),
             "--workers" => opts.workers = Some(parse(&value("--workers"), "--workers")),
             "--lanes" => opts.lanes = Some(parse(&value("--lanes"), "--lanes")),
             "--plan-cache" => opts.plan_cache = Some(parse(&value("--plan-cache"), "--plan-cache")),

@@ -12,7 +12,7 @@
 pub mod loadgen;
 pub mod report;
 
-use df_core::{run_queries, AllocationStrategy, Granularity, JoinAlgo, MachineParams, Metrics};
+use df_core::{run_queries, AllocationStrategy, Granularity, MachineParams, Metrics};
 use df_query::QueryTree;
 use df_relalg::Catalog;
 use df_ring::{run_ring_queries, RingMetrics, RingParams};
@@ -26,9 +26,6 @@ pub struct BenchSetup {
     pub queries: Vec<QueryTree>,
     /// The spec it was generated from.
     pub spec: BenchmarkSpec,
-    /// Join algorithm the derived machine configurations run with
-    /// (default nested loops, the paper's choice).
-    pub join: JoinAlgo,
 }
 
 /// Build the benchmark at `scale` (1.0 = the paper's 5.5 MB database).
@@ -48,12 +45,7 @@ pub fn setup_with_page_size(scale: f64, page_size: usize) -> BenchSetup {
     spec.database.page_size = page_size;
     let db = generate_database(&spec.database);
     let queries = benchmark_queries(&db, &spec).expect("benchmark queries build");
-    BenchSetup {
-        db,
-        queries,
-        spec,
-        join: JoinAlgo::default(),
-    }
+    BenchSetup { db, queries, spec }
 }
 
 /// The machine configuration used for Figure 3.1 style experiments: cache
@@ -66,7 +58,6 @@ pub fn fig31_params(setup: &BenchSetup, processors: usize) -> MachineParams {
     let mut p = MachineParams::with_processors(processors);
     let db_pages = setup.db.total_bytes() / p.page_size;
     p.cache.frames = (db_pages / 3).max(16);
-    p.join_algo = setup.join;
     p
 }
 
@@ -101,7 +92,6 @@ pub fn fig42_params(setup: &BenchSetup, ips: usize) -> RingParams {
     p.ic_memory_pages = 32;
     p.ip_memory_pages = 4;
     p.concurrency_control = false;
-    p.join_algo = setup.join;
     // The "soon afterwards" window must cover a worst-case 16 KB page
     // transit (RingParams::validate enforces it).
     p.rebroadcast_window = p.outer_transit(p.page_size + 64).saturating_mul(2);

@@ -5,9 +5,7 @@
 //! that fusion neither loses nor invents an operator.
 
 use df_core::instr::{compile_with, Kernel, Program};
-use df_core::{
-    run_queries, AllocationStrategy, Granularity, JoinAlgo, MachineParams, TransferMode,
-};
+use df_core::{run_queries, AllocationStrategy, Granularity, MachineParams, TransferMode};
 use df_host::{HostError, HostMetrics, HostParams};
 use df_query::{execute, execute_readonly, parse_query, ExecParams, QueryTree};
 use df_relalg::{Catalog, DataType, Relation, Schema, Tuple, Value};
@@ -76,7 +74,7 @@ fn on_host(db: &Catalog, q: &QueryTree, transfer: TransferMode) -> (Relation, Ho
 
 /// The simulators' program for `q` under `transfer`.
 fn program(db: &Catalog, q: &QueryTree, transfer: TransferMode) -> Program {
-    compile_with(db, std::slice::from_ref(q), JoinAlgo::default(), transfer).unwrap()
+    compile_with(db, std::slice::from_ref(q), transfer).unwrap()
 }
 
 /// Step counts of the program's span instructions, in instruction order.

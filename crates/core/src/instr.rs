@@ -10,7 +10,7 @@
 use df_query::{Firing, NodeId, Op, Plan, QueryTree};
 use df_relalg::{Catalog, Predicate, Result, Schema};
 
-use crate::params::{JoinAlgo, TransferMode};
+use crate::params::TransferMode;
 
 /// The operator code executed per work unit and the bucket hash of the
 /// partitioned finalizers; defined next to the plan they lower in
@@ -93,14 +93,13 @@ pub struct Program {
 /// [`Plan`] (fused under [`TransferMode::Pipeline`]) is lowered to dense
 /// instructions in topological order, skipping scans — they are their
 /// parent's source operands — and nodes absorbed into a span. The machines
-/// pass their params' knobs through here.
+/// pass their params' transfer mode through here.
 ///
 /// # Errors
 /// Propagates validation errors (unknown relations, type mismatches…).
 pub fn compile_with(
     db: &Catalog,
     queries: &[QueryTree],
-    join_algo: JoinAlgo,
     transfer: TransferMode,
 ) -> Result<Program> {
     let mut instructions: Vec<Instruction> = Vec::new();
@@ -153,7 +152,7 @@ pub fn compile_with(
                     })
                     .collect(),
             };
-            let kernel = Kernel::lower(node, join_algo);
+            let kernel = Kernel::lower(node);
             match &node.op {
                 Op::Append { target } => {
                     update = Some(UpdateSpec::Append {
@@ -214,7 +213,7 @@ mod tests {
 
     /// The paper's configuration: nested-loops joins, materializing transfers.
     fn compile(db: &Catalog, queries: &[QueryTree]) -> Result<Program> {
-        compile_with(db, queries, JoinAlgo::default(), TransferMode::default())
+        compile_with(db, queries, TransferMode::default())
     }
 
     fn refs(rel: &Relation) -> Vec<&Page> {
@@ -269,7 +268,7 @@ mod tests {
         assert_eq!(prog.instructions.len(), 3); // 2 restricts + 1 join
         assert_eq!(prog.roots, vec![2]);
         let join = &prog.instructions[2];
-        assert!(matches!(join.kernel, Kernel::JoinPair(_, JoinAlgo::Nested)));
+        assert!(matches!(join.kernel, Kernel::JoinPair(_)));
         assert_eq!(join.node, NodeId(4)); // scans 0/2, restricts 1/3, join 4
         assert_eq!(join.operands.len(), 2);
         assert!(join.operands[0].source.is_none()); // fed by restrict
@@ -410,14 +409,7 @@ mod tests {
         let sweep = JoinSweep::compile(&s, &s, &c);
         let joined = s.concat(&s);
         for (kernel, want) in [
-            (
-                Kernel::JoinPair(sweep, JoinAlgo::Nested),
-                oracle::join_pages(page, other, &c),
-            ),
-            (
-                Kernel::JoinPair(sweep, JoinAlgo::Hash),
-                oracle::join_pages(page, other, &c),
-            ),
+            (Kernel::JoinPair(sweep), oracle::join_pages(page, other, &c)),
             (Kernel::CrossPair, oracle::cross_pages(page, other)),
         ] {
             assert_eq!(
@@ -501,93 +493,9 @@ mod tests {
         // The identity still touches every tuple once.
         assert_eq!(unary(&[], &s).tuple_ops(&[7]), 7);
         let sweep = JoinSweep::compile(&s, &s, &JoinCondition::equi(&s, "k", &s, "k").unwrap());
-        assert_eq!(
-            Kernel::JoinPair(sweep, JoinAlgo::Nested).tuple_ops(&[3, 5]),
-            15
-        );
-        // Hash equi-join: build (5 inserts) + probe (3 lookups), not 3×5.
-        assert_eq!(
-            Kernel::JoinPair(sweep, JoinAlgo::Hash).tuple_ops(&[3, 5]),
-            8
-        );
+        assert_eq!(Kernel::JoinPair(sweep).tuple_ops(&[3, 5]), 15);
         assert_eq!(Kernel::CrossPair.tuple_ops(&[3, 5]), 15);
         assert_eq!(Kernel::UnionFinal.tuple_ops(&[3, 5]), 8);
-    }
-
-    /// The join kernel and the algorithm it was lowered with, for the one
-    /// join of `text` compiled under [`JoinAlgo::Hash`].
-    fn lowered_under_hash(db: &Catalog, text: &str) -> Kernel {
-        let q = parse_query(db, text).unwrap();
-        let prog = compile_with(db, &[q], JoinAlgo::Hash, TransferMode::default()).unwrap();
-        let join = prog
-            .instructions
-            .iter()
-            .find(|i| matches!(i.kernel, Kernel::JoinPair(..)))
-            .expect("the query has a join");
-        join.kernel.clone()
-    }
-
-    #[test]
-    fn joins_the_hash_path_cannot_run_are_lowered_and_charged_as_sweeps() {
-        let mut db = db();
-        for (name, width) in [("s4", 4), ("s8", 8)] {
-            let schema = Schema::build()
-                .attr("s", DataType::Str(width))
-                .finish()
-                .unwrap();
-            let rows = ["ab", "cd"].map(|v| Tuple::new(vec![Value::str(v)]));
-            db.insert(Relation::from_tuples(name, schema, 128, rows).unwrap())
-                .unwrap();
-        }
-        // An Int equi-join keeps the knob and the n + m probe charge.
-        let int_eq = lowered_under_hash(&db, "(join (scan a) (scan b) (= k k))");
-        assert!(matches!(int_eq, Kernel::JoinPair(_, JoinAlgo::Hash)));
-        assert_eq!(int_eq.tuple_ops(&[3, 5]), 8);
-        // A Str(4) = Str(8) equi-join and a non-equi θ both sweep, so both
-        // are lowered as nested loops and charged n·m.
-        for text in [
-            "(join (scan s4) (scan s8) (= s s))",
-            "(join (scan a) (scan b) (< k k))",
-        ] {
-            let kernel = lowered_under_hash(&db, text);
-            assert!(
-                matches!(kernel, Kernel::JoinPair(_, JoinAlgo::Nested)),
-                "{text}: {kernel:?}"
-            );
-            assert_eq!(kernel.tuple_ops(&[3, 5]), 15, "{text}");
-        }
-    }
-
-    #[test]
-    fn compile_with_sets_join_algo_on_every_join() {
-        let db = db();
-        let q = parse_query(
-            &db,
-            "(join (join (scan a) (scan b) (= k k)) (scan c) (= k k))",
-        )
-        .unwrap();
-        let prog = compile_with(
-            &db,
-            std::slice::from_ref(&q),
-            JoinAlgo::Hash,
-            TransferMode::default(),
-        )
-        .unwrap();
-        let algos: Vec<JoinAlgo> = prog
-            .instructions
-            .iter()
-            .filter_map(|i| match i.kernel {
-                Kernel::JoinPair(_, algo) => Some(algo),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(algos, vec![JoinAlgo::Hash, JoinAlgo::Hash]);
-        // The default knob is the paper's nested loops.
-        let prog = compile(&db, &[q]).unwrap();
-        assert!(prog
-            .instructions
-            .iter()
-            .all(|i| !matches!(i.kernel, Kernel::JoinPair(_, JoinAlgo::Hash))));
     }
 
     #[test]
@@ -599,13 +507,7 @@ mod tests {
             "(restrict (project (restrict (scan a) (> k 2)) (v)) (< v 16))",
         )
         .unwrap();
-        let prog = compile_with(
-            &db,
-            std::slice::from_ref(&q),
-            JoinAlgo::default(),
-            TransferMode::Pipeline,
-        )
-        .unwrap();
+        let prog = compile_with(&db, std::slice::from_ref(&q), TransferMode::Pipeline).unwrap();
         assert_eq!(prog.instructions.len(), 1);
         let span = &prog.instructions[0];
         assert!(is_unary(&span.kernel, 3));
@@ -621,13 +523,7 @@ mod tests {
         assert_eq!(span.kernel.tuple_ops(&[10]), 30);
 
         // Materialize mode leaves the chain alone.
-        let prog = compile_with(
-            &db,
-            std::slice::from_ref(&q),
-            JoinAlgo::default(),
-            TransferMode::Materialize,
-        )
-        .unwrap();
+        let prog = compile_with(&db, std::slice::from_ref(&q), TransferMode::Materialize).unwrap();
         assert_eq!(prog.instructions.len(), 3);
     }
 
@@ -645,13 +541,7 @@ mod tests {
                (> v 0)) (v))",
         )
         .unwrap();
-        let prog = compile_with(
-            &db,
-            std::slice::from_ref(&q),
-            JoinAlgo::Hash,
-            TransferMode::Pipeline,
-        )
-        .unwrap();
+        let prog = compile_with(&db, std::slice::from_ref(&q), TransferMode::Pipeline).unwrap();
         // 2 leg spans + join + output span.
         assert_eq!(prog.instructions.len(), 4);
         let spans: Vec<_> = prog
@@ -695,13 +585,7 @@ mod tests {
             "(restrict (project (restrict (scan a) (> k 2)) (v)) (< v 16))",
         )
         .unwrap();
-        let fused = compile_with(
-            &db,
-            std::slice::from_ref(&q),
-            JoinAlgo::default(),
-            TransferMode::Pipeline,
-        )
-        .unwrap();
+        let fused = compile_with(&db, std::slice::from_ref(&q), TransferMode::Pipeline).unwrap();
         let span = &fused.instructions[0];
         assert!(is_unary(&span.kernel, 3));
         let a = db.get("a").unwrap();
@@ -723,27 +607,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hash_join_pair_falls_back_on_non_equi() {
-        let db = db();
-        let a = db.get("a").unwrap();
-        let s = a.schema().clone();
-        let page = &a.pages()[0];
-        let other = &a.pages()[1];
-        let joined = s.concat(&s);
-        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Ne, CmpOp::Gt, CmpOp::Ge] {
-            let c = JoinCondition::new(&s, "k", op, &s, "k").unwrap();
-            let sweep = JoinSweep::compile(&s, &s, &c);
-            let nested = Kernel::JoinPair(sweep, JoinAlgo::Nested)
-                .run_unit_raw(&[page, other], &joined)
-                .to_tuples();
-            let hashed = Kernel::JoinPair(sweep, JoinAlgo::Hash)
-                .run_unit_raw(&[page, other], &joined)
-                .to_tuples();
-            assert_eq!(hashed, nested, "op {op} must degrade to nested loops");
-        }
-    }
-
     /// A sweep unit whose page is the *inner* operand of every pair equals
     /// the per-pair calls with the operands swapped.
     #[test]
@@ -758,9 +621,8 @@ mod tests {
         let compile =
             |op| JoinSweep::compile(&s, &s, &JoinCondition::new(&s, "v", op, &s, "k").unwrap());
         for kernel in [
-            Kernel::JoinPair(compile(CmpOp::Eq), JoinAlgo::Nested),
-            Kernel::JoinPair(compile(CmpOp::Eq), JoinAlgo::Hash),
-            Kernel::JoinPair(compile(CmpOp::Lt), JoinAlgo::Nested),
+            Kernel::JoinPair(compile(CmpOp::Eq)),
+            Kernel::JoinPair(compile(CmpOp::Lt)),
             Kernel::CrossPair,
         ] {
             let mut got = TupleBuf::new(joined.clone());
@@ -807,29 +669,27 @@ mod tests {
                 plan.fuse_spans();
             }
             for node in plan.nodes.iter().filter(|n| !n.absorbed) {
-                for join in JoinAlgo::ALL {
-                    let kernel = Kernel::lower(node, join);
-                    let s = &node.out_schema;
-                    let accepted = [
-                        catch_unwind(AssertUnwindSafe(|| {
-                            kernel.run_unit_raw(&[page, page], s);
-                        })),
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let mut out = TupleBuf::new(s.clone());
-                            kernel.run_sweep_raw_into(page, [page], true, &mut out);
-                        })),
-                        catch_unwind(AssertUnwindSafe(|| {
-                            kernel.run_final_raw(&[vec![page], vec![page]], s);
-                        })),
-                    ]
-                    .map(|r| r.is_ok());
-                    let want = match node.firing {
-                        Firing::Source | Firing::PerPage => [true, false, false],
-                        Firing::PairSweep => [true, true, false],
-                        Firing::Complete => [false, false, true],
-                    };
-                    assert_eq!(accepted, want, "{text}: {} as {kernel:?}", node.op.name());
-                }
+                let kernel = Kernel::lower(node);
+                let s = &node.out_schema;
+                let accepted = [
+                    catch_unwind(AssertUnwindSafe(|| {
+                        kernel.run_unit_raw(&[page, page], s);
+                    })),
+                    catch_unwind(AssertUnwindSafe(|| {
+                        let mut out = TupleBuf::new(s.clone());
+                        kernel.run_sweep_raw_into(page, [page], true, &mut out);
+                    })),
+                    catch_unwind(AssertUnwindSafe(|| {
+                        kernel.run_final_raw(&[vec![page], vec![page]], s);
+                    })),
+                ]
+                .map(|r| r.is_ok());
+                let want = match node.firing {
+                    Firing::Source | Firing::PerPage => [true, false, false],
+                    Firing::PairSweep => [true, true, false],
+                    Firing::Complete => [false, false, true],
+                };
+                assert_eq!(accepted, want, "{text}: {} as {kernel:?}", node.op.name());
             }
         }
     }

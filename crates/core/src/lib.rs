@@ -51,5 +51,9 @@ pub use concurrency::{LockRequest, LockTable};
 pub use granularity::Granularity;
 pub use machine::Machine;
 pub use metrics::{InstructionStats, Metrics};
-pub use params::{CostModel, JoinAlgo, MachineParams, TransferMode};
+pub use params::{CostModel, MachineParams, TransferMode};
 pub use run::{run_queries, run_query, RunOutput};
+
+/// df-host's join algorithm, parsed by the binaries that drive df-host;
+/// defined in df-query and re-exported here.
+pub use df_query::JoinAlgo;

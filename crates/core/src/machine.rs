@@ -163,7 +163,7 @@ impl Machine {
         strategy: AllocationStrategy,
     ) -> Result<Machine> {
         params.validate();
-        let program = compile_with(db, queries, params.join_algo, params.transfer)?;
+        let program = compile_with(db, queries, params.transfer)?;
         // Every instruction's output page must hold at least one tuple.
         for instr in &program.instructions {
             Page::new(instr.output_schema.clone(), params.page_size)?;
@@ -965,7 +965,6 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::JoinAlgo;
     use df_query::{execute_readonly, parse_query, ExecParams};
     use df_relalg::{DataType, Schema, Tuple, Value};
 
@@ -1037,59 +1036,6 @@ mod tests {
             let (out, _) = run_one(&db, q, g);
             assert!(out.same_contents(&oracle), "granularity {g}");
         }
-    }
-
-    #[test]
-    fn hash_join_algo_matches_nested_and_is_cheaper() {
-        let db = db();
-        let q = "(join (restrict (scan a) (< k 20)) (scan b) (= v k))";
-        let tree = parse_query(&db, q).unwrap();
-        let run = |algo: JoinAlgo| {
-            let mut p = small_params();
-            p.join_algo = algo;
-            let m = Machine::new(
-                &db,
-                std::slice::from_ref(&tree),
-                p,
-                Granularity::Page,
-                AllocationStrategy::default(),
-            )
-            .unwrap();
-            let (mut results, metrics) = m.run();
-            (results.remove(0), metrics)
-        };
-        let (nested, nm) = run(JoinAlgo::Nested);
-        let (hashed, hm) = run(JoinAlgo::Hash);
-        assert!(hashed.same_contents(&nested), "hash path changed results");
-        assert!(
-            hm.elapsed <= nm.elapsed,
-            "probe units should not cost more simulated time: hash {} vs nested {}",
-            hm.elapsed,
-            nm.elapsed
-        );
-    }
-
-    #[test]
-    fn non_equi_join_under_hash_algo_matches_oracle() {
-        let db = db();
-        let q = "(join (restrict (scan a) (< k 6)) (restrict (scan b) (< k 4)) (< v k))";
-        let tree = parse_query(&db, q).unwrap();
-        let oracle = execute_readonly(&db, &tree, &ExecParams::default()).unwrap();
-        let mut p = small_params();
-        p.join_algo = JoinAlgo::Hash;
-        let m = Machine::new(
-            &db,
-            std::slice::from_ref(&tree),
-            p,
-            Granularity::Page,
-            AllocationStrategy::default(),
-        )
-        .unwrap();
-        let (mut results, _) = m.run();
-        assert!(
-            results.remove(0).same_contents(&oracle),
-            "θ-join must silently degrade to nested loops"
-        );
     }
 
     #[test]

@@ -8,10 +8,6 @@ use df_obs::Tracer;
 use df_sim::Duration;
 use df_storage::{CacheParams, DiskParams};
 
-/// Which algorithm a `JoinPair` kernel runs on each page pair; defined
-/// next to the kernels in df-query and re-exported here.
-pub use df_query::JoinAlgo;
-
 /// How results move between chained unary operators.
 ///
 /// The paper's instruction cells materialize a whole result page between
@@ -113,7 +109,9 @@ impl CostModel {
     }
 }
 
-/// Full configuration of the simulated machine.
+/// Full configuration of the simulated machine. It has no join-algorithm
+/// knob: every join runs the paper's §2.1 nested loops, one sweep of an
+/// outer page against inner pages.
 #[derive(Debug, Clone)]
 pub struct MachineParams {
     /// Number of instruction processors.
@@ -151,11 +149,6 @@ pub struct MachineParams {
     /// which predates the broadcast design. Tuple-level granularity never
     /// broadcasts — §3.3 charges every tuple pair its own packet.
     pub broadcast_join: bool,
-    /// Join algorithm for `JoinPair` kernels. `Nested` (the default) is the
-    /// paper's choice; `Hash` probes a per-page raw-byte key index on
-    /// equi-joins, cutting per-unit work from O(n·m) to O(n + m) without
-    /// changing the page-granularity unit decomposition or the results.
-    pub join_algo: JoinAlgo,
     /// How results move between chained unary operators: `Materialize`
     /// (the paper's page-per-operator design, the default) or `Pipeline`
     /// (compile-time span fusion; see [`TransferMode`]).
@@ -184,7 +177,6 @@ impl Default for MachineParams {
             max_inner_batch: 8,
             dedup_buckets: 1,
             broadcast_join: true,
-            join_algo: JoinAlgo::default(),
             transfer: TransferMode::default(),
             cost: CostModel::default(),
             cache: CacheParams {
@@ -278,18 +270,6 @@ mod tests {
     #[should_panic(expected = "at least one processor")]
     fn zero_processors_rejected() {
         MachineParams::with_processors(0).validate();
-    }
-
-    #[test]
-    fn join_algo_display_from_str_round_trips() {
-        for algo in JoinAlgo::ALL {
-            let parsed: JoinAlgo = algo.to_string().parse().unwrap();
-            assert_eq!(parsed, algo);
-        }
-        assert_eq!("hash".parse::<JoinAlgo>().unwrap(), JoinAlgo::Hash);
-        assert!("grace".parse::<JoinAlgo>().is_err());
-        assert_eq!(JoinAlgo::default(), JoinAlgo::Nested);
-        assert_eq!(MachineParams::default().join_algo, JoinAlgo::Nested);
     }
 
     #[test]

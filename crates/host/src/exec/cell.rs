@@ -15,11 +15,11 @@ use df_relalg::{Page, SideKeyColumn, SideKeyIndex, SidePages};
 /// its kernel probes.
 #[derive(Debug)]
 pub(super) enum Received {
-    /// A hash-lowered join: the pages indexed on the side's join key — the
-    /// build side of a symmetric hash join.
+    /// A hash join: the pages indexed on the side's join key — the build
+    /// side of a symmetric hash join.
     Index(SideKeyIndex),
-    /// A nested-loops join on an `Int` key: the pages' keys as one dense
-    /// column in arrival order.
+    /// A nested-loops join, or a θ-join under hash, on an `Int` key: the
+    /// pages' keys as one dense column in arrival order.
     Column(SideKeyColumn),
     /// A θ-join on `Bytes` or `Typed` keys, or a cross product: the pages
     /// alone, swept page by page.
@@ -27,17 +27,23 @@ pub(super) enum Received {
 }
 
 impl Received {
-    /// The side's shape for operand `port` of a cell running `kernel`.
-    fn for_port(kernel: &Kernel, port: usize) -> Received {
-        let Kernel::JoinPair(sweep, algo) = kernel else {
+    /// The side's shape for operand `port` of a cell running `kernel`
+    /// under df-host's `join` algorithm: the one place the algorithm meets
+    /// the join's condition. A hash join whose condition the hash path can
+    /// run ([`df_query::ops::JoinSweep::hash_applicable`]) indexes its
+    /// sides; any other join on an `Int` key keeps a key column.
+    fn for_port(kernel: &Kernel, join: JoinAlgo, port: usize) -> Received {
+        let Kernel::JoinPair(sweep) = kernel else {
             return Received::Pages(SidePages::new());
         };
         let condition = sweep.condition();
         let key = [condition.left, condition.right][port];
-        match (algo, sweep.class()) {
-            (JoinAlgo::Hash, _) => Received::Index(SideKeyIndex::new(key)),
-            (JoinAlgo::Nested, KeyClass::Int) => Received::Column(SideKeyColumn::new(key)),
-            (JoinAlgo::Nested, _) => Received::Pages(SidePages::new()),
+        match (join, sweep.class()) {
+            (JoinAlgo::Hash, _) if sweep.hash_applicable() => {
+                Received::Index(SideKeyIndex::new(key))
+            }
+            (_, KeyClass::Int) => Received::Column(SideKeyColumn::new(key)),
+            _ => Received::Pages(SidePages::new()),
         }
     }
 
@@ -159,13 +165,15 @@ pub(super) struct Cell {
 impl Cell {
     /// A cell of `firing` class with `ports` operand ports (0 for a scan,
     /// which is fed at admission and has no operand stream), running
-    /// `kernel`, which shapes a pair-sweep cell's sides ([`Received`]).
-    pub fn new(firing: Firing, ports: usize, kernel: &Kernel) -> Cell {
+    /// `kernel`, which with df-host's `join` algorithm shapes a pair-sweep
+    /// cell's sides ([`Received`]).
+    pub fn new(firing: Firing, ports: usize, kernel: &Kernel, join: JoinAlgo) -> Cell {
         debug_assert!(ports <= 2, "operators take at most two operands");
         let state = match firing {
             Firing::Source | Firing::PerPage => State::PerPage,
             Firing::PairSweep => {
-                State::Pair([0, 1].map(|port| Side::new(Received::for_port(kernel, port))))
+                let side = |port| Side::new(Received::for_port(kernel, join, port));
+                State::Pair([0, 1].map(side))
             }
             Firing::Complete => State::Collecting(Default::default()),
         };
@@ -291,7 +299,7 @@ impl Cell {
 mod tests {
     use super::*;
     use df_query::ops::{JoinSweep, UnaryKernel};
-    use df_relalg::{DataType, JoinCondition, Schema};
+    use df_relalg::{CmpOp, DataType, JoinCondition, Schema};
     use proptest::prelude::*;
     use std::collections::HashSet;
 
@@ -306,15 +314,16 @@ mod tests {
             .collect()
     }
 
-    /// The kernel of a join cell lowered with `algo` (any other cell's
-    /// kernel does not shape its state).
-    fn join(algo: JoinAlgo) -> Kernel {
-        let condition = JoinCondition::equi(&schema(), "k", &schema(), "k").unwrap();
-        Kernel::JoinPair(JoinSweep::compile(&schema(), &schema(), &condition), algo)
+    /// The kernel of an `Int` join cell on `op` (any other cell's kernel
+    /// does not shape its state).
+    fn join(op: CmpOp) -> Kernel {
+        let condition = JoinCondition::new(&schema(), "k", op, &schema(), "k").unwrap();
+        Kernel::JoinPair(JoinSweep::compile(&schema(), &schema(), &condition))
     }
 
-    /// The kernel of a nested join on `Str(4)` × `Str(8)` keys: the
-    /// `Typed` class, whose sides keep their pages alone.
+    /// The kernel of an equi-join on `Str(4)` × `Str(8)` keys: the `Typed`
+    /// class, which the hash path cannot run, so its sides keep their
+    /// pages alone.
     fn typed_join() -> Kernel {
         let (s4, s8) = (DataType::Str(4), DataType::Str(8));
         let left = Schema::build().attr("s", s4).finish().unwrap();
@@ -322,16 +331,18 @@ mod tests {
         let condition = JoinCondition::equi(&left, "s", &right, "s").unwrap();
         let sweep = JoinSweep::compile(&left, &right, &condition);
         assert_eq!(sweep.class(), KeyClass::Typed);
-        Kernel::JoinPair(sweep, JoinAlgo::Nested)
+        Kernel::JoinPair(sweep)
     }
 
-    /// One pair-sweep kernel per side shape, with the shape it gives.
-    fn pair_kernels() -> [(Kernel, &'static str); 4] {
+    /// Pair-sweep kernels and join algorithms covering every side shape and
+    /// each way the hash algorithm falls back, with the shape each gives.
+    fn pair_cells() -> [(Kernel, JoinAlgo, &'static str); 5] {
         [
-            (join(JoinAlgo::Nested), "column"),
-            (join(JoinAlgo::Hash), "index"),
-            (typed_join(), "pages"),
-            (Kernel::CrossPair, "pages"),
+            (join(CmpOp::Eq), JoinAlgo::Nested, "column"),
+            (join(CmpOp::Eq), JoinAlgo::Hash, "index"),
+            (join(CmpOp::Lt), JoinAlgo::Hash, "column"),
+            (typed_join(), JoinAlgo::Hash, "pages"),
+            (Kernel::CrossPair, JoinAlgo::Hash, "pages"),
         ]
     }
 
@@ -389,9 +400,9 @@ mod tests {
 
     #[test]
     fn every_page_pair_is_swept_once_under_interleaved_arrivals() {
-        for (kernel, want) in pair_kernels() {
+        for (kernel, join, want) in pair_cells() {
             let (outer, inner) = (pages(4), pages(3));
-            let mut cell = Cell::new(Firing::PairSweep, 2, &kernel);
+            let mut cell = Cell::new(Firing::PairSweep, 2, &kernel, join);
             // Arrivals alternate ports, some batched, one port running ahead.
             assert_eq!(cell.deliver(0, vec![Arc::clone(&outer[0])]), 0);
             assert_eq!(cell.deliver(1, inner[..2].to_vec()), 2);
@@ -401,7 +412,7 @@ mod tests {
             assert_eq!(cell.deliver(0, vec![Arc::clone(&outer[3])]), 1);
             cell.port_done(0);
             let units: Vec<WorkKind> = cell.take(cell.pending()).collect();
-            assert!(units.iter().all(|u| shape(u) == want), "{kernel:?}");
+            assert!(units.iter().all(|u| shape(u) == want), "{kernel:?} {join}");
             let swept: Vec<_> = units.iter().flat_map(pairs).collect();
             assert_eq!(swept.len(), outer.len() * inner.len(), "{want}: {swept:?}");
             assert_eq!(
@@ -415,9 +426,9 @@ mod tests {
     /// pair — a page with itself included — is still covered exactly once.
     #[test]
     fn a_self_join_covers_each_pair_once() {
-        for (kernel, want) in pair_kernels() {
+        for (kernel, join, want) in pair_cells() {
             let r = pages(3);
-            let mut cell = Cell::new(Firing::PairSweep, 2, &kernel);
+            let mut cell = Cell::new(Firing::PairSweep, 2, &kernel, join);
             assert_eq!(cell.deliver(0, vec![Arc::clone(&r[0])]), 0);
             assert_eq!(cell.deliver(1, r.clone()), 3);
             assert_eq!(cell.deliver(0, r[1..].to_vec()), 2);
@@ -433,7 +444,7 @@ mod tests {
     #[test]
     fn blocking_fire_waits_for_every_port() {
         let (left, right) = (pages(2), pages(1));
-        let mut cell = Cell::new(Firing::Complete, 2, &Kernel::UnionFinal);
+        let mut cell = Cell::new(Firing::Complete, 2, &Kernel::UnionFinal, JoinAlgo::Nested);
         assert_eq!(cell.deliver(0, left.clone()), 0);
         assert_eq!(cell.port_done(0), 0);
         assert_eq!(cell.deliver(1, right.clone()), 0);
@@ -449,7 +460,7 @@ mod tests {
         assert!(cell.ready_to_complete());
 
         // Unary, and with no operand page at all: still exactly one fire.
-        let mut cell = Cell::new(Firing::Complete, 1, &Kernel::UnionFinal);
+        let mut cell = Cell::new(Firing::Complete, 1, &Kernel::UnionFinal, JoinAlgo::Nested);
         assert!(!cell.ready_to_complete(), "not before its fire");
         assert_eq!(cell.port_done(0), 1);
         assert_eq!(cell.pending(), 1);
@@ -457,7 +468,7 @@ mod tests {
 
     #[test]
     fn never_ready_with_work_pending_or_in_flight() {
-        let mut cell = Cell::new(Firing::PerPage, 1, &identity());
+        let mut cell = Cell::new(Firing::PerPage, 1, &identity(), JoinAlgo::Nested);
         assert_eq!(cell.deliver(0, pages(3)), 3);
         cell.port_done(0);
         assert!(!cell.ready_to_complete(), "pending");
@@ -473,7 +484,7 @@ mod tests {
         assert!(!cell.ready_to_complete(), "a cell completes once");
 
         // A doomed query's cell drops what no run took; the rest drains.
-        let mut cell = Cell::new(Firing::PerPage, 1, &identity());
+        let mut cell = Cell::new(Firing::PerPage, 1, &identity(), JoinAlgo::Nested);
         cell.deliver(0, pages(4));
         assert_eq!(cell.take(1).count(), 1);
         cell.discard_pending();
@@ -482,7 +493,7 @@ mod tests {
         assert_eq!(cell.in_flight(), 0);
 
         // A scan cell has no operand stream: it is ready at once.
-        assert!(Cell::new(Firing::Source, 0, &identity()).ready_to_complete());
+        assert!(Cell::new(Firing::Source, 0, &identity(), JoinAlgo::Nested).ready_to_complete());
     }
 
     /// A cell driven by a random interleaving of the scheduler's operations,
@@ -502,9 +513,15 @@ mod tests {
     }
 
     impl Harness {
-        fn new(firing: Firing, ports: usize, kernel: &Kernel, sizes: [usize; 2]) -> Harness {
+        fn new(
+            firing: Firing,
+            ports: usize,
+            kernel: &Kernel,
+            join: JoinAlgo,
+            sizes: [usize; 2],
+        ) -> Harness {
             Harness {
-                cell: Cell::new(firing, ports, kernel),
+                cell: Cell::new(firing, ports, kernel, join),
                 firing,
                 unsent: [pages(sizes[0]), pages(if ports > 1 { sizes[1] } else { 0 })],
                 sent: Default::default(),
@@ -638,17 +655,17 @@ mod tests {
             sizes in (0usize..6, 0usize..6),
             ops in prop::collection::vec((0u8..5, 0usize..4), 0..64),
         ) {
-            let (firing, ports, kernel) = vec![
-                (Firing::PerPage, 1, identity()),
-                (Firing::PairSweep, 2, join(JoinAlgo::Nested)),
-                (Firing::PairSweep, 2, join(JoinAlgo::Hash)),
-                (Firing::PairSweep, 2, typed_join()),
-                (Firing::PairSweep, 2, Kernel::CrossPair),
-                (Firing::Complete, 1, Kernel::UnionFinal),
-                (Firing::Complete, 2, Kernel::UnionFinal),
+            let (firing, ports, kernel, join) = vec![
+                (Firing::PerPage, 1, identity(), JoinAlgo::Nested),
+                (Firing::PairSweep, 2, join(CmpOp::Eq), JoinAlgo::Nested),
+                (Firing::PairSweep, 2, join(CmpOp::Eq), JoinAlgo::Hash),
+                (Firing::PairSweep, 2, typed_join(), JoinAlgo::Nested),
+                (Firing::PairSweep, 2, Kernel::CrossPair, JoinAlgo::Nested),
+                (Firing::Complete, 1, Kernel::UnionFinal, JoinAlgo::Nested),
+                (Firing::Complete, 2, Kernel::UnionFinal, JoinAlgo::Nested),
             ]
             .swap_remove(class);
-            let mut h = Harness::new(firing, ports, &kernel, [sizes.0, sizes.1]);
+            let mut h = Harness::new(firing, ports, &kernel, join, [sizes.0, sizes.1]);
             h.check();
             for (op, arg) in ops {
                 match op {

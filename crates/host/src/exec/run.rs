@@ -232,7 +232,7 @@ impl Packer {
 /// [`Kernel`] entry point to call; which operator that is, only the kernel
 /// knows. What is decided here is what depends on host state: a join's
 /// pair unit reads the opposite side in the shape the cell keeps it — a
-/// hash join probes its key index, a nested `Int` join its key column,
+/// hash join probes its key index, any other `Int` join its key column,
 /// any other θ-join sweeps its pages — and a cross product is absorbed
 /// pair by pair so the batch stays bounded.
 fn execute_unit(
@@ -277,7 +277,7 @@ fn execute_unit(
                 }
                 UnitClass::Sweep
             } else {
-                let Kernel::JoinPair(sweep, _) = kernel else {
+                let Kernel::JoinPair(sweep) = kernel else {
                     unreachable!("a pair unit fires a join or cross-product cell");
                 };
                 let batch = &mut pack.batch;

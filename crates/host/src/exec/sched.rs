@@ -287,7 +287,7 @@ impl<'a> Scheduler<'a> {
         let plan = Arc::clone(&self.plans[q]);
         let nodes = &plan.plan.nodes;
         let cells = (nodes.iter().zip(&plan.kernels))
-            .map(|(n, kernel)| Cell::new(n.firing, n.children.len(), kernel));
+            .map(|(n, kernel)| Cell::new(n.firing, n.children.len(), kernel, plan.join));
         self.active[q] = Some(QueryState {
             plan: Arc::clone(&plan),
             cells: cells.collect(),

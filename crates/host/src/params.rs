@@ -25,17 +25,17 @@ pub struct HostParams {
     /// Which instruction's ready work a freed worker picks up — the same
     /// four policies the simulated machines use.
     pub strategy: AllocationStrategy,
-    /// Join algorithm the plan's join cells are lowered with
-    /// ([`df_query::Kernel::lower`], once per cell at plan build).
-    /// Under [`JoinAlgo::Hash`] each side of a hash-lowered cell keeps one
-    /// growing raw-byte key index over every page it has received
-    /// ([`df_relalg::SideKeyIndex`]), extended by the scheduler as pages
-    /// arrive, and an arriving page probes the opposite side's index once
-    /// — a symmetric hash join — instead of sweeping it against each
-    /// opposite page. A condition the hash path cannot run (non-equi θ,
-    /// mixed-width string keys) is lowered as the nested-loops sweep;
-    /// results are multiset-identical either way. A nested-loops join on
-    /// `Int` keys keeps each side as one dense key column instead
+    /// Join algorithm of the plan's join cells, which shapes each cell's
+    /// operand sides once, when the cell is created. Under
+    /// [`JoinAlgo::Hash`] each side of a cell whose condition can hash
+    /// keeps one growing raw-byte key index over every page it has
+    /// received ([`df_relalg::SideKeyIndex`]), extended by the scheduler
+    /// as pages arrive, and an arriving page probes the opposite side's
+    /// index once — a symmetric hash join — instead of sweeping it against
+    /// each opposite page. A condition the hash path cannot run (non-equi
+    /// θ, mixed-width string keys) sweeps as under `Nested`; results are
+    /// multiset-identical either way. Any other join on `Int` keys keeps
+    /// each side as one dense key column instead
     /// ([`df_relalg::SideKeyColumn`]), which an arriving page probes once.
     pub join: JoinAlgo,
     /// How chained unary operators exchange results. Under

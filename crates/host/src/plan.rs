@@ -22,6 +22,9 @@ pub(crate) struct QueryPlan {
     pub plan: Plan,
     /// Per cell: the operator code its units run.
     pub kernels: Vec<Kernel>,
+    /// The join algorithm, which with each join cell's kernel shapes the
+    /// cell's operand sides.
+    pub join: JoinAlgo,
     /// Per cell: distance from the root (root = 0), along the routes pages
     /// actually take — a span sits at its chain top's depth.
     pub depth: Vec<usize>,
@@ -67,10 +70,11 @@ impl QueryPlan {
             .iter()
             .map(|n| page_size.max(PAGE_HEADER_BYTES + n.out_schema.tuple_width()))
             .collect();
-        let kernels = plan.nodes.iter().map(|n| Kernel::lower(n, join)).collect();
+        let kernels = plan.nodes.iter().map(Kernel::lower).collect();
         Ok(QueryPlan {
             plan,
             kernels,
+            join,
             depth,
             out_page_size,
         })

@@ -33,8 +33,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use df_query::ops::{self, SpanStep, UnaryKernel};
-use df_query::{run_plan, Firing, Op, Plan, PlanNode, QueryTree};
+use df_query::ops::{SpanStep, UnaryKernel};
+use df_query::{run_plan, Firing, Kernel, Op, Plan, PlanNode, QueryTree};
 use df_relalg::{Catalog, Error, Page, Relation, Result, Schema, TupleBuf, PAGE_HEADER_BYTES};
 
 /// A signed counted multiset of raw tuple images. `BTreeMap` keeps every
@@ -508,10 +508,11 @@ fn set_op_delta(
     out
 }
 
-/// Fire the product rule for a join or cross node: delta pages against
-/// the retained opposite operand, folding each side's delta into its
-/// retained multiset between the two half-rules so a self-join's
-/// simultaneous deltas compose exactly (ΔL ⋈ R, then (L + ΔL) ⋈ ΔR).
+/// Fire the product rule for a join or cross node: each delta page swept
+/// by the node's [`Kernel`] against the retained opposite operand's page
+/// list, folding each side's delta into its retained multiset between the
+/// two half-rules so a self-join's simultaneous deltas compose exactly
+/// (ΔL ⋈ R, then (L + ΔL) ⋈ ΔR).
 #[allow(clippy::too_many_arguments)]
 fn fire_product(
     node: &PlanNode,
@@ -525,30 +526,21 @@ fn fire_product(
     delta_pages: &mut u64,
 ) -> Result<Counts> {
     let w_left = left_schema.tuple_width();
-    // One batch for the whole rule, refilled pair by pair.
+    let kernel = Kernel::lower(node);
+    // One batch for the whole rule, refilled per delta page.
     let mut buf = TupleBuf::new(node.out_schema.clone());
-    let kernel = |outer: &Page, inner: &Page, buf: &mut TupleBuf| {
-        buf.clear();
-        match (&node.op, &node.sweep) {
-            (Op::Join { .. }, Some(sweep)) => {
-                ops::hash_join_pages_raw_into(outer, inner, sweep, buf);
-            }
-            (Op::CrossProduct, _) => ops::cross_pages_raw_into(outer, inner, buf),
-            _ => unreachable!("fire_product on a non-product op"),
-        }
-    };
     let mut out = Counts::new();
     // ΔL ⋈ R_old: distinct ΔL images fire against the retained right
     // multiset; each emitted row carries its left image's signed count.
     if !dl.is_empty() {
         let dl_pages = pack_distinct(left_schema, page_size, dl)?;
         *delta_pages += dl_pages.len() as u64;
+        let right_pages = right.pages(right_schema, page_size)?;
         for dp in &dl_pages {
-            for rp in right.pages(right_schema, page_size)? {
-                kernel(dp, rp.as_ref(), &mut buf);
-                for t in buf.refs() {
-                    add(&mut out, t.raw(), dl[&t.raw()[..w_left]]);
-                }
+            buf.clear();
+            kernel.run_sweep_raw_into(dp, right_pages.iter().map(AsRef::as_ref), true, &mut buf);
+            for t in buf.refs() {
+                add(&mut out, t.raw(), dl[&t.raw()[..w_left]]);
             }
         }
         left.fold(dl);
@@ -558,12 +550,12 @@ fn fire_product(
     if !dr.is_empty() {
         let dr_pages = pack_distinct(right_schema, page_size, dr)?;
         *delta_pages += dr_pages.len() as u64;
-        for lp in left.pages(left_schema, page_size)? {
-            for dp in &dr_pages {
-                kernel(lp.as_ref(), dp, &mut buf);
-                for t in buf.refs() {
-                    add(&mut out, t.raw(), dr[&t.raw()[w_left..]]);
-                }
+        let left_pages = left.pages(left_schema, page_size)?;
+        for dp in &dr_pages {
+            buf.clear();
+            kernel.run_sweep_raw_into(dp, left_pages.iter().map(AsRef::as_ref), false, &mut buf);
+            for t in buf.refs() {
+                add(&mut out, t.raw(), dr[&t.raw()[w_left..]]);
             }
         }
         right.fold(dr);
@@ -755,6 +747,62 @@ mod tests {
             &[
                 ("a", vec![image(5, 50)], vec![]),
                 ("a", vec![image(5, 51), image(6, 60)], vec![image(5, 50)]),
+            ],
+        );
+    }
+
+    #[test]
+    fn theta_join_views_sweep_the_retained_operand() {
+        // 128-byte pages hold 7 images, and both operands grow past 7, so
+        // each delta page sweeps a list of several retained pages.
+        for text in [
+            "(join (scan a) (scan b) (< key key))",
+            "(join (scan a) (scan b) (!= val val))",
+        ] {
+            check_maintenance_at(
+                128,
+                db(),
+                text,
+                &[
+                    (
+                        "b",
+                        vec![image(3, 0), image(2, 7), image(1, 1), image(0, 9)],
+                        vec![image(0, 0)],
+                    ),
+                    ("a", vec![image(1, 5), image(1, 5)], vec![]),
+                    ("b", vec![image(3, 3)], vec![image(3, 0)]),
+                    ("a", vec![], vec![image(1, 5), image(0, 0)]),
+                ],
+            );
+        }
+    }
+
+    #[test]
+    fn cross_product_view_tracks_both_operands() {
+        check_maintenance_at(
+            128,
+            db(),
+            "(cross (scan a) (scan b))",
+            &[
+                ("b", vec![image(8, 80), image(8, 81), image(7, 70)], vec![]),
+                ("a", vec![image(9, 90), image(9, 90)], vec![]),
+                ("b", vec![image(6, 60)], vec![image(1, 10)]),
+                ("a", vec![], vec![image(9, 90), image(2, 20)]),
+            ],
+        );
+    }
+
+    #[test]
+    fn self_join_deletes_a_key_held_more_than_once() {
+        check_maintenance(
+            db(),
+            "(join (scan a) (scan a) (= key key))",
+            &[
+                ("a", vec![image(5, 50), image(5, 50), image(5, 50)], vec![]),
+                ("a", vec![], vec![image(5, 50), image(5, 50)]),
+                ("a", vec![image(5, 51)], vec![image(5, 50)]),
+                // Key 1 is held by (1, 10) and (1, 50).
+                ("a", vec![], vec![image(1, 10)]),
             ],
         );
     }

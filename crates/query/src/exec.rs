@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use df_relalg::{Catalog, Error, Page, Relation, Result, TupleBuf};
 
-use crate::kernel::{JoinAlgo, Kernel};
+use crate::kernel::Kernel;
 use crate::ops::UnaryKernel;
 use crate::oracle;
 use crate::plan::{Firing, Plan, PlanNode};
@@ -96,9 +96,8 @@ pub fn execute(db: &mut Catalog, tree: &QueryTree, params: &ExecParams) -> Resul
 
 /// Evaluate every read-only node of an unfused `plan` in topological order
 /// — the sequential scheduler of the one [`Kernel`]. Each node is
-/// [`Kernel::lower`]ed with [`JoinAlgo::Nested`] (the paper's
-/// configuration) and fired through the entry point its [`Firing`] class
-/// names: a `PerPage` node once per input page, a `PairSweep` node once per
+/// [`Kernel::lower`]ed and fired through the entry point its [`Firing`]
+/// class names: a `PerPage` node once per input page, a `PairSweep` node once per
 /// outer page against the whole inner page list, a `Complete` node once
 /// over its complete inputs. A scan is its catalog relation (pages shared).
 ///
@@ -138,7 +137,7 @@ fn run_node(
     page_size: usize,
 ) -> Result<Relation> {
     let schema = &node.out_schema;
-    let kernel = Kernel::lower(node, JoinAlgo::Nested);
+    let kernel = Kernel::lower(node);
     let pages = |port: usize| inputs[port].pages().iter().map(AsRef::as_ref);
     let mut out = Relation::new(name, schema.clone(), page_size)?;
     match node.firing {

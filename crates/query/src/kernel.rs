@@ -20,24 +20,20 @@ use crate::ops::{self, JoinSweep};
 use crate::plan::{Firing, PlanNode};
 use crate::tree::Op;
 
-/// Which algorithm a `JoinPair` kernel runs on each page pair.
-///
-/// The paper (§2.1) commits to nested loops because every page of the outer
-/// joins the inner independently — but that independence is a property of
-/// the *unit decomposition*, not of the per-unit algorithm. `Hash` keeps
-/// the page-pair units (and so the §3.2 firing rule and §4.2 broadcast
-/// protocol) and replaces the inner scan of each unit with a raw-byte
-/// key-index probe. Non-equi θs degrade to nested loops silently, so the
-/// knob is always safe to turn on.
+/// Which algorithm df-host's join cells run. It is df-host's choice alone
+/// (`HostParams::join`): the kernel layer has one join, the compiled
+/// nested-loops sweep, and the simulated machines run the paper's §2.1
+/// nested loops. Under `Hash`, a df-host join whose condition the hash path
+/// can run ([`JoinSweep::hash_applicable`]) keeps each operand side as a
+/// raw-byte key index and probes it; any other join sweeps, so the knob is
+/// always safe to turn on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum JoinAlgo {
     /// §2.1 nested loops: every (outer tuple, inner tuple) pair compared.
     #[default]
     Nested,
-    /// Hash-accelerated equi-join: index the inner page's raw key bytes
-    /// once, probe with each outer tuple — what [`Kernel::lower`] gives a
-    /// join whose condition the hash path can run, executed through
-    /// [`ops::hash_join_pages_raw_into`].
+    /// Symmetric hash join: each side indexed on its raw key bytes as its
+    /// pages arrive, each arriving page probing the opposite index.
     Hash,
 }
 
@@ -82,13 +78,9 @@ pub enum Kernel {
     /// operator. Cost: the sum of the step costs ([`Kernel::tuple_ops`]),
     /// but a single page transfer.
     Unary(ops::UnaryKernel),
-    /// Join of one page pair: the plan's compiled nested-loops sweep, or
-    /// under [`JoinAlgo::Hash`] a probe of the inner page's raw-byte key
-    /// index. Lowering gives `Hash` only to conditions the hash path can
-    /// run ([`JoinSweep::hash_applicable`]); non-equi θs and mixed-width
-    /// string keys are lowered as `Nested`, so they sweep and are charged
-    /// as sweeps.
-    JoinPair(JoinSweep, JoinAlgo),
+    /// Join of a page against a list of pages: the plan's compiled
+    /// nested-loops sweep.
+    JoinPair(JoinSweep),
     /// Cross product of one page pair.
     CrossPair,
     /// Set union of two complete inputs.
@@ -105,11 +97,9 @@ impl Kernel {
     /// what this returns. A `Source` or `PerPage` node runs the form
     /// [`crate::Plan::compile`] gave it (a fused node's spans its chain;
     /// a scan's and an append's is the identity — the catalog update an
-    /// append requests happens after the run). A join keeps the `join`
-    /// knob only when its compiled condition can run on the hash path
-    /// ([`JoinSweep::hash_applicable`]) and is lowered — so swept, counted
-    /// and charged — as nested loops otherwise.
-    pub fn lower(node: &PlanNode, join: JoinAlgo) -> Kernel {
+    /// append requests happens after the run). A join runs its compiled
+    /// sweep.
+    pub fn lower(node: &PlanNode) -> Kernel {
         match node.firing {
             Firing::Source | Firing::PerPage => Kernel::Unary(
                 node.unary
@@ -118,8 +108,7 @@ impl Kernel {
             ),
             // A join carries its compiled sweep; a cross product has none.
             Firing::PairSweep => match node.sweep {
-                Some(sweep) if sweep.hash_applicable() => Kernel::JoinPair(sweep, join),
-                Some(sweep) => Kernel::JoinPair(sweep, JoinAlgo::Nested),
+                Some(sweep) => Kernel::JoinPair(sweep),
                 None => Kernel::CrossPair,
             },
             Firing::Complete => match &node.op {
@@ -165,24 +154,15 @@ impl Kernel {
         page_is_outer: bool,
         out: &mut TupleBuf,
     ) {
-        let oriented = |opp: &'a Page| {
-            if page_is_outer {
-                (page, opp)
-            } else {
-                (opp, page)
-            }
-        };
         match self {
-            Kernel::JoinPair(sweep, JoinAlgo::Nested) => {
-                sweep.sweep_list_into(page, opposite, page_is_outer, out);
-            }
-            Kernel::JoinPair(sweep, JoinAlgo::Hash) => {
-                for (outer, inner) in opposite.into_iter().map(oriented) {
-                    ops::hash_join_pages_raw_into(outer, inner, sweep, out);
-                }
-            }
+            Kernel::JoinPair(sweep) => sweep.sweep_list_into(page, opposite, page_is_outer, out),
             Kernel::CrossPair => {
-                for (outer, inner) in opposite.into_iter().map(oriented) {
+                for opp in opposite {
+                    let (outer, inner) = if page_is_outer {
+                        (page, opp)
+                    } else {
+                        (opp, page)
+                    };
                     ops::cross_pages_raw_into(outer, inner, out);
                 }
             }
@@ -247,16 +227,11 @@ impl Kernel {
     }
 
     /// Per-tuple operation count for the cost model: how many tuple-level
-    /// steps the unit performs. A hash-path equi-join builds the inner
-    /// index (m inserts) and probes once per outer tuple (n probes), so it
-    /// charges n + m instead of the nested-loops n·m — this is what lets
-    /// the simulated machines account the reduced IP service time.
+    /// steps the unit performs. A join or cross product compares every
+    /// (outer, inner) tuple pair, n·m.
     pub fn tuple_ops(&self, tuple_counts: &[usize]) -> usize {
         match self {
-            Kernel::JoinPair(_, JoinAlgo::Hash) => tuple_counts[0] + tuple_counts[1],
-            Kernel::JoinPair(_, JoinAlgo::Nested) | Kernel::CrossPair => {
-                tuple_counts[0] * tuple_counts[1]
-            }
+            Kernel::JoinPair(_) | Kernel::CrossPair => tuple_counts[0] * tuple_counts[1],
             // A fused span charges the *sum* of its step costs — each
             // logical operator still touches every input tuple — while
             // transferring a single page. The transfer saving, not a
@@ -276,4 +251,21 @@ pub fn tuple_bucket(t: &Tuple, buckets: u64) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     t.hash(&mut h);
     h.finish() % buckets
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `host_run --join` and `df-serve --join` parse the display form.
+    #[test]
+    fn join_algo_display_from_str_round_trips() {
+        for algo in JoinAlgo::ALL {
+            let parsed: JoinAlgo = algo.to_string().parse().unwrap();
+            assert_eq!(parsed, algo);
+        }
+        assert_eq!("hash".parse::<JoinAlgo>().unwrap(), JoinAlgo::Hash);
+        assert!("grace".parse::<JoinAlgo>().is_err());
+        assert_eq!(JoinAlgo::default(), JoinAlgo::Nested);
+    }
 }

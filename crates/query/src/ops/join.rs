@@ -39,43 +39,12 @@ pub fn join_pages_raw(
     out
 }
 
-/// Hash-accelerated page×page equi-join: builds a [`PageKeyIndex`] over the
-/// inner page's raw key bytes and probes it with each outer tuple, emitting
-/// O(n + m + matches) work instead of the nested-loops O(n·m) sweep.
-///
-/// Output is **byte-identical** to [`join_pages_raw`]: outer tuples probe in
-/// page order and each probe's slot list is in ascending inner-slot order,
-/// exactly the nested iteration order. Conditions the hash path cannot run
-/// ([`JoinSweep::hash_applicable`] is false: non-equi θs, mixed-width keys)
-/// silently fall back to the nested-loops sweep.
-pub fn hash_join_pages_raw(
-    outer: &Page,
-    inner: &Page,
-    condition: &JoinCondition,
-    out_schema: &Schema,
-) -> TupleBuf {
-    let mut out = TupleBuf::new(out_schema.clone());
-    let sweep = JoinSweep::compile(outer.schema(), inner.schema(), condition);
-    hash_join_pages_raw_into(outer, inner, &sweep, &mut out);
-    out
-}
-
-/// [`hash_join_pages_raw`] for an already compiled condition, appending to
-/// a caller-supplied batch (whose schema must be the concatenated output
-/// schema).
-pub fn hash_join_pages_raw_into(outer: &Page, inner: &Page, sweep: &JoinSweep, out: &mut TupleBuf) {
-    if sweep.hash_applicable() {
-        let condition = sweep.condition();
-        let index = PageKeyIndex::build(inner, condition.right);
-        hash_join_probe_into(outer, inner, &index, condition, out);
-    } else {
-        sweep.sweep_into(outer, inner, out);
-    }
-}
-
-/// The probe half of [`hash_join_pages_raw`], taking a prebuilt inner-page
-/// index so a caller that sees the same inner page many times builds it
-/// once.
+/// Page×page equi-join through a prebuilt [`PageKeyIndex`] over the inner
+/// page: each outer tuple probes the index, emitting O(n + matches) work
+/// in the nested sweep's order (outer tuples in page order, each probe's
+/// slots ascending), so the output is byte-identical to
+/// [`join_pages_raw`]. No executor runs it; the repository benchmark's
+/// `query.ops.join_hash_mib_s` times it.
 ///
 /// Callers must have checked [`JoinSweep::hash_applicable`]; `index` must be
 /// built over `inner` on `condition.right`.
@@ -89,21 +58,8 @@ pub fn hash_join_probe(
     condition: &JoinCondition,
     out_schema: &Schema,
 ) -> TupleBuf {
-    let mut out = TupleBuf::new(out_schema.clone());
-    hash_join_probe_into(outer, inner, index, condition, &mut out);
-    out
-}
-
-/// [`hash_join_probe`] appending to a caller-supplied batch (whose schema
-/// must be the concatenated output schema).
-fn hash_join_probe_into(
-    outer: &Page,
-    inner: &Page,
-    index: &PageKeyIndex,
-    condition: &JoinCondition,
-    out: &mut TupleBuf,
-) {
     debug_assert_eq!(index.key(), condition.right, "index/condition mismatch");
+    let mut out = TupleBuf::new(out_schema.clone());
     let (inner_data, w) = (inner.raw_data(), inner.schema().tuple_width());
     for o in outer.tuple_refs() {
         for &slot in index.probe(o.attr_bytes(condition.left)) {
@@ -111,6 +67,7 @@ fn hash_join_probe_into(
             out.push_concat(o.raw(), &inner_data[at..at + w]);
         }
     }
+    out
 }
 
 /// The symmetric hash join's unit: every tuple of the arriving `page`
@@ -118,7 +75,7 @@ fn hash_join_probe_into(
 /// pages, appending each match to `out` in the condition's orientation
 /// (`page` is the outer operand when `page_is_outer`). Matches leave in
 /// (page slot, opposite arrival) order; as a multiset they are the union
-/// of [`hash_join_pages_raw`] over `page` paired with each of those pages.
+/// of [`join_pages_raw`] over `page` paired with each of those pages.
 ///
 /// Callers must have checked [`JoinSweep::hash_applicable`]; `side` must be
 /// keyed on the condition's attribute of the opposite operand.
@@ -207,73 +164,6 @@ mod tests {
                 "op {op}"
             );
         }
-    }
-
-    #[test]
-    fn hash_join_pages_byte_identical_with_duplicates() {
-        // Duplicate keys on both sides: the probe must emit the full cross
-        // product of each matching group in nested-loops order.
-        let a = kv_page(&[(2, 10), (1, 11), (2, 12), (2, 13)]);
-        let b = kv_page(&[(2, 200), (1, 201), (2, 202)]);
-        let out_schema = kv_schema().concat(&kv_schema());
-        let c = cond(&kv_schema(), &kv_schema());
-        let nested = join_pages_raw(&a, &b, &c, &out_schema);
-        let hashed = hash_join_pages_raw(&a, &b, &c, &out_schema);
-        assert_eq!(hashed.to_tuples(), nested.to_tuples());
-        assert_eq!(hashed.to_tuples().len(), 3 * 2 + 1);
-        // Byte identity, not just tuple equality.
-        let bytes = |buf: &TupleBuf| buf.refs().map(|t| t.raw().to_vec()).collect::<Vec<_>>();
-        assert_eq!(bytes(&hashed), bytes(&nested));
-    }
-
-    #[test]
-    fn hash_join_pages_falls_back_on_non_equi() {
-        let a = kv_page(&[(1, 10), (2, 20), (3, 30)]);
-        let b = kv_page(&[(2, 200), (3, 300), (2, 201)]);
-        let out_schema = kv_schema().concat(&kv_schema());
-        for op in [CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-            let c = JoinCondition::new(&kv_schema(), "k", op, &kv_schema(), "k").unwrap();
-            assert!(!JoinSweep::compile(&kv_schema(), &kv_schema(), &c).hash_applicable());
-            assert_eq!(
-                hash_join_pages_raw(&a, &b, &c, &out_schema).to_tuples(),
-                join_pages_raw(&a, &b, &c, &out_schema).to_tuples(),
-                "op {op}"
-            );
-        }
-    }
-
-    #[test]
-    fn hash_join_falls_back_on_mixed_width_string_keys() {
-        // Str(4) vs Str(8) passes the JoinCondition type check (both
-        // strings) but the key images differ in width, so the raw-byte
-        // index cannot see equality — the hash path must defer to the
-        // typed comparison of nested loops.
-        let s4 = Schema::build()
-            .attr("s", df_relalg::DataType::Str(4))
-            .finish()
-            .unwrap();
-        let s8 = Schema::build()
-            .attr("s", df_relalg::DataType::Str(8))
-            .finish()
-            .unwrap();
-        let mk = |schema: &Schema, vals: &[&str]| {
-            let mut p = Page::new(schema.clone(), 1024).unwrap();
-            for v in vals {
-                p.push(&Tuple::new(vec![Value::str(v)])).unwrap();
-            }
-            p
-        };
-        let a = mk(&s4, &["ab", "cd"]);
-        let b = mk(&s8, &["cd", "zz", "ab"]);
-        let c = JoinCondition::equi(&s4, "s", &s8, "s").unwrap();
-        assert!(!JoinSweep::compile(&s4, &s8, &c).hash_applicable());
-        let out_schema = s4.concat(&s8);
-        let hashed = hash_join_pages_raw(&a, &b, &c, &out_schema);
-        assert_eq!(
-            hashed.to_tuples(),
-            join_pages_raw(&a, &b, &c, &out_schema).to_tuples()
-        );
-        assert_eq!(hashed.to_tuples().len(), 2); // "ab" and "cd" match
     }
 
     #[test]

@@ -16,10 +16,7 @@ mod set_ops;
 mod span;
 mod sweep;
 
-pub use join::{
-    hash_join_pages_raw, hash_join_pages_raw_into, hash_join_probe, hash_join_side_into,
-    join_pages_raw,
-};
+pub use join::{hash_join_probe, hash_join_side_into, join_pages_raw};
 pub use project::project_page_raw;
 pub use restrict::restrict_page_raw;
 pub use set_ops::{

@@ -535,37 +535,6 @@ proptest! {
     }
 }
 
-proptest! {
-    /// The hash-accelerated page kernel is byte-identical to the
-    /// nested-loops sweep on every equi-join page pair, under
-    /// duplicate-heavy Int, Bool, and Str keys (`flag` has two distinct
-    /// values, so probe lists run long).
-    #[test]
-    fn hash_join_byte_identical_to_nested(
-        left in arb_mixed_rows(40),
-        right in arb_mixed_rows(40),
-    ) {
-        use df_query::ops::hash_join_pages_raw;
-        let l = mixed_relation(&left);
-        let r = mixed_relation(&right);
-        let out_schema = l.schema().concat(r.schema());
-        for key in ["id", "flag", "tag"] {
-            let c = JoinCondition::equi(l.schema(), key, r.schema(), key).unwrap();
-            for lp in l.pages() {
-                for rp in r.pages() {
-                    let nested = join_pages_raw(lp, rp, &c, &out_schema);
-                    let hashed = hash_join_pages_raw(lp, rp, &c, &out_schema);
-                    prop_assert_eq!(
-                        raw_bytes(&nested),
-                        raw_bytes(&hashed),
-                        "hash join diverged on key {}", key
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Each tuple image of a batch, sorted: the batch as a multiset.
 fn sorted_images(buf: &df_relalg::TupleBuf) -> Vec<Vec<u8>> {
     let mut images: Vec<Vec<u8>> = buf.refs().map(|r| r.raw().to_vec()).collect();
@@ -576,7 +545,7 @@ fn sorted_images(buf: &df_relalg::TupleBuf) -> Vec<Vec<u8>> {
 proptest! {
     /// The symmetric hash join's unit: one page probing a side index over
     /// N pushed pages yields, as a multiset, exactly the per-pair
-    /// `hash_join_pages_raw` outputs against the first `upto` of them —
+    /// `join_pages_raw` sweeps against the first `upto` of them —
     /// with the arriving page as outer and as inner, on duplicate-heavy
     /// `Int` keys (the word map), `Bool` and `Str` keys (the bytes map),
     /// empty pages on either side, and pages at or past `upto` invisible.
@@ -588,7 +557,7 @@ proptest! {
         rights in prop::collection::vec(arb_right_rows(0..8), 0..5),
         upto in 0usize..6,
     ) {
-        use df_query::ops::{hash_join_pages_raw, hash_join_side_into};
+        use df_query::ops::hash_join_side_into;
         use df_relalg::{SideKeyIndex, TupleBuf};
         use std::sync::Arc;
 
@@ -616,7 +585,7 @@ proptest! {
                     .iter()
                     .flat_map(|p| {
                         let (outer, inner) = if page_is_outer { (page, p) } else { (p, page) };
-                        sorted_images(&hash_join_pages_raw(outer, inner, &c, &out_schema))
+                        sorted_images(&join_pages_raw(outer, inner, &c, &out_schema))
                     })
                     .collect();
                 want.sort();

@@ -176,8 +176,11 @@ impl RingMachine {
                         .map(|slot| slot.iter().map(|&p| self.store.get(p)).collect())
                         .collect();
                     let results = code.kernel.run_final_raw(&inputs, &code.output_schema);
+                    let counts: Vec<usize> = (inputs.iter())
+                        .map(|port| port.iter().map(|p| p.len()).sum())
+                        .collect();
+                    let ops = code.kernel.tuple_ops(&counts);
                     let flat: Vec<PageId> = pages.iter().flatten().copied().collect();
-                    let ops: usize = flat.iter().map(|&p| self.store.get(p).len()).sum();
                     let dur = self.compute_time_for(&flat, ops);
                     self.ips[ip].current_results = Some(results);
                     self.ips[ip].busy = true;
@@ -198,9 +201,8 @@ impl RingMachine {
                 let mut results = TupleBuf::new(code.output_schema.clone());
                 code.kernel
                     .run_sweep_raw_into(outer, [inner], true, &mut results);
-                // Kernel-aware service time: a hash-path equi-join charges
-                // n + m (index build + probes), nested loops and cross
-                // products charge the n·m sweep.
+                // Kernel-aware service time: a join or cross product
+                // charges the n·m sweep of the page pair.
                 let ops = code.kernel.tuple_ops(&[outer.len(), inner.len()]);
                 let dur = self.compute_time_for(&[opage, ipage], ops);
                 self.ips[ip].current_inner = Some(idx);

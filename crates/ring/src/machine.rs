@@ -359,7 +359,7 @@ impl RingMachine {
     /// Propagates validation errors.
     pub fn new(db: &Catalog, queries: &[QueryTree], params: RingParams) -> Result<RingMachine> {
         params.validate();
-        let program = compile_with(db, queries, params.join_algo, params.transfer)?;
+        let program = compile_with(db, queries, params.transfer)?;
         // Every instruction's output page must hold at least one tuple.
         for instr in &program.instructions {
             Page::new(instr.output_schema.clone(), params.page_size)?;

@@ -2,12 +2,14 @@
 
 use std::sync::Arc;
 
-use df_core::{CostModel, JoinAlgo, TransferMode};
+use df_core::{CostModel, TransferMode};
 use df_obs::Tracer;
 use df_sim::Duration;
 use df_storage::{CacheParams, DiskParams};
 
-/// Full configuration of the §4 machine.
+/// Full configuration of the §4 machine. Its IPs join by the paper's §2.1
+/// nested loops, each inner page swept against the held outer page; there
+/// is no join-algorithm knob.
 #[derive(Debug, Clone)]
 pub struct RingParams {
     /// Number of instruction controllers.
@@ -24,12 +26,6 @@ pub struct RingParams {
     pub hop_latency: Duration,
     /// IP processing speed (defaults to the LSI-11 model of `df-core`).
     pub cost: CostModel,
-    /// Join algorithm for the IPs' page-pair units. `Hash` replaces each
-    /// inner-page scan with a raw-byte key-index probe, shrinking IP
-    /// service time from n·m to n + m tuple operations per pair — the §4.2
-    /// broadcast protocol and IRC bookkeeping are unchanged, so Fig-4.2
-    /// bandwidth curves can be re-derived under both algorithms.
-    pub join_algo: JoinAlgo,
     /// How results move between chained unary operators: `Materialize`
     /// (one result page per instruction cell, the paper's design) or
     /// `Pipeline` (restrict→project chains fused into spans at compile
@@ -80,7 +76,6 @@ impl Default for RingParams {
             outer_ring_bps: 40_000_000.0,
             hop_latency: Duration::from_micros(2),
             cost: CostModel::default(),
-            join_algo: JoinAlgo::default(),
             transfer: TransferMode::default(),
             page_size: 1016,
             ip_memory_pages: 4,

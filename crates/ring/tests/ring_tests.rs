@@ -282,38 +282,6 @@ fn bare_scan_round_trips() {
     check_against_oracle(&db, "(scan c)", &small_params());
 }
 
-#[test]
-fn hash_join_matches_nested_and_finishes_sooner() {
-    let db = db();
-    let q = "(join (restrict (scan a) (< k 30)) (scan b) (= v k))";
-    let nested_m = check_against_oracle(&db, q, &small_params());
-    let mut hp = small_params();
-    hp.join_algo = df_core::JoinAlgo::Hash;
-    let hash_m = check_against_oracle(&db, q, &hp);
-    // Hash-path joins charge n + m tuple operations per page pair instead
-    // of the n * m sweep, so IP service time (and the makespan of this
-    // join-dominated batch) must not grow.
-    assert!(
-        hash_m.elapsed <= nested_m.elapsed,
-        "hash join slower on the ring: {} > {}",
-        hash_m.elapsed,
-        nested_m.elapsed
-    );
-}
-
-#[test]
-fn non_equi_join_under_hash_algo_matches_oracle_on_ring() {
-    let db = db();
-    let mut p = small_params();
-    p.join_algo = df_core::JoinAlgo::Hash;
-    // θ-join: the hash algorithm must silently degrade to nested loops.
-    check_against_oracle(
-        &db,
-        "(join (restrict (scan a) (< k 8)) (restrict (scan b) (< k 6)) (< v k))",
-        &p,
-    );
-}
-
 /// Observability: the per-interval bandwidth series are fed from exactly
 /// the sends that feed the `ByteCounter`s, so their totals must agree to
 /// the byte — and an installed tracer's path counters must agree too.

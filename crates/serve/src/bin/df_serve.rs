@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use df_obs::Tracer;
 use df_serve::{Engine, ServeConfig, Server};
-use df_workload::{generate_database, DatabaseSpec};
+use df_workload::{generate_database, parse_scale, DatabaseSpec};
 
 fn main() {
     let mut addr = "127.0.0.1:7411".to_string();
@@ -51,7 +51,7 @@ fn main() {
         };
         match flag.as_str() {
             "--addr" => addr = value("--addr"),
-            "--scale" => scale = parse(&value("--scale"), "--scale"),
+            "--scale" => scale = parse_scale(&value("--scale")).unwrap_or_else(|e| die(&e)),
             "--workers" => config.host.workers = parse(&value("--workers"), "--workers"),
             "--page-size" => {
                 config.host.page_size = parse(&value("--page-size"), "--page-size");

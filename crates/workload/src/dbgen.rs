@@ -33,6 +33,21 @@ pub fn parent_of(i: usize, n: usize) -> usize {
     (i + 1) % n
 }
 
+/// Parse the `--scale` value of a command line: a finite number greater
+/// than zero (1.0 is the paper's 5.5 MB).
+///
+/// # Errors
+/// A message naming `--scale` and the value, for anything else — `nan`,
+/// `inf`, zero and negative numbers included.
+pub fn parse_scale(value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!(
+            "bad value `{value}` for --scale: expected a finite number > 0"
+        )),
+    }
+}
+
 /// Parameters of the synthetic database.
 #[derive(Debug, Clone)]
 pub struct DatabaseSpec {
@@ -60,6 +75,8 @@ impl DatabaseSpec {
     }
 
     /// The paper's database scaled by `factor` (for tests and benches).
+    /// The size is clamped, so a `factor` read from outside the program
+    /// goes through [`parse_scale`] first.
     pub fn scaled(factor: f64) -> DatabaseSpec {
         let mut s = DatabaseSpec::paper();
         s.total_bytes = ((s.total_bytes as f64 * factor) as usize).max(s.relations * 1000);
@@ -138,6 +155,16 @@ pub fn generate_database(spec: &DatabaseSpec) -> Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_scale_accepts_only_finite_positive_numbers() {
+        for bad in ["nan", "inf", "0", "-1", "abc"] {
+            let err = parse_scale(bad).unwrap_err();
+            assert!(err.contains("--scale") && err.contains(bad), "{err}");
+        }
+        assert_eq!(parse_scale("0.05"), Ok(0.05));
+        assert_eq!(parse_scale("1"), Ok(1.0));
+    }
 
     #[test]
     fn paper_spec_matches_stated_constraints() {

@@ -26,7 +26,8 @@ mod dbgen;
 mod queries;
 
 pub use dbgen::{
-    generate_database, parent_of, DatabaseSpec, FK_ATTR, KEY_ATTR, VAL_ATTR, VAL_DOMAIN,
+    generate_database, parent_of, parse_scale, DatabaseSpec, FK_ATTR, KEY_ATTR, VAL_ATTR,
+    VAL_DOMAIN,
 };
 pub use queries::{
     benchmark_queries, chain_query, chain_query_naive, pipeline_chain_query, pipeline_queries,
