@@ -133,9 +133,7 @@ pub fn run_host_queries(
     params.validate()?;
     let plans: Vec<Arc<QueryPlan>> = queries
         .iter()
-        .map(|q| {
-            QueryPlan::build(db, q, params.page_size, params.join, params.transfer).map(Arc::new)
-        })
+        .map(|q| QueryPlan::build(db, q, params.page_size, params.transfer).map(Arc::new))
         .collect::<HostResult<_>>()?;
     let processors = params.processors(db, queries)?;
     execute(db, queries, plans, params, processors)
@@ -289,7 +287,7 @@ mod tests {
         for dead in [vec![2], vec![1, 2]] {
             let params = params(3, dead.clone());
             let plans = (queries.iter())
-                .map(|q| QueryPlan::build(&db, q, params.page_size, params.join, params.transfer))
+                .map(|q| QueryPlan::build(&db, q, params.page_size, params.transfer))
                 .map(|plan| plan.map(Arc::new))
                 .collect::<HostResult<_>>()
                 .expect("plans build");

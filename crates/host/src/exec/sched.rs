@@ -286,8 +286,9 @@ impl<'a> Scheduler<'a> {
     fn admit(&mut self, q: usize) -> HostResult<()> {
         let plan = Arc::clone(&self.plans[q]);
         let nodes = &plan.plan.nodes;
+        let join = self.params.join;
         let cells = (nodes.iter().zip(&plan.kernels))
-            .map(|(n, kernel)| Cell::new(n.firing, n.children.len(), kernel, plan.join));
+            .map(|(n, kernel)| Cell::new(n.firing, n.children.len(), kernel, join));
         self.active[q] = Some(QueryState {
             plan: Arc::clone(&plan),
             cells: cells.collect(),

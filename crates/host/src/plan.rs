@@ -8,7 +8,7 @@
 //! `RootFirst` policy's input) and its output page size.
 
 use df_core::TransferMode;
-use df_query::{JoinAlgo, Kernel, Plan, PlanNode, QueryTree};
+use df_query::{Kernel, Plan, PlanNode, QueryTree};
 use df_relalg::{Catalog, PAGE_HEADER_BYTES};
 
 use crate::error::{HostError, HostResult};
@@ -22,9 +22,6 @@ pub(crate) struct QueryPlan {
     pub plan: Plan,
     /// Per cell: the operator code its units run.
     pub kernels: Vec<Kernel>,
-    /// The join algorithm, which with each join cell's kernel shapes the
-    /// cell's operand sides.
-    pub join: JoinAlgo,
     /// Per cell: distance from the root (root = 0), along the routes pages
     /// actually take — a span sits at its chain top's depth.
     pub depth: Vec<usize>,
@@ -45,7 +42,6 @@ impl QueryPlan {
         db: &Catalog,
         tree: &QueryTree,
         page_size: usize,
-        join: JoinAlgo,
         transfer: TransferMode,
     ) -> HostResult<QueryPlan> {
         let mut plan = Plan::compile(db, tree)?;
@@ -74,7 +70,6 @@ impl QueryPlan {
         Ok(QueryPlan {
             plan,
             kernels,
-            join,
             depth,
             out_page_size,
         })
@@ -124,8 +119,7 @@ mod tests {
             .equi_join(b.scan("emp").unwrap(), "dept", "dept")
             .unwrap()
             .finish();
-        let plan =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Materialize).unwrap();
+        let plan = QueryPlan::build(&db, &q, 1024, TransferMode::Materialize).unwrap();
         assert_eq!(plan.plan.nodes.len(), 4);
         assert_eq!(plan.plan.root, 3);
         assert_eq!(plan.depth, vec![2, 1, 1, 0]);
@@ -138,8 +132,7 @@ mod tests {
     fn tiny_page_size_grows_to_fit_one_tuple() {
         let db = db();
         let q = TreeBuilder::new(&db).scan("emp").unwrap().finish();
-        let plan =
-            QueryPlan::build(&db, &q, 8, JoinAlgo::Nested, TransferMode::Materialize).unwrap();
+        let plan = QueryPlan::build(&db, &q, 8, TransferMode::Materialize).unwrap();
         assert!(plan.out_page_size[0] >= PAGE_HEADER_BYTES + 16);
     }
 
@@ -158,7 +151,7 @@ mod tests {
             .equi_join(b.scan("emp").unwrap(), "dept", "dept")
             .unwrap()
             .finish();
-        let build = |transfer| QueryPlan::build(&db, &q, 8, JoinAlgo::Nested, transfer).unwrap();
+        let build = |transfer| QueryPlan::build(&db, &q, 8, transfer).unwrap();
         let (mat, pipe) = (
             build(TransferMode::Materialize),
             build(TransferMode::Pipeline),
@@ -185,8 +178,7 @@ mod tests {
         let q = TreeBuilder::new(&db)
             .delete_where("emp", "id", CmpOp::Eq, Value::Int(0))
             .unwrap();
-        let err = QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Materialize)
-            .unwrap_err();
+        let err = QueryPlan::build(&db, &q, 1024, TransferMode::Materialize).unwrap_err();
         assert!(err.to_string().contains("read-only"));
         // A fusible chain under an update root is rejected all the same.
         let q = TreeBuilder::new(&db)
@@ -199,8 +191,7 @@ mod tests {
             .append_to("emp")
             .unwrap()
             .finish();
-        let err =
-            QueryPlan::build(&db, &q, 1024, JoinAlgo::Nested, TransferMode::Pipeline).unwrap_err();
+        let err = QueryPlan::build(&db, &q, 1024, TransferMode::Pipeline).unwrap_err();
         assert!(matches!(err, HostError::ReadOnlyExecutor { ref op } if op == "append"));
     }
 }
