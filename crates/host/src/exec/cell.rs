@@ -11,8 +11,8 @@ use df_query::{Firing, JoinAlgo, Kernel};
 use df_relalg::{Page, SideKeyColumn, SideKeyIndex, SidePages};
 
 /// What one operand side of a pair-sweep cell keeps of the pages it has
-/// received: shaped by the cell's kernel, so a unit reads it in the form
-/// its kernel probes.
+/// received: shaped by the cell's kernel and the join algorithm
+/// ([`Received::for_port`]), so a unit reads it in the form it probes.
 #[derive(Debug)]
 pub(super) enum Received {
     /// A hash join: the pages indexed on the side's join key — the build
