@@ -601,9 +601,9 @@ proptest! {
 
 proptest! {
     /// The nested-loops join's column unit: one page probing a key column
-    /// over N pushed pages yields, as a multiset, exactly the per-pair
-    /// `join_pages_raw` outputs against the first `upto` of them — for all
-    /// six θs, with the arriving page as outer and as inner, on
+    /// over N pushed pages yields, as a multiset, exactly the oracle's
+    /// decoded `join_pages` against the first `upto` of them, encoded — a
+    /// reference that shares no compare with the probe — for all six θs, with the arriving page as outer and as inner, on
     /// duplicate-heavy `Int` keys (sides long enough to fill 16-key
     /// chunks and leave a remainder), empty pages on either side, and
     /// pages at or past `upto` invisible.
@@ -615,7 +615,7 @@ proptest! {
         rights in prop::collection::vec(arb_right_rows(0..12), 0..6),
         upto in 0usize..7,
     ) {
-        use df_query::ops::{join_pages_raw, JoinSweep};
+        use df_query::ops::JoinSweep;
         use df_relalg::{CmpOp, SideKeyColumn, TupleBuf};
         use std::sync::Arc;
 
@@ -644,8 +644,9 @@ proptest! {
                     .iter()
                     .flat_map(|p| {
                         let (outer, inner) = if page_is_outer { (page, p) } else { (p, page) };
-                        sorted_images(&join_pages_raw(outer, inner, &c, &out_schema))
+                        join_pages(outer, inner, &c)
                     })
+                    .map(|t| encode_all(&out_schema, &[t]))
                     .collect();
                 want.sort();
                 prop_assert_eq!(
