@@ -12,7 +12,8 @@
 //! - `--alloc S`       allocation strategy: `instruction-at-a-time`,
 //!   `round-robin`, `balanced`, `root-first`
 //! - `--scale F`       database scale factor (1.0 = the paper's 5.5 MB)
-//! - `--page-size B`   page size in bytes for source and intermediate pages
+//! - `--page-size B`   page size in bytes for source and intermediate pages,
+//!   at least 116 (the page header and one benchmark tuple)
 //! - `--join A`        join algorithm: `nested` (the paper's nested loops,
 //!   default) or `hash` (per-page raw-byte key indexes)
 //! - `--transfer T`    transfer mode: `materialize` (every cell pages its
@@ -42,7 +43,7 @@ use df_bench::setup_with_page_size;
 use df_host::{run_host_queries, HostParams};
 use df_obs::Tracer;
 use df_query::{execute_readonly, ExecParams};
-use df_workload::parse_scale;
+use df_workload::{parse_page_size, parse_scale};
 
 fn main() {
     let mut params = HostParams::default();
@@ -64,7 +65,10 @@ fn main() {
                 params.strategy = value("--alloc").parse().unwrap_or_else(|e: String| die(&e));
             }
             "--scale" => scale = parse_scale(&value("--scale")).unwrap_or_else(|e| die(&e)),
-            "--page-size" => params.page_size = parse(&value("--page-size"), "--page-size"),
+            "--page-size" => {
+                params.page_size =
+                    parse_page_size(&value("--page-size")).unwrap_or_else(|e| die(&e));
+            }
             "--join" => {
                 params.join = value("--join").parse().unwrap_or_else(|e: String| die(&e));
             }

@@ -12,7 +12,8 @@
 //!   port 0 picks a free port, printed on stdout)
 //! - `--scale F`           database scale factor (default 0.05)
 //! - `--workers N`         executor worker threads (default: all cores)
-//! - `--page-size B`       page size in bytes
+//! - `--page-size B`       page size in bytes, at least 116 (the page header
+//!   and one benchmark tuple)
 //! - `--alloc S`           allocation strategy (see `host_run`)
 //! - `--join A`            join algorithm: `nested` or `hash`
 //! - `--transfer T`        transfer mode: `materialize` or `pipeline`
@@ -35,7 +36,7 @@ use std::sync::Arc;
 
 use df_obs::Tracer;
 use df_serve::{Engine, ServeConfig, Server};
-use df_workload::{generate_database, parse_scale, DatabaseSpec};
+use df_workload::{generate_database, parse_page_size, parse_scale, DatabaseSpec};
 
 fn main() {
     let mut addr = "127.0.0.1:7411".to_string();
@@ -54,7 +55,8 @@ fn main() {
             "--scale" => scale = parse_scale(&value("--scale")).unwrap_or_else(|e| die(&e)),
             "--workers" => config.host.workers = parse(&value("--workers"), "--workers"),
             "--page-size" => {
-                config.host.page_size = parse(&value("--page-size"), "--page-size");
+                config.host.page_size =
+                    parse_page_size(&value("--page-size")).unwrap_or_else(|e| die(&e));
             }
             "--alloc" => {
                 config.host.strategy = value("--alloc").parse().unwrap_or_else(|e: String| die(&e));

@@ -15,7 +15,7 @@
 //! parent tuple: join chains neither explode nor die out, which keeps the
 //! benchmark's intermediate sizes stable and comparable across runs.
 
-use df_relalg::{Catalog, DataType, Relation, Schema, Tuple, Value};
+use df_relalg::{Catalog, DataType, Relation, Schema, Tuple, Value, PAGE_HEADER_BYTES};
 use df_sim::rng::SimRng;
 
 /// Name of the unique-key attribute.
@@ -44,6 +44,24 @@ pub fn parse_scale(value: &str) -> Result<f64, String> {
         Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
         _ => Err(format!(
             "bad value `{value}` for --scale: expected a finite number > 0"
+        )),
+    }
+}
+
+/// Parse the `--page-size` value of a command line: a whole number of
+/// bytes that holds the page header and at least one benchmark tuple
+/// (116 bytes for the 100-byte [`DatabaseSpec::schema`]).
+///
+/// # Errors
+/// A message naming `--page-size`, the value and the smallest size
+/// accepted, for anything else.
+pub fn parse_page_size(value: &str) -> Result<usize, String> {
+    let least = PAGE_HEADER_BYTES + DatabaseSpec::schema().tuple_width();
+    match value.parse::<usize>() {
+        Ok(size) if size >= least => Ok(size),
+        _ => Err(format!(
+            "bad value `{value}` for --page-size: expected a whole number of bytes >= {least} \
+             (the page header and one benchmark tuple)"
         )),
     }
 }
@@ -164,6 +182,25 @@ mod tests {
         }
         assert_eq!(parse_scale("0.05"), Ok(0.05));
         assert_eq!(parse_scale("1"), Ok(1.0));
+    }
+
+    #[test]
+    fn parse_page_size_needs_room_for_one_benchmark_tuple() {
+        for bad in ["0", "8", "115", "-1", "1e3", "abc"] {
+            let err = parse_page_size(bad).unwrap_err();
+            assert!(
+                err.contains("--page-size") && err.contains(bad) && err.contains("116"),
+                "{err}"
+            );
+        }
+        assert_eq!(parse_page_size("116"), Ok(116));
+        assert_eq!(parse_page_size("1016"), Ok(1016));
+        // The least size accepted generates the benchmark database.
+        let spec = DatabaseSpec {
+            page_size: 116,
+            ..DatabaseSpec::scaled(0.01)
+        };
+        assert!(generate_database(&spec).iter().all(|r| r.num_pages() > 0));
     }
 
     #[test]

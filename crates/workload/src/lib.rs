@@ -21,13 +21,14 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![deny(unsafe_code)]
 
 mod dbgen;
 mod queries;
 
 pub use dbgen::{
-    generate_database, parent_of, parse_scale, DatabaseSpec, FK_ATTR, KEY_ATTR, VAL_ATTR,
-    VAL_DOMAIN,
+    generate_database, parent_of, parse_page_size, parse_scale, DatabaseSpec, FK_ATTR, KEY_ATTR,
+    VAL_ATTR, VAL_DOMAIN,
 };
 pub use queries::{
     benchmark_queries, chain_query, chain_query_naive, pipeline_chain_query, pipeline_queries,
