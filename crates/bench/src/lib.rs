@@ -9,6 +9,8 @@
 //! `bench_check`; host time is measured and compared by the repository
 //! benchmark (`bash benchmark/run.sh`) and nowhere in this crate.
 
+#![deny(unsafe_code)]
+
 pub mod loadgen;
 pub mod report;
 

@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![deny(unsafe_code)]
 
 pub mod bandwidth;
 pub mod instr;

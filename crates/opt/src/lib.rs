@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![deny(unsafe_code)]
 
 mod estimate;
 mod rules;

@@ -53,6 +53,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![deny(unsafe_code)]
 
 mod catalog;
 mod error;

@@ -92,9 +92,9 @@ impl SidePages {
 /// `JoinSweep::probe_column_into`).
 ///
 /// Position `i` of the column is one tuple: its key is `keys[i]`, and it
-/// lives at `entries[i]`, its `(page ordinal, slot)`. Each page's end offset is kept, so the keys of the
-/// first `upto` pages are one contiguous prefix of the column that never
-/// changes once pushed. A key costs 16 bytes: the `i64` and its entry.
+/// lives at `entries[i]`, its `(page ordinal, slot)`. Each page's end
+/// offset is kept, so the keys of the first `upto` pages are one
+/// contiguous prefix of the column that never changes once pushed. A key costs 16 bytes: the `i64` and its entry.
 #[derive(Debug, Clone)]
 pub struct SideKeyColumn {
     key: usize,

@@ -41,10 +41,14 @@
 //! server.join();
 //! ```
 
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod client;
 pub mod engine;
 pub mod proto;
 pub mod server;
+#[allow(unsafe_code)]
 pub mod sys;
 
 pub use client::{format_stats, ReplCommand, ServeClient};

@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![deny(unsafe_code)]
 
 mod cache;
 mod local;

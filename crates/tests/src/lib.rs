@@ -1,1 +1,3 @@
 //! Workspace glue crate hosting the root tests/ directory.
+
+#![deny(unsafe_code)]
