@@ -112,11 +112,6 @@ impl IntervalSeries {
             .collect()
     }
 
-    /// Peak per-interval demand in Mbps (0 when empty).
-    pub fn peak_mbps(&self) -> f64 {
-        self.mbps_series().into_iter().fold(0.0, f64::max)
-    }
-
     /// Mean demand over the recorded horizon in Mbps — comparable to the
     /// `ByteCounter`-derived Figure 4.2 averages (0 when empty).
     pub fn mean_mbps(&self) -> f64 {
@@ -173,7 +168,6 @@ mod tests {
         assert_eq!(curve.len(), 2);
         assert!((curve[0] - 8.0).abs() < 1e-9);
         assert_eq!(curve[1], 0.0);
-        assert!((s.peak_mbps() - 8.0).abs() < 1e-9);
         assert!((s.mean_mbps() - 4.0).abs() < 1e-9);
     }
 
@@ -182,7 +176,6 @@ mod tests {
         let s = IntervalSeries::default();
         assert!(s.is_empty());
         assert_eq!(s.total_bytes(), 0);
-        assert_eq!(s.peak_mbps(), 0.0);
         assert_eq!(s.mean_mbps(), 0.0);
         assert!(s.mbps_series().is_empty());
     }

@@ -10,7 +10,7 @@
 use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::value::{trim_str_padding, DataType, Value};
+use crate::value::{DataType, Value};
 
 /// A borrowed view over one encoded tuple image.
 ///
@@ -90,13 +90,6 @@ impl<'a> TupleRef<'a> {
         let attr = self.schema.attr(index)?;
         let (v, _) = Value::decode(attr.dtype, &self.bytes[self.schema.attr_range(index)])?;
         Ok(v)
-    }
-
-    /// The NUL-trimmed content bytes of a string attribute (panics on
-    /// out-of-bounds; full padded bytes for non-string attributes).
-    #[inline]
-    pub fn str_bytes(&self, index: usize) -> &'a [u8] {
-        trim_str_padding(self.attr_bytes(index))
     }
 
     /// Fully decode into an owned [`Tuple`].
@@ -218,15 +211,6 @@ impl TupleBuf {
         debug_assert_eq!(self.bytes.len() - before, self.schema.tuple_width());
     }
 
-    /// Encode and append an owned tuple (the decoded-path compatibility
-    /// route; validates via [`Tuple::encode_unchecked`]).
-    ///
-    /// # Errors
-    /// Fails if the tuple does not conform to the batch schema.
-    pub fn push_tuple(&mut self, t: &Tuple) -> Result<()> {
-        t.encode_unchecked(&self.schema, &mut self.bytes)
-    }
-
     /// The live images, concatenated — the bulk form
     /// [`crate::Relation::append_images`] takes.
     #[inline]
@@ -312,7 +296,6 @@ mod tests {
         assert_eq!(r.to_tuple(), t);
         assert_eq!(r.raw(), &img[..]);
         assert_eq!(r.attr_bytes(1), &[1]);
-        assert_eq!(r.str_bytes(2), b"ab");
         assert_eq!(r.attr_dtype(2), DataType::Str(4));
     }
 
@@ -327,7 +310,7 @@ mod tests {
         let s = schema();
         let mut buf = TupleBuf::new(s.clone());
         assert!(buf.is_empty());
-        buf.push_tuple(&tup(1, false, "x")).unwrap();
+        buf.push_raw(&image(&tup(1, false, "x")));
         buf.push_raw(&image(&tup(2, true, "y")));
         let img = image(&tup(3, false, "z"));
         buf.push_ref(&TupleRef::new(&s, &img).unwrap());
@@ -336,8 +319,6 @@ mod tests {
             buf.to_tuples(),
             vec![tup(1, false, "x"), tup(2, true, "y"), tup(3, false, "z")]
         );
-        assert!(buf.push_tuple(&Tuple::new(vec![Value::Int(1)])).is_err());
-        assert_eq!(buf.len(), 3, "failed push must not corrupt the batch");
         buf.clear();
         assert!(buf.is_empty());
     }
@@ -374,7 +355,7 @@ mod tests {
         let s = schema();
         let mut buf = TupleBuf::new(s.clone());
         for i in 0..5 {
-            buf.push_tuple(&tup(i, false, "t")).unwrap();
+            buf.push_raw(&image(&tup(i, false, "t")));
         }
         // Page holds 2 tuples (width 13, header 16).
         let mut p1 = Page::new(s.clone(), 16 + 26).unwrap();

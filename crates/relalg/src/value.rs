@@ -117,16 +117,6 @@ impl Value {
         Value::Str(s.to_owned())
     }
 
-    /// The [`DataType`] *kind* this value belongs to. For strings the declared
-    /// width comes from the schema, so this reports the value's own length.
-    pub fn data_type_of(&self) -> DataType {
-        match self {
-            Value::Int(_) => DataType::Int,
-            Value::Bool(_) => DataType::Bool,
-            Value::Str(s) => DataType::Str(s.len().min(u16::MAX as usize) as u16),
-        }
-    }
-
     /// Total ordering *within* a type; `None` across types.
     ///
     /// The relational operators only ever compare same-typed attributes (the
@@ -138,14 +128,6 @@ impl Value {
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             _ => None,
         }
-    }
-
-    /// Compare, returning an error on cross-type comparison.
-    pub fn try_cmp(&self, other: &Value) -> Result<Ordering> {
-        self.partial_cmp_typed(other)
-            .ok_or_else(|| Error::TypeMismatch {
-                detail: format!("cannot compare {self} with {other}"),
-            })
     }
 
     /// Encode into `out` using exactly `dtype.width()` bytes.
@@ -348,6 +330,5 @@ mod tests {
             Some(Greater)
         );
         assert_eq!(Value::Int(1).partial_cmp_typed(&Value::str("a")), None);
-        assert!(Value::Int(1).try_cmp(&Value::Bool(true)).is_err());
     }
 }

@@ -225,27 +225,6 @@ impl ServeClient {
         }
     }
 
-    /// Build an install-view request with the next pipelined id.
-    pub fn install_view_request(&mut self, name: &str, text: &str) -> Request {
-        let id = self.next_id;
-        self.next_id += 1;
-        Request::InstallView {
-            id,
-            name: name.to_string(),
-            text: text.to_string(),
-        }
-    }
-
-    /// Build a drop-view request with the next pipelined id.
-    pub fn drop_view_request(&mut self, name: &str) -> Request {
-        let id = self.next_id;
-        self.next_id += 1;
-        Request::DropView {
-            id,
-            name: name.to_string(),
-        }
-    }
-
     /// Build a read-view request with the next pipelined id.
     pub fn read_view_request(&mut self, name: &str) -> Request {
         let id = self.next_id;
@@ -300,7 +279,13 @@ impl ServeClient {
     /// # Errors
     /// As [`ServeClient::request`].
     pub fn install_view(&mut self, name: &str, text: &str) -> io::Result<Response> {
-        let request = self.install_view_request(name, text);
+        let id = self.next_id;
+        self.next_id += 1;
+        let request = Request::InstallView {
+            id,
+            name: name.to_string(),
+            text: text.to_string(),
+        };
         self.request(&request)
     }
 
@@ -309,7 +294,12 @@ impl ServeClient {
     /// # Errors
     /// As [`ServeClient::request`].
     pub fn drop_view(&mut self, name: &str) -> io::Result<Response> {
-        let request = self.drop_view_request(name);
+        let id = self.next_id;
+        self.next_id += 1;
+        let request = Request::DropView {
+            id,
+            name: name.to_string(),
+        };
         self.request(&request)
     }
 

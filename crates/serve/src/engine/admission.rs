@@ -195,11 +195,6 @@ impl EngineHandle {
         self.shared.wake.notify_all();
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        lock(&self.shared.inbox).shutdown
-    }
-
     /// Block until every dispatched lane task (read or write) has
     /// completed and fanned out its replies. Tests and benchmarks pair
     /// this with [`super::Engine::run_batch`] — the dispatch itself is

@@ -124,11 +124,6 @@ impl<E> EventQueue<E> {
         self.delivered += 1;
         Some((ev.at, ev.event))
     }
-
-    /// Peek at the timestamp of the next event without delivering it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.0.at)
-    }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
@@ -172,7 +167,6 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(7), ());
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
         q.pop();
         assert_eq!(q.now(), SimTime::from_nanos(7));
         assert_eq!(q.delivered(), 1);

@@ -11,7 +11,7 @@
 //!   tie-breaking, generic over the caller's event payload,
 //! * [`Resource`] — an *M*-server FCFS queueing resource with utilization and
 //!   queueing statistics (used to model processors, disk arms, ring links),
-//! * [`stats`] — counters, time-weighted averages and fixed-bucket histograms,
+//! * [`stats`] — byte counters and their mean bandwidth,
 //! * [`rng`] — a small deterministic RNG wrapper so every simulation is
 //!   exactly reproducible from a seed.
 //!

@@ -37,14 +37,6 @@ impl ResourceStats {
             self.busy.as_nanos() as f64 / h
         }
     }
-
-    /// Mean queueing delay per job.
-    pub fn mean_wait(&self) -> Duration {
-        match self.waited.as_nanos().checked_div(self.jobs) {
-            Some(ns) => Duration::from_nanos(ns),
-            None => Duration::ZERO,
-        }
-    }
 }
 
 /// An *M*-server first-come-first-served resource.
@@ -108,15 +100,6 @@ impl Resource {
         (start, completion)
     }
 
-    /// Earliest instant at which *some* server is free.
-    pub fn earliest_free(&self) -> SimTime {
-        *self
-            .free_at
-            .iter()
-            .min()
-            .expect("resource has at least one server")
-    }
-
     /// Instant at which *all* servers are free (the backlog drains).
     pub fn all_free(&self) -> SimTime {
         *self
@@ -169,7 +152,6 @@ mod tests {
         // Third job waits for whichever frees first.
         let (s3, _) = r.submit(ns(0), dur(10));
         assert_eq!(s3, ns(10));
-        assert_eq!(r.earliest_free(), ns(10));
         assert_eq!(r.all_free(), ns(20));
     }
 
@@ -181,7 +163,8 @@ mod tests {
         let st = r.stats().clone();
         assert_eq!(st.last_completion, ns(100));
         assert!((st.utilization(1, ns(100)) - 1.0).abs() < 1e-12);
-        assert_eq!(st.mean_wait(), dur(25));
+        assert_eq!(st.waited, dur(50), "the second job waits the first out");
+        assert_eq!(st.jobs, 2);
     }
 
     #[test]

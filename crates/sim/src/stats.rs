@@ -1,8 +1,6 @@
-//! Measurement utilities: byte counters, time-weighted averages, histograms.
+//! Measurement utilities: byte counters.
 
-use std::fmt;
-
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 
 /// A monotone byte/packet counter with a derived average-bandwidth view.
 ///
@@ -60,158 +58,6 @@ impl ByteCounter {
     }
 }
 
-/// A sample-mean accumulator (Welford-free: simple sum/count is adequate for
-/// the magnitudes involved and keeps merging trivial).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MeanAccumulator {
-    sum: f64,
-    count: u64,
-    min: f64,
-    max: f64,
-}
-
-impl MeanAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        MeanAccumulator {
-            sum: 0.0,
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, x: f64) {
-        self.sum += x;
-        self.count += 1;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
-/// A fixed-boundary histogram of durations, for queueing-delay distributions.
-#[derive(Debug, Clone)]
-pub struct DurationHistogram {
-    /// Upper bounds of each bucket (exclusive), ascending. A final overflow
-    /// bucket catches everything larger.
-    bounds: Vec<Duration>,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl DurationHistogram {
-    /// A histogram with the given ascending bucket bounds.
-    ///
-    /// # Panics
-    /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn new(bounds: Vec<Duration>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        let n = bounds.len();
-        DurationHistogram {
-            bounds,
-            counts: vec![0; n + 1],
-            total: 0,
-        }
-    }
-
-    /// A default latency histogram: 1µs … 10s in decades.
-    pub fn latency_decades() -> Self {
-        DurationHistogram::new(vec![
-            Duration::from_micros(1),
-            Duration::from_micros(10),
-            Duration::from_micros(100),
-            Duration::from_millis(1),
-            Duration::from_millis(10),
-            Duration::from_millis(100),
-            Duration::from_secs(1),
-            Duration::from_secs(10),
-        ])
-    }
-
-    /// Record one duration sample.
-    pub fn record(&mut self, d: Duration) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| d < b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Bucket counts, one per bound plus the overflow bucket.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// The smallest bound `b` such that at least `q` (0..=1) of samples are < `b`.
-    ///
-    /// Returns `None` when empty or when the quantile lands in the overflow
-    /// bucket (the histogram cannot bound it).
-    pub fn quantile_bound(&self, q: f64) -> Option<Duration> {
-        if self.total == 0 {
-            return None;
-        }
-        let need = (q * self.total as f64).ceil() as u64;
-        let mut acc = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= need {
-                return self.bounds.get(i).copied();
-            }
-        }
-        None
-    }
-}
-
-impl fmt::Display for DurationHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "histogram ({} samples):", self.total)?;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if i < self.bounds.len() {
-                writeln!(f, "  < {:>10}: {c}", format!("{}", self.bounds[i]))?;
-            } else {
-                writeln!(f, "  >=  (last) : {c}")?;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,46 +84,5 @@ mod tests {
         assert_eq!(a.bytes, 42);
         assert_eq!(a.transfers, 2);
         assert_eq!(a.mean_bandwidth_bps(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn mean_accumulator() {
-        let mut m = MeanAccumulator::new();
-        assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.min(), None);
-        for x in [1.0, 2.0, 3.0] {
-            m.record(x);
-        }
-        assert_eq!(m.count(), 3);
-        assert!((m.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(m.min(), Some(1.0));
-        assert_eq!(m.max(), Some(3.0));
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = DurationHistogram::latency_decades();
-        for _ in 0..9 {
-            h.record(Duration::from_micros(5)); // < 10us bucket
-        }
-        h.record(Duration::from_secs(100)); // overflow
-        assert_eq!(h.total(), 10);
-        assert_eq!(h.quantile_bound(0.9), Some(Duration::from_micros(10)));
-        assert_eq!(h.quantile_bound(1.0), None); // lands in overflow
-        assert_eq!(*h.counts().last().unwrap(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn histogram_rejects_bad_bounds() {
-        let _ = DurationHistogram::new(vec![Duration::from_nanos(5), Duration::from_nanos(5)]);
-    }
-
-    #[test]
-    fn histogram_display_renders() {
-        let mut h = DurationHistogram::latency_decades();
-        h.record(Duration::from_millis(3));
-        let s = format!("{h}");
-        assert!(s.contains("1 samples") || s.contains("(1 samples)"));
     }
 }

@@ -219,11 +219,6 @@ impl DiskCache {
         }
     }
 
-    /// Port utilization statistics.
-    pub fn port_stats(&self) -> &df_sim::ResourceStats {
-        self.ports.stats()
-    }
-
     fn over_quota(&self, owner: OwnerId, adding: usize) -> bool {
         match self.quotas.get(&owner) {
             Some(&q) => self.frames_used_by(owner) + adding > q,

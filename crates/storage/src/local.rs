@@ -55,11 +55,6 @@ impl LocalMemory {
         self.lru.is_empty()
     }
 
-    /// Whether there is room for one more page without spilling.
-    pub fn has_room(&self) -> bool {
-        self.lru.len() < self.capacity_pages
-    }
-
     /// Whether `id` is resident.
     pub fn contains(&self, id: PageId) -> bool {
         self.lru.contains(id)
@@ -149,10 +144,10 @@ mod tests {
     #[test]
     fn room_accounting() {
         let mut m = LocalMemory::new(2);
-        assert!(m.has_room());
+        assert!(m.is_empty());
         m.insert(pid(1), 10, |_| 10);
         m.insert(pid(2), 10, |_| 10);
-        assert!(!m.has_room());
+        assert_eq!(m.len(), m.capacity());
         assert!(!m.is_empty());
         assert_eq!(m.capacity(), 2);
     }

@@ -89,11 +89,6 @@ impl MassStorage {
         self.resident.contains(&id)
     }
 
-    /// Number of resident pages.
-    pub fn resident_pages(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Read `bytes` of page `id`, queueing on a drive arm.
     ///
     /// Returns `(start, completion)`.
@@ -124,11 +119,6 @@ impl MassStorage {
     /// Drop a page from disk (space reclamation for dead intermediates).
     pub fn discard(&mut self, id: PageId) {
         self.resident.remove(&id);
-    }
-
-    /// Arm utilization statistics.
-    pub fn arm_stats(&self) -> &df_sim::ResourceStats {
-        self.arms.stats()
     }
 
     /// Total bytes moved in either direction.

@@ -92,17 +92,6 @@ impl PageTable {
         self.complete = true;
     }
 
-    /// Relation-level readiness: the whole operand exists.
-    pub fn ready_relation_level(&self) -> bool {
-        self.complete
-    }
-
-    /// Page-level readiness: at least one unconsumed page exists, or the
-    /// operand is complete (possibly empty).
-    pub fn ready_page_level(&self) -> bool {
-        self.consumed < self.pages.len() || self.complete
-    }
-
     /// Number of pages available but not yet handed out.
     pub fn available(&self) -> usize {
         self.pages.len() - self.consumed
@@ -117,11 +106,6 @@ impl PageTable {
         } else {
             None
         }
-    }
-
-    /// Peek at the next unconsumed page.
-    pub fn peek_next(&self) -> Option<PageId> {
-        self.pages.get(self.consumed).copied()
     }
 
     /// Whether every registered page has been consumed *and* the producer
@@ -150,26 +134,11 @@ mod tests {
     }
 
     #[test]
-    fn granularity_readiness_rules() {
-        let mut t = PageTable::new(schema());
-        assert!(!t.ready_relation_level());
-        assert!(!t.ready_page_level());
-        t.push(pid(1));
-        assert!(
-            !t.ready_relation_level(),
-            "relation-level waits for completion"
-        );
-        assert!(t.ready_page_level(), "page-level fires on first page");
-        t.mark_complete();
-        assert!(t.ready_relation_level());
-    }
-
-    #[test]
     fn empty_complete_operand_enables() {
         let mut t = PageTable::new(schema());
+        assert!(!t.exhausted(), "an empty operand may still grow");
         t.mark_complete();
-        assert!(t.ready_relation_level());
-        assert!(t.ready_page_level());
+        assert_eq!(t.available(), 0);
         assert!(t.exhausted());
     }
 
@@ -177,7 +146,6 @@ mod tests {
     fn consumption_cursor() {
         let mut t = PageTable::complete_with(schema(), vec![pid(1), pid(2)]);
         assert_eq!(t.available(), 2);
-        assert_eq!(t.peek_next(), Some(pid(1)));
         assert_eq!(t.take_next(), Some(pid(1)));
         assert_eq!(t.take_next(), Some(pid(2)));
         assert_eq!(t.take_next(), None);

@@ -71,11 +71,6 @@ impl PageStore {
         )
     }
 
-    /// Look up a page, returning `None` on unknown ids (for assertions).
-    pub fn try_get(&self, id: PageId) -> Option<&Page> {
-        self.pages.get(&id).map(|p| p.as_ref())
-    }
-
     /// Remove a page (e.g. an intermediate page that has been fully consumed
     /// and will never be referenced again), returning its contents.
     pub fn remove(&mut self, id: PageId) -> Option<Arc<Page>> {
@@ -148,7 +143,6 @@ mod tests {
         let id = s.put(page_with(7));
         assert_eq!(s.get(id).len(), 1);
         assert_eq!(s.len(), 1);
-        assert!(s.try_get(PageId(99)).is_none());
         assert!(s.remove(id).is_some());
         assert!(s.is_empty());
     }
