@@ -71,13 +71,9 @@ fn counts_of(rel: &Relation) -> Counts {
     counts
 }
 
-/// A page size that is guaranteed to hold at least one tuple of `schema`
-/// (delta trees can concatenate schemas past the configured page size).
-fn effective_page_size(schema: &Schema, page_size: usize) -> usize {
-    page_size.max(PAGE_HEADER_BYTES + schema.tuple_width())
-}
-
-/// Pack `(image, repeat)` pairs into delta pages of `schema`.
+/// Pack `(image, repeat)` pairs into delta pages of `schema`, grown to
+/// hold one tuple (delta trees can concatenate schemas past the
+/// configured page size).
 fn pack_images<'a>(
     schema: &Schema,
     page_size: usize,
@@ -89,7 +85,7 @@ fn pack_images<'a>(
             buf.push_raw(image);
         }
     }
-    let size = effective_page_size(schema, page_size);
+    let size = schema.fit_page_size(page_size);
     let mut pages = Vec::new();
     while !buf.is_empty() {
         let mut page = Page::new(schema.clone(), size)?;
@@ -112,7 +108,7 @@ fn pages_needed(n: usize, schema: &Schema, page_size: usize) -> u64 {
     if n == 0 {
         return 0;
     }
-    let cap = (effective_page_size(schema, page_size) - PAGE_HEADER_BYTES) / schema.tuple_width();
+    let cap = (schema.fit_page_size(page_size) - PAGE_HEADER_BYTES) / schema.tuple_width();
     n.div_ceil(cap) as u64
 }
 

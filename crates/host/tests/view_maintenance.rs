@@ -131,7 +131,6 @@ fn oracle_images(db: &Catalog, text: &str) -> Vec<Vec<u8>> {
     let tree = parse_query(db, text).expect("oracle parse");
     let params = ExecParams {
         page_size: PAGE_SIZE,
-        ..ExecParams::default()
     };
     let rel = execute_readonly(db, &tree, &params).expect("oracle run");
     let mut images: Vec<Vec<u8>> = rel.tuple_refs().map(|t| t.raw().to_vec()).collect();
@@ -166,7 +165,7 @@ proptest! {
             text
         );
 
-        let params = ExecParams { page_size: PAGE_SIZE, ..ExecParams::default() };
+        let params = ExecParams { page_size: PAGE_SIZE };
         for i in 0..num_writes {
             let write = gen_write(&mut w);
             let write_tree = parse_query(&db, &write).expect("write parses");

@@ -23,35 +23,19 @@ use crate::oracle;
 use crate::plan::{Firing, Plan, PlanNode};
 use crate::tree::{NodeId, Op, QueryTree};
 
-/// Which join algorithm the oracle uses (\[5\] compares both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinAlgorithm {
-    /// O(n·m) nested loops — the paper's choice for multiprocessors, and the
-    /// default so the oracle exercises exactly the machine kernels.
-    #[default]
-    NestedLoops,
-    /// O(n log n) sort-merge — the faster uniprocessor algorithm; falls back
-    /// to nested loops for non-equi joins.
-    SortMerge,
-}
-
-/// Execution parameters for the oracle.
+/// Execution parameters for the oracle. It joins by nested loops, the
+/// paper's multiprocessor algorithm.
 #[derive(Debug, Clone)]
 pub struct ExecParams {
     /// Page size (bytes, header included) for intermediate and result
-    /// relations.
+    /// relations, grown for a relation whose tuples would not fit one to a
+    /// page ([`df_relalg::Schema::fit_page_size`]).
     pub page_size: usize,
-    /// Join algorithm of the oracle ([`stage_write`] always sweeps with
-    /// nested loops, the paper's configuration).
-    pub join_algorithm: JoinAlgorithm,
 }
 
 impl Default for ExecParams {
     fn default() -> Self {
-        ExecParams {
-            page_size: 1024,
-            join_algorithm: JoinAlgorithm::NestedLoops,
-        }
+        ExecParams { page_size: 1024 }
     }
 }
 
@@ -101,15 +85,15 @@ pub fn execute(db: &mut Catalog, tree: &QueryTree, params: &ExecParams) -> Resul
 /// outer page against the whole inner page list, a `Complete` node once
 /// over its complete inputs. A scan is its catalog relation (pages shared).
 ///
-/// Every other node's output is packed into full pages of `page_size`. The
+/// Every other node's output is packed into full pages of `page_size`,
+/// grown for a node whose tuples would not fit one to a page. The
 /// raw kernels keep the oracle's order (page-pair-major sweeps,
 /// first-occurrence set finalizers), so each node's result equals
 /// [`oracle::eval_read_nodes`]'s page for page. The returned vector is
 /// indexed by node id and stops before an update root.
 ///
 /// # Errors
-/// Fails on an unknown relation or a `page_size` too small for a node's
-/// output tuple.
+/// Fails on an unknown relation.
 pub fn run_plan(db: &Catalog, plan: &Plan, page_size: usize) -> Result<Vec<Relation>> {
     let mut results: Vec<Relation> = Vec::with_capacity(plan.nodes.len());
     for (id, node) in plan.nodes.iter().enumerate() {
@@ -139,7 +123,7 @@ fn run_node(
     let schema = &node.out_schema;
     let kernel = Kernel::lower(node);
     let pages = |port: usize| inputs[port].pages().iter().map(AsRef::as_ref);
-    let mut out = Relation::new(name, schema.clone(), page_size)?;
+    let mut out = Relation::new(name, schema.clone(), schema.fit_page_size(page_size))?;
     match node.firing {
         Firing::PerPage => {
             for page in pages(0) {
@@ -267,7 +251,12 @@ pub fn stage_write(db: &Catalog, tree: &QueryTree, params: &ExecParams) -> Resul
         Op::Delete { target, .. } => {
             let filter = root.unary.as_ref().expect("a delete carries its form");
             let (kept, deleted) = partition_delete(db.require(target)?, filter)?;
-            let mut result = Relation::new(&name, root.out_schema.clone(), params.page_size)?;
+            let schema = &root.out_schema;
+            let mut result = Relation::new(
+                &name,
+                schema.clone(),
+                schema.fit_page_size(params.page_size),
+            )?;
             result.append_images(deleted.images())?;
             (target, WriteKind::Replace(kept), result)
         }
@@ -393,47 +382,39 @@ mod tests {
             .equi_join(b.scan("dept").unwrap(), "dept", "dno")
             .unwrap()
             .finish();
-        let nl = execute_readonly(
-            &db,
-            &q,
-            &ExecParams {
-                join_algorithm: JoinAlgorithm::NestedLoops,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let sm = execute_readonly(
-            &db,
-            &q,
-            &ExecParams {
-                join_algorithm: JoinAlgorithm::SortMerge,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(nl.same_contents(&sm));
+        let Op::Join { condition } = &q.node(q.root()).op else {
+            unreachable!("the root is the join");
+        };
+        let nested = execute_readonly(&db, &q, &ExecParams::default()).unwrap();
+        let (emp, dept) = (db.require("emp").unwrap(), db.require("dept").unwrap());
+        let merged = oracle::merge_join_relations(emp, dept, condition).unwrap();
+        let merged = Relation::from_tuples("m", nested.schema().clone(), 1024, merged).unwrap();
+        assert!(nested.same_contents(&merged));
     }
 
+    /// A page too small for a node's output tuple grows to hold one, in the
+    /// oracle and in `run_plan` alike: emp (24-byte tuples) fits 40-byte
+    /// pages, its join with dept (40-byte tuples) needs 56.
     #[test]
-    fn sort_merge_falls_back_on_theta() {
+    fn small_pages_grow_to_fit_a_wide_join_tuple() {
         let db = db();
         let b = TreeBuilder::new(&db);
         let q = b
-            .scan("dept")
+            .scan("emp")
             .unwrap()
-            .join_on(b.scan("dept").unwrap(), "dno", CmpOp::Lt, "dno")
+            .equi_join(b.scan("dept").unwrap(), "dept", "dno")
             .unwrap()
             .finish();
-        let out = execute_readonly(
-            &db,
-            &q,
-            &ExecParams {
-                join_algorithm: JoinAlgorithm::SortMerge,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(out.num_tuples(), 6); // pairs (i, j) with i < j, 4 depts
+        let want = execute_readonly(&db, &q, &ExecParams::default()).unwrap();
+        let small = ExecParams { page_size: 40 };
+        let got = execute_readonly(&db, &q, &small).unwrap();
+        assert!(got.same_contents(&want));
+        assert_eq!(got.page_size(), 56);
+        assert_eq!(got.pages().len(), want.num_tuples(), "one tuple per page");
+        let plan = Plan::compile(&db, &q).unwrap();
+        let nodes = run_plan(&db, &plan, small.page_size).unwrap();
+        assert!(nodes[plan.root].same_contents(&want));
+        assert_eq!(nodes[plan.root].page_size(), 56);
     }
 
     #[test]

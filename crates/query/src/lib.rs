@@ -72,7 +72,7 @@ pub mod oracle;
 pub use builder::{SubTree, TreeBuilder};
 pub use exec::{
     apply_write, execute, execute_readonly, partition_delete, run_plan, stage_write, ExecParams,
-    JoinAlgorithm, WriteDelta,
+    WriteDelta,
 };
 pub use kernel::{tuple_bucket, JoinAlgo, Kernel};
 pub use parser::parse_query;

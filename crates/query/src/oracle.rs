@@ -17,7 +17,7 @@ use df_relalg::{
     Catalog, CmpOp, Error, JoinCondition, Page, Predicate, Projection, Relation, Result, Tuple,
 };
 
-use crate::exec::{ExecParams, JoinAlgorithm};
+use crate::exec::ExecParams;
 use crate::tree::{Op, QueryTree};
 use crate::validate::validate;
 
@@ -207,8 +207,9 @@ pub fn difference_relations(left: &Relation, right: &Relation) -> Result<Vec<Tup
 }
 
 /// Evaluate every read-only node of `tree` in topo order, one whole
-/// relation per node, each packed into full pages of `params.page_size`
-/// (a scan is its catalog relation). The returned vector is indexed by
+/// relation per node, each packed into full pages of `params.page_size`,
+/// grown for a node whose tuples would not fit one to a page (a scan is
+/// its catalog relation). The returned vector is indexed by
 /// `NodeId` and stops before an update root (validation puts updates at
 /// the root only, and topo order puts the root last).
 ///
@@ -250,17 +251,7 @@ pub fn eval_read_nodes(
                     projected.collect()
                 }
             }
-            Op::Join { condition } => {
-                let (outer, inner) = (child(0), child(1));
-                match params.join_algorithm {
-                    JoinAlgorithm::NestedLoops => {
-                        nested_loops_join_relations(outer, inner, condition)
-                    }
-                    // Non-equi θ: sort-merge does not apply.
-                    JoinAlgorithm::SortMerge => merge_join_relations(outer, inner, condition)
-                        .unwrap_or_else(|_| nested_loops_join_relations(outer, inner, condition)),
-                }
-            }
+            Op::Join { condition } => nested_loops_join_relations(child(0), child(1), condition),
             Op::CrossProduct => {
                 let mut tuples = Vec::new();
                 for op in child(0).pages() {
@@ -275,12 +266,8 @@ pub fn eval_read_nodes(
             Op::Append { .. } | Op::Delete { .. } => unreachable!("is_update checked above"),
         };
         let name = format!("{id}_{}", node.op.name());
-        results.push(Relation::from_tuples(
-            &name,
-            schema,
-            params.page_size,
-            tuples,
-        )?);
+        let page_size = schema.fit_page_size(params.page_size);
+        results.push(Relation::from_tuples(&name, schema, page_size, tuples)?);
     }
 
     Ok(results)
@@ -336,7 +323,8 @@ pub(crate) fn execute_write(
             })
         }
     };
-    let mut out = Relation::from_tuples(&name, schema, params.page_size, changed)?;
+    let page_size = schema.fit_page_size(params.page_size);
+    let mut out = Relation::from_tuples(&name, schema, page_size, changed)?;
     out.set_name("result");
     Ok(out)
 }

@@ -182,7 +182,7 @@ proptest! {
         let tree = parse_query(&db, &text).expect("tree parses");
         // Room for `page_tuples` join outputs (four `Int`s) per page.
         let page_size = 16 + 32 * page_tuples;
-        let params = ExecParams { page_size, ..ExecParams::default() };
+        let params = ExecParams { page_size };
         let plan = Plan::compile(&db, &tree).expect("plan compiles");
         let got = run_plan(&db, &plan, page_size).expect("scheduler runs");
         let want = oracle::eval_read_nodes(&db, &tree, &params).expect("oracle runs");
@@ -206,7 +206,7 @@ proptest! {
         let mut w = Words { words: &entropy, next: 0 };
         let mut served = catalog(&rows);
         let mut reference = served.clone();
-        let params = ExecParams { page_size: 16 + 16 * 2, ..ExecParams::default() };
+        let params = ExecParams { page_size: 16 + 16 * 2 };
         for i in 0..num_writes {
             let target = BASES[w.draw() as usize % BASES.len()];
             let text = if w.draw() % 2 == 0 {

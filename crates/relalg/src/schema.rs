@@ -4,6 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
+use crate::page::PAGE_HEADER_BYTES;
 use crate::value::DataType;
 
 /// A single named, typed attribute.
@@ -76,6 +77,16 @@ impl Schema {
     #[inline]
     pub fn tuple_width(&self) -> usize {
         self.width
+    }
+
+    /// The page size a relation of this schema is packed into when
+    /// `page_size` is asked for: `page_size`, grown if need be so the page
+    /// holds at least one tuple (deep join chains widen tuples past small
+    /// pages). The executors use it for intermediate and result pages; the
+    /// simulated machines model fixed hardware pages and do not.
+    #[inline]
+    pub fn fit_page_size(&self, page_size: usize) -> usize {
+        page_size.max(PAGE_HEADER_BYTES + self.width)
     }
 
     /// Byte offset of each attribute within a tuple image, in order.
@@ -212,6 +223,17 @@ mod tests {
         let s = two_col();
         assert_eq!(s.arity(), 2);
         assert_eq!(s.tuple_width(), 18);
+    }
+
+    #[test]
+    fn fit_page_size_grows_only_to_hold_one_tuple() {
+        let s = two_col();
+        assert_eq!(s.fit_page_size(8), PAGE_HEADER_BYTES + 18);
+        assert_eq!(
+            s.fit_page_size(PAGE_HEADER_BYTES + 18),
+            PAGE_HEADER_BYTES + 18
+        );
+        assert_eq!(s.fit_page_size(1024), 1024);
     }
 
     #[test]

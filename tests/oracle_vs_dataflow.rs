@@ -4,8 +4,9 @@
 //! oracle produces (as multisets — the machines interleave work).
 
 use df_core::{run_queries, run_query, AllocationStrategy, Granularity, MachineParams};
-use df_query::{execute_readonly, parse_query, ExecParams, JoinAlgorithm};
-use df_relalg::Catalog;
+use df_query::oracle::{eval_read_nodes, merge_join_relations};
+use df_query::{execute_readonly, parse_query, ExecParams, Op};
+use df_relalg::{Catalog, Relation};
 use df_sim::rng::SimRng;
 use df_workload::{benchmark_queries, chain_query, generate_database, random_query, BenchmarkSpec};
 
@@ -104,27 +105,26 @@ fn random_queries_match_oracle() {
 fn oracle_join_algorithms_agree_with_machine() {
     let (db, spec) = setup();
     let q = chain_query(&db, 15, 4, 1, 2, spec.cutoff()).unwrap();
-    let nl = execute_readonly(
-        &db,
-        &q,
-        &ExecParams {
-            join_algorithm: JoinAlgorithm::NestedLoops,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let sm = execute_readonly(
-        &db,
-        &q,
-        &ExecParams {
-            join_algorithm: JoinAlgorithm::SortMerge,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    // The oracle joins by nested loops; sort-merge the chain's join from
+    // the same inputs and compare.
+    let nodes = eval_read_nodes(&db, &q, &ExecParams::default()).unwrap();
+    let mut joins = 0;
+    for id in q.topo_order() {
+        let node = q.node(id);
+        let Op::Join { condition } = &node.op else {
+            continue;
+        };
+        let [outer, inner] = [0, 1].map(|i| &nodes[node.children[i].0]);
+        let merged = merge_join_relations(outer, inner, condition).unwrap();
+        let nested = &nodes[id.0];
+        let merged = Relation::from_tuples("m", nested.schema().clone(), 4096, merged).unwrap();
+        assert!(nested.same_contents(&merged), "join {id}");
+        joins += 1;
+    }
+    assert_eq!(joins, 1);
+    let nl = nodes.last().unwrap();
     let (machine, _) = run_query(&db, &q, &machine_params(), Granularity::Page).unwrap();
-    assert!(nl.same_contents(&sm));
-    assert!(machine.same_contents(&nl));
+    assert!(machine.same_contents(nl));
 }
 
 #[test]
