@@ -2,15 +2,14 @@
 //!
 //! ```sh
 //! cargo run --release -p df-bench --bin host_run -- \
-//!     --workers 8 --alloc balanced --scale 0.5 --page-size 4096 --verify
+//!     --workers 8 --scale 0.5 --page-size 4096 --verify
 //! ```
 //!
 //! Flags (all optional):
 //! - `--workers N`     processors (default: all cores): the caller plus
 //!   min(N, CPUs) − 1 helper threads (none for a batch of at most 128
-//!   operand pages); the header prints all three
-//! - `--alloc S`       allocation strategy: `instruction-at-a-time`,
-//!   `round-robin`, `balanced`, `root-first`
+//!   operand pages; N − 1 under any `--fault-*` flag); the header prints
+//!   all three
 //! - `--scale F`       database scale factor (1.0 = the paper's 5.5 MB)
 //! - `--page-size B`   page size in bytes for source and intermediate pages,
 //!   at least 116 (the page header and one benchmark tuple)
@@ -27,13 +26,15 @@
 //! - `--name N`         artifact name (default `host`)
 //! - `--trace-out FILE` install a tracer and dump its event snapshot
 //!
-//! Fault injection (all deterministic; see `df_host::FaultPlan`):
+//! Fault injection (all deterministic; see `df_host::FaultPlan`). The
+//! caller still serves as processor 0; the helper count is fixed at N − 1:
 //! - `--fault-panic N`        panic the kernel of dispatched unit N
 //! - `--fault-panic-rate P`   panic each unit with probability P (seeded)
 //! - `--fault-seed S`         seed for `--fault-panic-rate` draws
 //! - `--fault-delay-every N`  sleep before every Nth unit's kernel
 //! - `--fault-delay-ms M`     the injected sleep (default 1 ms)
-//! - `--fault-dead-worker I`  worker I dies at start (repeatable)
+//! - `--fault-dead-worker I`  helper I (1 ≤ I < N) dies at start
+//!   (repeatable); 0 names the caller and exits 2
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,9 +62,6 @@ fn main() {
         };
         match flag.as_str() {
             "--workers" => params.workers = parse(&value("--workers"), "--workers"),
-            "--alloc" => {
-                params.strategy = value("--alloc").parse().unwrap_or_else(|e: String| die(&e));
-            }
             "--scale" => scale = parse_scale(&value("--scale")).unwrap_or_else(|e| die(&e)),
             "--page-size" => {
                 params.page_size =
@@ -121,17 +119,14 @@ fn main() {
     // batch line's run count reads against.
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let s = setup_with_page_size(scale, params.page_size);
-    let processors = (params.processors(&s.db, &s.queries))
+    let helpers = (params.processors(&s.db, &s.queries))
         .unwrap_or_else(|e| die(&format!("host run failed: {e}")));
-    let (helpers, serves) = (processors.helpers, processors.caller_serves);
     println!(
-        "host_run: scale {scale}, page size {}, {} workers ({} + {helpers} helper{}) on {cpus} CPU{}, {} strategy, {} join, {} transfer{}",
+        "host_run: scale {scale}, page size {}, {} workers (caller + {helpers} helper{}) on {cpus} CPU{}, {} join, {} transfer{}",
         params.page_size,
         params.workers,
-        if serves { "caller" } else { "scheduler" },
         if helpers == 1 { "" } else { "s" },
         if cpus == 1 { "" } else { "s" },
-        params.strategy,
         params.join,
         params.transfer,
         if params.fault.is_active() {
@@ -178,7 +173,7 @@ fn main() {
     );
     for (i, w) in out.metrics.per_worker.iter().enumerate() {
         let who = match i {
-            0 if serves => "caller".to_string(),
+            0 => "caller".to_string(),
             _ => format!("worker {i}"),
         };
         println!("  {}", w.summary_row(&who));
@@ -198,7 +193,6 @@ fn main() {
     if verify {
         let oracle = ExecParams {
             page_size: params.page_size,
-            ..ExecParams::default()
         };
         let mut checked = 0usize;
         for (i, (query, got)) in s.queries.iter().zip(&out.results).enumerate() {
@@ -241,15 +235,15 @@ fn main() {
     }
 }
 
-/// Injected kernel panics are expected; keep their backtraces out of the
-/// report. Panics on any other thread still print normally.
+/// Injected kernel panics are expected — on a helper thread or on the
+/// caller — so keep their backtraces out of the report. Any other panic
+/// still prints normally.
 fn quiet_worker_panics() {
     let default = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let on_worker = std::thread::current()
-            .name()
-            .is_some_and(|n| n.starts_with("df-host-worker"));
-        if !on_worker {
+        let injected = (info.payload().downcast_ref::<String>())
+            .is_some_and(|s| s.starts_with("injected fault"));
+        if !injected {
             default(info);
         }
     }));

@@ -37,7 +37,6 @@ pub fn host_artifact(
     a.param("scale", scale)
         .param("workers", params.workers)
         .param("page_size", params.page_size)
-        .param("alloc", params.strategy)
         .param("join", params.join)
         .param("transfer", params.transfer);
     a.elapsed_secs = m.elapsed.as_secs_f64();

@@ -5,7 +5,8 @@
 //! the data-flow one best — the result that motivates this paper (§1). We
 //! implement four analogous policies governing *which instruction's* ready
 //! work a freed processor picks up; `abl_alloc` benches them against each
-//! other.
+//! other on the simulated machine. The real-threads executor (`df-host`)
+//! serves by the winning rule, [`AllocationStrategy::Balanced`], alone.
 
 use std::fmt;
 use std::str::FromStr;
@@ -111,67 +112,6 @@ impl FromStr for AllocationStrategy {
     }
 }
 
-/// One instruction with ready work, as a work-picking policy sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkCandidate {
-    /// Instruction id (stable across the query's lifetime; lower = older).
-    pub instr: usize,
-    /// Work units of this instruction currently being executed.
-    pub in_flight: usize,
-    /// Distance from the query root (root = 0).
-    pub depth: usize,
-}
-
-/// A work-picking policy: given the instructions that currently have ready
-/// work, choose the one a freed processor serves next.
-///
-/// This is [`AllocationStrategy::choose`] lifted into a trait so executors
-/// outside this crate — the `df-host` real-threads executor in particular —
-/// can drive the same four policies (or supply their own) without copying
-/// the selection logic. [`StrategyPicker`] is the canonical implementation.
-pub trait WorkPicker {
-    /// Choose among `candidates`, returning the chosen instruction id.
-    ///
-    /// # Panics
-    /// Implementations may panic if `candidates` is empty — schedulers only
-    /// ask when there is ready work.
-    fn pick(&mut self, candidates: &[WorkCandidate]) -> usize;
-}
-
-/// A [`WorkPicker`] wrapping an [`AllocationStrategy`], owning the
-/// round-robin cursor that [`AllocationStrategy::choose`] threads through
-/// explicitly.
-#[derive(Debug, Clone, Default)]
-pub struct StrategyPicker {
-    strategy: AllocationStrategy,
-    rr_cursor: usize,
-}
-
-impl StrategyPicker {
-    /// A picker applying `strategy`, with a fresh round-robin cursor.
-    pub fn new(strategy: AllocationStrategy) -> StrategyPicker {
-        StrategyPicker {
-            strategy,
-            rr_cursor: 0,
-        }
-    }
-
-    /// The wrapped strategy.
-    pub fn strategy(&self) -> AllocationStrategy {
-        self.strategy
-    }
-}
-
-impl WorkPicker for StrategyPicker {
-    fn pick(&mut self, candidates: &[WorkCandidate]) -> usize {
-        let tuples: Vec<(usize, usize, usize)> = candidates
-            .iter()
-            .map(|c| (c.instr, c.in_flight, c.depth))
-            .collect();
-        self.strategy.choose(&tuples, &mut self.rr_cursor)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,32 +171,5 @@ mod tests {
             AllocationStrategy::RoundRobin
         );
         assert!("fastest-first".parse::<AllocationStrategy>().is_err());
-    }
-
-    #[test]
-    fn strategy_picker_matches_choose() {
-        let cands: Vec<WorkCandidate> = CANDS
-            .iter()
-            .map(|&(instr, in_flight, depth)| WorkCandidate {
-                instr,
-                in_flight,
-                depth,
-            })
-            .collect();
-        for strategy in AllocationStrategy::ALL {
-            let mut picker = StrategyPicker::new(strategy);
-            let mut rr = 0;
-            for _ in 0..5 {
-                assert_eq!(
-                    picker.pick(&cands),
-                    strategy.choose(&CANDS, &mut rr),
-                    "picker diverged from choose under {strategy}"
-                );
-            }
-        }
-        assert_eq!(
-            StrategyPicker::new(AllocationStrategy::RoundRobin).strategy(),
-            AllocationStrategy::RoundRobin
-        );
     }
 }

@@ -47,7 +47,7 @@ mod metrics;
 mod params;
 mod run;
 
-pub use allocation::{AllocationStrategy, StrategyPicker, WorkCandidate, WorkPicker};
+pub use allocation::AllocationStrategy;
 pub use concurrency::{LockRequest, LockTable};
 pub use granularity::Granularity;
 pub use machine::Machine;

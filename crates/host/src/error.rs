@@ -4,10 +4,11 @@
 //! component failure should stall the machine. The host executor honours
 //! that by reporting anomalies as structured values instead of panicking
 //! the scheduler: bad configuration and scheduler-level breakdowns surface
-//! as run-level errors from [`crate::run_host_queries`], while a worker
-//! panic or the loss of the whole worker pool fails only the affected
-//! queries (per-query `Err` entries in [`crate::HostRunOutput::results`])
-//! and the survivors keep draining.
+//! as run-level errors from [`crate::run_host_queries`], while a kernel
+//! panic fails only the affected query (a per-query `Err` entry in
+//! [`crate::HostRunOutput::results`]) and the survivors keep draining. A
+//! helper thread's death fails nothing: its work is requeued, and the
+//! caller, processor 0, is always left to serve it.
 
 use std::fmt;
 use std::time::Duration;
@@ -41,12 +42,6 @@ pub enum HostError {
         op: String,
         /// The panic payload, stringified.
         payload: String,
-    },
-    /// Every worker thread died before this query could finish; its
-    /// remaining work units are unexecutable.
-    WorkersExhausted {
-        /// Size of the worker pool at start.
-        workers: usize,
     },
     /// The scheduler made no progress for [`crate::HostParams::stall_timeout`]
     /// while units were in flight (a wedged kernel), or its bookkeeping
@@ -84,9 +79,6 @@ impl fmt::Display for HostError {
                 f,
                 "work unit of query {query}, cell {cell} (`{op}`) panicked: {payload}"
             ),
-            HostError::WorkersExhausted { workers } => {
-                write!(f, "all {workers} worker threads died; query unexecutable")
-            }
             HostError::Stalled {
                 in_flight,
                 waited,
@@ -129,9 +121,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("query 3") && s.contains("join") && s.contains("boom"));
-
-        let e = HostError::WorkersExhausted { workers: 4 };
-        assert!(e.to_string().contains("all 4 worker"));
 
         let e = HostError::Stalled {
             in_flight: 2,

@@ -12,9 +12,14 @@
 //!   the kernel; the executor must contain it to the owning query;
 //! * **delays** — every `delay_every`-th unit sleeps for `delay` before
 //!   running, stressing interleavings and the stall detector;
-//! * **dead workers** — the listed worker threads exit before receiving
+//! * **dead workers** — the listed helper threads exit before receiving
 //!   any work, simulating an IP that never comes up; the scheduler must
 //!   shrink the pool and requeue anything routed to them.
+//!
+//! An active plan runs in the same shape as an inert one — the caller is
+//! processor 0 and serves runs beside its helpers — but it spawns all
+//! `workers` − 1 helpers whatever the CPUs or the call's size, so the
+//! workers it names exist ([`crate::HostParams::processors`]).
 
 use std::time::Duration;
 
@@ -44,14 +49,9 @@ pub struct FaultPlan {
     pub delay_every: Option<u64>,
     /// The injected delay duration.
     pub delay: Duration,
-    /// Worker ids that die before receiving any work.
+    /// Helper ids (1 ≤ id < `workers`) that die before receiving any
+    /// work. Worker 0 is the caller, which cannot die.
     pub dead_workers: Vec<usize>,
-    /// Panic the **serve lane** (df-serve's batch-caller thread, one layer
-    /// above this executor) before it runs the lane task with this
-    /// sequence number (lane tasks are numbered from 0 in dispatch
-    /// order). Ignored by the host executor itself; df-serve uses it to
-    /// prove a lane panic is contained to the affected queries.
-    pub lane_panic_task: Option<u64>,
 }
 
 #[allow(clippy::derivable_impls)] // an explicit Default documents "no faults"
@@ -64,7 +64,6 @@ impl Default for FaultPlan {
             delay_every: None,
             delay: Duration::ZERO,
             dead_workers: Vec::new(),
-            lane_panic_task: None,
         }
     }
 }
@@ -72,13 +71,6 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// True when the plan injects at least one fault kind.
     pub fn is_active(&self) -> bool {
-        self.injects_into_host() || self.lane_panic_task.is_some()
-    }
-
-    /// True when the plan injects a fault the host executor acts on (a
-    /// panic, a delay, a dead worker; not df-serve's lane panic). These are
-    /// defined over threads, so the caller then only schedules.
-    pub fn injects_into_host(&self) -> bool {
         self.panic_on_unit.is_some()
             || self.panic_rate > 0.0
             || self.delay_every.is_some()
@@ -182,15 +174,11 @@ mod tests {
         assert_eq!(p.fault_for(4), Some(InjectedFault::Panic));
     }
 
+    /// Every fault kind — all of them injected into the host — makes the
+    /// plan active, and an active plan decides the executor's shape: it
+    /// fixes the helper count (`HostParams::processors`).
     #[test]
     fn only_host_faults_decide_the_executors_shape() {
-        assert!(!FaultPlan::default().injects_into_host());
-        let lane = FaultPlan {
-            lane_panic_task: Some(3),
-            ..FaultPlan::default()
-        };
-        assert!(lane.is_active(), "a lane panic is still a fault");
-        assert!(!lane.injects_into_host(), "but not one the host injects");
         let host = [
             FaultPlan {
                 panic_on_unit: Some(0),
@@ -205,12 +193,11 @@ mod tests {
                 ..FaultPlan::default()
             },
             FaultPlan {
-                dead_workers: vec![0],
+                dead_workers: vec![1],
                 ..FaultPlan::default()
             },
         ];
         for plan in host {
-            assert!(plan.injects_into_host(), "{plan:?}");
             assert!(plan.is_active(), "{plan:?}");
         }
     }

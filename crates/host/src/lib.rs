@@ -15,19 +15,22 @@
 //!
 //! Queries fire at **page granularity** (§3.2): a cell becomes eligible the
 //! moment an operand page lands, so restriction of page *k* overlaps the
-//! join of page *k − 1* on another core. Which eligible instruction a free
-//! processor serves is decided by the same [`df_core::AllocationStrategy`]
-//! policies the simulators sweep. Concurrent queries are admitted under the
-//! relation-granularity [`df_core::LockTable`] shared with the ring
-//! machine's MC.
+//! join of page *k − 1* on another core. A free processor serves the
+//! eligible instruction with the fewest units in flight — the data-flow
+//! strategy that \[4\] found best, [`df_core::AllocationStrategy::Balanced`]
+//! among the policies the simulators sweep. Concurrent queries are
+//! admitted under the relation-granularity [`df_core::LockTable`] shared
+//! with the ring machine's MC.
 //!
 //! Faults are contained, not fatal (§4's case for distributed control): a
 //! kernel panic is caught on the processor and fails only the owning query;
-//! a helper thread that dies shrinks the pool and its unit is requeued on a
-//! survivor; anomalies surface as a structured [`HostError`], and a helper
-//! run that wedges trips the stall watchdog instead of hanging the caller
-//! (a unit wedged on the calling thread itself has no watchdog) — and a
-//! deterministic [`FaultPlan`] injects all of these on demand.
+//! a helper thread that dies shrinks the pool and its run is requeued on a
+//! survivor — the calling thread, processor 0, always is one; anomalies
+//! surface as a structured [`HostError`], and a helper run that wedges
+//! trips the stall watchdog instead of hanging the caller (a unit wedged on
+//! the calling thread itself has no watchdog) — and a deterministic
+//! [`FaultPlan`] injects all of these on demand, into the same execution
+//! shape every call runs.
 //!
 //! ```
 //! use df_host::{run_host_query, HostParams};
@@ -66,5 +69,5 @@ pub use error::{HostError, HostResult};
 pub use exec::{run_host_queries, run_host_query, HostRunOutput};
 pub use fault::FaultPlan;
 pub use metrics::{HostMetrics, QueryStats, WorkerStats};
-pub use params::{HostParams, Processors};
+pub use params::HostParams;
 pub use view::{StandingView, ViewUpdate};

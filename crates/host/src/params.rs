@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use df_core::{AllocationStrategy, TransferMode};
+use df_core::TransferMode;
 use df_obs::Tracer;
 use df_query::{JoinAlgo, Op, QueryTree};
 use df_relalg::Catalog;
@@ -16,15 +16,13 @@ use crate::fault::FaultPlan;
 pub struct HostParams {
     /// Number of processors playing the IPs (≥ 1): the calling thread plus
     /// up to `workers` − 1 helper threads, as many as the CPUs and the
-    /// call's size warrant ([`HostParams::processors`]).
+    /// call's size warrant, or all of them under an active fault plan
+    /// ([`HostParams::processors`]).
     pub workers: usize,
     /// Page size (bytes, header included) for intermediate and result
     /// pages. Cells whose output tuples do not fit (deep join chains widen
     /// tuples) grow their own page size to hold at least one tuple.
     pub page_size: usize,
-    /// Which instruction's ready work a freed worker picks up — the same
-    /// four policies the simulated machines use.
-    pub strategy: AllocationStrategy,
     /// Join algorithm of the plan's join cells, which shapes each cell's
     /// operand sides once, when the cell is created. Under
     /// [`JoinAlgo::Hash`] each side of a cell whose condition can hash
@@ -62,8 +60,8 @@ pub struct HostParams {
     /// worst-case kernel time of a whole run; the generous default only
     /// trips on genuine wedges. Only helper runs are watched: a run the
     /// caller serves has no watchdog, so a unit wedged there hangs the call
-    /// — on one CPU, or in a call of at most 128 operand pages, that is
-    /// every run ([`HostParams::processors`]).
+    /// — with an inert fault plan on one CPU, or in a call of at most 128
+    /// operand pages, that is every run ([`HostParams::processors`]).
     pub stall_timeout: Duration,
     /// Deterministic fault injection (inert by default) — see
     /// [`FaultPlan`].
@@ -83,7 +81,6 @@ impl Default for HostParams {
                 .map(|n| n.get())
                 .unwrap_or(4),
             page_size: 1016,
-            strategy: AllocationStrategy::default(),
             join: JoinAlgo::default(),
             transfer: TransferMode::default(),
             deterministic: false,
@@ -113,38 +110,23 @@ thread_local! {
 /// Rounded up to a power of two.
 const SOLO_MAX_PAGES: usize = 128;
 
-/// Who serves a call's runs ([`HostParams::processors`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Processors {
-    /// The calling thread serves runs itself, as processor 0. False only
-    /// under a fault plan that injects into the host, where the caller
-    /// only schedules and every worker is a helper thread.
-    pub caller_serves: bool,
-    /// Helper threads the call spawns, numbered from 1 when the caller
-    /// serves and from 0 when it does not.
-    pub helpers: usize,
-}
-
 impl HostParams {
-    /// Who serves a call of `queries` over `db` made from this thread.
-    /// With an inert plan the caller is processor 0 and spawns
-    /// min(`workers`, CPUs) − 1 helpers — none when the call's operands
-    /// total at most 128 pages, where a helper costs more than it could
-    /// overlap. A plan that injects into the host
-    /// ([`FaultPlan::injects_into_host`]) spawns all `workers` helpers, and
-    /// the caller only schedules.
+    /// Helper threads a call of `queries` over `db` made from this thread
+    /// spawns; the caller is always processor 0, and helpers are numbered
+    /// from 1. With an inert fault plan that is min(`workers`, CPUs) − 1 —
+    /// none when the call's operands total at most 128 pages, where a
+    /// helper costs more than it could overlap. An active plan fixes it at
+    /// `workers` − 1, whatever the CPUs or the call's size, so its faults
+    /// have the threads they name.
     ///
     /// # Errors
     /// [`HostError`] when a query scans a relation `db` does not hold.
-    pub fn processors(&self, db: &Catalog, queries: &[QueryTree]) -> HostResult<Processors> {
+    pub fn processors(&self, db: &Catalog, queries: &[QueryTree]) -> HostResult<usize> {
         // Read first, so a thread's first call pays the read here whichever
         // way the call goes (the scheduler reads it too).
         let cpus = CPUS.with(|&n| n);
-        if self.fault.injects_into_host() {
-            return Ok(Processors {
-                caller_serves: false,
-                helpers: self.workers,
-            });
+        if self.fault.is_active() {
+            return Ok(self.workers.saturating_sub(1));
         }
         let mut operand_pages = 0;
         for node in queries.iter().flat_map(QueryTree::nodes) {
@@ -152,15 +134,10 @@ impl HostParams {
                 operand_pages += db.require(relation)?.pages().len();
             }
         }
-        let processors = if operand_pages <= SOLO_MAX_PAGES {
-            1
-        } else {
-            self.workers.min(cpus)
-        };
-        Ok(Processors {
-            caller_serves: true,
-            helpers: processors.saturating_sub(1),
-        })
+        if operand_pages <= SOLO_MAX_PAGES {
+            return Ok(0);
+        }
+        Ok(self.workers.min(cpus).saturating_sub(1))
     }
 
     /// Default parameters with an explicit worker count.
@@ -177,9 +154,9 @@ impl HostParams {
     ///
     /// # Errors
     /// Returns [`HostError::InvalidParams`] on zero workers, a zero stall
-    /// timeout, or an
-    /// out-of-range fault plan (`panic_rate` outside `[0, 1]`,
-    /// `delay_every == 0`, a dead-worker id ≥ `workers`).
+    /// timeout, or an out-of-range fault plan (`panic_rate` outside
+    /// `[0, 1]`, `delay_every == 0`, a dead worker that is not a helper:
+    /// 0, the caller, or an id ≥ `workers`).
     pub fn validate(&self) -> HostResult<()> {
         let invalid = |detail: String| Err(HostError::InvalidParams { detail });
         if self.workers == 0 {
@@ -196,6 +173,9 @@ impl HostParams {
         }
         if self.fault.delay_every == Some(0) {
             return invalid("`fault.delay_every` must be >= 1".into());
+        }
+        if self.fault.dead_workers.contains(&0) {
+            return invalid("`fault.dead_workers` names worker 0, the caller".into());
         }
         if let Some(&w) = self.fault.dead_workers.iter().find(|&&w| w >= self.workers) {
             return invalid(format!(
@@ -245,11 +225,14 @@ mod tests {
         let err = p.validate().unwrap_err();
         assert!(err.to_string().contains("worker 2"));
 
-        // Killing every *existing* worker is a legal plan (the all-dead
-        // containment tests rely on it).
-        let mut p = HostParams::with_workers(2);
-        p.fault.dead_workers = vec![0, 1];
+        // Every helper may die; the caller, worker 0, may not.
+        let mut p = HostParams::with_workers(3);
+        p.fault.dead_workers = vec![1, 2];
         assert!(p.validate().is_ok());
+        p.fault.dead_workers = vec![0];
+        let err = p.validate().unwrap_err();
+        assert!(matches!(err, HostError::InvalidParams { .. }), "{err:?}");
+        assert!(err.to_string().contains("the caller"));
     }
 
     /// A call of `pages` one-tuple pages scanning one relation.
@@ -272,41 +255,26 @@ mod tests {
         let (small, at_bound) = (scan_of(SOLO_MAX_PAGES), scan_of(SOLO_MAX_PAGES + 1));
         for workers in [1, 2, 4] {
             let p = HostParams::with_workers(workers);
-            let solo = Processors {
-                caller_serves: true,
-                helpers: 0,
-            };
-            assert_eq!(p.processors(&small.0, &small.1).unwrap(), solo);
+            assert_eq!(p.processors(&small.0, &small.1).unwrap(), 0);
             let above = p.processors(&at_bound.0, &at_bound.1).unwrap();
-            assert!(above.caller_serves);
-            assert_eq!(above.helpers, workers.min(cpus) - 1, "{workers} workers");
+            assert_eq!(above, workers.min(cpus) - 1, "{workers} workers");
             // Every scan counts: two queries over one 65-page relation
             // make 130 operand pages, above the bound.
             let (half, scan) = scan_of(SOLO_MAX_PAGES / 2 + 1);
             let twice = [scan[0].clone(), scan[0].clone()];
             let halves = p.processors(&half, &twice).unwrap();
-            assert_eq!(halves.helpers, workers.min(cpus) - 1, "{workers} workers");
+            assert_eq!(halves, workers.min(cpus) - 1, "{workers} workers");
 
+            // An active plan spawns every worker but the caller, whatever
+            // the call's size or the CPUs.
             let faulty = HostParams {
                 fault: FaultPlan {
-                    dead_workers: vec![0],
-                    ..FaultPlan::default()
-                },
-                ..p.clone()
-            };
-            let threaded = Processors {
-                caller_serves: false,
-                helpers: workers,
-            };
-            assert_eq!(faulty.processors(&small.0, &small.1).unwrap(), threaded);
-            let lane_only = HostParams {
-                fault: FaultPlan {
-                    lane_panic_task: Some(0),
+                    delay_every: Some(1),
                     ..FaultPlan::default()
                 },
                 ..p
             };
-            assert_eq!(lane_only.processors(&small.0, &small.1).unwrap(), solo);
+            assert_eq!(faulty.processors(&small.0, &small.1).unwrap(), workers - 1);
         }
     }
 

@@ -4,12 +4,11 @@
 //! plan gives a cell its operator, derived output schema, parent (and which
 //! operand port of the parent it feeds) and firing class; this module adds
 //! the [`Kernel`] the operator lowers to (the code a worker runs — the same
-//! lowering the simulated machines execute), its depth from the root (the
-//! `RootFirst` policy's input) and its output page size.
+//! lowering the simulated machines execute) and its output page size.
 
 use df_core::TransferMode;
 use df_query::{Kernel, Plan, PlanNode, QueryTree};
-use df_relalg::{Catalog, PAGE_HEADER_BYTES};
+use df_relalg::Catalog;
 
 use crate::error::{HostError, HostResult};
 
@@ -22,9 +21,6 @@ pub(crate) struct QueryPlan {
     pub plan: Plan,
     /// Per cell: the operator code its units run.
     pub kernels: Vec<Kernel>,
-    /// Per cell: distance from the root (root = 0), along the routes pages
-    /// actually take — a span sits at its chain top's depth.
-    pub depth: Vec<usize>,
     /// Per cell: page size for its output pages — the configured size,
     /// grown if necessary so at least one (possibly very wide) tuple fits.
     pub out_page_size: Vec<usize>,
@@ -53,24 +49,13 @@ impl QueryPlan {
         if transfer == TransferMode::Pipeline {
             plan.fuse_spans();
         }
-        // Parents have larger ids, so a reverse sweep sees every parent
-        // before its children.
-        let mut depth = vec![0usize; plan.nodes.len()];
-        for (id, node) in plan.nodes.iter().enumerate().rev() {
-            if let Some((p, _)) = node.parent {
-                depth[id] = depth[p] + 1;
-            }
-        }
-        let out_page_size = plan
-            .nodes
-            .iter()
-            .map(|n| page_size.max(PAGE_HEADER_BYTES + n.out_schema.tuple_width()))
+        let out_page_size = (plan.nodes.iter())
+            .map(|n| n.out_schema.fit_page_size(page_size))
             .collect();
         let kernels = plan.nodes.iter().map(Kernel::lower).collect();
         Ok(QueryPlan {
             plan,
             kernels,
-            depth,
             out_page_size,
         })
     }
@@ -108,7 +93,7 @@ mod tests {
     }
 
     #[test]
-    fn compiles_depths_over_the_shared_plan() {
+    fn compiles_cells_over_the_shared_plan() {
         let db = db();
         let b = TreeBuilder::new(&db);
         let q = b
@@ -122,7 +107,6 @@ mod tests {
         let plan = QueryPlan::build(&db, &q, 1024, TransferMode::Materialize).unwrap();
         assert_eq!(plan.plan.nodes.len(), 4);
         assert_eq!(plan.plan.root, 3);
-        assert_eq!(plan.depth, vec![2, 1, 1, 0]);
         assert_eq!(plan.cell(3).firing, Firing::PairSweep);
         assert_eq!(plan.cell(0).firing, Firing::Source);
         assert_eq!(plan.cell(1).parent, Some((3, 0)));
@@ -133,11 +117,11 @@ mod tests {
         let db = db();
         let q = TreeBuilder::new(&db).scan("emp").unwrap().finish();
         let plan = QueryPlan::build(&db, &q, 8, TransferMode::Materialize).unwrap();
-        assert!(plan.out_page_size[0] >= PAGE_HEADER_BYTES + 16);
+        assert_eq!(plan.out_page_size[0], df_relalg::PAGE_HEADER_BYTES + 16);
     }
 
     #[test]
-    fn pipeline_span_takes_its_chain_tops_depth_and_page_size() {
+    fn pipeline_span_takes_its_chain_tops_page_size() {
         let db = db();
         let b = TreeBuilder::new(&db);
         // scan(0) -> restrict(1) -> project(2) -> join(4) <- scan(3)
@@ -160,14 +144,11 @@ mod tests {
             |plan: &QueryPlan, cell: usize| plan.cell(cell).unary.as_ref().map(|u| u.steps());
         let mat_steps: Vec<_> = (0..5).map(|c| steps(&mat, c)).collect();
         assert_eq!(mat_steps, [Some(0), Some(1), Some(1), Some(0), None]);
-        assert_eq!(mat.depth, vec![3, 2, 1, 1, 0]);
-        // The restrict became the span: it feeds the join directly, from
-        // the project's depth, in pages sized for the project's tuples.
+        // The restrict became the span: it feeds the join directly, in
+        // pages sized for the project's tuples.
         assert_eq!(steps(&pipe, 1), Some(2));
         assert!(pipe.cell(2).absorbed);
         assert_eq!(pipe.cell(1).parent, Some((4, 0)));
-        assert_eq!(pipe.depth[1], mat.depth[2]);
-        assert_eq!(pipe.depth[0], 2);
         assert_eq!(pipe.out_page_size[1], mat.out_page_size[2]);
         assert!(pipe.out_page_size[1] < mat.out_page_size[1]);
     }

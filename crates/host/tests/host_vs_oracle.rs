@@ -1,8 +1,7 @@
 //! Differential tests: the real-threads executor must produce exactly the
-//! oracle's tuple multiset for every worker count and allocation strategy —
-//! parallelism may reorder pages, never change the answer.
+//! oracle's tuple multiset for every worker count — parallelism may reorder
+//! pages, never change the answer.
 
-use df_core::AllocationStrategy;
 use df_host::{run_host_queries, run_host_query, HostMetrics, HostParams};
 use df_query::{execute_readonly, ExecParams, QueryTree};
 use df_relalg::Catalog;
@@ -46,11 +45,10 @@ fn worker_counts() -> Vec<usize> {
     counts
 }
 
-/// The tentpole acceptance check: all ten benchmark queries, at 1, 2 and
-/// `available_parallelism` workers, under every allocation strategy,
+/// All ten benchmark queries, at 1, 2 and `available_parallelism` workers,
 /// tuple-set-identical to the sequential oracle.
 #[test]
-fn ten_queries_match_oracle_at_all_worker_counts_and_strategies() {
+fn ten_queries_match_oracle_at_all_worker_counts() {
     let (db, queries, _) = setup(0.01);
     let oracle_params = ExecParams::default();
     let oracles: Vec<_> = queries
@@ -59,25 +57,19 @@ fn ten_queries_match_oracle_at_all_worker_counts_and_strategies() {
         .collect();
 
     for workers in worker_counts() {
-        for strategy in AllocationStrategy::ALL {
-            let params = HostParams {
-                strategy,
-                ..HostParams::with_workers(workers)
-            };
-            let out = run_host_queries(&db, &queries, &params).expect("host executes");
-            assert_eq!(out.results.len(), queries.len());
-            for (i, (got, want)) in out.results.iter().zip(&oracles).enumerate() {
-                let got = got.as_ref().expect("query succeeds");
-                assert!(
-                    got.same_contents(want),
-                    "query {i} diverged from oracle at {workers} workers, {strategy}: \
-                     {} tuples vs {}",
-                    got.num_tuples(),
-                    want.num_tuples(),
-                );
-            }
-            assert_eq!(out.metrics.per_worker.len(), workers);
+        let params = HostParams::with_workers(workers);
+        let out = run_host_queries(&db, &queries, &params).expect("host executes");
+        assert_eq!(out.results.len(), queries.len());
+        for (i, (got, want)) in out.results.iter().zip(&oracles).enumerate() {
+            let got = got.as_ref().expect("query succeeds");
+            assert!(
+                got.same_contents(want),
+                "query {i} diverged from oracle at {workers} workers: {} tuples vs {}",
+                got.num_tuples(),
+                want.num_tuples(),
+            );
         }
+        assert_eq!(out.metrics.per_worker.len(), workers);
     }
 }
 
@@ -100,9 +92,9 @@ fn page_images(rel: &df_relalg::Relation) -> Vec<Vec<u8>> {
 
 /// One scheduler and one kernel path, whether helper threads serve or the
 /// caller serves alone. The ten queries at a scale on each side of the
-/// size test, at every worker count and strategy: deterministic-mode
-/// results equal the oracle tuple for tuple and each other page for page,
-/// and helpers serve units exactly as [`helpers_serve`] says.
+/// size test, at every worker count: deterministic-mode results equal the
+/// oracle tuple for tuple and each other page for page, and helpers serve
+/// units exactly as [`helpers_serve`] says.
 #[test]
 fn ten_queries_agree_on_both_sides_of_the_size_test() {
     for (scale, small) in [(0.005, true), (0.05, false)] {
@@ -113,37 +105,34 @@ fn ten_queries_agree_on_both_sides_of_the_size_test() {
             .collect();
         let mut first: Option<Vec<Vec<Vec<u8>>>> = None;
         for workers in worker_counts() {
-            for strategy in AllocationStrategy::ALL {
-                let params = HostParams {
-                    strategy,
-                    deterministic: true,
-                    ..HostParams::with_workers(workers)
-                };
-                let out = run_host_queries(&db, &queries, &params).expect("host executes");
-                let at = format!("scale {scale}, {workers} workers, {strategy}");
-                assert_eq!(
-                    helper_units(&out.metrics) > 0,
-                    helpers_serve(workers, small, &out.metrics),
-                    "{at}: {} units on helpers on {} CPUs",
-                    helper_units(&out.metrics),
-                    cpus()
-                );
-                assert_eq!(out.metrics.per_worker.len(), workers, "{at}");
-                let fired: usize = out.metrics.per_query.iter().map(|q| q.units_fired).sum();
-                assert_eq!(fired, out.metrics.total_units(), "{at}");
-                let rels: Vec<_> = out
-                    .results
-                    .iter()
-                    .map(|r| r.as_ref().expect("query succeeds"))
-                    .collect();
-                for (i, (rel, want)) in rels.iter().zip(&want).enumerate() {
-                    assert_eq!(&tuple_images(rel), want, "{at}: query {i} vs oracle");
-                }
-                let pages: Vec<_> = rels.iter().map(|r| page_images(r)).collect();
-                match &first {
-                    None => first = Some(pages),
-                    Some(first) => assert_eq!(&pages, first, "{at}: page images diverged"),
-                }
+            let params = HostParams {
+                deterministic: true,
+                ..HostParams::with_workers(workers)
+            };
+            let out = run_host_queries(&db, &queries, &params).expect("host executes");
+            let at = format!("scale {scale}, {workers} workers");
+            assert_eq!(
+                helper_units(&out.metrics) > 0,
+                helpers_serve(workers, small, &out.metrics),
+                "{at}: {} units on helpers on {} CPUs",
+                helper_units(&out.metrics),
+                cpus()
+            );
+            assert_eq!(out.metrics.per_worker.len(), workers, "{at}");
+            let fired: usize = out.metrics.per_query.iter().map(|q| q.units_fired).sum();
+            assert_eq!(fired, out.metrics.total_units(), "{at}");
+            let rels: Vec<_> = out
+                .results
+                .iter()
+                .map(|r| r.as_ref().expect("query succeeds"))
+                .collect();
+            for (i, (rel, want)) in rels.iter().zip(&want).enumerate() {
+                assert_eq!(&tuple_images(rel), want, "{at}: query {i} vs oracle");
+            }
+            let pages: Vec<_> = rels.iter().map(|r| page_images(r)).collect();
+            match &first {
+                None => first = Some(pages),
+                Some(first) => assert_eq!(&pages, first, "{at}: page images diverged"),
             }
         }
     }
@@ -240,15 +229,14 @@ fn deterministic_mode_repeated_runs_agree_exactly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random join-chain trees at random worker counts and strategies
-    /// always match the oracle.
+    /// Random join-chain trees at random worker counts always match the
+    /// oracle.
     #[test]
     fn random_chain_queries_match_oracle(seed in 0u64..1_000, workers in 1usize..5) {
         let (db, _, cutoff) = setup(0.01);
         let mut rng = SimRng::new(seed);
         let query = random_query(&db, 5, 3, cutoff, &mut rng).expect("query builds");
-        let strategy = AllocationStrategy::ALL[(seed % 4) as usize];
-        let params = HostParams { strategy, ..HostParams::with_workers(workers) };
+        let params = HostParams::with_workers(workers);
 
         let want = execute_readonly(&db, &query, &ExecParams::default()).expect("oracle");
         let (got, metrics) = run_host_query(&db, &query, &params).expect("host");
@@ -279,7 +267,6 @@ proptest! {
             let mut rng = SimRng::new(seed);
             let query = random_query(&db, 5, 3, cutoff, &mut rng).expect("query builds");
             let params = HostParams {
-                strategy: AllocationStrategy::ALL[(seed % 4) as usize],
                 deterministic: true,
                 ..HostParams::with_workers(workers)
             };

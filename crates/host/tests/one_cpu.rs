@@ -159,9 +159,9 @@ fn one_cpu_answers_match_one_worker_and_the_oracle() {
 /// inert fault plan, every entry but the caller's reports zero runs and
 /// units, and the call makes exactly the runs and units of a one-worker
 /// call, with page-identical results. An active but harmless plan (a zero
-/// delay on every unit) keeps the threaded shape: both workers are helper
-/// threads, so entry 1 — never the caller — serves units, and the results
-/// still match page for page.
+/// delay on every unit) fixes the helper count at workers − 1 whatever the
+/// CPUs: the idle helper takes the first run, so entry 1 serves units
+/// beside the caller, and the results still match page for page.
 #[test]
 fn one_cpu_spawns_no_helper() {
     on_one_cpu(|| {

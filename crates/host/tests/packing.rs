@@ -108,7 +108,7 @@ fn restrict_allocations(pages: usize, op: CmpOp) -> (u64, usize) {
     // and so does this thread's first `processors()`.
     let params = HostParams::with_workers(1);
     let processors = params.processors(&db, std::slice::from_ref(&query));
-    assert_eq!(processors.expect("a scans").helpers, 0, "no helper");
+    assert_eq!(processors.expect("a scans"), 0, "no helper");
     let (n, out) = allocations(|| run_host_query(&db, &query, &params));
     let (rel, metrics) = out.expect("host executes");
     assert_eq!(metrics.total_units(), pages);
@@ -282,39 +282,12 @@ fn inline_counters_do_not_depend_on_tracing() {
     }
 }
 
-/// At scale 0.05 a zero delay on every unit keeps the threaded shape: the
-/// one worker is a helper thread and the caller only schedules. The
-/// helper serves one run at a time, so the schedule — and with it every
-/// counter — is fixed.
-#[test]
-fn threaded_counters_do_not_depend_on_tracing() {
-    let (db, queries) = ten_queries(0.05);
-    let params = HostParams {
-        fault: FaultPlan {
-            delay_every: Some(1),
-            ..FaultPlan::default()
-        },
-        ..HostParams::with_workers(1)
-    };
-    let processors = params.processors(&db, &queries).expect("queries scan");
-    assert!(!processors.caller_serves, "the caller only schedules");
-    assert_eq!(processors.helpers, 1);
-    let calls = assert_tracing_neutral(&db, &queries, &params, &[1]);
-    for (_, m) in calls {
-        assert!(m.per_worker[0].runs > 0, "served by a helper thread");
-    }
-}
-
-/// Two processors — the caller and a helper thread, on two or more CPUs —
-/// split runs by timing, so run boundaries — and any counter they move —
-/// vary between calls. These queries make every counter independent of
-/// run boundaries: each unit of the restrict and
+/// Queries whose counters do not depend on run boundaries, over 320
+/// operand pages (above the size test): each unit of the restrict and
 /// project cells turns one full base page into one full page, a restrict
 /// that keeps nothing sends nothing on, and a join that matches nothing
-/// reads each page pair exactly once whichever side arrives first. So the
-/// counters must agree at two workers too, traced or not.
-#[test]
-fn threaded_counters_do_not_depend_on_tracing_at_two_workers() {
+/// reads each page pair exactly once whichever side arrives first.
+fn boundary_free_queries() -> (Catalog, [QueryTree; 3]) {
     let mut db = Catalog::new();
     db.insert(kv_relation("a", 80, 0)).expect("fresh name");
     // Keys disjoint from `a`'s: the join matches nothing.
@@ -329,13 +302,52 @@ fn threaded_counters_do_not_depend_on_tracing_at_two_workers() {
         keep_all("a").and_then(|s| s.equi_join(b.scan("b")?, "k", "k")),
     ]
     .map(|q| q.expect("query builds").finish());
-    let params = HostParams {
+    (db, queries)
+}
+
+fn boundary_free_params() -> HostParams {
+    HostParams {
         page_size: BASE_PAGE,
         deterministic: true,
         ..HostParams::default()
+    }
+}
+
+/// An active but harmless plan — a zero delay on every unit — spawns the
+/// one helper of two workers whatever the CPUs, and the idle helper takes
+/// the call's first run, so a helper thread serves beside the caller even
+/// on one CPU. The two split runs by timing, yet the
+/// [`boundary_free_queries`] counters agree, traced or not.
+#[test]
+fn threaded_counters_do_not_depend_on_tracing() {
+    let (db, queries) = boundary_free_queries();
+    let params = HostParams {
+        fault: FaultPlan {
+            delay_every: Some(1),
+            ..FaultPlan::default()
+        },
+        ..boundary_free_params()
     };
-    let calls = assert_tracing_neutral(&db, &queries, &params, &[1, 2]);
-    // 320 operand pages: above the size test.
+    let two = HostParams {
+        workers: 2,
+        ..params.clone()
+    };
+    let helpers = two.processors(&db, &queries).expect("queries scan");
+    assert_eq!(helpers, 1, "whatever the CPUs");
+    let calls = assert_tracing_neutral(&db, &queries, &params, &[2]);
+    for (_, m) in calls {
+        assert!(helper_units(&m) > 0, "the helper thread served");
+    }
+}
+
+/// Inert, two processors — the caller and a helper thread — run only on
+/// two or more CPUs, and split runs by timing too; the
+/// [`boundary_free_queries`] counters must agree at two workers, traced or
+/// not.
+#[test]
+fn threaded_counters_do_not_depend_on_tracing_at_two_workers() {
+    let (db, queries) = boundary_free_queries();
+    let calls = assert_tracing_neutral(&db, &queries, &boundary_free_params(), &[1, 2]);
     for (workers, m) in calls {
         let helpers = workers >= 2 && cpus() >= 2;
         assert_eq!(helper_units(&m) > 0, helpers, "{workers} workers");

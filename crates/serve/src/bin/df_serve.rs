@@ -14,7 +14,6 @@
 //! - `--workers N`         executor worker threads (default: all cores)
 //! - `--page-size B`       page size in bytes, at least 116 (the page header
 //!   and one benchmark tuple)
-//! - `--alloc S`           allocation strategy (see `host_run`)
 //! - `--join A`            join algorithm: `nested` or `hash`
 //! - `--transfer T`        transfer mode: `materialize` or `pipeline`
 //! - `--queue-capacity N`  per-client admission queue depth (default 32)
@@ -58,9 +57,6 @@ fn main() {
                 config.host.page_size =
                     parse_page_size(&value("--page-size")).unwrap_or_else(|e| die(&e));
             }
-            "--alloc" => {
-                config.host.strategy = value("--alloc").parse().unwrap_or_else(|e: String| die(&e));
-            }
             "--join" => {
                 config.host.join = value("--join").parse().unwrap_or_else(|e: String| die(&e));
             }
@@ -83,7 +79,7 @@ fn main() {
                     Some(parse(&value("--fault-panic"), "--fault-panic"));
             }
             "--fault-lane-panic" => {
-                config.host.fault.lane_panic_task =
+                config.lane_panic_task =
                     Some(parse(&value("--fault-lane-panic"), "--fault-lane-panic"));
             }
             other => die(&format!(
@@ -94,7 +90,7 @@ fn main() {
     if trace_out.is_some() {
         config.trace = Some(Arc::new(Tracer::new(Tracer::DEFAULT_CAPACITY)));
     }
-    if config.host.fault.is_active() {
+    if config.host.fault.is_active() || config.lane_panic_task.is_some() {
         quiet_worker_panics();
     }
 

@@ -111,7 +111,7 @@ pub(super) fn lane_loop(
         }
         let seq = shared.lane_task_seq.fetch_add(1, Ordering::Relaxed);
         let panicked = catch_unwind(AssertUnwindSafe(|| {
-            if host.fault.lane_panic_task == Some(seq) {
+            if shared.lane_panic_task == Some(seq) {
                 panic!("injected lane fault (task {seq})");
             }
             match &mut task {
@@ -230,7 +230,6 @@ fn run_write_task(
 ) {
     let exec = ExecParams {
         page_size: host.page_size,
-        ..ExecParams::default()
     };
     let written = task.tree.written_relations();
     let staged = {

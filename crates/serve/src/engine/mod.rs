@@ -56,7 +56,7 @@
 //! structured [`Response::Error`] to exactly that client while the rest
 //! of the batch completes normally. Neither the dispatcher nor a lane
 //! ever panics on query content — and if a lane *does* panic (a kernel
-//! bug, or a [`df_host::FaultPlan::lane_panic_task`] injection), the
+//! bug, or a [`ServeConfig::lane_panic_task`] injection), the
 //! panic is caught, the task's waiters get a structured error, the
 //! task's gate marks are released, and the server keeps serving everyone
 //! else. Shared locks are acquired through poison-recovering helpers:
@@ -153,6 +153,12 @@ pub struct ServeConfig {
     /// transfer bytes recorded by the socket layer. Independent of
     /// `host.trace`, which observes the executor's internals.
     pub trace: Option<Arc<Tracer>>,
+    /// Deterministic fault injection one layer above the executor: panic
+    /// the serve lane before it runs the lane task with this sequence
+    /// number (lane tasks are numbered from 0 in dispatch order), to prove
+    /// a lane panic is contained to the affected queries. `None` — the
+    /// default — injects nothing; `host.fault` injects into the executor.
+    pub lane_panic_task: Option<u64>,
     /// Test-only gate holding every lane before it executes its next
     /// task. Lets tests park a read execution deterministically so a
     /// twin read provably joins it in flight. Must be released before
@@ -170,6 +176,7 @@ impl Default for ServeConfig {
             plan_cache_capacity: 128,
             host: HostParams::default(),
             trace: None,
+            lane_panic_task: None,
             lane_hold: None,
         }
     }
@@ -243,8 +250,10 @@ struct Shared {
     /// count) writes overlapping writes.
     writes_in_flight: AtomicU64,
     /// Global lane-task sequence numbers, the coordinate system for
-    /// [`df_host::FaultPlan::lane_panic_task`] injection.
+    /// [`ServeConfig::lane_panic_task`] injection.
     lane_task_seq: AtomicU64,
+    /// [`ServeConfig::lane_panic_task`].
+    lane_panic_task: Option<u64>,
     /// Installed standing views. Registered by the lane that ran the
     /// install (after materialization), updated by every write lane
     /// whose target the view reads, removed by drops — all serialized
@@ -349,6 +358,7 @@ impl Engine {
             lane_idle: Condvar::new(),
             writes_in_flight: AtomicU64::new(0),
             lane_task_seq: AtomicU64::new(0),
+            lane_panic_task: config.lane_panic_task,
             views: Mutex::new(BTreeMap::new()),
             view_bases: Mutex::new(BTreeMap::new()),
         });

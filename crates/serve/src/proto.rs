@@ -393,8 +393,8 @@ impl Response {
 
 // ------------------------------------------------------------ error model
 
-/// Stable wire code for each [`HostError`] variant (PR 4's taxonomy).
-/// Codes appear on the wire and must not be reused.
+/// Stable wire code for each [`HostError`] variant. Codes appear on the
+/// wire and must not be reused; 3 is retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum HostErrorKind {
@@ -404,8 +404,6 @@ pub enum HostErrorKind {
     ReadOnlyExecutor = 1,
     /// [`HostError::UnitPanicked`].
     UnitPanicked = 2,
-    /// [`HostError::WorkersExhausted`].
-    WorkersExhausted = 3,
     /// [`HostError::Stalled`].
     Stalled = 4,
     /// [`HostError::Data`].
@@ -422,7 +420,6 @@ impl HostErrorKind {
             HostErrorKind::InvalidParams => "invalid_params",
             HostErrorKind::ReadOnlyExecutor => "read_only_executor",
             HostErrorKind::UnitPanicked => "unit_panicked",
-            HostErrorKind::WorkersExhausted => "workers_exhausted",
             HostErrorKind::Stalled => "stalled",
             HostErrorKind::Data => "data",
             HostErrorKind::Other => "other",
@@ -434,7 +431,6 @@ impl HostErrorKind {
             0 => HostErrorKind::InvalidParams,
             1 => HostErrorKind::ReadOnlyExecutor,
             2 => HostErrorKind::UnitPanicked,
-            3 => HostErrorKind::WorkersExhausted,
             4 => HostErrorKind::Stalled,
             5 => HostErrorKind::Data,
             6 => HostErrorKind::Other,
@@ -449,7 +445,6 @@ impl From<&HostError> for HostErrorKind {
             HostError::InvalidParams { .. } => HostErrorKind::InvalidParams,
             HostError::ReadOnlyExecutor { .. } => HostErrorKind::ReadOnlyExecutor,
             HostError::UnitPanicked { .. } => HostErrorKind::UnitPanicked,
-            HostError::WorkersExhausted { .. } => HostErrorKind::WorkersExhausted,
             HostError::Stalled { .. } => HostErrorKind::Stalled,
             HostError::Data(_) => HostErrorKind::Data,
             _ => HostErrorKind::Other,
@@ -805,15 +800,21 @@ mod tests {
 
     #[test]
     fn host_error_kinds_map_the_taxonomy() {
-        let e = HostError::WorkersExhausted { workers: 4 };
+        let e = HostError::UnitPanicked {
+            query: 0,
+            cell: 1,
+            op: "join".into(),
+            payload: "boom".into(),
+        };
         let se = ServeError::host(&e);
         match &se {
             ServeError::Host { kind, detail } => {
-                assert_eq!(*kind, HostErrorKind::WorkersExhausted);
-                assert!(detail.contains("all 4 worker"));
+                assert_eq!(*kind, HostErrorKind::UnitPanicked);
+                assert!(detail.contains("boom"));
             }
             other => panic!("wrong variant {other:?}"),
         }
+        assert!(HostErrorKind::from_wire(3).is_err(), "code 3 is retired");
         assert_eq!(
             HostErrorKind::from(&HostError::Stalled {
                 in_flight: 1,

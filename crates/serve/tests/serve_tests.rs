@@ -46,10 +46,7 @@ impl Replies {
 /// engine runs deterministic mode, which canonicalizes result order).
 fn oracle_tuples(db: &Catalog, text: &str, page_size: usize) -> Vec<Vec<u8>> {
     let tree = parse_query(db, text).expect("oracle parse");
-    let params = ExecParams {
-        page_size,
-        ..ExecParams::default()
-    };
+    let params = ExecParams { page_size };
     let rel = execute_readonly(db, &tree, &params).expect("oracle run");
     let mut tuples: Vec<Vec<u8>> = rel.tuple_refs().map(|t| t.raw().to_vec()).collect();
     tuples.sort();
@@ -1349,7 +1346,7 @@ fn lane_panic_is_contained_to_its_task() {
     quiet_worker_panics();
     let mut config = test_config();
     // Panic the serve lane itself (not a host worker) on lane task 0.
-    config.host.fault.lane_panic_task = Some(0);
+    config.lane_panic_task = Some(0);
     let db = small_db();
     let page_size = config.host.page_size;
     let survivor = "(restrict (scan r03) (< val 500))";
