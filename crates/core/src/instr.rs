@@ -4,8 +4,9 @@
 //! in the query tree"*. Scans are not instructions — a scan child simply
 //! makes its parent's operand a *source* operand whose page table is
 //! complete from the start (the relation sits on mass storage). Every other
-//! node becomes an [`Instruction`] with a [`Kernel`] — the actual operator
-//! code an instruction processor executes on the pages in a work unit.
+//! node becomes an [`Instruction`] holding the [`Kernel`] its plan node
+//! carries — the actual operator code an instruction processor executes on
+//! the pages in a work unit.
 
 use df_query::{Firing, NodeId, Op, Plan, QueryTree};
 use df_relalg::{Catalog, Predicate, Result, Schema};
@@ -13,7 +14,7 @@ use df_relalg::{Catalog, Predicate, Result, Schema};
 use crate::params::TransferMode;
 
 /// The operator code executed per work unit and the bucket hash of the
-/// partitioned finalizers; defined next to the plan they lower in
+/// partitioned finalizers; defined next to the plan that carries them in
 /// df-query and re-exported here.
 pub use df_query::{tuple_bucket, Kernel};
 
@@ -90,8 +91,9 @@ pub struct Program {
 }
 
 /// Compile a batch of query trees into a [`Program`]: each tree's
-/// [`Plan`] (fused under [`TransferMode::Pipeline`]) is lowered to dense
-/// instructions in topological order, skipping scans — they are their
+/// [`Plan`] (fused under [`TransferMode::Pipeline`]) becomes dense
+/// instructions in topological order, each holding its node's kernel,
+/// skipping scans — they are their
 /// parent's source operands — and nodes absorbed into a span. The machines
 /// pass their params' transfer mode through here.
 ///
@@ -152,7 +154,7 @@ pub fn compile_with(
                     })
                     .collect(),
             };
-            let kernel = Kernel::lower(node);
+            let kernel = node.kernel.clone();
             match &node.op {
                 Op::Append { target } => {
                     update = Some(UpdateSpec::Append {
@@ -454,7 +456,10 @@ mod tests {
                 ops::difference_pages_raw(&inputs[0], &inputs[1], &s),
             ),
             (
-                Kernel::ProjectDedupFinal(v.clone()),
+                Kernel::ProjectDedupFinal(UnaryKernel::compile(
+                    &[SpanStep::Project(v.clone())],
+                    &s,
+                )),
                 vs.clone(),
                 oracle::dedup_tuples(projected.iter().cloned()),
                 ops::dedup_pages_raw(&refs(&projected_rel), &vs),
@@ -640,12 +645,12 @@ mod tests {
         }
     }
 
-    /// [`Kernel::lower`] and [`Firing::of`] classify every operator the same
-    /// way: the entry point a node's firing class names accepts the node's
-    /// kernel, and the entry points of the other classes refuse it. (The
-    /// unit entry also takes a pair kernel: an explicit (outer, inner) pair.)
+    /// [`Plan::compile`]'s one classification pairs every operator's firing
+    /// class with a kernel the class's entry point accepts, and the entry
+    /// points of the other classes refuse it. (The unit entry also takes a
+    /// pair kernel: an explicit (outer, inner) pair.)
     #[test]
-    fn lowering_agrees_with_firing_for_every_operator() {
+    fn kernel_agrees_with_firing_for_every_operator() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let db = db();
         let page: &Page = &db.get("a").unwrap().pages()[0];
@@ -669,8 +674,7 @@ mod tests {
                 plan.fuse_spans();
             }
             for node in plan.nodes.iter().filter(|n| !n.absorbed) {
-                let kernel = Kernel::lower(node);
-                let s = &node.out_schema;
+                let (kernel, s) = (&node.kernel, &node.out_schema);
                 let accepted = [
                     catch_unwind(AssertUnwindSafe(|| {
                         kernel.run_unit_raw(&[page, page], s);

@@ -8,9 +8,9 @@
 //! data-flow strategy of \[4\]). The processors play the IPs: the calling
 //! thread itself, processor 0, and up to workers − 1 helper threads. A
 //! helper receives work over a bounded channel (the distribution network),
-//! runs the cell's [`df_query::Kernel`] — the operator code the plan was
-//! lowered to once, at build, and the same code the simulated machines
-//! execute — packs the output into pages, and sends them back over a
+//! runs the cell's [`df_query::Kernel`] — the operator code its plan node
+//! carries, compiled once with the plan, the same code the simulated
+//! machines execute — packs the output into pages, and sends them back over a
 //! bounded MPSC channel (the arbitration network). Pages flow cell →
 //! parent cell → query result with `Arc` sharing — never copied.
 //!
@@ -90,7 +90,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use df_query::QueryTree;
+use df_core::TransferMode;
+use df_query::{Plan, QueryTree};
 use df_relalg::{Catalog, Relation};
 
 use self::run::Run;
@@ -99,7 +100,6 @@ use self::worker::{worker_loop, Completion};
 use crate::error::{HostError, HostResult};
 use crate::metrics::{HostMetrics, WorkerStats};
 use crate::params::HostParams;
-use crate::plan::QueryPlan;
 
 /// Output of [`run_host_queries`].
 #[derive(Debug)]
@@ -121,8 +121,11 @@ pub struct HostRunOutput {
 ///
 /// # Errors
 /// A run-level `Err` means nothing useful happened: invalid parameters
-/// ([`HostError::InvalidParams`]), a query that fails validation or uses
-/// an update operator, or a stalled scheduler ([`HostError::Stalled`]).
+/// ([`HostError::InvalidParams`]), a query that fails validation
+/// ([`HostError::Data`]) or uses an update operator
+/// ([`HostError::ReadOnlyExecutor`]: updates stay on the oracle and the
+/// simulated machines, which own catalog mutation), or a stalled scheduler
+/// ([`HostError::Stalled`]).
 /// Worker faults do **not** fail the run: a kernel panic is contained to
 /// its query's `Err` entry in [`HostRunOutput::results`] while every other
 /// query completes normally, and a dead helper's work is requeued.
@@ -132,10 +135,18 @@ pub fn run_host_queries(
     params: &HostParams,
 ) -> HostResult<HostRunOutput> {
     params.validate()?;
-    let plans: Vec<Arc<QueryPlan>> = queries
-        .iter()
-        .map(|q| QueryPlan::build(db, q, params.page_size, params.transfer).map(Arc::new))
-        .collect::<HostResult<_>>()?;
+    let mut plans = Vec::with_capacity(queries.len());
+    for query in queries {
+        let mut plan = Plan::compile(db, query)?;
+        if let Some(update) = plan.nodes.iter().find(|n| n.op.is_update()) {
+            let op = update.op.name().to_string();
+            return Err(HostError::ReadOnlyExecutor { op });
+        }
+        if params.transfer == TransferMode::Pipeline {
+            plan.fuse_spans();
+        }
+        plans.push(Arc::new(plan));
+    }
     let helpers = params.processors(db, queries)?;
     let started = Instant::now();
 
@@ -234,7 +245,110 @@ pub fn run_host_query(
 mod tests {
     use super::*;
     use crate::FaultPlan;
+    use df_query::TreeBuilder;
+    use df_relalg::{CmpOp, DataType, Schema, Tuple, Value, PAGE_HEADER_BYTES};
     use df_workload::{benchmark_queries, generate_database, BenchmarkSpec};
+
+    /// `emp(id, dept)`: eight 16-byte tuples.
+    fn emp() -> Catalog {
+        let mut db = Catalog::new();
+        let s = Schema::build()
+            .attr("id", DataType::Int)
+            .attr("dept", DataType::Int)
+            .finish()
+            .unwrap();
+        let tuples = (0..8).map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 2)]));
+        db.insert(Relation::from_tuples("emp", s, 1024, tuples).unwrap())
+            .unwrap();
+        db
+    }
+
+    /// df-host runs read-only queries: an update root is refused under
+    /// both transfer modes, a fusible chain below it included.
+    #[test]
+    fn rejects_updates() {
+        let db = emp();
+        let delete = TreeBuilder::new(&db)
+            .delete_where("emp", "id", CmpOp::Eq, Value::Int(0))
+            .unwrap();
+        let append = TreeBuilder::new(&db)
+            .scan("emp")
+            .unwrap()
+            .restrict_where("id", CmpOp::Gt, Value::Int(2))
+            .unwrap()
+            .project(&["id", "dept"], false)
+            .unwrap()
+            .append_to("emp")
+            .unwrap()
+            .finish();
+        for transfer in [TransferMode::Materialize, TransferMode::Pipeline] {
+            let params = HostParams {
+                transfer,
+                ..HostParams::with_workers(1)
+            };
+            for (query, op) in [(&delete, "delete"), (&append, "append")] {
+                let err = run_host_query(&db, query, &params).unwrap_err();
+                assert!(err.to_string().contains("read-only"), "{transfer:?}");
+                assert!(
+                    matches!(err, HostError::ReadOnlyExecutor { op: ref o } if o == op),
+                    "{transfer:?}: {err}"
+                );
+            }
+        }
+    }
+
+    /// A page size too small for one tuple grows to hold exactly one.
+    #[test]
+    fn tiny_page_size_grows_to_fit_one_tuple() {
+        let db = emp();
+        let q = TreeBuilder::new(&db).scan("emp").unwrap().finish();
+        // Deterministic mode repacks the result: a bare scan's own pages
+        // are the catalog's.
+        let params = HostParams {
+            page_size: 8,
+            deterministic: true,
+            ..HostParams::with_workers(1)
+        };
+        let (rel, _) = run_host_query(&db, &q, &params).unwrap();
+        assert_eq!(rel.page_size(), PAGE_HEADER_BYTES + 16);
+        assert_eq!(rel.num_pages(), 8);
+    }
+
+    /// A fused span's run packs into pages sized for its chain top's
+    /// tuples, not its bottom's: here the 8-byte projected tuples, one to a
+    /// page, which the result (its pages taken as the run made them)
+    /// accepts only at that size.
+    #[test]
+    fn pipeline_span_takes_its_chain_tops_page_size() {
+        let db = emp();
+        // scan(0) -> restrict(1) -> project(2): one span under Pipeline.
+        let q = TreeBuilder::new(&db)
+            .scan("emp")
+            .unwrap()
+            .restrict_where("id", CmpOp::Gt, Value::Int(2))
+            .unwrap()
+            .project(&["dept"], false)
+            .unwrap()
+            .finish();
+        for transfer in [TransferMode::Materialize, TransferMode::Pipeline] {
+            let params = HostParams {
+                page_size: 8,
+                transfer,
+                ..HostParams::with_workers(1)
+            };
+            let (rel, metrics) = run_host_query(&db, &q, &params).unwrap();
+            assert_eq!(rel.page_size(), PAGE_HEADER_BYTES + 8, "{transfer:?}");
+            assert_eq!((rel.num_tuples(), rel.num_pages()), (5, 5), "{transfer:?}");
+            // The span fires once on emp's one page; unfused, the project
+            // fires once per restrict output page too.
+            let want = if transfer == TransferMode::Pipeline {
+                1
+            } else {
+                6
+            };
+            assert_eq!(metrics.total_units(), want, "{transfer:?}");
+        }
+    }
 
     fn pages(results: &[Result<Relation, HostError>]) -> Vec<Vec<Vec<u8>>> {
         let rels = results.iter().map(|r| r.as_ref().expect("query succeeds"));

@@ -17,13 +17,12 @@ use std::time::Instant;
 
 use df_obs::{Path, Tracer};
 use df_query::ops::hash_join_side_into;
-use df_query::Kernel;
+use df_query::{Kernel, Plan, PlanNode};
 use df_relalg::{Page, Relation, TupleBuf};
 
 use super::cell::{Received, WorkKind};
 use crate::fault::InjectedFault;
 use crate::metrics::WorkerStats;
-use crate::plan::QueryPlan;
 
 /// One instruction firing inside a [`Run`].
 #[derive(Debug)]
@@ -40,9 +39,12 @@ pub(super) struct RunUnit {
 /// if the helper holding them dies.
 #[derive(Debug)]
 pub(super) struct Run {
-    pub plan: Arc<QueryPlan>,
+    pub plan: Arc<Plan>,
     pub query: usize,
     pub cell: usize,
+    /// Size of the cell's output pages: the configured page size, grown so
+    /// one of its tuples fits ([`df_relalg::Schema::fit_page_size`]).
+    pub page_size: usize,
     pub units: Vec<RunUnit>,
 }
 
@@ -112,16 +114,19 @@ pub(super) fn serve_run(
     stats.runs += 1;
     // Read once, so a run is traced all through or not at all.
     let tracing = trace.filter(|t| t.is_enabled());
-    let spec = run.plan.cell(run.cell);
+    let spec = &run.plan.nodes[run.cell];
     let (query, cell) = (run.query as u32, run.cell as u32);
     // A fused span unit runs `k` logical operators in one kernel; each
     // still counts as its own kernel span (start/end pair, busy time
     // split evenly) so the per-operator accounting — and the df-obs
     // conservation identities over it — hold in both transfer modes.
-    let logical_kernels = spec.unary.as_ref().map_or(1, |form| form.steps().max(1));
+    let logical_kernels = match &spec.kernel {
+        Kernel::Unary(form) => form.steps().max(1),
+        _ => 1,
+    };
     // The IP output buffer of §4.2: appends fill the last page, then
     // fresh ones. Every unit packs through the same mask and batch.
-    let (schema, page_size) = (&spec.out_schema, run.plan.out_page_size[run.cell]);
+    let (schema, page_size) = (&spec.out_schema, run.page_size);
     let mut pack = Packer {
         mask: Vec::new(),
         batch: TupleBuf::new(schema.clone()),
@@ -146,7 +151,7 @@ pub(super) fn serve_run(
                 Some(InjectedFault::Delay(d)) => thread::sleep(d),
                 None => {}
             }
-            execute_unit(&run.plan, run.cell, &unit.kind, &mut pack)
+            execute_unit(spec, &unit.kind, &mut pack)
         }));
         stats.units += 1;
         stats.kernel_spans += logical_kernels;
@@ -226,26 +231,21 @@ impl Packer {
     }
 }
 
-/// Run the kernel for one work unit of `cell`, packing its output into the
-/// run's output pages. Returns (operand page count, operand bytes, unit
-/// class). The unit's kind — fixed by the cell's firing class — says which
+/// Run `node`'s kernel for one work unit of its cell, packing the output
+/// into the run's output pages. Returns (operand page count, operand
+/// bytes, unit class). The unit's kind — fixed by the cell's firing class — says which
 /// [`Kernel`] entry point to call; which operator that is, only the kernel
 /// knows. What is decided here is what depends on host state: a join's
 /// pair unit reads the opposite side in the shape the cell keeps it — a
 /// hash join probes its key index, any other `Int` join its key column,
 /// any other θ-join sweeps its pages — and a cross product is absorbed
 /// pair by pair so the batch stays bounded.
-fn execute_unit(
-    plan: &QueryPlan,
-    cell: usize,
-    kind: &WorkKind,
-    pack: &mut Packer,
-) -> (usize, u64, UnitClass) {
+fn execute_unit(node: &PlanNode, kind: &WorkKind, pack: &mut Packer) -> (usize, u64, UnitClass) {
     /// Operand pages read and their wire bytes.
     fn count<'a>(pages: impl Iterator<Item = &'a Page>) -> (usize, u64) {
         pages.fold((0, 0), |(n, b), p| (n + 1, b + p.wire_bytes() as u64))
     }
-    let (kernel, out_schema) = (&plan.kernels[cell], &plan.cell(cell).out_schema);
+    let (kernel, out_schema) = (&node.kernel, &node.out_schema);
     match kind {
         WorkKind::Page(page) => {
             let Kernel::Unary(form) = kernel else {

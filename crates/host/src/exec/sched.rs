@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use df_core::{LockRequest, LockTable};
 use df_obs::{EventKind, Path, Tracer};
-use df_query::{Firing, Op, QueryTree};
+use df_query::{Firing, Op, Plan, QueryTree};
 use df_relalg::{Catalog, Page, Relation};
 
 use super::cell::Cell;
@@ -21,11 +21,10 @@ use super::worker::Completion;
 use crate::error::{HostError, HostResult};
 use crate::metrics::{QueryStats, WorkerStats};
 use crate::params::{HostParams, CPUS};
-use crate::plan::QueryPlan;
 
 /// Scheduler-side state of one admitted query.
 struct QueryState {
-    plan: Arc<QueryPlan>,
+    plan: Arc<Plan>,
     cells: Vec<Cell>,
     /// Base for globally unique instruction ids (`base + cell index`).
     base: usize,
@@ -58,7 +57,7 @@ pub(super) struct SchedulerOutcome {
 pub(super) struct Scheduler<'a> {
     db: &'a Catalog,
     queries: &'a [QueryTree],
-    plans: Vec<Arc<QueryPlan>>,
+    plans: Vec<Arc<Plan>>,
     params: &'a HostParams,
     /// Dispatch channels, one per helper: helper `i + 1` owns entry `i`.
     work_txs: Vec<SyncSender<Arc<Run>>>,
@@ -98,7 +97,7 @@ impl<'a> Scheduler<'a> {
     pub fn new(
         db: &'a Catalog,
         queries: &'a [QueryTree],
-        plans: Vec<Arc<QueryPlan>>,
+        plans: Vec<Arc<Plan>>,
         params: &'a HostParams,
         work_txs: Vec<SyncSender<Arc<Run>>>,
         done_rx: Option<Receiver<Completion>>,
@@ -263,10 +262,9 @@ impl<'a> Scheduler<'a> {
     /// base relations are memory-resident `Arc` pages, shared not copied).
     fn admit(&mut self, q: usize) -> HostResult<()> {
         let plan = Arc::clone(&self.plans[q]);
-        let nodes = &plan.plan.nodes;
+        let nodes = &plan.nodes;
         let join = self.params.join;
-        let cells = (nodes.iter().zip(&plan.kernels))
-            .map(|(n, kernel)| Cell::new(n.firing, n.children.len(), kernel, join));
+        let cells = (nodes.iter()).map(|n| Cell::new(n.firing, n.children.len(), &n.kernel, join));
         self.active[q] = Some(QueryState {
             plan: Arc::clone(&plan),
             cells: cells.collect(),
@@ -304,7 +302,7 @@ impl<'a> Scheduler<'a> {
         }
         let trace = self.trace();
         let state = self.active[q].as_mut().expect("query is active");
-        match state.plan.cell(from).parent {
+        match state.plan.nodes[from].parent {
             None => state.result_pages.extend(pages),
             Some((parent, port)) => {
                 let cell = &mut state.cells[parent];
@@ -323,7 +321,7 @@ impl<'a> Scheduler<'a> {
             return Ok(());
         }
         state.cells[cell].complete();
-        let Some((parent, port)) = state.plan.cell(cell).parent else {
+        let Some((parent, port)) = state.plan.nodes[cell].parent else {
             return self.finish_query(q);
         };
         let parent_cell = &mut state.cells[parent];
@@ -336,9 +334,9 @@ impl<'a> Scheduler<'a> {
     fn finish_query(&mut self, q: usize) -> HostResult<()> {
         let mut state = self.active[q].take().expect("query is active");
         let pages = std::mem::take(&mut state.result_pages);
-        let root = state.plan.plan.root;
-        let schema = &state.plan.cell(root).out_schema;
-        let mut rel = Relation::new("result", schema.clone(), state.plan.out_page_size[root])?;
+        let schema = &state.plan.nodes[state.plan.root].out_schema;
+        let page_size = schema.fit_page_size(self.params.page_size);
+        let mut rel = Relation::new("result", schema.clone(), page_size)?;
         if self.params.deterministic {
             // The canonical form: tuple images sorted lexicographically and
             // packed into full pages. The tuple encoding is canonical
@@ -485,6 +483,9 @@ impl<'a> Scheduler<'a> {
             plan: Arc::clone(&state.plan),
             query: q,
             cell: c,
+            page_size: state.plan.nodes[c]
+                .out_schema
+                .fit_page_size(self.params.page_size),
             units,
         });
         if worker > 0 {
@@ -556,7 +557,7 @@ impl<'a> Scheduler<'a> {
             // The panics were contained on the worker; it lives on and has
             // rejoined the pool. Only the owning query is doomed, and with
             // it every page of this run.
-            let op = state.plan.cell(cell).op.name().to_string();
+            let op = state.plan.nodes[cell].op.name().to_string();
             let err = HostError::UnitPanicked {
                 query: q,
                 cell,

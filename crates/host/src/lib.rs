@@ -62,7 +62,6 @@ mod exec;
 mod fault;
 mod metrics;
 mod params;
-mod plan;
 mod view;
 
 pub use error::{HostError, HostResult};

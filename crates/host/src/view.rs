@@ -17,13 +17,19 @@
 //! tuple images (insert = +n, delete = −n):
 //!
 //! * **linear** operators (restrict, bag project) run the plan node's
-//!   compiled per-page form over packed pages of the distinct delta
-//!   images, and each selected row carries its image's signed count;
-//! * **product** operators (join, cross) fire delta pages against the
-//!   retained opposite operand, output sign = input sign;
+//!   kernel, its compiled per-page form, over packed pages of the distinct
+//!   delta images, and each selected row carries its image's signed count;
+//! * **product** operators (join, cross) fire their kernel over delta
+//!   pages against the retained opposite operand, output sign = input
+//!   sign;
 //! * **counted** operators (union, difference, dedup project) keep
 //!   per-port counts and emit a delta only on a 0 ↔ positive transition
-//!   of their set-semantics indicator function.
+//!   of their set-semantics indicator function. A dedup project is a
+//!   union over one port: its kernel's projection form turns the delta
+//!   into projected images, counted like a union's left port.
+//!
+//! Which rule a node follows is read off the kernel its plan node carries;
+//! the only operator the view looks at is a scan, for its relation.
 //!
 //! The maintained result is itself a counted multiset; reads expand it
 //! in lexicographic image order, which is exactly the canonical order
@@ -33,7 +39,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use df_query::ops::{SpanStep, UnaryKernel};
+use df_query::ops::UnaryKernel;
 use df_query::{run_plan, Firing, Kernel, Op, Plan, PlanNode, QueryTree};
 use df_relalg::{Catalog, Error, Page, Relation, Result, Schema, TupleBuf, PAGE_HEADER_BYTES};
 
@@ -172,11 +178,10 @@ enum NodeState {
     /// Join/cross: both operand multisets, promoted from the transient
     /// pages-so-far tables.
     Product { left: SideState, right: SideState },
-    /// Union/difference: per-port counts for the indicator function.
+    /// Union, difference and dedup project: per-port counts for the
+    /// indicator function. A dedup project counts the *projected* images of
+    /// its one port; its right port stays empty.
     Ports { left: Counts, right: Counts },
-    /// Deduplicating project: its one-step projection form and the
-    /// counts of *projected* input images.
-    Dedup { form: UnaryKernel, counts: Counts },
 }
 
 /// What one write did to a standing view.
@@ -234,20 +239,17 @@ impl StandingView {
                     left: SideState::seed(child(0)),
                     right: SideState::seed(child(1)),
                 },
-                Firing::Complete => match &node.op {
-                    Op::Project { projection, .. } => {
-                        let step = SpanStep::Project(projection.clone());
-                        let form = UnaryKernel::compile(&[step], child(0).schema());
-                        let width = node.out_schema.tuple_width();
-                        NodeState::Dedup {
-                            counts: projected_counts(&form, child(0), width),
-                            form,
+                Firing::Complete => NodeState::Ports {
+                    left: match &node.kernel {
+                        Kernel::ProjectDedupFinal(form) => {
+                            projected_counts(form, child(0), node.out_schema.tuple_width())
                         }
-                    }
-                    _ => NodeState::Ports {
-                        left: counts_of(child(0)),
-                        right: counts_of(child(1)),
+                        _ => counts_of(child(0)),
                     },
+                    right: node
+                        .children
+                        .get(1)
+                        .map_or_else(Counts::new, |_| counts_of(child(1))),
                 },
             };
             states.push(state);
@@ -333,8 +335,8 @@ impl StandingView {
             // Earlier deltas are read-only here: split borrow.
             let input = |port: usize| -> &Counts { &deltas[node.children[port]] };
             let quiet = node.children.iter().all(|&c| deltas[c].is_empty());
-            let delta = match (node.firing, &node.op, &mut states[id]) {
-                (Firing::Source, Op::Scan { relation }, _) if relation == target => {
+            let delta = match (&node.op, &node.kernel, &mut states[id]) {
+                (Op::Scan { relation }, ..) if relation == target => {
                     let schema = schema_of(id);
                     delta_pages += pages_needed(inserts.len(), schema, self.page_size)
                         + pages_needed(deletes.len(), schema, self.page_size);
@@ -347,19 +349,17 @@ impl StandingView {
                     }
                     d
                 }
-                (Firing::Source, ..) => Counts::new(),
+                // A scan of another relation, or no operand changed.
                 _ if quiet => Counts::new(),
-                (Firing::PerPage, ..) => run_form(
-                    node.unary
-                        .as_ref()
-                        .expect("a per-page node carries its form"),
+                (_, Kernel::Unary(form), _) => run_form(
+                    form,
                     schema_of(node.children[0]),
                     schema_of(id).tuple_width(),
                     self.page_size,
                     input(0),
                     &mut delta_pages,
                 )?,
-                (Firing::PairSweep, _, NodeState::Product { left, right }) => {
+                (_, _, NodeState::Product { left, right }) => {
                     let (c0, c1) = (node.children[0], node.children[1]);
                     fire_product(
                         node,
@@ -373,7 +373,7 @@ impl StandingView {
                         &mut delta_pages,
                     )?
                 }
-                (Firing::Complete, Op::Project { .. }, NodeState::Dedup { form, counts }) => {
+                (_, kernel @ Kernel::ProjectDedupFinal(form), NodeState::Ports { left, right }) => {
                     let projected = run_form(
                         form,
                         schema_of(node.children[0]),
@@ -382,12 +382,14 @@ impl StandingView {
                         input(0),
                         &mut delta_pages,
                     )?;
-                    indicator_delta(counts, &projected)
+                    set_op_delta(kernel, left, right, &projected, &Counts::new())
                 }
-                (Firing::Complete, op, NodeState::Ports { left, right }) => {
-                    set_op_delta(op, left, right, input(0), input(1))
+                (_, kernel, NodeState::Ports { left, right }) => {
+                    set_op_delta(kernel, left, right, input(0), input(1))
                 }
-                (firing, op, _) => unreachable!("`{}` ({firing:?}) keeps no such state", op.name()),
+                (_, kernel, NodeState::Stateless) => {
+                    unreachable!("a {kernel:?} node keeps operand state")
+                }
             };
             deltas.push(delta);
         }
@@ -451,37 +453,23 @@ fn projected_counts(form: &UnaryKernel, rel: &Relation, width: usize) -> Counts 
     counts
 }
 
-/// Fold `delta` into retained `counts` and emit the 0 ↔ positive
-/// transitions of the presence indicator (set semantics: output
-/// multiplicity is always 1).
-fn indicator_delta(counts: &mut Counts, delta: &Counts) -> Counts {
-    let mut out = Counts::new();
-    for (image, &n) in delta {
-        let old = counts.get(image).copied().unwrap_or(0);
-        let new = old + n;
-        debug_assert!(new >= 0, "dedup count went negative");
-        add(counts, image, n);
-        let transition = i64::from(new > 0) - i64::from(old > 0);
-        add(&mut out, image, transition);
-    }
-    out
-}
-
-/// The counted-transition delta of a set-semantics binary operator:
-/// union is present iff either port count is positive, difference iff
-/// the left is positive and the right is zero.
+/// The counted-transition delta of a set-semantics operator, folding
+/// each port's delta into its retained counts: a union (and a dedup
+/// project, a union over one port) is present iff either port count is
+/// positive, a difference iff the left is positive and the right is zero.
+/// Output multiplicity is always 1.
 fn set_op_delta(
-    op: &Op,
+    kernel: &Kernel,
     left: &mut Counts,
     right: &mut Counts,
     dl: &Counts,
     dr: &Counts,
 ) -> Counts {
     let present = |l: i64, r: i64| -> bool {
-        match op {
-            Op::Union => l > 0 || r > 0,
-            Op::Difference => l > 0 && r == 0,
-            _ => unreachable!("set_op_delta on a non-set-op"),
+        match kernel {
+            Kernel::UnionFinal | Kernel::ProjectDedupFinal(_) => l > 0 || r > 0,
+            Kernel::DifferenceFinal => l > 0 && r == 0,
+            _ => unreachable!("set_op_delta on a streaming kernel"),
         }
     };
     let mut out = Counts::new();
@@ -521,8 +509,7 @@ fn fire_product(
     dr: &Counts,
     delta_pages: &mut u64,
 ) -> Result<Counts> {
-    let w_left = left_schema.tuple_width();
-    let kernel = Kernel::lower(node);
+    let (w_left, kernel) = (left_schema.tuple_width(), &node.kernel);
     // One batch for the whole rule, refilled per delta page.
     let mut buf = TupleBuf::new(node.out_schema.clone());
     let mut out = Counts::new();

@@ -518,8 +518,8 @@ proptest! {
     }
 }
 
-/// Every operator class the executor can fire, through the one lowered
-/// kernel per cell: θ- and equi-joins whose pages arrive as the outer
+/// Every operator class the executor can fire, through the one kernel
+/// each cell's plan node carries: θ- and equi-joins whose pages arrive as the outer
 /// operand (the scan side is delivered at admission, the restrict's output
 /// arrives later on port 0) and as the inner (the mirror image), a cross
 /// product, the three blocking finalizers and a restrict→project chain —

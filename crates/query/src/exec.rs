@@ -79,9 +79,8 @@ pub fn execute(db: &mut Catalog, tree: &QueryTree, params: &ExecParams) -> Resul
 }
 
 /// Evaluate every read-only node of an unfused `plan` in topological order
-/// — the sequential scheduler of the one [`Kernel`]. Each node is
-/// [`Kernel::lower`]ed and fired through the entry point its [`Firing`]
-/// class names: a `PerPage` node once per input page, a `PairSweep` node once per
+/// — the sequential scheduler of the one [`Kernel`]. Each node's kernel is
+/// fired through the entry point its [`Firing`] class names: a `PerPage` node once per input page, a `PairSweep` node once per
 /// outer page against the whole inner page list, a `Complete` node once
 /// over its complete inputs. A scan is its catalog relation (pages shared).
 ///
@@ -120,8 +119,7 @@ fn run_node(
     name: &str,
     page_size: usize,
 ) -> Result<Relation> {
-    let schema = &node.out_schema;
-    let kernel = Kernel::lower(node);
+    let (schema, kernel) = (&node.out_schema, &node.kernel);
     let pages = |port: usize| inputs[port].pages().iter().map(AsRef::as_ref);
     let mut out = Relation::new(name, schema.clone(), schema.fit_page_size(page_size))?;
     match node.firing {
@@ -241,15 +239,14 @@ pub fn stage_write(db: &Catalog, tree: &QueryTree, params: &ExecParams) -> Resul
     let plan = Plan::compile(db, tree)?;
     let root = &plan.nodes[plan.root];
     let name = format!("{}_{}", NodeId(plan.root), root.op.name());
-    let (target, kind, result) = match &root.op {
-        Op::Append { target } => {
+    let (target, kind, result) = match (&root.op, &root.kernel) {
+        (Op::Append { target }, _) => {
             let mut nodes = run_plan(db, &plan, params.page_size)?;
             let mut result = nodes.swap_remove(root.children[0]);
             result.set_name(&name);
             (target, WriteKind::Append, result)
         }
-        Op::Delete { target, .. } => {
-            let filter = root.unary.as_ref().expect("a delete carries its form");
+        (Op::Delete { target, .. }, Kernel::Unary(filter)) => {
             let (kept, deleted) = partition_delete(db.require(target)?, filter)?;
             let schema = &root.out_schema;
             let mut result = Relation::new(

@@ -1,24 +1,23 @@
-//! The one opcode dispatch: a plan node lowered to the raw-page kernel an
-//! instruction processor runs on the pages of a work unit.
+//! The one opcode dispatch: the raw-page kernel an instruction processor
+//! runs on the pages of a work unit.
 //!
 //! Paper §2.3: *"the instruction in each memory cell corresponds to a node
-//! in the query tree"*. [`Kernel::lower`] is the only place in the
-//! workspace a plan node becomes kernel calls, and it compiles nothing: a
-//! per-page node's form ([`ops::UnaryKernel`]) and a join's sweep were
-//! compiled once with the plan. Four schedulers execute what it returns — df-core's and df-ring's simulated machines, df-host's
-//! threads, and [`crate::run_plan`], the sequential one behind served
-//! writes and view install — each choosing the entry point its node's
-//! [`crate::Firing`] class names.
+//! in the query tree"*. Each [`crate::PlanNode`] carries its [`Kernel`],
+//! classified and compiled once by [`crate::Plan::compile`]: a per-page
+//! node's form ([`ops::UnaryKernel`]), a join's sweep, a set operator's
+//! finalizer. Four schedulers run it in place — df-core's and df-ring's
+//! simulated machines, df-host's threads, and [`crate::run_plan`], the
+//! sequential one behind served writes and view install — and standing
+//! views fire it over delta pages, each choosing the entry point its
+//! node's [`crate::Firing`] class names.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
-use df_relalg::{Page, Projection, Schema, Tuple, TupleBuf, TupleRef};
+use df_relalg::{Page, Schema, Tuple, TupleBuf, TupleRef};
 
 use crate::ops::{self, JoinSweep};
-use crate::plan::{Firing, PlanNode};
-use crate::tree::Op;
 
 /// Which algorithm df-host's join cells run. It is df-host's choice alone
 /// (`HostParams::join`): the kernel layer has one join, the compiled
@@ -87,39 +86,13 @@ pub enum Kernel {
     UnionFinal,
     /// Set difference of two complete inputs.
     DifferenceFinal,
-    /// π with duplicate elimination over a complete input.
-    ProjectDedupFinal(Projection),
+    /// π with duplicate elimination over a complete input: the projection
+    /// compiled as a one-step [`ops::UnaryKernel`], whose copy pass builds
+    /// the projected images the dedup runs over.
+    ProjectDedupFinal(ops::UnaryKernel),
 }
 
 impl Kernel {
-    /// The operator code of one plan node — the only place in the workspace
-    /// a plan node is turned into kernel calls; every scheduler executes
-    /// what this returns. A `Source` or `PerPage` node runs the form
-    /// [`crate::Plan::compile`] gave it (a fused node's spans its chain;
-    /// a scan's and an append's is the identity — the catalog update an
-    /// append requests happens after the run). A join runs its compiled
-    /// sweep.
-    pub fn lower(node: &PlanNode) -> Kernel {
-        match node.firing {
-            Firing::Source | Firing::PerPage => Kernel::Unary(
-                node.unary
-                    .clone()
-                    .expect("a per-page node carries its compiled form"),
-            ),
-            // A join carries its compiled sweep; a cross product has none.
-            Firing::PairSweep => match node.sweep {
-                Some(sweep) => Kernel::JoinPair(sweep),
-                None => Kernel::CrossPair,
-            },
-            Firing::Complete => match &node.op {
-                Op::Union => Kernel::UnionFinal,
-                Op::Difference => Kernel::DifferenceFinal,
-                Op::Project { projection, .. } => Kernel::ProjectDedupFinal(projection.clone()),
-                other => unreachable!("`{}` does not fire on complete inputs", other.name()),
-            },
-        }
-    }
-
     /// Execute one page-or-pair work unit on the zero-copy path: predicates
     /// and join keys are evaluated directly over the encoded tuple images
     /// and surviving images are memcpy'd into the returned batch — nothing
@@ -215,10 +188,10 @@ impl Kernel {
             Kernel::DifferenceFinal => {
                 ops::difference_pages_raw_where(&inputs[0], &inputs[1], out_schema, in_bucket)
             }
-            Kernel::ProjectDedupFinal(proj) => {
+            Kernel::ProjectDedupFinal(form) => {
                 let mut projected = TupleBuf::new(out_schema.clone());
-                for t in inputs[0].iter().flat_map(|p| p.tuple_refs()) {
-                    projected.push_projected(&t, proj.indices());
+                for page in &inputs[0] {
+                    projected.extend_images(|bytes| form.copy(page, None, bytes));
                 }
                 ops::dedup_raw_where(projected.refs(), out_schema, in_bucket)
             }

@@ -11,11 +11,12 @@
 //!   keys and set membership evaluated over encoded tuple images, nothing
 //!   decoded — what every executor runs inside its work units.
 //! * [`Plan`] — the compiled plan every executor runs from: per node its
-//!   derived schema, `(parent, port)`, the one [`Firing`] classification of
-//!   [`Op`], its compiled kernel state, and the one span-fusion pass.
-//! * [`Kernel`] — the one opcode dispatch: [`Kernel::lower`] is the only
-//!   plan node → kernel map, executed by df-core, df-ring, df-host and
-//!   [`run_plan`], the sequential scheduler here.
+//!   derived schema, `(parent, port)`, and, from the one classification of
+//!   [`Op`], its [`Firing`] class and its compiled [`Kernel`]; and the one
+//!   span-fusion pass.
+//! * [`Kernel`] — the one opcode dispatch: each plan node carries its own,
+//!   executed in place by df-core, df-ring, df-host and [`run_plan`], the
+//!   sequential scheduler here.
 //! * [`stage_write`] / [`apply_write`] — df-serve's split-phase write on raw
 //!   pages: an append's source runs through [`run_plan`], a delete
 //!   partitions its target page by page ([`partition_delete`]), sharing

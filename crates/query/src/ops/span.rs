@@ -32,6 +32,8 @@ pub enum SpanStep {
 /// A [`SpanStep`] list compiled once, per plan node, against its input
 /// schema: every predicate remapped onto the input layout and specialized
 /// into a `RowFilter`, the composed projection coalesced into byte runs.
+/// The form keeps the steps it was compiled from, so a chain of forms can
+/// be fused into one ([`crate::Plan::fuse_spans`]).
 #[derive(Debug, Clone)]
 pub struct UnaryKernel {
     filter: RowFilter,
@@ -39,7 +41,7 @@ pub struct UnaryKernel {
     runs: Vec<(usize, usize)>,
     w_in: usize,
     w_out: usize,
-    steps: usize,
+    span: Vec<SpanStep>,
 }
 
 impl UnaryKernel {
@@ -64,13 +66,18 @@ impl UnaryKernel {
             w_in: input.tuple_width(),
             w_out: runs.iter().map(|&(_, len)| len).sum(),
             runs,
-            steps: steps.len(),
+            span: steps.to_vec(),
         }
     }
 
     /// The logical operators compiled in: 0 for the identity.
     pub fn steps(&self) -> usize {
-        self.steps
+        self.span.len()
+    }
+
+    /// The steps compiled in, bottom first.
+    pub fn span(&self) -> &[SpanStep] {
+        &self.span
     }
 
     /// Mask pass: one verdict per tuple of `page`, `true` if kept.

@@ -4,16 +4,18 @@
 //! Paper §2.3: *"the instruction in each memory cell corresponds to a node
 //! in the query tree"*, and §3.2 gives each operator class one firing
 //! rule. [`Plan::compile`] derives, per tree node, the output schema, the
-//! `(parent, port)` its pages flow to, and its [`Firing`] class — the
-//! single classification of [`Op`] in the workspace — and the compiled
-//! [`JoinSweep`] of a join or [`UnaryKernel`] of a per-page node. The simulated
-//! machines lower a plan to their dense instruction program, the host
-//! executor schedules its cells straight off it, and standing views read
-//! the same classes as their delta rules. [`Plan::fuse_spans`] is the
+//! `(parent, port)` its pages flow to, and — in one `match` over [`Op`],
+//! the only classification of an operator in the workspace — its
+//! [`Firing`] class and the [`Kernel`] its units run, compiled against its
+//! operand schemas. Every scheduler reads that kernel off the node: the
+//! simulated machines copy it into their dense instruction program, the
+//! host executor's cells and [`crate::run_plan`] run it in place, and
+//! standing views fire it over delta pages. [`Plan::fuse_spans`] is the
 //! only span-fusion pass: the pipeline transfer mode is this one call.
 
 use df_relalg::{Catalog, Result, Schema};
 
+use crate::kernel::Kernel;
 use crate::ops::{JoinSweep, SpanStep, UnaryKernel};
 use crate::tree::{Op, QueryTree};
 use crate::validate::validate;
@@ -44,33 +46,36 @@ pub enum Firing {
     Complete,
 }
 
-impl Firing {
-    /// The firing class of `op`.
-    pub fn of(op: &Op) -> Firing {
-        match op {
-            Op::Scan { .. } => Firing::Source,
-            Op::Restrict { .. }
-            | Op::Project { dedup: false, .. }
-            | Op::Append { .. }
-            | Op::Delete { .. } => Firing::PerPage,
-            Op::Join { .. } | Op::CrossProduct => Firing::PairSweep,
-            Op::Union | Op::Difference | Op::Project { dedup: true, .. } => Firing::Complete,
-        }
-    }
-}
-
-/// The span step of a per-page operator (a delete filters like a restrict);
-/// none for the identity of a scan or an append.
-fn span_step(op: &Op) -> Option<SpanStep> {
+/// The one classification of an operator: its firing class and its kernel,
+/// compiled against `inputs`, the operand schemas in port order (a leaf
+/// reads pages of its own output schema, so that is its one input).
+fn classify(op: &Op, inputs: &[&Schema]) -> (Firing, Kernel) {
+    let form = |step: Option<SpanStep>| UnaryKernel::compile(step.as_slice(), inputs[0]);
     match op {
+        Op::Scan { .. } => (Firing::Source, Kernel::Unary(form(None))),
+        // An append passes its operand through; the catalog update it
+        // requests happens after the run.
+        Op::Append { .. } => (Firing::PerPage, Kernel::Unary(form(None))),
+        // A delete filters like a restrict: it emits the tuples it removes.
         Op::Restrict { predicate } | Op::Delete { predicate, .. } => {
-            Some(SpanStep::Restrict(predicate.clone()))
+            let step = SpanStep::Restrict(predicate.clone());
+            (Firing::PerPage, Kernel::Unary(form(Some(step))))
         }
-        Op::Project {
-            projection,
-            dedup: false,
-        } => Some(SpanStep::Project(projection.clone())),
-        _ => None,
+        Op::Project { projection, dedup } => {
+            let projected = form(Some(SpanStep::Project(projection.clone())));
+            if *dedup {
+                (Firing::Complete, Kernel::ProjectDedupFinal(projected))
+            } else {
+                (Firing::PerPage, Kernel::Unary(projected))
+            }
+        }
+        Op::Join { condition } => {
+            let sweep = JoinSweep::compile(inputs[0], inputs[1], condition);
+            (Firing::PairSweep, Kernel::JoinPair(sweep))
+        }
+        Op::CrossProduct => (Firing::PairSweep, Kernel::CrossPair),
+        Op::Union => (Firing::Complete, Kernel::UnionFinal),
+        Op::Difference => (Firing::Complete, Kernel::DifferenceFinal),
     }
 }
 
@@ -89,15 +94,12 @@ pub struct PlanNode {
     pub parent: Option<(usize, usize)>,
     /// Firing class.
     pub firing: Firing,
-    /// For a join: its condition resolved against the two operand schemas,
-    /// once — the nested-loops pair loop every executor runs.
-    pub sweep: Option<JoinSweep>,
-    /// For a `Source` or `PerPage` node: its operator compiled against its
-    /// input schema. After [`Plan::fuse_spans`] a chain bottom's form runs
-    /// the whole chain, bottom to top, in one unit per operand page; `op`
-    /// keeps the bottom operator for diagnostics, `out_schema` and `parent`
-    /// are the chain top's.
-    pub unary: Option<UnaryKernel>,
+    /// The operator code its units run, compiled once against its operand
+    /// schemas. After [`Plan::fuse_spans`] a chain bottom's
+    /// [`Kernel::Unary`] runs the whole chain, bottom to top, in one unit
+    /// per operand page; `op` keeps the bottom operator for diagnostics,
+    /// `out_schema` and `parent` are the chain top's.
+    pub kernel: Kernel,
     /// Set by [`Plan::fuse_spans`] on the upper nodes of a fused chain:
     /// nothing routes pages to them and no unit ever fires on them.
     pub absorbed: bool,
@@ -130,27 +132,19 @@ impl Plan {
             .topo_order()
             .map(|id| {
                 let node = tree.node(id);
-                let sweep = match &node.op {
-                    Op::Join { condition } => Some(JoinSweep::compile(
-                        schemas.schema(node.children[0]),
-                        schemas.schema(node.children[1]),
-                        condition,
-                    )),
-                    _ => None,
-                };
-                let firing = Firing::of(&node.op);
-                // A leaf (scan, delete) reads pages of its own output schema.
-                let input = schemas.schema(node.children.first().copied().unwrap_or(id));
-                let unary = matches!(firing, Firing::Source | Firing::PerPage)
-                    .then(|| UnaryKernel::compile(span_step(&node.op).as_slice(), input));
+                let mut inputs: Vec<&Schema> =
+                    node.children.iter().map(|&c| schemas.schema(c)).collect();
+                if inputs.is_empty() {
+                    inputs.push(schemas.schema(id));
+                }
+                let (firing, kernel) = classify(&node.op, &inputs);
                 PlanNode {
                     op: node.op.clone(),
                     children: node.children.iter().map(|c| c.0).collect(),
                     out_schema: schemas.schema(id).clone(),
                     parent: parent[id.0],
                     firing,
-                    sweep,
-                    unary,
+                    kernel,
                     absorbed: false,
                 }
             })
@@ -165,42 +159,50 @@ impl Plan {
     /// ≥ 2) of restricts and bag projects into one fused span.
     ///
     /// Node indices never change (executors address nodes by them): the
-    /// chain's *bottom* node is rewritten in place to carry the whole chain
-    /// and the upper nodes are marked [`PlanNode::absorbed`] — with the
-    /// bottom's `parent` repointed past them no page is ever routed their
-    /// way. The update operators fire per page too but never fuse: their
-    /// output feeds a catalog update.
+    /// chain's *bottom* node's [`Kernel::Unary`] is rewritten in place to
+    /// run the whole chain and the upper nodes are marked
+    /// [`PlanNode::absorbed`] — with the bottom's `parent` repointed past
+    /// them no page is ever routed their way. The update operators fire per
+    /// page too but never fuse: their output feeds a catalog update.
     pub fn fuse_spans(&mut self) {
-        let fusible = |n: &PlanNode| n.firing == Firing::PerPage && !n.op.is_update();
-        // Bottom-up: a fusible node reached unabsorbed is a chain bottom,
-        // because a fusible child would have walked up through it already.
+        /// A node's own per-page form, if the node can be a chain link.
+        fn link(node: &PlanNode) -> Option<&UnaryKernel> {
+            match &node.kernel {
+                Kernel::Unary(form) if node.firing == Firing::PerPage && !node.op.is_update() => {
+                    Some(form)
+                }
+                _ => None,
+            }
+        }
+        // Bottom-up: a link reached unabsorbed is a chain bottom, because
+        // a link below it would have walked up through it already.
         for bottom in 0..self.nodes.len() {
-            if self.nodes[bottom].absorbed || !fusible(&self.nodes[bottom]) {
+            if self.nodes[bottom].absorbed {
                 continue;
             }
-            let mut chain = vec![bottom];
+            let Some(form) = link(&self.nodes[bottom]) else {
+                continue;
+            };
+            let (mut chain, mut steps) = (vec![bottom], form.span().to_vec());
             while let Some((p, _)) = self.nodes[chain[chain.len() - 1]].parent {
-                if !fusible(&self.nodes[p]) {
+                let Some(form) = link(&self.nodes[p]) else {
                     break;
-                }
+                };
+                steps.extend_from_slice(form.span());
                 chain.push(p);
             }
             let top = chain[chain.len() - 1];
             if top == bottom {
                 continue;
             }
-            let steps: Vec<SpanStep> = chain
-                .iter()
-                .map(|&c| span_step(&self.nodes[c].op).expect("fusible op in a chain"))
-                .collect();
             for &c in &chain[1..] {
                 self.nodes[c].absorbed = true;
             }
             let input = &self.nodes[self.nodes[bottom].children[0]].out_schema;
-            let unary = UnaryKernel::compile(&steps, input);
+            let kernel = Kernel::Unary(UnaryKernel::compile(&steps, input));
             let (out_schema, parent) = (self.nodes[top].out_schema.clone(), self.nodes[top].parent);
             let node = &mut self.nodes[bottom];
-            node.unary = Some(unary);
+            node.kernel = kernel;
             node.out_schema = out_schema;
             node.parent = parent;
             if self.root == top {
@@ -250,7 +252,10 @@ mod tests {
 
     /// The logical operators a node's per-page form runs (0 for none).
     fn steps(node: &PlanNode) -> usize {
-        node.unary.as_ref().map_or(0, UnaryKernel::steps)
+        match &node.kernel {
+            Kernel::Unary(form) => form.steps(),
+            _ => 0,
+        }
     }
 
     #[test]
@@ -309,7 +314,8 @@ mod tests {
         assert_eq!(plan.nodes[3].out_schema.arity(), 4);
         let steps: Vec<usize> = plan.nodes.iter().map(steps).collect();
         assert_eq!(steps, vec![0, 1, 0, 0]);
-        assert!(plan.nodes[3].unary.is_none() && plan.nodes[2].unary.is_some());
+        assert!(matches!(plan.nodes[3].kernel, Kernel::JoinPair(_)));
+        assert!(matches!(plan.nodes[2].kernel, Kernel::Unary(_)));
         assert!(plan.nodes.iter().all(|n| !n.absorbed));
         assert!(Plan::compile(&Catalog::new(), &q).is_err());
     }
