@@ -2,6 +2,8 @@
 //! stable), and the differential tests of the optimizer statistics the
 //! engine holds, which need to see `Shared`.
 
+#![cfg(test)]
+
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 

@@ -104,9 +104,9 @@ pub(super) fn admit_view(
     }
 }
 
-/// Execute one standing-view operation. Installs materialize through
-/// the normal read path ([`StandingView::install`] runs the per-node
-/// oracle executor under the catalog read lock) and then register the
+/// Execute one standing-view operation. Installs materialize once under
+/// the catalog read lock ([`StandingView::install`] runs
+/// [`df_query::run_plan`], the raw kernels node by node) and then register the
 /// standing dataflow; reads serve the maintained multiset without
 /// touching the plan cache or a host execution.
 pub(super) fn run_view_task(

@@ -349,8 +349,7 @@ impl Response {
                 let id = r.u64()?;
                 let fan_out = r.u32()?;
                 let schema = r.string()?;
-                let n = r.u32()? as usize;
-                let mut tuples = Vec::with_capacity(n.min(1 << 20));
+                let (n, mut tuples) = r.counted()?;
                 for _ in 0..n {
                     tuples.push(r.bytes()?);
                 }
@@ -366,8 +365,7 @@ impl Response {
                 error: ServeError::decode(&mut r)?,
             },
             2 => {
-                let n = r.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1 << 16));
+                let (n, mut rows) = r.counted()?;
                 for _ in 0..n {
                     let k = r.string()?;
                     let v = r.u64()?;
@@ -376,8 +374,7 @@ impl Response {
                 Response::Stats(rows)
             }
             3 => {
-                let n = r.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1 << 16));
+                let (n, mut rows) = r.counted()?;
                 for _ in 0..n {
                     rows.push(r.string()?);
                 }
@@ -605,12 +602,17 @@ impl<'a> Cursor<'a> {
         Cursor { buf, pos: 0 }
     }
 
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.buf.len() - self.pos < n {
+        if self.remaining() < n {
             return Err(DecodeError::new(format!(
                 "need {n} bytes at offset {}, have {}",
                 self.pos,
-                self.buf.len() - self.pos
+                self.remaining()
             )));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -632,6 +634,14 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_be_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
+    }
+
+    /// An element count and a `Vec` reserved for it. Every element starts
+    /// with at least a 4-byte length prefix, so the reservation is capped
+    /// at what the bytes left could hold, whatever count the frame claims.
+    fn counted<T>(&mut self) -> Result<(usize, Vec<T>), DecodeError> {
+        let n = self.u32()? as usize;
+        Ok((n, Vec::with_capacity(n.min(self.remaining() / 4))))
     }
 
     fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
