@@ -43,7 +43,7 @@ use df_bench::report::host_artifact;
 use df_bench::setup_with_page_size;
 use df_host::{run_host_queries, HostParams};
 use df_obs::Tracer;
-use df_query::{execute_readonly, ExecParams};
+use df_query::{execute_readonly, ExecParams, QueryTree};
 use df_workload::{parse_page_size, parse_scale};
 
 fn main() {
@@ -163,9 +163,13 @@ fn main() {
             Err(e) => println!("{:>5}     FAILED: {e}", format!("Q{}", i + 1)),
         }
     }
+    // The call merges identical subtrees of its plans into one cell each.
+    let plan_nodes: usize = s.queries.iter().map(QueryTree::len).sum();
     println!(
-        "\nbatch: {:.2?} wall, {} units in {} runs, {:.1} MB moved, {:.1}% mean worker utilization",
+        "\nbatch: {:.2?} wall, {} cells for {plan_nodes} plan nodes, {} units in {} runs, \
+         {:.1} MB moved, {:.1}% mean worker utilization",
         out.metrics.elapsed,
+        out.metrics.cells,
         out.metrics.total_units(),
         out.metrics.total_runs(),
         out.metrics.total_bytes() as f64 / 1e6,

@@ -5,8 +5,9 @@
 //! that by reporting anomalies as structured values instead of panicking
 //! the scheduler: bad configuration and scheduler-level breakdowns surface
 //! as run-level errors from [`crate::run_host_queries`], while a kernel
-//! panic fails only the affected query (a per-query `Err` entry in
-//! [`crate::HostRunOutput::results`]) and the survivors keep draining. A
+//! panic fails only the queries that read its cell (a per-query `Err`
+//! entry in [`crate::HostRunOutput::results`]) and the survivors keep
+//! draining. A
 //! helper thread's death fails nothing: its work is requeued, and the
 //! caller, processor 0, is always left to serve it.
 
@@ -31,12 +32,14 @@ pub enum HostError {
         /// Name of the offending operator.
         op: String,
     },
-    /// A work unit's kernel panicked on a worker thread. The panic was
-    /// contained: the worker survives and only the owning query fails.
+    /// A work unit's kernel panicked on a processor. The panic was
+    /// contained: the processor survives and only the queries reading the
+    /// unit's cell fail, each with its own error.
     UnitPanicked {
         /// Index of the victim query in the input batch.
         query: usize,
-        /// Instruction cell whose unit panicked.
+        /// Instruction cell whose unit panicked: its id in the call's
+        /// merged graph, where ids are assigned in query order.
         cell: usize,
         /// Operator name of that cell.
         op: String,

@@ -39,7 +39,10 @@ pub(super) struct RunUnit {
 /// if the helper holding them dies.
 #[derive(Debug)]
 pub(super) struct Run {
+    /// The plan holding the cell's node, and the node's index in it.
     pub plan: Arc<Plan>,
+    pub node: usize,
+    /// The cell's owner, which its trace events name, and the cell's id.
     pub query: usize,
     pub cell: usize,
     /// Size of the cell's output pages: the configured page size, grown so
@@ -65,7 +68,6 @@ enum UnitClass {
 #[derive(Debug, Default)]
 pub(super) struct RunDone {
     pub worker: usize,
-    pub query: usize,
     pub cell: usize,
     /// Units served, panicked ones included.
     pub units: usize,
@@ -114,7 +116,7 @@ pub(super) fn serve_run(
     stats.runs += 1;
     // Read once, so a run is traced all through or not at all.
     let tracing = trace.filter(|t| t.is_enabled());
-    let spec = &run.plan.nodes[run.cell];
+    let spec = &run.plan.nodes[run.node];
     let (query, cell) = (run.query as u32, run.cell as u32);
     // A fused span unit runs `k` logical operators in one kernel; each
     // still counts as its own kernel span (start/end pair, busy time
@@ -134,7 +136,6 @@ pub(super) fn serve_run(
     };
     let mut done = RunDone {
         worker: id,
-        query: run.query,
         cell: run.cell,
         ..RunDone::default()
     };

@@ -18,12 +18,14 @@
 //! join of page *k − 1* on another core. A free processor serves the
 //! eligible instruction with the fewest units in flight — the data-flow
 //! strategy that \[4\] found best, [`df_core::AllocationStrategy::Balanced`]
-//! among the policies the simulators sweep. Concurrent queries are
-//! admitted under the relation-granularity [`df_core::LockTable`] shared
-//! with the ring machine's MC.
+//! among the policies the simulators sweep. A call runs its queries as
+//! one data-flow graph, admitted together (they only read, so nothing is
+//! locked): a subtree that several queries contain is one cell, fired
+//! once, its pages shared by every consumer.
 //!
 //! Faults are contained, not fatal (§4's case for distributed control): a
-//! kernel panic is caught on the processor and fails only the owning query;
+//! kernel panic is caught on the processor and fails only the queries that
+//! read its cell;
 //! a helper thread that dies shrinks the pool and its run is requeued on a
 //! survivor — the calling thread, processor 0, always is one; anomalies
 //! surface as a structured [`HostError`], and a helper run that wedges

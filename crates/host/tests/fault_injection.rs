@@ -7,6 +7,11 @@
 //! serves runs beside its helpers. An active plan only fixes the helper
 //! count at `workers` − 1, so the helpers it names exist, and an idle
 //! helper always takes the call's first run.
+//!
+//! A call runs its batch as one graph, in which a subtree several queries
+//! contain is one cell: a panic there fails every query that reads it.
+
+mod common;
 
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, ThreadId};
@@ -162,9 +167,12 @@ fn zero_workers_is_a_structured_error_not_a_panic() {
 }
 
 /// The tentpole acceptance test: one injected kernel panic mid-run fails
-/// exactly the owning query with [`HostError::UnitPanicked`], while every
-/// other query of the batch stays byte-identical to a fault-free run and
-/// multiset-identical to the sequential oracle.
+/// exactly the queries reading its cell with [`HostError::UnitPanicked`],
+/// while every other query of the batch stays byte-identical to a
+/// fault-free run and multiset-identical to the sequential oracle. Where
+/// unit 5 lands depends on the CPUs: on one, the helper's first run holds
+/// all of `σ r00`, which Q1 alone reads; on more, the caller's first run
+/// is `σ r02`, which Q2, Q3 and Q6 read.
 #[test]
 fn injected_panic_is_contained_to_the_owning_query() {
     quiet_worker_panics();
@@ -191,26 +199,34 @@ fn injected_panic_is_contained_to_the_owning_query() {
     let failed: Vec<usize> = (0..queries.len())
         .filter(|&i| out.results[i].is_err())
         .collect();
-    assert_eq!(
-        failed.len(),
-        1,
-        "exactly one query is the victim: {failed:?}"
-    );
-    let victim = failed[0];
-    match out.results[victim].as_ref().unwrap_err() {
-        HostError::UnitPanicked { query, payload, .. } => {
-            assert_eq!(*query, victim);
-            assert!(payload.contains("injected fault"), "payload: {payload}");
+    let Some(Err(HostError::UnitPanicked { cell, .. })) = out.results.iter().find(|r| r.is_err())
+    else {
+        panic!("expected a UnitPanicked victim: {failed:?}");
+    };
+    let readers = common::model(&db, &queries, clean.transfer).readers(*cell);
+    assert_eq!(failed, readers, "exactly the readers of cell {cell} fail");
+    for &victim in &failed {
+        match out.results[victim].as_ref().unwrap_err() {
+            HostError::UnitPanicked {
+                query,
+                cell: at,
+                payload,
+                ..
+            } => {
+                assert_eq!((*query, at), (victim, cell));
+                assert!(payload.contains("injected fault"), "payload: {payload}");
+            }
+            other => panic!("expected UnitPanicked, got {other:?}"),
         }
-        other => panic!("expected UnitPanicked, got {other:?}"),
     }
     assert_eq!(out.metrics.total_panics(), 1);
-    assert_eq!(out.metrics.per_query[victim].failed_units, 1);
+    // The cell's owner, its lowest-index reader, is charged the unit.
+    assert_eq!(out.metrics.per_query[failed[0]].failed_units, 1);
     assert_eq!(out.metrics.workers_lost(), 0, "the worker itself survives");
 
     let got_images = images(&out.results);
     for i in 0..queries.len() {
-        if i == victim {
+        if failed.contains(&i) {
             continue;
         }
         let got = out.results[i].as_ref().expect("survivor succeeds");
@@ -340,40 +356,110 @@ fn wedged_kernel_trips_the_stall_diagnostic() {
 }
 
 /// Seeded random panics at 1 and 2 workers: every query either matches the
-/// oracle or reports the contained panic, and the counters reconcile.
+/// oracle or reports the contained panic, and the counters reconcile. The
+/// sharing rule, exactly: every failed query names a cell it reads where a
+/// panic was counted.
 #[test]
 fn seeded_panic_rate_matrix_contains_every_fault() {
     quiet_worker_panics();
     let (db, queries) = setup();
     let want = oracles(&db, &queries);
     for workers in [1usize, 2] {
+        let tracer = Arc::new(Tracer::new(Tracer::DEFAULT_CAPACITY));
         let params = HostParams {
             fault: FaultPlan {
                 panic_rate: 0.05,
                 seed: 0xD0E5,
                 ..FaultPlan::default()
             },
+            trace: Some(Arc::clone(&tracer)),
             ..HostParams::with_workers(workers)
         };
+        let model = common::model(&db, &queries, params.transfer);
         let out = run_host_queries(&db, &queries, &params).expect("run survives");
-        let mut failed_queries = 0usize;
+        assert_eq!(out.metrics.cells, model.cells);
+        let snap = tracer.snapshot();
+        let panicked: Vec<usize> = (snap.of_kind(EventKind::Fault))
+            .filter(|e| e.a == 0)
+            .map(|e| e.cell as usize)
+            .collect();
+        assert_eq!(panicked.len(), out.metrics.total_panics());
         for (i, r) in out.results.iter().enumerate() {
             match r {
                 Ok(got) => assert!(
                     got.same_contents(&want[i]),
                     "query {i} diverged at {workers} workers"
                 ),
-                Err(HostError::UnitPanicked { .. }) => failed_queries += 1,
+                Err(HostError::UnitPanicked { query, cell, .. }) => {
+                    assert_eq!(*query, i, "the error names its own query");
+                    assert!(model.reads[i].contains(cell), "query {i} reads cell {cell}");
+                    assert!(panicked.contains(cell), "no panic counted at cell {cell}");
+                }
                 Err(other) => panic!("query {i}: unexpected error {other:?}"),
             }
         }
         let failed_units: usize = out.metrics.per_query.iter().map(|q| q.failed_units).sum();
         assert_eq!(failed_units, out.metrics.total_panics());
-        assert!(
-            failed_queries <= out.metrics.total_panics(),
-            "each failed query implies at least one contained panic"
-        );
         assert_eq!(out.metrics.workers_lost(), 0);
+    }
+}
+
+/// A panic aimed at `σ r02`, the root of Q2 and a leaf of Q3 and Q6, fails
+/// exactly those three, each error naming its own query and the one cell;
+/// the other seven queries are byte-identical to the fault-free run. One
+/// worker makes the dispatch order, and so the unit's sequence number,
+/// the fault-free run's.
+#[test]
+fn a_panic_in_a_shared_cell_fails_every_reader() {
+    quiet_worker_panics();
+    let (db, queries) = setup();
+    let tracer = Arc::new(Tracer::new(Tracer::DEFAULT_CAPACITY));
+    let clean = HostParams {
+        deterministic: true,
+        trace: Some(Arc::clone(&tracer)),
+        ..HostParams::with_workers(1)
+    };
+    let clean_out = run_host_queries(&db, &queries, &clean).expect("fault-free run");
+    let model = common::model(&db, &queries, clean.transfer);
+    let shared = model.roots[1];
+    assert_eq!(model.readers(shared), [1, 2, 5], "σ r02's readers");
+    let seq = (tracer.snapshot().of_kind(EventKind::UnitDispatch))
+        .find(|e| e.cell as usize == shared)
+        .expect("σ r02 fires")
+        .a;
+
+    let faulted = HostParams {
+        trace: None,
+        fault: FaultPlan {
+            panic_on_unit: Some(seq),
+            ..FaultPlan::default()
+        },
+        ..clean
+    };
+    let out = run_host_queries(&db, &queries, &faulted).expect("run survives the panic");
+    let failed: Vec<usize> = (0..queries.len())
+        .filter(|&i| out.results[i].is_err())
+        .collect();
+    assert_eq!(failed, [1, 2, 5]);
+    for &victim in &failed {
+        match out.results[victim].as_ref().unwrap_err() {
+            HostError::UnitPanicked {
+                query, cell, op, ..
+            } => assert_eq!((*query, *cell, op.as_str()), (victim, shared, "restrict")),
+            other => panic!("expected UnitPanicked, got {other:?}"),
+        }
+    }
+    // Q2, the cell's lowest-index reader, is charged the panicked unit.
+    let failed_units: Vec<usize> = out
+        .metrics
+        .per_query
+        .iter()
+        .map(|q| q.failed_units)
+        .collect();
+    assert_eq!(failed_units, [0, 1, 0, 0, 0, 0, 0, 0, 0, 0]);
+    let (want, got) = (images(&clean_out.results), images(&out.results));
+    for i in (0..queries.len()).filter(|i| !failed.contains(i)) {
+        assert_eq!(got[i], want[i], "survivor {i} is not byte-identical");
     }
 }
 

@@ -198,19 +198,6 @@ impl TupleBuf {
         self.bytes.extend_from_slice(right);
     }
 
-    /// Append the projection of a borrowed tuple: copies each selected
-    /// attribute's byte range, in order, building the projected image
-    /// without decoding any value. `indices` must select exactly this
-    /// batch's schema (debug-asserted by total width).
-    #[inline]
-    pub fn push_projected(&mut self, t: &TupleRef<'_>, indices: &[usize]) {
-        let before = self.bytes.len();
-        for &i in indices {
-            self.bytes.extend_from_slice(t.attr_bytes(i));
-        }
-        debug_assert_eq!(self.bytes.len() - before, self.schema.tuple_width());
-    }
-
     /// The live images, concatenated — the bulk form
     /// [`crate::Relation::append_images`] takes.
     #[inline]
@@ -321,19 +308,6 @@ mod tests {
         );
         buf.clear();
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn buf_projected_copies_attr_ranges() {
-        let s = schema();
-        let out_schema = s.select(&[2, 0]).unwrap();
-        let mut buf = TupleBuf::new(out_schema);
-        let img = image(&tup(9, true, "hi"));
-        buf.push_projected(&TupleRef::new(&s, &img).unwrap(), &[2, 0]);
-        assert_eq!(
-            buf.to_tuples(),
-            vec![Tuple::new(vec![Value::str("hi"), Value::Int(9)])]
-        );
     }
 
     #[test]
