@@ -9,7 +9,8 @@
 //!
 //! * **kernel panics** — a chosen unit (`panic_on_unit`) or a seeded
 //!   fraction of all units (`panic_rate` drawn from `seed`) panics inside
-//!   the kernel; the executor must contain it to the owning query;
+//!   the kernel; the executor must contain it to the queries that read
+//!   the unit's cell;
 //! * **delays** — every `delay_every`-th unit sleeps for `delay` before
 //!   running, stressing interleavings and the stall detector;
 //! * **dead workers** — the listed helper threads exit before receiving

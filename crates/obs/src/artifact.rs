@@ -39,7 +39,9 @@ pub struct QueryRow {
     /// packing-independent, so it is also comparable against the
     /// sequential oracle's relation sizes.
     pub result_payload_bytes: u64,
-    /// Units fired on behalf of the query (schedule-dependent).
+    /// Units fired on behalf of the query (schedule-dependent); on the
+    /// host, a cell several queries share is charged to the lowest-index
+    /// of them.
     pub units: u64,
     /// Hash-join probe units among `units`.
     pub probe_units: u64,
