@@ -44,11 +44,6 @@ pub fn page_level_join_bytes(
     pages_n * pages_m * (2 * page_payload + c as u64)
 }
 
-/// Number of packets for the page-level join.
-pub fn page_level_join_packets(n: usize, m: usize, tuples_per_page: usize) -> u64 {
-    (n.div_ceil(tuples_per_page) as u64) * (m.div_ceil(tuples_per_page) as u64)
-}
-
 /// The bandwidth ratio tuple/page — the paper's headline "10×" (for
 /// 100-byte tuples, 10-tuple pages, and negligible `c`).
 pub fn tuple_over_page_ratio(
@@ -91,9 +86,10 @@ mod tests {
 
     #[test]
     fn partial_pages_round_up() {
-        // 11 tuples at 10/page = 2 pages.
-        assert_eq!(page_level_join_packets(11, 10, 10), 2);
-        assert_eq!(page_level_join_packets(10, 10, 10), 1);
+        // 11 tuples at 10/page = 2 pages, each paired with the one page of
+        // 10: two packets of two 1 000-byte pages.
+        assert_eq!(page_level_join_bytes(11, 10, 100, 10, 0), 4_000);
+        assert_eq!(page_level_join_bytes(10, 10, 100, 10, 0), 2_000);
         assert_eq!(tuple_level_join_packets(11, 10), 110);
     }
 

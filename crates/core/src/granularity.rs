@@ -22,11 +22,6 @@ impl Granularity {
     pub const ALL: [Granularity; 3] =
         [Granularity::Relation, Granularity::Page, Granularity::Tuple];
 
-    /// Whether instructions may fire before their operands are complete.
-    pub fn pipelines(self) -> bool {
-        !matches!(self, Granularity::Relation)
-    }
-
     /// Network accounting for a work unit whose operand pages hold the given
     /// tuple counts and payload bytes: returns `(packets, payload_bytes)`
     /// *excluding* the per-packet overhead `c`, which the caller adds as
@@ -73,13 +68,6 @@ impl fmt::Display for Granularity {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pipelining_flags() {
-        assert!(!Granularity::Relation.pipelines());
-        assert!(Granularity::Page.pipelines());
-        assert!(Granularity::Tuple.pipelines());
-    }
 
     #[test]
     fn page_level_is_one_packet_per_page() {

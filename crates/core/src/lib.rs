@@ -28,6 +28,13 @@
 //! processors (16 KB page in 33 ms), a multiport CCD cache, two IBM 3330
 //! drives, and a crossbar-style interconnect.
 //!
+//! What the machine executes is the batch's compiled df-query plans:
+//! [`instr::compile_with`] numbers their live nodes as dense instructions,
+//! and the machine reads each node's kernel, firing class and schema in
+//! place (so does df-ring's). An update query's catalog write is applied
+//! after the run, in batch order, by df-query's served write path
+//! ([`RunOutput::apply_updates`]).
+//!
 //! Entry points: [`run_query`], [`run_queries`] (multi-query batches — the
 //! form the paper's ten-query benchmark uses), both returning
 //! ([`Relation`](df_relalg::Relation)s and) [`Metrics`].
@@ -40,7 +47,6 @@ pub mod bandwidth;
 pub mod instr;
 
 mod allocation;
-mod concurrency;
 mod granularity;
 mod machine;
 mod metrics;
@@ -48,13 +54,13 @@ mod params;
 mod run;
 
 pub use allocation::AllocationStrategy;
-pub use concurrency::{LockRequest, LockTable};
 pub use granularity::Granularity;
 pub use machine::Machine;
 pub use metrics::{InstructionStats, Metrics};
-pub use params::{CostModel, MachineParams, TransferMode};
+pub use params::{CostModel, MachineParams};
 pub use run::{run_queries, run_query, RunOutput};
 
-/// df-host's join algorithm, parsed by the binaries that drive df-host;
-/// defined in df-query and re-exported here.
-pub use df_query::JoinAlgo;
+/// df-host's join algorithm and every executor's transfer mode, parsed by
+/// the binaries that drive the machines; defined in df-query and
+/// re-exported here.
+pub use df_query::{JoinAlgo, TransferMode};

@@ -26,8 +26,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use df_obs::{IntervalSeries, Path as ObsPath};
-use df_query::ops::{SpanStep, UnaryKernel};
-use df_query::{partition_delete, Firing, QueryTree};
+use df_query::{apply_write, stage_write, ExecParams, Firing, QueryTree};
 use df_relalg::{Catalog, Page, Relation, Result, TupleBuf};
 use df_sim::stats::ByteCounter;
 use df_sim::{Duration, EventQueue, Resource, SimTime};
@@ -35,7 +34,7 @@ use df_storage::{DiskCache, MassStorage, PageId, PageStore, PageTable};
 
 use crate::allocation::AllocationStrategy;
 use crate::granularity::Granularity;
-use crate::instr::{compile_with, InstrId, Program, UpdateSpec};
+use crate::instr::{compile_with, InstrId, Program};
 use crate::metrics::{InstructionStats, Metrics};
 use crate::params::MachineParams;
 
@@ -165,8 +164,8 @@ impl Machine {
         params.validate();
         let program = compile_with(db, queries, params.transfer)?;
         // Every instruction's output page must hold at least one tuple.
-        for instr in &program.instructions {
-            Page::new(instr.output_schema.clone(), params.page_size)?;
+        for id in 0..program.instructions.len() {
+            Page::new(program.out_schema(id).clone(), params.page_size)?;
         }
 
         let mut store = PageStore::new();
@@ -190,15 +189,24 @@ impl Machine {
             }
         }
 
-        // Initial operand tables: sources complete, intermediates empty.
+        // Source operands, fed through the normal delivery path below.
+        let mut feeds: Vec<(InstrId, usize, Vec<PageId>)> = Vec::new();
+        for id in 0..program.instructions.len() {
+            for (slot, (_, source)) in program.operands(id).enumerate() {
+                if let Some(name) = source {
+                    feeds.push((id, slot, base_pages[name].clone()));
+                }
+            }
+        }
+
+        // Initial operand tables: empty until the feeds below.
         let mut states: Vec<InstrState> = program
             .instructions
             .iter()
             .map(|instr| InstrState {
-                operands: instr
-                    .operands
-                    .iter()
-                    .map(|o| PageTable::new(o.schema.clone()))
+                operands: program
+                    .operands(instr.id)
+                    .map(|(schema, _)| PageTable::new(schema.clone()))
                     .collect(),
                 pending: VecDeque::new(),
                 pair_cursors: Vec::new(),
@@ -214,7 +222,7 @@ impl Machine {
                 finished: false,
                 last_delivery: SimTime::ZERO,
                 stats: InstructionStats {
-                    op_name: instr.op_name,
+                    op_name: program.op_name(instr.id),
                     query: instr.query,
                     ..InstructionStats::default()
                 },
@@ -262,19 +270,11 @@ impl Machine {
         // with exactly the same code as runtime deliveries.
         std::mem::swap(&mut machine.states, &mut states);
         drop(states);
-        for iid in 0..machine.program.instructions.len() {
-            for slot in 0..machine.program.instructions[iid].operands.len() {
-                if let Some(src) = machine.program.instructions[iid].operands[slot]
-                    .source
-                    .clone()
-                {
-                    let pages = base_pages[&src].clone();
-                    for pid in pages {
-                        machine.register_page(iid, slot, pid);
-                    }
-                    machine.complete_stream(iid, slot);
-                }
+        for (iid, slot, pages) in feeds {
+            for pid in pages {
+                machine.register_page(iid, slot, pid);
             }
+            machine.complete_stream(iid, slot);
         }
         Ok(machine)
     }
@@ -321,7 +321,7 @@ impl Machine {
                 st.finished,
                 "simulation wedged: instruction {iid} ({}) unfinished \
                  ({} pending, {} in flight, {}/{} units)",
-                self.program.instructions[iid].op_name,
+                self.program.op_name(iid),
                 st.pending.len(),
                 st.in_flight,
                 st.units_done,
@@ -338,7 +338,7 @@ impl Machine {
     /// work units from it.
     fn register_page(&mut self, iid: InstrId, slot: usize, page: PageId) {
         self.states[iid].operands[slot].push(page);
-        match self.program.instructions[iid].firing {
+        match self.program.firing(iid) {
             Firing::PerPage => {
                 self.states[iid].pending.push_back(WorkUnit::Single(page));
                 self.states[iid].units_generated += 1;
@@ -376,7 +376,7 @@ impl Machine {
     /// for (possibly zero-work) completion.
     fn complete_stream(&mut self, iid: InstrId, slot: usize) {
         self.states[iid].operands[slot].mark_complete();
-        if self.program.instructions[iid].firing == Firing::Complete
+        if self.program.firing(iid) == Firing::Complete
             && !self.states[iid].final_issued
             && self.states[iid].operands.iter().all(PageTable::is_complete)
         {
@@ -616,8 +616,8 @@ impl Machine {
 
         // 4. Execute the kernel now (exact data path, zero-copy: images are
         // compared and memcpy'd, never decoded), schedule the timing.
-        let kernel = &self.program.instructions[iid].kernel;
-        let out_schema = &self.program.instructions[iid].output_schema;
+        let kernel = self.program.kernel(iid);
+        let out_schema = self.program.out_schema(iid);
         let pages: Vec<&Page> = operand_pages.iter().map(|&p| self.store.get(p)).collect();
         let results = match unit {
             WorkUnit::Final { bucket } => {
@@ -687,10 +687,7 @@ impl Machine {
     /// Base-relation pages are left alone: they are clean, stay on disk,
     /// and evicting them costs nothing.
     fn retire_if_intermediate(&mut self, iid: InstrId, slot: usize, page: PageId) {
-        if self.program.instructions[iid].operands[slot]
-            .source
-            .is_none()
-        {
+        if self.program.is_intermediate(iid, slot) {
             self.cache.discard(page);
             self.disk.discard(page);
             self.page_avail.remove(&page);
@@ -723,7 +720,7 @@ impl Machine {
         // Each drain is one memcpy of whole images — no tuple is decoded.
         while !results.is_empty() {
             let page_size = self.params.page_size;
-            let schema = self.program.instructions[iid].output_schema.clone();
+            let schema = self.program.out_schema(iid).clone();
             let buf = self.states[iid].out_buffer.get_or_insert_with(|| {
                 Page::new(schema, page_size).expect("output page size validated")
             });
@@ -814,7 +811,7 @@ impl Machine {
             && pairs_done
             && st.in_flight == 0
             && st.units_done == st.units_generated;
-        let final_ok = self.program.instructions[iid].firing != Firing::Complete || st.final_issued;
+        let final_ok = self.program.firing(iid) != Firing::Complete || st.final_issued;
         if !(operands_done && units_done && final_ok) {
             return;
         }
@@ -830,11 +827,9 @@ impl Machine {
         self.states[iid].stats.completed = Some(now);
 
         // Reclaim intermediate operand pages: they will never be read again.
-        let intermediates: Vec<PageId> = self.program.instructions[iid]
-            .operands
-            .iter()
+        let intermediates: Vec<PageId> = (self.program.operands(iid))
             .zip(&self.states[iid].operands)
-            .filter(|(spec, _)| spec.source.is_none())
+            .filter(|((_, source), _)| source.is_none())
             .flat_map(|(_, table)| table.pages().iter().copied())
             .collect();
         for p in intermediates {
@@ -878,7 +873,7 @@ impl Machine {
             .iter()
             .enumerate()
             .map(|(q, &root)| {
-                let schema = self.program.instructions[root].output_schema.clone();
+                let schema = self.program.out_schema(root).clone();
                 self.store
                     .materialize(
                         &format!("q{q}_result"),
@@ -922,40 +917,26 @@ impl Machine {
         (relations, metrics)
     }
 
-    /// Post-run database update for update queries (append/delete), by
-    /// the page-level write served writes use: an append copies the
-    /// result's page images into the target's last page and fresh ones; a
-    /// delete partitions the target by its predicate page by page
-    /// ([`df_query::partition_delete`]), sharing every page it does not
-    /// touch. Updates apply in batch order.
-    ///
-    /// `results` must be the relations returned by [`Machine::run`] for the
-    /// same program.
+    /// Apply the batch's updates to `db` in batch order, each by the
+    /// served write path: [`stage_write`] reads the catalog as the earlier
+    /// updates left it, [`apply_write`] applies the result. `updates` holds
+    /// each query's tree if it updates (`None` if read-only), and each
+    /// update query's entry in `results` becomes the relation its write
+    /// returned, packed into pages of the size the machine's result used.
+    /// So a delete that follows an append to its target reports, and
+    /// removes, the tuples the oracle's `execute` does in batch order.
     pub fn apply_updates(
         db: &mut Catalog,
-        program_updates: &[Option<UpdateSpec>],
-        results: &[Relation],
+        updates: &[Option<QueryTree>],
+        results: &mut [Relation],
     ) -> Result<()> {
-        for (update, result) in program_updates.iter().zip(results) {
-            match update {
-                None => {}
-                Some(UpdateSpec::Append { target }) => {
-                    let rel =
-                        db.get_mut(target)
-                            .ok_or_else(|| df_relalg::Error::UnknownRelation {
-                                name: target.clone(),
-                            })?;
-                    for page in result.pages() {
-                        rel.append_images(page.raw_data())?;
-                    }
-                }
-                Some(UpdateSpec::Delete { target, predicate }) => {
-                    let (target, step) =
-                        (db.require(target)?, SpanStep::Restrict(predicate.clone()));
-                    let (kept, _) =
-                        partition_delete(target, &UnaryKernel::compile(&[step], target.schema()))?;
-                    db.insert_or_replace(kept);
-                }
+        for (update, result) in updates.iter().zip(results) {
+            if let Some(tree) = update {
+                let params = ExecParams {
+                    page_size: result.page_size(),
+                };
+                let delta = stage_write(db, tree, &params)?;
+                *result = apply_write(db, delta)?;
             }
         }
         Ok(())
@@ -1215,16 +1196,16 @@ mod tests {
         let tree = parse_query(&db, "(delete a (< k 10))").unwrap();
         let m = Machine::new(
             &db,
-            &[tree],
+            std::slice::from_ref(&tree),
             small_params(),
             Granularity::Page,
             AllocationStrategy::default(),
         )
         .unwrap();
-        let updates = m.program.updates.clone();
-        let (rels, _) = m.run();
+        let (mut rels, _) = m.run();
         assert_eq!(rels[0].num_tuples(), 10);
-        Machine::apply_updates(&mut db, &updates, &rels).unwrap();
+        Machine::apply_updates(&mut db, &[Some(tree)], &mut rels).unwrap();
+        assert_eq!(rels[0].num_tuples(), 10);
         assert_eq!(db.get("a").unwrap().num_tuples(), 20);
     }
 }

@@ -1,60 +1,11 @@
 //! Machine configuration and the cost model.
 
-use std::fmt;
-use std::str::FromStr;
 use std::sync::Arc;
 
 use df_obs::Tracer;
+use df_query::TransferMode;
 use df_sim::Duration;
 use df_storage::{CacheParams, DiskParams};
-
-/// How results move between chained unary operators.
-///
-/// The paper's instruction cells materialize a whole result page between
-/// every operator (§3.2 fires a cell only when an operand page is
-/// complete). `Pipeline` keeps the firing rule but fuses maximal
-/// restrict→project→… chains into one [`df_query::Kernel::Unary`] form: the
-/// chain's predicates and projections run per tuple over the *input* page
-/// and only final survivors are written, so the intermediate pages — and
-/// their transfer cost — never exist. Output is byte-identical either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TransferMode {
-    /// One materialized result page per operator (the paper's design).
-    #[default]
-    Materialize,
-    /// Fused restrict/project spans: one transfer per chain.
-    Pipeline,
-}
-
-impl TransferMode {
-    /// Both modes, for sweeps.
-    pub const ALL: [TransferMode; 2] = [TransferMode::Materialize, TransferMode::Pipeline];
-}
-
-impl fmt::Display for TransferMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TransferMode::Materialize => "materialize",
-            TransferMode::Pipeline => "pipeline",
-        };
-        write!(f, "{s}")
-    }
-}
-
-impl FromStr for TransferMode {
-    type Err = String;
-
-    /// Parse the [`fmt::Display`] form back (round-trip guaranteed).
-    fn from_str(s: &str) -> Result<TransferMode, String> {
-        match s {
-            "materialize" => Ok(TransferMode::Materialize),
-            "pipeline" => Ok(TransferMode::Pipeline),
-            other => Err(format!(
-                "unknown transfer mode `{other}` (expected one of: materialize, pipeline)"
-            )),
-        }
-    }
-}
 
 /// Per-operation timing constants — the "speed" of an instruction processor
 /// and the interconnection networks.

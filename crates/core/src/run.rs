@@ -5,7 +5,6 @@ use df_relalg::{Catalog, Relation, Result};
 
 use crate::allocation::AllocationStrategy;
 use crate::granularity::Granularity;
-use crate::instr::UpdateSpec;
 use crate::machine::Machine;
 use crate::metrics::Metrics;
 use crate::params::MachineParams;
@@ -17,14 +16,17 @@ pub struct RunOutput {
     pub results: Vec<Relation>,
     /// Whole-run metrics.
     pub metrics: Metrics,
-    /// Deferred database updates (apply with [`RunOutput::apply_updates`]).
-    updates: Vec<Option<UpdateSpec>>,
+    /// Each update query's tree, `None` for a read-only one (apply with
+    /// [`RunOutput::apply_updates`]).
+    updates: Vec<Option<QueryTree>>,
 }
 
 impl RunOutput {
-    /// Apply any append/delete updates the batch requested to `db`.
-    pub fn apply_updates(&self, db: &mut Catalog) -> Result<()> {
-        Machine::apply_updates(db, &self.updates, &self.results)
+    /// Apply the append/delete updates the batch requested to `db`, in
+    /// batch order; each update query's entry in `results` becomes the
+    /// tuples its write appended or deleted ([`Machine::apply_updates`]).
+    pub fn apply_updates(&mut self, db: &mut Catalog) -> Result<()> {
+        Machine::apply_updates(db, &self.updates, &mut self.results)
     }
 }
 
@@ -43,12 +45,13 @@ pub fn run_queries(
     strategy: AllocationStrategy,
 ) -> Result<RunOutput> {
     let machine = Machine::new(db, queries, params.clone(), granularity, strategy)?;
-    let updates = machine.program.updates.clone();
     let (results, metrics) = machine.run();
     Ok(RunOutput {
         results,
         metrics,
-        updates,
+        updates: (queries.iter())
+            .map(|q| q.node(q.root()).op.is_update().then(|| q.clone()))
+            .collect(),
     })
 }
 
@@ -118,7 +121,7 @@ mod tests {
     fn run_output_applies_updates() {
         let mut db = db();
         let q = parse_query(&db, "(append (restrict (scan t) (< k 2)) t)").unwrap();
-        let out = run_queries(
+        let mut out = run_queries(
             &db,
             &[q],
             &MachineParams::with_processors(2),

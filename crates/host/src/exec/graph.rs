@@ -199,8 +199,8 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use df_core::TransferMode;
     use df_query::parse_query;
+    use df_query::TransferMode;
     use df_relalg::{Catalog, DataType, Relation, Schema, Tuple, Value};
     use proptest::prelude::*;
 

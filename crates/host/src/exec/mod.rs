@@ -102,7 +102,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use df_core::TransferMode;
+use df_query::TransferMode;
 use df_query::{Plan, QueryTree};
 use df_relalg::{Catalog, Relation};
 

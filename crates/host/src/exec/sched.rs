@@ -416,7 +416,7 @@ impl<'a> Scheduler<'a> {
 
     /// Pick the instruction `worker` serves next — the pending cell with
     /// the fewest units in flight, the lowest cell id first: the data-flow
-    /// strategy of \[4\], [`df_core::AllocationStrategy::Balanced`] — and
+    /// strategy of \[4\], df-core's `AllocationStrategy::Balanced` — and
     /// dispatch a run of its units: over its channel to a helper (the last
     /// idle one), on the spot for the caller. False when no unit is
     /// pending.

@@ -1,8 +1,10 @@
 //! # df-host — the data-flow machine on real threads
 //!
-//! The simulated machines (`df-sim`, `df-ring`) measure the paper's design
+//! The simulated machines (`df-core`, `df-ring`) measure the paper's design
 //! in virtual time; this crate *runs* it, mapping the hardware of Boral &
-//! DeWitt's data-flow database machine onto one OS process:
+//! DeWitt's data-flow database machine onto one OS process. It shares
+//! their compiled plan, kernels and transfer mode through `df-query` and
+//! links neither simulator:
 //!
 //! | paper component                  | host construct                        |
 //! |----------------------------------|---------------------------------------|
@@ -17,7 +19,7 @@
 //! moment an operand page lands, so restriction of page *k* overlaps the
 //! join of page *k − 1* on another core. A free processor serves the
 //! eligible instruction with the fewest units in flight — the data-flow
-//! strategy that \[4\] found best, [`df_core::AllocationStrategy::Balanced`]
+//! strategy that \[4\] found best, df-core's `AllocationStrategy::Balanced`
 //! among the policies the simulators sweep. A call runs its queries as
 //! one data-flow graph, admitted together (they only read, so nothing is
 //! locked): a subtree that several queries contain is one cell, fired

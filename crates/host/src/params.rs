@@ -3,8 +3,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use df_core::TransferMode;
 use df_obs::Tracer;
+use df_query::TransferMode;
 use df_query::{JoinAlgo, Op, QueryTree};
 use df_relalg::Catalog;
 

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use df_core::TransferMode;
+use df_query::TransferMode;
 use df_query::{Plan, QueryTree};
 use df_relalg::Catalog;
 

@@ -295,7 +295,7 @@ proptest! {
 /// scheduler extends it on the calling thread.
 #[test]
 fn hash_join_matches_nested_byte_for_byte_on_all_ten_queries() {
-    use df_core::JoinAlgo;
+    use df_query::JoinAlgo;
     for (scale, workers) in [(0.01, &[4][..]), (0.05, &[1, 2, 4])] {
         let (db, queries, _) = setup(scale);
         for &workers in workers {
@@ -356,8 +356,8 @@ fn result_pages(results: &[df_host::HostResult<df_relalg::Relation>]) -> Vec<Vec
 /// oracle, with the arriving page as outer and as inner.
 #[test]
 fn duplicate_heavy_self_join_hash_equals_nested() {
-    use df_core::JoinAlgo;
     use df_query::parse_query;
+    use df_query::JoinAlgo;
     use df_relalg::{DataType, Relation, Schema, Tuple, Value};
 
     let schema = Schema::build()
@@ -418,7 +418,7 @@ fn duplicate_heavy_self_join_hash_equals_nested() {
 /// join sweeps — the nested ones through the side's key column.
 #[test]
 fn non_equi_theta_join_under_hash_falls_back_to_sweep() {
-    use df_core::JoinAlgo;
+    use df_query::JoinAlgo;
     use df_query::TreeBuilder;
     use df_relalg::{CmpOp, DataType, Relation, Schema, Tuple, Value};
 
@@ -501,7 +501,7 @@ proptest! {
     /// in deterministic mode.
     #[test]
     fn random_chain_queries_hash_equals_nested(seed in 0u64..1_000, workers in 1usize..5) {
-        use df_core::JoinAlgo;
+        use df_query::JoinAlgo;
         let (db, _, cutoff) = setup(0.01);
         let mut rng = SimRng::new(seed);
         let query = random_query(&db, 5, 3, cutoff, &mut rng).expect("query builds");
@@ -527,8 +527,8 @@ proptest! {
 /// the size test, equal to the sorted oracle images tuple for tuple.
 #[test]
 fn every_operator_class_matches_oracle_in_every_mode() {
-    use df_core::{JoinAlgo, TransferMode};
     use df_query::parse_query;
+    use df_query::{JoinAlgo, TransferMode};
 
     /// Which pair units a case fires: none, sweeps whatever the knob, or
     /// an equi-join (probes under hash, sweeps under nested).

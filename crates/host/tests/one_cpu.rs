@@ -11,8 +11,8 @@
 
 use std::ffi::c_int;
 
-use df_core::TransferMode;
 use df_host::{run_host_queries, run_host_query, FaultPlan, HostMetrics, HostParams};
+use df_query::TransferMode;
 use df_query::{execute_readonly, ExecParams, JoinAlgo, TreeBuilder};
 use df_relalg::{CmpOp, Relation, Value};
 use df_workload::{benchmark_queries, generate_database, BenchmarkSpec};

@@ -11,9 +11,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use df_core::TransferMode;
 use df_host::{run_host_queries, run_host_query, FaultPlan, HostMetrics, HostParams, QueryStats};
 use df_obs::Tracer;
+use df_query::TransferMode;
 use df_query::{JoinAlgo, QueryTree, TreeBuilder};
 use df_relalg::{Catalog, CmpOp, DataType, Relation, Schema, Tuple, Value};
 use df_workload::{benchmark_queries, generate_database, BenchmarkSpec};

@@ -8,10 +8,10 @@ mod common;
 
 use std::sync::{Arc, Once};
 
-use df_core::{JoinAlgo, TransferMode};
 use df_host::{run_host_queries, FaultPlan, HostError, HostParams};
 use df_obs::{EventKind, Tracer};
 use df_query::{execute_readonly, ExecParams, NodeId, Op, Plan, QueryNode, QueryTree};
+use df_query::{JoinAlgo, TransferMode};
 use df_relalg::{Catalog, CmpOp, JoinCondition, Predicate, Projection, Schema, Value};
 use df_sim::rng::SimRng;
 use df_workload::{generate_database, random_query, BenchmarkSpec};

@@ -170,7 +170,7 @@ fn event_stream_is_conserved(scale: f64) -> df_host::HostMetrics {
 /// the distribution/arbitration byte identities keep holding.
 #[test]
 fn pipeline_span_units_conserve_per_operator_kernel_spans() {
-    use df_core::TransferMode;
+    use df_query::TransferMode;
     use df_workload::pipeline_queries;
     let spec = BenchmarkSpec::scaled(0.01);
     let db = generate_database(&spec.database);

@@ -267,7 +267,7 @@ impl Ring {
 ///
 /// Timestamps: [`Tracer::record`] stamps wall time since construction (the
 /// host executor's clock); the simulators stamp their own virtual time via
-/// [`Tracer::record_at`].
+/// [`Tracer::transfer_at`].
 #[derive(Debug)]
 pub struct Tracer {
     enabled: AtomicBool,
@@ -322,15 +322,6 @@ impl Tracer {
             return;
         }
         self.push(self.now_ns(), kind, query, cell, a, b);
-    }
-
-    /// Record an event with an explicit timestamp (simulated time).
-    #[inline]
-    pub fn record_at(&self, t_ns: u64, kind: EventKind, query: u32, cell: u32, a: u64, b: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.push(t_ns, kind, query, cell, a, b);
     }
 
     /// Record an event not scoped to a query or cell.
@@ -459,7 +450,7 @@ mod tests {
     fn ring_wraps_and_counts_drops() {
         let t = Tracer::new(4);
         for i in 0..10u64 {
-            t.record_at(i, EventKind::CellFire, 0, 0, i, 0);
+            t.push(i, EventKind::CellFire, 0, 0, i, 0);
         }
         let s = t.snapshot();
         assert_eq!(s.events.len(), 4);

@@ -23,7 +23,7 @@
 /// assert_eq!(s.total_bytes(), 150);
 /// assert_eq!(s.buckets(), &[100, 0, 0, 50]);
 /// s.record(7_999, 50); // beyond bucket 3 → coalesce, width doubles
-/// assert_eq!(s.interval_ns(), 2_000);
+/// assert_eq!(s.interval_secs(), 2e-6);
 /// assert_eq!(s.buckets(), &[100, 50, 0, 50]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,11 +75,6 @@ impl IntervalSeries {
             .collect();
         self.buckets = merged;
         self.interval_ns *= 2;
-    }
-
-    /// Current bucket width in nanoseconds.
-    pub fn interval_ns(&self) -> u64 {
-        self.interval_ns
     }
 
     /// Current bucket width in seconds.
@@ -146,7 +141,7 @@ mod tests {
         assert_eq!(s.total_bytes(), 640);
         assert!(s.buckets().len() <= 4);
         // 64 ns of records in ≤ 4 buckets → width ≥ 16 ns.
-        assert!(s.interval_ns() >= 16);
+        assert!(s.interval_ns >= 16);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`Plan`] — the compiled plan every executor runs from: per node its
 //!   derived schema, `(parent, port)`, and, from the one classification of
 //!   [`Op`], its [`Firing`] class and its compiled [`Kernel`]; and the one
-//!   span-fusion pass.
+//!   span-fusion pass, which is the whole [`TransferMode::Pipeline`].
 //! * [`Kernel`] — the one opcode dispatch: each plan node carries its own,
 //!   executed in place by df-core, df-ring, df-host and [`run_plan`], the
 //!   sequential scheduler here.
@@ -27,6 +27,9 @@
 //!   write and standing view is checked against, and includes both
 //!   nested-loops and sort-merge join algorithms from Blasgen & Eswaran
 //!   \[5\]. No served path calls it.
+//! * [`LockTable`] / [`LockRequest`] — relation-granularity shared/exclusive
+//!   admission locks over a query's read and write sets, taken by the ring
+//!   machine's MC and df-serve's write gate.
 //! * [`TreeBuilder`] — fluent, name-based construction; each step
 //!   resolves names, then checks its node through [`Op::output_schema`].
 //! * [`validate`] — whole-tree schema/type checking and output-schema
@@ -59,6 +62,7 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 mod builder;
+mod concurrency;
 mod exec;
 mod kernel;
 mod parser;
@@ -71,13 +75,14 @@ pub mod ops;
 pub mod oracle;
 
 pub use builder::{SubTree, TreeBuilder};
+pub use concurrency::{LockRequest, LockTable};
 pub use exec::{
     apply_write, execute, execute_readonly, partition_delete, run_plan, stage_write, ExecParams,
     WriteDelta,
 };
 pub use kernel::{tuple_bucket, JoinAlgo, Kernel};
 pub use parser::parse_query;
-pub use plan::{Firing, Plan, PlanNode};
+pub use plan::{Firing, Plan, PlanNode, TransferMode};
 pub use render::render_tree;
 pub use tree::{NodeId, Op, QueryNode, QueryTree};
 pub use validate::{validate, NodeSchemas};

@@ -13,6 +13,9 @@
 //! standing views fire it over delta pages. [`Plan::fuse_spans`] is the
 //! only span-fusion pass: the pipeline transfer mode is this one call.
 
+use std::fmt;
+use std::str::FromStr;
+
 use df_relalg::{Catalog, Result, Schema};
 
 use crate::kernel::Kernel;
@@ -76,6 +79,56 @@ fn classify(op: &Op, inputs: &[&Schema]) -> (Firing, Kernel) {
         Op::CrossProduct => (Firing::PairSweep, Kernel::CrossPair),
         Op::Union => (Firing::Complete, Kernel::UnionFinal),
         Op::Difference => (Firing::Complete, Kernel::DifferenceFinal),
+    }
+}
+
+/// How results move between chained unary operators.
+///
+/// The paper's instruction cells materialize a whole result page between
+/// every operator (§3.2 fires a cell only when an operand page is
+/// complete). `Pipeline` keeps the firing rule but fuses maximal
+/// restrict→project→… chains into one [`Kernel::Unary`] form: the
+/// chain's predicates and projections run per tuple over the *input* page
+/// and only final survivors are written, so the intermediate pages — and
+/// their transfer cost — never exist. Output is byte-identical either way.
+/// It is a property of the plan, not of a machine: `Pipeline` is one call
+/// of [`Plan::fuse_spans`], made by every executor whose params ask for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum TransferMode {
+    /// One materialized result page per operator (the paper's design).
+    #[default]
+    Materialize,
+    /// Fused restrict/project spans: one transfer per chain.
+    Pipeline,
+}
+
+impl TransferMode {
+    /// Both modes, for sweeps.
+    pub const ALL: [TransferMode; 2] = [TransferMode::Materialize, TransferMode::Pipeline];
+}
+
+impl fmt::Display for TransferMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            TransferMode::Materialize => "materialize",
+            TransferMode::Pipeline => "pipeline",
+        };
+        write!(f, "{s}")
+    }
+}
+
+impl FromStr for TransferMode {
+    type Err = String;
+
+    /// Parse the [`fmt::Display`] form back (round-trip guaranteed).
+    fn from_str(s: &str) -> std::result::Result<TransferMode, String> {
+        match s {
+            "materialize" => Ok(TransferMode::Materialize),
+            "pipeline" => Ok(TransferMode::Pipeline),
+            other => Err(format!(
+                "unknown transfer mode `{other}` (expected one of: materialize, pipeline)"
+            )),
+        }
     }
 }
 

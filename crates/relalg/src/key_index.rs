@@ -136,13 +136,6 @@ impl<V> KeyMap<V> {
             KeyMap::Bytes(map) => map.get(key),
         }
     }
-
-    fn len(&self) -> usize {
-        match self {
-            KeyMap::Word(map) => map.len(),
-            KeyMap::Bytes(map) => map.len(),
-        }
-    }
 }
 
 /// A hash index over one page's raw key bytes: distinct key image → the
@@ -183,11 +176,6 @@ impl PageKeyIndex {
     /// when the key does not appear in the page (or has a different width).
     pub fn probe(&self, key_bytes: &[u8]) -> &[u32] {
         self.map.get(key_bytes).map_or(&[], Vec::as_slice)
-    }
-
-    /// Number of distinct key values in the page.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
     }
 }
 
@@ -298,11 +286,6 @@ impl SideKeyIndex {
     pub fn key(&self) -> usize {
         self.key
     }
-
-    /// Number of distinct key values over every page pushed.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]
@@ -314,6 +297,14 @@ mod tests {
     use crate::value::{DataType, Value};
     use std::collections::{BTreeMap, HashSet};
     use std::hash::BuildHasher;
+
+    /// Number of distinct keys an index holds.
+    fn distinct<V>(map: &KeyMap<V>) -> usize {
+        match map {
+            KeyMap::Word(map) => map.len(),
+            KeyMap::Bytes(map) => map.len(),
+        }
+    }
 
     fn encode(v: &Value, dtype: DataType) -> Vec<u8> {
         let mut out = Vec::new();
@@ -394,7 +385,7 @@ mod tests {
         let p = page(&[7, 3, 7, 1, 7]);
         let idx = PageKeyIndex::build(&p, 0);
         assert_eq!(idx.key(), 0);
-        assert_eq!(idx.distinct_keys(), 3);
+        assert_eq!(distinct(&idx.map), 3);
         assert_eq!(idx.probe(&enc(7)), &[0, 2, 4]);
         assert_eq!(idx.probe(&enc(1)), &[3]);
     }
@@ -405,7 +396,7 @@ mod tests {
         let idx = PageKeyIndex::build(&p, 0);
         assert!(idx.probe(&enc(99)).is_empty());
         let empty = PageKeyIndex::build(&page(&[]), 0);
-        assert_eq!(empty.distinct_keys(), 0);
+        assert_eq!(distinct(&empty.map), 0);
         assert!(empty.probe(&enc(1)).is_empty());
     }
 
@@ -423,7 +414,7 @@ mod tests {
                 .unwrap();
         }
         let idx = PageKeyIndex::build(&p, 0);
-        assert_eq!(idx.distinct_keys(), 3);
+        assert_eq!(distinct(&idx.map), 3);
         let key = encode(&Value::str("aa"), DataType::Str(4));
         assert_eq!(idx.probe(&key), &[0, 2]);
         // A probe of the wrong width can never match.
@@ -436,7 +427,7 @@ mod tests {
         let p = page(&[5, 5, 5]);
         // Attribute 1 (`v`) holds 0, 1, 2 — all distinct.
         let idx = PageKeyIndex::build(&p, 1);
-        assert_eq!(idx.distinct_keys(), 3);
+        assert_eq!(distinct(&idx.map), 3);
         assert_eq!(idx.probe(&enc(1)), &[1]);
     }
 
@@ -451,7 +442,7 @@ mod tests {
             (
                 side.key(),
                 side.received().pages().len(),
-                side.distinct_keys()
+                distinct(&side.map)
             ),
             (0, 3, 3)
         );
@@ -538,7 +529,7 @@ mod tests {
         }
         let pages = side.received().pages().len();
         assert!(pages >= 2_000, "{pages} pages");
-        assert_eq!(side.distinct_keys(), model.len());
+        assert_eq!(distinct(&side.map), model.len());
         for upto in [0, 1, pages / 3, pages / 2 + 1, pages - 1, pages] {
             for (key, entries) in &model {
                 let seen = entries.partition_point(|&(page, _)| (page as usize) < upto);

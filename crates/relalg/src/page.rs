@@ -110,10 +110,10 @@ impl Page {
 
     /// Append a tuple.
     ///
-    /// This is the hot path: it skips the separate up-front schema sweep
-    /// ([`Tuple::conforms_to`]) that [`Page::try_push`] performs — per-value
-    /// encoding already rejects misfit values and a single length comparison
-    /// catches arity mismatches, so nonconforming tuples still error.
+    /// This is the hot path: it skips a separate up-front schema sweep
+    /// ([`Tuple::conforms_to`]) — per-value encoding already rejects misfit
+    /// values and a single length comparison catches arity mismatches, so
+    /// nonconforming tuples still error.
     ///
     /// # Errors
     /// [`Error::PageFull`] if at capacity; schema errors if the tuple does
@@ -125,18 +125,6 @@ impl Page {
         tuple.encode_unchecked(&self.schema, &mut self.data)?;
         self.ntuples += 1;
         Ok(())
-    }
-
-    /// Append a tuple with the full up-front [`Tuple::conforms_to`]
-    /// validation pass (arity *and* every value re-checked before any byte
-    /// is written). Use at trust boundaries; [`Page::push`] is the hot path.
-    ///
-    /// # Errors
-    /// [`Error::PageFull`] if at capacity; schema errors if the tuple does
-    /// not conform.
-    pub fn try_push(&mut self, tuple: &Tuple) -> Result<()> {
-        tuple.conforms_to(&self.schema)?;
-        self.push(tuple)
     }
 
     /// Append one raw tuple image (exactly [`Schema::tuple_width`] bytes)
@@ -407,9 +395,7 @@ mod tests {
         let mut p = Page::new(schema(), 1016).unwrap();
         assert!(p.push(&Tuple::new(vec![Value::Int(1)])).is_err());
         assert_eq!(p.len(), 0);
-        assert!(p.try_push(&Tuple::new(vec![Value::Int(1)])).is_err());
-        assert_eq!(p.len(), 0);
-        p.try_push(&tup(5)).unwrap();
+        p.push(&tup(5)).unwrap();
         assert_eq!(p.get(0).unwrap(), tup(5));
     }
 

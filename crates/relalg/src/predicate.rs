@@ -289,41 +289,10 @@ impl Predicate {
             Predicate::Not(a) => Predicate::Not(Box::new(a.remap(map))),
         }
     }
-
-    /// Render the predicate with attribute names from `schema`
-    /// (`(a > 5 and true)`); an index outside `schema` renders as `#i`.
-    /// [`Display`](fmt::Display) renders indices only.
-    pub fn describe(&self, schema: &Schema) -> String {
-        match self {
-            Predicate::True => "true".into(),
-            Predicate::CmpConst { index, op, value } => {
-                let name = schema
-                    .attr(*index)
-                    .map(|a| a.name.clone())
-                    .unwrap_or_else(|_| format!("#{index}"));
-                format!("{name} {op} {value}")
-            }
-            Predicate::CmpAttrs { left, op, right } => {
-                let l = schema
-                    .attr(*left)
-                    .map(|a| a.name.clone())
-                    .unwrap_or_else(|_| format!("#{left}"));
-                let r = schema
-                    .attr(*right)
-                    .map(|a| a.name.clone())
-                    .unwrap_or_else(|_| format!("#{right}"));
-                format!("{l} {op} {r}")
-            }
-            Predicate::And(a, b) => format!("({} and {})", a.describe(schema), b.describe(schema)),
-            Predicate::Or(a, b) => format!("({} or {})", a.describe(schema), b.describe(schema)),
-            Predicate::Not(a) => format!("(not {})", a.describe(schema)),
-        }
-    }
 }
 
 impl fmt::Display for Predicate {
-    /// Index-based rendering (`#2 > 5`); use [`Predicate::describe`] for
-    /// name-based rendering against a schema.
+    /// Index-based rendering (`#2 > 5`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Predicate::True => write!(f, "true"),
@@ -573,14 +542,5 @@ mod tests {
             .unwrap()
             .or(Predicate::cmp_attrs(&s, "a", CmpOp::Le, "b").unwrap().not());
         assert_eq!(format!("{p}"), "(#0 > 5 or (not #0 <= #1))");
-    }
-
-    #[test]
-    fn describe_renders_names() {
-        let s = schema();
-        let p = Predicate::cmp_const(&s, "a", CmpOp::Gt, Value::Int(5))
-            .unwrap()
-            .and(Predicate::True);
-        assert_eq!(p.describe(&s), "(a > 5 and true)");
     }
 }

@@ -168,7 +168,7 @@ impl RingMachine {
         page: PageId,
     ) {
         self.ic_instrs[instr].operands[slot].push(page);
-        match self.program.instructions[instr].firing {
+        match self.program.firing(instr) {
             Firing::PerPage => {
                 while !self.ic_instrs[instr].parked.is_empty()
                     && self.ic_instrs[instr].operands[0].available() > 0
@@ -218,7 +218,7 @@ impl RingMachine {
 
     /// An operand stream completed.
     fn ic_on_operand_complete(&mut self, now: SimTime, instr: InstrId, slot: usize) {
-        let class = self.program.instructions[instr].firing;
+        let class = self.program.firing(instr);
         match class {
             Firing::PairSweep if slot == 1 && !self.ic_instrs[instr].inner_complete_sent => {
                 self.ic_instrs[instr].inner_complete_sent = true;
@@ -274,7 +274,7 @@ impl RingMachine {
 
     /// Give `ip` its next piece of work for `instr` (or park / flush it).
     fn ic_give_work(&mut self, now: SimTime, instr: InstrId, ip: usize) {
-        match self.program.instructions[instr].firing {
+        match self.program.firing(instr) {
             Firing::PerPage => {
                 let next = self.ic_instrs[instr].operands[0].take_next();
                 match next {
@@ -292,10 +292,7 @@ impl RingMachine {
                         );
                         // Single-use intermediate pages are dead at the IC
                         // once shipped.
-                        if self.program.instructions[instr].operands[0]
-                            .source
-                            .is_none()
-                        {
+                        if self.program.is_intermediate(instr, 0) {
                             self.reclaim_page(page);
                         }
                     }
@@ -435,7 +432,7 @@ impl RingMachine {
             eprintln!(
                 "{:9.3}s SEND instr={instr} ({}) ip={ip} ready={:9.3}s kind={kind:?}",
                 now.as_secs_f64(),
-                self.program.instructions[instr].op_name,
+                self.program.op_name(instr),
                 ready.as_secs_f64()
             );
         }
@@ -528,7 +525,7 @@ impl RingMachine {
         if !st.active || st.done {
             return;
         }
-        let desired = match self.program.instructions[instr].firing {
+        let desired = match self.program.firing(instr) {
             Firing::PerPage => st.operands[0].available().min(self.params.ips),
             Firing::PairSweep => {
                 if st.operands[1].is_empty() && !st.operands[1].is_complete() {
@@ -597,7 +594,7 @@ impl RingMachine {
         if !st.granted.is_empty() || !st.parked.is_empty() || !st.flushing.is_empty() {
             return;
         }
-        let work_done = match self.program.instructions[instr].firing {
+        let work_done = match self.program.firing(instr) {
             Firing::PerPage => st.operands[0].exhausted(),
             Firing::PairSweep => {
                 let outer_len = st.operands[0].len();
@@ -616,11 +613,9 @@ impl RingMachine {
         let ic = self.ic_instrs[instr].ic;
         // Reclaim intermediate operand pages (join pages were retained for
         // catch-up requests until now).
-        let dead: Vec<PageId> = self.program.instructions[instr]
-            .operands
-            .iter()
+        let dead: Vec<PageId> = (self.program.operands(instr))
             .zip(&self.ic_instrs[instr].operands)
-            .filter(|(spec, _)| spec.source.is_none())
+            .filter(|((_, source), _)| source.is_none())
             .flat_map(|(_, table)| table.pages().iter().copied())
             .collect();
         for p in dead {

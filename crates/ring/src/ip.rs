@@ -153,14 +153,13 @@ impl RingMachine {
                 PendingWork::Unary { page, flush } => {
                     self.ips[ip].flush_pending |= flush;
                     let instr = self.ips[ip].instr.expect("working IP has an instruction");
-                    let code = &self.program.instructions[instr];
-                    let results = code
-                        .kernel
-                        .run_unit_raw(&[self.store.get(page)], &code.output_schema);
+                    let kernel = self.program.kernel(instr);
+                    let results = kernel
+                        .run_unit_raw(&[self.store.get(page)], self.program.out_schema(instr));
                     // Kernel-aware service time: a fused span charges the
                     // sum of its step costs (n per step); plain unary
                     // kernels charge n.
-                    let ops = code.kernel.tuple_ops(&[self.store.get(page).len()]);
+                    let ops = kernel.tuple_ops(&[self.store.get(page).len()]);
                     let dur = self.compute_time_for(&[page], ops);
                     self.ips[ip].current_results = Some(results);
                     self.ips[ip].busy = true;
@@ -170,16 +169,16 @@ impl RingMachine {
                 }
                 PendingWork::Whole { pages } => {
                     let instr = self.ips[ip].instr.expect("working IP has an instruction");
-                    let code = &self.program.instructions[instr];
+                    let kernel = self.program.kernel(instr);
                     let inputs: Vec<Vec<&Page>> = pages
                         .iter()
                         .map(|slot| slot.iter().map(|&p| self.store.get(p)).collect())
                         .collect();
-                    let results = code.kernel.run_final_raw(&inputs, &code.output_schema);
+                    let results = kernel.run_final_raw(&inputs, self.program.out_schema(instr));
                     let counts: Vec<usize> = (inputs.iter())
                         .map(|port| port.iter().map(|p| p.len()).sum())
                         .collect();
-                    let ops = code.kernel.tuple_ops(&counts);
+                    let ops = kernel.tuple_ops(&counts);
                     let flat: Vec<PageId> = pages.iter().flatten().copied().collect();
                     let dur = self.compute_time_for(&flat, ops);
                     self.ips[ip].current_results = Some(results);
@@ -196,14 +195,13 @@ impl RingMachine {
             if let Some((idx, ipage)) = self.ips[ip].inner_queue.pop_front() {
                 let (_, opage) = self.ips[ip].outer.expect("checked");
                 let instr = self.ips[ip].instr.expect("working IP has an instruction");
-                let code = &self.program.instructions[instr];
+                let kernel = self.program.kernel(instr);
                 let (outer, inner) = (self.store.get(opage), self.store.get(ipage));
-                let mut results = TupleBuf::new(code.output_schema.clone());
-                code.kernel
-                    .run_sweep_raw_into(outer, [inner], true, &mut results);
+                let mut results = TupleBuf::new(self.program.out_schema(instr).clone());
+                kernel.run_sweep_raw_into(outer, [inner], true, &mut results);
                 // Kernel-aware service time: a join or cross product
                 // charges the n·m sweep of the page pair.
-                let ops = code.kernel.tuple_ops(&[outer.len(), inner.len()]);
+                let ops = kernel.tuple_ops(&[outer.len(), inner.len()]);
                 let dur = self.compute_time_for(&[opage, ipage], ops);
                 self.ips[ip].current_inner = Some(idx);
                 self.ips[ip].current_results = Some(results);
@@ -232,7 +230,7 @@ impl RingMachine {
             .take()
             .expect("computing IP has a result batch");
         let instr = self.ips[ip].instr.expect("computing IP has an instruction");
-        let schema = self.program.instructions[instr].output_schema.clone();
+        let schema = self.program.out_schema(instr).clone();
         let page_size = self.params.page_size;
         // Drain result images into the output buffer page; emit full pages.
         // Pure byte copies — nothing is decoded on the way out.

@@ -41,10 +41,10 @@ mod metrics;
 mod params;
 mod ring;
 
-// The lock manager moved to `df-core` so the `df-host` real-threads
-// executor can share it; re-exported here so `df_ring::LockTable` keeps
-// working (and the MC docs above stay accurate).
-pub use df_core::{LockRequest, LockTable};
+// The lock manager lives in `df-query`, which df-serve's write gate shares
+// without linking the simulators; re-exported here so `df_ring::LockTable`
+// keeps working (and the MC docs above stay accurate).
+pub use df_query::{LockRequest, LockTable};
 pub use machine::{run_ring_queries, run_ring_queries_at, RingMachine, RingRunOutput};
 pub use metrics::RingMetrics;
 pub use params::RingParams;

@@ -22,7 +22,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use df_core::instr::{compile_with, InstrId, Program, UpdateSpec};
+use df_core::instr::{compile_with, InstrId, Program};
 use df_core::CostModel;
 use df_obs::Path as ObsPath;
 use df_query::QueryTree;
@@ -33,7 +33,7 @@ use df_storage::{DiskCache, LocalMemory, MassStorage, PageId, PageStore, PageTab
 use crate::metrics::RingMetrics;
 use crate::params::RingParams;
 use crate::ring::Ring;
-use df_core::{LockRequest, LockTable};
+use df_query::{LockRequest, LockTable};
 
 /// Approximate wire size of inner-ring control messages (assignment,
 /// request, grant, release, done). The paper: "the messages required for
@@ -300,14 +300,16 @@ pub struct RingRunOutput {
     pub results: Vec<Relation>,
     /// Whole-run metrics.
     pub metrics: RingMetrics,
-    /// Deferred updates.
-    updates: Vec<Option<UpdateSpec>>,
+    /// Each update query's tree, `None` for a read-only one.
+    updates: Vec<Option<QueryTree>>,
 }
 
 impl RingRunOutput {
-    /// Apply the batch's append/delete updates to `db`.
-    pub fn apply_updates(&self, db: &mut Catalog) -> Result<()> {
-        df_core::Machine::apply_updates(db, &self.updates, &self.results)
+    /// Apply the batch's append/delete updates to `db`, in batch order;
+    /// each update query's entry in `results` becomes the tuples its write
+    /// appended or deleted ([`df_core::Machine::apply_updates`]).
+    pub fn apply_updates(&mut self, db: &mut Catalog) -> Result<()> {
+        df_core::Machine::apply_updates(db, &self.updates, &mut self.results)
     }
 }
 
@@ -343,12 +345,13 @@ pub fn run_ring_queries_at(
     assert_eq!(arrivals.len(), queries.len(), "one arrival time per query");
     let mut machine = RingMachine::new(db, queries, params.clone())?;
     machine.arrivals = arrivals.to_vec();
-    let updates = machine.program.updates.clone();
     let (results, metrics) = machine.run();
     Ok(RingRunOutput {
         results,
         metrics,
-        updates,
+        updates: (queries.iter())
+            .map(|q| q.node(q.root()).op.is_update().then(|| q.clone()))
+            .collect(),
     })
 }
 
@@ -361,8 +364,8 @@ impl RingMachine {
         params.validate();
         let program = compile_with(db, queries, params.transfer)?;
         // Every instruction's output page must hold at least one tuple.
-        for instr in &program.instructions {
-            Page::new(instr.output_schema.clone(), params.page_size)?;
+        for id in 0..program.instructions.len() {
+            Page::new(program.out_schema(id).clone(), params.page_size)?;
         }
 
         let mut store = PageStore::new();
@@ -394,16 +397,14 @@ impl RingMachine {
         // Per-instruction IC state, with source operands pre-registered.
         let mut ic_instrs: Vec<IcInstr> = Vec::with_capacity(program.instructions.len());
         for instr in &program.instructions {
-            let mut operands = Vec::new();
-            for op in &instr.operands {
-                match &op.source {
-                    Some(name) => operands.push(PageTable::complete_with(
-                        op.schema.clone(),
-                        base_pages[name].clone(),
-                    )),
-                    None => operands.push(PageTable::new(op.schema.clone())),
-                }
-            }
+            let operands: Vec<PageTable> = (program.operands(instr.id))
+                .map(|(schema, source)| match source {
+                    Some(name) => {
+                        PageTable::complete_with(schema.clone(), base_pages[name].clone())
+                    }
+                    None => PageTable::new(schema.clone()),
+                })
+                .collect();
             ic_instrs.push(IcInstr {
                 ic: instr.id % ics,
                 active: false,
@@ -734,7 +735,7 @@ impl RingMachine {
                     "ring machine wedged: instruction {iid} ({}) unfinished \
                      (granted={:?} parked={:?} flushing={:?} outer_next={} outers_done={} \
                      operands=[{}]) IPs: {ips:?}",
-                    self.program.instructions[iid].op_name,
+                    self.program.op_name(iid),
                     st.granted,
                     st.parked,
                     st.flushing,
@@ -773,7 +774,7 @@ impl RingMachine {
             .enumerate()
             .map(|(iid, st)| {
                 (
-                    self.program.instructions[iid].op_name.to_string(),
+                    self.program.op_name(iid).to_string(),
                     self.program.instructions[iid].query,
                     st.first_packet.unwrap_or(SimTime::ZERO),
                     st.completed.unwrap_or(SimTime::ZERO),
@@ -789,7 +790,7 @@ impl RingMachine {
             .iter()
             .enumerate()
             .map(|(q, &root)| {
-                let schema = self.program.instructions[root].output_schema.clone();
+                let schema = self.program.out_schema(root).clone();
                 self.store
                     .materialize(
                         &format!("q{q}_result"),

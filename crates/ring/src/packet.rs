@@ -77,7 +77,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Decode from the wire byte.
-    pub fn from_byte(b: u8) -> Result<Opcode> {
+    fn from_byte(b: u8) -> Result<Opcode> {
         Ok(match b {
             1 => Opcode::Restrict,
             2 => Opcode::Project,

@@ -73,13 +73,13 @@ impl Ring {
     }
 
     /// Hops from `from` to `to` travelling in ring direction.
-    pub fn hops(&self, from: usize, to: usize) -> usize {
+    fn hops(&self, from: usize, to: usize) -> usize {
         assert!(from < self.nodes && to < self.nodes, "node out of range");
         (to + self.nodes - from) % self.nodes
     }
 
     /// Serialization time for `bytes` at the ring rate.
-    pub fn transmit_time(&self, bytes: usize) -> Duration {
+    fn transmit_time(&self, bytes: usize) -> Duration {
         Duration::from_secs_f64(bytes as f64 * 8.0 / self.bits_per_sec)
     }
 

@@ -134,7 +134,7 @@ fn concurrency_control_serializes_writers() {
     let q1 = parse_query(&db, "(delete a (< k 10))").unwrap();
     let q2 = parse_query(&db, "(restrict (scan a) (> k 0))").unwrap();
     let params = small_params();
-    let out = run_ring_queries(&db, &[q1, q2], &params).unwrap();
+    let mut out = run_ring_queries(&db, &[q1, q2], &params).unwrap();
     // The reader conflicts with the deleter: one of them must wait.
     assert!(
         out.metrics.queries_delayed_by_cc >= 1,
@@ -256,7 +256,7 @@ fn writer_arriving_mid_read_waits_for_lock_release() {
     let reader = parse_query(&db, "(join (scan a) (scan a) (= v k))").unwrap();
     let deleter = parse_query(&db, "(delete a (< k 10))").unwrap();
     let arrivals = [SimTime::ZERO, SimTime::from_nanos(1_000_000)];
-    let out =
+    let mut out =
         run_ring_queries_at(&db, &[reader.clone(), deleter], &arrivals, &small_params()).unwrap();
     assert!(
         out.metrics.query_completions[1] >= out.metrics.query_completions[0],

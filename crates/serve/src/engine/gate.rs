@@ -3,7 +3,7 @@
 
 use std::sync::{Condvar, Mutex};
 
-use df_core::{LockRequest, LockTable};
+use df_query::{LockRequest, LockTable};
 
 use super::{lock, wait_on};
 
@@ -67,7 +67,7 @@ pub(super) fn view_mark(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::{view_mark, RelationGate};
-    use df_core::LockRequest;
+    use df_query::LockRequest;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc::channel;
 

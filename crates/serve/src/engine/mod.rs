@@ -82,10 +82,10 @@ use std::sync::{
 };
 use std::thread::JoinHandle;
 
-use df_core::LockRequest;
 use df_host::{HostParams, StandingView};
 use df_obs::{EventKind, Tracer};
 use df_opt::CatalogStats;
+use df_query::LockRequest;
 use df_relalg::Catalog;
 
 use crate::proto::{Priority, QueryResult, Response, ServeError};

@@ -4,9 +4,9 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use df_core::LockRequest;
 use df_host::{HostParams, StandingView};
 use df_obs::Tracer;
+use df_query::LockRequest;
 use df_query::{parse_query, QueryTree};
 
 use super::gate::view_mark;

@@ -7,7 +7,7 @@ use crate::time::SimTime;
 /// This is the primitive behind every bandwidth number in the reproduction:
 /// the paper's Figure 4.2 reports "total number of bytes transferred divided
 /// by the execution time of the benchmark", which is exactly
-/// [`ByteCounter::mean_bandwidth_bps`].
+/// [`ByteCounter::mean_bandwidth_mbps`] (in megabits per second).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ByteCounter {
     /// Total bytes recorded.
@@ -40,7 +40,7 @@ impl ByteCounter {
     }
 
     /// Average bandwidth in bytes/second over `[0, horizon]` (0 if horizon is 0).
-    pub fn mean_bandwidth_bps(&self, horizon: SimTime) -> f64 {
+    fn mean_bandwidth_bps(&self, horizon: SimTime) -> f64 {
         let s = horizon.as_secs_f64();
         if s == 0.0 {
             0.0

@@ -139,12 +139,6 @@ impl Duration {
         self.0 as f64 / 1e6
     }
 
-    /// Checked scalar multiplication.
-    #[inline]
-    pub fn checked_mul(self, k: u64) -> Option<Duration> {
-        self.0.checked_mul(k).map(Duration)
-    }
-
     /// Saturating scalar multiplication.
     #[inline]
     pub fn saturating_mul(self, k: u64) -> Duration {
@@ -301,10 +295,13 @@ mod tests {
         let total: Duration = [1u64, 2, 3].iter().map(|&n| Duration::from_nanos(n)).sum();
         assert_eq!(total, Duration::from_nanos(6));
         assert_eq!(
-            Duration::from_nanos(6).checked_mul(2),
-            Some(Duration::from_nanos(12))
+            Duration::from_nanos(6).saturating_mul(2),
+            Duration::from_nanos(12)
         );
-        assert_eq!(Duration::from_nanos(u64::MAX).checked_mul(2), None);
+        assert_eq!(
+            Duration::from_nanos(u64::MAX).saturating_mul(2),
+            Duration::from_nanos(u64::MAX)
+        );
     }
 
     #[test]

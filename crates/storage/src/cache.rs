@@ -107,7 +107,7 @@ impl DiskCache {
     }
 
     /// Frames in use by `owner`.
-    pub fn frames_used_by(&self, owner: OwnerId) -> usize {
+    fn frames_used_by(&self, owner: OwnerId) -> usize {
         self.occupancy.get(&owner).copied().unwrap_or(0)
     }
 

@@ -42,7 +42,7 @@ fn main() {
         SimTime::from_nanos(500_000_000),
     ];
     let params = RingParams::with_pools(4, 8);
-    let out = run_ring_queries_at(&db, &queries, &arrivals, &params).expect("batch runs");
+    let mut out = run_ring_queries_at(&db, &queries, &arrivals, &params).expect("batch runs");
 
     println!("five users, staggered arrivals:");
     let responses = out.metrics.response_times();

@@ -156,7 +156,7 @@ fn updates_agree_between_machine_and_oracle() {
     // Delete via the machine.
     let mut db_machine = db.clone();
     let tree = parse_query(&db, "(delete r03 (< val 250))").unwrap();
-    let out = run_queries(
+    let mut out = run_queries(
         &db_machine,
         std::slice::from_ref(&tree),
         &machine_params(),
