@@ -175,6 +175,12 @@ fn main() {
         out.metrics.total_bytes() as f64 / 1e6,
         out.metrics.worker_utilization() * 100.0
     );
+    // Join sides are written on the caller's path, outside every run.
+    let (side_build, side_tuples) = (out.metrics.side_build, out.metrics.side_tuples);
+    println!(
+        "side build: {side_build:.2?} for {side_tuples} tuples indexed or keyed ({:.1} ns per tuple)",
+        side_build.as_secs_f64() * 1e9 / side_tuples.max(1) as f64
+    );
     for (i, w) in out.metrics.per_worker.iter().enumerate() {
         let who = match i {
             0 => "caller".to_string(),

@@ -5,6 +5,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+use std::time::{Duration, Instant};
 
 use df_query::ops::KeyClass;
 use df_query::{Firing, JoinAlgo, Kernel};
@@ -56,11 +57,18 @@ impl Received {
         }
     }
 
-    fn push(&mut self, page: Arc<Page>) {
+    /// Append one delivered batch; returns the tuples indexed or keyed
+    /// (none for a side that keeps its pages alone).
+    fn extend(&mut self, pages: &[Arc<Page>]) -> usize {
         match self {
-            Received::Index(index) => index.push(page),
-            Received::Column(column) => column.push(page),
-            Received::Pages(pages) => pages.push(page),
+            Received::Index(index) => index.extend(pages),
+            Received::Column(column) => column.extend(pages),
+            Received::Pages(side) => {
+                for page in pages {
+                    side.push(Arc::clone(page));
+                }
+                0
+            }
         }
     }
 }
@@ -80,8 +88,8 @@ impl Side {
     /// Read the side. A `RwLock` is poisoned only by a panic under its
     /// write guard, so a reader's panic (a kernel panic, caught per unit)
     /// cannot poison it. The one writer is [`Side::extend`] on the
-    /// scheduler thread. Should a push panic midway, the page it was
-    /// pushing is not yet counted in `pages()`, so whatever it left lies
+    /// scheduler thread. Should an extend panic midway, the page it was
+    /// adding is not yet counted in `pages()`, so whatever it left lies
     /// past every unit's `upto`: an index entry has an ordinal ≥ `upto`,
     /// and a key chain runs in ascending ordinal order, so a probe's walk
     /// stops at the first such entry (entries are stored before they are
@@ -92,13 +100,12 @@ impl Side {
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Append `pages` behind every page already received. Poisoning is
-    /// recovered for the reason given at [`Side::read`].
-    fn extend(&self, pages: &[Arc<Page>]) {
+    /// Append `pages`, one delivered batch, behind every page already
+    /// received, in one write; returns the tuples indexed or keyed.
+    /// Poisoning is recovered for the reason given at [`Side::read`].
+    fn extend(&self, pages: &[Arc<Page>]) -> usize {
         let mut side = self.0.write().unwrap_or_else(PoisonError::into_inner);
-        for page in pages {
-            side.push(Arc::clone(page));
-        }
+        side.extend(pages)
     }
 }
 
@@ -160,6 +167,9 @@ pub(super) struct Cell {
     /// Units taken by runs and not yet settled or requeued — the one
     /// in-flight count; the scheduler's total is the sum of it.
     in_flight: usize,
+    /// Time spent writing the cell's sides, one clock pair per delivered
+    /// batch, and the tuples they indexed or keyed.
+    side_build: (Duration, u64),
 }
 
 impl Cell {
@@ -182,6 +192,7 @@ impl Cell {
             ports_done: [ports < 1, ports < 2],
             pending: VecDeque::new(),
             in_flight: 0,
+            side_build: (Duration::ZERO, 0),
         }
     }
 
@@ -193,6 +204,12 @@ impl Cell {
     /// Units taken and not yet settled or requeued.
     pub fn in_flight(&self) -> usize {
         self.in_flight
+    }
+
+    /// Time spent writing the cell's sides, and the tuples they indexed or
+    /// keyed.
+    pub fn side_build(&self) -> (Duration, u64) {
+        self.side_build
     }
 
     /// The §2 firing rule: operand `pages` arrived at `port`. Returns how
@@ -224,7 +241,10 @@ impl Cell {
                     }));
                 }
                 if keep {
-                    sides[port].extend(pages);
+                    let started = Instant::now();
+                    let tuples = sides[port].extend(pages);
+                    self.side_build.0 += started.elapsed();
+                    self.side_build.1 += tuples as u64;
                 }
             }
             State::Collecting(received) => received[port].extend_from_slice(pages),

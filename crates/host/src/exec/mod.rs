@@ -239,6 +239,8 @@ pub fn run_host_queries(
             cells: graph.cells.len(),
             per_query: outcome.per_query,
             per_worker,
+            side_build: outcome.side_build.0,
+            side_tuples: outcome.side_build.1,
         },
     })
 }

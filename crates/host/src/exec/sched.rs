@@ -32,6 +32,8 @@ pub(super) struct SchedulerOutcome {
     pub dead: Vec<bool>,
     /// What the caller served.
     pub caller: WorkerStats,
+    /// Time spent writing join sides, and the tuples indexed or keyed.
+    pub side_build: (Duration, u64),
 }
 
 pub(super) struct Scheduler<'a> {
@@ -205,11 +207,14 @@ impl<'a> Scheduler<'a> {
             .into_iter()
             .map(|r| r.expect("every query concluded"))
             .collect();
+        let side_build = (self.cells.iter().map(Cell::side_build))
+            .fold((Duration::ZERO, 0), |(t, n), (dt, dn)| (t + dt, n + dn));
         Ok(SchedulerOutcome {
             results,
             per_query: self.per_query,
             dead: self.dead,
             caller: self.caller,
+            side_build,
         })
     }
 
@@ -361,7 +366,8 @@ impl<'a> Scheduler<'a> {
         let stats = &mut self.per_query[q];
         if let Ok(rel) = &result {
             stats.result_tuples = rel.num_tuples();
-            stats.result_payload_bytes = rel.tuple_refs().map(|t| t.raw().len() as u64).sum();
+            // Tuples are fixed-width.
+            stats.result_payload_bytes = (rel.num_tuples() * rel.schema().tuple_width()) as u64;
         }
         stats.elapsed = self.started.elapsed();
         if let Some(t) = trace {

@@ -128,6 +128,15 @@ pub struct HostMetrics {
     pub per_query: Vec<QueryStats>,
     /// Per-worker activity, indexed by worker id.
     pub per_worker: Vec<WorkerStats>,
+    /// Time the scheduler spent writing join sides — indexing or keying
+    /// each delivered batch of pages a pair-sweep cell keeps — untraced,
+    /// one clock pair per batch. It lies on the caller's path outside
+    /// every run, so no worker's `busy` includes it.
+    pub side_build: Duration,
+    /// Tuples those writes indexed ([`df_relalg::SideKeyIndex`]) or keyed
+    /// ([`df_relalg::SideKeyColumn`]); a side that keeps its pages alone
+    /// adds none.
+    pub side_tuples: u64,
 }
 
 impl HostMetrics {

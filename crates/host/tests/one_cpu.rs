@@ -10,6 +10,7 @@
 //! kernel refuses the mask the test skips with a message.
 
 use std::ffi::c_int;
+use std::time::Duration;
 
 use df_host::{run_host_queries, run_host_query, FaultPlan, HostMetrics, HostParams};
 use df_query::TransferMode;
@@ -209,5 +210,48 @@ fn one_cpu_spawns_no_helper() {
             assert!(helper_units(&m) > 0, "{at}: helper 1 never served");
             assert_eq!(pages, want, "{at}: pages differ from 1 worker");
         }
+    });
+}
+
+/// Join sides are written on the caller's path and timed there: a batch
+/// without a join builds no side, while the ten queries under the hash
+/// join index tuples, in measurable time. On one processor each side is
+/// written in the same deliveries call after call, so the tuples indexed
+/// repeat exactly.
+#[test]
+fn one_cpu_side_build_is_timed_and_repeats() {
+    on_one_cpu(|| {
+        let spec = BenchmarkSpec::scaled(0.05);
+        let db = generate_database(&spec.database);
+        let params = HostParams {
+            join: JoinAlgo::Hash,
+            transfer: TransferMode::Pipeline,
+            ..HostParams::with_workers(2)
+        };
+        let restrict = |relation: &str| {
+            TreeBuilder::new(&db)
+                .scan(relation)
+                .unwrap()
+                .restrict_where("val", CmpOp::Lt, Value::Int(spec.cutoff()))
+                .unwrap()
+                .finish()
+        };
+        let join_free = [restrict("r00"), restrict("r01")];
+        let m = run_host_queries(&db, &join_free, &params)
+            .expect("host executes")
+            .metrics;
+        assert_eq!((m.side_build, m.side_tuples), (Duration::ZERO, 0));
+
+        let queries = benchmark_queries(&db, &spec).expect("benchmark queries build");
+        let calls: Vec<HostMetrics> = (0..2)
+            .map(|_| {
+                let out = run_host_queries(&db, &queries, &params).expect("host executes");
+                assert!(out.results.iter().all(Result::is_ok));
+                out.metrics
+            })
+            .collect();
+        assert!(calls[0].side_tuples > 0, "a hash join indexes its sides");
+        assert!(!calls[0].side_build.is_zero(), "side building is timed");
+        assert_eq!(calls[0].side_tuples, calls[1].side_tuples);
     });
 }

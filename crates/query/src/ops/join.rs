@@ -93,13 +93,15 @@ pub fn hash_join_side_into(
         (condition.right, condition.left)
     };
     debug_assert_eq!(side.key(), side_key, "side index/condition mismatch");
-    for t in page.tuple_refs() {
-        for entry in side.probe(t.attr_bytes(key), upto) {
+    let schema = page.schema();
+    let (range, width) = (schema.attr_range(key), schema.tuple_width());
+    for row in page.raw_data().chunks_exact(width) {
+        for entry in side.probe(&row[range.clone()], upto) {
             let opposite = side.received().image(entry);
             if page_is_outer {
-                out.push_concat(t.raw(), opposite);
+                out.push_concat(row, opposite);
             } else {
-                out.push_concat(opposite, t.raw());
+                out.push_concat(opposite, row);
             }
         }
     }

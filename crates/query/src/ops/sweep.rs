@@ -651,7 +651,7 @@ mod tests {
             let side: Vec<(i64, i64)> = (0..n as i64).map(|i| (i % 5, i)).collect();
             let mut column = SideKeyColumn::new(0);
             for rows in side.chunks(7) {
-                column.push(std::sync::Arc::new(kv_page(rows)));
+                column.extend(&[std::sync::Arc::new(kv_page(rows))]);
             }
             let upto = column.received().len();
             assert_eq!(column.keys(upto).len(), n);

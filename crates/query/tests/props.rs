@@ -576,7 +576,7 @@ proptest! {
             for (page, opposite, side_key, page_is_outer) in cases {
                 let mut side = SideKeyIndex::new(side_key);
                 for p in opposite {
-                    side.push(Arc::new(p.clone()));
+                    side.extend(&[Arc::new(p.clone())]);
                 }
                 let upto = upto.min(opposite.len());
                 let mut got = TupleBuf::new(out_schema.clone());
@@ -635,7 +635,7 @@ proptest! {
             for (page, opposite, side_key, page_is_outer) in cases {
                 let mut column = SideKeyColumn::new(side_key);
                 for p in opposite {
-                    column.push(Arc::new(p.clone()));
+                    column.extend(&[Arc::new(p.clone())]);
                 }
                 let upto = upto.min(opposite.len());
                 let mut got = TupleBuf::new(out_schema.clone());

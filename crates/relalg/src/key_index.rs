@@ -103,6 +103,14 @@ impl<V> KeyMap<V> {
         }
     }
 
+    /// Make room for `additional` more keys.
+    fn reserve(&mut self, additional: usize) {
+        match self {
+            KeyMap::Word(map) => map.reserve(additional),
+            KeyMap::Bytes(map) => map.reserve(additional),
+        }
+    }
+
     /// Apply `update` to the value of `key`, or map `key` to `insert()`
     /// when it is absent.
     #[inline]
@@ -185,15 +193,15 @@ const NIL: u32 = u32::MAX;
 /// A growing hash index over every page one operand of a join has received
 /// so far — the build side of a symmetric hash join.
 ///
-/// Every tuple pushed is one `(page ordinal, slot)` entry in a flat list
+/// Every tuple indexed is one `(page ordinal, slot)` entry in a flat list
 /// in arrival order. The entries of one key are chained through a parallel
 /// `next` list, and the map holds each distinct key image's first and last
-/// position, so a push appends and links behind its key's last entry and
+/// position, so an entry appends and links behind its key's last entry and
 /// no key owns an allocation of its own.
 ///
 /// Pages are only ever appended, so every chain runs in ascending ordinal
 /// order and its entries of the first `upto` pages are a prefix that never
-/// changes once pushed: a probe bounded by `upto` stops at the first entry
+/// changes once indexed: a probe bounded by `upto` stops at the first entry
 /// at or past the bound, and sees exactly the pages received before that
 /// bound was taken, however many arrive afterwards.
 #[derive(Debug, Clone)]
@@ -201,9 +209,10 @@ pub struct SideKeyIndex {
     key: usize,
     received: SidePages,
     /// Distinct key image → the (first, last) position of its chain in
-    /// `entries`.
-    map: KeyMap<(u32, u32)>,
-    /// Every tuple pushed, in arrival order.
+    /// `entries`; made by the first [`SideKeyIndex::extend`], for the key's
+    /// width.
+    map: Option<KeyMap<(u32, u32)>>,
+    /// Every tuple indexed, in arrival order.
     entries: Vec<SideEntry>,
     /// `next[i]`: the position of the next entry after `entries[i]` with
     /// the same key, or [`NIL`].
@@ -216,55 +225,66 @@ impl SideKeyIndex {
         SideKeyIndex {
             key,
             received: SidePages::new(),
-            map: KeyMap::for_width(8, 0),
+            map: None,
             entries: Vec::new(),
             next: Vec::new(),
         }
     }
 
-    /// Append `page`'s tuples to the index, behind every page pushed
-    /// before it.
+    /// Append one delivered batch of `pages`, in order, behind every page
+    /// indexed before them; returns the tuples indexed.
     ///
-    /// Each tuple's entry is stored before it is linked into its key's
-    /// chain, so a panic midway leaves at worst one unlinked entry, never
-    /// a link to a missing one.
+    /// The map and the entry lists are sized once for the batch's tuples,
+    /// and each key is read straight off its row. Per page, each tuple's
+    /// entry is stored before it is linked into its key's chain, and the
+    /// page is counted in [`SideKeyIndex::received`] only after its
+    /// entries, so a panic midway leaves at worst one unlinked entry, never
+    /// a link to a missing one, and only entries past every counted page.
     ///
     /// # Panics
-    /// Panics if `key` is out of range for the page's schema, or past
+    /// Panics if `key` is out of range for the pages' schema, or past
     /// `u32::MAX` pages or `u32::MAX - 1` tuples.
-    pub fn push(&mut self, page: Arc<Page>) {
-        if self.received.is_empty() {
-            let width = page.schema().attr_range(self.key).len();
-            self.map = KeyMap::for_width(width, page.len());
+    pub fn extend(&mut self, pages: &[Arc<Page>]) -> usize {
+        let Some(first) = pages.first() else {
+            return 0;
+        };
+        let schema = first.schema();
+        let (range, width) = (schema.attr_range(self.key), schema.tuple_width());
+        let tuples = pages.iter().map(|p| p.len()).sum();
+        let map = (self.map).get_or_insert_with(|| KeyMap::for_width(range.len(), 0));
+        map.reserve(tuples);
+        self.entries.reserve(tuples);
+        self.next.reserve(tuples);
+        for page in pages {
+            let ordinal = self.received.next_ordinal();
+            for (slot, row) in page.raw_data().chunks_exact(width).enumerate() {
+                let at = u32::try_from(self.entries.len())
+                    .ok()
+                    .filter(|&at| at != NIL)
+                    .expect("a side of fewer than u32::MAX tuples");
+                self.entries.push((ordinal, slot as u32));
+                self.next.push(NIL);
+                let next = &mut self.next;
+                map.upsert(
+                    &row[range.clone()],
+                    || (at, at),
+                    |(_, last)| {
+                        next[*last as usize] = at;
+                        *last = at;
+                    },
+                );
+            }
+            self.received.push(Arc::clone(page));
         }
-        let ordinal = self.received.next_ordinal();
-        self.entries.reserve(page.len());
-        self.next.reserve(page.len());
-        for (slot, t) in page.tuple_refs().enumerate() {
-            let at = u32::try_from(self.entries.len())
-                .ok()
-                .filter(|&at| at != NIL)
-                .expect("a side of fewer than u32::MAX tuples");
-            self.entries.push((ordinal, slot as u32));
-            self.next.push(NIL);
-            let next = &mut self.next;
-            self.map.upsert(
-                t.attr_bytes(self.key),
-                || (at, at),
-                |(_, last)| {
-                    next[*last as usize] = at;
-                    *last = at;
-                },
-            );
-        }
-        self.received.push(page);
+        tuples
     }
 
     /// The entries whose key image equals `key_bytes` among the first
-    /// `upto` pages pushed, in arrival order (page ordinal, then slot).
+    /// `upto` pages indexed, in arrival order (page ordinal, then slot).
     #[inline]
     pub fn probe(&self, key_bytes: &[u8], upto: usize) -> impl Iterator<Item = SideEntry> + '_ {
-        let mut at = self.map.get(key_bytes).map_or(NIL, |&(first, _)| first);
+        let first = (self.map.as_ref()).and_then(|map| map.get(key_bytes));
+        let mut at = first.map_or(NIL, |&(first, _)| first);
         std::iter::from_fn(move || {
             // `NIL` is past the last position, so `get` ends the chain.
             let entry = *self.entries.get(at as usize)?;
@@ -276,7 +296,7 @@ impl SideKeyIndex {
         })
     }
 
-    /// The pages pushed, in arrival order; an entry's image is
+    /// The pages indexed, in arrival order; an entry's image is
     /// [`SidePages::image`].
     pub fn received(&self) -> &SidePages {
         &self.received
@@ -435,14 +455,14 @@ mod tests {
     fn side_probe_sees_entries_in_arrival_order_up_to_the_bound() {
         let mut side = SideKeyIndex::new(0);
         assert!(probed(&side, &enc(7), 0).is_empty());
-        side.push(Arc::new(page(&[7, 3, 7])));
-        side.push(Arc::new(page(&[])));
-        side.push(Arc::new(page(&[1, 7])));
+        side.extend(&[Arc::new(page(&[7, 3, 7]))]);
+        side.extend(&[Arc::new(page(&[]))]);
+        side.extend(&[Arc::new(page(&[1, 7]))]);
         assert_eq!(
             (
                 side.key(),
                 side.received().pages().len(),
-                distinct(&side.map)
+                distinct(side.map.as_ref().unwrap())
             ),
             (0, 3, 3)
         );
@@ -463,7 +483,7 @@ mod tests {
         let mut side = SideKeyIndex::new(0);
         assert_eq!(side.received().wire_bytes(0), 0);
         for keys in [&[7, 3, 7][..], &[], &[1, 7]] {
-            side.push(Arc::new(page(keys)));
+            side.extend(&[Arc::new(page(keys))]);
         }
         for upto in 0..=3 {
             let summed = side.received().pages()[..upto]
@@ -493,7 +513,7 @@ mod tests {
             for s in words {
                 p.push(&Tuple::new(vec![Value::str(s)])).unwrap();
             }
-            side.push(Arc::new(p));
+            side.extend(&[Arc::new(p)]);
         }
         let key = encode(&Value::str("aa"), DataType::Str(4));
         assert_eq!(probed(&side, &key, 2), [(0, 0), (1, 0)]);
@@ -525,11 +545,11 @@ mod tests {
                 let entry = (ordinal as u32, slot as u32);
                 model.entry(encode(k, dtype)).or_default().push(entry);
             }
-            side.push(Arc::new(p));
+            side.extend(&[Arc::new(p)]);
         }
         let pages = side.received().pages().len();
         assert!(pages >= 2_000, "{pages} pages");
-        assert_eq!(distinct(&side.map), model.len());
+        assert_eq!(distinct(side.map.as_ref().unwrap()), model.len());
         for upto in [0, 1, pages / 3, pages / 2 + 1, pages - 1, pages] {
             for (key, entries) in &model {
                 let seen = entries.partition_point(|&(page, _)| (page as usize) < upto);

@@ -1,6 +1,11 @@
 //! Property-based tests for the relational model's core invariants.
 
-use df_relalg::{DataType, Page, Relation, Schema, Tuple, Value, PAGE_HEADER_BYTES};
+use std::sync::Arc;
+
+use df_relalg::{
+    DataType, Page, Relation, Schema, SideEntry, SideKeyColumn, SideKeyIndex, Tuple, Value,
+    PAGE_HEADER_BYTES,
+};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary schema of 1..=6 attributes.
@@ -142,5 +147,124 @@ proptest! {
         names.sort();
         names.dedup();
         prop_assert_eq!(names.len(), joined.arity());
+    }
+}
+
+/// Key `i` of a ten-key domain of `dtype`, distinct for every `i`.
+fn domain_key(dtype: DataType, i: u8) -> Value {
+    match dtype {
+        DataType::Str(_) => Value::str(&char::from(b'a' + i).to_string()),
+        _ => Value::Int((i64::from(i) - 5) * ((1 << 32) + 7)),
+    }
+}
+
+fn encoded(v: &Value, dtype: DataType) -> Vec<u8> {
+    let mut out = Vec::new();
+    v.encode(dtype, &mut out).unwrap();
+    out
+}
+
+proptest! {
+    /// A join side extended by delivered batches holds exactly what the
+    /// same pages give extended one at a time, and what a per-tuple model
+    /// of `(page ordinal, slot)` gives: every key's probe (eight present
+    /// keys and two absent ones) at every bound, each probed entry's image,
+    /// a key column's prefixes and images, and the pages themselves.
+    /// Batches hold empty pages, a batch may be empty, and keys are `Int`
+    /// (the word map and the key column) or `Str(n)` (the byte map, or the
+    /// word map at `Str(8)`).
+    #[test]
+    fn side_extended_by_batches_equals_pages_one_at_a_time(
+        dtype in prop_oneof![Just(DataType::Int), (1u16..12).prop_map(DataType::Str)],
+        batch_keys in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(0u8..8, 0..6), 0..4),
+            0..6,
+        ),
+    ) {
+        let schema = Schema::build()
+            .attr("k", dtype)
+            .attr("v", DataType::Int)
+            .finish()
+            .unwrap();
+        let page_size = PAGE_HEADER_BYTES + schema.tuple_width() * 6;
+        let page = |keys: &[u8]| {
+            let mut p = Page::new(schema.clone(), page_size).unwrap();
+            for (slot, &k) in keys.iter().enumerate() {
+                let row = vec![domain_key(dtype, k), Value::Int(slot as i64)];
+                p.push(&Tuple::new(row)).unwrap();
+            }
+            Arc::new(p)
+        };
+        let batches: Vec<Vec<Arc<Page>>> = (batch_keys.iter())
+            .map(|batch| batch.iter().map(|keys| page(keys)).collect())
+            .collect();
+        let pages = batches.concat();
+        let page_keys = batch_keys.concat();
+        // The model: key `i`'s entries among the first `upto` pages.
+        let model = |i: u8, upto: usize| -> Vec<SideEntry> {
+            (page_keys[..upto].iter().enumerate())
+                .flat_map(|(ordinal, keys)| {
+                    (keys.iter().enumerate())
+                        .filter(move |&(_, &k)| k == i)
+                        .map(move |(slot, _)| (ordinal as u32, slot as u32))
+                })
+                .collect()
+        };
+        let tuples: usize = page_keys.iter().map(Vec::len).sum();
+
+        let (mut batched, mut single) = (SideKeyIndex::new(0), SideKeyIndex::new(0));
+        let indexed: usize = batches.iter().map(|batch| batched.extend(batch)).sum();
+        for page in &pages {
+            single.extend(std::slice::from_ref(page));
+        }
+        prop_assert_eq!(indexed, tuples);
+        for side in [&batched, &single] {
+            let received = side.received().pages();
+            prop_assert_eq!(received.len(), pages.len());
+            prop_assert!(received.iter().zip(&pages).all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+        for upto in 0..=pages.len() {
+            for i in 0..10 {
+                let key = encoded(&domain_key(dtype, i), dtype);
+                let got: Vec<SideEntry> = batched.probe(&key, upto).collect();
+                let one_at_a_time: Vec<SideEntry> = single.probe(&key, upto).collect();
+                prop_assert_eq!(&got, &one_at_a_time, "key {} upto {}", i, upto);
+                prop_assert_eq!(&got, &model(i, upto), "key {} upto {}", i, upto);
+                for &entry in &got {
+                    let image = batched.received().image(entry);
+                    prop_assert!(image.starts_with(&key));
+                    prop_assert_eq!(image, single.received().image(entry));
+                }
+            }
+        }
+
+        // A key column keys `Int`s alone.
+        if dtype == DataType::Int {
+            let (mut batched, mut single) = (SideKeyColumn::new(0), SideKeyColumn::new(0));
+            let keyed: usize = batches.iter().map(|batch| batched.extend(batch)).sum();
+            for page in &pages {
+                single.extend(std::slice::from_ref(page));
+            }
+            prop_assert_eq!(keyed, tuples);
+            prop_assert_eq!(batched.received().len(), pages.len());
+            for upto in 0..=pages.len() {
+                let want: Vec<i64> = (page_keys[..upto].iter().flatten())
+                    .map(|&k| match domain_key(dtype, k) {
+                        Value::Int(k) => k,
+                        other => unreachable!("an Int key: {other}"),
+                    })
+                    .collect();
+                prop_assert_eq!(batched.keys(upto), &want[..], "upto {}", upto);
+                prop_assert_eq!(single.keys(upto), &want[..], "upto {}", upto);
+            }
+            for at in 0..tuples {
+                prop_assert_eq!(batched.image(at), single.image(at));
+            }
+            let images: Vec<&[u8]> = (0..tuples).map(|at| batched.image(at)).collect();
+            let rows: Vec<&[u8]> = (pages.iter())
+                .flat_map(|p| p.raw_data().chunks_exact(schema.tuple_width()))
+                .collect();
+            prop_assert_eq!(images, rows);
+        }
     }
 }
