@@ -152,7 +152,7 @@ fn main() {
 
     // The engine reports its lane count in its stats rows, so the
     // artifact records it even when benchmarking an external server.
-    let lanes = *server_stats(&addr).get("lanes").unwrap_or(&0);
+    let lanes = stat(&server_stats(&addr), "lanes");
     artifact.param("lanes", lanes);
 
     // The view mix needs its standing views in place before any client
@@ -211,79 +211,53 @@ fn main() {
         tuples += row.tuples;
         payload += row.payload_bytes;
 
-        let delta = |key: &str| {
-            (after.get(key).copied().unwrap_or(0) as i64
-                - before.get(key).copied().unwrap_or(0) as i64) as f64
-        };
+        // Every engine counter as its delta over the mode run, except
+        // `views_installed`, kept cumulative: the quiescence identity is
+        // about whether any view exists, and installs happen before the
+        // first mode run. `lanes` is a setting, recorded once above.
+        let server: Vec<(String, f64)> = (after.into_iter())
+            .filter(|(key, _)| key != "lanes")
+            .map(|(key, value)| {
+                let value = match key.as_str() {
+                    "views_installed" => value as f64,
+                    _ => value as f64 - stat(&before, &key) as f64,
+                };
+                (key, value)
+            })
+            .collect();
         let p50 = percentile(&mut all_ms, 0.50);
         let p95 = percentile(&mut all_ms, 0.95);
         let p99 = percentile(&mut all_ms, 0.99);
         let qps_sustained = row.ok as f64 / wall;
+        let counters: Vec<String> = (server.iter())
+            .map(|(key, value)| format!("{key} {value}"))
+            .collect();
         println!(
             "{mode}: {} sent, {} ok, {} busy, {} errors | p50 {p50:.2} ms, \
              p95 {p95:.2} ms, p99 {p99:.2} ms | {qps_sustained:.1} qps sustained | \
-             server: {} submitted, {} executed, {} fused, {} joined, \
-             cache {}/{} hit/miss, {} evicted, {} stats gathers, \
-             {} writes ({} overlapped), {} delta pages, {} view reads",
+             server: {}",
             row.sent,
             row.ok,
             row.busy,
             row.errors,
-            delta("submitted"),
-            delta("executed"),
-            delta("fused"),
-            delta("inflight_joins"),
-            delta("plan_cache_hits"),
-            delta("plan_cache_misses"),
-            delta("cache_evictions_partial"),
-            delta("stats_gathers"),
-            delta("writes_applied"),
-            delta("concurrent_write_batches"),
-            delta("delta_pages"),
-            delta("view_reads_served"),
+            counters.join(", "),
         );
+        let mut values: Vec<(String, f64)> = vec![
+            ("clients".into(), opts.clients as f64),
+            ("sent".into(), row.sent as f64),
+            ("ok".into(), row.ok as f64),
+            ("busy".into(), row.busy as f64),
+            ("errors".into(), row.errors as f64),
+            ("p50_ms".into(), p50),
+            ("p95_ms".into(), p95),
+            ("p99_ms".into(), p99),
+            ("qps_sustained".into(), qps_sustained),
+        ];
+        values.extend(server);
+        values.push(("lanes".into(), lanes as f64));
         artifact.sweep.push(SweepRow {
             label: format!("mode={mode}"),
-            values: vec![
-                ("clients".into(), opts.clients as f64),
-                ("sent".into(), row.sent as f64),
-                ("ok".into(), row.ok as f64),
-                ("busy".into(), row.busy as f64),
-                ("errors".into(), row.errors as f64),
-                ("p50_ms".into(), p50),
-                ("p95_ms".into(), p95),
-                ("p99_ms".into(), p99),
-                ("qps_sustained".into(), qps_sustained),
-                ("submitted".into(), delta("submitted")),
-                ("executed".into(), delta("executed")),
-                ("fused".into(), delta("fused")),
-                ("writes_applied".into(), delta("writes_applied")),
-                ("reads".into(), delta("reads")),
-                ("read_execs".into(), delta("read_execs")),
-                ("inflight_joins".into(), delta("inflight_joins")),
-                ("plan_cache_hits".into(), delta("plan_cache_hits")),
-                ("plan_cache_misses".into(), delta("plan_cache_misses")),
-                ("parses".into(), delta("parses")),
-                (
-                    "cache_evictions_partial".into(),
-                    delta("cache_evictions_partial"),
-                ),
-                ("stats_gathers".into(), delta("stats_gathers")),
-                (
-                    "concurrent_write_batches".into(),
-                    delta("concurrent_write_batches"),
-                ),
-                // Cumulative, not a delta: the quiescence identity is
-                // about whether any view exists, and installs happen
-                // before the first mode run.
-                (
-                    "views_installed".into(),
-                    after.get("views_installed").copied().unwrap_or(0) as f64,
-                ),
-                ("delta_pages".into(), delta("delta_pages")),
-                ("view_reads_served".into(), delta("view_reads_served")),
-                ("lanes".into(), lanes as f64),
-            ],
+            values,
         });
     }
 
@@ -481,14 +455,20 @@ fn absorb(tally: &mut Tally, response: &Response, run_start: Instant) {
     }
 }
 
-/// Fetch the server's counters over a throwaway control connection.
-fn server_stats(addr: &str) -> HashMap<String, u64> {
+/// Fetch the server's counters, in the engine's row order, over a
+/// throwaway control connection.
+fn server_stats(addr: &str) -> Vec<(String, u64)> {
     let mut c = ServeClient::connect(addr).unwrap_or_else(|e| die(&format!("stats connect: {e}")));
     match c.request(&Request::Stats) {
-        Ok(Response::Stats(rows)) => rows.into_iter().collect(),
+        Ok(Response::Stats(rows)) => rows,
         Ok(other) => die(&format!("unexpected stats response: {other:?}")),
         Err(e) => die(&format!("stats: {e}")),
     }
+}
+
+/// The value of stats row `key`, 0 if the server does not report it.
+fn stat(rows: &[(String, u64)], key: &str) -> u64 {
+    rows.iter().find(|(k, _)| k == key).map_or(0, |&(_, v)| v)
 }
 
 fn parse_args() -> Opts {

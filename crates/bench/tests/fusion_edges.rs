@@ -4,10 +4,10 @@
 //! join fed twice by the same relation — plus the conservation identity
 //! that fusion neither loses nor invents an operator.
 
-use df_core::instr::{compile_with, Kernel, Program};
+use df_core::instr::{base_relations, parent};
 use df_core::{run_queries, AllocationStrategy, Granularity, MachineParams, TransferMode};
 use df_host::{HostError, HostMetrics, HostParams};
-use df_query::{execute, execute_readonly, parse_query, ExecParams, QueryTree};
+use df_query::{execute, execute_readonly, parse_query, ExecParams, Graph, Kernel, QueryTree};
 use df_relalg::{Catalog, DataType, Relation, Schema, Tuple, Value};
 use df_ring::RingParams;
 use proptest::prelude::*;
@@ -73,14 +73,28 @@ fn on_host(db: &Catalog, q: &QueryTree, transfer: TransferMode) -> (Relation, Ho
 }
 
 /// The simulators' program for `q` under `transfer`.
-fn program(db: &Catalog, q: &QueryTree, transfer: TransferMode) -> Program {
-    compile_with(db, std::slice::from_ref(q), transfer).unwrap()
+fn program(db: &Catalog, q: &QueryTree, transfer: TransferMode) -> Graph {
+    Graph::per_query(db, std::slice::from_ref(q), transfer).unwrap()
+}
+
+/// The kernel instruction `id` runs.
+fn kernel(program: &Graph, id: usize) -> &Kernel {
+    &program.cells[id].node().kernel
+}
+
+/// The query's root instruction.
+fn root(program: &Graph) -> usize {
+    program
+        .cells
+        .iter()
+        .position(|c| !c.results.is_empty())
+        .unwrap()
 }
 
 /// Step counts of the program's span instructions, in instruction order.
-fn span_lengths(program: &Program) -> Vec<usize> {
-    (0..program.instructions.len())
-        .filter_map(|id| match program.kernel(id) {
+fn span_lengths(program: &Graph) -> Vec<usize> {
+    (0..program.cells.len())
+        .filter_map(|id| match kernel(program, id) {
             Kernel::Unary(form) if form.steps() > 1 => Some(form.steps()),
             _ => None,
         })
@@ -123,14 +137,9 @@ fn dedup_project_in_mid_chain_splits_it_into_two_spans() {
     let fused = program(&db, &q, TransferMode::Pipeline);
     // span(restrict, project) → project-distinct → span(restrict, project)
     assert_eq!(span_lengths(&fused), vec![2, 2]);
-    assert_eq!(fused.instructions.len(), 3);
-    assert!(matches!(fused.kernel(1), Kernel::ProjectDedupFinal(_)));
-    assert_eq!(
-        program(&db, &q, TransferMode::Materialize)
-            .instructions
-            .len(),
-        5
-    );
+    assert_eq!(fused.cells.len(), 3);
+    assert!(matches!(kernel(&fused, 1), Kernel::ProjectDedupFinal(_)));
+    assert_eq!(program(&db, &q, TransferMode::Materialize).cells.len(), 5);
     assert_all_executors_match_oracle(&db, &q);
 }
 
@@ -146,15 +155,18 @@ fn both_legs_of_a_self_join_fuse_independently() {
     .unwrap();
     let fused = program(&db, &q, TransferMode::Pipeline);
     assert_eq!(span_lengths(&fused), vec![2, 3]);
-    let join = fused.roots[0];
-    assert!(matches!(fused.kernel(join), Kernel::JoinPair(..)));
+    let join = root(&fused);
+    assert!(matches!(kernel(&fused, join), Kernel::JoinPair(..)));
     // Each span reads `t` itself and feeds its own port of the join.
     for (leg, port) in [(0, 0), (1, 1)] {
-        let sources: Vec<_> = fused.operands(leg).map(|(_, source)| source).collect();
+        let sources: Vec<_> = fused.cells[leg]
+            .operands()
+            .map(|(_, source)| source)
+            .collect();
         assert_eq!(sources, vec![Some("t")]);
-        assert_eq!(fused.instructions[leg].parent, Some((join, port)));
+        assert_eq!(parent(&fused, leg), Some((join, port)));
     }
-    assert_eq!(fused.base_relations, vec!["t"]);
+    assert_eq!(base_relations(&fused), vec!["t"]);
     assert_all_executors_match_oracle(&db, &q);
 }
 
@@ -168,16 +180,16 @@ fn chain_under_an_update_root_fuses_but_the_update_never_does() {
     .unwrap();
     let fused = program(&db, &append, TransferMode::Pipeline);
     assert_eq!(span_lengths(&fused), vec![2]);
-    assert_eq!(fused.instructions.len(), 2);
-    let root = fused.roots[0];
-    assert_eq!(fused.op_name(root), "append");
-    assert!(matches!(fused.kernel(root), Kernel::Unary(form) if form.steps() == 0));
-    assert_eq!(fused.instructions[0].parent, Some((root, 0)));
+    assert_eq!(fused.cells.len(), 2);
+    let root = root(&fused);
+    assert_eq!(fused.cells[root].op_name(), "append");
+    assert!(matches!(kernel(&fused, root), Kernel::Unary(form) if form.steps() == 0));
+    assert_eq!(parent(&fused, 0), Some((root, 0)));
     // A delete fires per page like a restrict, and still stands alone.
     let delete = parse_query(&db, "(delete t (> k 6))").unwrap();
     let program = program(&db, &delete, TransferMode::Pipeline);
     assert!(span_lengths(&program).is_empty());
-    assert!(matches!(program.kernel(0), Kernel::Unary(form) if form.steps() == 1));
+    assert!(matches!(kernel(&program, 0), Kernel::Unary(form) if form.steps() == 1));
 
     for q in [&append, &delete] {
         let mut want_db = db.clone();
@@ -329,14 +341,13 @@ proptest! {
 
         let fused = program(&db, &q, TransferMode::Pipeline);
         let folded: usize = span_lengths(&fused).iter().map(|len| len - 1).sum();
-        prop_assert_eq!(fused.instructions.len() + folded, cells, "{}", &text);
+        prop_assert_eq!(fused.cells.len() + folded, cells, "{}", &text);
         prop_assert_eq!(
-            program(&db, &q, TransferMode::Materialize).instructions.len(),
+            program(&db, &q, TransferMode::Materialize).cells.len(),
             cells
         );
-        for (id, instr) in fused.instructions.iter().enumerate() {
-            prop_assert_eq!(instr.id, id);
-            prop_assert!(instr.parent.map_or(true, |(p, _)| p > id), "{}", &text);
+        for id in 0..fused.cells.len() {
+            prop_assert!(parent(&fused, id).map_or(true, |(p, _)| p > id), "{}", &text);
         }
 
         let want = execute_readonly(&db, &q, &ExecParams::default()).expect("oracle");

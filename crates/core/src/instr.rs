@@ -1,211 +1,97 @@
-//! Compiling query trees into machine instructions.
+//! The simulated machines' instructions: the cells of a per-query
+//! [`Graph`].
 //!
 //! Paper §2.3: *"the instruction in each memory cell corresponds to a node
-//! in the query tree"*. A [`Program`] holds the batch's compiled [`Plan`]s,
-//! and an [`Instruction`] is a reference to one live node of them: its
-//! dense id, its query, its node index and where its pages go. The
-//! machines read everything else off the node in place — the [`Kernel`] an
-//! instruction processor executes on the pages of a work unit, the firing
-//! class, the output schema. Scans are not instructions: a scan child
+//! in the query tree"*. Both machines compile a batch with
+//! [`Graph::per_query`]: an instruction is a cell, numbered per query in
+//! node order, and the machines read its kernel, firing class and schema
+//! off the plan node in place. Scans are not instructions: a scan child
 //! makes its parent's operand a *source* operand whose page table is
 //! complete from the start (the relation sits on mass storage).
 
-use std::sync::Arc;
+use df_query::{CellSpec, Firing, Graph};
+use df_relalg::Schema;
 
-use df_query::{Firing, NodeId, Op, Plan, PlanNode, QueryTree, TransferMode};
-use df_relalg::{Catalog, Result, Schema};
-
-/// The operator code executed per work unit and the bucket hash of the
-/// partitioned finalizers; defined next to the plan that carries them in
-/// df-query and re-exported here.
-pub use df_query::{tuple_bucket, Kernel};
-
-/// Index of an instruction within a [`Program`].
+/// Index of an instruction: its cell's id in the batch's [`Graph`]. The
+/// ring machine places instruction `i` on IC `i % ics`.
 pub type InstrId = usize;
-/// Index of a query within a batch.
-pub type QueryId = usize;
 
-/// A compiled instruction: a reference to its plan node (runtime state
-/// lives in the machine).
-#[derive(Debug, Clone)]
-pub struct Instruction {
-    /// This instruction's id.
-    pub id: InstrId,
-    /// The query it belongs to, whose plan holds the node.
-    pub query: QueryId,
-    /// The plan node it was compiled from.
-    pub node: NodeId,
-    /// Where output pages go: `Some((parent, operand_index))`, or `None`
-    /// for the query root (output pages are the query result).
-    pub parent: Option<(InstrId, usize)>,
-}
-
-/// A compiled batch of queries.
-#[derive(Debug, Clone)]
-pub struct Program {
-    /// Each query's compiled plan, fused under [`TransferMode::Pipeline`].
-    plans: Vec<Arc<Plan>>,
-    /// All instructions, children before parents within each query.
-    pub instructions: Vec<Instruction>,
-    /// Root instruction of each query.
-    pub roots: Vec<InstrId>,
-    /// Names of every base relation the program reads, sorted.
-    pub base_relations: Vec<String>,
-}
-
-/// The base relation a leafless node reads: a scan's relation, or a
-/// delete's own target.
-fn base_relation(node: &PlanNode) -> Option<&str> {
-    match &node.op {
-        Op::Scan { relation } => Some(relation),
-        Op::Delete { target, .. } => Some(target),
-        _ => None,
+/// How operand pages of `cell` turn into work units. Never
+/// [`Firing::Source`]: a bare-scan root is an identity over its own
+/// relation and fires per page.
+pub fn firing(cell: &CellSpec) -> Firing {
+    match cell.node().firing {
+        Firing::Source => Firing::PerPage,
+        fires => fires,
     }
 }
 
-impl Program {
-    /// The plan node instruction `id` reads in place.
-    pub(crate) fn node(&self, id: InstrId) -> &PlanNode {
-        let instr = &self.instructions[id];
-        &self.plans[instr.query].nodes[instr.node.0]
-    }
-
-    /// The operator code instruction `id` runs.
-    pub fn kernel(&self, id: InstrId) -> &Kernel {
-        &self.node(id).kernel
-    }
-
-    /// The tuple schema of instruction `id`'s output pages.
-    pub fn out_schema(&self, id: InstrId) -> &Schema {
-        &self.node(id).out_schema
-    }
-
-    /// How operand pages of instruction `id` turn into work units. Never
-    /// [`Firing::Source`]: a bare-scan root is an identity over its own
-    /// relation and fires per page.
-    pub fn firing(&self, id: InstrId) -> Firing {
-        match self.node(id).firing {
-            Firing::Source => Firing::PerPage,
-            fires => fires,
-        }
-    }
-
-    /// Display name of instruction `id`'s operator: `"span"` for a fused
-    /// chain.
-    pub fn op_name(&self, id: InstrId) -> &'static str {
-        let node = self.node(id);
-        match &node.kernel {
-            Kernel::Unary(form) if form.steps() > 1 => "span",
-            _ => node.op.name(),
-        }
-    }
-
-    /// Instruction `id`'s operands (1 or 2) in port order: the tuple schema
-    /// of each operand's pages, and the base relation a source operand is
-    /// loaded from (`None` when a child instruction feeds it). A leafless
-    /// instruction — a bare scan or a delete — reads its own relation.
-    pub fn operands(&self, id: InstrId) -> impl Iterator<Item = (&Schema, Option<&str>)> {
-        let instr = &self.instructions[id];
-        let plan = &self.plans[instr.query];
-        let node = &plan.nodes[instr.node.0];
-        let ports = if node.children.is_empty() {
-            std::slice::from_ref(&instr.node.0)
-        } else {
-            &node.children[..]
-        };
-        ports.iter().map(move |&n| {
-            let operand = &plan.nodes[n];
-            (&operand.out_schema, base_relation(operand))
-        })
-    }
-
-    /// Whether operand `slot` of instruction `id` is fed by a child
-    /// instruction rather than loaded from a base relation.
-    pub fn is_intermediate(&self, id: InstrId, slot: usize) -> bool {
-        let (_, source) = self.operands(id).nth(slot).expect("a valid operand slot");
-        source.is_none()
-    }
+/// Where instruction `id`'s output pages go: its one consumer
+/// `(instruction, operand)`, or `None` for its query's root (its pages are
+/// the query result).
+pub fn parent(graph: &Graph, id: InstrId) -> Option<(InstrId, usize)> {
+    graph.consumers(id).first().copied()
 }
 
-/// Compile a batch of query trees into a [`Program`]: each tree's
-/// [`Plan`] (fused under [`TransferMode::Pipeline`]) gets dense
-/// instruction ids in topological order for its live nodes, skipping
-/// scans — they are their parent's source operands — and nodes absorbed
-/// into a span. The machines pass their params' transfer mode through
-/// here.
-///
-/// # Errors
-/// Propagates validation errors (unknown relations, type mismatches…).
-pub fn compile_with(
-    db: &Catalog,
-    queries: &[QueryTree],
-    transfer: TransferMode,
-) -> Result<Program> {
-    let mut plans = Vec::with_capacity(queries.len());
-    let mut instructions: Vec<Instruction> = Vec::new();
-    let mut roots = Vec::new();
-    let mut base: Vec<String> = Vec::new();
+/// Whether operand `slot` of `cell` is fed by a producer instruction
+/// rather than loaded from a base relation.
+pub fn is_intermediate(cell: &CellSpec, slot: usize) -> bool {
+    let (_, source) = cell.operands().nth(slot).expect("a valid operand slot");
+    source.is_none()
+}
 
-    for (qid, tree) in queries.iter().enumerate() {
-        let mut plan = Plan::compile(db, tree)?;
-        if transfer == TransferMode::Pipeline {
-            plan.fuse_spans();
-        }
-        // Dense ids for the nodes that become instructions. A bare scan
-        // root is one too (an identity over its own relation), so the
-        // machine has something to execute.
-        let mut ids: Vec<Option<InstrId>> = vec![None; plan.nodes.len()];
-        let mut next = instructions.len();
-        for (n, node) in plan.nodes.iter().enumerate() {
-            if !node.absorbed && (node.firing != Firing::Source || n == plan.root) {
-                ids[n] = Some(next);
-                next += 1;
-            }
-        }
-        for (n, node) in plan.nodes.iter().enumerate() {
-            base.extend(base_relation(node).map(str::to_owned));
-            let Some(id) = ids[n] else { continue };
-            instructions.push(Instruction {
-                id,
-                query: qid,
-                node: NodeId(n),
-                parent: node
-                    .parent
-                    .map(|(p, port)| (ids[p].expect("a live node feeds a live node"), port)),
-            });
-        }
-        roots.push(ids[plan.root].expect("the root is live"));
-        plans.push(Arc::new(plan));
-    }
+/// The base relations `graph` reads, in name order: the order both
+/// machines load them onto mass storage in, which fixes their page ids.
+pub fn base_relations(graph: &Graph) -> Vec<&str> {
+    let mut names: Vec<&str> = graph.sources.iter().map(|s| s.relation.as_str()).collect();
+    names.sort_unstable();
+    names
+}
 
-    base.sort();
-    base.dedup();
-    Ok(Program {
-        plans,
-        instructions,
-        roots,
-        base_relations: base,
-    })
+/// The tuple schema of query `q`'s result: its root instruction's output.
+pub fn root_schema(graph: &Graph, q: usize) -> &Schema {
+    let mut roots = graph.cells.iter().filter(|c| c.results.contains(&q));
+    &roots
+        .next()
+        .expect("every query has a root")
+        .node()
+        .out_schema
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use df_query::ops::{self, JoinSweep, SpanStep, UnaryKernel};
-    use df_query::{oracle, parse_query, TreeBuilder};
+    use df_query::{
+        oracle, parse_query, tuple_bucket, Kernel, Op, Plan, QueryTree, TransferMode, TreeBuilder,
+    };
     use df_relalg::{
-        CmpOp, DataType, JoinCondition, Page, Predicate, Projection, Relation, Tuple, TupleBuf,
-        Value,
+        Catalog, CmpOp, DataType, JoinCondition, Page, Predicate, Projection, Relation, Result,
+        Schema, Tuple, TupleBuf, Value,
     };
 
-    /// The paper's configuration: nested-loops joins, materializing transfers.
-    fn compile(db: &Catalog, queries: &[QueryTree]) -> Result<Program> {
-        compile_with(db, queries, TransferMode::default())
+    /// The paper's configuration: materializing transfers.
+    fn compile(db: &Catalog, queries: &[QueryTree]) -> Result<Graph> {
+        Graph::per_query(db, queries, TransferMode::default())
     }
 
     /// The base relation each operand of instruction `id` is loaded from.
-    fn sources_of(prog: &Program, id: InstrId) -> Vec<Option<&str>> {
-        prog.operands(id).map(|(_, source)| source).collect()
+    fn sources_of(prog: &Graph, id: InstrId) -> Vec<Option<&str>> {
+        prog.cells[id]
+            .operands()
+            .map(|(_, source)| source)
+            .collect()
+    }
+
+    /// The kernel instruction `id` runs.
+    fn kernel(prog: &Graph, id: InstrId) -> &Kernel {
+        &prog.cells[id].node().kernel
+    }
+
+    /// Each query's root instruction.
+    fn roots(prog: &Graph) -> Vec<InstrId> {
+        let root = |q| prog.cells.iter().position(|c| c.results == [q]).unwrap();
+        (0..prog.reads.len()).map(root).collect()
     }
 
     fn refs(rel: &Relation) -> Vec<&Page> {
@@ -257,15 +143,14 @@ mod tests {
         )
         .unwrap();
         let prog = compile(&db, &[q]).unwrap();
-        assert_eq!(prog.instructions.len(), 3); // 2 restricts + 1 join
-        assert_eq!(prog.roots, vec![2]);
-        assert!(matches!(prog.kernel(2), Kernel::JoinPair(_)));
-        assert_eq!(prog.instructions[2].node, NodeId(4)); // scans 0/2, restricts 1/3, join 4
-        let sources: Vec<_> = prog.operands(2).map(|(_, source)| source).collect();
-        assert_eq!(sources, vec![None, None]); // fed by the restricts
-        assert_eq!(prog.instructions[0].parent, Some((2, 0)));
+        assert_eq!(prog.cells.len(), 3); // 2 restricts + 1 join
+        assert_eq!(roots(&prog), vec![2]);
+        assert!(matches!(kernel(&prog, 2), Kernel::JoinPair(_)));
+        assert_eq!(prog.cells[2].node, 4); // scans 0/2, restricts 1/3, join 4
+        assert_eq!(sources_of(&prog, 2), vec![None, None]); // fed by the restricts
+        assert_eq!(parent(&prog, 0), Some((2, 0)));
         assert_eq!(sources_of(&prog, 0), vec![Some("a")]);
-        assert_eq!(prog.base_relations, vec!["a", "b"]);
+        assert_eq!(base_relations(&prog), vec!["a", "b"]);
     }
 
     #[test]
@@ -273,11 +158,11 @@ mod tests {
         let db = db();
         let q = parse_query(&db, "(scan a)").unwrap();
         let prog = compile(&db, &[q]).unwrap();
-        assert_eq!(prog.instructions.len(), 1);
-        assert!(is_unary(prog.kernel(0), 0));
+        assert_eq!(prog.cells.len(), 1);
+        assert!(is_unary(kernel(&prog, 0), 0));
         assert_eq!(sources_of(&prog, 0), vec![Some("a")]);
-        assert_eq!(prog.node(0).firing, Firing::Source);
-        assert_eq!(prog.firing(0), Firing::PerPage);
+        assert_eq!(prog.cells[0].node().firing, Firing::Source);
+        assert_eq!(firing(&prog.cells[0]), Firing::PerPage);
     }
 
     #[test]
@@ -286,22 +171,22 @@ mod tests {
         // An update root is an instruction whose plan node names the write.
         let q = parse_query(&db, "(append (scan a) b)").unwrap();
         let prog = compile(&db, &[q]).unwrap();
-        assert_eq!(prog.op_name(0), "append");
-        assert!(matches!(&prog.node(0).op, Op::Append { target } if target == "b"));
+        assert_eq!(prog.cells[0].op_name(), "append");
+        assert!(matches!(&prog.cells[0].node().op, Op::Append { target } if target == "b"));
         assert_eq!(sources_of(&prog, 0), vec![Some("a")]);
-        assert_eq!(prog.base_relations, vec!["a"]);
+        assert_eq!(base_relations(&prog), vec!["a"]);
         // A delete reads its own target.
         let q = parse_query(&db, "(delete a (> k 5))").unwrap();
         let prog = compile(&db, &[q]).unwrap();
         let s = db.get("a").unwrap().schema();
         let predicate = Predicate::cmp_const(s, "k", CmpOp::Gt, Value::Int(5)).unwrap();
         assert!(matches!(
-            &prog.node(0).op,
+            &prog.cells[0].node().op,
             Op::Delete { target, predicate: p } if target == "a" && *p == predicate
         ));
         assert_eq!(sources_of(&prog, 0), vec![Some("a")]);
-        assert_eq!(prog.base_relations, vec!["a"]);
-        assert!(is_unary(prog.kernel(0), 1));
+        assert_eq!(base_relations(&prog), vec!["a"]);
+        assert!(is_unary(kernel(&prog, 0), 1));
     }
 
     #[test]
@@ -310,11 +195,11 @@ mod tests {
         let q1 = parse_query(&db, "(restrict (scan a) (> k 1))").unwrap();
         let q2 = parse_query(&db, "(restrict (scan a) (< k 9))").unwrap();
         let prog = compile(&db, &[q1, q2]).unwrap();
-        assert_eq!(prog.instructions.len(), 2);
-        assert_eq!(prog.roots, vec![0, 1]);
-        assert_eq!(prog.instructions[0].query, 0);
-        assert_eq!(prog.instructions[1].query, 1);
-        assert_eq!(prog.base_relations, vec!["a"]);
+        assert_eq!(prog.cells.len(), 2);
+        assert_eq!(roots(&prog), vec![0, 1]);
+        assert_eq!(prog.cells[0].owner, 0);
+        assert_eq!(prog.cells[1].owner, 1);
+        assert_eq!(base_relations(&prog), vec!["a"]);
     }
 
     #[test]
@@ -323,7 +208,7 @@ mod tests {
         let b = TreeBuilder::new(&db);
         let q = b.scan("a").unwrap().project(&["v"], true).unwrap().finish();
         let prog = compile(&db, &[q]).unwrap();
-        assert_eq!(prog.firing(0), Firing::Complete);
+        assert_eq!(firing(&prog.cells[0]), Firing::Complete);
         let q = b
             .scan("a")
             .unwrap()
@@ -331,7 +216,7 @@ mod tests {
             .unwrap()
             .finish();
         let prog = compile(&db, &[q]).unwrap();
-        assert_eq!(prog.firing(0), Firing::PerPage);
+        assert_eq!(firing(&prog.cells[0]), Firing::PerPage);
     }
 
     #[test]
@@ -500,24 +385,24 @@ mod tests {
             "(restrict (project (restrict (scan a) (> k 2)) (v)) (< v 16))",
         )
         .unwrap();
-        let prog = compile_with(&db, std::slice::from_ref(&q), TransferMode::Pipeline).unwrap();
-        assert_eq!(prog.instructions.len(), 1);
-        let span = &prog.instructions[0];
-        assert!(is_unary(prog.kernel(0), 3));
-        assert_eq!(prog.op_name(0), "span");
-        assert_eq!(span.parent, None);
-        assert_eq!(span.id, 0);
-        assert_eq!(prog.roots, vec![0]);
+        let prog = Graph::per_query(&db, std::slice::from_ref(&q), TransferMode::Pipeline).unwrap();
+        assert_eq!(prog.cells.len(), 1);
+        assert!(is_unary(kernel(&prog, 0), 3));
+        assert_eq!(prog.cells[0].op_name(), "span");
+        assert_eq!(parent(&prog, 0), None);
+        assert_eq!(roots(&prog), vec![0]);
         assert_eq!(sources_of(&prog, 0), vec![Some("a")]);
         // Output schema is the chain top's (just `v`).
-        assert_eq!(prog.out_schema(0).arity(), 1);
-        assert_eq!(prog.out_schema(0).attrs()[0].name, "v");
+        let out_schema = &prog.cells[0].node().out_schema;
+        assert_eq!(out_schema.arity(), 1);
+        assert_eq!(out_schema.attrs()[0].name, "v");
         // Span cost = sum of step costs.
-        assert_eq!(prog.kernel(0).tuple_ops(&[10]), 30);
+        assert_eq!(kernel(&prog, 0).tuple_ops(&[10]), 30);
 
         // Materialize mode leaves the chain alone.
-        let prog = compile_with(&db, std::slice::from_ref(&q), TransferMode::Materialize).unwrap();
-        assert_eq!(prog.instructions.len(), 3);
+        let prog =
+            Graph::per_query(&db, std::slice::from_ref(&q), TransferMode::Materialize).unwrap();
+        assert_eq!(prog.cells.len(), 3);
     }
 
     #[test]
@@ -534,34 +419,29 @@ mod tests {
                (> v 0)) (v))",
         )
         .unwrap();
-        let prog = compile_with(&db, std::slice::from_ref(&q), TransferMode::Pipeline).unwrap();
+        let prog = Graph::per_query(&db, std::slice::from_ref(&q), TransferMode::Pipeline).unwrap();
         // 2 leg spans + join + output span.
-        assert_eq!(prog.instructions.len(), 4);
-        let spans: Vec<_> = prog
-            .instructions
-            .iter()
-            .filter(|i| prog.op_name(i.id) == "span")
+        assert_eq!(prog.cells.len(), 4);
+        let ids = 0..prog.cells.len();
+        let spans: Vec<InstrId> = (ids.clone())
+            .filter(|&i| prog.cells[i].op_name() == "span")
             .collect();
         assert_eq!(spans.len(), 3);
-        let join = prog
-            .instructions
-            .iter()
-            .find(|i| matches!(prog.kernel(i.id), Kernel::JoinPair(..)))
+        let join = (ids.clone())
+            .find(|&i| matches!(kernel(&prog, i), Kernel::JoinPair(..)))
             .expect("join survives fusion");
         // The leg spans feed the join's two operand slots.
-        let leg_parents: Vec<_> = spans
-            .iter()
-            .filter_map(|s| s.parent)
-            .filter(|(p, _)| *p == join.id)
+        let leg_parents: Vec<_> = (spans.iter())
+            .filter_map(|&s| parent(&prog, s))
+            .filter(|(p, _)| *p == join)
             .collect();
         assert_eq!(leg_parents.len(), 2);
         assert_ne!(leg_parents[0].1, leg_parents[1].1);
         // The output span is the root.
-        assert!(is_unary(prog.kernel(prog.roots[0]), 2));
-        // Ids stay dense and children precede parents.
-        for (i, instr) in prog.instructions.iter().enumerate() {
-            assert_eq!(instr.id, i);
-            if let Some((p, _)) = instr.parent {
+        assert!(is_unary(kernel(&prog, roots(&prog)[0]), 2));
+        // Children precede parents.
+        for i in ids {
+            if let Some((p, _)) = parent(&prog, i) {
                 assert!(p > i, "child {i} precedes parent {p}");
             }
         }
@@ -577,12 +457,13 @@ mod tests {
             "(restrict (project (restrict (scan a) (> k 2)) (v)) (< v 16))",
         )
         .unwrap();
-        let fused = compile_with(&db, std::slice::from_ref(&q), TransferMode::Pipeline).unwrap();
-        let span = fused.kernel(0);
+        let fused =
+            Graph::per_query(&db, std::slice::from_ref(&q), TransferMode::Pipeline).unwrap();
+        let span = kernel(&fused, 0);
         assert!(is_unary(span, 3));
         let a = db.get("a").unwrap();
         for page in a.pages() {
-            let raw = span.run_unit_raw(&[page], fused.out_schema(0));
+            let raw = span.run_unit_raw(&[page], &fused.cells[0].node().out_schema);
             // Unfused reference: the oracle's restrict, then project and
             // restrict by hand.
             let s = a.schema();

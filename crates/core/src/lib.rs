@@ -28,10 +28,12 @@
 //! processors (16 KB page in 33 ms), a multiport CCD cache, two IBM 3330
 //! drives, and a crossbar-style interconnect.
 //!
-//! What the machine executes is the batch's compiled df-query plans:
-//! [`instr::compile_with`] numbers their live nodes as dense instructions,
-//! and the machine reads each node's kernel, firing class and schema in
-//! place (so does df-ring's). An update query's catalog write is applied
+//! What the machine executes is the batch compiled by df-query's
+//! [`Graph::per_query`](df_query::Graph::per_query): an instruction is a
+//! cell, numbered per query in node order (scan leaves are source
+//! operands, not instructions), and the machine reads each node's kernel,
+//! firing class and schema in place (so does df-ring's; [`instr`] holds
+//! the rules both share). An update query's catalog write is applied
 //! after the run, in batch order, by df-query's served write path
 //! ([`RunOutput::apply_updates`]).
 //!

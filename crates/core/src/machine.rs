@@ -3,7 +3,7 @@
 //! Event-driven simulation with a genuine data path: work units carry real
 //! pages, instruction processors run real operator kernels, and the clock
 //! advances through the [`CostModel`](crate::CostModel). One `Machine`
-//! executes one compiled [`Program`] (a batch of query trees) under one
+//! executes one compiled [`Graph`] (a batch of query trees) under one
 //! [`Granularity`] and one [`AllocationStrategy`].
 //!
 //! ## Work unit life cycle
@@ -26,7 +26,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use df_obs::{IntervalSeries, Path as ObsPath};
-use df_query::{apply_write, stage_write, ExecParams, Firing, QueryTree};
+use df_query::{apply_write, stage_write, ExecParams, Firing, Graph, QueryTree};
 use df_relalg::{Catalog, Page, Relation, Result, TupleBuf};
 use df_sim::stats::ByteCounter;
 use df_sim::{Duration, EventQueue, Resource, SimTime};
@@ -34,7 +34,7 @@ use df_storage::{DiskCache, MassStorage, PageId, PageStore, PageTable};
 
 use crate::allocation::AllocationStrategy;
 use crate::granularity::Granularity;
-use crate::instr::{compile_with, InstrId, Program};
+use crate::instr::{base_relations, firing, is_intermediate, parent, root_schema, InstrId};
 use crate::metrics::{InstructionStats, Metrics};
 use crate::params::MachineParams;
 
@@ -122,7 +122,7 @@ pub struct Machine {
     params: MachineParams,
     granularity: Granularity,
     strategy: AllocationStrategy,
-    pub(crate) program: Program,
+    pub(crate) graph: Graph,
 
     store: PageStore,
     disk: MassStorage,
@@ -162,37 +162,37 @@ impl Machine {
         strategy: AllocationStrategy,
     ) -> Result<Machine> {
         params.validate();
-        let program = compile_with(db, queries, params.transfer)?;
+        let graph = Graph::per_query(db, queries, params.transfer)?;
         // Every instruction's output page must hold at least one tuple.
-        for id in 0..program.instructions.len() {
-            Page::new(program.out_schema(id).clone(), params.page_size)?;
+        for cell in &graph.cells {
+            Page::new(cell.node().out_schema.clone(), params.page_size)?;
         }
 
         let mut store = PageStore::new();
         let mut disk = MassStorage::new(params.disk.clone());
-        // Load every referenced base relation onto mass storage once.
-        let mut base_pages: HashMap<String, Vec<PageId>> = HashMap::new();
-        for name in &program.base_relations {
-            let rel = db.require(name)?;
-            let ids = store.load_relation(rel);
+        // Load every referenced base relation onto mass storage once, in
+        // name order.
+        let mut base_pages: HashMap<&str, Vec<PageId>> = HashMap::new();
+        for name in base_relations(&graph) {
+            let ids = store.load_relation(db.require(name)?);
             for &id in &ids {
                 disk.preload(id);
             }
-            base_pages.insert(name.clone(), ids);
+            base_pages.insert(name, ids);
         }
 
         // Depth from root per instruction (for the RootFirst strategy).
-        let mut depth = vec![0usize; program.instructions.len()];
-        for instr in program.instructions.iter().rev() {
-            if let Some((parent, _)) = instr.parent {
-                depth[instr.id] = depth[parent] + 1;
+        let mut depth = vec![0usize; graph.cells.len()];
+        for id in (0..graph.cells.len()).rev() {
+            if let Some((parent, _)) = parent(&graph, id) {
+                depth[id] = depth[parent] + 1;
             }
         }
 
         // Source operands, fed through the normal delivery path below.
         let mut feeds: Vec<(InstrId, usize, Vec<PageId>)> = Vec::new();
-        for id in 0..program.instructions.len() {
-            for (slot, (_, source)) in program.operands(id).enumerate() {
+        for (id, cell) in graph.cells.iter().enumerate() {
+            for (slot, (_, source)) in cell.operands().enumerate() {
                 if let Some(name) = source {
                     feeds.push((id, slot, base_pages[name].clone()));
                 }
@@ -200,12 +200,9 @@ impl Machine {
         }
 
         // Initial operand tables: empty until the feeds below.
-        let mut states: Vec<InstrState> = program
-            .instructions
-            .iter()
-            .map(|instr| InstrState {
-                operands: program
-                    .operands(instr.id)
+        let mut states: Vec<InstrState> = (graph.cells.iter())
+            .map(|cell| InstrState {
+                operands: (cell.operands())
                     .map(|(schema, _)| PageTable::new(schema.clone()))
                     .collect(),
                 pending: VecDeque::new(),
@@ -222,14 +219,14 @@ impl Machine {
                 finished: false,
                 last_delivery: SimTime::ZERO,
                 stats: InstructionStats {
-                    op_name: program.op_name(instr.id),
-                    query: instr.query,
+                    op_name: cell.op_name(),
+                    query: cell.owner,
                     ..InstructionStats::default()
                 },
             })
             .collect();
 
-        let n_queries = program.roots.len();
+        let n_queries = graph.reads.len();
         let processors = params.processors;
         let channels = params.net_channels();
         let cache = DiskCache::new(params.cache.clone());
@@ -262,7 +259,7 @@ impl Machine {
             query_completions: vec![None; n_queries],
             results: vec![Vec::new(); n_queries],
             params,
-            program,
+            graph,
         };
 
         // Feed source pages through the normal delivery path at t = 0, then
@@ -321,7 +318,7 @@ impl Machine {
                 st.finished,
                 "simulation wedged: instruction {iid} ({}) unfinished \
                  ({} pending, {} in flight, {}/{} units)",
-                self.program.op_name(iid),
+                self.graph.cells[iid].op_name(),
                 st.pending.len(),
                 st.in_flight,
                 st.units_done,
@@ -338,7 +335,7 @@ impl Machine {
     /// work units from it.
     fn register_page(&mut self, iid: InstrId, slot: usize, page: PageId) {
         self.states[iid].operands[slot].push(page);
-        match self.program.firing(iid) {
+        match firing(&self.graph.cells[iid]) {
             Firing::PerPage => {
                 self.states[iid].pending.push_back(WorkUnit::Single(page));
                 self.states[iid].units_generated += 1;
@@ -376,7 +373,7 @@ impl Machine {
     /// for (possibly zero-work) completion.
     fn complete_stream(&mut self, iid: InstrId, slot: usize) {
         self.states[iid].operands[slot].mark_complete();
-        if self.program.firing(iid) == Firing::Complete
+        if firing(&self.graph.cells[iid]) == Firing::Complete
             && !self.states[iid].final_issued
             && self.states[iid].operands.iter().all(PageTable::is_complete)
         {
@@ -616,8 +613,8 @@ impl Machine {
 
         // 4. Execute the kernel now (exact data path, zero-copy: images are
         // compared and memcpy'd, never decoded), schedule the timing.
-        let kernel = self.program.kernel(iid);
-        let out_schema = self.program.out_schema(iid);
+        let node = self.graph.cells[iid].node();
+        let (kernel, out_schema) = (&node.kernel, &node.out_schema);
         let pages: Vec<&Page> = operand_pages.iter().map(|&p| self.store.get(p)).collect();
         let results = match unit {
             WorkUnit::Final { bucket } => {
@@ -687,7 +684,7 @@ impl Machine {
     /// Base-relation pages are left alone: they are clean, stay on disk,
     /// and evicting them costs nothing.
     fn retire_if_intermediate(&mut self, iid: InstrId, slot: usize, page: PageId) {
-        if self.program.is_intermediate(iid, slot) {
+        if is_intermediate(&self.graph.cells[iid], slot) {
             self.cache.discard(page);
             self.disk.discard(page);
             self.page_avail.remove(&page);
@@ -720,7 +717,7 @@ impl Machine {
         // Each drain is one memcpy of whole images — no tuple is decoded.
         while !results.is_empty() {
             let page_size = self.params.page_size;
-            let schema = self.program.out_schema(iid).clone();
+            let schema = self.graph.cells[iid].node().out_schema.clone();
             let buf = self.states[iid].out_buffer.get_or_insert_with(|| {
                 Page::new(schema, page_size).expect("output page size validated")
             });
@@ -775,7 +772,7 @@ impl Machine {
         self.page_avail.insert(pid, ins_done);
         self.spill(ins_done, &evicted);
 
-        match self.program.instructions[iid].parent {
+        match parent(&self.graph, iid) {
             Some((parent, slot)) => {
                 self.queue.schedule(
                     ins_done,
@@ -787,7 +784,7 @@ impl Machine {
                 );
             }
             None => {
-                let q = self.program.instructions[iid].query;
+                let q = self.graph.cells[iid].owner;
                 self.results[q].push(pid);
             }
         }
@@ -811,7 +808,7 @@ impl Machine {
             && pairs_done
             && st.in_flight == 0
             && st.units_done == st.units_generated;
-        let final_ok = self.program.firing(iid) != Firing::Complete || st.final_issued;
+        let final_ok = firing(&self.graph.cells[iid]) != Firing::Complete || st.final_issued;
         if !(operands_done && units_done && final_ok) {
             return;
         }
@@ -827,7 +824,7 @@ impl Machine {
         self.states[iid].stats.completed = Some(now);
 
         // Reclaim intermediate operand pages: they will never be read again.
-        let intermediates: Vec<PageId> = (self.program.operands(iid))
+        let intermediates: Vec<PageId> = (self.graph.cells[iid].operands())
             .zip(&self.states[iid].operands)
             .filter(|((_, source), _)| source.is_none())
             .flat_map(|(_, table)| table.pages().iter().copied())
@@ -839,7 +836,7 @@ impl Machine {
         }
 
         let after_delivery = self.states[iid].last_delivery.max(now);
-        match self.program.instructions[iid].parent {
+        match parent(&self.graph, iid) {
             Some((parent, slot)) => {
                 self.queue.schedule(
                     after_delivery,
@@ -850,7 +847,7 @@ impl Machine {
                 );
             }
             None => {
-                let q = self.program.instructions[iid].query;
+                let q = self.graph.cells[iid].owner;
                 self.queue
                     .schedule(after_delivery, Event::QueryDone { query: q });
             }
@@ -867,13 +864,9 @@ impl Machine {
             .max()
             .unwrap_or(SimTime::ZERO);
 
-        let relations: Vec<Relation> = self
-            .program
-            .roots
-            .iter()
-            .enumerate()
-            .map(|(q, &root)| {
-                let schema = self.program.out_schema(root).clone();
+        let relations: Vec<Relation> = (0..self.results.len())
+            .map(|q| {
+                let schema = root_schema(&self.graph, q).clone();
                 self.store
                     .materialize(
                         &format!("q{q}_result"),

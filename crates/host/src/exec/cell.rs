@@ -173,10 +173,10 @@ pub(super) struct Cell {
 }
 
 impl Cell {
-    /// A cell of `firing` class with `ports` operand ports (0 for a scan,
-    /// which is fed at admission and has no operand stream), running
-    /// `kernel`, which with df-host's `join` algorithm shapes a pair-sweep
-    /// cell's sides ([`Received`]).
+    /// A cell of `firing` class with `ports` operand ports (a bare-scan
+    /// root's one port is its relation, whose pages go straight to its
+    /// results), running `kernel`, which with df-host's `join` algorithm
+    /// shapes a pair-sweep cell's sides ([`Received`]).
     pub fn new(firing: Firing, ports: usize, kernel: &Kernel, join: JoinAlgo) -> Cell {
         debug_assert!(ports <= 2, "operators take at most two operands");
         let state = match firing {
@@ -515,8 +515,12 @@ mod tests {
         cell.settle(1);
         assert_eq!(cell.in_flight(), 0);
 
-        // A scan cell has no operand stream: it is ready at once.
-        assert!(Cell::new(Firing::Source, 0, &identity(), JoinAlgo::Nested).ready_to_complete());
+        // A bare-scan root's one stream is its relation, whose pages go
+        // straight to its results: it is ready once that stream ends.
+        let mut cell = Cell::new(Firing::Source, 1, &identity(), JoinAlgo::Nested);
+        assert!(!cell.ready_to_complete());
+        assert_eq!(cell.port_done(0), 0);
+        assert!(cell.ready_to_complete());
     }
 
     /// A cell driven by a random interleaving of the scheduler's operations,

@@ -122,7 +122,9 @@ pub struct HostMetrics {
     /// completion of the last).
     pub elapsed: Duration,
     /// Instruction cells the call ran: its plans' live nodes after
-    /// identical subtrees merged into one cell each.
+    /// identical subtrees merged into one cell each. A scan leaf is no
+    /// cell (its relation feeds its consumers' ports); a bare-scan root
+    /// is one.
     pub cells: usize,
     /// Per-query costs, in input order.
     pub per_query: Vec<QueryStats>,

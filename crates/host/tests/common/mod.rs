@@ -1,12 +1,13 @@
 //! A model of the one graph `run_host_queries` builds for a batch, from the
 //! definition rather than the executor's code: two live plan nodes are one
 //! cell iff their subtrees' `Debug` forms are equal, and cell ids are
-//! assigned in query order, plan node by plan node.
+//! assigned in query order, plan node by plan node. A scan leaf is no cell
+//! (its relation feeds its parent's port); a bare-scan root is one.
 
 use std::collections::HashMap;
 
 use df_query::TransferMode;
-use df_query::{Plan, QueryTree};
+use df_query::{Firing, Plan, QueryTree};
 use df_relalg::Catalog;
 
 /// The merged graph, as the model sees it.
@@ -58,7 +59,11 @@ pub fn model(db: &Catalog, queries: &[QueryTree], transfer: TransferMode) -> Mod
             plan.fuse_spans();
         }
         let mut mine = Vec::new();
-        for at in (0..plan.nodes.len()).filter(|&at| !plan.nodes[at].absorbed) {
+        let is_cell = |at: usize| {
+            let node = &plan.nodes[at];
+            !node.absorbed && (node.firing != Firing::Source || at == plan.root)
+        };
+        for at in (0..plan.nodes.len()).filter(|&at| is_cell(at)) {
             let next = ids.len();
             let id = *ids.entry(form(&plan, at)).or_insert(next);
             mine.push(id);

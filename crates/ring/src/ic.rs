@@ -7,7 +7,7 @@
 //! rule), sets flush-when-done on final packets, and releases IPs back to
 //! the MC.
 
-use df_core::instr::InstrId;
+use df_core::instr::{firing, is_intermediate, parent, InstrId};
 use df_query::Firing;
 use df_relalg::{Page, TupleBuf};
 use df_sim::SimTime;
@@ -89,10 +89,10 @@ impl RingMachine {
     /// operand (compacting partial pages, §4.2) or collect it as a query
     /// result.
     fn ic_receive_result(&mut self, now: SimTime, ic: usize, producer: InstrId, page: PageId) {
-        match self.program.instructions[producer].parent {
+        match parent(&self.graph, producer) {
             None => {
                 // Root output: collect.
-                let q = self.program.instructions[producer].query;
+                let q = self.graph.cells[producer].owner;
                 self.ic_store_page(now, ic, page);
                 self.query_results[q].push(page);
             }
@@ -168,7 +168,7 @@ impl RingMachine {
         page: PageId,
     ) {
         self.ic_instrs[instr].operands[slot].push(page);
-        match self.program.firing(instr) {
+        match firing(&self.graph.cells[instr]) {
             Firing::PerPage => {
                 while !self.ic_instrs[instr].parked.is_empty()
                     && self.ic_instrs[instr].operands[0].available() > 0
@@ -218,7 +218,7 @@ impl RingMachine {
 
     /// An operand stream completed.
     fn ic_on_operand_complete(&mut self, now: SimTime, instr: InstrId, slot: usize) {
-        let class = self.program.firing(instr);
+        let class = firing(&self.graph.cells[instr]);
         match class {
             Firing::PairSweep if slot == 1 && !self.ic_instrs[instr].inner_complete_sent => {
                 self.ic_instrs[instr].inner_complete_sent = true;
@@ -274,7 +274,7 @@ impl RingMachine {
 
     /// Give `ip` its next piece of work for `instr` (or park / flush it).
     fn ic_give_work(&mut self, now: SimTime, instr: InstrId, ip: usize) {
-        match self.program.firing(instr) {
+        match firing(&self.graph.cells[instr]) {
             Firing::PerPage => {
                 let next = self.ic_instrs[instr].operands[0].take_next();
                 match next {
@@ -292,7 +292,7 @@ impl RingMachine {
                         );
                         // Single-use intermediate pages are dead at the IC
                         // once shipped.
-                        if self.program.is_intermediate(instr, 0) {
+                        if is_intermediate(&self.graph.cells[instr], 0) {
                             self.reclaim_page(page);
                         }
                     }
@@ -432,7 +432,7 @@ impl RingMachine {
             eprintln!(
                 "{:9.3}s SEND instr={instr} ({}) ip={ip} ready={:9.3}s kind={kind:?}",
                 now.as_secs_f64(),
-                self.program.op_name(instr),
+                self.graph.cells[instr].op_name(),
                 ready.as_secs_f64()
             );
         }
@@ -525,7 +525,7 @@ impl RingMachine {
         if !st.active || st.done {
             return;
         }
-        let desired = match self.program.firing(instr) {
+        let desired = match firing(&self.graph.cells[instr]) {
             Firing::PerPage => st.operands[0].available().min(self.params.ips),
             Firing::PairSweep => {
                 if st.operands[1].is_empty() && !st.operands[1].is_complete() {
@@ -594,7 +594,7 @@ impl RingMachine {
         if !st.granted.is_empty() || !st.parked.is_empty() || !st.flushing.is_empty() {
             return;
         }
-        let work_done = match self.program.firing(instr) {
+        let work_done = match firing(&self.graph.cells[instr]) {
             Firing::PerPage => st.operands[0].exhausted(),
             Firing::PairSweep => {
                 let outer_len = st.operands[0].len();
@@ -613,7 +613,7 @@ impl RingMachine {
         let ic = self.ic_instrs[instr].ic;
         // Reclaim intermediate operand pages (join pages were retained for
         // catch-up requests until now).
-        let dead: Vec<PageId> = (self.program.operands(instr))
+        let dead: Vec<PageId> = (self.graph.cells[instr].operands())
             .zip(&self.ic_instrs[instr].operands)
             .filter(|((_, source), _)| source.is_none())
             .flat_map(|(_, table)| table.pages().iter().copied())
@@ -623,7 +623,7 @@ impl RingMachine {
         }
 
         self.send_inner(now, Node::Ic(ic), Node::Mc, Msg::InstrDone { instr });
-        if let Some((parent, slot)) = self.program.instructions[instr].parent {
+        if let Some((parent, slot)) = parent(&self.graph, instr) {
             // Guard delay: make sure the last result packet (sent by an IP
             // before its final Done) has certainly landed at the parent IC
             // before the stream-complete announcement.

@@ -8,7 +8,7 @@
 //! broadcasts when local memory is full and catch up on the missed pages
 //! once the last-inner-page indicator arrives, then request another outer.
 
-use df_core::instr::InstrId;
+use df_core::instr::{parent, InstrId};
 use df_relalg::{Page, TupleBuf};
 use df_sim::SimTime;
 use df_storage::PageId;
@@ -153,9 +153,9 @@ impl RingMachine {
                 PendingWork::Unary { page, flush } => {
                     self.ips[ip].flush_pending |= flush;
                     let instr = self.ips[ip].instr.expect("working IP has an instruction");
-                    let kernel = self.program.kernel(instr);
-                    let results = kernel
-                        .run_unit_raw(&[self.store.get(page)], self.program.out_schema(instr));
+                    let node = self.graph.cells[instr].node();
+                    let kernel = &node.kernel;
+                    let results = kernel.run_unit_raw(&[self.store.get(page)], &node.out_schema);
                     // Kernel-aware service time: a fused span charges the
                     // sum of its step costs (n per step); plain unary
                     // kernels charge n.
@@ -169,12 +169,13 @@ impl RingMachine {
                 }
                 PendingWork::Whole { pages } => {
                     let instr = self.ips[ip].instr.expect("working IP has an instruction");
-                    let kernel = self.program.kernel(instr);
+                    let node = self.graph.cells[instr].node();
+                    let kernel = &node.kernel;
                     let inputs: Vec<Vec<&Page>> = pages
                         .iter()
                         .map(|slot| slot.iter().map(|&p| self.store.get(p)).collect())
                         .collect();
-                    let results = kernel.run_final_raw(&inputs, self.program.out_schema(instr));
+                    let results = kernel.run_final_raw(&inputs, &node.out_schema);
                     let counts: Vec<usize> = (inputs.iter())
                         .map(|port| port.iter().map(|p| p.len()).sum())
                         .collect();
@@ -195,9 +196,10 @@ impl RingMachine {
             if let Some((idx, ipage)) = self.ips[ip].inner_queue.pop_front() {
                 let (_, opage) = self.ips[ip].outer.expect("checked");
                 let instr = self.ips[ip].instr.expect("working IP has an instruction");
-                let kernel = self.program.kernel(instr);
+                let node = self.graph.cells[instr].node();
+                let kernel = &node.kernel;
                 let (outer, inner) = (self.store.get(opage), self.store.get(ipage));
-                let mut results = TupleBuf::new(self.program.out_schema(instr).clone());
+                let mut results = TupleBuf::new(node.out_schema.clone());
                 kernel.run_sweep_raw_into(outer, [inner], true, &mut results);
                 // Kernel-aware service time: a join or cross product
                 // charges the n·m sweep of the page pair.
@@ -230,7 +232,7 @@ impl RingMachine {
             .take()
             .expect("computing IP has a result batch");
         let instr = self.ips[ip].instr.expect("computing IP has an instruction");
-        let schema = self.program.out_schema(instr).clone();
+        let schema = self.graph.cells[instr].node().out_schema.clone();
         let page_size = self.params.page_size;
         // Drain result images into the output buffer page; emit full pages.
         // Pure byte copies — nothing is decoded on the way out.
@@ -361,12 +363,12 @@ impl RingMachine {
         let bytes = page.wire_bytes();
         let id = self.store.put(page);
         let instr = self.ips[ip].instr.expect("emitting IP has an instruction");
-        let dest_ic = match self.program.instructions[instr].parent {
+        let dest_ic = match parent(&self.graph, instr) {
             Some((parent, _)) => self.ic_instrs[parent].ic,
             None => self.ic_instrs[instr].ic,
         };
         self.metrics.result_packets += 1;
-        let has_parent = self.program.instructions[instr].parent.is_some();
+        let has_parent = parent(&self.graph, instr).is_some();
         if self.params.direct_routing && has_parent && full {
             // §5: "route some of the data pages … directly from one IP to
             // another without first sending the page to an IC". The page

@@ -22,10 +22,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use df_core::instr::{compile_with, InstrId, Program};
+use df_core::instr::{base_relations, root_schema, InstrId};
 use df_core::CostModel;
 use df_obs::Path as ObsPath;
-use df_query::QueryTree;
+use df_query::{Graph, QueryTree};
 use df_relalg::{Catalog, Page, Relation, Result, TupleBuf};
 use df_sim::{Duration, EventQueue, SimTime};
 use df_storage::{DiskCache, LocalMemory, MassStorage, PageId, PageStore, PageTable};
@@ -268,7 +268,7 @@ pub(crate) enum PendingWork {
 /// The §4 ring machine.
 pub struct RingMachine {
     pub(crate) params: RingParams,
-    pub(crate) program: Program,
+    pub(crate) graph: Graph,
     pub(crate) queue: EventQueue<Event>,
 
     pub(crate) store: PageStore,
@@ -362,24 +362,23 @@ impl RingMachine {
     /// Propagates validation errors.
     pub fn new(db: &Catalog, queries: &[QueryTree], params: RingParams) -> Result<RingMachine> {
         params.validate();
-        let program = compile_with(db, queries, params.transfer)?;
+        let graph = Graph::per_query(db, queries, params.transfer)?;
         // Every instruction's output page must hold at least one tuple.
-        for id in 0..program.instructions.len() {
-            Page::new(program.out_schema(id).clone(), params.page_size)?;
+        for cell in &graph.cells {
+            Page::new(cell.node().out_schema.clone(), params.page_size)?;
         }
 
         let mut store = PageStore::new();
         let mut disk = MassStorage::new(params.disk.clone());
         let mut loc = HashMap::new();
-        let mut base_pages: HashMap<String, Vec<PageId>> = HashMap::new();
-        for name in &program.base_relations {
-            let rel = db.require(name)?;
-            let ids = store.load_relation(rel);
+        let mut base_pages: HashMap<&str, Vec<PageId>> = HashMap::new();
+        for name in base_relations(&graph) {
+            let ids = store.load_relation(db.require(name)?);
             for &id in &ids {
                 disk.preload(id);
                 loc.insert(id, Loc::OnDisk);
             }
-            base_pages.insert(name.clone(), ids);
+            base_pages.insert(name, ids);
         }
 
         let mut cache = DiskCache::new(params.cache.clone());
@@ -391,13 +390,13 @@ impl RingMachine {
             cache.set_quota(ic, per_ic);
         }
 
-        let n_queries = program.roots.len();
+        let n_queries = graph.reads.len();
         let ics = params.ics;
 
         // Per-instruction IC state, with source operands pre-registered.
-        let mut ic_instrs: Vec<IcInstr> = Vec::with_capacity(program.instructions.len());
-        for instr in &program.instructions {
-            let operands: Vec<PageTable> = (program.operands(instr.id))
+        let mut ic_instrs: Vec<IcInstr> = Vec::with_capacity(graph.cells.len());
+        for (id, cell) in graph.cells.iter().enumerate() {
+            let operands: Vec<PageTable> = (cell.operands())
                 .map(|(schema, source)| match source {
                     Some(name) => {
                         PageTable::complete_with(schema.clone(), base_pages[name].clone())
@@ -406,7 +405,7 @@ impl RingMachine {
                 })
                 .collect();
             ic_instrs.push(IcInstr {
-                ic: instr.id % ics,
+                ic: id % ics,
                 active: false,
                 compaction: vec![None; operands.len()],
                 operands,
@@ -435,13 +434,7 @@ impl RingMachine {
                 .iter()
                 .map(|q| LockRequest::new(q.referenced_relations(), q.written_relations()))
                 .collect(),
-            remaining: {
-                let mut v = vec![0usize; n_queries];
-                for i in &program.instructions {
-                    v[i.query] += 1;
-                }
-                v
-            },
+            remaining: graph.reads.iter().map(Vec::len).collect(),
             free_ips: (0..params.ips).collect(),
             requests: VecDeque::new(),
         };
@@ -501,7 +494,7 @@ impl RingMachine {
             query_results: vec![Vec::new(); n_queries],
             query_done_at: vec![None; n_queries],
             params,
-            program,
+            graph,
         })
     }
 
@@ -735,7 +728,7 @@ impl RingMachine {
                     "ring machine wedged: instruction {iid} ({}) unfinished \
                      (granted={:?} parked={:?} flushing={:?} outer_next={} outers_done={} \
                      operands=[{}]) IPs: {ips:?}",
-                    self.program.op_name(iid),
+                    self.graph.cells[iid].op_name(),
                     st.granted,
                     st.parked,
                     st.flushing,
@@ -774,8 +767,8 @@ impl RingMachine {
             .enumerate()
             .map(|(iid, st)| {
                 (
-                    self.program.op_name(iid).to_string(),
-                    self.program.instructions[iid].query,
+                    self.graph.cells[iid].op_name().to_string(),
+                    self.graph.cells[iid].owner,
                     st.first_packet.unwrap_or(SimTime::ZERO),
                     st.completed.unwrap_or(SimTime::ZERO),
                 )
@@ -784,13 +777,9 @@ impl RingMachine {
         // Device counters maintained incrementally; disk totals double-check:
         debug_assert_eq!(self.metrics.disk_read.bytes, self.disk.read_traffic.bytes);
 
-        let results: Vec<Relation> = self
-            .program
-            .roots
-            .iter()
-            .enumerate()
-            .map(|(q, &root)| {
-                let schema = self.program.out_schema(root).clone();
+        let results: Vec<Relation> = (0..self.query_results.len())
+            .map(|q| {
+                let schema = root_schema(&self.graph, q).clone();
                 self.store
                     .materialize(
                         &format!("q{q}_result"),

@@ -58,7 +58,7 @@ impl RingMachine {
                 self.mc_grant_loop(now);
             }
             Msg::InstrDone { instr } => {
-                let query = self.program.instructions[instr].query;
+                let query = self.graph.cells[instr].owner;
                 self.mc.remaining[query] -= 1;
                 if self.mc.remaining[query] == 0 {
                     self.query_done_at[query] = Some(now);
@@ -85,14 +85,7 @@ impl RingMachine {
                     self.mc.locks.grant(query, &req);
                 }
                 // Distribute the query's instructions to their ICs.
-                let instrs: Vec<usize> = self
-                    .program
-                    .instructions
-                    .iter()
-                    .filter(|i| i.query == query)
-                    .map(|i| i.id)
-                    .collect();
-                for iid in instrs {
+                for iid in self.graph.reads[query].clone() {
                     let ic = self.ic_instrs[iid].ic;
                     self.send_inner(now, Node::Mc, Node::Ic(ic), Msg::AssignInstr { instr: iid });
                 }

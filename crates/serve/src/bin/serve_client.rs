@@ -93,39 +93,26 @@ fn main() {
                         println!("  {r}");
                     }
                 }
-                Ok(other) => println!("unexpected response: {other:?}"),
-                Err(e) => die(&format!("connection lost: {e}")),
+                other => show_failure(other),
             },
             ReplCommand::Stats => match client.request(&Request::Stats) {
                 Ok(Response::Stats(rows)) => println!("{}", format_stats(&rows)),
-                Ok(other) => println!("unexpected response: {other:?}"),
-                Err(e) => die(&format!("connection lost: {e}")),
+                other => show_failure(other),
             },
             ReplCommand::Install(name, text) => match client.install_view(&name, &text) {
                 Ok(Response::Result(r)) => println!("view `{name}` installed, schema {}", r.schema),
-                Ok(Response::Error { error, .. }) => println!("error: {error}"),
-                Ok(other) => println!("unexpected response: {other:?}"),
-                Err(e) => die(&format!("connection lost: {e}")),
+                other => show_failure(other),
             },
             ReplCommand::Drop(name) => match client.drop_view(&name) {
                 Ok(Response::Result(_)) => println!("view `{name}` dropped"),
-                Ok(Response::Error { error, .. }) => println!("error: {error}"),
-                Ok(other) => println!("unexpected response: {other:?}"),
-                Err(e) => die(&format!("connection lost: {e}")),
+                other => show_failure(other),
             },
             ReplCommand::View(name) => match client.read_view(&name) {
                 Ok(Response::Result(r)) => {
                     println!("{} tuples, schema {}", r.tuples.len(), r.schema);
-                    for t in r.tuples.iter().take(10) {
-                        println!("  {} bytes", t.len());
-                    }
-                    if r.tuples.len() > 10 {
-                        println!("  ... and {} more", r.tuples.len() - 10);
-                    }
+                    print_tuples(&r.tuples);
                 }
-                Ok(Response::Error { error, .. }) => println!("error: {error}"),
-                Ok(other) => println!("unexpected response: {other:?}"),
-                Err(e) => die(&format!("connection lost: {e}")),
+                other => show_failure(other),
             },
             ReplCommand::Query(text) => match client.query(&text, priority, optimizing) {
                 Ok(Response::Result(r)) => {
@@ -135,20 +122,34 @@ fn main() {
                         r.schema,
                         r.fan_out
                     );
-                    for t in r.tuples.iter().take(10) {
-                        println!("  {} bytes", t.len());
-                    }
-                    if r.tuples.len() > 10 {
-                        println!("  ... and {} more", r.tuples.len() - 10);
-                    }
+                    print_tuples(&r.tuples);
                 }
-                Ok(Response::Error { error, .. }) => println!("error: {error}"),
-                Ok(other) => println!("unexpected response: {other:?}"),
-                Err(e) => die(&format!("connection lost: {e}")),
+                other => show_failure(other),
             },
         }
     }
     println!("bye");
+}
+
+/// Print a reply other than the one a command asked for: the error a
+/// failed request carries, or an unexpected response. A lost connection
+/// ends the shell.
+fn show_failure(reply: std::io::Result<Response>) {
+    match reply {
+        Ok(Response::Error { error, .. }) => println!("error: {error}"),
+        Ok(other) => println!("unexpected response: {other:?}"),
+        Err(e) => die(&format!("connection lost: {e}")),
+    }
+}
+
+/// The sizes of the first ten result tuples.
+fn print_tuples(tuples: &[Vec<u8>]) {
+    for t in tuples.iter().take(10) {
+        println!("  {} bytes", t.len());
+    }
+    if tuples.len() > 10 {
+        println!("  ... and {} more", tuples.len() - 10);
+    }
 }
 
 fn die(msg: &str) -> ! {
