@@ -7,10 +7,10 @@
 //! `(parent, port)` its pages flow to, and — in one `match` over [`Op`],
 //! the only classification of an operator in the workspace — its
 //! [`Firing`] class and the [`Kernel`] its units run, compiled against its
-//! operand schemas. Every scheduler reads that kernel off the node: the
-//! simulated machines copy it into their dense instruction program, the
-//! host executor's cells and [`crate::run_plan`] run it in place, and
-//! standing views fire it over delta pages. [`Plan::fuse_spans`] is the
+//! operand schemas. Every scheduler reads that kernel off the node in
+//! place — the simulated machines and the host executor through the cells
+//! of a [`crate::Graph`], [`crate::run_plan`] directly — and standing
+//! views fire it over delta pages. [`Plan::fuse_spans`] is the
 //! only span-fusion pass: the pipeline transfer mode is this one call.
 
 use std::fmt;
