@@ -205,6 +205,9 @@ pub struct StandingView {
     page_size: usize,
     states: Vec<NodeState>,
     result: Counts,
+    /// The result's cardinality (the sum of its counts), kept as each
+    /// root delta folds in.
+    len: usize,
 }
 
 impl StandingView {
@@ -254,7 +257,8 @@ impl StandingView {
             };
             states.push(state);
         }
-        let result = counts_of(&nodes[tree.root().0]);
+        let root = &nodes[tree.root().0];
+        let (result, len) = (counts_of(root), root.num_tuples());
         Ok(StandingView {
             name: name.to_string(),
             text: text.to_string(),
@@ -263,6 +267,7 @@ impl StandingView {
             page_size,
             states,
             result,
+            len,
         })
     }
 
@@ -293,17 +298,23 @@ impl StandingView {
 
     /// Current number of result tuples (multiset cardinality).
     pub fn num_tuples(&self) -> usize {
-        self.result.values().map(|&n| n as usize).sum()
+        self.len
     }
 
     /// The maintained result as raw tuple images in canonical
-    /// (lexicographic) order — the order deterministic mode serves.
+    /// (lexicographic) order — the order deterministic mode serves — each
+    /// image yielded as many times as it is counted.
+    pub fn images(&self) -> impl Iterator<Item = &[u8]> {
+        self.result
+            .iter()
+            .flat_map(|(image, &n)| std::iter::repeat(image.as_slice()).take(n as usize))
+    }
+
+    /// [`StandingView::images`], collected.
     pub fn tuple_images(&self) -> Vec<Vec<u8>> {
-        let mut out = Vec::with_capacity(self.num_tuples());
-        for (image, &n) in &self.result {
-            for _ in 0..n {
-                out.push(image.clone());
-            }
+        let mut out = Vec::with_capacity(self.len);
+        for image in self.images() {
+            out.push(image.to_vec());
         }
         out
     }
@@ -396,6 +407,7 @@ impl StandingView {
         let root_delta = &deltas[plan.root];
         let result_changed = !root_delta.is_empty();
         fold(&mut self.result, root_delta);
+        self.len = (self.len as i64 + root_delta.values().sum::<i64>()) as usize;
         debug_assert!(
             self.result.values().all(|&n| n > 0),
             "maintained result went negative"
@@ -613,8 +625,10 @@ mod tests {
         let tree = parse_query(&db, text).unwrap();
         let mut view = StandingView::install("v", text, &db, &tree, page_size).unwrap();
         assert_eq!(view.tuple_images(), oracle(&db, text), "install mismatch");
+        assert_counted(&view);
         for (i, (target, inserts, deletes)) in writes.iter().enumerate() {
             view.apply_write(target, inserts, deletes).unwrap();
+            assert_counted(&view);
             apply_to_catalog(&mut db, target, inserts, deletes);
             assert_eq!(
                 view.tuple_images(),
@@ -622,6 +636,12 @@ mod tests {
                 "write {i} to {target} diverged"
             );
         }
+    }
+
+    /// The kept cardinality is the sum of the result's counts.
+    fn assert_counted(view: &StandingView) {
+        let sum: i64 = view.result.values().sum();
+        assert_eq!(view.num_tuples() as i64, sum, "kept count drifted");
     }
 
     /// Mirror a raw-image write into the catalog the slow way.

@@ -7,11 +7,22 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::{lock, read_lock, ServeStats, Shared};
-use crate::proto::{Priority, Response, ServeError};
+use crate::proto::{response_frame, Priority, Request, Response, ServeError};
 
-/// How the engine hands a [`Response`] back to whoever submitted the
-/// request — a socket writer on the server, a channel in tests.
+/// How the public [`EngineHandle`] methods hand a [`Response`] back to
+/// whoever submitted the request — a channel in tests and probes.
 pub type Reply = Box<dyn FnOnce(Response) + Send>;
+
+/// How the engine answers: one whole response frame, length prefix
+/// included, which the server writes to the client's socket as is.
+pub(crate) type FrameReply = Box<dyn FnOnce(Vec<u8>) + Send>;
+
+/// A [`Reply`] fed from frames: decodes each for the caller's closure.
+fn decoded(reply: Reply) -> FrameReply {
+    Box::new(move |frame| {
+        reply(Response::decode(&frame[4..]).expect("the engine's frames decode"));
+    })
+}
 
 /// What a queued submission asks the engine to do. Queries flow through
 /// the plan cache and the read/write lanes; the view requests are
@@ -45,7 +56,7 @@ pub(super) struct Submission {
     pub(super) optimize: bool,
     pub(super) text: String,
     pub(super) kind: SubmissionKind,
-    pub(super) reply: Reply,
+    pub(super) reply: FrameReply,
 }
 
 pub(super) struct Inbox {
@@ -89,6 +100,52 @@ impl EngineHandle {
         }
     }
 
+    /// Answer one decoded request from `client` with frames: the one
+    /// entry behind every public submission method and the socket
+    /// front-end. Queries and view requests are queued for the
+    /// dispatcher; `Stats`, `Relations` and `Ping` are answered at once,
+    /// and `Shutdown` is acknowledged, then stops admission.
+    pub(crate) fn serve(&self, client: usize, request: Request, reply: FrameReply) {
+        let (id, priority, optimize, text, kind) = match request {
+            Request::Query {
+                id,
+                priority,
+                optimize,
+                text,
+            } => (id, priority, optimize, text, SubmissionKind::Query),
+            Request::InstallView { id, name, text } => {
+                let kind = SubmissionKind::InstallView { name };
+                (id, Priority::Normal, false, text, kind)
+            }
+            Request::DropView { id, name } => {
+                let kind = SubmissionKind::DropView { name };
+                (id, Priority::Normal, false, String::new(), kind)
+            }
+            Request::ReadView { id, name } => {
+                let kind = SubmissionKind::ReadView { name };
+                (id, Priority::Normal, false, String::new(), kind)
+            }
+            Request::Stats => return reply(response_frame(&Response::Stats(self.stats().rows()))),
+            Request::Relations => {
+                return reply(response_frame(&Response::Relations(self.relations())))
+            }
+            Request::Ping => return reply(response_frame(&Response::Ok)),
+            Request::Shutdown => {
+                reply(response_frame(&Response::Ok));
+                return self.shutdown();
+            }
+        };
+        self.enqueue(Submission {
+            client,
+            id,
+            priority,
+            optimize,
+            text,
+            kind,
+            reply,
+        });
+    }
+
     /// Submit a query request on behalf of `client`. Admission control
     /// happens here: a full queue or a shutting-down engine answers
     /// through `reply` immediately (with [`ServeError::Busy`] /
@@ -103,61 +160,37 @@ impl EngineHandle {
         text: String,
         reply: Reply,
     ) {
-        self.enqueue(Submission {
-            client,
+        let request = Request::Query {
             id,
             priority,
             optimize,
             text,
-            kind: SubmissionKind::Query,
-            reply,
-        });
+        };
+        self.serve(client, request, decoded(reply));
     }
 
     /// Submit a standing-view install: materialize `text` once, then
     /// maintain the result from base-relation deltas. Subject to the
     /// same admission control as [`EngineHandle::submit`].
     pub fn install_view(&self, client: usize, id: u64, name: String, text: String, reply: Reply) {
-        let kind = SubmissionKind::InstallView { name };
-        self.enqueue_view(client, id, text, kind, reply);
+        let request = Request::InstallView { id, name, text };
+        self.serve(client, request, decoded(reply));
     }
 
     /// Submit a standing-view drop.
     pub fn drop_view(&self, client: usize, id: u64, name: String, reply: Reply) {
-        let kind = SubmissionKind::DropView { name };
-        self.enqueue_view(client, id, String::new(), kind, reply);
+        self.serve(client, Request::DropView { id, name }, decoded(reply));
     }
 
     /// Submit a view read, answered from the maintained result — the
     /// defining query is never re-executed.
     pub fn read_view(&self, client: usize, id: u64, name: String, reply: Reply) {
-        let kind = SubmissionKind::ReadView { name };
-        self.enqueue_view(client, id, String::new(), kind, reply);
-    }
-
-    /// A view request: normal priority, never optimized.
-    fn enqueue_view(
-        &self,
-        client: usize,
-        id: u64,
-        text: String,
-        kind: SubmissionKind,
-        reply: Reply,
-    ) {
-        self.enqueue(Submission {
-            client,
-            id,
-            priority: Priority::Normal,
-            optimize: false,
-            text,
-            kind,
-            reply,
-        });
+        self.serve(client, Request::ReadView { id, name }, decoded(reply));
     }
 
     fn enqueue(&self, sub: Submission) {
         let id = sub.id;
-        let rejection: Option<(ServeError, Reply)> = {
+        let rejection: Option<(ServeError, FrameReply)> = {
             let mut inbox = lock(&self.shared.inbox);
             if inbox.shutdown || !inbox.open.get(sub.client).copied().unwrap_or(false) {
                 Some((ServeError::ShuttingDown, sub.reply))
@@ -183,7 +216,7 @@ impl EngineHandle {
         // The rejection reply may write to a socket; invoke it outside
         // the inbox lock so a slow client cannot stall admission.
         if let Some((error, reply)) = rejection {
-            reply(Response::Error { id, error });
+            reply(response_frame(&Response::Error { id, error }));
         }
     }
 

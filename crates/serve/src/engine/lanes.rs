@@ -10,6 +10,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use df_host::{run_host_queries, HostError, HostParams};
 use df_obs::Tracer;
 use df_query::{apply_write, stage_write, ExecParams, QueryTree};
+use df_relalg::Relation;
 
 use super::views::{maintain_views, run_view_task, ViewAction, ViewTask};
 use super::{answer, lock, read_lock, wait_on, write_lock, Shared, Submission};
@@ -173,21 +174,16 @@ fn run_read_task(
                 let subs = take_waiters(shared, key);
                 match result {
                     Ok(rel) => {
-                        let fan_out = subs.len() as u32;
-                        let schema = rel.schema().to_string();
-                        let tuples: Vec<Vec<u8>> =
-                            rel.tuple_refs().map(|t| t.raw().to_vec()).collect();
-                        // Every waiter but the last gets a copy; the last
-                        // (with almost no fusion, usually the only one)
-                        // takes the vectors themselves.
+                        // Encoded once; every waiter but the last gets a
+                        // copy, which `conclude` stamps with its own id.
+                        let frame = relation_frame(subs.len() as u32, &rel);
                         let mut subs = subs.into_iter();
                         let last = subs.next_back();
                         for sub in subs {
-                            let copy = answer(fan_out, schema.clone(), tuples.clone());
-                            shared.conclude(trace, sub, Ok(copy));
+                            shared.conclude(trace, sub, frame.clone());
                         }
                         if let Some(sub) = last {
-                            shared.conclude(trace, sub, Ok(answer(fan_out, schema, tuples)));
+                            shared.conclude(trace, sub, frame);
                         }
                     }
                     Err(e) => {
@@ -210,6 +206,12 @@ fn run_read_task(
             }
         }
     }
+}
+
+/// A relation's result frame, encoded straight from its page rows.
+fn relation_frame(fan_out: u32, rel: &Relation) -> Result<Vec<u8>, ServeError> {
+    let rows = rel.tuple_refs().map(|t| t.raw());
+    answer(fan_out, rel.schema(), rel.num_tuples(), rows)
 }
 
 /// Execute one write split-phase: the source evaluation / target
@@ -261,9 +263,7 @@ fn run_write_task(
             if let Some(target) = written.first() {
                 maintain_views(shared, target, &inserts, &deletes);
             }
-            let schema = rel.schema().to_string();
-            let tuples = rel.tuple_refs().map(|t| t.raw().to_vec()).collect();
-            shared.conclude(trace, sub, Ok(answer(1, schema, tuples)));
+            shared.conclude(trace, sub, relation_frame(1, &rel));
         }
         Err(e) => {
             let error = ServeError::host(&HostError::Data(e));

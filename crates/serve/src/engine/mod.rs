@@ -86,9 +86,9 @@ use df_host::{HostParams, StandingView};
 use df_obs::{EventKind, Tracer};
 use df_opt::CatalogStats;
 use df_query::LockRequest;
-use df_relalg::Catalog;
+use df_relalg::{Catalog, Schema};
 
-use crate::proto::{Priority, QueryResult, Response, ServeError};
+use crate::proto::{response_frame, result_frame, set_result_id, Priority, Response, ServeError};
 use admission::{Inbox, Submission, SubmissionKind};
 use gate::{view_mark, RelationGate};
 use lanes::{lane_loop, Inflight, LaneTask, ReadTask, WriteTask};
@@ -202,15 +202,17 @@ impl ServeConfig {
     }
 }
 
-/// A request's successful answer; `conclude` stamps the request id per
-/// waiter.
-fn answer(fan_out: u32, schema: String, tuples: Vec<Vec<u8>>) -> QueryResult {
-    QueryResult {
-        id: 0,
-        fan_out,
-        schema,
-        tuples,
-    }
+/// A request's successful answer: its result frame, encoded once from
+/// `count` images of `schema` wherever they live; `conclude` stamps the
+/// request id per waiter.
+fn answer<'a>(
+    fan_out: u32,
+    schema: &Schema,
+    count: usize,
+    images: impl IntoIterator<Item = &'a [u8]>,
+) -> Result<Vec<u8>, ServeError> {
+    let width = schema.tuple_width();
+    result_frame(0, fan_out, &schema.to_string(), count, width, images)
 }
 
 /// State shared between the dispatcher, the lanes, and every submitting
@@ -270,24 +272,28 @@ struct Shared {
 
 impl Shared {
     /// Send one request's final answer and record its `query_done` event.
+    /// A success is a [`crate::proto::result_frame`], encoded once for all
+    /// of its waiters; this stamps the waiter's id into it. A failure —
+    /// the refusal of a result past `MAX_FRAME` included — becomes an
+    /// error frame for the same id and counts in `failed`.
     fn conclude(
         &self,
         trace: &Option<Arc<Tracer>>,
         sub: Submission,
-        outcome: Result<QueryResult, ServeError>,
+        outcome: Result<Vec<u8>, ServeError>,
     ) {
-        let response = match outcome {
-            Ok(mut result) => {
-                result.id = sub.id;
-                Response::Result(result)
+        let failed = outcome.is_err();
+        let frame = match outcome {
+            Ok(mut frame) => {
+                set_result_id(&mut frame, sub.id);
+                frame
             }
             Err(error) => {
                 self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                Response::Error { id: sub.id, error }
+                response_frame(&Response::Error { id: sub.id, error })
             }
         };
         if let Some(t) = trace {
-            let failed = matches!(response, Response::Error { .. });
             t.record(
                 EventKind::QueryDone,
                 sub.client as u32,
@@ -296,7 +302,7 @@ impl Shared {
                 0,
             );
         }
-        (sub.reply)(response);
+        (sub.reply)(frame);
     }
 
     /// Block until no lane task is queued or executing — the test/bench

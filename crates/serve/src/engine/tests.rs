@@ -1,19 +1,23 @@
 //! Plan-cache unit tests (kept at `engine::tests` so their names are
-//! stable), and the differential tests of the optimizer statistics the
-//! engine holds, which need to see `Shared`.
+//! stable), the differential tests of the optimizer statistics the
+//! engine holds, which need to see `Shared`, and the byte-identity tests
+//! of the frames the engine answers with, which need its frame replies.
 
 #![cfg(test)]
 
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 
+use df_host::{run_host_queries, HostParams};
 use df_opt::{optimize, CatalogStats, RelationStats};
-use df_query::render_tree;
+use df_query::{apply_write, parse_query, render_tree, stage_write, ExecParams};
+use df_relalg::{Catalog, DataType, Relation, Schema, Tuple, Value, PAGE_HEADER_BYTES};
 use df_workload::{benchmark_queries, BenchmarkSpec, DatabaseSpec};
 
+use super::admission::{FrameReply, Submission, SubmissionKind};
 use super::plan::{normalize_text, optimize_scoped, Plan, PlanCache};
 use super::{lock, read_lock, Engine, LaneHold, Reply, ServeConfig};
-use crate::proto::{Priority, Response};
+use crate::proto::{result_frame, write_frame, Priority, Request, Response, ServeError, MAX_FRAME};
 
 fn dummy_plan(tag: &str) -> Plan {
     // The cache keys on text, not the tree; a minimal parsed tree of
@@ -278,4 +282,236 @@ fn stats_gathered_while_a_write_is_in_flight_are_dropped_when_it_applies() {
         "the in-flight write's apply dropped the statistics gathered before it"
     );
     assert_held_stats_are_fresh(&engine, "after the in-flight write applied");
+}
+
+// ------------------------------------------------------------ frames
+
+/// A result payload exactly as it was built before results were encoded
+/// in one pass: one `Vec<u8>` per tuple, pushed into a payload grown as
+/// it goes. The reference the served frames are held to.
+fn reference_payload(id: u64, fan_out: u32, schema: &str, tuples: &[Vec<u8>]) -> Vec<u8> {
+    let put = |out: &mut Vec<u8>, bytes: &[u8]| {
+        out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+        out.extend_from_slice(bytes);
+    };
+    let mut out = vec![0];
+    out.extend_from_slice(&id.to_be_bytes());
+    out.extend_from_slice(&fan_out.to_be_bytes());
+    put(&mut out, schema.as_bytes());
+    out.extend_from_slice(&(tuples.len() as u32).to_be_bytes());
+    for t in tuples {
+        put(&mut out, t);
+    }
+    out
+}
+
+/// [`reference_payload`] behind `write_frame`'s length prefix.
+fn reference_frame(id: u64, fan_out: u32, rel: &Relation) -> Vec<u8> {
+    let tuples: Vec<Vec<u8>> = rel.tuple_refs().map(|t| t.raw().to_vec()).collect();
+    let payload = reference_payload(id, fan_out, &rel.schema().to_string(), &tuples);
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &payload).expect("writes to memory");
+    frame
+}
+
+/// Collects the frames the engine answers with, in arrival order.
+#[derive(Clone, Default)]
+struct Frames(Arc<Mutex<Vec<Vec<u8>>>>);
+
+impl Frames {
+    fn reply(&self) -> FrameReply {
+        let sink = Arc::clone(&self.0);
+        Box::new(move |frame| lock(&sink).push(frame))
+    }
+
+    fn take(&self) -> Vec<Vec<u8>> {
+        std::mem::take(&mut lock(&self.0))
+    }
+}
+
+/// Two relations `t` and `s` of one random schema (an `int` first
+/// column, then up to three `int`/`str(n)` columns), holding few
+/// distinct values so duplicates are common, packed `per_page` tuples to
+/// a page.
+fn random_catalog(draw: &mut impl FnMut(u64) -> u64) -> (Catalog, usize) {
+    let mut build = Schema::build().attr("c0", DataType::Int);
+    let mut types = vec![DataType::Int];
+    for i in 1..=draw(4) {
+        let ty = match draw(2) {
+            0 => DataType::Int,
+            _ => DataType::Str(2 + draw(11) as u16),
+        };
+        build = build.attr(&format!("c{i}"), ty);
+        types.push(ty);
+    }
+    let schema = build.finish().expect("schema");
+    let per_page = [1usize, 2, 64][draw(3) as usize];
+    let page_size = PAGE_HEADER_BYTES + per_page * schema.tuple_width();
+    let mut db = Catalog::new();
+    for name in ["t", "s"] {
+        let n = draw(40);
+        let tuples: Vec<Tuple> = (0..n)
+            .map(|_| {
+                let values = types.iter().map(|ty| match ty {
+                    DataType::Str(_) => Value::Str(["", "a", "bb"][draw(3) as usize].into()),
+                    _ => Value::Int(draw(6) as i64),
+                });
+                Tuple::new(values.collect())
+            })
+            .collect();
+        let rel = Relation::from_tuples(name, schema.clone(), page_size, tuples).expect("rel");
+        db.insert(rel).expect("fresh name");
+    }
+    (db, page_size)
+}
+
+/// Property: on random relations — schema widths, empty relations, down
+/// to one tuple per page, result pages of the same sizes — every frame
+/// the engine answers a read or a write with is the reference frame of
+/// the relation the same execution yields, byte for byte.
+#[test]
+fn served_frames_are_the_reference_bytes_for_random_relations() {
+    for seed in 0..48 {
+        let mut draw = draws(seed);
+        let (db, page_size) = random_catalog(&mut draw);
+        let host = HostParams {
+            workers: 1,
+            page_size,
+            deterministic: true,
+            ..HostParams::default()
+        };
+        let config = ServeConfig {
+            lanes: 1,
+            host: host.clone(),
+            ..ServeConfig::default()
+        };
+        let mut mirror = db.clone();
+        let mut engine = Engine::new(db, config).expect("engine");
+        let handle = engine.handle();
+        let client = handle.register_client();
+        let frames = Frames::default();
+        for step in 0..8u64 {
+            let k = draw(7);
+            let text = match draw(5) {
+                0 => "(scan t)".to_string(),
+                1 => format!("(restrict (scan t) (< c0 {k}))"),
+                2 => "(project (scan s) (c0))".to_string(),
+                3 => format!("(append (restrict (scan s) (< c0 {k})) t)"),
+                _ => format!("(delete t (= c0 {k}))"),
+            };
+            let tree = parse_query(&mirror, &text).expect("parses");
+            let want = if tree.written_relations().is_empty() {
+                let out = run_host_queries(&mirror, std::slice::from_ref(&tree), &host);
+                let rel = out.expect("runs").results.remove(0).expect("ok");
+                reference_frame(step, 1, &rel)
+            } else {
+                let exec = ExecParams { page_size };
+                let delta = stage_write(&mirror, &tree, &exec).expect("stages");
+                let rel = apply_write(&mut mirror, delta).expect("applies");
+                reference_frame(step, 1, &rel)
+            };
+            let request = Request::Query {
+                id: step,
+                priority: Priority::Normal,
+                optimize: false,
+                text: text.clone(),
+            };
+            handle.serve(client, request, frames.reply());
+            assert!(engine.run_batch());
+            handle.quiesce();
+            let got = frames.take();
+            assert_eq!(got, vec![want], "seed {seed} step {step}: {text}");
+        }
+    }
+}
+
+/// A fused read is encoded once: with four waiters on one execution,
+/// each waiter's frame is the reference frame for its own id, and the
+/// frames differ from one another only in the 8 id bytes.
+#[test]
+fn fused_waiters_frames_differ_only_in_their_ids() {
+    let hold = Arc::new(LaneHold::default());
+    let config = ServeConfig {
+        lane_hold: Some(Arc::clone(&hold)),
+        ..ServeConfig::default()
+    };
+    let db = df_workload::generate_database(&DatabaseSpec::scaled(SCALE));
+    let text = "(restrict (scan r04) (< val 800))";
+    let tree = parse_query(&db, text).expect("parses");
+    let host = HostParams {
+        deterministic: true,
+        ..config.host.clone()
+    };
+    let out = run_host_queries(&db, std::slice::from_ref(&tree), &host).expect("runs");
+    let rel = out.results.into_iter().next().expect("one").expect("ok");
+
+    let mut engine = Engine::new(db, config).expect("engine");
+    let handle = engine.handle();
+    let frames = Frames::default();
+    let submit = |client: usize, id: u64| {
+        let request = Request::Query {
+            id,
+            priority: Priority::Normal,
+            optimize: false,
+            text: text.to_string(),
+        };
+        handle.serve(client, request, frames.reply());
+    };
+    // The first read parks on its lane; the next batch's three twins
+    // (two fused with each other) join it in flight.
+    hold.hold();
+    submit(handle.register_client(), 100);
+    assert!(engine.run_batch());
+    for id in [101, 102, 103] {
+        submit(handle.register_client(), id);
+    }
+    assert!(engine.run_batch());
+    hold.release();
+    handle.quiesce();
+    let got = frames.take();
+    assert_eq!(got.len(), 4);
+    assert_eq!(handle.stats().read_execs.load(Ordering::Relaxed), 1);
+    for (frame, id) in got.iter().zip(100u64..) {
+        assert_eq!(frame, &reference_frame(id, 4, &rel), "waiter {id}");
+        let (a, b) = (&got[0], frame);
+        let differing: Vec<usize> = (0..a.len()).filter(|&i| a[i] != b[i]).collect();
+        assert!(
+            differing.iter().all(|i| (5..13).contains(i)),
+            "{differing:?}"
+        );
+    }
+}
+
+/// The refusal of a result past `MAX_FRAME` reaches the client as an
+/// error for its own id, and `failed` counts it; nothing is encoded.
+#[test]
+fn conclude_answers_an_oversized_result_with_an_error_for_its_id() {
+    let engine = Engine::new(Catalog::new(), ServeConfig::default()).expect("engine");
+    let frames = Frames::default();
+    let sub = Submission {
+        client: 0,
+        id: 42,
+        priority: Priority::Normal,
+        optimize: false,
+        text: String::new(),
+        kind: SubmissionKind::Query,
+        reply: frames.reply(),
+    };
+    let count = MAX_FRAME / 4;
+    let untouched = std::iter::repeat_with(|| -> &[u8] { panic!("an image was read") });
+    let outcome = result_frame(0, 1, "k:int", count, 8, untouched);
+    engine.shared.conclude(&None, sub, outcome);
+    let got = frames.take();
+    assert_eq!(got.len(), 1);
+    match Response::decode(&got[0][4..]).expect("decodes") {
+        Response::Error {
+            id: 42,
+            error: ServeError::ResultTooLarge { bytes, limit },
+        } => {
+            assert!(bytes > limit);
+            assert_eq!(limit, MAX_FRAME as u64);
+        }
+        other => panic!("expected the refusal for id 42, got {other:?}"),
+    }
+    assert_eq!(engine.shared.stats.failed.load(Ordering::Relaxed), 1);
 }

@@ -11,7 +11,7 @@ use df_query::{parse_query, QueryTree};
 
 use super::gate::view_mark;
 use super::{answer, lock, read_lock, Shared, Submission, SubmissionKind};
-use crate::proto::ServeError;
+use crate::proto::{result_frame, ServeError};
 
 /// One standing-view operation, ordered against conflicting work by the
 /// gate marks the dispatcher acquired: an install holds shared marks on
@@ -107,8 +107,8 @@ pub(super) fn admit_view(
 /// Execute one standing-view operation. Installs materialize once under
 /// the catalog read lock ([`StandingView::install`] runs
 /// [`df_query::run_plan`], the raw kernels node by node) and then register the
-/// standing dataflow; reads serve the maintained multiset without
-/// touching the plan cache or a host execution.
+/// standing dataflow; reads encode the maintained multiset straight into
+/// the reply frame, without touching the plan cache or a host execution.
 pub(super) fn run_view_task(
     shared: &Arc<Shared>,
     task: &mut ViewTask,
@@ -123,10 +123,10 @@ pub(super) fn run_view_task(
             };
             match installed {
                 Ok(view) => {
-                    let schema = view.schema().to_string();
+                    let ack = answer(1, view.schema(), 0, []);
                     lock(&shared.views).insert(name.clone(), Arc::new(Mutex::new(view)));
                     shared.stats.views_installed.fetch_add(1, Ordering::Relaxed);
-                    Ok(answer(1, schema, Vec::new()))
+                    ack
                 }
                 Err(e) => {
                     // The dispatch-time map entry led the registry;
@@ -139,7 +139,7 @@ pub(super) fn run_view_task(
             }
         }
         ViewAction::Drop { name } => match lock(&shared.views).remove(name) {
-            Some(_) => Ok(answer(1, String::new(), Vec::new())),
+            Some(_) => result_frame(0, 1, "", 0, 0, []),
             None => Err(not_installed(name)),
         },
         ViewAction::Read { name } => {
@@ -151,7 +151,7 @@ pub(super) fn run_view_task(
                         .stats
                         .view_reads_served
                         .fetch_add(1, Ordering::Relaxed);
-                    Ok(answer(1, view.schema().to_string(), view.tuple_images()))
+                    answer(1, view.schema(), view.num_tuples(), view.images())
                 }
                 None => Err(not_installed(name)),
             }

@@ -14,6 +14,13 @@
 //! Errors travel as [`ServeError`], which embeds the df-host
 //! [`df_host::HostError`] taxonomy from PR 4 as a stable
 //! [`HostErrorKind`] code plus its rendered detail.
+//!
+//! The server sends a result as one frame encoded once: `result_frame`
+//! writes the length prefix and the [`Response::Result`] payload straight
+//! from the result's images into a buffer sized up front, through the
+//! same encoder [`Response::encode`] uses, and refuses with
+//! [`ServeError::ResultTooLarge`] a result past [`MAX_FRAME`] before
+//! reading any of it.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -69,6 +76,91 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
+}
+
+/// One whole frame — length prefix and payload in one buffer, the shape
+/// the server hands to a single `write_all` — for a response that is not
+/// a served result (those come from [`result_frame`]). The bytes are
+/// exactly what [`write_frame`] puts on the wire for
+/// `response.encode()`.
+pub(crate) fn response_frame(response: &Response) -> Vec<u8> {
+    let mut frame = vec![0; 4];
+    response.encode_into(&mut frame);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    frame
+}
+
+/// Payload bytes of a result: tag, id, fan-out, the length-prefixed
+/// schema text, the tuple count, and `count` length-prefixed images
+/// totalling `image_bytes`. Saturates instead of wrapping, so an absurd
+/// count still reads as past [`MAX_FRAME`].
+fn result_len(schema: &str, count: usize, image_bytes: usize) -> usize {
+    (1 + 8 + 4 + 4 + 4 + schema.len())
+        .saturating_add(count.saturating_mul(4))
+        .saturating_add(image_bytes)
+}
+
+/// The one result encoder: append the [`Response::Result`] payload for
+/// `count` tuple images to `out`. [`Response::encode`] and the served
+/// frame ([`result_frame`]) both write through it, so a result has one
+/// byte layout whichever way it is built.
+fn put_result<'a>(
+    out: &mut Vec<u8>,
+    id: u64,
+    fan_out: u32,
+    schema: &str,
+    count: usize,
+    images: impl IntoIterator<Item = &'a [u8]>,
+) {
+    out.push(0);
+    out.extend_from_slice(&id.to_be_bytes());
+    out.extend_from_slice(&fan_out.to_be_bytes());
+    put_bytes(out, schema.as_bytes());
+    out.extend_from_slice(&(count as u32).to_be_bytes());
+    for image in images {
+        put_bytes(out, image);
+    }
+}
+
+/// A served result as one whole frame: the length prefix, then the
+/// [`Response::Result`] payload of `count` images of exactly `width`
+/// bytes each, encoded once from wherever they live (a relation's page
+/// rows, a view's counted multiset) into a buffer sized up front.
+///
+/// # Errors
+/// [`ServeError::ResultTooLarge`] when the payload would exceed
+/// [`MAX_FRAME`] — decided from the sizes alone, before `images` is read
+/// or any buffer is allocated.
+///
+/// # Panics
+/// If the images do not add up to `count` × `width` bytes.
+pub(crate) fn result_frame<'a>(
+    id: u64,
+    fan_out: u32,
+    schema: &str,
+    count: usize,
+    width: usize,
+    images: impl IntoIterator<Item = &'a [u8]>,
+) -> Result<Vec<u8>, ServeError> {
+    let len = result_len(schema, count, count.saturating_mul(width));
+    if len > MAX_FRAME {
+        return Err(ServeError::ResultTooLarge {
+            bytes: len as u64,
+            limit: MAX_FRAME as u64,
+        });
+    }
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&(len as u32).to_be_bytes());
+    put_result(&mut frame, id, fan_out, schema, count, images);
+    assert_eq!(frame.len(), 4 + len, "result images are not {width} bytes");
+    Ok(frame)
+}
+
+/// Stamp `id` into a [`result_frame`]: the 8 bytes after the length
+/// prefix and the tag. A fused read's frames differ only there.
+pub(crate) fn set_result_id(frame: &mut [u8], id: u64) {
+    frame[5..13].copy_from_slice(&id.to_be_bytes());
 }
 
 // ---------------------------------------------------------------- priority
@@ -302,27 +394,30 @@ impl Response {
     /// Encode to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the frame payload to `out`; a result reserves its exact size
+    /// first, so the buffer grows once.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Result(r) => {
-                out.push(0);
-                out.extend_from_slice(&r.id.to_be_bytes());
-                out.extend_from_slice(&r.fan_out.to_be_bytes());
-                put_bytes(&mut out, r.schema.as_bytes());
-                out.extend_from_slice(&(r.tuples.len() as u32).to_be_bytes());
-                for t in &r.tuples {
-                    put_bytes(&mut out, t);
-                }
+                let image_bytes = r.tuples.iter().map(Vec::len).sum();
+                out.reserve_exact(result_len(&r.schema, r.tuples.len(), image_bytes));
+                let images = r.tuples.iter().map(Vec::as_slice);
+                put_result(out, r.id, r.fan_out, &r.schema, r.tuples.len(), images);
             }
             Response::Error { id, error } => {
                 out.push(1);
                 out.extend_from_slice(&id.to_be_bytes());
-                error.encode(&mut out);
+                error.encode(out);
             }
             Response::Stats(rows) => {
                 out.push(2);
                 out.extend_from_slice(&(rows.len() as u32).to_be_bytes());
                 for (k, v) in rows {
-                    put_bytes(&mut out, k.as_bytes());
+                    put_bytes(out, k.as_bytes());
                     out.extend_from_slice(&v.to_be_bytes());
                 }
             }
@@ -330,12 +425,11 @@ impl Response {
                 out.push(3);
                 out.extend_from_slice(&(rows.len() as u32).to_be_bytes());
                 for r in rows {
-                    put_bytes(&mut out, r.as_bytes());
+                    put_bytes(out, r.as_bytes());
                 }
             }
             Response::Ok => out.push(4),
         }
-        out
     }
 
     /// Decode from a frame payload.
@@ -485,6 +579,15 @@ pub enum ServeError {
         /// What went wrong.
         detail: String,
     },
+    /// The request ran, but its result does not fit one frame: the
+    /// payload would be `bytes` long, past the `limit` of [`MAX_FRAME`].
+    /// Refused before any of it is encoded.
+    ResultTooLarge {
+        /// The result payload's size.
+        bytes: u64,
+        /// [`MAX_FRAME`].
+        limit: u64,
+    },
 }
 
 impl ServeError {
@@ -520,6 +623,11 @@ impl ServeError {
                 out.push(5);
                 put_bytes(out, detail.as_bytes());
             }
+            ServeError::ResultTooLarge { bytes, limit } => {
+                out.push(6);
+                out.extend_from_slice(&bytes.to_be_bytes());
+                out.extend_from_slice(&limit.to_be_bytes());
+            }
         }
     }
 
@@ -540,6 +648,10 @@ impl ServeError {
             5 => ServeError::View {
                 detail: r.string()?,
             },
+            6 => ServeError::ResultTooLarge {
+                bytes: r.u64()?,
+                limit: r.u64()?,
+            },
             other => return Err(DecodeError::new(format!("bad serve error code {other}"))),
         })
     }
@@ -558,6 +670,10 @@ impl fmt::Display for ServeError {
             ServeError::Protocol { detail } => write!(f, "protocol error: {detail}"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::View { detail } => write!(f, "view error: {detail}"),
+            ServeError::ResultTooLarge { bytes, limit } => write!(
+                f,
+                "result too large: a {bytes}-byte payload exceeds the {limit}-byte frame limit"
+            ),
         }
     }
 }
@@ -747,6 +863,13 @@ mod tests {
                 detail: "view `hot` is not installed".into(),
             },
         });
+        round_trip_response(Response::Error {
+            id: 7,
+            error: ServeError::ResultTooLarge {
+                bytes: MAX_FRAME as u64 + 1,
+                limit: MAX_FRAME as u64,
+            },
+        });
         round_trip_response(Response::Stats(vec![
             ("submitted".into(), 10),
             ("fused".into(), 4),
@@ -764,6 +887,62 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), Some(b"hello".to_vec()));
         assert_eq!(read_frame(&mut r).unwrap(), Some(Vec::new()));
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn one_encoder_writes_results_and_frames() {
+        let tuples = vec![vec![1, 2, 3, 4], vec![0; 4], vec![9; 4]];
+        let response = Response::Result(QueryResult {
+            id: 5,
+            fan_out: 2,
+            schema: "k:int".into(),
+            tuples: tuples.clone(),
+        });
+        let mut want = Vec::new();
+        write_frame(&mut want, &response.encode()).unwrap();
+        let images = tuples.iter().map(Vec::as_slice);
+        let frame = result_frame(5, 2, "k:int", 3, 4, images).unwrap();
+        assert_eq!(frame, want, "served frame = write_frame(encode)");
+        assert_eq!(frame.capacity(), frame.len(), "sized once");
+        assert_eq!(response_frame(&response), want);
+        let mut stamped = frame.clone();
+        set_result_id(&mut stamped, 6);
+        match Response::decode(&stamped[4..]).unwrap() {
+            Response::Result(r) => assert_eq!((r.id, r.tuples), (6, tuples)),
+            other => panic!("{other:?}"),
+        }
+        let empty = result_frame(0, 1, "", 0, 0, []).unwrap();
+        assert_eq!(Response::decode(&empty[4..]).unwrap().encode(), empty[4..]);
+    }
+
+    #[test]
+    fn oversized_results_are_refused_before_any_image_is_read() {
+        let untouched = std::iter::repeat_with(|| -> &[u8] { panic!("an image was read") });
+        // One past the cap: 21 fixed bytes + the 7-byte schema + 4 per
+        // image.
+        let count = (MAX_FRAME - 21 - 7) / 4 + 1;
+        match result_frame(1, 1, "key:int", count, 0, untouched) {
+            Err(ServeError::ResultTooLarge { bytes, limit }) => {
+                assert_eq!(bytes, MAX_FRAME as u64 + 4);
+                assert_eq!(limit, MAX_FRAME as u64);
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        // A count no frame could hold saturates instead of wrapping.
+        let untouched = std::iter::repeat_with(|| -> &[u8] { panic!("an image was read") });
+        let refused = result_frame(1, 1, "key:int", usize::MAX, usize::MAX, untouched);
+        assert!(matches!(refused, Err(ServeError::ResultTooLarge { .. })));
+        // Exactly at the cap still encodes.
+        let count = (MAX_FRAME - 21 - 7) / 4;
+        let frame = result_frame(
+            1,
+            1,
+            "key:int",
+            count,
+            0,
+            std::iter::repeat(&[][..]).take(count),
+        );
+        assert_eq!(frame.unwrap().len(), 4 + MAX_FRAME);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! raced real clients (the wake-up could be consumed by a concurrent
 //! connect, leaving the acceptor blocked, or admit a client post-drain).
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::fd::AsRawFd;
@@ -25,8 +25,8 @@ use std::thread::{self, JoinHandle};
 
 use df_obs::{Path, Tracer};
 
-use crate::engine::{Engine, EngineHandle, Reply};
-use crate::proto::{read_frame, write_frame, Request, Response, ServeError};
+use crate::engine::{Engine, EngineHandle};
+use crate::proto::{read_frame, response_frame, Request, Response, ServeError};
 #[cfg(unix)]
 use crate::sys;
 
@@ -43,23 +43,26 @@ struct ServerShared {
 }
 
 impl ServerShared {
-    /// Encode and write one response frame, tallying outbound bytes.
-    /// Write errors mean the client vanished; the reader thread will
-    /// notice on its side, so they are swallowed here.
-    fn send(&self, writer: &Mutex<TcpStream>, client: usize, response: &Response) {
-        let payload = response.encode();
+    /// Write one whole response frame (length prefix included) with one
+    /// `write_all`, tallying its payload bytes outbound. Write errors
+    /// mean the client vanished; the reader thread will notice on its
+    /// side, so they are swallowed here.
+    fn send(&self, writer: &Mutex<TcpStream>, client: usize, frame: &[u8]) {
+        let payload = (frame.len() - 4) as u64;
         self.handle
             .stats()
             .bytes_out
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
+            .fetch_add(payload, Ordering::Relaxed);
         if let Some(t) = &self.trace {
-            t.transfer(Path::ClientOut, client as u32, payload.len() as u64);
+            t.transfer(Path::ClientOut, client as u32, payload);
         }
         // Poison recovery: a panicking writer leaves at worst a torn
         // frame on one client's socket (that client's reader then drops
         // the connection); other threads keep answering their clients.
+        // One write for the whole frame: a separate prefix write would
+        // meet Nagle + delayed ACK (see `proto::write_frame`).
         let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = write_frame(&mut *w, &payload);
+        let _ = w.write_all(frame);
     }
 
     /// Begin server shutdown: stop admitting, wake the acceptor, let the
@@ -99,55 +102,22 @@ impl ServerShared {
             Err(e) => {
                 // Framing is still intact (length prefix), so answer the
                 // malformed request and keep serving the connection.
-                self.send(
-                    writer,
-                    client,
-                    &Response::Error {
-                        id: 0,
-                        error: ServeError::Protocol {
-                            detail: e.to_string(),
-                        },
-                    },
-                );
+                let error = ServeError::Protocol {
+                    detail: e.to_string(),
+                };
+                let frame = response_frame(&Response::Error { id: 0, error });
+                self.send(writer, client, &frame);
                 return;
             }
         };
-        // How an engine request is answered: from whichever thread
-        // concludes it, on this client's writer.
-        let reply = || -> Reply {
-            let shared = Arc::clone(self);
-            let writer = Arc::clone(writer);
-            Box::new(move |response| shared.send(&writer, client, &response))
-        };
-        match request {
-            Request::Query {
-                id,
-                priority,
-                optimize,
-                text,
-            } => self
-                .handle
-                .submit(client, id, priority, optimize, text, reply()),
-            Request::InstallView { id, name, text } => {
-                self.handle.install_view(client, id, name, text, reply());
-            }
-            Request::DropView { id, name } => self.handle.drop_view(client, id, name, reply()),
-            Request::ReadView { id, name } => self.handle.read_view(client, id, name, reply()),
-            Request::Stats => {
-                let rows = self.handle.stats().rows();
-                self.send(writer, client, &Response::Stats(rows));
-            }
-            Request::Relations => {
-                let rows = self.handle.relations();
-                self.send(writer, client, &Response::Relations(rows));
-            }
-            Request::Ping => {
-                self.send(writer, client, &Response::Ok);
-            }
-            Request::Shutdown => {
-                self.send(writer, client, &Response::Ok);
-                self.begin_shutdown();
-            }
+        // The engine answers from whichever thread concludes the
+        // request, on this client's writer.
+        let shutdown = request == Request::Shutdown;
+        let (shared, writer) = (Arc::clone(self), Arc::clone(writer));
+        let reply = Box::new(move |frame: Vec<u8>| shared.send(&writer, client, &frame));
+        self.handle.serve(client, request, reply);
+        if shutdown {
+            self.begin_shutdown();
         }
     }
 }

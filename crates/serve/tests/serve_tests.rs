@@ -1717,3 +1717,132 @@ fn socket_view_round_trip_maintains_across_writes() {
     ));
     server.join();
 }
+
+/// A result frame as it was built before results were encoded in one
+/// pass — one `Vec<u8>` per tuple, pushed into a payload grown as it
+/// goes, then `write_frame` — the reference a served view frame is held
+/// to.
+fn reference_frame(id: u64, schema: &str, tuples: &[Vec<u8>]) -> Vec<u8> {
+    let put = |out: &mut Vec<u8>, bytes: &[u8]| {
+        out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+        out.extend_from_slice(bytes);
+    };
+    let mut payload = vec![0];
+    payload.extend_from_slice(&id.to_be_bytes());
+    payload.extend_from_slice(&1u32.to_be_bytes());
+    put(&mut payload, schema.as_bytes());
+    payload.extend_from_slice(&(tuples.len() as u32).to_be_bytes());
+    for t in tuples {
+        put(&mut payload, t);
+    }
+    let mut frame = Vec::new();
+    df_serve::proto::write_frame(&mut frame, &payload).expect("writes to memory");
+    frame
+}
+
+/// Property: for random view states — multiplicities above one, an empty
+/// view, joins over duplicate keys, relations packed down to one tuple
+/// per page — the frame the server writes for a view read is, byte for
+/// byte, the reference frame of the from-scratch result (sorted, as
+/// deterministic mode serves it) under the schema the install acked.
+#[test]
+fn view_frames_are_the_reference_bytes_over_the_socket() {
+    use std::io::{Read, Write};
+    let views = [
+        ("bag", "(project (scan t) (c0))"),
+        ("none", "(restrict (scan t) (> c0 100))"),
+        ("pairs", "(join (scan t) (scan s) (= c0 c0))"),
+        ("either", "(union (scan t) (scan s))"),
+    ];
+    for seed in 0..6u64 {
+        // splitmix64 draws.
+        let mut state = seed;
+        let mut draw = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let mut build = Schema::build().attr("c0", DataType::Int);
+        for i in 1..=draw(3) {
+            let ty = [DataType::Int, DataType::Str(2 + draw(9) as u16)][draw(2) as usize];
+            build = build.attr(&format!("c{i}"), ty);
+        }
+        let schema = build.finish().expect("schema");
+        let per_page = [1usize, 3, 64][draw(3) as usize];
+        let page_size = 16 + per_page * schema.tuple_width();
+        let mut db = Catalog::new();
+        for name in ["t", "s"] {
+            let tuples: Vec<Tuple> = (0..draw(30))
+                .map(|_| {
+                    let values = schema.attrs().iter().map(|a| match a.dtype {
+                        DataType::Int => Value::Int(draw(5) as i64),
+                        _ => Value::Str(["", "a"][draw(2) as usize].into()),
+                    });
+                    Tuple::new(values.collect())
+                })
+                .collect();
+            let rel = Relation::from_tuples(name, schema.clone(), page_size, tuples);
+            db.insert(rel.expect("relation")).expect("fresh name");
+        }
+        let mut config = test_config();
+        config.host.page_size = page_size;
+        let engine = Engine::new(db, config).expect("engine");
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let server = Server::start(listener, engine).expect("server");
+        let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        let mut schemas = Vec::new();
+        for (name, text) in views {
+            match client.install_view(name, text).expect("install") {
+                Response::Result(r) => schemas.push(r.schema),
+                other => panic!("install {name} failed: {other:?}"),
+            }
+        }
+        for step in 0..6u64 {
+            let k = draw(5);
+            let write = match draw(2) {
+                0 => format!("(append (restrict (scan s) (< c0 {k})) t)"),
+                _ => format!("(delete t (= c0 {k}))"),
+            };
+            match client
+                .query(&write, Priority::Normal, false)
+                .expect("write")
+            {
+                Response::Result(_) => {}
+                other => panic!("write failed: {other:?}"),
+            }
+            for ((name, text), schema) in views.iter().zip(&schemas) {
+                let mut fresh = match client.query(text, Priority::Normal, false).expect("query") {
+                    Response::Result(r) => r.tuples,
+                    other => panic!("query failed: {other:?}"),
+                };
+                fresh.sort();
+                let id = 1000 * seed + step;
+                let request = Request::ReadView {
+                    id,
+                    name: name.to_string(),
+                };
+                let mut out = Vec::new();
+                df_serve::proto::write_frame(&mut out, &request.encode()).expect("encodes");
+                raw.write_all(&out).expect("sends");
+                let mut frame = vec![0; 4];
+                raw.read_exact(&mut frame).expect("prefix");
+                let len = u32::from_be_bytes(frame[..4].try_into().expect("4 bytes"));
+                frame.resize(4 + len as usize, 0);
+                raw.read_exact(&mut frame[4..]).expect("payload");
+                assert_eq!(
+                    frame,
+                    reference_frame(id, schema, &fresh),
+                    "seed {seed} step {step}: view {name} after {write}"
+                );
+            }
+        }
+        assert!(matches!(
+            client.request(&Request::Shutdown).expect("shutdown"),
+            Response::Ok
+        ));
+        server.join();
+    }
+}
