@@ -56,4 +56,4 @@ mod stats;
 
 pub use estimate::{estimate, NodeEstimates};
 pub use rules::{optimize, Optimized};
-pub use stats::{CatalogStats, RelationStats};
+pub use stats::{CatalogStats, HeldStats, RelationStats};

@@ -74,9 +74,9 @@ pub(super) struct ReadTask {
 /// One update query, executed split-phase by a lane: `stage_write` under
 /// the catalog read lock (raw pages: an append's source through
 /// `df_query::run_plan`, a delete's page-level partition), then — under
-/// the write lock — the target's optimizer statistics invalidated and
-/// `apply_write`. The gate's exclusive mark on the target makes the split
-/// sound.
+/// the write lock — `apply_write`, with the write's change folded into the
+/// target's held optimizer statistics. The gate's exclusive mark on the
+/// target makes the split sound.
 pub(super) struct WriteTask {
     /// Taken (`Option::take`) at conclusion; a panic before that point
     /// leaves it here for the containment path to answer.
@@ -220,9 +220,10 @@ fn relation_frame(fan_out: u32, rel: &Relation) -> Result<Vec<u8>, ServeError> {
 /// or the partitioned target swapped in with its untouched pages shared. Sound because the
 /// dispatcher granted this task exclusive gate marks on its target
 /// relations, so no other task can read or write them between the
-/// phases. Under that same write lock the targets' optimizer statistics
-/// are invalidated, so the next optimizing resolve naming a target
-/// gathers the post-write relation.
+/// phases. Under that same write lock the target's held optimizer
+/// statistics are taken out, and the applied change is folded into them
+/// (`CatalogStats::fold_write`), so the next optimizing resolve naming the
+/// target finds them current without a scan.
 fn run_write_task(
     lane: usize,
     shared: &Arc<Shared>,
@@ -243,13 +244,24 @@ fn run_write_task(
         // base change first — it is what flows through every standing
         // view reading the target.
         let change = delta.base_change();
+        let target = delta.target().to_owned();
         let mut db = write_lock(&shared.db);
-        // Lock order: catalog, then statistics. Invalidating just before
-        // the apply is the same as just after to every resolve (both
-        // need the catalog lock this task holds), and a panicking apply
-        // still leaves the targets' statistics absent rather than stale.
-        lock(&shared.opt_stats).invalidate(&written);
-        apply_write(&mut db, delta).map(|rel| (rel, change))
+        // Lock order: catalog, then statistics; every resolve needs the
+        // catalog lock this task holds, so none sees the entry out. Taken
+        // out before the apply, a failing or panicking apply or fold
+        // leaves the target's statistics absent rather than stale.
+        let mut opt_stats = lock(&shared.opt_stats);
+        let held = opt_stats.take(&target);
+        let rel = apply_write(&mut db, delta)?;
+        if let (Some(held), Some(relation)) = (held, db.get(&target)) {
+            let (inserts, deletes) = &change;
+            let gathered = opt_stats.fold_write(held, relation, inserts, deletes);
+            shared
+                .stats
+                .stats_gathers
+                .fetch_add(gathered as u64, Ordering::Relaxed);
+        }
+        Ok((rel, change))
     });
     shared.stats.lane_execs[lane].fetch_add(1, Ordering::Relaxed);
     let sub = task.sub.take().expect("write concluded once");

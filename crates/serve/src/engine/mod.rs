@@ -17,7 +17,8 @@
 //!   it mutates (`ServeStats::cache_evictions_partial`). The optimizer's
 //!   statistics are per relation too: resolve gathers only the relations
 //!   a plan names and does not hold (`ServeStats::stats_gathers`), and
-//!   the lane that applies a write drops its target's.
+//!   the lane that applies a write folds the write's change into its
+//!   target's, so writes do not force a rescan.
 //! * `gate` — the per-relation reader/writer gate, the **only**
 //!   mechanism that orders conflicting work: shared marks on every
 //!   relation a task reads, exclusive marks on every relation a write
@@ -230,9 +231,11 @@ struct Shared {
     /// Optimizer statistics for the relations optimizing requests have
     /// named so far; every entry equals a fresh gather of the current
     /// catalog. **Lock order: `db`, then this.** Resolve refreshes under
-    /// the catalog read lock, a write task invalidates its target under
-    /// the catalog write lock, so no plan is ever optimized against
-    /// statistics older than the catalog it reads.
+    /// the catalog read lock, a write task folds its change into its
+    /// target's entry under the catalog write lock, so no plan is ever
+    /// optimized against statistics older than the catalog it reads. An
+    /// entry keeps its `Int` columns, sorted, only once a write has reached
+    /// its relation: resident bytes follow the write traffic.
     opt_stats: Mutex<CatalogStats>,
     /// Read executions dispatched but not yet fanned out, keyed by the
     /// plan tree's `Debug` form. Guards the join-vs-complete race: a
@@ -624,10 +627,10 @@ impl Engine {
     /// the lane.
     fn dispatch_write(&mut self, sub: Submission, plan: Plan) {
         // The cached plans that read the written relations go stale with
-        // this write; everything else in the cache survives. The lane
-        // drops the targets' optimizer statistics when the write applies;
-        // dropping them here would let a resolve before then regather,
-        // and keep, the pre-write relation.
+        // this write; everything else in the cache survives. The target's
+        // optimizer statistics stay held: the lane folds the write into
+        // them when it applies, which is also when a resolve can first see
+        // the post-write relation.
         let stats = &self.shared.stats;
         let evicted = self.plan_cache.evict_reading(&plan.writes);
         stats

@@ -47,7 +47,7 @@ impl Plan {
 /// linear scan for the stalest tick — no extra list to maintain. The
 /// optimizer's statistics are not kept here: they live in
 /// `Shared::opt_stats`, next to the catalog, because the lane that
-/// applies a write is what invalidates them.
+/// applies a write is what folds the write into them.
 pub(super) struct PlanCache {
     capacity: usize,
     tick: u64,
@@ -95,9 +95,9 @@ impl PlanCache {
     /// [`QueryTree::written_relations`] returns it), and return how many
     /// were evicted. Entries reading only untouched relations survive,
     /// so `parses == plan_cache_misses` stays a per-relation invariant:
-    /// a plan is re-parsed only when a relation it reads changed. This is
-    /// the plan half of invalidation only; the statistics half happens
-    /// where the write is applied (`run_write_task`).
+    /// a plan is re-parsed only when a relation it reads changed. The
+    /// statistics are not invalidated at all: the write's change is folded
+    /// into them where it is applied (`run_write_task`).
     pub(super) fn evict_reading(&mut self, written: &[String]) -> u64 {
         let before = self.entries.len();
         self.entries
@@ -142,8 +142,8 @@ impl PlanCache {
 /// (`QueryTree::referenced_relations`: its scans and its write target,
 /// the only relations the optimizer looks up), gathering the ones not
 /// held. `db` is the caller's catalog read guard; lock order is catalog,
-/// then statistics, so a write cannot apply — and invalidate — between
-/// the refresh and the optimize.
+/// then statistics, so a write cannot apply — and fold — between the
+/// refresh and the optimize.
 pub(super) fn optimize_scoped(shared: &Shared, db: &Catalog, tree: QueryTree) -> QueryTree {
     let mut opt_stats = lock(&shared.opt_stats);
     let gathered = opt_stats.refresh(db, &tree.referenced_relations());

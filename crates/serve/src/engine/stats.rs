@@ -43,9 +43,10 @@ pub struct ServeStats {
     pub cache_evictions_partial: AtomicU64,
     /// Relations scanned for optimizer statistics. An optimizing plan
     /// miss gathers only the relations it names that are not held; a
-    /// write drops only its target's, so a write followed by an
-    /// optimizing read of that target gathers one relation, not the
-    /// catalog. Unoptimized requests never gather.
+    /// write folds its change into its target's held entry, except that
+    /// the first write to an entry gathers it once more, keeping its
+    /// columns. So each relation is gathered at most twice however many
+    /// writes apply (more only after a failed or panicking write).
     pub stats_gathers: AtomicU64,
     /// Write tasks dispatched while another write was still in flight —
     /// impossible under the old global quiesce barrier, which drained

@@ -235,10 +235,11 @@ fn held_stats_equal_a_fresh_gather_after_every_reply() {
 
 /// The window a dispatch-time invalidation leaves open: a read of the
 /// target resolved after the write is dispatched but before it applies
-/// gathers the pre-write relation. Invalidating where the write is
-/// applied drops that entry again.
+/// gathers the pre-write relation. Where the write is applied, that
+/// entry is brought up to the post-write relation: folded, or on the
+/// target's first write (as here) gathered again keeping its columns.
 #[test]
-fn stats_gathered_while_a_write_is_in_flight_are_dropped_when_it_applies() {
+fn stats_gathered_while_a_write_is_in_flight_are_folded_when_it_applies() {
     let hold = Arc::new(LaneHold::default());
     let config = ServeConfig {
         lane_hold: Some(Arc::clone(&hold)),
@@ -278,8 +279,8 @@ fn stats_gathered_while_a_write_is_in_flight_are_dropped_when_it_applies() {
     assert_eq!(replies.len(), 2);
     assert!(replies.iter().all(|r| matches!(r, Response::Result(_))));
     assert!(
-        lock(&engine.shared.opt_stats).get("r01").is_none(),
-        "the in-flight write's apply dropped the statistics gathered before it"
+        lock(&engine.shared.opt_stats).get("r01").is_some(),
+        "the in-flight write's apply kept the statistics gathered before it"
     );
     assert_held_stats_are_fresh(&engine, "after the in-flight write applied");
 }

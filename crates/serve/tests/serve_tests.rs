@@ -807,13 +807,14 @@ fn optimizing_a_restrict_at_the_ends_of_i64_gets_an_answer() {
     }
 }
 
-/// Optimizer statistics are relation-scoped: a write drops only its
-/// target's, so the next optimizing read of that target gathers one
-/// relation, a read of an untouched relation gathers none, and
-/// unoptimized requests never gather (though their writes still drop
-/// what they change).
+/// Optimizer statistics are relation-scoped and folded across writes: a
+/// read gathers each relation it names once; a write's first apply to a
+/// held relation gathers it once more, keeping its columns, and every
+/// later write folds in without a scan, so reads after writes gather
+/// nothing. Unoptimized reads never gather, but an unoptimized write
+/// still keeps a held entry current.
 #[test]
-fn a_write_regathers_only_its_target() {
+fn writes_fold_into_held_stats_without_regathering() {
     let mut engine = Engine::new(small_db(), test_config()).expect("engine");
     let handle = engine.handle();
     let replies = Replies::default();
@@ -840,21 +841,25 @@ fn a_write_regathers_only_its_target() {
     assert_eq!(gathers(), 2, "one gather per relation first named");
     // The optimizing write names r00 and r01; r01 is held.
     run_one(true, "(append (restrict (scan r00) (= key 3)) r01)");
-    assert_eq!(gathers(), 3, "the write gathers its source only");
-    run_one(true, "(restrict (scan r01) (< val 500))");
     assert_eq!(
         gathers(),
         4,
-        "a read after a write to r01 regathers r01 alone"
+        "the write gathers its source, and its target once more on its first apply"
     );
+    run_one(true, "(restrict (scan r01) (< val 500))");
+    run_one(true, "(delete r01 (= key 3))");
+    run_one(true, "(restrict (scan r01) (< val 600))");
+    assert_eq!(gathers(), 4, "later writes to r01 fold: nothing to gather");
     run_one(true, "(restrict (scan r05) (< val 500))");
     assert_eq!(gathers(), 4, "r05 was never written: nothing to gather");
 
     run_one(false, "(restrict (scan r02) (< val 10))");
+    assert_eq!(gathers(), 4, "unoptimized reads never gather");
     run_one(false, "(append (restrict (scan r00) (= key 4)) r05)");
-    assert_eq!(gathers(), 4, "unoptimized requests never gather");
+    assert_eq!(gathers(), 5, "r05's first write gathers it once more");
+    run_one(false, "(append (restrict (scan r00) (= key 5)) r05)");
     run_one(true, "(restrict (scan r05) (< val 600))");
-    assert_eq!(gathers(), 5, "the unoptimized write still dropped r05");
+    assert_eq!(gathers(), 5, "r05's later write folded");
     assert_eq!(
         stats.parses.load(Ordering::Relaxed),
         stats.plan_cache_misses.load(Ordering::Relaxed)
