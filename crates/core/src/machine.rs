@@ -30,7 +30,7 @@ use df_query::{apply_write, stage_write, ExecParams, Firing, Graph, QueryTree};
 use df_relalg::{Catalog, Page, Relation, Result, TupleBuf};
 use df_sim::stats::ByteCounter;
 use df_sim::{Duration, EventQueue, Resource, SimTime};
-use df_storage::{DiskCache, MassStorage, PageId, PageStore, PageTable};
+use df_storage::{DiskCache, MassStorage, PageId, PageMap, PageStore, PageTable};
 
 use crate::allocation::AllocationStrategy;
 use crate::granularity::Granularity;
@@ -84,6 +84,39 @@ enum Event {
     QueryDone { query: usize },
 }
 
+/// A set of instruction ids, one bit each, iterated in ascending id.
+#[derive(Debug, Clone, Default)]
+struct IdSet(Vec<u64>);
+
+impl IdSet {
+    /// An empty set for ids below `n`.
+    fn new(n: usize) -> IdSet {
+        IdSet(vec![0; n.div_ceil(64)])
+    }
+
+    fn set(&mut self, id: usize, member: bool) {
+        let bit = 1u64 << (id % 64);
+        if member {
+            self.0[id / 64] |= bit;
+        } else {
+            self.0[id / 64] &= !bit;
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+}
+
 /// Per-processor scheduling state.
 #[derive(Debug, Clone)]
 struct Proc {
@@ -131,13 +164,22 @@ pub struct Machine {
     net_dist: Resource,
     procs: Vec<Proc>,
     /// Time at which each page's latest cache insert completes (a reader at
-    /// an earlier instant waits for it).
-    page_avail: HashMap<PageId, SimTime>,
+    /// an earlier instant waits for it); a page without one is readable at
+    /// any time.
+    page_avail: PageMap<SimTime>,
 
     states: Vec<InstrState>,
     depth: Vec<usize>,
     queue: EventQueue<Event>,
     rr_cursor: usize,
+    /// The instructions with work they may fire now
+    /// ([`Machine::has_ready_work`]), kept current as their state changes.
+    ready: IdSet,
+    /// Reused by [`Machine::dispatch_ready`]: the instructions with ready
+    /// work, as `(instr, in_flight, depth)`, in ascending instruction id.
+    candidates: Vec<(usize, usize, usize)>,
+    /// Reused by [`Machine::dispatch_unit`]: the unit's operand pages.
+    unit_pages: Vec<PageId>,
 
     arb_traffic: ByteCounter,
     dist_traffic: ByteCounter,
@@ -227,6 +269,7 @@ impl Machine {
             .collect();
 
         let n_queries = graph.reads.len();
+        let n_instrs = graph.cells.len();
         let processors = params.processors;
         let channels = params.net_channels();
         let cache = DiskCache::new(params.cache.clone());
@@ -245,11 +288,14 @@ impl Machine {
                 };
                 processors
             ],
-            page_avail: HashMap::new(),
+            page_avail: PageMap::new(),
             states: Vec::new(),
             depth,
             queue: EventQueue::new(),
             rr_cursor: 0,
+            ready: IdSet::new(n_instrs),
+            candidates: Vec::new(),
+            unit_pages: Vec::new(),
             arb_traffic: ByteCounter::new(),
             dist_traffic: ByteCounter::new(),
             arb_series: IntervalSeries::default(),
@@ -367,6 +413,7 @@ impl Machine {
             }
             Firing::Complete | Firing::Source => {} // waits for completeness
         }
+        self.refresh_ready(iid);
     }
 
     /// Mark one operand stream complete; issue finalizer units and check
@@ -388,6 +435,7 @@ impl Machine {
                 self.states[iid].units_generated += 1;
             }
         }
+        self.refresh_ready(iid);
         self.check_completion(iid);
     }
 
@@ -403,8 +451,25 @@ impl Machine {
         }
     }
 
+    /// Whether `iid` has work it may fire now: the candidates a free
+    /// processor chooses among.
+    fn has_ready_work(&self, iid: InstrId) -> bool {
+        let st = &self.states[iid];
+        !st.finished
+            && (!st.pending.is_empty() || !st.ready_outers.is_empty())
+            && self.instr_ready(iid)
+    }
+
+    /// Bring `iid`'s membership of the ready set up to date; called after
+    /// every change to its queued work or its operands' completeness.
+    fn refresh_ready(&mut self, iid: InstrId) {
+        let ready = self.has_ready_work(iid);
+        self.ready.set(iid, ready);
+    }
+
     /// Dispatch as many (unit, processor) pairs as possible.
     fn dispatch_ready(&mut self) {
+        let mut candidates = std::mem::take(&mut self.candidates);
         // Processor with a free memory cell, earliest-free first.
         while let Some(pid) = self
             .procs
@@ -414,18 +479,17 @@ impl Machine {
             .min_by_key(|(i, p)| (p.busy_until, *i))
             .map(|(i, _)| i)
         {
-            // Instructions with ready work.
-            let candidates: Vec<(usize, usize, usize)> = self
-                .states
-                .iter()
-                .enumerate()
-                .filter(|(iid, st)| {
-                    !st.finished
-                        && (!st.pending.is_empty() || !st.ready_outers.is_empty())
-                        && self.instr_ready(*iid)
-                })
-                .map(|(iid, st)| (iid, st.in_flight, self.depth[iid]))
-                .collect();
+            // Instructions with ready work, in ascending id (the order
+            // round-robin indexes into).
+            candidates.clear();
+            candidates.extend(
+                (self.ready.iter()).map(|iid| (iid, self.states[iid].in_flight, self.depth[iid])),
+            );
+            debug_assert!(
+                (candidates.iter().map(|c| c.0))
+                    .eq((0..self.states.len()).filter(|&iid| self.has_ready_work(iid))),
+                "ready set out of date"
+            );
             if candidates.is_empty() {
                 break;
             }
@@ -433,6 +497,7 @@ impl Machine {
             let unit = self.next_unit(iid);
             self.dispatch_unit(pid, iid, unit);
         }
+        self.candidates = candidates;
     }
 
     /// Take the next work unit for `iid`: an explicit pending unit, or a
@@ -441,6 +506,7 @@ impl Machine {
     /// keeps its outer page while inner pages stream past).
     fn next_unit(&mut self, iid: InstrId) -> WorkUnit {
         if let Some(unit) = self.states[iid].pending.pop_front() {
+            self.refresh_ready(iid);
             return unit;
         }
         let max_batch = self.params.max_inner_batch.max(1);
@@ -460,6 +526,7 @@ impl Machine {
             st.outer_queued[outer] = true;
         }
         st.units_generated += 1;
+        self.refresh_ready(iid);
         WorkUnit::Sweep {
             outer,
             start: cursor,
@@ -482,27 +549,25 @@ impl Machine {
         // input stream (producers route tuples by hash), modelled as every
         // B-th page; the kernel still *reads* the full input from the page
         // store so the data path stays exact.
-        let operand_pages: Vec<PageId> = match unit {
-            WorkUnit::Single(p) => vec![p],
+        let mut operand_pages = std::mem::take(&mut self.unit_pages);
+        operand_pages.clear();
+        let st = &self.states[iid];
+        match unit {
+            WorkUnit::Single(p) => operand_pages.push(p),
             WorkUnit::Sweep { outer, start, len } => {
-                let st = &self.states[iid];
-                let mut v = Vec::with_capacity(1 + len);
-                v.push(st.pair_cursors[outer].0);
-                v.extend_from_slice(&st.operands[1].pages()[start..start + len]);
-                v
+                operand_pages.push(st.pair_cursors[outer].0);
+                operand_pages.extend_from_slice(&st.operands[1].pages()[start..start + len]);
             }
             WorkUnit::Final { bucket } => {
                 let buckets = self.params.dedup_buckets.max(1);
-                self.states[iid]
-                    .operands
-                    .iter()
-                    .flat_map(|t| t.pages().iter().copied())
-                    .enumerate()
-                    .filter(|(i, _)| i % buckets == bucket as usize)
-                    .map(|(_, p)| p)
-                    .collect()
+                operand_pages.extend(
+                    (st.operands.iter())
+                        .flat_map(|t| t.pages().iter().copied())
+                        .skip(bucket as usize)
+                        .step_by(buckets),
+                );
             }
-        };
+        }
         // Broadcast joins (requirement 4, §4.0): each sweep operand page is
         // staged out of the hierarchy once and then held at the processors,
         // so re-uses cost nothing and cross no network. Tuple-level
@@ -511,8 +576,9 @@ impl Machine {
             && self.params.broadcast_join
             && self.granularity != Granularity::Tuple;
         let mut data_ready = now;
-        // Pages that cross the arbitration network for this unit.
-        let mut net_pages: Vec<PageId> = Vec::new();
+        // Pages (and their bytes) that cross the arbitration network for a
+        // broadcast unit.
+        let (mut net_pages, mut net_bytes) = (0, 0);
         if broadcast {
             let WorkUnit::Sweep { outer, start, len } = unit else {
                 unreachable!("broadcast only set for sweeps")
@@ -524,7 +590,8 @@ impl Machine {
                     let t = self.stage_page(now, outer_page);
                     self.retire_if_intermediate(iid, 0, outer_page);
                     self.states[iid].outer_avail[outer] = Some(t);
-                    net_pages.push(outer_page);
+                    net_pages += 1;
+                    net_bytes += self.store.wire_bytes(outer_page);
                     data_ready = data_ready.max(t);
                 }
             }
@@ -536,7 +603,8 @@ impl Machine {
                         let t = self.stage_page(now, inner_page);
                         self.retire_if_intermediate(iid, 1, inner_page);
                         self.states[iid].inner_avail[i] = Some(t);
-                        net_pages.push(inner_page);
+                        net_pages += 1;
+                        net_bytes += self.store.wire_bytes(inner_page);
                         data_ready = data_ready.max(t);
                     }
                 }
@@ -545,7 +613,6 @@ impl Machine {
             for &pid_ in &operand_pages {
                 let t = self.stage_page(now, pid_);
                 data_ready = data_ready.max(t);
-                net_pages.push(pid_);
             }
             // A streaming unary unit consumes its page exactly once:
             // reclaim intermediate pages immediately.
@@ -554,30 +621,27 @@ impl Machine {
             }
         }
 
-        // 2. Gather sizes for accounting. For sweeps the inner pages are
-        // collapsed into one logical operand (n outer tuples vs m total
-        // inner tuples), which is exactly what the §3.3 tuple-level formula
-        // n·m·(200+c) needs.
-        let page_tuples: Vec<usize> = operand_pages
-            .iter()
-            .map(|&p| self.store.get(p).len())
-            .collect();
-        let page_widths: Vec<usize> = operand_pages
-            .iter()
-            .map(|&p| self.store.get(p).schema().tuple_width())
-            .collect();
-        let (tuple_counts, tuple_widths): (Vec<usize>, Vec<usize>) = match unit {
-            WorkUnit::Single(_) => (page_tuples.clone(), page_widths.clone()),
-            WorkUnit::Sweep { .. } => (
-                vec![page_tuples[0], page_tuples[1..].iter().sum()],
-                vec![page_widths[0], page_widths.get(1).copied().unwrap_or(0)],
-            ),
-            WorkUnit::Final { .. } => (page_tuples.clone(), page_widths.clone()),
+        // 2. Gather sizes for accounting, in one pass. For sweeps the inner
+        // pages are collapsed into one logical operand (n outer tuples vs m
+        // total inner tuples), which is exactly what the §3.3 tuple-level
+        // formula n·m·(200+c) needs; a finalizer's tuples are only summed
+        // (its cost is their total, and it ships whole pages).
+        let arity = if matches!(unit, WorkUnit::Sweep { .. }) {
+            2
+        } else {
+            1
         };
-        let payload: usize = operand_pages
-            .iter()
-            .map(|&p| self.store.get(p).wire_bytes())
-            .sum();
+        let (mut counts, mut widths, mut payload) = ([0usize; 2], [0usize; 2], 0);
+        for (i, &p) in operand_pages.iter().enumerate() {
+            let page = self.store.get(p);
+            let slot = i.min(arity - 1);
+            counts[slot] += page.len();
+            if i < arity {
+                widths[slot] = page.schema().tuple_width();
+            }
+            payload += page.wire_bytes();
+        }
+        let (tuple_counts, tuple_widths) = (&counts[..arity], &widths[..arity]);
 
         // 3. Arbitration-network transfer.
         let (packets, pkt_payload) = match unit {
@@ -585,16 +649,10 @@ impl Machine {
             // tuple-level accounting is defined for the paper's streaming
             // and join packets, not for blocking set operators.
             WorkUnit::Final { .. } => (operand_pages.len().max(1), payload),
-            _ if broadcast => {
-                let staged_bytes: usize = net_pages
-                    .iter()
-                    .map(|&p| self.store.get(p).wire_bytes())
-                    .sum();
-                (net_pages.len(), staged_bytes)
-            }
+            _ if broadcast => (net_pages, net_bytes),
             _ => self.granularity.unit_packets(
-                &tuple_counts,
-                &tuple_widths,
+                tuple_counts,
+                tuple_widths,
                 operand_pages.len(),
                 payload,
             ),
@@ -615,7 +673,7 @@ impl Machine {
         // compared and memcpy'd, never decoded), schedule the timing.
         let node = self.graph.cells[iid].node();
         let (kernel, out_schema) = (&node.kernel, &node.out_schema);
-        let pages: Vec<&Page> = operand_pages.iter().map(|&p| self.store.get(p)).collect();
+        let store = &self.store;
         let results = match unit {
             WorkUnit::Final { bucket } => {
                 // The kernel reads the *complete* inputs from the store
@@ -630,13 +688,15 @@ impl Machine {
             }
             WorkUnit::Sweep { .. } => {
                 let mut out = TupleBuf::new(out_schema.clone());
-                kernel.run_sweep_raw_into(pages[0], pages[1..].iter().copied(), true, &mut out);
+                let inner = operand_pages[1..].iter().map(|&p| store.get(p));
+                kernel.run_sweep_raw_into(store.get(operand_pages[0]), inner, true, &mut out);
                 out
             }
-            WorkUnit::Single(_) => kernel.run_unit_raw(&pages, out_schema),
+            WorkUnit::Single(p) => kernel.run_unit_raw(&[store.get(p)], out_schema),
         };
+        self.unit_pages = operand_pages;
 
-        let tuple_ops = kernel.tuple_ops(&tuple_counts);
+        let tuple_ops = kernel.tuple_ops(tuple_counts);
         let service = self.params.cost.compute_time(payload, tuple_ops);
         let proc = &mut self.procs[pid];
         let start = net_done.max(proc.busy_until);
@@ -663,7 +723,7 @@ impl Machine {
         if self.cache.contains(page) {
             let earliest = self
                 .page_avail
-                .get(&page)
+                .get(page)
                 .copied()
                 .unwrap_or(SimTime::ZERO)
                 .max(now);
@@ -687,14 +747,14 @@ impl Machine {
         if is_intermediate(&self.graph.cells[iid], slot) {
             self.cache.discard(page);
             self.disk.discard(page);
-            self.page_avail.remove(&page);
+            self.page_avail.remove(page);
         }
     }
 
     /// Write evicted dirty pages (not disk-resident) back to mass storage.
     fn spill(&mut self, now: SimTime, evicted: &[PageId]) {
         for &victim in evicted {
-            self.page_avail.remove(&victim);
+            self.page_avail.remove(victim);
             if !self.disk.contains(victim) {
                 let bytes = self.store.wire_bytes(victim);
                 self.disk.write(now, victim, bytes);
@@ -715,11 +775,11 @@ impl Machine {
         }
         // Drain result images into the output buffer; emit full pages.
         // Each drain is one memcpy of whole images — no tuple is decoded.
+        let page_size = self.params.page_size;
         while !results.is_empty() {
-            let page_size = self.params.page_size;
-            let schema = self.graph.cells[iid].node().out_schema.clone();
+            let schema = &self.graph.cells[iid].node().out_schema;
             let buf = self.states[iid].out_buffer.get_or_insert_with(|| {
-                Page::new(schema, page_size).expect("output page size validated")
+                Page::new(schema.clone(), page_size).expect("output page size validated")
             });
             results.drain_into(buf);
             if buf.is_full() {
@@ -798,18 +858,16 @@ impl Machine {
         if st.finished {
             return;
         }
-        let operands_done = st.operands.iter().all(PageTable::is_complete);
-        let pairs_done = st.ready_outers.is_empty()
-            && st
-                .pair_cursors
-                .iter()
-                .all(|&(_, cursor)| cursor == st.operands.get(1).map_or(0, PageTable::len));
-        let units_done = st.pending.is_empty()
-            && pairs_done
-            && st.in_flight == 0
-            && st.units_done == st.units_generated;
-        let final_ok = firing(&self.graph.cells[iid]) != Firing::Complete || st.final_issued;
-        if !(operands_done && units_done && final_ok) {
+        // Cheapest tests first: most calls find units still in flight.
+        let inner_len = st.operands.get(1).map_or(0, PageTable::len);
+        let done = st.in_flight == 0
+            && st.pending.is_empty()
+            && st.ready_outers.is_empty()
+            && st.units_done == st.units_generated
+            && (firing(&self.graph.cells[iid]) != Firing::Complete || st.final_issued)
+            && st.operands.iter().all(PageTable::is_complete)
+            && (st.pair_cursors.iter()).all(|&(_, cursor)| cursor == inner_len);
+        if !done {
             return;
         }
 
@@ -832,7 +890,7 @@ impl Machine {
         for p in intermediates {
             self.cache.discard(p);
             self.disk.discard(p);
-            self.page_avail.remove(&p);
+            self.page_avail.remove(p);
         }
 
         let after_delivery = self.states[iid].last_delivery.max(now);

@@ -101,7 +101,7 @@ impl RingMachine {
                 // Shared handle — the page body is never deep-copied here.
                 let incoming = self.store.get_arc(page);
                 let full = incoming.is_full();
-                let direct = matches!(self.loc.get(&page), Some(Loc::AtIp(_)));
+                let direct = matches!(self.loc.get(page), Some(Loc::AtIp(_)));
                 if full {
                     // Fast path: register without recopying.
                     if !direct {
@@ -409,7 +409,7 @@ impl RingMachine {
         let mut ready = now;
         let mut packet_page_bytes: Vec<usize> = Vec::new();
         for &p in pages {
-            if let Some(Loc::AtIp(home)) = self.loc.get(&p).copied() {
+            if let Some(Loc::AtIp(home)) = self.loc.get(p).copied() {
                 // Direct IP→IP transfer of the page body.
                 let bytes = self.store.wire_bytes(p);
                 let t =

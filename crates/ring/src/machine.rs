@@ -28,7 +28,7 @@ use df_obs::Path as ObsPath;
 use df_query::{Graph, QueryTree};
 use df_relalg::{Catalog, Page, Relation, Result, TupleBuf};
 use df_sim::{Duration, EventQueue, SimTime};
-use df_storage::{DiskCache, LocalMemory, MassStorage, PageId, PageStore, PageTable};
+use df_storage::{DiskCache, LocalMemory, MassStorage, PageId, PageMap, PageStore, PageTable};
 
 use crate::metrics::RingMetrics;
 use crate::params::RingParams;
@@ -275,7 +275,7 @@ pub struct RingMachine {
     pub(crate) disk: MassStorage,
     pub(crate) cache: DiskCache,
     pub(crate) ic_memory: Vec<LocalMemory>,
-    pub(crate) loc: HashMap<PageId, Loc>,
+    pub(crate) loc: PageMap<Loc>,
 
     pub(crate) inner_ring: Ring,
     pub(crate) outer_ring: Ring,
@@ -370,7 +370,7 @@ impl RingMachine {
 
         let mut store = PageStore::new();
         let mut disk = MassStorage::new(params.disk.clone());
-        let mut loc = HashMap::new();
+        let mut loc = PageMap::new();
         let mut base_pages: HashMap<&str, Vec<PageId>> = HashMap::new();
         for name in base_relations(&graph) {
             let ids = store.load_relation(db.require(name)?);
@@ -630,7 +630,7 @@ impl RingMachine {
     /// Make a page's bytes available at IC `ic` for shipping; returns when
     /// they are ready.
     pub(crate) fn ic_fetch_page(&mut self, now: SimTime, ic: usize, page: PageId) -> SimTime {
-        match self.loc.get(&page).copied() {
+        match self.loc.get(page).copied() {
             Some(Loc::IcLocal(owner)) => {
                 debug_assert_eq!(owner, ic, "operand pages are delivered to their IC");
                 self.ic_memory[ic].touch(page);
@@ -673,7 +673,7 @@ impl RingMachine {
     /// Drop a fully consumed page from the hierarchy (contents stay in the
     /// store for the exact data path).
     pub(crate) fn reclaim_page(&mut self, page: PageId) {
-        match self.loc.remove(&page) {
+        match self.loc.remove(page) {
             Some(Loc::IcLocal(ic)) => self.ic_memory[ic].remove(page),
             Some(Loc::Cached) => self.cache.discard(page),
             Some(Loc::OnDisk) | Some(Loc::AtIp(_)) | None => {}

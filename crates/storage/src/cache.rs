@@ -6,12 +6,11 @@
 //! controlling", with each IC swapping to disk when its own segment fills.
 //! The DIRECT-style machine of `df-core` uses a single shared segment.
 
-use std::collections::HashMap;
-
 use df_sim::stats::ByteCounter;
 use df_sim::{Duration, Resource, SimTime};
 
 use crate::lru::LruIndex;
+use crate::page_map::PageMap;
 use crate::store::PageId;
 
 /// The owner of a cache segment (an IC index, or 0 for a shared cache).
@@ -55,18 +54,25 @@ struct FrameMeta {
     bytes: usize,
 }
 
+/// One owner's segment of the cache.
+#[derive(Debug, Clone, Default)]
+struct Segment {
+    lru: LruIndex,
+    /// Frame quota; an owner without one shares the slack.
+    quota: Option<usize>,
+    /// Frames in use.
+    occupancy: usize,
+}
+
 /// The simulated multiport disk cache.
 #[derive(Debug, Clone)]
 pub struct DiskCache {
     params: CacheParams,
     ports: Resource,
-    resident: HashMap<PageId, FrameMeta>,
-    /// Per-owner LRU (deterministic iteration is irrelevant: lookups are by key).
-    lru: HashMap<OwnerId, LruIndex>,
-    /// Per-owner frame quota; owners absent from the map share the slack.
-    quotas: HashMap<OwnerId, usize>,
-    /// Per-owner frame occupancy.
-    occupancy: HashMap<OwnerId, usize>,
+    resident: PageMap<FrameMeta>,
+    /// Per-owner segments, indexed by owner id (owners are few: ≤ #ICs), so
+    /// scanning them in order visits owners in ascending id.
+    segments: Vec<Segment>,
     /// Bytes moved into the cache.
     pub in_traffic: ByteCounter,
     /// Bytes read out of the cache.
@@ -81,10 +87,8 @@ impl DiskCache {
         DiskCache {
             params,
             ports: Resource::new("cache-ports", ports),
-            resident: HashMap::new(),
-            lru: HashMap::new(),
-            quotas: HashMap::new(),
-            occupancy: HashMap::new(),
+            resident: PageMap::new(),
+            segments: Vec::new(),
             in_traffic: ByteCounter::new(),
             out_traffic: ByteCounter::new(),
         }
@@ -98,7 +102,24 @@ impl DiskCache {
     /// Set `owner`'s frame quota (paper: proportional to the IPs it
     /// controls). Owners without a quota are bounded only by the pool.
     pub fn set_quota(&mut self, owner: OwnerId, frames: usize) {
-        self.quotas.insert(owner, frames);
+        self.segment(owner).quota = Some(frames);
+    }
+
+    /// `owner`'s segment, created empty on first use.
+    fn segment(&mut self, owner: OwnerId) -> &mut Segment {
+        if owner >= self.segments.len() {
+            self.segments.resize_with(owner + 1, Segment::default);
+        }
+        &mut self.segments[owner]
+    }
+
+    /// The LRU index of a resident page's owner.
+    fn lru_of(&mut self, id: PageId, op: &str) -> &mut LruIndex {
+        let meta = *self
+            .resident
+            .get(id)
+            .unwrap_or_else(|| panic!("DiskCache::{op}: page {id} not cached"));
+        &mut self.segments[meta.owner].lru
     }
 
     /// Total frames in use.
@@ -108,12 +129,12 @@ impl DiskCache {
 
     /// Frames in use by `owner`.
     fn frames_used_by(&self, owner: OwnerId) -> usize {
-        self.occupancy.get(&owner).copied().unwrap_or(0)
+        self.segments.get(owner).map_or(0, |s| s.occupancy)
     }
 
     /// Whether `id` is cached.
     pub fn contains(&self, id: PageId) -> bool {
-        self.resident.contains_key(&id)
+        self.resident.contains(id)
     }
 
     /// Insert page `id` for `owner`, charging one port transfer.
@@ -135,13 +156,13 @@ impl DiskCache {
         bytes: usize,
     ) -> (SimTime, SimTime, Vec<PageId>) {
         assert!(
-            !self.resident.contains_key(&id),
+            !self.resident.contains(id),
             "DiskCache::insert: page {id} already cached"
         );
         let mut evicted = Vec::new();
         // Enforce the owner quota first, then the global pool.
         while self.over_quota(owner, 1) {
-            match self.lru.get_mut(&owner).and_then(LruIndex::evict) {
+            match self.segments.get_mut(owner).and_then(|s| s.lru.evict()) {
                 Some(victim) => {
                     self.forget(victim);
                     evicted.push(victim);
@@ -157,8 +178,9 @@ impl DiskCache {
         }
 
         self.resident.insert(id, FrameMeta { owner, bytes });
-        *self.occupancy.entry(owner).or_insert(0) += 1;
-        self.lru.entry(owner).or_default().insert(id);
+        let segment = self.segment(owner);
+        segment.occupancy += 1;
+        segment.lru.insert(id);
         self.in_traffic.record(bytes as u64);
         let service = self.params.service_time(bytes);
         let (s, c) = self.ports.submit(now, service);
@@ -173,12 +195,9 @@ impl DiskCache {
     pub fn read(&mut self, now: SimTime, id: PageId) -> (SimTime, SimTime) {
         let meta = *self
             .resident
-            .get(&id)
+            .get(id)
             .unwrap_or_else(|| panic!("DiskCache::read: page {id} not cached"));
-        self.lru
-            .get_mut(&meta.owner)
-            .expect("owner has an LRU index")
-            .touch(id);
+        self.segments[meta.owner].lru.touch(id);
         self.out_traffic.record(meta.bytes as u64);
         let service = self.params.service_time(meta.bytes);
         self.ports.submit(now, service)
@@ -186,73 +205,44 @@ impl DiskCache {
 
     /// Pin a cached page against eviction. Pins nest.
     pub fn pin(&mut self, id: PageId) {
-        let meta = *self
-            .resident
-            .get(&id)
-            .unwrap_or_else(|| panic!("DiskCache::pin: page {id} not cached"));
-        self.lru
-            .get_mut(&meta.owner)
-            .expect("owner has an LRU index")
-            .pin(id);
+        self.lru_of(id, "pin").pin(id);
     }
 
     /// Undo one pin.
     pub fn unpin(&mut self, id: PageId) {
-        let meta = *self
-            .resident
-            .get(&id)
-            .unwrap_or_else(|| panic!("DiskCache::unpin: page {id} not cached"));
-        self.lru
-            .get_mut(&meta.owner)
-            .expect("owner has an LRU index")
-            .unpin(id);
+        self.lru_of(id, "unpin").unpin(id);
     }
 
     /// Drop a page without charging time (dead intermediate reclamation).
     pub fn discard(&mut self, id: PageId) {
-        if let Some(meta) = self.resident.get(&id).copied() {
-            self.lru
-                .get_mut(&meta.owner)
-                .expect("owner has an LRU index")
-                .remove(id);
+        if self.resident.contains(id) {
+            self.lru_of(id, "discard").remove(id);
             self.forget(id);
         }
     }
 
     fn over_quota(&self, owner: OwnerId, adding: usize) -> bool {
-        match self.quotas.get(&owner) {
-            Some(&q) => self.frames_used_by(owner) + adding > q,
+        match self.segments.get(owner).and_then(|s| s.quota) {
+            Some(q) => self.frames_used_by(owner) + adding > q,
             None => false,
         }
     }
 
-    /// Evict the globally least-recently-used unpinned page.
+    /// Evict an unpinned page to make room in the pool: of the owners'
+    /// least-recently-used pages, the one of least page id (each owner keeps
+    /// its own use clock, so their stamps do not compare).
     fn evict_any(&mut self) -> Option<PageId> {
-        // Deterministic: scan owners in ascending order, pick the best
-        // candidate by (stamp-free) comparison of per-owner LRU heads using
-        // page id as the final tiebreak. Owner count is small (≤ #ICs).
-        let mut owners: Vec<OwnerId> = self.lru.keys().copied().collect();
-        owners.sort_unstable();
-        let victim = owners
-            .into_iter()
-            .filter_map(|o| self.lru[&o].lru_candidate())
+        let victim = (self.segments.iter())
+            .filter_map(|s| s.lru.lru_candidate())
             .min()?;
-        let meta = self.resident[&victim];
-        self.lru
-            .get_mut(&meta.owner)
-            .expect("owner has an LRU index")
-            .remove(victim);
+        self.lru_of(victim, "evict").remove(victim);
         self.forget(victim);
         Some(victim)
     }
 
     fn forget(&mut self, id: PageId) {
-        if let Some(meta) = self.resident.remove(&id) {
-            let occ = self
-                .occupancy
-                .get_mut(&meta.owner)
-                .expect("occupancy tracked per owner");
-            *occ -= 1;
+        if let Some(meta) = self.resident.remove(id) {
+            self.segments[meta.owner].occupancy -= 1;
         }
     }
 }
@@ -260,6 +250,7 @@ impl DiskCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pid(n: u64) -> PageId {
         PageId(n)
@@ -352,5 +343,132 @@ mod tests {
     fn read_of_absent_page_panics() {
         let mut c = cache(2);
         c.read(SimTime::ZERO, pid(9));
+    }
+
+    /// The reference cache: every resident page with its owner, bytes and
+    /// last-use stamp, searched linearly.
+    #[derive(Default)]
+    struct Naive {
+        pages: Vec<(PageId, OwnerId, usize, u64)>,
+        clock: u64,
+        in_bytes: u64,
+        out_bytes: u64,
+        inserts: u64,
+        reads: u64,
+    }
+
+    impl Naive {
+        /// An owner's least-recently-used page.
+        fn lru_of(&self, owner: OwnerId) -> Option<PageId> {
+            (self.pages.iter())
+                .filter(|p| p.1 == owner)
+                .min_by_key(|p| p.3)
+                .map(|p| p.0)
+        }
+
+        fn drop_page(&mut self, id: PageId) {
+            self.pages.retain(|p| p.0 != id);
+        }
+
+        /// Insert as [`DiskCache::insert`] specifies it: evict the owner's
+        /// LRU pages while it is over its quota, then, while the pool is
+        /// full, the least page id among the owners' LRU pages.
+        fn insert(
+            &mut self,
+            frames: usize,
+            quota: &[Option<usize>],
+            owner: OwnerId,
+            id: PageId,
+            bytes: usize,
+        ) -> Vec<PageId> {
+            let mut evicted = Vec::new();
+            while let Some(q) = quota[owner] {
+                let used = self.pages.iter().filter(|p| p.1 == owner).count();
+                if used < q {
+                    break;
+                }
+                let victim = self.lru_of(owner).expect("nothing is pinned");
+                self.drop_page(victim);
+                evicted.push(victim);
+            }
+            while self.pages.len() >= frames {
+                let victim = (0..quota.len())
+                    .filter_map(|o| self.lru_of(o))
+                    .min()
+                    .expect("nothing is pinned");
+                self.drop_page(victim);
+                evicted.push(victim);
+            }
+            self.clock += 1;
+            self.pages.push((id, owner, bytes, self.clock));
+            self.in_bytes += bytes as u64;
+            self.inserts += 1;
+            evicted
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(OwnerId, u64, usize),
+        Read(u64),
+        Discard(u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..2, 0u64..40, 1usize..200).prop_map(|(o, k, b)| Op::Insert(o, k, b)),
+            (0u64..40).prop_map(Op::Read),
+            (0u64..40).prop_map(Op::Discard),
+        ]
+    }
+
+    proptest! {
+        /// Two owners share an 8-frame pool, owner 0 under a 3-frame quota.
+        /// Random insert/read/discard sequences evict the reference's ids
+        /// in the reference's order and move the same bytes.
+        #[test]
+        fn agrees_with_a_naive_model(ops in proptest::collection::vec(op(), 0..300)) {
+            const FRAMES: usize = 8;
+            let quota = [Some(3), None];
+            let mut c = cache(FRAMES);
+            c.set_quota(0, 3);
+            let mut naive = Naive::default();
+            for op in ops {
+                match op {
+                    Op::Insert(owner, k, bytes) => {
+                        if !c.contains(pid(k)) {
+                            let want = naive.insert(FRAMES, &quota, owner, pid(k), bytes);
+                            let (_, _, got) = c.insert(SimTime::ZERO, owner, pid(k), bytes);
+                            prop_assert_eq!(got, want);
+                        }
+                    }
+                    Op::Read(k) => {
+                        naive.clock += 1;
+                        let clock = naive.clock;
+                        if let Some(p) = naive.pages.iter_mut().find(|p| p.0 == pid(k)) {
+                            p.3 = clock;
+                            naive.out_bytes += p.2 as u64;
+                            naive.reads += 1;
+                            c.read(SimTime::ZERO, pid(k));
+                        }
+                    }
+                    Op::Discard(k) => {
+                        naive.drop_page(pid(k));
+                        c.discard(pid(k));
+                    }
+                }
+                prop_assert_eq!(c.frames_used(), naive.pages.len());
+                for owner in 0..2 {
+                    prop_assert_eq!(
+                        c.frames_used_by(owner),
+                        naive.pages.iter().filter(|p| p.1 == owner).count()
+                    );
+                }
+                prop_assert_eq!(c.in_traffic.bytes, naive.in_bytes);
+                prop_assert_eq!(c.in_traffic.transfers, naive.inserts);
+                prop_assert_eq!(c.out_traffic.bytes, naive.out_bytes);
+                prop_assert_eq!(c.out_traffic.transfers, naive.reads);
+            }
+        }
     }
 }

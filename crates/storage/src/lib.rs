@@ -15,6 +15,9 @@
 //!   the number of IPs each is controlling"*), LRU eviction of unpinned
 //!   frames, port queueing, byte counters.
 //! * [`LocalMemory`] — an IC's private page buffer with LRU spill.
+//! * [`PageMap`] — the per-page tables of the devices and the simulators:
+//!   a vector indexed by [`PageId`], since [`PageStore::put`] mints ids
+//!   densely from 0.
 //! * [`PageTable`] — paper §2.3: *"the data is represented by page tables"*;
 //!   a growing list of page ids plus a `complete` flag. The `complete` flag
 //!   is exactly the difference between relation-level granularity (fire when
@@ -31,11 +34,13 @@ mod cache;
 mod local;
 mod lru;
 mod mass;
+mod page_map;
 mod page_table;
 mod store;
 
 pub use cache::{CacheParams, DiskCache};
 pub use local::LocalMemory;
 pub use mass::{DiskParams, MassStorage};
+pub use page_map::PageMap;
 pub use page_table::PageTable;
 pub use store::{PageId, PageStore};

@@ -1,18 +1,23 @@
 //! A deterministic LRU index over page ids, with pinning.
 //!
-//! Shared by the disk cache and IC local memories. O(log n) touch/evict via
-//! a (last-use, id) ordered set; ties are impossible because the use counter
-//! is globally monotone.
+//! Shared by the disk cache and IC local memories. Each page's (last-use
+//! stamp, pin count) lives in a [`PageMap`], indexed by the page id (ids are
+//! minted densely from 0 by [`PageStore::put`](crate::PageStore::put)), so
+//! finding a page's entry is O(1). What stays O(log n) is the eviction
+//! order: an ordered set of (last-use, id) over the *unpinned* pages, which
+//! insert, touch, pin, unpin, remove and evict each update once. Ties are
+//! impossible because the use counter is globally monotone.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
+use crate::page_map::PageMap;
 use crate::store::PageId;
 
 /// LRU bookkeeping for a set of resident pages.
 #[derive(Debug, Clone, Default)]
 pub struct LruIndex {
     /// page -> (last_use stamp, pin count)
-    entries: HashMap<PageId, (u64, u32)>,
+    entries: PageMap<(u64, u32)>,
     /// (last_use stamp, page) for all *unpinned* pages.
     order: BTreeSet<(u64, PageId)>,
     clock: u64,
@@ -36,7 +41,7 @@ impl LruIndex {
 
     /// Whether `id` is tracked.
     pub fn contains(&self, id: PageId) -> bool {
-        self.entries.contains_key(&id)
+        self.entries.contains(id)
     }
 
     /// Insert a page as most-recently-used (unpinned).
@@ -61,7 +66,7 @@ impl LruIndex {
         let stamp = self.clock;
         let entry = self
             .entries
-            .get_mut(&id)
+            .get_mut(id)
             .unwrap_or_else(|| panic!("LruIndex: touch of untracked {id}"));
         if entry.1 == 0 {
             let removed = self.order.remove(&(entry.0, id));
@@ -75,7 +80,7 @@ impl LruIndex {
     pub fn pin(&mut self, id: PageId) {
         let entry = self
             .entries
-            .get_mut(&id)
+            .get_mut(id)
             .unwrap_or_else(|| panic!("LruIndex: pin of untracked {id}"));
         if entry.1 == 0 {
             let removed = self.order.remove(&(entry.0, id));
@@ -88,7 +93,7 @@ impl LruIndex {
     pub fn unpin(&mut self, id: PageId) {
         let entry = self
             .entries
-            .get_mut(&id)
+            .get_mut(id)
             .unwrap_or_else(|| panic!("LruIndex: unpin of untracked {id}"));
         assert!(entry.1 > 0, "LruIndex: unpin of unpinned {id}");
         entry.1 -= 1;
@@ -99,7 +104,7 @@ impl LruIndex {
 
     /// Remove `id` entirely (e.g. page migrated to another level).
     pub fn remove(&mut self, id: PageId) {
-        if let Some((stamp, pins)) = self.entries.remove(&id) {
+        if let Some((stamp, pins)) = self.entries.remove(id) {
             if pins == 0 {
                 self.order.remove(&(stamp, id));
             }
@@ -122,6 +127,7 @@ impl LruIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pid(n: u64) -> PageId {
         PageId(n)
@@ -202,5 +208,104 @@ mod tests {
         let mut l = LruIndex::new();
         l.insert(pid(0));
         l.unpin(pid(0));
+    }
+
+    /// The naive model: every tracked page with its last-use stamp and pin
+    /// count; the LRU candidate is the unpinned page of least stamp.
+    #[derive(Default)]
+    struct Naive {
+        pages: Vec<(PageId, u64, u32)>,
+        clock: u64,
+    }
+
+    impl Naive {
+        fn find(&mut self, id: PageId) -> Option<&mut (PageId, u64, u32)> {
+            self.pages.iter_mut().find(|e| e.0 == id)
+        }
+
+        fn candidate(&self) -> Option<PageId> {
+            (self.pages.iter())
+                .filter(|e| e.2 == 0)
+                .min_by_key(|e| e.1)
+                .map(|e| e.0)
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u64),
+        Touch(u64),
+        Pin(u64),
+        Unpin(u64),
+        Remove(u64),
+        Evict,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..24).prop_map(Op::Insert),
+            (0u64..24).prop_map(Op::Touch),
+            (0u64..24).prop_map(Op::Pin),
+            (0u64..24).prop_map(Op::Unpin),
+            (0u64..24).prop_map(Op::Remove),
+            Just(Op::Evict),
+        ]
+    }
+
+    proptest! {
+        /// Random insert/touch/pin/unpin/remove/evict sequences evict what
+        /// the naive model evicts, in the same order. Operations the index
+        /// rejects by panicking (double insert, touching, pinning or
+        /// unpinning an untracked page, unbalanced unpin) are skipped.
+        #[test]
+        fn agrees_with_a_naive_model(ops in proptest::collection::vec(op(), 0..300)) {
+            let mut l = LruIndex::new();
+            let mut naive = Naive::default();
+            for op in ops {
+                match op {
+                    Op::Insert(k) => {
+                        if naive.find(pid(k)).is_none() {
+                            naive.clock += 1;
+                            naive.pages.push((pid(k), naive.clock, 0));
+                            l.insert(pid(k));
+                        }
+                    }
+                    Op::Touch(k) => {
+                        naive.clock += 1;
+                        let clock = naive.clock;
+                        if let Some(e) = naive.find(pid(k)) {
+                            e.1 = clock;
+                            l.touch(pid(k));
+                        }
+                    }
+                    Op::Pin(k) => {
+                        if let Some(e) = naive.find(pid(k)) {
+                            e.2 += 1;
+                            l.pin(pid(k));
+                        }
+                    }
+                    Op::Unpin(k) => {
+                        if let Some(e) = naive.find(pid(k)).filter(|e| e.2 > 0) {
+                            e.2 -= 1;
+                            l.unpin(pid(k));
+                        }
+                    }
+                    Op::Remove(k) => {
+                        naive.pages.retain(|e| e.0 != pid(k));
+                        l.remove(pid(k));
+                    }
+                    Op::Evict => {
+                        let victim = naive.candidate();
+                        naive.pages.retain(|e| Some(e.0) != victim);
+                        prop_assert_eq!(l.evict(), victim);
+                    }
+                }
+                prop_assert_eq!(l.lru_candidate(), naive.candidate());
+                prop_assert_eq!(l.len(), naive.pages.len());
+                for k in 0..24 {
+                    prop_assert_eq!(l.contains(pid(k)), naive.pages.iter().any(|e| e.0 == pid(k)));
+                }
+            }
+        }
     }
 }

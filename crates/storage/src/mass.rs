@@ -5,11 +5,10 @@
 //! 16.7 ms full rotation (8.35 ms average latency), 806 KB/s transfer — are
 //! the defaults here. Requests queue FCFS on the set of drive arms.
 
-use std::collections::BTreeSet;
-
 use df_sim::stats::ByteCounter;
 use df_sim::{Duration, Resource, SimTime};
 
+use crate::page_map::PageMap;
 use crate::store::PageId;
 
 /// Timing and configuration parameters for [`MassStorage`].
@@ -52,7 +51,7 @@ pub struct MassStorage {
     params: DiskParams,
     arms: Resource,
     /// Pages currently resident on disk.
-    resident: BTreeSet<PageId>,
+    resident: PageMap<()>,
     /// Bytes read from disk.
     pub read_traffic: ByteCounter,
     /// Bytes written to disk.
@@ -66,7 +65,7 @@ impl MassStorage {
         MassStorage {
             params,
             arms: Resource::new("disk-arms", drives),
-            resident: BTreeSet::new(),
+            resident: PageMap::new(),
             read_traffic: ByteCounter::new(),
             write_traffic: ByteCounter::new(),
         }
@@ -81,12 +80,12 @@ impl MassStorage {
     /// load — the paper's benchmark starts with all source relations on
     /// mass storage).
     pub fn preload(&mut self, id: PageId) {
-        self.resident.insert(id);
+        self.resident.insert(id, ());
     }
 
     /// Whether `id` is on disk.
     pub fn contains(&self, id: PageId) -> bool {
-        self.resident.contains(&id)
+        self.resident.contains(id)
     }
 
     /// Read `bytes` of page `id`, queueing on a drive arm.
@@ -98,7 +97,7 @@ impl MassStorage {
     /// has diverged from the device's.
     pub fn read(&mut self, now: SimTime, id: PageId, bytes: usize) -> (SimTime, SimTime) {
         assert!(
-            self.resident.contains(&id),
+            self.resident.contains(id),
             "MassStorage::read: page {id} is not on disk"
         );
         self.read_traffic.record(bytes as u64);
@@ -110,7 +109,7 @@ impl MassStorage {
     ///
     /// Returns `(start, completion)`.
     pub fn write(&mut self, now: SimTime, id: PageId, bytes: usize) -> (SimTime, SimTime) {
-        self.resident.insert(id);
+        self.resident.insert(id, ());
         self.write_traffic.record(bytes as u64);
         let service = self.params.service_time(bytes);
         self.arms.submit(now, service)
@@ -118,7 +117,7 @@ impl MassStorage {
 
     /// Drop a page from disk (space reclamation for dead intermediates).
     pub fn discard(&mut self, id: PageId) {
-        self.resident.remove(&id);
+        self.resident.remove(id);
     }
 
     /// Total bytes moved in either direction.

@@ -1,15 +1,21 @@
 //! The page store: ground-truth page contents keyed by [`PageId`].
+//!
+//! The store mints every id: [`PageStore::put`] hands out 0, 1, 2, … in
+//! order and never reuses one, so within one simulation the ids are dense
+//! from 0. Every per-page table of the simulators ([`PageMap`]) indexes a
+//! vector by the id on the strength of that.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use df_relalg::{Page, Relation, Result, Schema};
+
+use crate::page_map::PageMap;
 
 /// A globally unique page identifier.
 ///
 /// Identity, not location: the simulated devices record *where* a page
 /// currently resides and what moving it costs; the content always lives in
-/// the [`PageStore`].
+/// the [`PageStore`]. Ids are minted densely from 0 by [`PageStore::put`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
 
@@ -27,7 +33,7 @@ impl std::fmt::Display for PageId {
 /// per simulated page movement, not per host-memory copy.
 #[derive(Debug, Clone, Default)]
 pub struct PageStore {
-    pages: HashMap<PageId, Arc<Page>>,
+    pages: PageMap<Arc<Page>>,
     next_id: u64,
 }
 
@@ -37,7 +43,8 @@ impl PageStore {
         PageStore::default()
     }
 
-    /// Store a page, returning its fresh id. Accepts either an owned
+    /// Store a page, returning its fresh id: the next of 0, 1, 2, …, never
+    /// one handed out before. Accepts either an owned
     /// [`Page`] or a shared `Arc<Page>` handle (no copy in either case).
     pub fn put(&mut self, page: impl Into<Arc<Page>>) -> PageId {
         let id = PageId(self.next_id);
@@ -53,7 +60,7 @@ impl PageStore {
     /// so a miss is a simulator bug, not a runtime condition.
     pub fn get(&self, id: PageId) -> &Page {
         self.pages
-            .get(&id)
+            .get(id)
             .unwrap_or_else(|| panic!("PageStore: unknown page id {id}"))
     }
 
@@ -66,7 +73,7 @@ impl PageStore {
     pub fn get_arc(&self, id: PageId) -> Arc<Page> {
         Arc::clone(
             self.pages
-                .get(&id)
+                .get(id)
                 .unwrap_or_else(|| panic!("PageStore: unknown page id {id}")),
         )
     }
@@ -74,7 +81,7 @@ impl PageStore {
     /// Remove a page (e.g. an intermediate page that has been fully consumed
     /// and will never be referenced again), returning its contents.
     pub fn remove(&mut self, id: PageId) -> Option<Arc<Page>> {
-        self.pages.remove(&id)
+        self.pages.remove(id)
     }
 
     /// Number of stored pages.
