@@ -84,39 +84,6 @@ enum Event {
     QueryDone { query: usize },
 }
 
-/// A set of instruction ids, one bit each, iterated in ascending id.
-#[derive(Debug, Clone, Default)]
-struct IdSet(Vec<u64>);
-
-impl IdSet {
-    /// An empty set for ids below `n`.
-    fn new(n: usize) -> IdSet {
-        IdSet(vec![0; n.div_ceil(64)])
-    }
-
-    fn set(&mut self, id: usize, member: bool) {
-        let bit = 1u64 << (id % 64);
-        if member {
-            self.0[id / 64] |= bit;
-        } else {
-            self.0[id / 64] &= !bit;
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let bit = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    w * 64 + bit
-                })
-            })
-        })
-    }
-}
-
 /// Per-processor scheduling state.
 #[derive(Debug, Clone)]
 struct Proc {
@@ -172,9 +139,6 @@ pub struct Machine {
     depth: Vec<usize>,
     queue: EventQueue<Event>,
     rr_cursor: usize,
-    /// The instructions with work they may fire now
-    /// ([`Machine::has_ready_work`]), kept current as their state changes.
-    ready: IdSet,
     /// Reused by [`Machine::dispatch_ready`]: the instructions with ready
     /// work, as `(instr, in_flight, depth)`, in ascending instruction id.
     candidates: Vec<(usize, usize, usize)>,
@@ -269,7 +233,6 @@ impl Machine {
             .collect();
 
         let n_queries = graph.reads.len();
-        let n_instrs = graph.cells.len();
         let processors = params.processors;
         let channels = params.net_channels();
         let cache = DiskCache::new(params.cache.clone());
@@ -293,7 +256,6 @@ impl Machine {
             depth,
             queue: EventQueue::new(),
             rr_cursor: 0,
-            ready: IdSet::new(n_instrs),
             candidates: Vec::new(),
             unit_pages: Vec::new(),
             arb_traffic: ByteCounter::new(),
@@ -413,7 +375,6 @@ impl Machine {
             }
             Firing::Complete | Firing::Source => {} // waits for completeness
         }
-        self.refresh_ready(iid);
     }
 
     /// Mark one operand stream complete; issue finalizer units and check
@@ -435,7 +396,6 @@ impl Machine {
                 self.states[iid].units_generated += 1;
             }
         }
-        self.refresh_ready(iid);
         self.check_completion(iid);
     }
 
@@ -451,22 +411,6 @@ impl Machine {
         }
     }
 
-    /// Whether `iid` has work it may fire now: the candidates a free
-    /// processor chooses among.
-    fn has_ready_work(&self, iid: InstrId) -> bool {
-        let st = &self.states[iid];
-        !st.finished
-            && (!st.pending.is_empty() || !st.ready_outers.is_empty())
-            && self.instr_ready(iid)
-    }
-
-    /// Bring `iid`'s membership of the ready set up to date; called after
-    /// every change to its queued work or its operands' completeness.
-    fn refresh_ready(&mut self, iid: InstrId) {
-        let ready = self.has_ready_work(iid);
-        self.ready.set(iid, ready);
-    }
-
     /// Dispatch as many (unit, processor) pairs as possible.
     fn dispatch_ready(&mut self) {
         let mut candidates = std::mem::take(&mut self.candidates);
@@ -479,16 +423,16 @@ impl Machine {
             .min_by_key(|(i, p)| (p.busy_until, *i))
             .map(|(i, _)| i)
         {
-            // Instructions with ready work, in ascending id (the order
-            // round-robin indexes into).
+            // Instructions with ready work.
             candidates.clear();
             candidates.extend(
-                (self.ready.iter()).map(|iid| (iid, self.states[iid].in_flight, self.depth[iid])),
-            );
-            debug_assert!(
-                (candidates.iter().map(|c| c.0))
-                    .eq((0..self.states.len()).filter(|&iid| self.has_ready_work(iid))),
-                "ready set out of date"
+                (self.states.iter().enumerate())
+                    .filter(|(iid, st)| {
+                        !st.finished
+                            && (!st.pending.is_empty() || !st.ready_outers.is_empty())
+                            && self.instr_ready(*iid)
+                    })
+                    .map(|(iid, st)| (iid, st.in_flight, self.depth[iid])),
             );
             if candidates.is_empty() {
                 break;
@@ -506,7 +450,6 @@ impl Machine {
     /// keeps its outer page while inner pages stream past).
     fn next_unit(&mut self, iid: InstrId) -> WorkUnit {
         if let Some(unit) = self.states[iid].pending.pop_front() {
-            self.refresh_ready(iid);
             return unit;
         }
         let max_batch = self.params.max_inner_batch.max(1);
@@ -526,7 +469,6 @@ impl Machine {
             st.outer_queued[outer] = true;
         }
         st.units_generated += 1;
-        self.refresh_ready(iid);
         WorkUnit::Sweep {
             outer,
             start: cursor,
